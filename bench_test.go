@@ -22,6 +22,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/scenario"
 	"repro/internal/serve"
+	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/traffic"
 	"repro/internal/wcet"
@@ -524,7 +525,7 @@ func BenchmarkEngine(b *testing.B) {
 // per-core × per-benchmark loop that now runs on the sweep worker pool. The
 // wcetmap-64x64 pair measures the per-core UBD precomputation of a 64x64
 // wcet-map sweep point from a cold model — the kernel sub-bench runs the two
-// AllCoresRoundTripUBD row sweeps, the pairwise twin the retained per-core
+// AllCoresRoundTripUBD row sweeps, the pairwise twin the per-core
 // RoundTripUBD loop — and their ratio is a perf-gate input (cmd/benchgate).
 func BenchmarkWCTT(b *testing.B) {
 	b.Run("tableiii", func(b *testing.B) {
@@ -598,9 +599,9 @@ func BenchmarkAnalysis(b *testing.B) {
 		}
 		b.ReportMetric(float64(maxWCTT), "regular-8x8-max-cycles")
 	})
-	// tableii/NxN runs on the incremental all-pairs kernels; pairwise/NxN is
-	// the retained per-pair reference summary on a prebuilt model. Their
-	// ratio is the kernel speedup the CI perf gate (cmd/benchgate) enforces.
+	// tableii/NxN runs on the incremental all-pairs kernels; pairwise/NxN
+	// folds the per-pair route walk over a prebuilt model. Their ratio is
+	// the kernel speedup the CI perf gate (cmd/benchgate) enforces.
 	for _, size := range []int{16, 32} {
 		b.Run(fmt.Sprintf("tableii/%dx%d", size, size), func(b *testing.B) {
 			var waw uint64
@@ -621,19 +622,38 @@ func BenchmarkAnalysis(b *testing.B) {
 			var waw uint64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				reg, err := m.PairwiseSummarizeOneFlitWCTT(network.DesignRegular)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sum, err := m.PairwiseSummarizeOneFlitWCTT(network.DesignWaWWaP)
-				if err != nil {
-					b.Fatal(err)
-				}
+				reg := pairwiseOneFlit(b, m, network.DesignRegular)
+				sum := pairwiseOneFlit(b, m, network.DesignWaWWaP)
 				waw = sum.Max + reg.Min
 			}
 			b.ReportMetric(float64(waw), "wawwap-max-cycles")
 		})
 	}
+}
+
+// pairwiseOneFlit is the per-pair baseline of the pairwise/NxN benches: the
+// summary SummarizeOneFlitWCTT computes, folded from one route walk per
+// ordered pair instead of the kernels.
+func pairwiseOneFlit(b *testing.B, m *analysis.Model, design network.Design) analysis.WCTTSummary {
+	nodes := m.Params().Dim.AllNodes()
+	sum := analysis.WCTTSummary{Design: design, Dim: m.Params().Dim, Min: ^uint64(0)}
+	var sampler stats.Sampler
+	for _, src := range nodes {
+		for _, dst := range nodes {
+			if src == dst {
+				continue
+			}
+			v, err := m.FlowWCTTOneFlit(design, src, dst)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sum.Max, sum.Min = max(sum.Max, v), min(sum.Min, v)
+			sampler.AddUint(v)
+			sum.Flows++
+		}
+	}
+	sum.Mean = sampler.Mean()
+	return sum
 }
 
 // BenchmarkPacketization measures the WaP slicing overhead accounting (the
@@ -696,9 +716,9 @@ func buildServeBatch(pairs [][2]mesh.Node, queries int) []byte {
 }
 
 // BenchmarkServe measures the latency-oracle daemon end to end through
-// ServeLines: protocol parse, memo probe, response encode. batch-warm is
-// the headline number — vectorised warm-cache analytical queries, the
-// million-QPS path of the serving layer; wctt-lines pays the full
+// ServeLines: protocol parse, route walk, response encode. batch-warm is
+// the headline number — vectorised analytical queries against an already
+// built model, the million-QPS path of the serving layer; wctt-lines pays the full
 // line-protocol overhead (one JSON object parse per query) as a contrast.
 // Every op is one query, so ns/op is per-query cost and queries/s the
 // throughput. The examples/servebench harness reports the same workload
@@ -706,7 +726,7 @@ func buildServeBatch(pairs [][2]mesh.Node, queries int) []byte {
 func BenchmarkServe(b *testing.B) {
 	pairs := buildServePairs(mesh.MustDim(8, 8))
 	b.Run("batch-warm", func(b *testing.B) {
-		srv := serve.New(0, 0)
+		srv := serve.NewServer(serve.Config{})
 		defer srv.Close()
 		warm := buildServeBatch(pairs, len(pairs))
 		if err := srv.ServeLines(context.Background(), bytes.NewReader(warm), io.Discard); err != nil {
@@ -721,23 +741,8 @@ func BenchmarkServe(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 	})
-	b.Run("batch-cold-memo", func(b *testing.B) {
-		// Same workload against fresh singleflight-guarded computations on
-		// the first lap: the warm/cold ratio is what the concurrent LRU and
-		// memo sharing buy the serving layer.
-		srv := serve.New(0, 0)
-		defer srv.Close()
-		in := buildServeBatch(pairs, b.N)
-		b.ReportAllocs()
-		b.ResetTimer()
-		if err := srv.ServeLines(context.Background(), bytes.NewReader(in), io.Discard); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-	})
 	b.Run("wctt-lines", func(b *testing.B) {
-		srv := serve.New(0, 0)
+		srv := serve.NewServer(serve.Config{})
 		defer srv.Close()
 		warm := buildServeBatch(pairs, len(pairs))
 		if err := srv.ServeLines(context.Background(), bytes.NewReader(warm), io.Discard); err != nil {
@@ -758,7 +763,7 @@ func BenchmarkServe(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 	})
 	b.Run("wcet-batch-warm", func(b *testing.B) {
-		srv := serve.New(0, 0)
+		srv := serve.NewServer(serve.Config{})
 		defer srv.Close()
 		d := mesh.MustDim(8, 8)
 		nodes := d.AllNodes()

@@ -84,22 +84,21 @@
 //
 // The analytical stack mirrors the simulator's flat-indexed design: WaW
 // weight tables are fixed-size arrays in a per-node-index slice shared per
-// mesh (flows.CachedWeightTable), analysis.Model precomputes per-node
-// contender counts and output shares so the WCTT bound functions walk XY
-// routes as pure index arithmetic with zero allocations (mesh.WalkXY /
-// mesh.AppendXYHops are the general-purpose allocation-free walkers), and
+// topology (flows.CachedWeightTableTopo), analysis.Model precomputes
+// per-node contender counts and output shares so the WCTT bound functions
+// walk XY routes as pure index arithmetic with zero allocations (mesh.WalkXY
+// / mesh.AppendXYHops are the general-purpose allocation-free walkers), and
 // wcet.Platform.Engine compiles a platform once per (platform, packet-size)
 // value — validation once per table, per-core round-trip UBDs once per
-// design, each Table III cell pure arithmetic. The scenario layer caches
-// models per parameter set next to its network cache, and models memoise
-// MessageWCTT per (design, src, dst, payload); every cache is keyed by the
-// full parameter value and every cached object is immutable, so no
-// invalidation protocol exists. The pre-refactor implementations are kept
-// as a naive reference path (analysis.Model.Reference*, mirroring
-// network.EngineFullScan) and equivalence tests plus pre-refactor JSON
-// goldens pin the fast path bit-identical; the speedup opens the wctt and
-// wcet-map scenario axes to 16x16-32x32 meshes.
-// On top of the per-pair path sit incremental all-pairs kernels
+// design, each Table III cell pure arithmetic. A point bound
+// (Model.MessageWCTT) is that route walk and nothing else: a few dozen
+// integer operations, never cached. The scenario layer caches models per
+// parameter set next to its network cache; every cache is keyed by the full
+// parameter value and every cached object is immutable, so no invalidation
+// protocol exists. The route-materialising implementations the walk
+// replaced live on in test code only (internal/analysis/reference_test.go)
+// as its oracle, next to pre-refactor JSON goldens.
+// A whole-mesh table runs on the incremental all-pairs kernels
 // (internal/analysis/kernel.go): two flows sharing a route prefix repeat
 // the same per-hop folds along it, so the kernels sweep pairs in route
 // order and carry the exact fold state between them — destination-major
@@ -109,18 +108,16 @@
 // term reads only the running output-share maximum and is applied on a
 // copy. The O(N^2 * hops) all-pairs loop becomes amortized O(1) per pair
 // with results bit-identical by construction (the identical
-// saturating-arithmetic sequence, no reassociation); the retained
-// per-pair reference (PairwiseSummarizeOneFlitWCTT, per-core
-// RoundTripUBD) pins equivalence across designs, dims and concentrated
-// meshes. SummarizeOneFlitWCTT, the wcet engine's round-trip UBD
-// precomputation (AllCoresRoundTripUBD row sweeps, Engine.WCETMap), the
-// wctt/wcet-map scenario modes and the serve daemon's whole-mesh batch
-// warm path (Model.WarmAllPairs) all run on the kernels, extending the
+// saturating-arithmetic sequence, no reassociation); the route walk is the
+// kernels' oracle across designs, dims and concentrated meshes
+// (kernel_test.go). SummarizeOneFlitWCTT, the wcet engine's round-trip UBD
+// precomputation (AllCoresRoundTripUBD row sweeps, Engine.WCETMap) and the
+// wctt/wcet-map scenario modes run on the kernels, extending the
 // analytical sweep axes to 48x48 and 64x64 — where the regular bound
 // saturates uint64 and is reported as the explicit value 2^64-1
 // (examples/wcttscaling prints a `saturated` marker and keeps saturated
 // endpoints out of growth ratios). cmd/benchgate gates the committed
-// kernel-vs-reference speedup ratios in CI against BENCH_baseline.json.
+// kernel-vs-walk speedup ratios in CI against BENCH_baseline.json.
 //
 // Topology is a pluggable layer underneath all of this (mesh.Topology,
 // mesh.TopoSpec): the 2D mesh is one instance of an interface that owns the

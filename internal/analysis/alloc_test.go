@@ -52,8 +52,9 @@ func TestRouteWalkZeroAllocs(t *testing.T) {
 	})
 }
 
-// TestPacketWCTTZeroAllocs: both per-flow bounds are pure arithmetic over
-// the model's flat precomputed state.
+// TestPacketWCTTZeroAllocs: both per-flow bounds, and the MessageWCTT point
+// query every serve bound goes through, are pure arithmetic over the
+// model's flat precomputed state.
 func TestPacketWCTTZeroAllocs(t *testing.T) {
 	m := MustNewModel(DefaultParams(mesh.MustDim(8, 8)))
 	src, dst := mesh.Node{X: 7, Y: 7}, mesh.Node{X: 0, Y: 0}
@@ -72,6 +73,20 @@ func TestPacketWCTTZeroAllocs(t *testing.T) {
 		}
 		sink += v
 	})
+	for _, spec := range []mesh.TopoSpec{{Kind: mesh.TopoMesh}, {Kind: mesh.TopoCMesh, Conc: 2}} {
+		p := DefaultParams(mesh.MustDim(8, 8))
+		p.Topo = spec
+		tm := MustNewModel(p)
+		for _, design := range allDesigns {
+			assertAllocsPerRun(t, "MessageWCTT/"+spec.String()+"/"+design.String(), 1000, func() {
+				v, err := tm.MessageWCTT(design, src, dst, 512)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sink += v
+			})
+		}
+	}
 	if sink == 0 {
 		t.Fatal("bounds were zero; the assertions covered dead code")
 	}

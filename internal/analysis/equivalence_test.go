@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/mesh"
@@ -84,39 +85,62 @@ func TestSummarizeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMessageWCTTMemo checks that memoised bounds are served bit-identical
-// to the first computation and to a fresh, memo-cold model.
-func TestMessageWCTTMemo(t *testing.T) {
-	d := mesh.MustDim(8, 8)
-	m := MustNewModel(DefaultParams(d))
-	fresh := MustNewModel(DefaultParams(d))
-	src, dst := mesh.Node{X: 7, Y: 7}, mesh.Node{X: 0, Y: 0}
-	for _, design := range allDesigns {
-		for _, bits := range []int{16, 48, 512} {
-			first, err := m.MessageWCTT(design, src, dst, bits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			memoised, err := m.MessageWCTT(design, src, dst, bits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cold, err := fresh.messageWCTT(design, src, dst, bits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if first != memoised || first != cold {
-				t.Errorf("%v %d bits: first %d, memoised %d, memo-cold %d — must all match",
-					design, bits, first, memoised, cold)
+// TestMessageWCTTConcurrent hammers one shared model from 8 goroutines and
+// requires every answer to equal the walk's serial answer: MessageWCTT reads
+// only the model's immutable arrays, so it needs no synchronisation — which
+// is what the race detector checks here (CI runs this under -race).
+func TestMessageWCTTConcurrent(t *testing.T) {
+	d := mesh.MustDim(6, 4)
+	nodes := d.AllNodes()
+	payloads := []int{16, 48, 512}
+	for _, spec := range []mesh.TopoSpec{{Kind: mesh.TopoMesh}, {Kind: mesh.TopoCMesh, Conc: 2}} {
+		p := DefaultParams(d)
+		p.Topo = spec
+		m := MustNewModel(p)
+		type query struct {
+			design   network.Design
+			src, dst mesh.Node
+			bits     int
+		}
+		var queries []query
+		var want []uint64
+		for _, design := range allDesigns {
+			for _, src := range nodes {
+				for _, dst := range nodes {
+					if src == dst {
+						continue
+					}
+					for _, bits := range payloads {
+						v, err := m.MessageWCTT(design, src, dst, bits)
+						if err != nil {
+							t.Fatal(err)
+						}
+						queries = append(queries, query{design, src, dst, bits})
+						want = append(want, v)
+					}
+				}
 			}
 		}
-	}
-	// Error paths bypass the memo and still fail.
-	if _, err := m.MessageWCTT(network.DesignRegular, src, mesh.Node{X: 99, Y: 99}, 48); err == nil {
-		t.Error("destination outside mesh should fail")
-	}
-	if _, err := m.MessageWCTT(network.Design(9), src, dst, 48); err == nil {
-		t.Error("unknown design should fail")
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				// Each goroutine starts at its own offset so the same query
+				// is in flight on several goroutines at once.
+				for k := range queries {
+					i := (k + g*len(queries)/8) % len(queries)
+					q := queries[i]
+					got, err := m.MessageWCTT(q.design, q.src, q.dst, q.bits)
+					if err != nil || got != want[i] {
+						t.Errorf("%v %v %v->%v %d bits: concurrent %d (err %v) != serial %d",
+							spec, q.design, q.src, q.dst, q.bits, got, err, want[i])
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
 }
 

@@ -57,26 +57,24 @@ import (
 )
 
 // Kernel effectiveness counters (process-wide, exposed through the serve
-// stats verb): all-pairs kernel invocations, single-row kernel sweeps (the
-// wcet engine's per-core UBD precomputation), and bounds inserted into model
-// memos by WarmAllPairs.
+// stats verb): all-pairs kernel invocations and single-row kernel sweeps
+// (the wcet engine's per-core UBD precomputation).
 var (
 	kernelAllPairsRuns atomic.Uint64
 	kernelRowSweeps    atomic.Uint64
-	kernelMemoWarmed   atomic.Uint64
 )
 
 // KernelCounters reports the cumulative kernel counters: all-pairs kernel
-// runs, single-row kernel sweeps, and memo entries warmed from kernel
-// tables.
-func KernelCounters() (allPairsRuns, rowSweeps, memoWarmed uint64) {
-	return kernelAllPairsRuns.Load(), kernelRowSweeps.Load(), kernelMemoWarmed.Load()
+// runs and single-row kernel sweeps. The third result counted memo entries
+// warmed from kernel tables; the memo is gone (PR 12), so it is retired and
+// always 0 — kept because the frozen bench/ module destructures three.
+func KernelCounters() (allPairsRuns, rowSweeps, retired uint64) {
+	return kernelAllPairsRuns.Load(), kernelRowSweeps.Load(), 0
 }
 
 // kernelScratch pools the transient tables the allocating convenience paths
-// (summaries, router-table expansion, memo warming) use, so steady-state
-// kernel-backed summaries stay allocation-free like the per-pair path they
-// replaced.
+// (summaries, router-table expansion) use, so steady-state kernel-backed
+// summaries stay allocation-free like the per-pair path they replaced.
 var kernelScratch = sync.Pool{New: func() any { s := make([]uint64, 0, 4096); return &s }}
 
 func getScratch(n int) *[]uint64 {
@@ -354,38 +352,6 @@ func (m *Model) AllPairsMessageWCTT(design network.Design, payloadBits int, buf 
 		return m.AllPairsWaWPacketWCTT(sh.a, sh.b, buf)
 	}
 	return m.AllPairsRegularPacketWCTT(sh.a, sh.b, buf)
-}
-
-// WarmAllPairs computes the all-pairs MessageWCTT table for (design,
-// payloadBits) with the kernel and inserts every off-diagonal bound into the
-// model's per-pair memo, so subsequent point queries (MessageWCTT,
-// CachedMessageWCTT) are lock-free map hits. It returns the number of memo
-// entries actually inserted (already-warm entries are left untouched — the
-// kernel recomputes them bit-equal, so either value is correct). The serve
-// daemon calls this when a batch covers the whole mesh.
-func (m *Model) WarmAllPairs(design network.Design, payloadBits int) (int, error) {
-	n := len(m.nodes)
-	tabp := getScratch(n * n)
-	defer putScratch(tabp)
-	tab, err := m.AllPairsMessageWCTT(design, payloadBits, *tabp)
-	if err != nil {
-		return 0, err
-	}
-	*tabp = tab
-	warmed := 0
-	for si := 0; si < n; si++ {
-		for di := 0; di < n; di++ {
-			if si == di {
-				continue
-			}
-			key := memoKey{design: design, src: int32(si), dst: int32(di), payloadBits: payloadBits}
-			if _, loaded := m.memo.LoadOrStore(key, tab[si*n+di]); !loaded {
-				warmed++
-			}
-		}
-	}
-	kernelMemoWarmed.Add(uint64(warmed))
-	return warmed, nil
 }
 
 // AllSourcesMessageWCTT fills buf with the MessageWCTT bound from every

@@ -49,7 +49,7 @@ func kernelModels(t *testing.T) []*Model {
 }
 
 // TestAllPairsMatchesPairwise pins every entry of the all-pairs kernel
-// tables bit-identical to the retained per-pair walk, across designs, dims
+// tables bit-identical to the per-pair route walk, across designs, dims
 // and topologies, for both the one-flit (Table II) configuration and
 // realistic message payloads.
 func TestAllPairsMatchesPairwise(t *testing.T) {
@@ -99,7 +99,7 @@ func TestAllPairsMatchesPairwise(t *testing.T) {
 							}
 							continue
 						}
-						want, err := m.messageWCTT(design, src, dst, bits)
+						want, err := m.MessageWCTT(design, src, dst, bits)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -186,13 +186,13 @@ func TestRowKernelsMatchPairwise(t *testing.T) {
 }
 
 // TestSummarizeMatchesPairwise pins the kernel-backed summary — including
-// its float Welford mean, which is fold-order-sensitive — to the retained
-// per-pair summary across designs, dims and topologies.
+// its float Welford mean, which is fold-order-sensitive — to the plain
+// per-pair loop over the route walk across designs, dims and topologies.
 func TestSummarizeMatchesPairwise(t *testing.T) {
 	for _, m := range kernelModels(t) {
 		for _, design := range allDesigns {
 			fast, err1 := m.SummarizeOneFlitWCTT(design)
-			ref, err2 := m.PairwiseSummarizeOneFlitWCTT(design)
+			ref, err2 := pairwiseSummary(m, design)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("%v %v %v: errors %v / %v", m.Params().Topo, m.Params().Dim, design, err1, err2)
 			}
@@ -200,50 +200,6 @@ func TestSummarizeMatchesPairwise(t *testing.T) {
 				t.Fatalf("%v %v %v: kernel summary %+v != pairwise %+v",
 					m.Params().Topo, m.Params().Dim, design, fast, ref)
 			}
-		}
-	}
-}
-
-// TestWarmAllPairs checks the memo-warming contract of the serve
-// integration: after WarmAllPairs every off-diagonal point query is a
-// lock-free memo hit with the bit-identical bound, and re-warming inserts
-// nothing new.
-func TestWarmAllPairs(t *testing.T) {
-	d := mesh.MustDim(6, 6)
-	for _, design := range allDesigns {
-		m := MustNewModel(DefaultParams(d))
-		fresh := MustNewModel(DefaultParams(d))
-		warmed, err := m.WarmAllPairs(design, 48)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := d.Nodes() * (d.Nodes() - 1); warmed != want {
-			t.Fatalf("%v: first warm inserted %d entries, want %d", design, warmed, want)
-		}
-		for _, src := range d.AllNodes() {
-			for _, dst := range d.AllNodes() {
-				if src == dst {
-					continue
-				}
-				got, ok := m.CachedMessageWCTT(design, src, dst, 48)
-				if !ok {
-					t.Fatalf("%v %v->%v: not memoised after WarmAllPairs", design, src, dst)
-				}
-				want, err := fresh.MessageWCTT(design, src, dst, 48)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("%v %v->%v: warmed %d != cold computation %d", design, src, dst, got, want)
-				}
-			}
-		}
-		again, err := m.WarmAllPairs(design, 48)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again != 0 {
-			t.Fatalf("%v: second warm inserted %d entries, want 0", design, again)
 		}
 	}
 }
@@ -285,7 +241,7 @@ func TestKernelFuzzRandomDims(t *testing.T) {
 				if src == dst {
 					continue
 				}
-				want, err := m.messageWCTT(design, src, dst, bits)
+				want, err := m.MessageWCTT(design, src, dst, bits)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -299,10 +255,10 @@ func TestKernelFuzzRandomDims(t *testing.T) {
 }
 
 // TestKernelCountersAdvance sanity-checks the effectiveness counters the
-// serve stats verb surfaces: all-pairs runs, row sweeps and memo warms all
-// move when their kernels run.
+// serve stats verb surfaces: all-pairs runs and row sweeps move when their
+// kernels run, and the retired third result stays 0.
 func TestKernelCountersAdvance(t *testing.T) {
-	ap0, rs0, mw0 := KernelCounters()
+	ap0, rs0, _ := KernelCounters()
 	m := MustNewModel(DefaultParams(mesh.MustDim(4, 4)))
 	if _, err := m.AllPairsOneFlitWCTT(network.DesignRegular, nil); err != nil {
 		t.Fatal(err)
@@ -310,12 +266,9 @@ func TestKernelCountersAdvance(t *testing.T) {
 	if _, err := m.AllSourcesMessageWCTT(network.DesignRegular, mesh.Node{}, 48, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.WarmAllPairs(network.DesignWaWWaP, 48); err != nil {
-		t.Fatal(err)
-	}
-	ap1, rs1, mw1 := KernelCounters()
-	if ap1 <= ap0 || rs1 <= rs0 || mw1 <= mw0 {
-		t.Fatalf("kernel counters did not advance: all-pairs %d->%d, row sweeps %d->%d, warmed %d->%d",
-			ap0, ap1, rs0, rs1, mw0, mw1)
+	ap1, rs1, retired := KernelCounters()
+	if ap1 <= ap0 || rs1 <= rs0 || retired != 0 {
+		t.Fatalf("kernel counters: all-pairs %d->%d, row sweeps %d->%d (both must advance), retired %d (must be 0)",
+			ap0, ap1, rs0, rs1, retired)
 	}
 }

@@ -8,16 +8,16 @@ import (
 	"repro/internal/stats"
 )
 
-// This file keeps the pre-flat-index implementations of the WCTT bounds as a
-// naive reference path, mirroring network.EngineFullScan: the fast paths in
-// wctt.go enumerate dimension-ordered routes straight from the geometry over
+// This file keeps the pre-flat-index implementations of the WCTT bounds as
+// the test-only oracle of the route walk (the walk in turn is the oracle of
+// the all-pairs kernels, kernel_test.go): the production paths in wctt.go
+// enumerate dimension-ordered routes straight from the geometry over
 // precomputed per-router-index arrays, while the reference walks a
 // materialised mesh.TopologyRoute and recomputes contender counts and output
 // shares per hop from first principles (the topology's legal-input table and
-// the weight table). The
-// equivalence tests pin the two bit-identical across meshes, designs and
-// packet shapes, so the fast path can never silently drift from the model
-// the paper defines.
+// the weight table). The equivalence tests pin the two bit-identical across
+// meshes, designs and packet shapes, so the walk can never silently drift
+// from the model the paper defines.
 
 // ReferenceRegularPacketWCTT is the route-materialising implementation of
 // RegularPacketWCTT, kept as the naive reference for equivalence testing.
@@ -85,52 +85,54 @@ func (m *Model) ReferenceWaWPacketWCTT(src, dst mesh.Node, numPackets, slotFlits
 	return total, nil
 }
 
-// ReferenceSummarizeOneFlitWCTT is SummarizeOneFlitWCTT on the reference
-// bounds — the pre-refactor Table II cell computation.
-func (m *Model) ReferenceSummarizeOneFlitWCTT(design network.Design) (WCTTSummary, error) {
+// summarizePairs folds oneFlit over every ordered pair of distinct nodes in
+// source-major order — the plain per-pair loop SummarizeOneFlitWCTT must
+// match bit for bit, float mean included.
+func summarizePairs(m *Model, design network.Design, oneFlit func(src, dst mesh.Node) (uint64, error)) (WCTTSummary, error) {
 	var sampler stats.Sampler
-	var maxV, minV uint64
-	first := true
-	count := 0
+	sum := WCTTSummary{Design: design, Dim: m.p.Dim}
 	for _, src := range m.p.Dim.AllNodes() {
 		for _, dst := range m.p.Dim.AllNodes() {
 			if src == dst {
 				continue
 			}
-			var v uint64
-			var err error
-			switch design {
-			case network.DesignRegular, network.DesignWaPOnly:
-				v, err = m.ReferenceRegularPacketWCTT(src, dst, 1, 1)
-			case network.DesignWaWWaP, network.DesignWaWOnly:
-				v, err = m.ReferenceWaWPacketWCTT(src, dst, 1, 1)
-			default:
-				err = fmt.Errorf("analysis: unknown design %v", design)
-			}
+			v, err := oneFlit(src, dst)
 			if err != nil {
 				return WCTTSummary{}, err
 			}
-			if first {
-				maxV, minV = v, v
-				first = false
-			} else {
-				if v > maxV {
-					maxV = v
-				}
-				if v < minV {
-					minV = v
-				}
+			if sum.Flows == 0 || v > sum.Max {
+				sum.Max = v
+			}
+			if sum.Flows == 0 || v < sum.Min {
+				sum.Min = v
 			}
 			sampler.AddUint(v)
-			count++
+			sum.Flows++
 		}
 	}
-	return WCTTSummary{
-		Design: design,
-		Dim:    m.p.Dim,
-		Max:    maxV,
-		Min:    minV,
-		Mean:   sampler.Mean(),
-		Flows:  count,
-	}, nil
+	sum.Mean = sampler.Mean()
+	return sum, nil
+}
+
+// ReferenceSummarizeOneFlitWCTT is SummarizeOneFlitWCTT on the reference
+// bounds — the pre-refactor Table II cell computation.
+func (m *Model) ReferenceSummarizeOneFlitWCTT(design network.Design) (WCTTSummary, error) {
+	return summarizePairs(m, design, func(src, dst mesh.Node) (uint64, error) {
+		switch design {
+		case network.DesignRegular, network.DesignWaPOnly:
+			return m.ReferenceRegularPacketWCTT(src, dst, 1, 1)
+		case network.DesignWaWWaP, network.DesignWaWOnly:
+			return m.ReferenceWaWPacketWCTT(src, dst, 1, 1)
+		default:
+			return 0, fmt.Errorf("analysis: unknown design %v", design)
+		}
+	})
+}
+
+// pairwiseSummary is the per-pair summary on the production route walk: the
+// oracle of the kernel-backed SummarizeOneFlitWCTT.
+func pairwiseSummary(m *Model, design network.Design) (WCTTSummary, error) {
+	return summarizePairs(m, design, func(src, dst mesh.Node) (uint64, error) {
+		return m.FlowWCTTOneFlit(design, src, dst)
+	})
 }

@@ -33,18 +33,19 @@ func (s WCTTSummary) String() string {
 // SummarizeOneFlitWCTT computes max/mean/min of the one-flit-packet WCTT
 // bound over every ordered pair of distinct nodes, for the given design.
 // It runs on the incremental all-pairs kernels (kernel.go) — amortized O(1)
-// route-walk work per pair instead of O(hops) — and folds the table in the
-// exact pair order of the retained per-pair path
-// (PairwiseSummarizeOneFlitWCTT), so the running Welford mean is
-// bit-identical, not merely close. Steady-state calls perform no heap
-// allocations (the transient table is pooled).
+// route-walk work per pair instead of O(hops) — and folds the bounds in
+// source-major pair order (sources outer, destinations inner, self flows
+// skipped), the order of the plain per-pair loop the tests compare against,
+// so the running Welford mean is bit-identical to it, not merely close.
+// Steady-state calls perform no heap allocations (the transient table is
+// pooled).
 func (m *Model) SummarizeOneFlitWCTT(design network.Design) (WCTTSummary, error) {
 	n := len(m.nodes)
+	var f summaryFold
 	switch design {
 	case network.DesignRegular, network.DesignWaPOnly:
-		// The chained-blocking kernel is destination-major, the reference
-		// fold source-major: materialise the table, then fold it in
-		// reference order.
+		// The chained-blocking kernel is destination-major, the fold
+		// source-major: materialise the table, then fold it row by row.
 		tabp := getScratch(n * n)
 		defer putScratch(tabp)
 		tab, err := m.AllPairsRegularPacketWCTT(1, 1, *tabp)
@@ -52,146 +53,59 @@ func (m *Model) SummarizeOneFlitWCTT(design network.Design) (WCTTSummary, error)
 			return WCTTSummary{}, err
 		}
 		*tabp = tab
-		return m.foldSummaryTable(design, tab), nil
+		for si := 0; si < n; si++ {
+			for di, v := range tab[si*n : si*n+n] {
+				if di != si {
+					f.add(v)
+				}
+			}
+		}
 	case network.DesignWaWWaP, network.DesignWaWOnly:
-		// The guaranteed-bandwidth kernel is source-major — exactly the
-		// reference fold order — so the summary streams one O(N) row per
-		// source with O(N) scratch.
-		return m.streamWaWSummary(design)
+		// The guaranteed-bandwidth kernel is source-major — exactly the fold
+		// order — so the summary streams one O(N) router row per source
+		// without materialising the N^2 table.
+		kernelAllPairsRuns.Add(1)
+		rowp := getScratch(m.rdim.Nodes())
+		defer putScratch(rowp)
+		row := *rowp
+		for si := 0; si < n; si++ {
+			m.wawSourceSweep(row, m.topo.RouterOf(m.nodes[si]), 1, 1)
+			for di := 0; di < n; di++ {
+				if di != si {
+					f.add(row[m.epRouter[di]])
+				}
+			}
+		}
 	default:
 		return WCTTSummary{}, fmt.Errorf("analysis: unknown design %v", design)
 	}
-}
-
-// foldSummaryTable folds a full endpoint-pair table in the per-pair
-// reference order (sources outer, destinations inner, self flows skipped).
-func (m *Model) foldSummaryTable(design network.Design, tab []uint64) WCTTSummary {
-	var sampler stats.Sampler
-	var maxV, minV uint64
-	first := true
-	n := len(m.nodes)
-	count := 0
-	for si := 0; si < n; si++ {
-		row := tab[si*n : si*n+n]
-		for di := 0; di < n; di++ {
-			if di == si {
-				continue
-			}
-			v := row[di]
-			if first {
-				maxV, minV = v, v
-				first = false
-			} else {
-				if v > maxV {
-					maxV = v
-				}
-				if v < minV {
-					minV = v
-				}
-			}
-			sampler.AddUint(v)
-			count++
-		}
-	}
 	return WCTTSummary{
 		Design: design,
 		Dim:    m.p.Dim,
-		Max:    maxV,
-		Min:    minV,
-		Mean:   sampler.Mean(),
-		Flows:  count,
-	}
-}
-
-// streamWaWSummary folds the WaW one-flit summary from per-source kernel
-// rows without materialising the N^2 table.
-func (m *Model) streamWaWSummary(design network.Design) (WCTTSummary, error) {
-	kernelAllPairsRuns.Add(1)
-	var sampler stats.Sampler
-	var maxV, minV uint64
-	first := true
-	n := len(m.nodes)
-	count := 0
-	rn := m.rdim.Nodes()
-	rowp := getScratch(rn)
-	defer putScratch(rowp)
-	row := *rowp
-	for si := 0; si < n; si++ {
-		rs := m.topo.RouterOf(m.nodes[si])
-		m.wawSourceSweep(row, rs, 1, 1)
-		for di := 0; di < n; di++ {
-			if di == si {
-				continue
-			}
-			v := row[m.epRouter[di]]
-			if first {
-				maxV, minV = v, v
-				first = false
-			} else {
-				if v > maxV {
-					maxV = v
-				}
-				if v < minV {
-					minV = v
-				}
-			}
-			sampler.AddUint(v)
-			count++
-		}
-	}
-	return WCTTSummary{
-		Design: design,
-		Dim:    m.p.Dim,
-		Max:    maxV,
-		Min:    minV,
-		Mean:   sampler.Mean(),
-		Flows:  count,
+		Max:    f.max,
+		Min:    f.min,
+		Mean:   f.sampler.Mean(),
+		Flows:  f.count,
 	}, nil
 }
 
-// PairwiseSummarizeOneFlitWCTT is the retained per-pair summary path — the
-// pre-kernel implementation, kept as the pinned reference the kernel-backed
-// SummarizeOneFlitWCTT must match bit-for-bit (equivalence tests in
-// kernel_test.go) and as the baseline the BenchmarkAnalysis pairwise/NxN
-// benches measure the kernels against.
-func (m *Model) PairwiseSummarizeOneFlitWCTT(design network.Design) (WCTTSummary, error) {
-	var sampler stats.Sampler
-	var maxV, minV uint64
-	first := true
-	nodes := m.nodes
-	count := 0
-	for _, src := range nodes {
-		for _, dst := range nodes {
-			if src == dst {
-				continue
-			}
-			v, err := m.FlowWCTTOneFlit(design, src, dst)
-			if err != nil {
-				return WCTTSummary{}, err
-			}
-			if first {
-				maxV, minV = v, v
-				first = false
-			} else {
-				if v > maxV {
-					maxV = v
-				}
-				if v < minV {
-					minV = v
-				}
-			}
-			sampler.AddUint(v)
-			count++
-		}
+// summaryFold accumulates the max/min/mean of a stream of bounds in arrival
+// order (the Welford mean is order-sensitive).
+type summaryFold struct {
+	sampler  stats.Sampler
+	max, min uint64
+	count    int
+}
+
+func (f *summaryFold) add(v uint64) {
+	if f.count == 0 || v > f.max {
+		f.max = v
 	}
-	return WCTTSummary{
-		Design: design,
-		Dim:    m.p.Dim,
-		Max:    maxV,
-		Min:    minV,
-		Mean:   sampler.Mean(),
-		Flows:  count,
-	}, nil
+	if f.count == 0 || v < f.min {
+		f.min = v
+	}
+	f.sampler.AddUint(v)
+	f.count++
 }
 
 // TableIIRow is one row of Table II: the regular-design and WaW+WaP-design

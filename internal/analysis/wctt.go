@@ -57,7 +57,6 @@ package analysis
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/flit"
 	"repro/internal/flows"
@@ -147,24 +146,6 @@ type Model struct {
 	// The all-pairs kernels use it to expand router-pair tables to
 	// endpoint-pair tables (kernel.go).
 	epRouter []int32
-
-	// memo caches MessageWCTT results per (design, src, dst, payload): the
-	// WCET engines ask for the same round-trip bounds once per core and
-	// design but across many phases, placements and benchmark suites.
-	// Invalidation is never needed — a Model's parameters are fixed at
-	// construction, so a memoised bound can only be recomputed bit-equal;
-	// changing any Params field means building a new Model (and the
-	// scenario-layer caches key models by their full Params value).
-	memo sync.Map // memoKey -> uint64
-}
-
-// memoKey identifies one memoised MessageWCTT bound. payloadBits keeps the
-// full int width: truncating it would let payloads 2^32 bits apart collide
-// on one memo entry and silently serve the wrong bound.
-type memoKey struct {
-	design      network.Design
-	src, dst    int32 // dense node indices
-	payloadBits int
 }
 
 // NewModel builds a WCTT model for the given parameters. Topologies whose
@@ -398,62 +379,9 @@ func (m *Model) WaWPacketWCTT(src, dst mesh.Node, numPackets, slotFlits int) (ui
 	return total, nil
 }
 
-// MessageWCTT returns the WCTT bound of a message with the given payload
-// under the given design point. The regular-design bound assumes contenders
-// send maximum-size packets (L = Link.MaxPacketFlits; when the configuration
-// leaves the packet size unlimited, L is taken as the analysed message's own
-// packet size, which is the most favourable assumption possible for the
-// regular design).
-//
-// Results are memoised per (design, src, dst, payload): WCET analyses
-// request the same round-trip bounds for every benchmark of a suite and
-// every phase of a parallel application. The memo never needs invalidation
-// because the Model is immutable (see Model).
-func (m *Model) MessageWCTT(design network.Design, src, dst mesh.Node, payloadBits int) (uint64, error) {
-	if !m.p.Dim.Contains(src) || !m.p.Dim.Contains(dst) {
-		return m.messageWCTT(design, src, dst, payloadBits) // error path
-	}
-	key := memoKey{
-		design:      design,
-		src:         int32(src.Y*m.p.Dim.Width + src.X),
-		dst:         int32(dst.Y*m.p.Dim.Width + dst.X),
-		payloadBits: payloadBits,
-	}
-	if v, ok := m.memo.Load(key); ok {
-		return v.(uint64), nil
-	}
-	v, err := m.messageWCTT(design, src, dst, payloadBits)
-	if err != nil {
-		return 0, err
-	}
-	m.memo.Store(key, v)
-	return v, nil
-}
-
-// CachedMessageWCTT probes the memo without computing: it returns the
-// memoised bound for the query when one exists. The serve daemon's batch
-// hot path uses it to split warm queries (a single lock-free map load) from
-// cold ones, which it coalesces through a singleflight group before paying
-// for the computation.
-func (m *Model) CachedMessageWCTT(design network.Design, src, dst mesh.Node, payloadBits int) (uint64, bool) {
-	if !m.p.Dim.Contains(src) || !m.p.Dim.Contains(dst) {
-		return 0, false
-	}
-	key := memoKey{
-		design:      design,
-		src:         int32(src.Y*m.p.Dim.Width + src.X),
-		dst:         int32(dst.Y*m.p.Dim.Width + dst.X),
-		payloadBits: payloadBits,
-	}
-	if v, ok := m.memo.Load(key); ok {
-		return v.(uint64), true
-	}
-	return 0, false
-}
-
 // msgShape is the per-design packetisation of a message bound: which bound
 // family applies and its two size arguments. It is the single dispatch the
-// per-pair path (messageWCTT), the all-pairs kernels and the row kernels
+// per-pair walk (MessageWCTT), the all-pairs kernels and the row kernels
 // share, so a design can never packetise differently between them.
 type msgShape struct {
 	// waw selects the guaranteed-bandwidth bound (WaWPacketWCTT); otherwise
@@ -509,7 +437,15 @@ func (m *Model) messageShape(design network.Design, payloadBits int) (msgShape, 
 	}
 }
 
-func (m *Model) messageWCTT(design network.Design, src, dst mesh.Node, payloadBits int) (uint64, error) {
+// MessageWCTT returns the WCTT bound of a message with the given payload
+// under the given design point. The regular-design bound assumes contenders
+// send maximum-size packets (L = Link.MaxPacketFlits; when the configuration
+// leaves the packet size unlimited, L is taken as the analysed message's own
+// packet size, which is the most favourable assumption possible for the
+// regular design). Like the packet bounds it dispatches to, it is an
+// allocation-free route walk: nothing is cached, so a bound costs the same
+// few dozen integer operations the first time and every time.
+func (m *Model) MessageWCTT(design network.Design, src, dst mesh.Node, payloadBits int) (uint64, error) {
 	sh, err := m.messageShape(design, payloadBits)
 	if err != nil {
 		return 0, err

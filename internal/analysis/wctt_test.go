@@ -78,6 +78,9 @@ func TestWCTTErrors(t *testing.T) {
 	if _, err := m.MessageWCTT(network.Design(9), node(0, 0), node(1, 1), 64); err == nil {
 		t.Error("unknown design should be rejected")
 	}
+	if _, err := m.MessageWCTT(network.DesignRegular, node(0, 0), node(9, 9), 64); err == nil {
+		t.Error("destination outside mesh should be rejected (message)")
+	}
 	if _, err := m.FlowWCTTOneFlit(network.Design(9), node(0, 0), node(1, 1)); err == nil {
 		t.Error("unknown design should be rejected")
 	}

@@ -283,24 +283,6 @@ func ComputeWeightTable(d mesh.Dim) *WeightTable {
 	return wt
 }
 
-// weightTableCache memoises the closed-form table per mesh dimension: the
-// table depends on nothing but the topology, every network and analytical
-// model of one mesh shares the identical immutable data, and rebuilding it
-// per model construction dominated the pre-flat-index WCET table loops.
-var weightTableCache sync.Map // mesh.Dim -> *WeightTable
-
-// CachedWeightTable returns the shared closed-form weight table of the mesh,
-// computing it on first use. The returned table is immutable and safe for
-// concurrent readers; callers that need application-specific weights use
-// WeightTableFromSet, which is never cached.
-func CachedWeightTable(d mesh.Dim) *WeightTable {
-	if cached, ok := weightTableCache.Load(d); ok {
-		return cached.(*WeightTable)
-	}
-	cached, _ := weightTableCache.LoadOrStore(d, ComputeWeightTable(d))
-	return cached.(*WeightTable)
-}
-
 // ComputeWeightTableTopo precomputes the WaW weights for every router of the
 // topology — ComputeWeightTable generalised: the table is indexed by the
 // topology's router grid and each router's counts come from the generalised
@@ -321,24 +303,31 @@ type topoTableKey struct {
 	ep   mesh.Dim
 }
 
-// topoWeightTableCache memoises non-mesh weight tables per (spec, endpoint
-// grid); mesh topologies share the pre-existing per-Dim cache.
+// topoWeightTableCache memoises the closed-form table per (spec, endpoint
+// grid): the table depends on nothing but the topology, every network and
+// analytical model of one topology shares the identical immutable data, and
+// rebuilding it per model construction dominated the pre-flat-index WCET
+// table loops.
 var topoWeightTableCache sync.Map // topoTableKey -> *WeightTable
 
 // CachedWeightTableTopo returns the shared closed-form weight table of the
-// topology, computing it on first use. For the reference mesh instance it
-// returns the identical table (same pointer) as CachedWeightTable, so the
-// pre-topology sharing and footprint are unchanged. The returned table is
-// immutable and safe for concurrent readers.
+// topology, computing it on first use (the reference mesh through
+// ComputeWeightTable, its original closed forms). The returned table is
+// immutable and safe for concurrent readers; callers that need
+// application-specific weights use WeightTableFromSet, which is never
+// cached.
 func CachedWeightTableTopo(t mesh.Topology) *WeightTable {
-	if t.Spec().Kind == mesh.TopoMesh {
-		return CachedWeightTable(t.RouterDim())
-	}
 	key := topoTableKey{spec: t.Spec(), ep: t.EndpointDim()}
 	if cached, ok := topoWeightTableCache.Load(key); ok {
 		return cached.(*WeightTable)
 	}
-	cached, _ := topoWeightTableCache.LoadOrStore(key, ComputeWeightTableTopo(t))
+	var wt *WeightTable
+	if key.spec.Kind == mesh.TopoMesh {
+		wt = ComputeWeightTable(key.ep)
+	} else {
+		wt = ComputeWeightTableTopo(t)
+	}
+	cached, _ := topoWeightTableCache.LoadOrStore(key, wt)
 	return cached.(*WeightTable)
 }
 

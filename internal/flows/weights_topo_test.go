@@ -1,6 +1,7 @@
 package flows
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/mesh"
@@ -25,19 +26,18 @@ func TestTopoCountsMatchClosedFormOnMesh(t *testing.T) {
 	}
 }
 
-// TestCachedWeightTableTopoMeshIdentity requires the topology-keyed cache to
-// return the very same *WeightTable pointer as the per-Dim mesh cache: the
-// mesh fast path must share storage with all pre-topology callers, so a
-// sweep mixing both entry points builds one table, not two.
+// TestCachedWeightTableTopoMeshIdentity requires two lookups of the mesh
+// spec to return the very same *WeightTable pointer — every model and
+// network of one mesh shares one table — built from the mesh's original
+// closed forms.
 func TestCachedWeightTableTopoMeshIdentity(t *testing.T) {
 	d := mesh.MustDim(6, 6)
-	viaTopo := CachedWeightTableTopo(mesh.Mesh2D{D: d})
-	viaDim := CachedWeightTable(d)
-	if viaTopo != viaDim {
-		t.Errorf("CachedWeightTableTopo(Mesh2D{%v}) returned a distinct table from CachedWeightTable(%v)", d, d)
+	first := CachedWeightTableTopo(mesh.Mesh2D{D: d})
+	if again := CachedWeightTableTopo(mesh.TopoSpec{Kind: mesh.TopoMesh}.MustBuild(d)); again != first {
+		t.Errorf("two lookups of the %v mesh returned distinct tables", d)
 	}
-	if again := CachedWeightTableTopo(mesh.Mesh2D{D: d}); again != viaTopo {
-		t.Errorf("CachedWeightTableTopo is not stable across calls")
+	if !reflect.DeepEqual(first, ComputeWeightTable(d)) {
+		t.Errorf("cached %v mesh table differs from ComputeWeightTable", d)
 	}
 }
 

@@ -12,11 +12,10 @@ import (
 // (or a server answering WCTT queries for many meshes) builds the model —
 // weight table, contender and output-share arrays — once and serves every
 // scenario and query from it. Models are immutable and safe for concurrent
-// readers (their bound memo is internally synchronised), so there is no
-// checkout protocol: entries are shared directly. Cache hits cannot change
-// any result — the sweep determinism tests run the same grids with
-// different worker counts (and therefore different hit patterns) and
-// require byte-identical output.
+// readers, so there is no checkout protocol: entries are shared directly.
+// Cache hits cannot change any result — the sweep determinism tests run the
+// same grids with different worker counts (and therefore different hit
+// patterns) and require byte-identical output.
 //
 // Unlike the PR-4 sync.Map (which only ever grew), the cache is a bounded
 // LRU: a server probed with thousands of distinct mesh sizes evicts cold

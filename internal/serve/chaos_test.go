@@ -36,7 +36,7 @@ func chaosSeeds(t *testing.T) []int64 {
 // value. Every successful answer must be byte-for-byte the fault-free one;
 // corruption is only allowed to show up as an explicit (and rare) error.
 func TestChaosClientTCP(t *testing.T) {
-	s := New(4, 0)
+	s := NewServer(Config{Workers: 4})
 	defer s.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -132,7 +132,7 @@ func chaosRequestLines(t *testing.T, n int) (lines [][]byte, golden [][]byte) {
 		}
 		lines = append(lines, []byte(line))
 	}
-	s := New(2, 0)
+	s := NewServer(Config{Workers: 2})
 	defer s.Close()
 	var in, out bytes.Buffer
 	for _, l := range lines {
@@ -177,7 +177,7 @@ func TestChaosServeLinesGarble(t *testing.T) {
 			inj := faultinject.New(seed)
 			fr := faultinject.Lines(&in, inj.Stream("stdin-lines"), faultinject.LineFaults{GarbleProb: 0.3})
 
-			s := New(2, 0)
+			s := NewServer(Config{Workers: 2})
 			defer s.Close()
 			var out bytes.Buffer
 			if err := s.ServeLines(context.Background(), fr, &out); err != nil {
@@ -226,7 +226,7 @@ func TestChaosServeLinesTruncation(t *testing.T) {
 				DelayMax:     time.Millisecond,
 			})
 
-			s := New(2, 0)
+			s := NewServer(Config{Workers: 2})
 			defer s.Close()
 			var out bytes.Buffer
 			if err := s.ServeLines(context.Background(), fr, &out); err != nil {

@@ -72,7 +72,7 @@ func dialer(addr string) func() (net.Conn, error) {
 // TestClientAgainstRealServer runs the client against a live Server:
 // liveness, a real bound, and the WCTT helper's value stability.
 func TestClientAgainstRealServer(t *testing.T) {
-	s := New(2, 0)
+	s := NewServer(Config{Workers: 2})
 	defer s.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

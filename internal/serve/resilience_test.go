@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -113,7 +114,7 @@ func (r *drainGateReader) Read(p []byte) (int, error) {
 // exact coded draining error instead of silence, and Shutdown still
 // terminates.
 func TestServeDrainingAnswersBufferedLines(t *testing.T) {
-	s := New(1, 4)
+	s := NewServer(Config{Workers: 1, Queue: 4})
 	defer s.Close()
 	r := &drainGateReader{s: s, chunks: [][]byte{
 		[]byte(`{"id":1,"op":"ping"}` + "\n"),
@@ -163,7 +164,7 @@ func TestServeDrainingAnswersBufferedLines(t *testing.T) {
 // layer polls the context between rates and every 4096 simulated cycles,
 // so whichever check fires first yields the identical wire bytes.
 func TestServeRequestTimeout(t *testing.T) {
-	s := New(2, 0)
+	s := NewServer(Config{Workers: 2})
 	defer s.Close()
 	line := `{"id":4,"op":"scenario","timeout_ms":1,"spec":{"name":"dl","mode":"load-curve","width":8,"height":8,"design":"regular","seed":1,"traffic":{"rates":[100,200,300],"warmup_cycles":2000,"measure_cycles":20000}}}` + "\n"
 	var out bytes.Buffer
@@ -200,4 +201,92 @@ func TestServeVerbTimeoutBudget(t *testing.T) {
 	if !bytes.Contains(resps[1], []byte(`"ok":true`)) {
 		t.Errorf("query verb caught by the scenario budget: %s", resps[1])
 	}
+}
+
+// TestServePayloadChurnHeapBounded is the hostile-input regression for the
+// deleted per-pair memo: one daemon answers over 200 000 bounds whose
+// payload_bits never repeat (batch tuples and wctt lines), then whole-mesh
+// batches cycling dims and topologies with a fresh payload each, and its
+// live heap must not grow with the number of distinct queries. Before PR 12
+// every distinct (design, src, dst, payload) was retained forever in the
+// model memo and every (params, design, payload) in the warm marker set.
+func TestServePayloadChurnHeapBounded(t *testing.T) {
+	s := NewServer(Config{Workers: 2})
+	defer s.Close()
+	serve := func(lines *bytes.Buffer) {
+		t.Helper()
+		if err := s.ServeLines(context.Background(), lines, io.Discard); err != nil {
+			t.Fatalf("ServeLines: %v", err)
+		}
+	}
+	payload := 0 // never repeats across the whole test
+	churn := func(rounds int) {
+		var lines bytes.Buffer
+		for r := 0; r < rounds; r++ {
+			lines.Reset()
+			lines.WriteString(`{"id":1,"op":"batch","design":"waw+wap","width":8,"height":8,"queries":[`)
+			for i := 0; i < 1000; i++ {
+				payload++
+				if i > 0 {
+					lines.WriteByte(',')
+				}
+				fmt.Fprintf(&lines, "[%d,%d,%d,%d,%d]", i%8, (i/8)%8, (i+1)%8, (i/8+3)%8, payload)
+			}
+			lines.WriteString("]}\n")
+			for i := 0; i < 10; i++ {
+				payload++
+				fmt.Fprintf(&lines, `{"id":2,"op":"wctt","design":"regular","width":8,"height":8,"src":{"x":%d,"y":0},"dst":{"x":7,"y":7},"payload_bits":%d}`+"\n", i%7, payload)
+			}
+			serve(&lines)
+		}
+	}
+	wholeMeshes := func() {
+		var lines bytes.Buffer
+		for _, topo := range []string{"mesh", "cmesh2"} {
+			for w := 2; w <= 8; w += 2 {
+				for h := 2; h <= 8; h++ {
+					payload++
+					lines.Reset()
+					fmt.Fprintf(&lines, `{"id":3,"op":"batch","design":"waw-only","topology":%q,"width":%d,"height":%d,"payload_bits":%d,"queries":[`, topo, w, h, payload)
+					sep := ""
+					for src := 0; src < w*h; src++ {
+						for dst := 0; dst < w*h; dst++ {
+							if src != dst {
+								fmt.Fprintf(&lines, "%s[%d,%d,%d,%d]", sep, src%w, src/w, dst%w, dst/w)
+								sep = ","
+							}
+						}
+					}
+					lines.WriteString("]}\n")
+					serve(&lines)
+				}
+			}
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the second cycle frees what sync.Pool held over the first
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// One lap first, so the models, weight tables and pool buffers the
+	// workload legitimately keeps are already part of the baseline.
+	churn(1)
+	wholeMeshes()
+	base := heap()
+	churn(200)
+	wholeMeshes()
+	after := heap()
+
+	st := s.Stats()
+	if st.Errors != 0 || st.Queries < 200_000 {
+		t.Fatalf("churn answered %d bounds with %d failed lines, want >= 200000 and 0", st.Queries, st.Errors)
+	}
+	const ceiling = 4 << 20
+	if after > base && after-base > ceiling {
+		t.Fatalf("live heap grew by %d KiB over %d distinct-payload bounds (ceiling %d KiB): something retains per-query state",
+			(after-base)>>10, st.Queries, ceiling>>10)
+	}
+	t.Logf("live heap %d KiB -> %d KiB over %d bounds", base>>10, after>>10, st.Queries)
 }

@@ -41,27 +41,10 @@ const (
 	maxLineBytes = lineio.MaxLineBytes
 )
 
-// wcttKey identifies one analytical bound computation for coalescing:
-// model parameters plus the full query tuple.
-type wcttKey struct {
-	p           analysis.Params
-	design      network.Design
-	src, dst    mesh.Node
-	payloadBits int
-}
-
 // engineFlightKey identifies one compiled-engine construction.
 type engineFlightKey struct {
 	dim            mesh.Dim
 	maxPacketFlits int
-}
-
-// warmKey identifies one all-pairs memo warm: model parameters plus the
-// (design, payload) the batch queries share.
-type warmKey struct {
-	p           analysis.Params
-	design      network.Design
-	payloadBits int
 }
 
 // Server answers protocol lines over any number of concurrent transports
@@ -70,8 +53,9 @@ type warmKey struct {
 // are coalesced; responses on each transport come back in request order.
 //
 // Caches, coalescing and worker scheduling are execution policy, never
-// result identity: a query answered from a warm memo is byte-identical to
-// one computed cold, and both are byte-identical to the one-shot CLI.
+// result identity: a response is byte-identical whether its model, engine
+// or scenario result came from a cache, a shared flight or a fresh
+// computation, and byte-identical to the one-shot CLI.
 type Server struct {
 	workers *pool.Workers
 	queue   int
@@ -82,15 +66,8 @@ type Server struct {
 	// admission gate (Config.MaxInflight) reads it before queueing a line.
 	admitted atomic.Int64
 
-	wcttFlight   cache.Group[wcttKey, uint64]
 	engineFlight cache.Group[engineFlightKey, *wcet.Engine]
 	specFlight   cache.Group[string, []byte]
-
-	// warmed marks (params, design, payload) combinations whose all-pairs
-	// memo warm already ran; warmFlight coalesces concurrent first warms of
-	// one combination onto a single kernel run.
-	warmed     sync.Map // warmKey -> struct{}
-	warmFlight cache.Group[warmKey, int]
 
 	drainCh   chan struct{}
 	drainOnce sync.Once
@@ -108,9 +85,9 @@ type deadlineReader interface {
 	SetReadDeadline(t time.Time) error
 }
 
-// Config tunes the server's resilience policy. The zero value reproduces
-// the historic behaviour: per-connection backpressure only, no admission
-// gate, no deadlines.
+// Config sizes the server and tunes its resilience policy. The zero value
+// is a GOMAXPROCS-wide pool with per-connection backpressure only: no
+// admission gate, no deadlines.
 type Config struct {
 	// Workers is the shared pool size (<1 = GOMAXPROCS, the pool.Jobs
 	// convention).
@@ -131,15 +108,9 @@ type Config struct {
 	ScenarioTimeout time.Duration
 }
 
-// New builds a server with the given worker count and per-connection
-// response-queue depth and the zero resilience policy. The worker pool is
-// shared by every transport the server is attached to, so total
-// concurrency is bounded regardless of connection count.
-func New(workers, queue int) *Server {
-	return NewServer(Config{Workers: workers, Queue: queue})
-}
-
-// NewServer builds a server with the full resilience policy.
+// NewServer builds a server. The worker pool is shared by every transport
+// the server is attached to, so total concurrency is bounded regardless of
+// connection count.
 func NewServer(cfg Config) *Server {
 	queue := cfg.Queue
 	if queue < 1 {
@@ -470,21 +441,6 @@ func meshOnly(verb string, ts mesh.TopoSpec) error {
 	return nil
 }
 
-// bound answers one analytical WCTT query: a lock-free probe of the shared
-// model memo first (the warm path), then a coalesced computation. hit
-// reports a memo hit; shared reports that a cold computation piggybacked on
-// another caller's in-flight one.
-func (s *Server) bound(m *analysis.Model, design network.Design, src, dst mesh.Node, payloadBits int) (cycles uint64, hit, shared bool, err error) {
-	if v, ok := m.CachedMessageWCTT(design, src, dst, payloadBits); ok {
-		return v, true, false, nil
-	}
-	key := wcttKey{m.Params(), design, src, dst, payloadBits}
-	v, err, shared := s.wcttFlight.Do(key, func() (uint64, error) {
-		return m.MessageWCTT(design, src, dst, payloadBits)
-	})
-	return v, false, shared, err
-}
-
 // wcttOne answers the wctt verb.
 func (s *Server) wcttOne(req *Request) ([]byte, bool) {
 	design, dim, ts, err := queryTarget(req)
@@ -504,34 +460,20 @@ func (s *Server) wcttOne(req *Request) ([]byte, bool) {
 	if err != nil {
 		return errorResponse(req.ID, err), true
 	}
-	c, hit, shared, err := s.bound(m, design,
+	c, err := m.MessageWCTT(design,
 		mesh.Node{X: req.Src.X, Y: req.Src.Y}, mesh.Node{X: req.Dst.X, Y: req.Dst.Y}, payload)
 	if err != nil {
 		return errorResponse(req.ID, err), true
 	}
-	s.mergeQueryStats(1, hit, shared)
+	s.stats.queries.Add(1)
 	return appendCycles(nil, req.ID, c), false
-}
-
-// mergeQueryStats folds a single query's outcome into the counters.
-func (s *Server) mergeQueryStats(n uint64, hit, shared bool) {
-	var hits, misses, coalesced uint64
-	if hit {
-		hits = 1
-	} else {
-		misses = 1
-		if shared {
-			coalesced = 1
-		}
-	}
-	s.stats.merge(n, hits, misses, coalesced)
 }
 
 // wcttBatch answers the batch verb: a vector of WCTT queries sharing one
 // design/mesh (and default payload), parsed by the hand-rolled tuple
-// scanner and answered into one hand-built response line. Query counters
-// accumulate in locals and merge once — the million-QPS path touches no
-// shared cache line per query.
+// scanner, answered bound by bound by the allocation-free route walk into
+// one hand-built response line. The query count accumulates in a local and
+// merges once — the million-QPS path touches no shared cache line per query.
 func (s *Server) wcttBatch(ctx context.Context, req *Request) ([]byte, bool) {
 	design, dim, ts, err := queryTarget(req)
 	if err != nil {
@@ -547,18 +489,9 @@ func (s *Server) wcttBatch(ctx context.Context, req *Request) ([]byte, bool) {
 	if err != nil {
 		return errorResponse(req.ID, err), true
 	}
-	// A batch that covers a sizable fraction of the mesh is cheaper to
-	// answer through one all-pairs kernel run that warms the shared memo
-	// than through per-pair cold computations: the tuple loop below then
-	// runs entirely on lock-free memo hits, as does every later point
-	// query of the same (params, design, payload). The tuple-count
-	// estimate is a single byte scan of the still-unparsed query vector.
-	if est := bytes.Count(req.Queries, []byte{'['}) - 1; est > 0 {
-		s.maybeWarmAllPairs(m, design, defPayload, est, dim)
-	}
 	buf := appendHeader(make([]byte, 0, 256), req.ID, true)
 	buf = append(buf, `,"cycles":[`...)
-	var n, hits, misses, coalesced uint64
+	var n uint64
 	err = parseTuples(req.Queries, 4, 5, func(vals []int64) error {
 		// Deadline checks are amortised: one ctx.Err() per 1024 tuples keeps
 		// the million-QPS hot path unburdened while a stalled batch still
@@ -574,17 +507,9 @@ func (s *Server) wcttBatch(ctx context.Context, req *Request) ([]byte, bool) {
 		if len(vals) == 5 {
 			payload = int(vals[4])
 		}
-		c, hit, shared, err := s.bound(m, design, src, dst, payload)
+		c, err := m.MessageWCTT(design, src, dst, payload)
 		if err != nil {
 			return err
-		}
-		if hit {
-			hits++
-		} else {
-			misses++
-			if shared {
-				coalesced++
-			}
 		}
 		if n > 0 {
 			buf = append(buf, ',')
@@ -593,40 +518,11 @@ func (s *Server) wcttBatch(ctx context.Context, req *Request) ([]byte, bool) {
 		buf = strconv.AppendUint(buf, c, 10)
 		return nil
 	})
-	s.stats.merge(n, hits, misses, coalesced)
+	s.stats.queries.Add(n)
 	if err != nil {
 		return errorResponse(req.ID, wireError("batch", err)), true
 	}
 	return append(buf, ']', '}'), false
-}
-
-// maybeWarmAllPairs triggers one all-pairs kernel warm of the model's memo
-// when a batch's estimated query count reaches half the mesh's ordered-pair
-// count. Warming is execution policy, never result identity: the kernel
-// computes each bound bit-identical to the per-pair path, so a response
-// with or without the warm is byte-for-byte the same — only the
-// hit/miss accounting and the latency change.
-func (s *Server) maybeWarmAllPairs(m *analysis.Model, design network.Design, payloadBits, estQueries int, dim mesh.Dim) {
-	pairs := dim.Nodes() * (dim.Nodes() - 1)
-	if pairs == 0 || estQueries < (pairs+1)/2 {
-		return
-	}
-	key := warmKey{m.Params(), design, payloadBits}
-	if _, ok := s.warmed.Load(key); ok {
-		return
-	}
-	warmed, err, _ := s.warmFlight.Do(key, func() (int, error) {
-		return m.WarmAllPairs(design, payloadBits)
-	})
-	if err != nil {
-		return // the per-tuple path surfaces any real error per query
-	}
-	// Coalesced first callers all see the same warm; only the one that
-	// transitions the marker counts it.
-	if _, loaded := s.warmed.LoadOrStore(key, struct{}{}); !loaded {
-		s.stats.batchWarms.Add(1)
-		s.stats.batchWarmedBnds.Add(uint64(warmed))
-	}
 }
 
 // engineFor returns the compiled WCET engine of the paper's default
@@ -664,7 +560,7 @@ func (s *Server) wcetOne(req *Request) ([]byte, bool) {
 	if err != nil {
 		return errorResponse(req.ID, err), true
 	}
-	s.stats.merge(1, 0, 0, 0)
+	s.stats.queries.Add(1)
 	return appendCycles(nil, req.ID, c), false
 }
 
@@ -706,7 +602,7 @@ func (s *Server) wcetBatch(ctx context.Context, req *Request) ([]byte, bool) {
 		buf = strconv.AppendUint(buf, c, 10)
 		return nil
 	})
-	s.stats.merge(n, 0, 0, 0)
+	s.stats.queries.Add(n)
 	if err != nil {
 		return errorResponse(req.ID, wireError("wcet-batch", err)), true
 	}
@@ -748,7 +644,7 @@ func (s *Server) scenarioOp(ctx context.Context, req *Request) ([]byte, bool) {
 		return json.Marshal(r)
 	})
 	if shared {
-		s.stats.merge(0, 0, 0, 1)
+		s.stats.coalesced.Add(1)
 	}
 	if err != nil {
 		return errorResponse(req.ID, wireError("scenario", err)), true

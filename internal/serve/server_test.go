@@ -34,7 +34,7 @@ type response struct {
 // line.
 func run(t *testing.T, workers int, lines ...string) []response {
 	t.Helper()
-	s := New(workers, 0)
+	s := NewServer(Config{Workers: workers})
 	defer s.Close()
 	var out bytes.Buffer
 	in := strings.NewReader(strings.Join(lines, "\n") + "\n")
@@ -227,12 +227,28 @@ func TestServeScenarioRejectsAxes(t *testing.T) {
 	}
 }
 
-// TestServeStats checks the counter discipline: hits+misses covers every
-// bound query, repeated queries hit the memo, and the latency histogram
-// counts every line.
+// retiredZero fails the test unless every retired stats field reads 0: the
+// memo and warm counters stay on the wire (the payload is additive-only)
+// but nothing feeds them any more.
+func retiredZero(t *testing.T, st *Stats) {
+	t.Helper()
+	k := st.Kernel
+	if st.WCTTMemoHits != 0 || st.WCTTMemoMisses != 0 || k.MemoWarmed != 0 || k.BatchWarms != 0 || k.BatchWarmedBounds != 0 {
+		t.Fatalf("retired stats fields must read 0: hits %d misses %d kernel %+v", st.WCTTMemoHits, st.WCTTMemoMisses, k)
+	}
+}
+
+// TestServeStats checks the counter discipline: queries counts every bound
+// (repeats included), a repeated batch line is answered with identical
+// bytes, the retired memo fields read 0, and the latency histogram counts
+// every line.
 func TestServeStats(t *testing.T) {
 	q := `{"id":1,"op":"batch","design":"regular","width":5,"height":5,"queries":[[0,0,4,4],[0,0,4,4],[1,1,2,2],[0,0,4,4]]}`
 	resps := run(t, 1, q, q, `{"id":2,"op":"stats"}`)
+	first := cyclesVector(t, resps[0])
+	if first[0] != first[1] || first[0] != first[3] || string(resps[0].Cycles) != string(resps[1].Cycles) {
+		t.Fatalf("repeated queries answered differently: %s then %s", resps[0].Cycles, resps[1].Cycles)
+	}
 	st := resps[2].Stats
 	if st == nil {
 		t.Fatalf("stats verb returned no stats: %+v", resps[2])
@@ -240,14 +256,7 @@ func TestServeStats(t *testing.T) {
 	if st.Queries != 8 {
 		t.Fatalf("counted %d queries, want 8", st.Queries)
 	}
-	if st.WCTTMemoHits+st.WCTTMemoMisses != st.Queries {
-		t.Fatalf("hits %d + misses %d != queries %d", st.WCTTMemoHits, st.WCTTMemoMisses, st.Queries)
-	}
-	// The second batch line repeats the first; at most 2 distinct bounds
-	// are ever computed cold.
-	if st.WCTTMemoMisses > 2 {
-		t.Fatalf("%d cold computations for 2 distinct queries", st.WCTTMemoMisses)
-	}
+	retiredZero(t, st)
 	// The stats line snapshots before observing itself, so it sees the two
 	// batch lines only.
 	if st.Requests != 2 || st.Latency.Count != 2 {
@@ -255,14 +264,11 @@ func TestServeStats(t *testing.T) {
 	}
 }
 
-// TestServeKernelStats checks the kernel-effectiveness accounting: a batch
-// covering the whole mesh triggers exactly one all-pairs memo warm, the
-// warmed bounds turn the tuple loop into memo hits, and a kernel-backed
-// scenario line is counted.
+// TestServeKernelStats checks the kernel accounting: whole-mesh batches are
+// answered bound by bound by the route walk (identical bytes both times, no
+// kernel run, every bound counted), while a kernel-backed scenario line
+// advances all_pairs_runs and scenario_kernel_runs.
 func TestServeKernelStats(t *testing.T) {
-	// All 132 ordered pairs of a 4x3 mesh, a (design, dim) combination no
-	// other test of this package batches — the warm insertion count is
-	// deterministic even though model memos are shared process-wide.
 	d := mesh.MustDim(4, 3)
 	var tuples []string
 	for _, src := range d.AllNodes() {
@@ -276,44 +282,41 @@ func TestServeKernelStats(t *testing.T) {
 	batch := fmt.Sprintf(`{"id":1,"op":"batch","design":"waw-only","width":4,"height":3,"queries":[%s]}`,
 		strings.Join(tuples, ","))
 	scen := `{"id":2,"op":"scenario","spec":{"mode":"wctt","width":3,"height":3,"design":"regular"}}`
-	resps := run(t, 1, batch, batch, scen, `{"id":3,"op":"stats"}`)
-	for _, r := range resps[:3] {
+	stats := `{"id":3,"op":"stats"}`
+	// One worker: the lines are handled strictly in order, so each stats
+	// line snapshots exactly the lines before it.
+	resps := run(t, 1, stats, batch, batch, stats, scen, stats)
+	for _, r := range resps {
 		if !r.OK {
 			t.Fatalf("line %d failed: %s", r.ID, r.Error)
 		}
 	}
-	st := resps[3].Stats
-	if st == nil {
-		t.Fatalf("stats verb returned no stats: %+v", resps[3])
+	if string(resps[1].Cycles) != string(resps[2].Cycles) {
+		t.Fatalf("identical whole-mesh batches answered differently:\n%s\n%s", resps[1].Cycles, resps[2].Cycles)
 	}
-	k := st.Kernel
-	if k.BatchWarms != 1 {
-		t.Fatalf("batch warms = %d, want 1 (two identical whole-mesh batches, one warm)", k.BatchWarms)
+	before, batched, after := resps[0].Stats, resps[3].Stats, resps[5].Stats
+	for _, st := range []*Stats{before, batched, after} {
+		if st == nil {
+			t.Fatal("stats verb returned no stats")
+		}
+		retiredZero(t, st)
 	}
-	if want := uint64(len(tuples)); k.BatchWarmedBounds != want {
-		t.Fatalf("batch warmed %d bounds, want %d", k.BatchWarmedBounds, want)
+	if got, want := batched.Queries, uint64(2*len(tuples)); got != want {
+		t.Fatalf("counted %d queries for two whole-mesh batches, want %d", got, want)
 	}
-	if k.ScenarioKernelRuns != 1 {
-		t.Fatalf("scenario kernel runs = %d, want 1", k.ScenarioKernelRuns)
+	if batched.Kernel.AllPairsRuns != before.Kernel.AllPairsRuns || batched.Kernel.ScenarioKernelRuns != 0 {
+		t.Fatalf("batch lines must not run the kernels: %+v -> %+v", before.Kernel, batched.Kernel)
 	}
-	// The process-wide analysis counters are monotonic and shared with
-	// other tests; this server's warm alone guarantees they are non-zero.
-	if k.AllPairsRuns == 0 || k.MemoWarmed < k.BatchWarmedBounds {
-		t.Fatalf("analysis counters inconsistent with the warm: %+v", k)
-	}
-	// The warm ran before the first tuple loop, so every query of both
-	// batches was a lock-free memo hit.
-	if st.WCTTMemoMisses != 0 || st.WCTTMemoHits != uint64(2*len(tuples)) {
-		t.Fatalf("hits %d misses %d, want %d hits 0 misses after warm",
-			st.WCTTMemoHits, st.WCTTMemoMisses, 2*len(tuples))
+	if after.Kernel.AllPairsRuns <= batched.Kernel.AllPairsRuns || after.Kernel.ScenarioKernelRuns != 1 {
+		t.Fatalf("kernel-backed scenario line not counted: %+v -> %+v", batched.Kernel, after.Kernel)
 	}
 }
 
-// TestServeKernelStatsWireShape pins the additive kernel block's wire field
-// names (PROTOCOL.md): new fields only, so pre-kernel consumers and the
-// committed serve-smoke goldens keep decoding stats payloads unchanged.
+// TestServeKernelStatsWireShape pins the stats payload's wire field names
+// (PROTOCOL.md): the payload is additive-only, so the retired memo and warm
+// fields stay present for consumers that decode them.
 func TestServeKernelStatsWireShape(t *testing.T) {
-	s := New(1, 0)
+	s := NewServer(Config{Workers: 1})
 	defer s.Close()
 	var out bytes.Buffer
 	if err := s.ServeLines(context.Background(), strings.NewReader(`{"id":1,"op":"stats"}`+"\n"), &out); err != nil {
@@ -321,6 +324,7 @@ func TestServeKernelStatsWireShape(t *testing.T) {
 	}
 	raw := out.String()
 	for _, field := range []string{
+		`"wctt_memo_hits":`, `"wctt_memo_misses":`, `"coalesced":`,
 		`"kernel":{`, `"all_pairs_runs":`, `"row_sweeps":`, `"memo_warmed":`,
 		`"batch_warms":`, `"batch_warmed_bounds":`, `"scenario_kernel_runs":`,
 	} {
@@ -334,7 +338,7 @@ func TestServeKernelStatsWireShape(t *testing.T) {
 // open connection and an in-flight request gets its response before
 // Shutdown returns, and the reader unblocks without the client closing.
 func TestServeListenerDrain(t *testing.T) {
-	s := New(2, 0)
+	s := NewServer(Config{Workers: 2})
 	defer s.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -380,7 +384,7 @@ func TestServeListenerDrain(t *testing.T) {
 // TestServeDrainAnswersInFlight pins the core drain guarantee with the
 // worker pool saturated: lines admitted before Shutdown all get responses.
 func TestServeDrainAnswersInFlight(t *testing.T) {
-	s := New(1, 4)
+	s := NewServer(Config{Workers: 1, Queue: 4})
 	defer s.Close()
 	client, server := net.Pipe()
 	defer client.Close()
@@ -466,7 +470,7 @@ func (l lockedWriter) Write(p []byte) (int, error) {
 }
 
 func TestServeHTTPHandler(t *testing.T) {
-	s := New(2, 0)
+	s := NewServer(Config{Workers: 2})
 	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()

@@ -9,25 +9,20 @@ import (
 )
 
 // counters aggregates server-wide activity with the same zero-contention
-// discipline the engines use: the hot path (a batch handler) accumulates
-// into plain local variables and merges them here once per request with one
-// atomic add per counter, never per query. Reads are approximate snapshots
-// (each counter is individually consistent).
+// discipline the engines use: the hot path (a batch handler) counts its
+// bounds in a plain local variable and adds it here once per request, never
+// per query. Reads are approximate snapshots (each counter is individually
+// consistent).
 type counters struct {
 	requests  atomic.Uint64 // protocol lines handled
 	queries   atomic.Uint64 // individual WCTT/WCET bounds answered
 	errors    atomic.Uint64 // lines answered with ok:false
-	wcttHits  atomic.Uint64 // bounds served from the model memo
-	wcttMiss  atomic.Uint64 // bounds computed (or awaited) on a cold memo
-	coalesced atomic.Uint64 // queries that piggybacked on another's computation
+	coalesced atomic.Uint64 // scenario lines that shared another's in-flight execution
 	rejected  atomic.Uint64 // lines turned away coded (overloaded/draining)
 
-	// Kernel effectiveness, per verb: batch lines that triggered an
-	// all-pairs memo warm, bounds those warms inserted, and scenario lines
-	// whose mode ran on the kernel-backed analytical paths.
-	batchWarms      atomic.Uint64
-	batchWarmedBnds atomic.Uint64
-	scenarioKernel  atomic.Uint64
+	// scenarioKernel counts scenario lines whose mode ran on the
+	// kernel-backed analytical paths.
+	scenarioKernel atomic.Uint64
 
 	// latency is a power-of-two histogram of per-line handling time:
 	// bucket b counts lines that took [2^(b-1), 2^b) nanoseconds. 48
@@ -53,22 +48,6 @@ func (c *counters) observe(ns uint64, failed bool) {
 // the latency histogram, so overload spikes don't fake fast handling.
 func (c *counters) reject() { c.rejected.Add(1) }
 
-// merge folds a batch's locally accumulated query counters in.
-func (c *counters) merge(queries, hits, misses, coalesced uint64) {
-	if queries != 0 {
-		c.queries.Add(queries)
-	}
-	if hits != 0 {
-		c.wcttHits.Add(hits)
-	}
-	if misses != 0 {
-		c.wcttMiss.Add(misses)
-	}
-	if coalesced != 0 {
-		c.coalesced.Add(coalesced)
-	}
-}
-
 // LatencyStats summarises the request-latency histogram.
 type LatencyStats struct {
 	// Count is the number of handled lines.
@@ -91,12 +70,14 @@ type Stats struct {
 	Requests uint64 `json:"requests"`
 	Queries  uint64 `json:"queries"`
 	Errors   uint64 `json:"errors"`
-	// WCTTMemoHits/Misses split bound queries into memo-probe hits (served
-	// lock-free from the shared model memo) and cold computations; Coalesced
-	// counts queries that shared another in-flight computation.
+	// WCTTMemoHits/Misses are retired: the per-pair bound memo they counted
+	// is gone (PR 12, every bound is a route walk) and both are always 0.
+	// The stats payload is additive-only, so the fields stay on the wire.
 	WCTTMemoHits   uint64 `json:"wctt_memo_hits"`
 	WCTTMemoMisses uint64 `json:"wctt_memo_misses"`
-	Coalesced      uint64 `json:"coalesced"`
+	// Coalesced counts scenario lines that shared another line's in-flight
+	// execution.
+	Coalesced uint64 `json:"coalesced"`
 	// Rejected counts lines answered with a coded rejection (overloaded or
 	// draining) without reaching a handler.
 	Rejected uint64 `json:"rejected"`
@@ -110,43 +91,36 @@ type Stats struct {
 }
 
 // KernelStats reports how much work the incremental all-pairs WCTT kernels
-// absorbed. AllPairsRuns/RowSweeps/MemoWarmed are process-wide analysis-
-// layer counters (they include sweep and CLI work sharing the process);
-// BatchWarms/BatchWarmedBounds/ScenarioKernelRuns are this server's
-// per-verb counters. All fields are additive to the stats payload, so
-// pre-kernel readers keep decoding it unchanged.
+// absorbed. AllPairsRuns/RowSweeps are process-wide analysis-layer counters
+// (they include sweep and CLI work sharing the process); ScenarioKernelRuns
+// is this server's own counter.
 type KernelStats struct {
 	// AllPairsRuns counts all-pairs kernel invocations (whole-table or
 	// streamed summaries); RowSweeps counts single-row kernel sweeps (the
-	// wcet engine's per-core UBD precomputations); MemoWarmed counts bounds
-	// inserted into model memos from kernel tables.
+	// wcet engine's per-core UBD precomputations).
 	AllPairsRuns uint64 `json:"all_pairs_runs"`
 	RowSweeps    uint64 `json:"row_sweeps"`
-	MemoWarmed   uint64 `json:"memo_warmed"`
-	// BatchWarms counts batch lines that covered enough of their mesh to
-	// trigger an all-pairs warm; BatchWarmedBounds the bounds those warms
-	// inserted; ScenarioKernelRuns the scenario lines whose mode (wctt,
+	// MemoWarmed, BatchWarms and BatchWarmedBounds counted kernel tables
+	// loaded into the per-pair memo; retired with it and always 0.
+	MemoWarmed        uint64 `json:"memo_warmed"`
+	BatchWarms        uint64 `json:"batch_warms"`
+	BatchWarmedBounds uint64 `json:"batch_warmed_bounds"`
+	// ScenarioKernelRuns counts the scenario lines whose mode (wctt,
 	// wcet-map, parallel-wcet) ran on the kernel-backed analytical paths.
-	BatchWarms         uint64 `json:"batch_warms"`
-	BatchWarmedBounds  uint64 `json:"batch_warmed_bounds"`
 	ScenarioKernelRuns uint64 `json:"scenario_kernel_runs"`
 }
 
 // snapshot builds the stats payload.
 func (c *counters) snapshot() Stats {
 	s := Stats{
-		Requests:       c.requests.Load(),
-		Queries:        c.queries.Load(),
-		Errors:         c.errors.Load(),
-		WCTTMemoHits:   c.wcttHits.Load(),
-		WCTTMemoMisses: c.wcttMiss.Load(),
-		Coalesced:      c.coalesced.Load(),
-		Rejected:       c.rejected.Load(),
-		Caches:         scenario.CacheStats(),
+		Requests:  c.requests.Load(),
+		Queries:   c.queries.Load(),
+		Errors:    c.errors.Load(),
+		Coalesced: c.coalesced.Load(),
+		Rejected:  c.rejected.Load(),
+		Caches:    scenario.CacheStats(),
 	}
-	s.Kernel.AllPairsRuns, s.Kernel.RowSweeps, s.Kernel.MemoWarmed = analysis.KernelCounters()
-	s.Kernel.BatchWarms = c.batchWarms.Load()
-	s.Kernel.BatchWarmedBounds = c.batchWarmedBnds.Load()
+	s.Kernel.AllPairsRuns, s.Kernel.RowSweeps, _ = analysis.KernelCounters()
 	s.Kernel.ScenarioKernelRuns = c.scenarioKernel.Load()
 	var total uint64
 	for b := range c.latency {

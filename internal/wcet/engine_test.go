@@ -2,6 +2,7 @@ package wcet
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,6 +10,39 @@ import (
 	"repro/internal/network"
 	"repro/internal/workload"
 )
+
+// referenceBenchmarkWCET is the pre-engine implementation — revalidate the
+// platform, rebuild the analytical model, recompute both round-trip UBDs —
+// kept as the naive reference path the equivalence tests pin the compiled
+// engine against.
+func (p Platform) referenceBenchmarkWCET(design network.Design, core mesh.Node, b workload.Benchmark) (uint64, error) {
+	if err := p.Validate(); err != nil {
+		return 0, err
+	}
+	if err := b.Validate(); err != nil {
+		return 0, err
+	}
+	if !p.Dim.Contains(core) {
+		return 0, fmt.Errorf("wcet: core %v outside %v mesh", core, p.Dim)
+	}
+	m, err := p.model(0)
+	if err != nil {
+		return 0, err
+	}
+	loadUBD, err := m.RoundTripUBD(design, core, p.Memory, p.RequestBits, p.ReplyBits)
+	if err != nil {
+		return 0, err
+	}
+	evictUBD, err := m.RoundTripUBD(design, core, p.Memory, p.EvictionBits, p.AckBits)
+	if err != nil {
+		return 0, err
+	}
+	mem := uint64(p.MemoryLatency)
+	wcet := b.ComputeCycles()
+	wcet += b.MemoryAccesses() * (loadUBD + mem)
+	wcet += b.Evictions() * (evictUBD + mem)
+	return wcet, nil
+}
 
 // TestEngineMatchesReference pins the compiled engine — shared model, cached
 // per-core UBDs, hoisted validation — bit-identical to the pre-engine

@@ -122,39 +122,6 @@ func (p Platform) BenchmarkWCET(design network.Design, core mesh.Node, b workloa
 	return e.BenchmarkWCET(design, core, b)
 }
 
-// referenceBenchmarkWCET is the pre-engine implementation — revalidate the
-// platform, rebuild the analytical model, recompute both round-trip UBDs —
-// kept as the naive reference path the equivalence tests pin the compiled
-// engine against.
-func (p Platform) referenceBenchmarkWCET(design network.Design, core mesh.Node, b workload.Benchmark) (uint64, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
-	if err := b.Validate(); err != nil {
-		return 0, err
-	}
-	if !p.Dim.Contains(core) {
-		return 0, fmt.Errorf("wcet: core %v outside %v mesh", core, p.Dim)
-	}
-	m, err := p.model(0)
-	if err != nil {
-		return 0, err
-	}
-	loadUBD, err := m.RoundTripUBD(design, core, p.Memory, p.RequestBits, p.ReplyBits)
-	if err != nil {
-		return 0, err
-	}
-	evictUBD, err := m.RoundTripUBD(design, core, p.Memory, p.EvictionBits, p.AckBits)
-	if err != nil {
-		return 0, err
-	}
-	mem := uint64(p.MemoryLatency)
-	wcet := b.ComputeCycles()
-	wcet += b.MemoryAccesses() * (loadUBD + mem)
-	wcet += b.Evictions() * (evictUBD + mem)
-	return wcet, nil
-}
-
 // NormalizedCell is one entry of the Table III map: the WCET of the WaW+WaP
 // design divided by the WCET of the regular design for the core at Node,
 // averaged over a benchmark suite.
@@ -279,8 +246,7 @@ func (p Platform) ParallelWCET(design network.Design, app workload.ParallelApp, 
 	}
 	// The engine cache shares one analytical model per (platform, L):
 	// Figure 2a's per-size points, Figure 2b's per-placement points and the
-	// parallel-wcet sweep scenarios all hit the same compiled state, and the
-	// model's bound memo serves the repeated per-phase round trips.
+	// parallel-wcet sweep scenarios all hit the same compiled state.
 	e, err := p.EngineWithMaxPacket(maxPacketFlits)
 	if err != nil {
 		return 0, err
