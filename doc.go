@@ -101,13 +101,20 @@
 // A whole-mesh table runs on the incremental all-pairs kernels
 // (internal/analysis/kernel.go): two flows sharing a route prefix repeat
 // the same per-hop folds along it, so the kernels sweep pairs in route
-// order and carry the exact fold state between them — destination-major
-// for the chained-blocking bound, whose (total, interval) state depends
-// only on already-folded hops, and source-major for the WaW bound, whose
-// per-hop slot terms compose additively while the packet-count finishing
-// term reads only the running output-share maximum and is applied on a
-// copy. The O(N^2 * hops) all-pairs loop becomes amortized O(1) per pair
-// with results bit-identical by construction (the identical
+// order and carry the exact fold state between them. The chained-blocking
+// bound's (total, interval) state depends only on already-folded hops and
+// is shared per DESTINATION, while summaries fold and tables store
+// source-major: the regular producer therefore precomputes every
+// destination's column state at every source row (N*H pairs), then fills
+// one block of W source rows x N destinations per mesh row — source-major
+// with a row stride padded by a cache line, so a destination's W writes do
+// not alias in one cache set and the block, never an N^2 table, is the
+// working set — and hands it to the consumer (the summary folds its rows,
+// the table kernel copies them). The WaW bound is source-major outright:
+// its per-hop slot terms compose additively while the packet-count
+// finishing term reads only the running output-share maximum and is
+// applied on a copy. The O(N^2 * hops) all-pairs loop becomes amortized
+// O(1) per pair with results bit-identical by construction (the identical
 // saturating-arithmetic sequence, no reassociation); the route walk is the
 // kernels' oracle across designs, dims and concentrated meshes
 // (kernel_test.go). SummarizeOneFlitWCTT, the wcet engine's round-trip UBD

@@ -66,9 +66,9 @@ func main() {
 	fmt.Println("(the paper reports 4,698,111 versus 310 cycles — a four-orders-of-magnitude gap).")
 
 	// Beyond the paper: the incremental all-pairs kernels make meshes far
-	// past the paper's 8x8 ceiling practical (the destination-major prefix
-	// sweep amortizes the route walk to O(1) per pair, so even the 4096-core
-	// 64x64 summary is a single O(N^2) pass of pure integer arithmetic).
+	// past the paper's 8x8 ceiling practical (the prefix-sharing sweeps
+	// amortize the route walk to O(1) per pair, so even the 4096-core 64x64
+	// summary is a single streamed O(N^2) pass of pure integer arithmetic).
 	// The regular chained-blocking bound overflows 64-bit arithmetic around
 	// 24x24: the analysis saturates to MaxUint64 instead of wrapping, so a
 	// saturated entry means "the true bound exceeds 2^64-1 cycles", not a

@@ -7,6 +7,7 @@
 package analysis
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/mesh"
@@ -94,9 +95,9 @@ func TestPacketWCTTZeroAllocs(t *testing.T) {
 
 // TestOneFlitSummaryZeroAllocs: the whole O(N^2) Table II cell — every
 // ordered pair of an 8x8 mesh — must run allocation-free for both designs.
-// The summary now runs on the all-pairs kernels, so this also pins the
-// pooled kernel scratch at steady-state zero (AllocsPerRun's warmup
-// iteration fills the pool).
+// The summary streams the all-pairs kernels, so this also pins the pooled
+// column states, source-row block and rows at steady-state zero
+// (AllocsPerRun's warmup iteration fills the pool).
 func TestOneFlitSummaryZeroAllocs(t *testing.T) {
 	m := MustNewModel(DefaultParams(mesh.MustDim(8, 8)))
 	for _, design := range []network.Design{network.DesignRegular, network.DesignWaWWaP} {
@@ -114,10 +115,30 @@ func TestOneFlitSummaryZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestRegularSummaryStreams: a regular summary's transient memory is the
+// column states (N*H pairs) plus one source-row block (W*(N+8) bounds), never
+// an N^2 table. With the scratch pool emptied by two GC cycles, one 48x48
+// summary may allocate 2.6 MiB of them; the N^2 table alone would be 42 MiB.
+func TestRegularSummaryStreams(t *testing.T) {
+	m := MustNewModel(DefaultParams(mesh.MustDim(48, 48)))
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := m.SummarizeOneFlitWCTT(network.DesignRegular)
+	runtime.ReadMemStats(&after)
+	if err != nil || s.Flows != 2304*2303 {
+		t.Fatalf("summary %+v, err %v", s, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Fatalf("cold 48x48 regular summary allocated %d bytes, want <= 8 MiB", got)
+	}
+}
+
 // TestKernelZeroAllocs: the all-pairs and row kernels with a warm caller
 // buffer are pure table fills — 0 allocs for the whole N^2 (or N) sweep,
 // i.e. 0 allocs/pair, on both the identity-map mesh and the
-// router-expansion concentrated mesh (whose scratch table is pooled).
+// row-expansion concentrated mesh (whose router rows are pooled).
 func TestKernelZeroAllocs(t *testing.T) {
 	d := mesh.MustDim(8, 8)
 	mm := MustNewModel(DefaultParams(d))

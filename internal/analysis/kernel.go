@@ -11,16 +11,30 @@ package analysis
 //   - The regular chained-blocking bound accumulates destination-first
 //     (ejection, then the Y segment upstream, then the X segment back to the
 //     source), so two pairs with the same DESTINATION share the fold prefix
-//     covering the route part nearest the destination. The kernel is
-//     therefore destination-major: fix a destination router, seed the fold
-//     with the ejection hop, extend it down the destination column one Y hop
-//     per source row, and from each column state extend along the row one X
-//     hop per source column. The legal carried state is exactly the fold
-//     state (total, interval): `total` is the sum of finished per-hop waits
-//     and `interval` the compounded downstream service interval I_j — both
-//     depend only on the hops already folded, never on the source still to
-//     come. Per source the only remaining terms are the final
-//     (S-1)*interval + 1 serialization, applied on a copy.
+//     covering the route part nearest the destination: seed the fold with
+//     the ejection hop, extend it along the destination column one Y hop per
+//     source row (regularColStates), and from each column state extend along
+//     the row one X hop per source column (regularRowSweep). The legal
+//     carried state is exactly the fold state (total, interval): `total` is
+//     the sum of finished per-hop waits and `interval` the compounded
+//     downstream service interval I_j — both depend only on the hops already
+//     folded, never on the source still to come. Per source the only
+//     remaining terms are the final (S-1)*interval + 1 serialization,
+//     applied on a copy.
+//
+//     The sharing is per destination, but every consumer wants bounds
+//     source-major: the summary folds sources outer / destinations inner
+//     (its float sum is order-bound) and tables are buf[src*N+dst]. Sweeping
+//     destination by destination into such a table scatters 8-byte stores a
+//     whole table row apart — 32 KiB at 64x64, every store of a sweep in one
+//     cache set, 134 MB of table. regularSourceRows instead keeps all N
+//     destinations' column states (N*H pairs) and produces the bounds one
+//     mesh row of sources at a time: a block of W source rows x N
+//     destinations, source-major, with the row stride padded by one cache
+//     line so the W lines a destination's row sweep touches spread over
+//     cache sets and the next seven destinations hit them again. The block
+//     is the working set; consumers read its rows contiguously and it is
+//     reused for the next mesh row.
 //
 //   - The WaW guaranteed-bandwidth bound accumulates source-first (X segment
 //     from the source, then the Y segment down the destination column, then
@@ -41,11 +55,12 @@ package analysis
 // O(1) per pair (one hop extension + the finishing terms).
 //
 // The kernels sweep the ROUTER grid (m.rdim): on the concentrated mesh a
-// bound depends only on the router pair (uniform packet shapes), so the
-// router-pair table is computed once and expanded to the conc^2 endpoint
-// pairs per router pair. A router-pair diagonal entry is the ejection-only
-// route, which is exactly the bound of two distinct co-located endpoints;
-// endpoint-diagonal (self-flow) entries are zeroed.
+// bound depends only on the router pair (uniform packet shapes), so each
+// source's row of router-pair bounds is expanded to its endpoint row through
+// epRouter, one row at a time. A router-pair diagonal entry is the
+// ejection-only route, which is exactly the bound of two distinct co-located
+// endpoints; endpoint-diagonal (self-flow) entries are zeroed (tables) or
+// skipped (summaries).
 
 import (
 	"fmt"
@@ -72,9 +87,10 @@ func KernelCounters() (allPairsRuns, rowSweeps, retired uint64) {
 	return kernelAllPairsRuns.Load(), kernelRowSweeps.Load(), 0
 }
 
-// kernelScratch pools the transient tables the allocating convenience paths
-// (summaries, router-table expansion) use, so steady-state kernel-backed
-// summaries stay allocation-free like the per-pair path they replaced.
+// kernelScratch pools the transient rows, column states and source-row
+// blocks of the kernels, so steady-state kernel-backed summaries and
+// warm-buffer tables stay allocation-free like the per-pair path they
+// replaced.
 var kernelScratch = sync.Pool{New: func() any { s := make([]uint64, 0, 4096); return &s }}
 
 func getScratch(n int) *[]uint64 {
@@ -99,34 +115,32 @@ func ensureTable(buf []uint64, n int) []uint64 {
 }
 
 // identityTopo reports whether endpoints and routers coincide (the 2D mesh),
-// letting the kernels write endpoint tables directly. Analytical topologies
-// with a reduced router grid (the concentrated meshes) go through the
-// router-table expansion instead.
+// letting the kernels write endpoint rows directly. Analytical topologies
+// with a reduced router grid (the concentrated meshes) expand router rows
+// through epRouter instead (expandRow).
 func (m *Model) identityTopo() bool { return m.rdim == m.p.Dim }
 
-// regularDestSweep runs the destination-major prefix-sharing sweep of the
-// chained-blocking bound for one destination router rd: it writes the bound
-// of a packet of S flits (contenders of L flits) from EVERY source router to
-// out[rsIdx*stride+offset], including the rsIdx == rd entry (the
-// ejection-only route, meaningful for co-located concentrated-mesh
-// endpoints; mesh callers zero the self-flow diagonal afterwards).
-func (m *Model) regularDestSweep(out []uint64, stride, offset int, rd mesh.Node, S, L uint64) {
+// regularColStates runs the column half of the chained-blocking sweep for
+// one destination router rd: it seeds the fold with the ejection hop and
+// extends it along the destination column, leaving in col[2*y], col[2*y+1]
+// the (total, interval) state every source of router row y shares — the
+// route part nearest the destination. Only the contender size L enters; the
+// analysed packet's own size is a finishing term of the row sweep.
+func (m *Model) regularColStates(col []uint64, rd mesh.Node, L uint64) {
 	H := uint64(m.p.HeaderOverhead)
 	R := uint64(m.p.RouterLatency)
 	W, Ht := m.rdim.Width, m.rdim.Height
-	rdIdx := rd.Y*W + rd.X
 
 	// Seed the fold with the ejection hop at the destination router — the
-	// prefix every source shares.
+	// prefix every source shares; sources in the destination row use it as is.
 	var t0, i0 uint64 = 0, 1
 	{
-		c := m.contender[rdIdx][mesh.Local]
+		c := m.contender[rd.Y*W+rd.X][mesh.Local]
 		wait := saturatingMul(c-1, saturatingAdd(H, saturatingMul(L, i0)))
 		t0 = saturatingAdd(t0, saturatingAdd(wait, R))
 		i0 = saturatingMul(c, i0)
 	}
-	// Sources in the destination row share the seed state directly.
-	m.regularRowSweep(out, stride, offset, rd.Y, rd, t0, i0, S, L)
+	col[2*rd.Y], col[2*rd.Y+1] = t0, i0
 	// Sources above the destination (rs.Y < rd.Y) travel YPlus down the
 	// destination column: extend the fold by the hop at each row on the way.
 	t, iv := t0, i0
@@ -135,7 +149,7 @@ func (m *Model) regularDestSweep(out []uint64, stride, offset int, rd mesh.Node,
 		wait := saturatingMul(c-1, saturatingAdd(H, saturatingMul(L, iv)))
 		t = saturatingAdd(t, saturatingAdd(wait, R))
 		iv = saturatingMul(c, iv)
-		m.regularRowSweep(out, stride, offset, y, rd, t, iv, S, L)
+		col[2*y], col[2*y+1] = t, iv
 	}
 	// Sources below the destination travel YMinus.
 	t, iv = t0, i0
@@ -144,35 +158,99 @@ func (m *Model) regularDestSweep(out []uint64, stride, offset int, rd mesh.Node,
 		wait := saturatingMul(c-1, saturatingAdd(H, saturatingMul(L, iv)))
 		t = saturatingAdd(t, saturatingAdd(wait, R))
 		iv = saturatingMul(c, iv)
-		m.regularRowSweep(out, stride, offset, y, rd, t, iv, S, L)
+		col[2*y], col[2*y+1] = t, iv
 	}
 }
 
-// regularRowSweep extends one column state (tC, iC) of regularDestSweep
-// along source row y, finishing one source per X hop in both directions.
-func (m *Model) regularRowSweep(out []uint64, stride, offset, y int, rd mesh.Node, tC, iC, S, L uint64) {
+// regularRowSweep extends one column state (tC, iC) of destination column
+// rdX along source row y, finishing one source per X hop in both directions:
+// the source at column x lands in out[x*stride].
+func (m *Model) regularRowSweep(out []uint64, stride, y, rdX int, tC, iC, S, L uint64) {
 	H := uint64(m.p.HeaderOverhead)
 	R := uint64(m.p.RouterLatency)
-	W := m.rdim.Width
+	row := m.contender[y*m.rdim.Width:][:m.rdim.Width]
 	// The source in the destination column finishes from the column state.
-	out[(y*W+rd.X)*stride+offset] = saturatingAdd(saturatingAdd(tC, saturatingMul(S-1, iC)), 1)
+	out[rdX*stride] = saturatingAdd(saturatingAdd(tC, saturatingMul(S-1, iC)), 1)
 	// Sources left of the destination column travel XPlus along row y.
 	t, iv := tC, iC
-	for x := rd.X - 1; x >= 0; x-- {
-		c := m.contender[y*W+x][mesh.XPlus]
+	for x := rdX - 1; x >= 0; x-- {
+		c := row[x][mesh.XPlus]
 		wait := saturatingMul(c-1, saturatingAdd(H, saturatingMul(L, iv)))
 		t = saturatingAdd(t, saturatingAdd(wait, R))
 		iv = saturatingMul(c, iv)
-		out[(y*W+x)*stride+offset] = saturatingAdd(saturatingAdd(t, saturatingMul(S-1, iv)), 1)
+		out[x*stride] = saturatingAdd(saturatingAdd(t, saturatingMul(S-1, iv)), 1)
 	}
 	// Sources right of the destination column travel XMinus.
 	t, iv = tC, iC
-	for x := rd.X + 1; x < W; x++ {
-		c := m.contender[y*W+x][mesh.XMinus]
+	for x := rdX + 1; x < len(row); x++ {
+		c := row[x][mesh.XMinus]
 		wait := saturatingMul(c-1, saturatingAdd(H, saturatingMul(L, iv)))
 		t = saturatingAdd(t, saturatingAdd(wait, R))
 		iv = saturatingMul(c, iv)
-		out[(y*W+x)*stride+offset] = saturatingAdd(saturatingAdd(t, saturatingMul(S-1, iv)), 1)
+		out[x*stride] = saturatingAdd(saturatingAdd(t, saturatingMul(S-1, iv)), 1)
+	}
+}
+
+// regularDestSweep is the single-row kernel of the chained-blocking bound:
+// it writes the bound of a packet of S flits (contenders of L flits) from
+// EVERY source router to the destination router rd into out (dense router
+// index), including the rd entry (the ejection-only route, meaningful for
+// co-located concentrated-mesh endpoints; mesh callers zero it afterwards).
+func (m *Model) regularDestSweep(out []uint64, rd mesh.Node, S, L uint64) {
+	W, Ht := m.rdim.Width, m.rdim.Height
+	colp := getScratch(2 * Ht)
+	defer putScratch(colp)
+	col := *colp
+	m.regularColStates(col, rd, L)
+	for y := 0; y < Ht; y++ {
+		m.regularRowSweep(out[y*W:], 1, y, rd.X, col[2*y], col[2*y+1], S, L)
+	}
+}
+
+// blockPad is the padding, in entries, of a source-row block's row stride:
+// one cache line, so the W lines one destination's row sweep writes (one per
+// source row, a row stride apart) fall into distinct cache sets instead of
+// aliasing on the power-of-two meshes.
+const blockPad = 8
+
+// regularSourceRows is the all-pairs producer of the chained-blocking bound:
+// it calls visit(si, row) for every source endpoint si in index order, with
+// row[dst] the bound from si to endpoint dst (the self entry is the
+// ejection-only route; row is only valid during the call). It precomputes
+// the column state of every destination at every source row (N*H pairs),
+// then for each router row y fills one block of W source rows,
+// block[x*stride+rd] being the bound from source router (x, y) to router rd.
+// The block is source-major — each source's bounds are contiguous, the order
+// summaries fold and tables store — while a destination's row sweep writes
+// one entry per source row, so consecutive destinations write the same W
+// cache lines and the block, not an N^2 table, is the working set. Endpoint
+// index order visits the router rows in ascending order, so each block is
+// filled once.
+func (m *Model) regularSourceRows(S, L uint64, visit func(si int, row []uint64)) {
+	W, Ht := m.rdim.Width, m.rdim.Height
+	n, rn := len(m.nodes), W*Ht
+	stride := rn + blockPad
+	sp := getScratch(2*Ht*rn + W*stride + n)
+	defer putScratch(sp)
+	col, rest := (*sp)[:2*Ht*rn], (*sp)[2*Ht*rn:]
+	block, epRow := rest[:W*stride], rest[W*stride:]
+	for rdIdx, rd := range m.rdim.AllNodes() {
+		m.regularColStates(col[2*Ht*rdIdx:], rd, L)
+	}
+	si := 0
+	for y := 0; y < Ht; y++ {
+		for rdIdx := 0; rdIdx < rn; rdIdx++ {
+			st := col[2*(Ht*rdIdx+y):]
+			m.regularRowSweep(block[rdIdx:], stride, y, rdIdx%W, st[0], st[1], S, L)
+		}
+		for ; si < n && int(m.epRouter[si])/W == y; si++ {
+			row := block[int(m.epRouter[si])%W*stride:][:rn]
+			if !m.identityTopo() {
+				m.expandRow(epRow, row)
+				row = epRow
+			}
+			visit(si, row)
+		}
 	}
 }
 
@@ -212,22 +290,12 @@ func (m *Model) wawSourceSweep(out []uint64, rs mesh.Node, P, slot uint64) {
 
 // wawColSweep extends one turn-column state (tR, shR) of wawSourceSweep down
 // destination column cx, finishing one destination per Y hop in both
-// directions (the finish is the ejection hop plus the admission term,
-// applied on a copy of the carried state).
+// directions.
 func (m *Model) wawColSweep(out []uint64, cx int, rs mesh.Node, tR, shR, P, slot uint64) {
 	R := uint64(m.p.RouterLatency)
 	W, Ht := m.rdim.Width, m.rdim.Height
-	finish := func(idx int, t, sh uint64) {
-		o := m.outShare[idx][mesh.Local]
-		if o > sh {
-			sh = o
-		}
-		t = saturatingAdd(t, saturatingAdd(saturatingMul(o-1, slot), R))
-		t = saturatingAdd(t, saturatingMul(P-1, saturatingMul(sh, slot)))
-		out[idx] = saturatingAdd(t, 1)
-	}
 	// The destination in the source row finishes from the row state.
-	finish(rs.Y*W+cx, tR, shR)
+	out[rs.Y*W+cx] = m.wawFinish(rs.Y*W+cx, tR, shR, P, slot)
 	// Destinations below the source row travel YPlus.
 	t, sh := tR, shR
 	for y := rs.Y + 1; y < Ht; y++ {
@@ -236,7 +304,7 @@ func (m *Model) wawColSweep(out []uint64, cx int, rs mesh.Node, tR, shR, P, slot
 			sh = o
 		}
 		t = saturatingAdd(t, saturatingAdd(saturatingMul(o-1, slot), R))
-		finish(y*W+cx, t, sh)
+		out[y*W+cx] = m.wawFinish(y*W+cx, t, sh, P, slot)
 	}
 	// Destinations above the source row travel YMinus.
 	t, sh = tR, shR
@@ -246,31 +314,52 @@ func (m *Model) wawColSweep(out []uint64, cx int, rs mesh.Node, tR, shR, P, slot
 			sh = o
 		}
 		t = saturatingAdd(t, saturatingAdd(saturatingMul(o-1, slot), R))
-		finish(y*W+cx, t, sh)
+		out[y*W+cx] = m.wawFinish(y*W+cx, t, sh, P, slot)
 	}
 }
 
-// expandRouterTable expands a src-major router-pair table (tab[rs*RN+rd])
-// to the endpoint-pair table buf[src*N+dst] through the endpoint->router
-// map, zeroing the self-flow diagonal.
-func (m *Model) expandRouterTable(buf, tab []uint64) {
-	n := len(m.nodes)
-	rn := m.rdim.Nodes()
-	for sIdx := 0; sIdx < n; sIdx++ {
-		row := tab[int(m.epRouter[sIdx])*rn : int(m.epRouter[sIdx])*rn+rn]
-		out := buf[sIdx*n : sIdx*n+n]
-		for dIdx := 0; dIdx < n; dIdx++ {
-			out[dIdx] = row[m.epRouter[dIdx]]
-		}
-		out[sIdx] = 0
+// wawFinish closes the guaranteed-bandwidth fold at destination router idx:
+// the ejection hop plus the admission term, applied on a copy of the carried
+// state (t, sh).
+func (m *Model) wawFinish(idx int, t, sh, P, slot uint64) uint64 {
+	o := m.outShare[idx][mesh.Local]
+	if o > sh {
+		sh = o
 	}
+	t = saturatingAdd(t, saturatingAdd(saturatingMul(o-1, slot), uint64(m.p.RouterLatency)))
+	t = saturatingAdd(t, saturatingMul(P-1, saturatingMul(sh, slot)))
+	return saturatingAdd(t, 1)
+}
+
+// expandRow maps a row of bounds indexed by router (the far ends of the
+// flows of one fixed router) to the endpoint-indexed row out.
+func (m *Model) expandRow(out, row []uint64) {
+	for i, r := range m.epRouter {
+		out[i] = row[r]
+	}
+}
+
+// wawSourceRow fills out (endpoint-indexed) with the guaranteed-bandwidth
+// bound from endpoint src to every endpoint: one source-major sweep, written
+// in place on the identity topology and expanded from a pooled router row
+// on the concentrated meshes. The src entry is the ejection-only route.
+func (m *Model) wawSourceRow(out []uint64, src mesh.Node, P, slot uint64) {
+	rs := m.topo.RouterOf(src)
+	if m.identityTopo() {
+		m.wawSourceSweep(out, rs, P, slot)
+		return
+	}
+	rowp := getScratch(m.rdim.Nodes())
+	m.wawSourceSweep(*rowp, rs, P, slot)
+	m.expandRow(out, *rowp)
+	putScratch(rowp)
 }
 
 // AllPairsRegularPacketWCTT fills buf (reused when its capacity suffices)
 // with the chained-blocking bound of RegularPacketWCTT for every ordered
 // endpoint pair: buf[src*N+dst] with N = Dim.Nodes() and dense node
-// indexing; self-flow entries are 0. The destination-major kernel computes
-// the table in O(N^2) — amortized O(1) per pair — and every entry is
+// indexing; self-flow entries are 0. The source-row producer computes the
+// table in O(N^2) — amortized O(1) per pair — and every entry is
 // byte-identical to the per-pair walk.
 func (m *Model) AllPairsRegularPacketWCTT(packetFlits, contenderFlits int, buf []uint64) ([]uint64, error) {
 	if packetFlits < 1 || contenderFlits < 1 {
@@ -279,23 +368,10 @@ func (m *Model) AllPairsRegularPacketWCTT(packetFlits, contenderFlits int, buf [
 	n := len(m.nodes)
 	buf = ensureTable(buf, n*n)
 	kernelAllPairsRuns.Add(1)
-	S, L := uint64(packetFlits), uint64(contenderFlits)
-	if m.identityTopo() {
-		for rdIdx, rd := range m.rdim.AllNodes() {
-			m.regularDestSweep(buf, n, rdIdx, rd, S, L)
-		}
-		for i := 0; i < n; i++ {
-			buf[i*n+i] = 0
-		}
-		return buf, nil
-	}
-	rn := m.rdim.Nodes()
-	tabp := getScratch(rn * rn)
-	for rdIdx, rd := range m.rdim.AllNodes() {
-		m.regularDestSweep(*tabp, rn, rdIdx, rd, S, L)
-	}
-	m.expandRouterTable(buf, *tabp)
-	putScratch(tabp)
+	m.regularSourceRows(uint64(packetFlits), uint64(contenderFlits), func(si int, row []uint64) {
+		copy(buf[si*n:], row)
+		buf[si*n+si] = 0
+	})
 	return buf, nil
 }
 
@@ -309,21 +385,10 @@ func (m *Model) AllPairsWaWPacketWCTT(numPackets, slotFlits int, buf []uint64) (
 	n := len(m.nodes)
 	buf = ensureTable(buf, n*n)
 	kernelAllPairsRuns.Add(1)
-	P, slot := uint64(numPackets), uint64(slotFlits)
-	if m.identityTopo() {
-		for rsIdx, rs := range m.rdim.AllNodes() {
-			m.wawSourceSweep(buf[rsIdx*n:rsIdx*n+n], rs, P, slot)
-			buf[rsIdx*n+rsIdx] = 0
-		}
-		return buf, nil
+	for si, src := range m.nodes {
+		m.wawSourceRow(buf[si*n:si*n+n], src, uint64(numPackets), uint64(slotFlits))
+		buf[si*n+si] = 0
 	}
-	rn := m.rdim.Nodes()
-	tabp := getScratch(rn * rn)
-	for rsIdx, rs := range m.rdim.AllNodes() {
-		m.wawSourceSweep((*tabp)[rsIdx*rn:rsIdx*rn+rn], rs, P, slot)
-	}
-	m.expandRouterTable(buf, *tabp)
-	putScratch(tabp)
 	return buf, nil
 }
 
@@ -376,13 +441,11 @@ func (m *Model) AllSourcesMessageWCTT(design network.Design, dst mesh.Node, payl
 		kernelRowSweeps.Add(1)
 		rd := m.topo.RouterOf(dst)
 		if m.identityTopo() {
-			m.regularDestSweep(buf, 1, 0, rd, uint64(sh.a), uint64(sh.b))
+			m.regularDestSweep(buf, rd, uint64(sh.a), uint64(sh.b))
 		} else {
 			rowp := getScratch(m.rdim.Nodes())
-			m.regularDestSweep(*rowp, 1, 0, rd, uint64(sh.a), uint64(sh.b))
-			for i := range buf {
-				buf[i] = (*rowp)[m.epRouter[i]]
-			}
+			m.regularDestSweep(*rowp, rd, uint64(sh.a), uint64(sh.b))
+			m.expandRow(buf, *rowp)
 			putScratch(rowp)
 		}
 		buf[dstIdx] = 0
@@ -419,17 +482,7 @@ func (m *Model) AllDestinationsMessageWCTT(design network.Design, src mesh.Node,
 	srcIdx := src.Y*m.p.Dim.Width + src.X
 	if sh.waw {
 		kernelRowSweeps.Add(1)
-		rs := m.topo.RouterOf(src)
-		if m.identityTopo() {
-			m.wawSourceSweep(buf, rs, uint64(sh.a), uint64(sh.b))
-		} else {
-			rowp := getScratch(m.rdim.Nodes())
-			m.wawSourceSweep(*rowp, rs, uint64(sh.a), uint64(sh.b))
-			for i := range buf {
-				buf[i] = (*rowp)[m.epRouter[i]]
-			}
-			putScratch(rowp)
-		}
+		m.wawSourceRow(buf, src, uint64(sh.a), uint64(sh.b))
 		buf[srcIdx] = 0
 		return buf, nil
 	}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -28,13 +29,19 @@ func kernelDims(t *testing.T) []mesh.Dim {
 	return dims
 }
 
-// kernelModels builds one model per valid (dim, topo) combination; invalid
-// combinations (a concentrated mesh on an indivisible grid) are skipped —
-// NewModel's rejection of those is pinned by TestTorusModelRejected.
+// kernelModels builds one model per valid (dim, topo) combination of the
+// kernel matrix.
 func kernelModels(t *testing.T) []*Model {
 	t.Helper()
+	return modelsFor(kernelDims(t))
+}
+
+// modelsFor builds one model per valid (dim, topo) combination; invalid
+// combinations (a concentrated mesh on an indivisible grid) are skipped —
+// NewModel's rejection of those is pinned by TestTorusModelRejected.
+func modelsFor(dims []mesh.Dim) []*Model {
 	var models []*Model
-	for _, d := range kernelDims(t) {
+	for _, d := range dims {
 		for _, spec := range kernelTopoSpecs {
 			p := DefaultParams(d)
 			p.Topo = spec
@@ -185,11 +192,29 @@ func TestRowKernelsMatchPairwise(t *testing.T) {
 	}
 }
 
+// summaryModels extends the kernel matrix with the grids where the summary's
+// streaming is most exposed: degenerate 1xN / Nx1 / 1x1 meshes (empty row or
+// column sweeps, no flows at all), a wide rectangle whose source-row blocks
+// are far from square (mesh and both concentrations), and — outside -short —
+// a 32x32 mesh, where most regular bounds saturate at 2^64-1 and the
+// in-order float sum is exactly where a changed fold order would show.
+func summaryModels(t *testing.T) []*Model {
+	t.Helper()
+	models := append(kernelModels(t),
+		modelsFor([]mesh.Dim{mesh.MustDim(1, 1), mesh.MustDim(1, 7), mesh.MustDim(7, 1), mesh.MustDim(16, 8)})...)
+	if !testing.Short() {
+		models = append(models, MustNewModel(DefaultParams(mesh.MustDim(32, 32))))
+	}
+	return models
+}
+
 // TestSummarizeMatchesPairwise pins the kernel-backed summary — including
-// its float Welford mean, which is fold-order-sensitive — to the plain
-// per-pair loop over the route walk across designs, dims and topologies.
+// its float mean (the in-order sum of the bounds divided by their count),
+// which is fold-order-sensitive — to the plain per-pair loop over the route
+// walk across designs, dims and topologies.
 func TestSummarizeMatchesPairwise(t *testing.T) {
-	for _, m := range kernelModels(t) {
+	saturated := false
+	for _, m := range summaryModels(t) {
 		for _, design := range allDesigns {
 			fast, err1 := m.SummarizeOneFlitWCTT(design)
 			ref, err2 := pairwiseSummary(m, design)
@@ -200,13 +225,18 @@ func TestSummarizeMatchesPairwise(t *testing.T) {
 				t.Fatalf("%v %v %v: kernel summary %+v != pairwise %+v",
 					m.Params().Topo, m.Params().Dim, design, fast, ref)
 			}
+			saturated = saturated || fast.Max == math.MaxUint64
 		}
+	}
+	if !testing.Short() && !saturated {
+		t.Fatal("no summary saturated; the 32x32 case no longer covers the saturating fold")
 	}
 }
 
 // TestKernelFuzzRandomDims is the randomized-dim comparison of the
 // satellite checklist: a fixed-seed stream of (dim, topology, design,
-// payload) draws, each checked kernel-vs-pairwise over every ordered pair.
+// payload) draws, each checked kernel-vs-pairwise over every ordered pair,
+// and the draw's one-flit summary against the per-pair fold.
 // It runs under -race in CI (the equivalence step), where the pooled
 // scratch tables and the shared weight-table caches really race.
 func TestKernelFuzzRandomDims(t *testing.T) {
@@ -250,6 +280,12 @@ func TestKernelFuzzRandomDims(t *testing.T) {
 						it, p.Topo, d, design, bits, src, dst, tab[si*n+di], want)
 				}
 			}
+		}
+		fast, err1 := m.SummarizeOneFlitWCTT(design)
+		ref, err2 := pairwiseSummary(m, design)
+		if err1 != nil || err2 != nil || fast != ref {
+			t.Fatalf("iter %d: %v %v %v: kernel summary %+v (%v) != pairwise %+v (%v)",
+				it, p.Topo, d, design, fast, err1, ref, err2)
 		}
 	}
 }

@@ -2,10 +2,10 @@ package analysis
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/mesh"
 	"repro/internal/network"
-	"repro/internal/stats"
 )
 
 // This file builds the WCTT scalability study of Table II of the paper
@@ -32,80 +32,64 @@ func (s WCTTSummary) String() string {
 
 // SummarizeOneFlitWCTT computes max/mean/min of the one-flit-packet WCTT
 // bound over every ordered pair of distinct nodes, for the given design.
-// It runs on the incremental all-pairs kernels (kernel.go) — amortized O(1)
-// route-walk work per pair instead of O(hops) — and folds the bounds in
-// source-major pair order (sources outer, destinations inner, self flows
-// skipped), the order of the plain per-pair loop the tests compare against,
-// so the running Welford mean is bit-identical to it, not merely close.
-// Steady-state calls perform no heap allocations (the transient table is
-// pooled).
+// It streams the incremental all-pairs kernels (kernel.go) — amortized O(1)
+// route-walk work per pair instead of O(hops), no N^2 table — and folds the
+// bounds in source-major pair order (sources outer, destinations inner, self
+// flows skipped), the order of the plain per-pair loop the tests compare
+// against: the mean is the in-order float sum divided by the count, so it is
+// bit-identical to that loop's, not merely close. Steady-state calls perform
+// no heap allocations (the transient rows and blocks are pooled).
 func (m *Model) SummarizeOneFlitWCTT(design network.Design) (WCTTSummary, error) {
-	n := len(m.nodes)
-	var f summaryFold
+	f := summaryFold{min: math.MaxUint64}
 	switch design {
 	case network.DesignRegular, network.DesignWaPOnly:
-		// The chained-blocking kernel is destination-major, the fold
-		// source-major: materialise the table, then fold it row by row.
-		tabp := getScratch(n * n)
-		defer putScratch(tabp)
-		tab, err := m.AllPairsRegularPacketWCTT(1, 1, *tabp)
-		if err != nil {
-			return WCTTSummary{}, err
-		}
-		*tabp = tab
-		for si := 0; si < n; si++ {
-			for di, v := range tab[si*n : si*n+n] {
-				if di != si {
-					f.add(v)
-				}
-			}
-		}
+		// The chained-blocking kernel shares fold prefixes per destination;
+		// its producer still delivers whole source rows in source order.
+		m.regularSourceRows(1, 1, f.addSource)
 	case network.DesignWaWWaP, network.DesignWaWOnly:
 		// The guaranteed-bandwidth kernel is source-major — exactly the fold
-		// order — so the summary streams one O(N) router row per source
-		// without materialising the N^2 table.
-		kernelAllPairsRuns.Add(1)
-		rowp := getScratch(m.rdim.Nodes())
+		// order — so the summary streams one O(N) row per source.
+		rowp := getScratch(len(m.nodes))
 		defer putScratch(rowp)
-		row := *rowp
-		for si := 0; si < n; si++ {
-			m.wawSourceSweep(row, m.topo.RouterOf(m.nodes[si]), 1, 1)
-			for di := 0; di < n; di++ {
-				if di != si {
-					f.add(row[m.epRouter[di]])
-				}
-			}
+		for si, src := range m.nodes {
+			m.wawSourceRow(*rowp, src, 1, 1)
+			f.addSource(si, *rowp)
 		}
 	default:
 		return WCTTSummary{}, fmt.Errorf("analysis: unknown design %v", design)
 	}
-	return WCTTSummary{
-		Design: design,
-		Dim:    m.p.Dim,
-		Max:    f.max,
-		Min:    f.min,
-		Mean:   f.sampler.Mean(),
-		Flows:  f.count,
-	}, nil
+	kernelAllPairsRuns.Add(1)
+	sum := WCTTSummary{Design: design, Dim: m.p.Dim, Max: f.max, Flows: f.count}
+	if f.count > 0 {
+		sum.Min, sum.Mean = f.min, f.sum/float64(f.count)
+	}
+	return sum, nil
 }
 
-// summaryFold accumulates the max/min/mean of a stream of bounds in arrival
-// order (the Welford mean is order-sensitive).
+// summaryFold accumulates the max/min/sum of a stream of bounds in arrival
+// order (the float sum, hence the mean, is order-sensitive). An empty fold
+// has min = MaxUint64, the identity of the running minimum.
 type summaryFold struct {
-	sampler  stats.Sampler
+	sum      float64
 	max, min uint64
 	count    int
 }
 
-func (f *summaryFold) add(v uint64) {
-	if f.count == 0 || v > f.max {
-		f.max = v
+// addSource folds the bounds of source endpoint si to every endpoint in
+// destination order, skipping the self flow by splitting the range.
+func (f *summaryFold) addSource(si int, row []uint64) {
+	f.add(row[:si])
+	f.add(row[si+1:])
+}
+
+func (f *summaryFold) add(vs []uint64) {
+	sum, hi, lo := f.sum, f.max, f.min
+	for _, v := range vs {
+		sum += float64(v)
+		hi, lo = max(hi, v), min(lo, v)
 	}
-	if f.count == 0 || v < f.min {
-		f.min = v
-	}
-	f.sampler.AddUint(v)
-	f.count++
+	f.sum, f.max, f.min = sum, hi, lo
+	f.count += len(vs)
 }
 
 // TableIIRow is one row of Table II: the regular-design and WaW+WaP-design

@@ -143,8 +143,8 @@ type Model struct {
 
 	// epRouter[epIdx] is the dense router index of endpoint epIdx — the
 	// identity on the mesh, the concentration map on the concentrated mesh.
-	// The all-pairs kernels use it to expand router-pair tables to
-	// endpoint-pair tables (kernel.go).
+	// The kernels use it to expand rows of router-pair bounds to endpoint
+	// rows (kernel.go).
 	epRouter []int32
 }
 

@@ -329,14 +329,18 @@ func runStreamed(t *testing.T, specs []scenario.Spec, grid, out, ck string, exec
 }
 
 // abortSink fails the sweep after n successful puts — cutting the stream
-// at an exact record boundary, like a kill between two writes.
+// at an exact record boundary, like a kill between two writes. Executors
+// call Put concurrently (see ResultSink), so the countdown is locked.
 type abortSink struct {
 	inner ResultSink
+	mu    sync.Mutex
 	left  int
 	err   error
 }
 
 func (a *abortSink) Put(i int, r scenario.Result, err error) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	if a.left <= 0 {
 		return a.err
 	}
