@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -518,6 +519,57 @@ func BenchmarkEngine(b *testing.B) {
 			b.ReportMetric(float64(cycles), "cycles-simulated/op")
 		})
 	}
+}
+
+// BenchmarkTraffic times one Tick of the uniform-random generator over the
+// 256 nodes of a 16x16 mesh at 2 msgs/node/kcycle — the bench module's
+// sim-sparse point, where 998 of 1000 draws say "no message" — through the
+// generator's draw kernel and through the per-node loop over math/rand it
+// replaced (the oracle of internal/traffic's tests, restated here because
+// test code cannot be imported). Both sides draw from one message pool and
+// hand every message straight back. Gate traffic-tick-16x16 is their ratio.
+func BenchmarkTraffic(b *testing.B) {
+	d := mesh.MustDim(16, 16)
+	const seed, rate = 3, 2
+	pool := &flit.Pool{}
+	b.Run("tick-16x16-rate2/kernel", func(b *testing.B) {
+		gen, err := traffic.NewUniformRandom(d, seed, rate, traffic.RequestPayloadBits, math.MaxInt32)
+		if err != nil {
+			b.Fatal(err)
+		}
+		gen.AttachPool(pool)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, msg := range gen.Tick(uint64(i)) {
+				pool.PutMessage(msg)
+			}
+		}
+	})
+	b.Run("tick-16x16-rate2/reference", func(b *testing.B) {
+		nodes, rng := d.AllNodes(), traffic.Rand(seed)
+		var out []*flit.Message
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			out = out[:0]
+			for _, src := range nodes {
+				if rng.Intn(1000) >= rate {
+					continue
+				}
+				dst := nodes[rng.Intn(len(nodes))]
+				if dst == src {
+					continue
+				}
+				msg := pool.GetMessage()
+				msg.Flow = flit.FlowID{Src: src, Dst: dst}
+				msg.Class = flit.ClassData
+				msg.PayloadBits = traffic.RequestPayloadBits
+				out = append(out, msg)
+			}
+			for _, msg := range out {
+				pool.PutMessage(msg)
+			}
+		}
+	})
 }
 
 // BenchmarkWCTT tracks the analytical WCET table generation; tableiii is the

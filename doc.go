@@ -62,7 +62,9 @@
 // retain their *Message), and Network.Reset rewinds a network in place so
 // the scenario layer reuses one constructed topology per worker across
 // sweep points — together making the steady-state cycle loop free of heap
-// allocations, injection included.
+// allocations, injection included. The rate-driven generators take each
+// per-node, per-cycle injection decision from an exact replica of math/rand's
+// source (traffic.drawSource): the same streams, no call or divide per draw.
 // A single cycle-accurate run itself parallelizes through sharding
 // (network.Config.Shards, noctool sweep -shards, scenario.Spec.Shards):
 // the mesh is partitioned into index-contiguous row stripes, each with its

@@ -368,9 +368,10 @@ func (n *NIC) enqueueFlits(msg *flit.Message) {
 	}
 	firstID := n.allocPacketIDs(packets)
 
-	// Make room up front: if the consumed head has stranded capacity,
-	// compact the live flits to the front of the backing array.
-	if n.injectHead > 0 {
+	// Make room up front: once the consumed head is as long as the live
+	// queue, move the live flits to the front of the backing array. That is
+	// amortised O(1) per flit and keeps the slice within twice the live queue.
+	if n.injectHead > 0 && 2*n.injectHead >= len(n.injectQueue) {
 		q := n.injectQueue
 		live := copy(q, q[n.injectHead:])
 		clear(q[live:])

@@ -249,6 +249,45 @@ func TestNICInjectionQueue(t *testing.T) {
 	}
 }
 
+// A backlog that grows past saturation must not be recopied on every Send:
+// compaction waits until the consumed head is as long as the live queue, so
+// it is amortised O(1) per flit, the slice stays within twice the live queue
+// (plus the message being appended), and the flits still leave in FIFO order.
+func TestNICBackloggedQueueCompactsAmortised(t *testing.T) {
+	n := MustNew(node(0, 0), SchemeWaP, testLink())
+	const steps = 2000
+	var popped []*flit.Flit
+	compactions := 0
+	for i := 0; i < steps; i++ { // 5 flits in, 1 flit out: the backlog grows
+		hadHead := n.injectHead > 0
+		msg := &flit.Message{Flow: flit.FlowID{Src: node(0, 0), Dst: node(1, 0)}, PayloadBits: 512}
+		if _, err := n.Send(msg, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if hadHead && n.injectHead == 0 {
+			compactions++
+		}
+		if len(n.injectQueue) > 2*n.PendingFlits()+5 {
+			t.Fatalf("step %d: queue slice %d for %d live flits", i, len(n.injectQueue), n.PendingFlits())
+		}
+		popped = append(popped, n.PopFlit(uint64(i)))
+	}
+	if compactions > steps/100 {
+		t.Errorf("%d compactions in %d sends of a growing backlog, want amortised O(1)", compactions, steps)
+	}
+	for n.PendingFlits() > 0 { // drain: now the head overtakes the live queue
+		popped = append(popped, n.PopFlit(steps))
+	}
+	if len(popped) != 5*steps {
+		t.Fatalf("popped %d flits, want %d", len(popped), 5*steps)
+	}
+	for i, f := range popped {
+		if f.CreatedAt != uint64(i/5) || f.PacketIndex+f.Seq != i%5 {
+			t.Fatalf("flit %d out of order: message of cycle %d, packet %d, seq %d", i, f.CreatedAt, f.PacketIndex, f.Seq)
+		}
+	}
+}
+
 func TestNICReceiveValidation(t *testing.T) {
 	n := MustNew(node(2, 2), SchemeRegular, testLink())
 	if _, err := n.Receive(nil, 0); err == nil {

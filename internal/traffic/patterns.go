@@ -121,11 +121,7 @@ func (p *PermutationGenerator) Tick(cycle uint64) []*flit.Message {
 		if dst == src || !p.dim.Contains(dst) {
 			continue
 		}
-		msg := newMessage(p.pool)
-		msg.Flow = flit.FlowID{Src: src, Dst: dst}
-		msg.Class = flit.ClassData
-		msg.PayloadBits = p.payload
-		out = append(out, msg)
+		out = append(out, newMessage(p.pool, flit.FlowID{Src: src, Dst: dst}, flit.ClassData, p.payload))
 	}
 	p.out = out
 	return out

@@ -14,7 +14,10 @@ package traffic
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"runtime"
+	"slices"
 
 	"repro/internal/flit"
 	"repro/internal/mesh"
@@ -74,52 +77,125 @@ func AttachNetworkPool(gen Generator, net *network.Network) {
 	}
 }
 
-// newMessage draws a message from the pool when one is attached.
-func newMessage(p *flit.Pool) *flit.Message {
+// newMessage builds a message, drawn from the pool when one is attached.
+func newMessage(p *flit.Pool, flow flit.FlowID, class flit.MessageClass, payload int) *flit.Message {
+	var msg *flit.Message
 	if p != nil {
-		return p.GetMessage()
+		msg = p.GetMessage()
+	} else {
+		msg = &flit.Message{}
 	}
-	return &flit.Message{}
+	msg.Flow, msg.Class, msg.PayloadBits = flow, class, payload
+	return msg
 }
 
 // Rand is the deterministic pseudo-random source used by the generators.
 func Rand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// drawSource is a devirtualized replica of math/rand's bounded-draw path:
-// it applies exactly the Rand.Intn/Int31n algorithm to the raw Source, so
-// the produced stream is bit-identical to rand.New(rand.NewSource(seed))
-// (pinned by TestDrawSourceMatchesMathRand) while skipping the three layers
-// of non-inlined method calls the wrapper pays per draw. Generators draw
-// millions of per-node, per-cycle decisions; this is their hot path.
+// drawSource is an exact replica of math/rand's default source, the additive
+// lagged-Fibonacci generator out[n] = out[n-607] + out[n-273] (mod 2^64).
+// Each output of that source is also the state word it has just stored, so
+// the first 607 outputs of rand.NewSource(seed) are its whole state:
+// newDrawSource captures them and refill extends the stream a block at a time
+// with two add loops, with no interface call and no tap bookkeeping per draw.
+// Bounded draws apply Rand.Intn's rejection rule to the same 31 bits of each
+// output, so every stream is bit-identical to rand.New(rand.NewSource(seed)):
+// TestDrawSourceMatchesMathRand pins the draws across refills, and
+// TestGeneratorsMatchMathRandReference and FuzzUniformTickMatchesReference
+// pin both generators to the math/rand per-node loop kept in traffic_test.go.
 type drawSource struct {
-	src rand.Source
+	vec [rngLen]uint64 // one block of consecutive outputs
+	pos int            // vec[pos:] is not consumed yet
 }
 
-func newDrawSource(seed int64) drawSource { return drawSource{src: rand.NewSource(seed)} }
+const rngLen, rngTap = 607, 273 // the two lags; rngLen is also the state size
 
-// intn returns a uniform draw in [0, n) for 0 < n <= MaxInt32, consuming the
-// same source values as math/rand.(*Rand).Intn.
-func (d drawSource) intn(n int) int {
-	n32 := int32(n)
-	if n32&(n32-1) == 0 { // n is a power of two
-		return int(int32(d.src.Int63()>>32) & (n32 - 1))
+// newDrawSource panics when the replica's first refill differs from the next
+// 607 outputs of the real source, i.e. when math/rand has stopped being this
+// recurrence: a silent fallback would change every seeded traffic stream.
+func newDrawSource(seed int64) drawSource {
+	src, ok := rand.NewSource(seed).(rand.Source64)
+	if !ok {
+		panic("traffic: math/rand source of " + runtime.Version() + " is not a rand.Source64")
 	}
-	max := int32((1 << 31) - 1 - (1<<31)%uint32(n32))
-	v := int32(d.src.Int63() >> 32)
-	for v > max {
-		v = int32(d.src.Int63() >> 32)
+	var d drawSource
+	for i := range d.vec {
+		d.vec[i] = src.Uint64()
 	}
-	return int(v % n32)
+	next := d
+	next.refill()
+	for i, v := range next.vec {
+		if got := src.Uint64(); got != v {
+			panic(fmt.Sprintf("traffic: math/rand of %s is not the lagged-Fibonacci source drawSource replicates (output %d: %#x, replica %#x)", runtime.Version(), rngLen+i, got, v))
+		}
+	}
+	return d
+}
+
+// refill replaces the block with the next rngLen outputs; callers rewind pos.
+func (d *drawSource) refill() {
+	for i := 0; i < rngTap; i++ {
+		d.vec[i] += d.vec[i+rngLen-rngTap]
+	}
+	for i := rngTap; i < rngLen; i++ {
+		d.vec[i] += d.vec[i-rngTap]
+	}
+}
+
+// bound is a draw range [0, n), 0 < n <= MaxInt32, with Rand.Intn's rejection
+// limit and the 64-bit reciprocal of n precomputed: reducing a draw costs two
+// multiplies and no divide (Lemire's fastmod, exact for 32-bit operands). For
+// a power of two the limit rejects nothing and v%n is math/rand's mask.
+type bound struct {
+	n, recip uint64
+	max      uint32 // largest 31-bit output Rand.Intn(n) accepts
+}
+
+func newBound(n int) bound {
+	return bound{n: uint64(n), recip: ^uint64(0)/uint64(n) + 1, max: 1<<31 - 1 - uint32((1<<31)%uint64(n))}
+}
+
+var perMil, perCent = newBound(1000), newBound(100) // the ranges of the rate draws
+
+// scan consumes one draw in b per index from i up to n, stops after the first
+// draw below rate, and returns that index and draw (n if every draw missed):
+// one cycle's per-node decisions, nearly all of them misses at realistic
+// rates, taken with the block position in a register.
+func (d *drawSource) scan(b bound, rate uint64, i, n int) (int, uint64) {
+	pos, draw := d.pos, uint64(0)
+	for i < n {
+		if pos == rngLen {
+			d.refill()
+			pos = 0
+		}
+		v := uint32(d.vec[pos] << 1 >> 33) // Source.Int63() >> 32
+		pos++
+		if v > b.max {
+			continue // Rand.Intn redraws
+		}
+		if draw, _ = bits.Mul64(b.recip*uint64(v), b.n); draw < rate {
+			break
+		}
+		i++
+	}
+	d.pos = pos
+	return i, draw
+}
+
+// intn returns one uniform draw in b: any draw is below b.n.
+func (d *drawSource) intn(b bound) int {
+	_, draw := d.scan(b, b.n, 0, 1)
+	return int(draw)
 }
 
 // UniformRandom injects requests from every node to uniformly random
 // destinations at a fixed per-node injection rate (flit-equivalents per node
 // per cycle, approximated at message granularity).
 type UniformRandom struct {
-	dim        mesh.Dim
 	nodes      []mesh.Node // AllNodes, precomputed once
 	rng        drawSource
-	ratePerMil int // messages per node per 1000 cycles
+	anyNode    bound // the destination draw's range, [0, len(nodes))
+	ratePerMil int   // messages per node per 1000 cycles
 	payload    int
 	remaining  int
 	pool       *flit.Pool
@@ -140,9 +216,9 @@ func NewUniformRandom(dim mesh.Dim, seed int64, ratePerMil, payload, total int) 
 		return nil, fmt.Errorf("traffic: total message count must be non-negative, got %d", total)
 	}
 	return &UniformRandom{
-		dim:        dim,
 		nodes:      dim.AllNodes(),
 		rng:        newDrawSource(seed),
+		anyNode:    newBound(dim.Nodes()),
 		ratePerMil: ratePerMil,
 		payload:    payload,
 		remaining:  total,
@@ -158,22 +234,15 @@ func (u *UniformRandom) Tick(uint64) []*flit.Message {
 		return nil
 	}
 	out := u.out[:0]
-	for _, src := range u.nodes {
-		if u.remaining <= 0 {
+	for i := 0; u.remaining > 0; i++ {
+		if i, _ = u.rng.scan(perMil, uint64(u.ratePerMil), i, len(u.nodes)); i == len(u.nodes) {
 			break
 		}
-		if u.rng.intn(1000) >= u.ratePerMil {
-			continue
-		}
-		dst := u.nodes[u.rng.intn(len(u.nodes))]
+		src, dst := u.nodes[i], u.nodes[u.rng.intn(u.anyNode)]
 		if dst == src {
 			continue
 		}
-		msg := newMessage(u.pool)
-		msg.Flow = flit.FlowID{Src: src, Dst: dst}
-		msg.Class = flit.ClassData
-		msg.PayloadBits = u.payload
-		out = append(out, msg)
+		out = append(out, newMessage(u.pool, flit.FlowID{Src: src, Dst: dst}, flit.ClassData, u.payload))
 		u.remaining--
 	}
 	u.out = out
@@ -195,8 +264,7 @@ func (u *UniformRandom) NextEvent(now uint64) (uint64, bool) {
 // Hotspot sends requests from every node towards a single hotspot node (the
 // memory controller pattern of the paper's platform).
 type Hotspot struct {
-	dim       mesh.Dim
-	nodes     []mesh.Node // AllNodes, precomputed once
+	sources   []mesh.Node // every node but target, in AllNodes order
 	target    mesh.Node
 	rng       drawSource
 	ratePct   int // probability (percent) that a node issues a request each cycle
@@ -222,9 +290,9 @@ func NewHotspot(dim mesh.Dim, target mesh.Node, seed int64, ratePct, payload, to
 	if total < 0 {
 		return nil, fmt.Errorf("traffic: total message count must be non-negative, got %d", total)
 	}
+	t := dim.Index(target)
 	return &Hotspot{
-		dim:       dim,
-		nodes:     dim.AllNodes(),
+		sources:   slices.Delete(slices.Clone(dim.AllNodes()), t, t+1),
 		target:    target,
 		rng:       newDrawSource(seed),
 		ratePct:   ratePct,
@@ -242,21 +310,11 @@ func (h *Hotspot) Tick(uint64) []*flit.Message {
 		return nil
 	}
 	out := h.out[:0]
-	for _, src := range h.nodes {
-		if h.remaining <= 0 {
+	for i := 0; h.remaining > 0; i++ {
+		if i, _ = h.rng.scan(perCent, uint64(h.ratePct), i, len(h.sources)); i == len(h.sources) {
 			break
 		}
-		if src == h.target {
-			continue
-		}
-		if h.rng.intn(100) >= h.ratePct {
-			continue
-		}
-		msg := newMessage(h.pool)
-		msg.Flow = flit.FlowID{Src: src, Dst: h.target}
-		msg.Class = flit.ClassRequest
-		msg.PayloadBits = h.payload
-		out = append(out, msg)
+		out = append(out, newMessage(h.pool, flit.FlowID{Src: h.sources[i], Dst: h.target}, flit.ClassRequest, h.payload))
 		h.remaining--
 	}
 	h.out = out
@@ -280,6 +338,7 @@ func (h *Hotspot) NextEvent(now uint64) (uint64, bool) {
 type Trace struct {
 	events []TraceEvent
 	next   int
+	out    []*flit.Message // reused Tick result buffer
 }
 
 // TraceEvent is one entry of a replayed trace.
@@ -305,12 +364,12 @@ func NewTrace(events []TraceEvent) (*Trace, error) {
 
 // Tick implements Generator.
 func (t *Trace) Tick(cycle uint64) []*flit.Message {
-	var out []*flit.Message
+	t.out = t.out[:0]
 	for t.next < len(t.events) && t.events[t.next].Cycle <= cycle {
-		out = append(out, t.events[t.next].Msg)
+		t.out = append(t.out, t.events[t.next].Msg)
 		t.next++
 	}
-	return out
+	return t.out
 }
 
 // Done implements Generator.

@@ -2,6 +2,8 @@ package traffic
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/flit"
@@ -191,33 +193,221 @@ func TestDriveRespectsMaxCycles(t *testing.T) {
 	}
 }
 
-// TestDrawSourceMatchesMathRand pins the devirtualized bounded-draw path to
-// math/rand: for the ranges the generators use (and awkward ones around
-// powers of two), drawSource must consume the source identically and return
-// the identical values, so switching the generators to it cannot change any
-// seeded traffic stream.
+// TestDrawSourceMatchesMathRand pins the replicated source to math/rand: for
+// the ranges the generators use, awkward ones around powers of two and two
+// that reject about half of (respectively almost no) raw outputs, drawSource
+// must return the values Rand.Intn returns, draw for draw, across several
+// block refills, so no seeded traffic stream can differ from math/rand's.
 func TestDrawSourceMatchesMathRand(t *testing.T) {
-	for _, seed := range []int64{1, 3, 7, 11, 42, 1 << 40} {
-		for _, n := range []int{2, 7, 16, 64, 100, 1000, 1 << 20, (1 << 31) - 1} {
+	for _, seed := range []int64{1, 3, 7, 11, 42, 1 << 40, 0, -1, -(1 << 40)} {
+		for _, n := range []int{1, 2, 7, 16, 64, 100, 1000, 1 << 20, (1 << 30) + 1, (1 << 31) - 1} {
 			ref := Rand(seed)
-			fast := newDrawSource(seed)
+			fast, b := newDrawSource(seed), newBound(n)
 			for i := 0; i < 2000; i++ {
 				want := ref.Intn(n)
-				got := fast.intn(n)
+				got := fast.intn(b)
 				if want != got {
 					t.Fatalf("seed=%d n=%d draw %d: math/rand %d, drawSource %d", seed, n, i, want, got)
 				}
 			}
 		}
 	}
-	// Interleaved mixed ranges must stay in lockstep too (the generators
-	// alternate rate draws and destination draws on one stream).
+	// A scan that ends exactly on, one before or one after a block boundary
+	// must hand the stream over intact: consume count draws in one all-miss
+	// scan (rate 0), then compare the draws that follow. With n = 2^30+1 the
+	// redraw loop itself crosses the boundary.
+	for _, n := range []int{1000, (1 << 30) + 1} {
+		for _, count := range []int{605, 606, 607, 608, 1213, 1214, 1215, 3 * rngLen} {
+			ref := Rand(9)
+			fast, b := newDrawSource(9), newBound(n)
+			for i := 0; i < count; i++ {
+				ref.Intn(n)
+			}
+			if i, _ := fast.scan(b, 0, 0, count); i != count {
+				t.Fatalf("n=%d: all-miss scan stopped at %d of %d", n, i, count)
+			}
+			for i := 0; i < 5; i++ {
+				if want, got := ref.Intn(n), fast.intn(b); want != got {
+					t.Fatalf("n=%d draw %d after %d: math/rand %d, drawSource %d", n, i, count, want, got)
+				}
+			}
+		}
+	}
+	// A seeded stream meets Rand.Intn's rejection limit itself once in 2^31
+	// draws, so the limit is pinned on hand-made blocks: the largest output
+	// Int31n accepts is reduced, the next larger one is skipped, and neither
+	// the sign bit nor the low word of an output takes part.
+	for _, n := range []int{3, 100, 1000, (1 << 30) + 1, (1 << 31) - 1} {
+		max := int32((1 << 31) - 1 - (1<<31)%uint32(n)) // as in Rand.Int31n
+		const noise = 1<<63 | 1<<32 - 1
+		var d drawSource
+		d.vec[0] = uint64(max)<<32 | noise
+		d.vec[1] = uint64(max+1)<<32 | noise
+		d.vec[2] = 5<<32 | noise
+		b := newBound(n)
+		if got, want := d.intn(b), int(max%int32(n)); got != want {
+			t.Errorf("n=%d: largest accepted output reduced to %d, want %d", n, got, want)
+		}
+		if got, want := d.intn(b), 5%n; got != want || d.pos != 3 {
+			t.Errorf("n=%d: draw after a rejected output = %d at block position %d, want %d at 3", n, got, d.pos, want)
+		}
+	}
+	// Interleaved mixed ranges must stay in lockstep too: the generators
+	// alternate rate draws and destination draws on one stream.
 	ref, fast := Rand(5), newDrawSource(5)
 	for i := 0; i < 5000; i++ {
-		n := []int{1000, 64, 100, 3}[i%4]
-		if want, got := ref.Intn(n), fast.intn(n); want != got {
+		n := []int{1000, 256, 1000, 15, 100, 3}[i%6]
+		if want, got := ref.Intn(n), fast.intn(newBound(n)); want != got {
 			t.Fatalf("interleaved draw %d (n=%d): math/rand %d, drawSource %d", i, n, want, got)
 		}
+	}
+}
+
+// reference is the oracle the rate-driven generators are pinned to: the
+// per-node loop over math/rand's own Rand.Intn that they ran before the draw
+// kernel replaced it.
+type reference struct {
+	nodes     []mesh.Node
+	target    mesh.Node
+	rng       *rand.Rand
+	rate      int
+	payload   int
+	remaining int
+}
+
+func referenceUniformTick(r *reference) []flit.Message {
+	var out []flit.Message
+	for _, src := range r.nodes {
+		if r.remaining <= 0 {
+			break
+		}
+		if r.rng.Intn(1000) >= r.rate {
+			continue
+		}
+		dst := r.nodes[r.rng.Intn(len(r.nodes))]
+		if dst == src {
+			continue
+		}
+		out = append(out, flit.Message{Flow: flit.FlowID{Src: src, Dst: dst}, Class: flit.ClassData, PayloadBits: r.payload})
+		r.remaining--
+	}
+	return out
+}
+
+func referenceHotspotTick(r *reference) []flit.Message {
+	var out []flit.Message
+	for _, src := range r.nodes {
+		if r.remaining <= 0 {
+			break
+		}
+		if src == r.target {
+			continue
+		}
+		if r.rng.Intn(100) >= r.rate {
+			continue
+		}
+		out = append(out, flit.Message{Flow: flit.FlowID{Src: src, Dst: r.target}, Class: flit.ClassRequest, PayloadBits: r.payload})
+		r.remaining--
+	}
+	return out
+}
+
+// matchReference ticks gen and the oracle side by side and requires the same
+// messages in the same order every cycle, and the same Done.
+func matchReference(t *testing.T, gen Generator, ref *reference, refTick func(*reference) []flit.Message, ticks int) {
+	t.Helper()
+	for cycle := 0; cycle < ticks; cycle++ {
+		want, got := refTick(ref), gen.Tick(uint64(cycle))
+		if len(got) != len(want) {
+			t.Fatalf("cycle %d: %d messages, reference %d", cycle, len(got), len(want))
+		}
+		for i, m := range got {
+			if w := want[i]; m.Flow != w.Flow || m.Class != w.Class || m.PayloadBits != w.PayloadBits {
+				t.Fatalf("cycle %d message %d: %v class %v payload %d, reference %v class %v payload %d",
+					cycle, i, m.Flow, m.Class, m.PayloadBits, w.Flow, w.Class, w.PayloadBits)
+			}
+		}
+		if done := ref.remaining <= 0; gen.Done() != done {
+			t.Fatalf("cycle %d: Done() = %v, reference %v", cycle, gen.Done(), done)
+		}
+	}
+}
+
+func matchUniformReference(t *testing.T, d mesh.Dim, seed int64, rate, total, ticks int) {
+	t.Helper()
+	g, err := NewUniformRandom(d, seed, rate, 64, total)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &reference{nodes: d.AllNodes(), rng: Rand(seed), rate: rate, payload: 64, remaining: total}
+	matchReference(t, g, ref, referenceUniformTick, ticks)
+}
+
+// refillTicks is enough cycles for a generator on d to consume more than
+// three blocks of draws even when it draws only once per node per cycle.
+func refillTicks(d mesh.Dim) int { return 3*rngLen/d.Nodes() + 40 }
+
+// TestGeneratorsMatchMathRandReference: both rate-driven generators produce,
+// message for message, what the math/rand per-node loop produces, on
+// degenerate, rectangular and large grids, from rates where nearly every draw
+// misses to rates where every draw hits, through several block refills, and
+// with totals that run out in the middle of a cycle.
+func TestGeneratorsMatchMathRandReference(t *testing.T) {
+	dims := []mesh.Dim{mesh.MustDim(1, 1), mesh.MustDim(1, 7), mesh.MustDim(7, 1), mesh.MustDim(4, 4), mesh.MustDim(5, 3), mesh.MustDim(16, 16)}
+	seeds := []int64{1, 5, 7, -3, 1 << 40}
+	totals := []int{0, 1, 37, 1000, math.MaxInt32}
+	for _, d := range dims {
+		for _, seed := range seeds {
+			for _, total := range totals {
+				for _, rate := range []int{1, 2, 40, 400, 999, 1000, 1500} {
+					matchUniformReference(t, d, seed, rate, total, refillTicks(d))
+				}
+				for _, pct := range []int{1, 50, 100} {
+					target := mesh.Node{X: d.Width / 2, Y: d.Height - 1}
+					g, err := NewHotspot(d, target, seed, pct, RequestPayloadBits, total)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref := &reference{nodes: d.AllNodes(), target: target, rng: Rand(seed), rate: pct, payload: RequestPayloadBits, remaining: total}
+					matchReference(t, g, ref, referenceHotspotTick, refillTicks(d))
+				}
+			}
+		}
+	}
+}
+
+// FuzzUniformTickMatchesReference lets the fuzzer pick the grid, rate, total
+// and run length; the committed corpus (testdata/fuzz) holds the corners of
+// the grid above and also runs under plain `go test`.
+func FuzzUniformTickMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, w, h, rate, total, ticks int) {
+		wrap := func(v, lo, hi int) int { return lo + int(uint(v-lo)%uint(hi-lo+1)) }
+		d := mesh.MustDim(wrap(w, 1, 16), wrap(h, 1, 16))
+		matchUniformReference(t, d, seed, wrap(rate, 1, 1500), wrap(total, 0, 1<<20), wrap(ticks, 1, 4096))
+	})
+}
+
+// TestTraceTickReusesBuffer pins Trace to the Generator contract the other
+// generators already honour: the result slice is reused, so replaying a trace
+// allocates nothing per Tick.
+func TestTraceTickReusesBuffer(t *testing.T) {
+	events := make([]TraceEvent, 4000)
+	for i := range events {
+		events[i] = TraceEvent{Cycle: uint64(i / 4), Msg: &flit.Message{}}
+	}
+	g, err := NewTrace(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := uint64(0)
+	g.Tick(cycle) // sizes the buffer
+	if allocs := testing.AllocsPerRun(500, func() {
+		cycle++
+		if len(g.Tick(cycle)) != 4 {
+			t.Fatalf("cycle %d: want 4 due events", cycle)
+		}
+	}); allocs != 0 {
+		t.Errorf("Trace.Tick allocates %.1f times per call, want 0", allocs)
 	}
 }
 
