@@ -430,6 +430,43 @@ func BenchmarkEngine(b *testing.B) {
 		})
 	}
 
+	// saturated-8x8: the opposite regime — 400 msgs/node/kcycle of one-flit
+	// messages is past saturation, every router and NIC queue is busy every
+	// cycle, so the cost is per flit-hop router/arbiter work and the
+	// active-set bookkeeping is pure overhead. One op rewinds the network
+	// and simulates a 3000-cycle window (the source queues of a saturated
+	// network grow without bound, so the window is fixed instead of b.N
+	// cycles). The active-set/full-scan ratio is gated near 1.0: the
+	// default engine must not lose to the full scan where it cannot win.
+	for _, e := range []network.Engine{network.EngineActiveSet, network.EngineFullScan} {
+		b.Run("saturated-8x8/"+e.String(), func(b *testing.B) {
+			const window = 3000
+			d := mesh.MustDim(8, 8)
+			cfg := network.DefaultConfig(d, network.DesignWaWWaP)
+			cfg.Engine = e
+			net := network.MustNew(cfg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.Reset()
+				gen, err := traffic.NewUniformRandom(d, 3, 400, traffic.RequestPayloadBits, 1<<30)
+				if err != nil {
+					b.Fatal(err)
+				}
+				traffic.AttachNetworkPool(gen, net)
+				for c := 0; c < window; c++ {
+					for _, msg := range gen.Tick(net.Cycle()) {
+						if _, err := net.Send(msg); err != nil {
+							b.Fatal(err)
+						}
+					}
+					net.Step()
+				}
+			}
+			b.ReportMetric(float64(net.TotalInjectedFlits())/window, "flits/cycle")
+		})
+	}
+
 	// sharded vs sharded-serial: the identical sustained uniform-random
 	// workload on a 16x16 mesh — large enough that a cycle carries real
 	// work in every row stripe — stepped by the serial active-set engine

@@ -56,7 +56,18 @@
 // transfer — precedes the target cycle. Skipped visits and leapt cycles
 // are provably no-ops, so the engine is cycle-for-cycle identical to the
 // full per-node scan — retained as network.EngineFullScan and pinned by
-// equivalence, lockstep-microstate and leap-vs-step tests. Each network
+// equivalence, lockstep-microstate and leap-vs-step tests. What a busy
+// cycle costs is the flit-hop path: a router's input FIFOs are fixed rings
+// (committed and staged counts on one ring, so a commit is a counter bump),
+// each buffered flit has a one-byte head-of-line record (head, tail, routed
+// output, legal turn) computed when it is staged, and wantMask[out] — the
+// inputs whose front flit requests output out — changes only when a FIFO
+// front changes; ComputeTransfers is one loop over five value-typed output
+// ports granting from that mask through bitmask arbiters
+// (RoundRobin/Weighted.GrantMask) held inside the Router struct, with the
+// slice-and-[]bool forms kept as test oracles (bench keys
+// network.ns_per_flit_hop, router.transfers_ns, sim-saturated
+// latency_p50_ms). Each network
 // owns a flit.Pool from which generators draw messages and NICs draw
 // flits, with every consumed object recycled (delivery callbacks must not
 // retain their *Message), and Network.Reset rewinds a network in place so

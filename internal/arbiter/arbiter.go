@@ -3,42 +3,79 @@
 // mesh NoCs and the WCTT-aware Weighted round-robin arbiter (WaW) that
 // balances the guaranteed bandwidth of all flows.
 //
-// Arbiters are per-output-port objects. Every cycle the router presents the
-// set of input ports requesting the output; the arbiter picks at most one
-// winner and updates its internal state. Both arbiters are deterministic and
-// therefore time-analyzable.
+// Arbiters are per-output-port values. Every cycle the router presents the
+// set of input ports requesting the output as a bitmask; the arbiter picks at
+// most one winner and updates its internal state. Both arbiters are
+// deterministic and therefore time-analyzable, and both are pointer-free
+// structs of a few bytes, so a router holds its arbiters inside its own
+// struct and calls them on their concrete types.
 package arbiter
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
+
+// MaxInputs is the largest number of input ports an arbiter serves: a
+// request set is one uint8 bitmask (bit i = input i requests) and the WaW
+// counters live in fixed arrays, so an arbiter is a plain value the router
+// embeds in its own struct.
+const MaxInputs = 8
 
 // Arbiter selects one winner among a set of requesting input ports.
 //
-// Grant receives a request mask indexed by input-port index (true = the input
-// has a flit that wants this output this cycle and the downstream buffer can
-// accept it) and returns the granted input index, or -1 when no input is
-// requesting. Implementations update their internal state (round-robin
-// pointers, WaW flit counters) as a side effect, exactly as the corresponding
-// hardware would at the end of the cycle.
+// GrantMask receives the request set as a bitmask indexed by input-port
+// index (bit i set = input i has a flit that wants this output this cycle
+// and the downstream buffer can accept it) and returns the granted input
+// index, or -1 when no input is requesting. Implementations update their
+// internal state (round-robin pointers, WaW flit counters) as a side effect,
+// exactly as the corresponding hardware would at the end of the cycle. It
+// panics when the mask names an input the arbiter was not built for.
 type Arbiter interface {
+	GrantMask(requests uint8) int
+	// Grant is GrantMask for a request set given as one bool per input; it
+	// panics when len(requests) differs from NumInputs.
 	Grant(requests []bool) int
 	// NumInputs returns the number of input ports the arbiter was built for.
 	NumInputs() int
 	// Reset restores the power-on state.
 	Reset()
-	// IdleStable reports whether a Grant call with no requesting inputs
-	// would leave the arbiter's state unchanged. Round-robin arbiters are
-	// always idle-stable; a WaW arbiter is idle-stable once every flit
-	// counter has replenished back to its weight. The active-set simulator
-	// engine uses this to decide when an idle router can safely be skipped.
+	// IdleStable reports whether a grant with no requesting inputs would
+	// leave the arbiter's state unchanged. Round-robin arbiters are always
+	// idle-stable; a WaW arbiter is idle-stable once every flit counter has
+	// replenished back to its weight.
 	IdleStable() bool
-	// Replenish applies cycles request-less Grant calls in one step: it is
-	// the bulk form of the idle-cycle replenishment rule, used by the
+	// Replenish applies cycles request-less grants in one step: it is the
+	// bulk form of the idle-cycle replenishment rule, used by the
 	// simulator's lazy-replenishment/time-leap scheduling to advance an
 	// idle arbiter over a whole idle window at once. For a round-robin
 	// arbiter it is a no-op; for a WaW arbiter every flit counter is
 	// raised by cycles, saturating at its weight — exactly the state a
-	// cycle-by-cycle sequence of empty Grant calls would reach.
+	// cycle-by-cycle sequence of empty grants would reach.
 	Replenish(cycles uint64)
+}
+
+// maskOf packs one-bool-per-input requests into a request bitmask for an
+// arbiter over n inputs.
+func maskOf(requests []bool, n uint8) uint8 {
+	if len(requests) != int(n) {
+		panic(fmt.Sprintf("arbiter: got %d requests, expected %d", len(requests), n))
+	}
+	var mask uint8
+	for i, r := range requests {
+		if r {
+			mask |= 1 << uint(i)
+		}
+	}
+	return mask
+}
+
+// checkInputs panics unless 1 <= n <= MaxInputs.
+func checkInputs(n int) {
+	if n <= 0 || n > MaxInputs {
+		panic(fmt.Sprintf("arbiter: need 1..%d inputs, got %d", MaxInputs, n))
+	}
 }
 
 // RoundRobin is the conventional rotating-priority round-robin arbiter used
@@ -46,26 +83,24 @@ type Arbiter interface {
 // the priority pointer moves to the input after the winner, so over any
 // window every requesting input is served once per round.
 type RoundRobin struct {
-	n    int
-	next int // index with the highest priority next cycle
+	n    uint8
+	next uint8 // index with the highest priority next cycle
 }
 
 // NewRoundRobin returns a round-robin arbiter over n input ports. It panics
-// if n is not positive.
+// unless 1 <= n <= MaxInputs.
 func NewRoundRobin(n int) *RoundRobin {
-	if n <= 0 {
-		panic(fmt.Sprintf("arbiter: round-robin needs at least one input, got %d", n))
-	}
-	return &RoundRobin{n: n}
+	checkInputs(n)
+	return &RoundRobin{n: uint8(n)}
 }
 
 // NumInputs returns the number of input ports.
-func (a *RoundRobin) NumInputs() int { return a.n }
+func (a *RoundRobin) NumInputs() int { return int(a.n) }
 
 // Reset restores the power-on priority (input 0 first).
 func (a *RoundRobin) Reset() { a.next = 0 }
 
-// IdleStable implements Arbiter: a request-less Grant never moves the
+// IdleStable implements Arbiter: a request-less grant never moves the
 // round-robin pointer.
 func (a *RoundRobin) IdleStable() bool { return true }
 
@@ -73,30 +108,32 @@ func (a *RoundRobin) IdleStable() bool { return true }
 // pointer, so the bulk form is a no-op too.
 func (a *RoundRobin) Replenish(uint64) {}
 
-// Grant returns the requesting input with the highest current priority, or -1
-// when none request. The priority pointer rotates past the winner. The scan
-// runs as two straight passes (from the priority pointer to the end, then
-// the wrap-around) so the per-candidate work is a plain indexed load.
+// Grant implements Arbiter.
 func (a *RoundRobin) Grant(requests []bool) int {
-	if len(requests) != a.n {
-		panic(fmt.Sprintf("arbiter: got %d requests, expected %d", len(requests), a.n))
+	return a.GrantMask(maskOf(requests, a.n))
+}
+
+// GrantMask returns the requesting input with the highest current priority,
+// or -1 when none request. The priority pointer rotates past the winner.
+func (a *RoundRobin) GrantMask(requests uint8) int {
+	if requests>>a.n != 0 {
+		panic(fmt.Sprintf("arbiter: request mask %#b names inputs beyond %d", requests, a.n))
 	}
-	for idx := a.next; idx < a.n; idx++ {
-		if requests[idx] {
-			a.next = idx + 1
-			if a.next == a.n {
-				a.next = 0
-			}
-			return idx
-		}
+	if requests == 0 {
+		return -1
 	}
-	for idx := 0; idx < a.next; idx++ {
-		if requests[idx] {
-			a.next = idx + 1
-			return idx
-		}
+	// The requesters at or after the priority pointer come first; when there
+	// are none the scan wraps around to the lowest requester.
+	ahead := requests >> a.next << a.next
+	if ahead == 0 {
+		ahead = requests
 	}
-	return -1
+	winner := bits.TrailingZeros8(ahead)
+	a.next = uint8(winner + 1)
+	if a.next == a.n {
+		a.next = 0
+	}
+	return winner
 }
 
 // Weighted implements the WaW arbitration scheme of Section III of the paper.
@@ -117,90 +154,76 @@ func (a *RoundRobin) Grant(requests []bool) int {
 // Over a congested interval this allocates the output bandwidth to input i in
 // proportion weight_i / sum(weights), i.e. W(I,O) = I/O of Equation 1.
 type Weighted struct {
-	weights []int
-	counts  []int
-	rr      *RoundRobin
+	rr RoundRobin // tie-break among the inputs sharing the largest count
 
 	// deficits counts the inputs whose flit counter sits below its weight.
 	// It makes the saturated steady state O(1): IdleStable and Replenish —
 	// the operations the simulator issues every idle cycle — return
 	// immediately once every counter is full.
-	deficits int
+	deficits uint8
 
-	// candScratch and tieScratch are reusable per-Grant buffers so that
-	// steady-state arbitration performs no heap allocations.
-	candScratch []int
-	tieScratch  []bool
+	counts  [MaxInputs]int32
+	weights [MaxInputs]int32
 }
 
 // NewWeighted returns a WaW arbiter with the given per-input weights
 // (non-negative integers). A weight of zero is clamped to one so that an
 // input that can legally request the output — even if the static flow
 // analysis expects no flows through it — still receives one slot per frame
-// and can never be starved. It panics if weights is empty or contains a
-// negative value.
+// and can never be starved. It panics unless 1 <= len(weights) <= MaxInputs
+// and every weight lies in [0, math.MaxInt32].
 func NewWeighted(weights []int) *Weighted {
-	if len(weights) == 0 {
-		panic("arbiter: weighted arbiter needs at least one input")
-	}
-	w := &Weighted{
-		weights:     make([]int, len(weights)),
-		counts:      make([]int, len(weights)),
-		rr:          NewRoundRobin(len(weights)),
-		candScratch: make([]int, 0, len(weights)),
-		tieScratch:  make([]bool, len(weights)),
-	}
+	checkInputs(len(weights))
+	w := &Weighted{rr: RoundRobin{n: uint8(len(weights))}}
 	for i, wt := range weights {
-		if wt < 0 {
-			panic(fmt.Sprintf("arbiter: negative weight %d for input %d", wt, i))
+		if wt < 0 || wt > math.MaxInt32 {
+			panic(fmt.Sprintf("arbiter: weight %d for input %d outside [0, %d]", wt, i, math.MaxInt32))
 		}
 		if wt == 0 {
 			wt = 1
 		}
-		w.weights[i] = wt
-		w.counts[i] = wt
+		w.weights[i] = int32(wt)
+		w.counts[i] = int32(wt)
 	}
 	return w
 }
 
 // NumInputs returns the number of input ports.
-func (a *Weighted) NumInputs() int { return len(a.weights) }
+func (a *Weighted) NumInputs() int { return int(a.rr.n) }
 
 // Reset restores every counter to its weight and the tie-break round-robin
 // pointer to input 0.
 func (a *Weighted) Reset() {
-	for i := range a.counts {
-		a.counts[i] = a.weights[i]
-	}
+	a.counts = a.weights
 	a.deficits = 0
 	a.rr.Reset()
 }
 
 // Weight returns the configured weight of input i.
-func (a *Weighted) Weight(i int) int { return a.weights[i] }
+func (a *Weighted) Weight(i int) int { return int(a.weights[i]) }
 
 // Count returns the current flit counter of input i (visible for tests and
 // for the WCTT analysis of the counter phasing).
-func (a *Weighted) Count(i int) int { return a.counts[i] }
+func (a *Weighted) Count(i int) int { return int(a.counts[i]) }
 
 // IdleStable implements Arbiter: the request-less replenishment rule is a
 // no-op exactly when every flit counter already sits at its weight.
 func (a *Weighted) IdleStable() bool { return a.deficits == 0 }
 
-// Replenish implements Arbiter: cycles idle Grant calls each raise every
-// flit counter by one, saturating at the input's weight. Once saturated
-// (the steady state of an idle port) the call returns in O(1).
+// Replenish implements Arbiter: cycles idle grants each raise every flit
+// counter by one, saturating at the input's weight. Once saturated (the
+// steady state of an idle port) the call returns in O(1).
 func (a *Weighted) Replenish(cycles uint64) {
 	if cycles == 0 || a.deficits == 0 {
 		return
 	}
-	for i := range a.counts {
+	for i := range a.counts[:a.rr.n] {
 		deficit := a.weights[i] - a.counts[i]
 		if deficit <= 0 {
 			continue
 		}
 		if cycles < uint64(deficit) {
-			a.counts[i] += int(cycles)
+			a.counts[i] += int32(cycles)
 		} else {
 			a.counts[i] = a.weights[i]
 			a.deficits--
@@ -208,25 +231,24 @@ func (a *Weighted) Replenish(cycles uint64) {
 	}
 }
 
-// Grant applies the WaW arbitration rule described above.
+// Grant implements Arbiter.
 func (a *Weighted) Grant(requests []bool) int {
-	if len(requests) != len(a.weights) {
-		panic(fmt.Sprintf("arbiter: got %d requests, expected %d", len(requests), len(a.weights)))
+	return a.GrantMask(maskOf(requests, a.rr.n))
+}
+
+// GrantMask applies the WaW arbitration rule described above.
+func (a *Weighted) GrantMask(requests uint8) int {
+	if requests>>a.rr.n != 0 {
+		panic(fmt.Sprintf("arbiter: request mask %#b names inputs beyond %d", requests, a.rr.n))
 	}
-	candidates := a.candScratch[:0]
-	for i, r := range requests {
-		if r {
-			candidates = append(candidates, i)
-		}
-	}
-	switch len(candidates) {
-	case 0:
+	if requests == 0 {
 		// No demand: replenish every counter up to its weight.
 		a.Replenish(1)
 		return -1
-	case 1:
+	}
+	if requests&(requests-1) == 0 {
 		// Unique candidate: granted, counter unaltered.
-		return candidates[0]
+		return bits.TrailingZeros8(requests)
 	}
 	// Several candidates: the largest flit count wins; ties are resolved
 	// with the conventional round-robin policy restricted to the tied inputs.
@@ -235,46 +257,35 @@ func (a *Weighted) Grant(requests []bool) int {
 	// weighted round-robin frame boundary of Park & Choi [18]); without this
 	// reload a permanently congested port would degenerate to plain
 	// round-robin.
-	best := a.counts[candidates[0]]
-	for _, c := range candidates[1:] {
-		if a.counts[c] > best {
-			best = a.counts[c]
-		}
-	}
+	best, tied := a.largest(requests)
 	if best == 0 {
-		for i := range a.counts {
-			a.counts[i] = a.weights[i]
-		}
+		a.counts = a.weights
 		a.deficits = 0
-		best = 0
-		for _, c := range candidates {
-			if a.counts[c] > best {
-				best = a.counts[c]
-			}
-		}
+		best, tied = a.largest(requests)
 	}
-	tied := a.tieScratch
-	for i := range tied {
-		tied[i] = false
+	// Weights are at least one, so the winner's counter (== best) is positive.
+	winner := a.rr.GrantMask(tied)
+	if a.counts[winner] == a.weights[winner] {
+		a.deficits++
 	}
-	anyTied := false
-	for _, c := range candidates {
-		if a.counts[c] == best {
-			tied[c] = true
-			anyTied = true
-		}
-	}
-	if !anyTied {
-		return -1 // unreachable; defensive
-	}
-	winner := a.rr.Grant(tied)
-	if winner >= 0 && a.counts[winner] > 0 {
-		if a.counts[winner] == a.weights[winner] {
-			a.deficits++
-		}
-		a.counts[winner]--
-	}
+	a.counts[winner]--
 	return winner
+}
+
+// largest returns the largest flit count among the requesting inputs and the
+// mask of the requesters holding it.
+func (a *Weighted) largest(requests uint8) (best int32, tied uint8) {
+	best = -1
+	for m := requests; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros8(m)
+		switch c := a.counts[i]; {
+		case c > best:
+			best, tied = c, 1<<uint(i)
+		case c == best:
+			tied |= 1 << uint(i)
+		}
+	}
+	return best, tied
 }
 
 // Kind identifies an arbitration policy for configuration purposes.
@@ -302,23 +313,22 @@ func (k Kind) String() string {
 // New builds an arbiter of the given kind over n inputs. For KindWeighted the
 // per-input weights must be supplied; for KindRoundRobin they are ignored.
 func New(kind Kind, n int, weights []int) (Arbiter, error) {
-	switch kind {
-	case KindRoundRobin:
-		if n <= 0 {
-			return nil, fmt.Errorf("arbiter: need at least one input, got %d", n)
-		}
-		return NewRoundRobin(n), nil
-	case KindWeighted:
-		if len(weights) != n {
-			return nil, fmt.Errorf("arbiter: weighted arbiter over %d inputs needs %d weights, got %d", n, n, len(weights))
-		}
-		for i, w := range weights {
-			if w < 0 {
-				return nil, fmt.Errorf("arbiter: negative weight %d for input %d", w, i)
-			}
-		}
-		return NewWeighted(weights), nil
-	default:
+	if kind != KindRoundRobin && kind != KindWeighted {
 		return nil, fmt.Errorf("arbiter: unknown kind %v", kind)
 	}
+	if n <= 0 || n > MaxInputs {
+		return nil, fmt.Errorf("arbiter: need 1..%d inputs, got %d", MaxInputs, n)
+	}
+	if kind == KindRoundRobin {
+		return NewRoundRobin(n), nil
+	}
+	if len(weights) != n {
+		return nil, fmt.Errorf("arbiter: weighted arbiter over %d inputs needs %d weights, got %d", n, n, len(weights))
+	}
+	for i, w := range weights {
+		if w < 0 || w > math.MaxInt32 {
+			return nil, fmt.Errorf("arbiter: weight %d for input %d outside [0, %d]", w, i, math.MaxInt32)
+		}
+	}
+	return NewWeighted(weights), nil
 }

@@ -75,6 +75,20 @@ func TestStepZeroAllocsSteadyState(t *testing.T) {
 		net := network.MustNew(cfg)
 		testSteadyStateZeroAllocs(t, d, net)
 	})
+	// Near saturation (an 8x8 mesh accepts about 350 uniform one-flit
+	// msgs/node/kcycle) every router forwards on several ports and every
+	// input ring wraps every few cycles; the ring FIFOs, the transfer
+	// scratch and the per-flow map lookups must still allocate nothing.
+	for _, design := range []network.Design{network.DesignRegular, network.DesignWaWWaP} {
+		t.Run("near-saturation/"+design.String(), func(t *testing.T) {
+			d := mesh.MustDim(8, 8)
+			gen, err := traffic.NewUniformRandom(d, 5, 300, traffic.RequestPayloadBits, 1<<30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			testGeneratorZeroAllocs(t, network.MustNew(network.DefaultConfig(d, design)), gen)
+		})
+	}
 }
 
 func testSteadyStateZeroAllocs(t *testing.T, d mesh.Dim, net *network.Network) {
@@ -86,6 +100,11 @@ func testSteadyStateZeroAllocs(t *testing.T, d mesh.Dim, net *network.Network) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	testGeneratorZeroAllocs(t, net, gen)
+}
+
+func testGeneratorZeroAllocs(t *testing.T, net *network.Network, gen traffic.Generator) {
+	t.Helper()
 	traffic.AttachNetworkPool(gen, net)
 	cycle := func() {
 		for _, msg := range gen.Tick(net.Cycle()) {

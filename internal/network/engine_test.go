@@ -8,7 +8,6 @@ package network_test
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"repro/internal/arbiter"
@@ -64,22 +63,36 @@ func samplerKey(s *stats.Sampler) string {
 	return fmt.Sprintf("n=%d sum=%v min=%v max=%v std=%v", s.Count(), s.Sum(), s.Min(), s.Max(), s.StdDev())
 }
 
-// flowFingerprint renders every per-flow statistic in a deterministic order.
+// flowFingerprint renders every per-flow statistic in AllFlowStats' order,
+// which is deterministic: ascending (source index, destination index).
 func flowFingerprint(net *network.Network) string {
-	fss := net.AllFlowStats()
-	sort.Slice(fss, func(i, j int) bool {
-		a, b := fss[i].Flow, fss[j].Flow
-		if a.Src != b.Src {
-			return a.Src.Y*1000+a.Src.X < b.Src.Y*1000+b.Src.X
-		}
-		return a.Dst.Y*1000+a.Dst.X < b.Dst.Y*1000+b.Dst.X
-	})
 	out := ""
-	for _, fs := range fss {
+	for _, fs := range net.AllFlowStats() {
 		out += fmt.Sprintf("%v msgs=%d lat{%s} netlat{%s}\n",
 			fs.Flow, fs.Messages, samplerKey(&fs.Latency), samplerKey(&fs.NetworkLatency))
 	}
 	return out
+}
+
+// TestAllFlowStatsOrdered: flows are listed by ascending source index, then
+// destination index — on one shard and on several, where each shard holds
+// only the flows that end in its stripe.
+func TestAllFlowStatsOrdered(t *testing.T) {
+	d := mesh.MustDim(4, 4)
+	for _, shards := range []int{1, 4} {
+		fss := runSharded(t, shards, d, network.DesignWaWWaP, "uniform", 3).AllFlowStats()
+		if len(fss) < d.Nodes() {
+			t.Fatalf("shards=%d: only %d flows delivered", shards, len(fss))
+		}
+		for i := 1; i < len(fss); i++ {
+			a, b := fss[i-1].Flow, fss[i].Flow
+			ka := d.Index(a.Src)*d.Nodes() + d.Index(a.Dst)
+			kb := d.Index(b.Src)*d.Nodes() + d.Index(b.Dst)
+			if ka >= kb {
+				t.Fatalf("shards=%d: flow %v listed before %v", shards, a, b)
+			}
+		}
+	}
 }
 
 // TestEnginesEquivalent checks that the active-set engine reproduces the

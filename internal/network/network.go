@@ -23,6 +23,16 @@
 // A flit therefore advances at most one hop per cycle, giving the canonical
 // one-cycle-per-hop router+link latency of the paper's platform.
 //
+// # The flit-hop path
+//
+// A hop dereferences its flit once, when the downstream router stages it
+// and records its head-of-line byte; deciding the hop (Router.ComputeTransfers)
+// reads only the router's own struct, and committing it is a counter bump
+// (see router.Router). At ejection a message that arrives whole in one flit
+// bypasses the NIC's reassembly table, and its per-flow statistics are found
+// under an integer key (flowKey). The bench keys network.ns_per_flit_hop and
+// router.transfers_ns measure this path on the sim-saturated workload.
+//
 // # Sharded stepping
 //
 // A network built with Config.Shards > 1 partitions the mesh into stripes of
@@ -64,6 +74,7 @@
 package network
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -323,10 +334,10 @@ type shard struct {
 	pool *flit.Pool
 
 	// flowStats holds the delivered-message statistics of the flows whose
-	// destination lies in this stripe. A flow delivers only at its
-	// destination router, so its samples are recorded by exactly one shard,
-	// in the serial engine's order.
-	flowStats map[flit.FlowID]*FlowStats
+	// destination lies in this stripe, keyed by Network.flowKey. A flow
+	// delivers only at its destination router, so its samples are recorded
+	// by exactly one shard, in the serial engine's order.
+	flowStats map[uint64]*FlowStats
 
 	// pendingDeliveries defers reassembled messages until the end of the
 	// cycle when a DeliveryHook is set on a multi-shard network: hook
@@ -512,7 +523,7 @@ func (n *Network) buildShards(count int) {
 			id:        int32(s),
 			lo:        int32(rowLo * width),
 			hi:        int32(rowHi * width),
-			flowStats: make(map[flit.FlowID]*FlowStats),
+			flowStats: make(map[uint64]*FlowStats),
 		}
 		if count == 1 {
 			sh.pool = n.pool
@@ -894,6 +905,14 @@ func (n *Network) mergeActive(s *shard) {
 	s.activeList = out
 }
 
+// flowKey packs a flow's endpoint indices as srcIndex<<32 | dstIndex: the
+// per-flow statistics key (an integer hashes and compares far cheaper than
+// the four-coordinate FlowID), whose numeric order is the (source,
+// destination) order AllFlowStats reports.
+func (n *Network) flowKey(f flit.FlowID) uint64 {
+	return uint64(n.cfg.Dim.Index(f.Src))<<32 | uint64(n.cfg.Dim.Index(f.Dst))
+}
+
 // recordDelivery accounts one reassembled message delivered at a node of
 // shard s. With a DeliveryHook set on a multi-shard network the whole event
 // is deferred: sampler arithmetic and hook calls are order-sensitive, so
@@ -913,10 +932,11 @@ func (n *Network) recordDelivery(s *shard, msg *flit.Message) {
 // invokes the delivery hook and recycles the message into the shard's pool.
 func (n *Network) accountDelivery(s *shard, msg *flit.Message) {
 	s.delivered++
-	fs, ok := s.flowStats[msg.Flow]
+	key := n.flowKey(msg.Flow)
+	fs, ok := s.flowStats[key]
 	if !ok {
 		fs = &FlowStats{Flow: msg.Flow}
-		s.flowStats[msg.Flow] = fs
+		s.flowStats[key] = fs
 	}
 	fs.Messages++
 	fs.Latency.AddUint(msg.DeliveredAt - msg.CreatedAt)
@@ -1143,15 +1163,25 @@ func (n *Network) Close() {
 // Drained reports whether the network holds no traffic: no pending injection
 // flits, no occupied router buffers and no partially reassembled messages.
 func (n *Network) Drained() bool {
-	for idx, ni := range n.nics {
-		if ni.PendingFlits() > 0 || ni.PendingReassemblies() > 0 {
-			return false
-		}
-		r := n.routers[idx]
-		for _, dir := range mesh.Directions {
-			if r.InputOccupancy(dir) > 0 {
+	if n.cfg.Engine == EngineActiveSet {
+		// A busy network answers from the head of a list: every NIC with
+		// pending flits is on its shard's injection list and every router
+		// holding a flit on its visit list. (Only a just-built or just-reset
+		// network lists routers that hold nothing.)
+		for _, s := range n.shards {
+			if len(s.nicList) != 0 {
 				return false
 			}
+			for _, idx := range s.activeList {
+				if !n.routers[idx].InputsEmpty() {
+					return false
+				}
+			}
+		}
+	}
+	for idx, ni := range n.nics {
+		if ni.PendingFlits() > 0 || ni.PendingReassemblies() > 0 || !n.routers[idx].InputsEmpty() {
+			return false
 		}
 	}
 	return true
@@ -1161,25 +1191,24 @@ func (n *Network) Drained() bool {
 // when the flow has delivered nothing yet. A flow's statistics live in the
 // shard owning its destination endpoint's router.
 func (n *Network) FlowStatsFor(f flit.FlowID) *FlowStats {
-	if !n.cfg.Dim.Contains(f.Dst) {
+	if !n.cfg.Dim.Contains(f.Src) || !n.cfg.Dim.Contains(f.Dst) {
 		return nil
 	}
-	return n.shards[n.shardOf[n.rdim.Index(n.topo.RouterOf(f.Dst))]].flowStats[f]
+	return n.shards[n.shardOf[n.rdim.Index(n.topo.RouterOf(f.Dst))]].flowStats[n.flowKey(f)]
 }
 
 // AllFlowStats returns the statistics of every flow that delivered at least
-// one message.
+// one message, in ascending (source index, destination index) order.
 func (n *Network) AllFlowStats() []*FlowStats {
-	total := 0
-	for _, s := range n.shards {
-		total += len(s.flowStats)
-	}
-	out := make([]*FlowStats, 0, total)
+	var out []*FlowStats
 	for _, s := range n.shards {
 		for _, fs := range s.flowStats {
 			out = append(out, fs)
 		}
 	}
+	slices.SortFunc(out, func(a, b *FlowStats) int {
+		return cmp.Compare(n.flowKey(a.Flow), n.flowKey(b.Flow))
+	})
 	return out
 }
 

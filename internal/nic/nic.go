@@ -212,8 +212,8 @@ type NIC struct {
 	injectHead  int
 
 	// reassembly state per message id, with a free list so completed
-	// reassemblies recycle their bookkeeping (including the per-packet
-	// flit-count map) instead of reallocating it per message.
+	// reassemblies recycle their bookkeeping instead of reallocating it per
+	// message. A message that arrives whole in one flit never enters it.
 	pending        map[uint64]*reassembly
 	freeReassembly []*reassembly
 
@@ -232,7 +232,6 @@ type reassembly struct {
 	firstInjected uint64
 	payloadBits   int
 	expectedPkts  int
-	gotFlits      map[uint64]int // per packet id: flits received
 	donePkts      int
 }
 
@@ -311,14 +310,12 @@ func (n *NIC) getReassembly() *reassembly {
 		n.freeReassembly = n.freeReassembly[:k-1]
 		return r
 	}
-	return &reassembly{gotFlits: make(map[uint64]int)}
+	return &reassembly{}
 }
 
 // putReassembly recycles a completed reassembly record.
 func (n *NIC) putReassembly(r *reassembly) {
-	gf := r.gotFlits
-	clear(gf)
-	*r = reassembly{gotFlits: gf}
+	*r = reassembly{}
 	n.freeReassembly = append(n.freeReassembly, r)
 }
 
@@ -477,6 +474,16 @@ func (n *NIC) Receive(f *flit.Flit, now uint64) (*flit.Message, error) {
 	f.EjectedAt = now
 	n.ejectedFlits++
 
+	if f.PacketsInMsg == 1 && f.Type == flit.HeadTail {
+		// The whole message in one flit: nothing to reassemble.
+		msg := n.deliver(f.MsgID, &reassembly{flow: f.Flow, class: f.Class, createdAt: f.CreatedAt,
+			firstInjected: f.InjectedAt, payloadBits: f.PayloadBits}, now)
+		if n.pool != nil {
+			n.pool.PutFlit(f)
+		}
+		return msg, nil
+	}
+
 	r, ok := n.pending[f.MsgID]
 	if !ok {
 		r = n.getReassembly()
@@ -491,7 +498,6 @@ func (n *NIC) Receive(f *flit.Flit, now uint64) (*flit.Message, error) {
 		r.firstInjected = f.InjectedAt
 	}
 	r.payloadBits += f.PayloadBits
-	r.gotFlits[f.PacketID]++
 	done := false
 	if f.Type.IsTail() {
 		r.donePkts++
@@ -504,8 +510,15 @@ func (n *NIC) Receive(f *flit.Flit, now uint64) (*flit.Message, error) {
 	if !done {
 		return nil, nil
 	}
-	// Message complete.
 	delete(n.pending, msgID)
+	msg := n.deliver(msgID, r, now)
+	n.putReassembly(r)
+	return msg, nil
+}
+
+// deliver builds the message a completed reassembly describes, delivered at
+// cycle now.
+func (n *NIC) deliver(msgID uint64, r *reassembly, now uint64) *flit.Message {
 	var msg *flit.Message
 	if n.pool != nil {
 		msg = n.pool.GetMessage()
@@ -529,8 +542,7 @@ func (n *NIC) Receive(f *flit.Flit, now uint64) (*flit.Message, error) {
 			NetworkLatency: now - r.firstInjected,
 		})
 	}
-	n.putReassembly(r)
-	return msg, nil
+	return msg
 }
 
 // Delivered returns the messages reassembled so far, in completion order.

@@ -365,6 +365,47 @@ func TestNICRoundTrip(t *testing.T) {
 	}
 }
 
+// A message that arrives whole in one flit is delivered straight from the
+// flit: it never enters the reassembly table and leaves no record behind,
+// while a multi-flit message does both.
+func TestNICOneFlitMessageSkipsReassembly(t *testing.T) {
+	src := MustNew(node(0, 0), SchemeRegular, testLink())
+	dst := MustNew(node(3, 2), SchemeRegular, testLink())
+	flow := flit.FlowID{Src: node(0, 0), Dst: node(3, 2)}
+	receiveAll := func() (last *flit.Message) {
+		for src.PendingFlits() > 0 {
+			msg, err := dst.Receive(src.PopFlit(7), 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg == nil && dst.PendingReassemblies() != 1 {
+				t.Fatal("a partial message must sit in the reassembly table")
+			}
+			last = msg
+		}
+		return last
+	}
+	id, err := src.Send(&flit.Message{Flow: flow, PayloadBits: 48, Class: flit.ClassRequest}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := receiveAll()
+	if msg == nil || msg.ID != id || msg.Flow != flow || msg.Class != flit.ClassRequest || msg.PayloadBits != 48 ||
+		msg.CreatedAt != 5 || msg.InjectedAt != 7 || msg.DeliveredAt != 9 {
+		t.Fatalf("one-flit message delivered as %+v", msg)
+	}
+	if dst.PendingReassemblies() != 0 || len(dst.freeReassembly) != 0 {
+		t.Errorf("one-flit message used a reassembly record (pending %d, recycled %d)",
+			dst.PendingReassemblies(), len(dst.freeReassembly))
+	}
+	if _, err := src.Send(&flit.Message{Flow: flow, PayloadBits: 512}, 5); err != nil {
+		t.Fatal(err)
+	}
+	if receiveAll() == nil || dst.PendingReassemblies() != 0 || len(dst.freeReassembly) != 1 {
+		t.Errorf("four-flit message: pending %d, recycled %d records", dst.PendingReassemblies(), len(dst.freeReassembly))
+	}
+}
+
 // Two interleaved messages from different sources must be reassembled
 // independently.
 func TestNICInterleavedReassembly(t *testing.T) {

@@ -1,0 +1,343 @@
+package router
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/arbiter"
+	"repro/internal/flit"
+	"repro/internal/flows"
+	"repro/internal/mesh"
+)
+
+// refRouter is the oracle the production router is pinned to: the same
+// wormhole router written the obvious way — one growing slice per input FIFO
+// and per staging area, every waiting head flit dereferenced and re-routed
+// every cycle, one []bool request array per output handed to the arbiter's
+// Grant. Nothing outside the tests uses it. (The arbiters themselves are
+// pinned to their own oracle in the arbiter package.)
+type refRouter struct {
+	node       mesh.Node
+	depth      int
+	downstream int
+	inputs     [mesh.NumDirections][]*flit.Flit
+	staged     [mesh.NumDirections][]*flit.Flit
+	out        [mesh.NumDirections]refPort
+}
+
+type refPort struct {
+	exists   bool
+	arb      arbiter.Arbiter
+	locked   bool
+	lockedTo mesh.Direction
+	credits  int
+}
+
+func newRefRouter(d mesh.Dim, n mesh.Node, cfg Config, counts *flows.PortCounts, downstream int) *refRouter {
+	r := &refRouter{node: n, depth: cfg.BufferDepth, downstream: downstream}
+	for _, dir := range mesh.Directions {
+		op := &r.out[dir]
+		if op.exists = (mesh.Mesh2D{D: d}).HasOutput(n, dir); !op.exists {
+			continue
+		}
+		op.credits = downstream
+		if cfg.Arbitration == arbiter.KindRoundRobin {
+			op.arb = arbiter.NewRoundRobin(mesh.NumDirections)
+			continue
+		}
+		weights := make([]int, mesh.NumDirections)
+		for _, in := range mesh.Directions {
+			weights[in] = counts.CounterMax(in, dir)
+		}
+		op.arb = arbiter.NewWeighted(weights)
+	}
+	return r
+}
+
+func (r *refRouter) stage(dir mesh.Direction, f *flit.Flit) error {
+	if f == nil || len(r.inputs[dir])+len(r.staged[dir]) >= r.depth {
+		return fmt.Errorf("reference: cannot stage on %v", dir)
+	}
+	r.staged[dir] = append(r.staged[dir], f)
+	return nil
+}
+
+func (r *refRouter) commit() {
+	for i := range r.staged {
+		r.inputs[i] = append(r.inputs[i], r.staged[i]...)
+		r.staged[i] = nil
+	}
+}
+
+func (r *refRouter) front(dir mesh.Direction) *flit.Flit {
+	if len(r.inputs[dir]) == 0 {
+		return nil
+	}
+	return r.inputs[dir][0]
+}
+
+func (r *refRouter) computeTransfers() []Transfer {
+	var transfers []Transfer
+	var inputBusy [mesh.NumDirections]bool
+	for _, outDir := range mesh.Directions {
+		op := &r.out[outDir]
+		if !op.exists || (outDir != mesh.Local && op.credits <= 0) {
+			continue
+		}
+		if op.locked {
+			in := op.lockedTo
+			f := r.front(in)
+			if inputBusy[in] || f == nil || f.Type.IsHead() {
+				continue
+			}
+			transfers = append(transfers, Transfer{Out: outDir, In: in, Flit: f})
+			inputBusy[in] = true
+			if f.Type.IsTail() {
+				op.locked = false
+			}
+			continue
+		}
+		requests := make([]bool, mesh.NumDirections)
+		for _, inDir := range mesh.Directions {
+			f := r.front(inDir)
+			requests[inDir] = f != nil && f.Type.IsHead() && !inputBusy[inDir] &&
+				mesh.XYOutputPort(r.node, f.Flow.Dst) == outDir && mesh.LegalTurn(inDir, outDir)
+		}
+		winner := op.arb.Grant(requests)
+		if winner < 0 {
+			continue
+		}
+		in := mesh.Direction(winner)
+		f := r.front(in)
+		transfers = append(transfers, Transfer{Out: outDir, In: in, Flit: f})
+		inputBusy[in] = true
+		if !f.Type.IsTail() {
+			op.locked, op.lockedTo = true, in
+		}
+	}
+	return transfers
+}
+
+func (r *refRouter) apply(t Transfer) {
+	r.inputs[t.In] = r.inputs[t.In][1:]
+	if t.Out != mesh.Local {
+		r.out[t.Out].credits--
+	}
+}
+
+func (r *refRouter) inputsEmpty() bool {
+	for i := range r.inputs {
+		if len(r.inputs[i])+len(r.staged[i]) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func (r *refRouter) quiescent() bool {
+	if !r.inputsEmpty() {
+		return false
+	}
+	for _, op := range r.out {
+		if op.exists && !op.locked && !op.arb.IdleStable() {
+			return false
+		}
+	}
+	return true
+}
+
+// script feeds the lockstep driver its decisions one byte at a time; the
+// run ends when it is exhausted.
+type script struct {
+	data []byte
+	pos  int
+}
+
+func (s *script) next() byte {
+	if s.pos >= len(s.data) {
+		return 0
+	}
+	s.pos++
+	return s.data[s.pos-1]
+}
+
+func (s *script) done() bool { return s.pos >= len(s.data) }
+
+var (
+	refDepths      = []int{1, 3, 4, 8}
+	refDownstreams = []int{0, 2, 6} // 0: the router's own depth
+	refNodes       = []mesh.Node{{X: 2, Y: 2}, {X: 0, Y: 0}, {X: 4, Y: 2}, {X: 1, Y: 4}}
+)
+
+// runAgainstReference drives one production router and the oracle through
+// the same scripted cycles — arrivals of 1–4-flit packets (several stagings
+// per port per cycle, attempted even when the buffer is full; now and then a
+// misrouted or tail-less packet), credit returns, bulk idle replays and
+// resets — and compares every transfer and the whole observable state after
+// every cycle.
+func runAgainstReference(t *testing.T, kind arbiter.Kind, depthSel, downSel, nodeSel uint8, data []byte) {
+	t.Helper()
+	d := mesh.MustDim(5, 5)
+	node := refNodes[int(nodeSel)%len(refNodes)]
+	cfg := Config{BufferDepth: refDepths[int(depthSel)%len(refDepths)], Arbitration: kind}
+	downstream := refDownstreams[int(downSel)%len(refDownstreams)]
+	if downstream == 0 {
+		downstream = cfg.BufferDepth
+	}
+	counts := flows.ClosedFormCounts(d, node)
+	prod, err := New(d, node, cfg, counts, downstream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefRouter(d, node, cfg, counts, downstream)
+
+	// legal[in] lists the destinations a flit arriving on input in may
+	// legally be heading for under XY routing.
+	var legal [mesh.NumDirections][]mesh.Node
+	for _, in := range mesh.Directions {
+		for _, dst := range d.AllNodes() {
+			if mesh.LegalTurn(in, mesh.XYOutputPort(node, dst)) {
+				legal[in] = append(legal[in], dst)
+			}
+		}
+	}
+
+	s := &script{data: data}
+	var upstream [mesh.NumDirections][]*flit.Flit // rest of the packet each link is sending
+	stage := func(cycle int) {
+		for _, in := range mesh.Directions {
+			b := s.next()
+			for k := int(b & 3); k > 0; k-- {
+				if len(upstream[in]) == 0 {
+					sel := s.next()
+					dst := legal[in][int(sel)%len(legal[in])]
+					if sel >= 0xF8 { // rarely: anywhere, illegal turns included
+						dst = d.NodeAt(int(s.next()) % d.Nodes())
+					}
+					upstream[in] = makePacket(node, dst, 1+int(b>>2&3))
+					if sel&0xF8 == 0xF0 && len(upstream[in]) > 1 {
+						// Rarely: a packet that loses its tail, so a second
+						// output can lock onto the same input behind it.
+						upstream[in] = upstream[in][:len(upstream[in])-1]
+					}
+				}
+				f := upstream[in][0]
+				errProd, errRef := prod.StageArrival(in, f), ref.stage(in, f)
+				if (errProd == nil) != (errRef == nil) {
+					t.Fatalf("cycle %d: staging on %v: router says %v, reference says %v", cycle, in, errProd, errRef)
+				}
+				if errProd == nil {
+					upstream[in] = upstream[in][1:]
+				}
+			}
+		}
+	}
+	for cycle := 0; !s.done(); cycle++ {
+		ctl := s.next()
+		switch {
+		case ctl == 0xFF:
+			prod.Reset()
+			ref = newRefRouter(d, node, cfg, counts, downstream)
+			upstream = [mesh.NumDirections][]*flit.Flit{}
+		case ctl&0xF0 == 0xF0 && prod.InputsEmpty() && ref.inputsEmpty():
+			// The bulk idle replay against that many request-less cycles.
+			k := 1 + int(s.next()%40)
+			prod.CatchUpIdle(uint64(k))
+			for i := 0; i < k; i++ {
+				if tr := ref.computeTransfers(); len(tr) != 0 {
+					t.Fatalf("cycle %d: idle reference router forwarded %+v", cycle, tr)
+				}
+			}
+		}
+		if ctl&1 != 0 {
+			stage(cycle)
+		}
+		got, want := prod.ComputeTransfers(), ref.computeTransfers()
+		if len(got) != len(want) {
+			t.Fatalf("cycle %d: transfers %+v, reference %+v", cycle, got, want)
+		}
+		for i, tr := range want {
+			if got[i] != tr {
+				t.Fatalf("cycle %d: transfer %d is %+v, reference %+v", cycle, i, got[i], tr)
+			}
+			if f := prod.ApplyTransfer(got[i]); f != tr.Flit {
+				t.Fatalf("cycle %d: applied flit %v, reference %v", cycle, f, tr.Flit)
+			}
+			ref.apply(tr)
+		}
+		if ctl&1 == 0 {
+			stage(cycle)
+		}
+		returns := s.next()
+		for _, out := range mesh.Directions[:mesh.Local] {
+			if returns&(1<<uint(out)) != 0 && ref.out[out].exists && ref.out[out].credits < downstream {
+				prod.ReturnCredit(out)
+				ref.out[out].credits++
+			}
+		}
+		prod.CommitArrivals()
+		ref.commit()
+
+		for _, dir := range mesh.Directions {
+			if got, want := prod.InputOccupancy(dir), len(ref.inputs[dir]); got != want {
+				t.Fatalf("cycle %d: input %v occupancy %d, reference %d", cycle, dir, got, want)
+			}
+			if got, want := prod.InputSpace(dir), cfg.BufferDepth-len(ref.inputs[dir]); got != want {
+				t.Fatalf("cycle %d: input %v space %d, reference %d", cycle, dir, got, want)
+			}
+			op := ref.out[dir]
+			if prod.HasOutput(dir) != op.exists {
+				t.Fatalf("cycle %d: output %v existence differs", cycle, dir)
+			}
+			if !op.exists {
+				continue
+			}
+			if in, locked := prod.OutputLocked(dir); locked != op.locked || (locked && in != op.lockedTo) {
+				t.Fatalf("cycle %d: output %v lock (%v,%v), reference (%v,%v)", cycle, dir, in, locked, op.lockedTo, op.locked)
+			}
+			if dir != mesh.Local && prod.Credits(dir) != op.credits {
+				t.Fatalf("cycle %d: output %v credits %d, reference %d", cycle, dir, prod.Credits(dir), op.credits)
+			}
+			if w, ok := op.arb.(*arbiter.Weighted); ok {
+				pw := prod.Arbiter(dir).(*arbiter.Weighted)
+				for i := 0; i < w.NumInputs(); i++ {
+					if pw.Count(i) != w.Count(i) {
+						t.Fatalf("cycle %d: output %v WaW counter %d is %d, reference %d", cycle, dir, i, pw.Count(i), w.Count(i))
+					}
+				}
+			}
+		}
+		if prod.InputsEmpty() != ref.inputsEmpty() || prod.Quiescent() != ref.quiescent() {
+			t.Fatalf("cycle %d: InputsEmpty/Quiescent %v/%v, reference %v/%v",
+				cycle, prod.InputsEmpty(), prod.Quiescent(), ref.inputsEmpty(), ref.quiescent())
+		}
+	}
+}
+
+// TestRouterMatchesReference runs long seeded scripts over every buffer
+// depth (ring wrap-around at the non-power-of-two depth 3 included), every
+// downstream depth, interior, corner and edge routers, both arbiters.
+func TestRouterMatchesReference(t *testing.T) {
+	for _, kind := range []arbiter.Kind{arbiter.KindRoundRobin, arbiter.KindWeighted} {
+		for depthSel := range refDepths {
+			for downSel := range refDownstreams {
+				for nodeSel := range refNodes {
+					rng := rand.New(rand.NewSource(int64(1 + depthSel + 10*downSel + 100*nodeSel)))
+					data := make([]byte, 6000)
+					rng.Read(data)
+					runAgainstReference(t, kind, uint8(depthSel), uint8(downSel), uint8(nodeSel), data)
+				}
+			}
+		}
+	}
+}
+
+// FuzzRouterMatchesReference lets the fuzzer write the script; one router of
+// each arbitration kind runs it against the oracle.
+func FuzzRouterMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, depthSel, downSel, nodeSel uint8, data []byte) {
+		runAgainstReference(t, arbiter.KindRoundRobin, depthSel, downSel, nodeSel, data)
+		runAgainstReference(t, arbiter.KindWeighted, depthSel, downSel, nodeSel, data)
+	})
+}

@@ -10,11 +10,14 @@
 // (PopInput, ConsumeCredit, StageArrival, ReturnCredit, CommitArrivals). This
 // keeps the router unit-testable in isolation and leaves the wiring and the
 // simultaneity rules (a flit forwarded in cycle T becomes visible downstream
-// in cycle T+1) to the network package.
+// in cycle T+1) to the network package. The Router type documents the data
+// layout — ring FIFOs, a head-of-line byte per buffered flit, per-output
+// request masks — that keeps the per-cycle decision inside the Router struct.
 package router
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/arbiter"
@@ -39,8 +42,8 @@ func DefaultConfig() Config {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.BufferDepth < 1 {
-		return fmt.Errorf("router: buffer depth must be >= 1, got %d", c.BufferDepth)
+	if c.BufferDepth < 1 || c.BufferDepth > maxBufferDepth {
+		return fmt.Errorf("router: buffer depth must be in 1..%d, got %d", maxBufferDepth, c.BufferDepth)
 	}
 	if c.Arbitration != arbiter.KindRoundRobin && c.Arbitration != arbiter.KindWeighted {
 		return fmt.Errorf("router: unknown arbitration kind %v", c.Arbitration)
@@ -57,26 +60,54 @@ type Transfer struct {
 	Flit *flit.Flit
 }
 
-// outputPort holds the per-output state: existence, arbitration, the wormhole
-// reservation and the credit counter towards the downstream buffer.
+// The head-of-line byte: everything the per-cycle decision needs to know
+// about a buffered flit, computed once when the flit is staged so that
+// arbitration never dereferences a flit.
+const (
+	slotHead     uint8 = 1 << iota // carries routing information (HEAD, HEAD+TAIL)
+	slotTail                       // forwarding it releases the wormhole lock
+	slotRequest                    // a head whose routed output is a legal turn from its input
+	slotOutShift = 3               // bits 3..5 of a head's byte: the routed output port
+)
+
+// maxBufferDepth is the deepest input FIFO the ring counters (one byte each)
+// can describe.
+const maxBufferDepth = math.MaxUint8
+
+// outputPort holds the per-output state: the wormhole reservation, the
+// credit counter towards the downstream buffer and the round-robin arbiter
+// (the WaW arbiters of a weighted router live in Router.waw).
 type outputPort struct {
-	exists    bool
-	arb       arbiter.Arbiter
-	locked    bool
-	lockedTo  mesh.Direction
-	credits   int
-	unlimited bool // the local ejection port is never back-pressured
+	// credits is the number of free slots the router believes the
+	// downstream buffer has; a port forwards only while it is positive. A
+	// port that does not exist holds zero forever, and the local ejection
+	// port — never back-pressured — a constant one.
+	credits  int
+	exists   bool
+	locked   bool
+	lockedTo uint8 // input port holding the reservation while locked
+	rr       arbiter.RoundRobin
 
-	// weighted caches the concrete WaW arbiter (nil for round-robin ports)
-	// so the per-cycle idle replenishment is a direct, inlinable call — and
-	// skipped entirely on round-robin ports, whose idle Grant is a no-op.
-	weighted *arbiter.Weighted
-
-	// Forwarded counts the flits sent through this output (statistics).
-	Forwarded uint64
+	// forwarded counts the flits sent through this output (statistics).
+	forwarded uint64
 }
 
 // Router is the cycle-level wormhole router model.
+//
+// # Data layout
+//
+// Each input FIFO is a ring of BufferDepth slots carved out of one slots
+// array allocated at construction: head is the front position, count the
+// committed flits behind it and staged the arrivals of the current cycle
+// behind those, so committing arrivals is a counter bump. A parallel info
+// array holds one head-of-line byte per slot (see slotHead).
+//
+// The per-cycle decision reads only the Router struct: front caches the
+// head-of-line byte of every non-empty FIFO, and wantMask[out] is the set of
+// inputs whose front flit requests output out. Both change only when a FIFO
+// front changes — a pop, or a commit into an empty FIFO — so ComputeTransfers
+// is one pass over the five output ports, each handing its arbiter the mask
+// wantMask[out] minus the inputs already granted this cycle.
 type Router struct {
 	Dim  mesh.Dim
 	Node mesh.Node
@@ -89,38 +120,34 @@ type Router struct {
 	topo mesh.Topology
 	xy   bool
 
+	// weighted selects the WaW arbiters in waw over the round-robin ones in
+	// the output ports.
+	weighted bool
+
 	// downstreamDepth is the credit budget each non-local output port was
 	// constructed with (the input-buffer depth of the neighbouring
 	// routers); Reset restores the counters to it.
 	downstreamDepth int
 
-	// inputs are the committed input FIFOs. Each queue is consumed through
-	// inHead (a head index) instead of re-slicing so the backing array is
-	// reused forever: popping never strands capacity behind the slice
-	// pointer and the steady-state forwarding loop performs no heap
-	// allocations once the arrays have grown to the buffer depth.
-	inputs [mesh.NumDirections][]*flit.Flit
-	inHead [mesh.NumDirections]int
-	staged [mesh.NumDirections][]*flit.Flit // arrivals of the current cycle
-	out    [mesh.NumDirections]*outputPort
-
 	// occupied and stagedMask are per-direction occupancy bitmasks (bit i =
-	// direction i non-empty) mirroring inputs and staged. They turn the
-	// per-cycle emptiness checks — the dominant work of a router carrying a
-	// single transiting flit — into O(1) mask tests.
+	// input i holds committed / staged flits).
 	occupied   uint8
 	stagedMask uint8
 
-	// lockedMask mirrors the locked flag of the output ports (bit i =
-	// output i reserved by an in-flight packet). lockedMask == 0 is the
-	// key that unlocks ComputeTransfers' single-flit fast path.
-	lockedMask uint8
+	depth    int // cfg.BufferDepth, the ring size
+	head     [mesh.NumDirections]uint8
+	count    [mesh.NumDirections]uint8
+	staged   [mesh.NumDirections]uint8
+	front    [mesh.NumDirections]uint8 // info byte of the front flit; valid while occupied
+	wantMask [mesh.NumDirections]uint8
+	out      [mesh.NumDirections]outputPort
+	waw      [mesh.NumDirections]arbiter.Weighted
 
-	// transferScratch backs the slice returned by ComputeTransfers and
-	// reqScratch the per-output request mask, so the steady-state
-	// arbitration loop performs no heap allocations.
-	transferScratch []Transfer
-	reqScratch      [mesh.NumDirections]bool
+	slots []*flit.Flit // input i owns slots[i*depth : (i+1)*depth]
+	info  []uint8      // head-of-line byte of the flit in the same slot
+
+	// transferScratch backs the slice returned by ComputeTransfers.
+	transferScratch [mesh.NumDirections]Transfer
 }
 
 // New builds a router at node n of a mesh with dimensions d. For WaW
@@ -143,36 +170,38 @@ func NewTopo(t mesh.Topology, n mesh.Node, cfg Config, counts *flows.PortCounts,
 	if !d.Contains(n) {
 		return nil, fmt.Errorf("router: node %v outside %v mesh", n, d)
 	}
-	if cfg.Arbitration == arbiter.KindWeighted && counts == nil {
+	weighted := cfg.Arbitration == arbiter.KindWeighted
+	if weighted && counts == nil {
 		return nil, fmt.Errorf("router: WaW arbitration requires per-port flow counts")
 	}
 	if downstreamDepth < 1 {
 		downstreamDepth = cfg.BufferDepth
 	}
 	r := &Router{Dim: d, Node: n, cfg: cfg, downstreamDepth: downstreamDepth,
-		topo: t, xy: t.Spec().Kind == mesh.TopoMesh}
+		topo: t, xy: t.Spec().Kind == mesh.TopoMesh, weighted: weighted,
+		depth: cfg.BufferDepth,
+		slots: make([]*flit.Flit, mesh.NumDirections*cfg.BufferDepth),
+		info:  make([]uint8, mesh.NumDirections*cfg.BufferDepth),
+	}
 	for _, dir := range mesh.Directions {
-		op := &outputPort{exists: t.HasOutput(n, dir)}
-		if op.exists {
-			switch cfg.Arbitration {
-			case arbiter.KindRoundRobin:
-				op.arb = arbiter.NewRoundRobin(mesh.NumDirections)
-			case arbiter.KindWeighted:
-				weights := make([]int, mesh.NumDirections)
-				for _, in := range mesh.Directions {
-					weights[int(in)] = counts.CounterMax(in, dir)
-				}
-				w := arbiter.NewWeighted(weights)
-				op.arb = w
-				op.weighted = w
-			}
-			if dir == mesh.Local {
-				op.unlimited = true
-			} else {
-				op.credits = downstreamDepth
-			}
+		if !t.HasOutput(n, dir) {
+			continue
 		}
-		r.out[int(dir)] = op
+		op := &r.out[dir]
+		op.exists = true
+		if weighted {
+			var weights [mesh.NumDirections]int
+			for _, in := range mesh.Directions {
+				weights[in] = counts.CounterMax(in, dir)
+			}
+			r.waw[dir] = *arbiter.NewWeighted(weights[:])
+		} else {
+			op.rr = *arbiter.NewRoundRobin(mesh.NumDirections)
+		}
+		op.credits = r.downstreamDepth
+		if dir == mesh.Local {
+			op.credits = 1
+		}
 	}
 	return r, nil
 }
@@ -190,56 +219,38 @@ func MustNew(d mesh.Dim, n mesh.Node, cfg Config, counts *flows.PortCounts) *Rou
 func (r *Router) Config() Config { return r.cfg }
 
 // HasOutput reports whether the output port in direction dir exists.
-func (r *Router) HasOutput(dir mesh.Direction) bool { return r.out[int(dir)].exists }
+func (r *Router) HasOutput(dir mesh.Direction) bool { return r.out[dir].exists }
 
 // Credits returns the current credit count of the output port (the number of
 // free slots the router believes the downstream buffer has). The local
 // ejection port reports the configured buffer depth but is never
 // back-pressured.
 func (r *Router) Credits(dir mesh.Direction) int {
-	op := r.out[int(dir)]
-	if op.unlimited {
+	if dir == mesh.Local {
 		return r.cfg.BufferDepth
 	}
-	return op.credits
+	return r.out[dir].credits
 }
 
 // OutputLocked reports whether the output port is currently reserved by an
 // in-flight packet, and if so by which input port.
 func (r *Router) OutputLocked(dir mesh.Direction) (mesh.Direction, bool) {
-	op := r.out[int(dir)]
-	return op.lockedTo, op.locked
+	op := &r.out[dir]
+	return mesh.Direction(op.lockedTo), op.locked
 }
 
 // Forwarded returns the number of flits forwarded through the output port
 // since construction.
-func (r *Router) Forwarded(dir mesh.Direction) uint64 { return r.out[int(dir)].Forwarded }
+func (r *Router) Forwarded(dir mesh.Direction) uint64 { return r.out[dir].forwarded }
 
 // InputOccupancy returns the number of committed flits waiting in the input
 // FIFO of port dir (staged arrivals of the current cycle are not counted).
-func (r *Router) InputOccupancy(dir mesh.Direction) int {
-	return len(r.inputs[int(dir)]) - r.inHead[int(dir)]
-}
+func (r *Router) InputOccupancy(dir mesh.Direction) int { return int(r.count[dir]) }
 
 // InputSpace returns the number of free slots of the input FIFO of port dir,
 // accounting for arrivals already staged this cycle.
 func (r *Router) InputSpace(dir mesh.Direction) int {
-	used := r.InputOccupancy(dir) + len(r.staged[int(dir)])
-	space := r.cfg.BufferDepth - used
-	if space < 0 {
-		return 0
-	}
-	return space
-}
-
-// Front returns the flit at the head of the input FIFO of port dir, or nil
-// when the FIFO is empty.
-func (r *Router) Front(dir mesh.Direction) *flit.Flit {
-	q := r.inputs[int(dir)]
-	if r.inHead[int(dir)] == len(q) {
-		return nil
-	}
-	return q[r.inHead[int(dir)]]
+	return r.depth - int(r.count[dir]) - int(r.staged[dir])
 }
 
 // StageArrival places a flit arriving on input port dir into the staging
@@ -250,22 +261,60 @@ func (r *Router) StageArrival(dir mesh.Direction, f *flit.Flit) error {
 	if f == nil {
 		return fmt.Errorf("router %v: staging nil flit on %v", r.Node, dir)
 	}
-	if r.InputSpace(dir) == 0 {
+	used := int(r.count[dir]) + int(r.staged[dir])
+	if used >= r.depth {
 		return fmt.Errorf("router %v: input buffer %v overflow (flow-control violation)", r.Node, dir)
 	}
-	r.staged[int(dir)] = append(r.staged[int(dir)], f)
+	pos := int(r.head[dir]) + used
+	if pos >= r.depth {
+		pos -= r.depth
+	}
+	slot := int(dir)*r.depth + pos
+	r.slots[slot] = f
+	r.info[slot] = r.slotInfo(dir, f)
+	r.staged[dir]++
 	r.stagedMask |= 1 << uint(dir)
 	return nil
+}
+
+// slotInfo computes the head-of-line byte of flit f arriving on input in.
+// For head flits the routed output is the topology's routing decision;
+// body/tail flits follow the wormhole reservation of their packet.
+func (r *Router) slotInfo(in mesh.Direction, f *flit.Flit) uint8 {
+	var s uint8
+	if f.Type.IsTail() {
+		s = slotTail
+	}
+	if !f.Type.IsHead() {
+		return s
+	}
+	var out mesh.Direction
+	if r.xy {
+		out = mesh.XYOutputPort(r.Node, f.Flow.Dst)
+	} else {
+		out = r.topo.OutputPort(r.Node, f.Flow.Dst)
+	}
+	s |= slotHead | uint8(out)<<slotOutShift
+	if mesh.LegalTurn(in, out) {
+		s |= slotRequest
+	}
+	return s
 }
 
 // CommitArrivals moves the flits staged during the current cycle into the
 // input FIFOs. The network calls it once per cycle, after every router has
 // computed and applied its transfers.
 func (r *Router) CommitArrivals() {
-	if r.stagedMask == 0 {
-		return
+	for m := r.stagedMask; m != 0; m &= m - 1 {
+		in := bits.TrailingZeros8(m)
+		wasEmpty := r.count[in] == 0
+		r.count[in] += r.staged[in]
+		r.staged[in] = 0
+		if wasEmpty {
+			r.exposeFront(in)
+		}
 	}
-	r.commitStaged()
+	r.stagedMask = 0
 }
 
 // HasStaged reports whether any arrival is staged for commit this cycle; it
@@ -273,42 +322,41 @@ func (r *Router) CommitArrivals() {
 // call for the common staged-nothing router.
 func (r *Router) HasStaged() bool { return r.stagedMask != 0 }
 
-func (r *Router) commitStaged() {
-	for i := range r.staged {
-		if len(r.staged[i]) == 0 {
-			continue
-		}
-		q := r.inputs[i]
-		if r.inHead[i] > 0 && len(q)+len(r.staged[i]) > cap(q) {
-			// Compact the live flits to the front of the backing array
-			// instead of letting append reallocate past the consumed head.
-			n := copy(q, q[r.inHead[i]:])
-			q = q[:n]
-			r.inHead[i] = 0
-		}
-		r.inputs[i] = append(q, r.staged[i]...)
-		r.staged[i] = r.staged[i][:0]
-		r.occupied |= 1 << uint(i)
+// exposeFront publishes the flit at the head position of non-empty input in
+// as the FIFO's front: its head-of-line byte is cached and, when it requests
+// an output, the input joins that output's wantMask.
+func (r *Router) exposeFront(in int) {
+	s := r.info[in*r.depth+int(r.head[in])]
+	r.front[in] = s
+	r.occupied |= 1 << uint(in)
+	if s&slotRequest != 0 {
+		r.wantMask[s>>slotOutShift] |= 1 << uint(in)
 	}
-	r.stagedMask = 0
 }
 
 // PopInput removes and returns the flit at the head of the input FIFO of
 // port dir. It panics if the FIFO is empty (which would indicate a bug in
 // the transfer logic).
 func (r *Router) PopInput(dir mesh.Direction) *flit.Flit {
-	d := int(dir)
-	q := r.inputs[d]
-	if r.inHead[d] == len(q) {
+	in := int(dir)
+	if r.count[in] == 0 {
 		panic(fmt.Sprintf("router %v: pop from empty input %v", r.Node, dir))
 	}
-	f := q[r.inHead[d]]
-	q[r.inHead[d]] = nil // drop the reference so the slot does not pin the flit
-	r.inHead[d]++
-	if r.inHead[d] == len(q) {
-		r.inputs[d] = q[:0]
-		r.inHead[d] = 0
-		r.occupied &^= 1 << uint(d)
+	slot := in*r.depth + int(r.head[in])
+	f := r.slots[slot]
+	r.slots[slot] = nil // drop the reference so the slot does not pin the flit
+	if s := r.front[in]; s&slotRequest != 0 {
+		r.wantMask[s>>slotOutShift] &^= 1 << uint(in)
+	}
+	r.head[in]++
+	if int(r.head[in]) == r.depth {
+		r.head[in] = 0
+	}
+	r.count[in]--
+	if r.count[in] == 0 {
+		r.occupied &^= 1 << uint(in)
+	} else {
+		r.exposeFront(in)
 	}
 	return f
 }
@@ -317,10 +365,10 @@ func (r *Router) PopInput(dir mesh.Direction) *flit.Flit {
 // has been forwarded through it. The local ejection port is never
 // back-pressured, so its credits are not tracked.
 func (r *Router) ConsumeCredit(dir mesh.Direction) {
-	op := r.out[int(dir)]
-	if op.unlimited {
+	if dir == mesh.Local {
 		return
 	}
+	op := &r.out[dir]
 	if op.credits <= 0 {
 		panic(fmt.Sprintf("router %v: credit underflow on output %v", r.Node, dir))
 	}
@@ -331,26 +379,14 @@ func (r *Router) ConsumeCredit(dir mesh.Direction) {
 // calls it when the downstream router frees a slot of the buffer this output
 // feeds.
 func (r *Router) ReturnCredit(dir mesh.Direction) {
-	op := r.out[int(dir)]
-	if op.unlimited {
+	if dir == mesh.Local {
 		return
 	}
+	op := &r.out[dir]
 	op.credits++
-	if op.credits > r.cfg.BufferDepth {
+	if op.credits > r.downstreamDepth {
 		panic(fmt.Sprintf("router %v: credit overflow on output %v", r.Node, dir))
 	}
-}
-
-// desiredOutput returns the output port the flit at the head of input port
-// `in` wants. For head flits this is the topology's routing decision;
-// body/tail flits follow the wormhole reservation of their packet and are
-// handled through the output lock, so desiredOutput is only meaningful for
-// head flits.
-func (r *Router) desiredOutput(f *flit.Flit) mesh.Direction {
-	if r.xy {
-		return mesh.XYOutputPort(r.Node, f.Flow.Dst)
-	}
-	return r.topo.OutputPort(r.Node, f.Flow.Dst)
 }
 
 // ComputeTransfers decides, for the current cycle, which flit every output
@@ -361,146 +397,53 @@ func (r *Router) desiredOutput(f *flit.Flit) mesh.Direction {
 // the flit downstream. The returned slice is backed by a per-router scratch
 // buffer and is only valid until the next ComputeTransfers call.
 func (r *Router) ComputeTransfers() []Transfer {
-	transfers := r.transferScratch[:0]
-	inputBusy := [mesh.NumDirections]bool{}
-
-	// Pass 1: the head-of-line routing demand of every input port, computed
-	// once per cycle. Nothing pops an input FIFO while the decision is being
-	// made, so the fronts are stable for the whole output loop and each
-	// output's arbitration reduces to array lookups instead of re-scanning
-	// every FIFO head.
-	var wantOut [mesh.NumDirections]mesh.Direction
-	var wantHead [mesh.NumDirections]bool
-	var wantCount [mesh.NumDirections]int8 // head inputs demanding each output
-	wantTotal, lastIn := 0, -1
-	for occ := r.occupied; occ != 0; occ &= occ - 1 {
-		in := bits.TrailingZeros8(occ)
-		if f := r.inputs[in][r.inHead[in]]; f.Type.IsHead() {
-			out := r.desiredOutput(f)
-			wantOut[in] = out
-			wantHead[in] = true
-			wantCount[int(out)]++
-			wantTotal++
-			lastIn = in
+	n := 0
+	var busy uint8 // inputs already feeding an output this cycle
+	for out := range r.out {
+		op := &r.out[out]
+		if op.credits <= 0 {
+			continue // no such port, or downstream full: nothing can be sent
 		}
-	}
-
-	// Fast path for the dominant low-load shape: exactly one head flit in
-	// the router and no wormhole lock held (lockedMask == 0 also guarantees
-	// no body/tail flit waits at any front — a mid-packet flit implies its
-	// packet's lock at this router). Only the demanded output arbitrates;
-	// every other port performs exactly the idle replenishment the general
-	// loop would, so the resulting state is identical.
-	if r.lockedMask == 0 && wantTotal == 1 {
-		in := mesh.Direction(lastIn)
-		outDir := wantOut[lastIn]
-		if mesh.LegalTurn(in, outDir) {
-			for _, d := range mesh.Directions {
-				op := r.out[int(d)]
-				if !op.exists {
-					continue
-				}
-				if !op.unlimited && op.credits <= 0 {
-					continue // downstream full: neither grant nor replenish
-				}
-				if d != outDir {
-					if op.weighted != nil {
-						op.weighted.Replenish(1)
-					}
-					continue
-				}
-				requests := r.reqScratch[:]
-				for i := range requests {
-					requests[i] = false
-				}
-				requests[int(in)] = true
-				winner := op.arb.Grant(requests)
-				if winner < 0 {
-					continue
-				}
-				f := r.Front(in)
-				transfers = append(transfers, Transfer{Out: outDir, In: in, Flit: f})
-				if !f.Type.IsTail() {
-					op.locked = true
-					op.lockedTo = in
-					r.lockedMask |= 1 << uint(outDir)
-				}
-			}
-			r.transferScratch = transfers[:0]
-			return transfers
-		}
-	}
-
-	for _, outDir := range mesh.Directions {
-		op := r.out[int(outDir)]
-		if !op.exists {
-			continue
-		}
-		if !op.unlimited && op.credits <= 0 {
-			continue // downstream full: nothing can be sent this cycle
-		}
+		var in int
 		if op.locked {
 			// Wormhole: the port is reserved for the packet coming from
-			// lockedTo; forward its next flit if it is at the head of that
-			// input FIFO.
-			in := op.lockedTo
-			if inputBusy[int(in)] {
+			// lockedTo; forward its next flit if it is at the front of that
+			// input FIFO (a head there belongs to a later packet).
+			in = int(op.lockedTo)
+			bit := uint8(1) << uint(in)
+			if (r.occupied&^busy)&bit == 0 || r.front[in]&slotHead != 0 {
 				continue
 			}
-			f := r.Front(in)
-			if f == nil || f.Type.IsHead() {
-				// The next flit of the reserved packet has not arrived yet.
-				continue
-			}
-			transfers = append(transfers, Transfer{Out: outDir, In: in, Flit: f})
-			inputBusy[int(in)] = true
-			if f.Type.IsTail() {
+			if r.front[in]&slotTail != 0 {
 				op.locked = false
-				r.lockedMask &^= 1 << uint(outDir)
 			}
-			continue
-		}
-		// Free port: arbitrate among the input ports whose head-of-line flit
-		// is a head flit routed to this output. An undemanded port skips the
-		// request-mask construction entirely — a request-less Grant is
-		// exactly a one-cycle Replenish, the hardware's idle-cycle rule.
-		if wantCount[int(outDir)] == 0 {
-			if op.weighted != nil {
-				op.weighted.Replenish(1)
+		} else {
+			// Free port: arbitrate among the inputs whose front flit is a
+			// head routed here. With no requester the grant is exactly the
+			// hardware's idle-cycle replenishment.
+			requests := r.wantMask[out] &^ busy
+			if r.weighted {
+				in = r.waw[out].GrantMask(requests)
+			} else {
+				in = op.rr.GrantMask(requests)
 			}
-			continue
-		}
-		requests := r.reqScratch[:]
-		any := false
-		for _, inDir := range mesh.Directions {
-			requests[int(inDir)] = wantHead[int(inDir)] &&
-				wantOut[int(inDir)] == outDir &&
-				!inputBusy[int(inDir)] &&
-				mesh.LegalTurn(inDir, outDir)
-			any = any || requests[int(inDir)]
-		}
-		if !any {
-			if op.weighted != nil {
-				op.weighted.Replenish(1)
+			if in < 0 {
+				continue
 			}
-			continue
+			if r.front[in]&slotTail == 0 {
+				op.locked = true
+				op.lockedTo = uint8(in)
+			}
 		}
-		winner := op.arb.Grant(requests)
-		if winner < 0 {
-			continue
+		busy |= 1 << uint(in)
+		r.transferScratch[n] = Transfer{
+			Out:  mesh.Direction(out),
+			In:   mesh.Direction(in),
+			Flit: r.slots[in*r.depth+int(r.head[in])],
 		}
-		in := mesh.Direction(winner)
-		f := r.Front(in)
-		transfers = append(transfers, Transfer{Out: outDir, In: in, Flit: f})
-		inputBusy[int(in)] = true
-		if !f.Type.IsTail() {
-			op.locked = true
-			op.lockedTo = in
-			r.lockedMask |= 1 << uint(outDir)
-		}
+		n++
 	}
-	r.transferScratch = transfers[:0]
-	return transfers
+	return r.transferScratch[:n]
 }
 
 // Quiescent reports whether a ComputeTransfers call would neither produce a
@@ -525,11 +468,11 @@ func (r *Router) Quiescent() bool {
 	if !r.InputsEmpty() {
 		return false
 	}
-	for _, op := range r.out {
-		if !op.exists || op.locked {
-			continue
-		}
-		if !op.arb.IdleStable() {
+	if !r.weighted {
+		return true // round-robin arbiters are always idle-stable
+	}
+	for out := range r.out {
+		if op := &r.out[out]; op.exists && !op.locked && !r.waw[out].IdleStable() {
 			return false
 		}
 	}
@@ -549,63 +492,55 @@ func (r *Router) InputsEmpty() bool { return r.occupied == 0 && r.stagedMask == 
 // step: every existing output port that a per-cycle visit would have
 // consulted — unlocked, and with credits available (the local ejection port
 // is never back-pressured) — has its arbiter replenished by the same number
-// of request-less Grant calls the full-scan engine would have issued. The
-// caller (the network's lazy-replenishment bookkeeping) guarantees that the
-// router's inputs were empty and that no credit or lock changed over the
-// replayed window, which is what makes the bulk replay exact.
+// of request-less grants the full-scan engine would have issued. The caller
+// (the network's lazy-replenishment bookkeeping) guarantees that the router's
+// inputs were empty and that no credit or lock changed over the replayed
+// window, which is what makes the bulk replay exact.
 func (r *Router) CatchUpIdle(cycles uint64) {
-	if cycles == 0 {
+	if cycles == 0 || !r.weighted {
 		return
 	}
-	for _, op := range r.out {
-		if op.weighted == nil || op.locked {
-			continue
+	for out := range r.out {
+		if op := &r.out[out]; op.credits > 0 && !op.locked {
+			r.waw[out].Replenish(cycles)
 		}
-		if !op.unlimited && op.credits <= 0 {
-			continue
-		}
-		op.weighted.Replenish(cycles)
 	}
 }
 
 // Arbiter exposes the arbiter of the output port in direction dir (nil when
 // the port does not exist) for tests and state inspection. Callers must not
-// Grant through it; the router owns the arbitration schedule.
+// grant through it; the router owns the arbitration schedule.
 func (r *Router) Arbiter(dir mesh.Direction) arbiter.Arbiter {
-	op := r.out[int(dir)]
-	if !op.exists {
+	switch {
+	case !r.out[dir].exists:
 		return nil
+	case r.weighted:
+		return &r.waw[dir]
+	default:
+		return &r.out[dir].rr
 	}
-	return op.arb
 }
 
 // Reset rewinds the router to its just-constructed state: input FIFOs and
 // staging areas emptied, wormhole locks released, credit counters restored
 // to the downstream buffer depth, arbiters back to their power-on state and
-// forwarding statistics cleared. The backing buffers are retained so a reset
-// router allocates nothing when it is reused.
+// forwarding statistics cleared. Nothing is reallocated.
 func (r *Router) Reset() {
-	for i := range r.inputs {
-		clear(r.inputs[i]) // release flit references held by the backing array
-		r.inputs[i] = r.inputs[i][:0]
-		r.inHead[i] = 0
-		clear(r.staged[i])
-		r.staged[i] = r.staged[i][:0]
-	}
+	clear(r.slots) // release the flit references the rings still hold
+	var zero [mesh.NumDirections]uint8
+	r.head, r.count, r.staged, r.wantMask = zero, zero, zero, zero
 	r.occupied = 0
 	r.stagedMask = 0
-	r.lockedMask = 0
-	for _, op := range r.out {
-		if !op.exists {
-			continue
-		}
+	for out := range r.out {
+		op := &r.out[out]
 		op.locked = false
 		op.lockedTo = 0
-		op.Forwarded = 0
-		if !op.unlimited {
+		op.forwarded = 0
+		if op.exists && out != int(mesh.Local) {
 			op.credits = r.downstreamDepth
 		}
-		op.arb.Reset()
+		op.rr.Reset()
+		r.waw[out].Reset()
 	}
 }
 
@@ -619,6 +554,6 @@ func (r *Router) ApplyTransfer(t Transfer) *flit.Flit {
 		panic(fmt.Sprintf("router %v: transfer flit mismatch on input %v", r.Node, t.In))
 	}
 	r.ConsumeCredit(t.Out)
-	r.out[int(t.Out)].Forwarded++
+	r.out[t.Out].forwarded++
 	return f
 }

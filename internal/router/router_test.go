@@ -53,6 +53,50 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{BufferDepth: 2, Arbitration: arbiter.Kind(9)}).Validate(); err == nil {
 		t.Error("unknown arbitration should be invalid")
 	}
+	// The ring positions and counts are one byte each.
+	if err := (Config{BufferDepth: 255, Arbitration: arbiter.KindRoundRobin}).Validate(); err != nil {
+		t.Errorf("depth 255 should be valid: %v", err)
+	}
+	if err := (Config{BufferDepth: 256, Arbitration: arbiter.KindRoundRobin}).Validate(); err == nil {
+		t.Error("a depth the ring counters cannot hold should be invalid")
+	}
+}
+
+// TestDeepestRingWraps fills, drains and refills a 255-slot FIFO so every
+// one-byte counter passes through its largest value and the ring wraps.
+func TestDeepestRingWraps(t *testing.T) {
+	d := mesh.MustDim(3, 3)
+	cfg := Config{BufferDepth: 255, Arbitration: arbiter.KindRoundRobin}
+	r, err := New(d, mesh.Node{X: 1, Y: 1}, cfg, nil, 255)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queue []*flit.Flit // what the FIFO must hold, oldest first
+	for round := 0; round < 3; round++ {
+		for r.InputSpace(mesh.Local) > 0 {
+			f := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 1, Y: 1}, 1)[0]
+			if err := r.StageArrival(mesh.Local, f); err != nil {
+				t.Fatal(err)
+			}
+			queue = append(queue, f)
+		}
+		r.CommitArrivals()
+		if len(queue) != 255 || r.InputOccupancy(mesh.Local) != 255 {
+			t.Fatalf("round %d: %d flits staged in all, occupancy %d", round, len(queue), r.InputOccupancy(mesh.Local))
+		}
+		if r.StageArrival(mesh.Local, queue[0]) == nil {
+			t.Fatal("a full 255-slot FIFO accepted another flit")
+		}
+		// Drain 155 and keep 100, so the next round's fill wraps the ring.
+		for i := 0; i < 155; i++ {
+			tr := r.ComputeTransfers()
+			if len(tr) != 1 || tr[0].Out != mesh.Local || tr[0].Flit != queue[0] {
+				t.Fatalf("round %d flit %d: transfers %+v, want %v ejected", round, i, tr, queue[0])
+			}
+			r.ApplyTransfer(tr[0])
+			queue = queue[1:]
+		}
+	}
 }
 
 func TestNewValidation(t *testing.T) {
@@ -249,6 +293,37 @@ func TestCreditPanics(t *testing.T) {
 	r3 := MustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
 	r3.ConsumeCredit(mesh.Local)
 	r3.ReturnCredit(mesh.Local)
+}
+
+// TestCreditOverflowTracksDownstreamDepth: the credit counter counts slots of
+// the downstream buffer, so its ceiling is the downstream depth, whichever
+// way that differs from the router's own buffer depth.
+func TestCreditOverflowTracksDownstreamDepth(t *testing.T) {
+	d := mesh.MustDim(3, 3)
+	for _, downstream := range []int{2, 6} { // own depth is 4
+		r, err := New(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil, downstream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Credits(mesh.XPlus) != downstream {
+			t.Fatalf("downstream %d: initial credits %d", downstream, r.Credits(mesh.XPlus))
+		}
+		// Every slot consumed and returned: never an overflow.
+		for i := 0; i < downstream; i++ {
+			r.ConsumeCredit(mesh.XPlus)
+		}
+		for i := 0; i < downstream; i++ {
+			r.ReturnCredit(mesh.XPlus)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("downstream %d: a credit beyond the downstream depth should panic", downstream)
+				}
+			}()
+			r.ReturnCredit(mesh.XPlus)
+		}()
+	}
 }
 
 func TestInputOverflowRejected(t *testing.T) {

@@ -52,7 +52,7 @@ func TestServeOverloadAdmission(t *testing.T) {
 	s := NewServer(Config{Workers: 1, Queue: 8, MaxInflight: 1})
 	defer s.Close()
 	lines := strings.Join([]string{
-		`{"id":1,"op":"scenario","spec":{"name":"slow","mode":"simulate","width":4,"height":4,"design":"regular","seed":1,"traffic":{"pattern":"uniform","rate":40,"messages":2000}}}`,
+		`{"id":1,"op":"scenario","spec":{"name":"slow","mode":"simulate","width":4,"height":4,"design":"regular","seed":1,"traffic":{"pattern":"uniform","rate":40,"messages":20000}}}`,
 		`{"id":2,"op":"ping"}`,
 		`{"id":3,"op":"ping"}`,
 	}, "\n") + "\n"
