@@ -14,7 +14,9 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -805,13 +807,40 @@ func buildServeBatch(pairs [][2]mesh.Node, queries int) []byte {
 	return buf.Bytes()
 }
 
+// repeatReader yields one protocol line n times: a request stream of any
+// length without rendering it.
+type repeatReader struct {
+	line []byte
+	n    int
+	rest []byte
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	if len(r.rest) == 0 {
+		if r.n == 0 {
+			return 0, io.EOF
+		}
+		r.n--
+		r.rest = r.line
+	}
+	n := copy(p, r.rest)
+	r.rest = r.rest[n:]
+	return n, nil
+}
+
 // BenchmarkServe measures the latency-oracle daemon end to end through
 // ServeLines: protocol parse, route walk, response encode. batch-warm is
 // the headline number — vectorised analytical queries against an already
-// built model, the million-QPS path of the serving layer; wctt-lines pays the full
-// line-protocol overhead (one JSON object parse per query) as a contrast.
-// Every op is one query, so ns/op is per-query cost and queries/s the
-// throughput. The examples/servebench harness reports the same workload
+// built model, the million-QPS path of the serving layer. wctt-lines is the
+// co-simulator's shape, one flat request per bound, answered on the
+// connection's reader goroutine; wctt-lines-generic is the same lines with
+// one escaped character in the op string, which the flat decoder declines,
+// so every line pays encoding/json, a pool hand-off and the ordered queue —
+// the contrast the serve-lines-inline gate holds, and the slow side of the
+// batch gate. Every op is one query, so ns/op is per-query cost and
+// queries/s the throughput. overload-storm is the odd one out: one op is
+// one 4032-bound batch line turned away by the admission gate, the cost of
+// saying no. The examples/servebench harness reports the batch workload
 // with concurrent connections.
 func BenchmarkServe(b *testing.B) {
 	pairs := buildServePairs(mesh.MustDim(8, 8))
@@ -831,26 +860,82 @@ func BenchmarkServe(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 	})
-	b.Run("wctt-lines", func(b *testing.B) {
-		srv := serve.NewServer(serve.Config{})
+	for _, v := range []struct{ name, op string }{
+		{"wctt-lines", `"wctt"`},
+		{"wctt-lines-generic", `"wct\u0074"`},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			srv := serve.NewServer(serve.Config{})
+			defer srv.Close()
+			warm := buildServeBatch(pairs, len(pairs))
+			if err := srv.ServeLines(context.Background(), bytes.NewReader(warm), io.Discard); err != nil {
+				b.Fatal(err)
+			}
+			var buf bytes.Buffer
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				fmt.Fprintf(&buf, `{"id":%d,"op":%s,"design":"waw+wap","width":8,"height":8,"src":{"x":%d,"y":%d},"dst":{"x":%d,"y":%d}}`+"\n",
+					i+1, v.op, p[0].X, p[0].Y, p[1].X, p[1].Y)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := srv.ServeLines(context.Background(), bytes.NewReader(buf.Bytes()), io.Discard); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if st := srv.Stats(); st.Errors != 0 || st.Queries != uint64(len(pairs)+b.N) {
+				b.Fatalf("%d bounds answered with %d failed lines, want %d and 0", st.Queries, st.Errors, len(pairs)+b.N)
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+		})
+	}
+	b.Run("overload-storm", func(b *testing.B) {
+		srv := serve.NewServer(serve.Config{MaxInflight: 1})
 		defer srv.Close()
-		warm := buildServeBatch(pairs, len(pairs))
-		if err := srv.ServeLines(context.Background(), bytes.NewReader(warm), io.Discard); err != nil {
-			b.Fatal(err)
+		// A load curve far longer than any benchmark run holds the one
+		// admission slot until its context is cancelled; it is sent again if
+		// one of the probes below held the slot when it was read.
+		ctx, cancel := context.WithCancel(context.Background())
+		held := make(chan struct{})
+		go func() {
+			defer close(held)
+			const hold = `{"id":1,"op":"scenario","spec":{"name":"hold","mode":"load-curve","width":4,"height":4,"design":"regular","seed":1,"traffic":{"rates":[20],"warmup_cycles":0,"measure_cycles":1000000000000}}}` + "\n"
+			for ctx.Err() == nil {
+				var out bytes.Buffer
+				if err := srv.ServeLines(ctx, strings.NewReader(hold), &out); err == nil && !strings.Contains(out.String(), `"code":"overloaded"`) {
+					b.Errorf("the holding scenario ended: %s", out.String())
+					return
+				}
+			}
+		}()
+		defer func() {
+			cancel()
+			<-held
+		}()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			var out bytes.Buffer
+			if err := srv.ServeLines(context.Background(), strings.NewReader(`{"op":"ping"}`+"\n"), &out); err != nil {
+				b.Fatal(err)
+			}
+			if strings.Contains(out.String(), `"code":"overloaded"`) {
+				break
+			}
+			if time.Now().After(deadline) {
+				b.Fatalf("the admission slot was never taken; last probe answered %s", out.String())
+			}
 		}
-		var buf bytes.Buffer
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			fmt.Fprintf(&buf, `{"id":%d,"op":"wctt","design":"waw+wap","width":8,"height":8,"src":{"x":%d,"y":%d},"dst":{"x":%d,"y":%d}}`+"\n",
-				i+1, p[0].X, p[0].Y, p[1].X, p[1].Y)
-		}
+		before := srv.Stats().Rejected
+		line := buildServeBatch(pairs, len(pairs))
+		b.SetBytes(int64(len(line)))
 		b.ReportAllocs()
 		b.ResetTimer()
-		if err := srv.ServeLines(context.Background(), bytes.NewReader(buf.Bytes()), io.Discard); err != nil {
+		if err := srv.ServeLines(context.Background(), &repeatReader{line: line, n: b.N}, io.Discard); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+		if got := srv.Stats().Rejected - before; got != uint64(b.N) {
+			b.Fatalf("%d of %d storm lines were rejected", got, b.N)
+		}
 	})
 	b.Run("wcet-batch-warm", func(b *testing.B) {
 		srv := serve.NewServer(serve.Config{})

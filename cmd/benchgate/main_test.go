@@ -20,7 +20,8 @@ BenchmarkAnalysis/pairwise/32x32-4  	       1	 357033145 ns/op
 BenchmarkWCTT/wcetmap-64x64-kernel-4	       1	  50000000 ns/op	         4096 far-core-ubd-cycles
 BenchmarkWCTT/wcetmap-64x64-pairwise-4	       1	 500000000 ns/op	         4096 far-core-ubd-cycles
 BenchmarkServe/batch-warm           	 3360973	       358.4 ns/op	        38 B/op	       0 allocs/op
-BenchmarkServe/wctt-lines           	  268151	      4419 ns/op	       888 B/op	      18 allocs/op
+BenchmarkServe/wctt-lines           	 1934130	       743.8 ns/op	         0 B/op	       0 allocs/op
+BenchmarkServe/wctt-lines-generic   	  291636	      3904 ns/op	       944 B/op	      19 allocs/op
 PASS
 ok  	repro	12.3s
 `
@@ -39,7 +40,8 @@ func TestParseBench(t *testing.T) {
 		"BenchmarkWCTT/wcetmap-64x64-kernel":   50000000,
 		"BenchmarkWCTT/wcetmap-64x64-pairwise": 500000000,
 		"BenchmarkServe/batch-warm":            358.4,
-		"BenchmarkServe/wctt-lines":            4419,
+		"BenchmarkServe/wctt-lines":            743.8,
+		"BenchmarkServe/wctt-lines-generic":    3904,
 	}
 	if len(got) != len(want) {
 		t.Fatalf("parsed %d benchmarks, want %d: %v", len(got), len(want), got)
@@ -114,7 +116,8 @@ func TestRunEndToEnd(t *testing.T) {
 		"snapshots": [],
 		"gates": [
 			{"name": "analysis-32x32", "fast": "BenchmarkAnalysis/tableii/32x32", "slow": "BenchmarkAnalysis/pairwise/32x32", "baseline_ratio": 7.0},
-			{"name": "serve-batch", "fast": "BenchmarkServe/batch-warm", "slow": "BenchmarkServe/wctt-lines", "baseline_ratio": 10.0}
+			{"name": "serve-batch", "fast": "BenchmarkServe/batch-warm", "slow": "BenchmarkServe/wctt-lines-generic", "baseline_ratio": 10.0},
+			{"name": "serve-lines-inline", "fast": "BenchmarkServe/wctt-lines", "slow": "BenchmarkServe/wctt-lines-generic", "baseline_ratio": 3.75}
 		]
 	}`), 0o644); err != nil {
 		t.Fatal(err)
@@ -128,7 +131,7 @@ func TestRunEndToEnd(t *testing.T) {
 	if code := run([]string{"-bench", benchFile, "-baseline", baseline}, nil, &out, &errOut); code != 0 {
 		t.Fatalf("run = %d, want 0\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
 	}
-	if !strings.Contains(out.String(), "all 2 gates pass") {
+	if !strings.Contains(out.String(), "all 3 gates pass") {
 		t.Errorf("stdout should report all gates passing: %s", out.String())
 	}
 

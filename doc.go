@@ -163,6 +163,14 @@
 // Process boundaries share one infrastructure slice: internal/lineio owns
 // the JSON-line framing limits, scenario.CanonicalJSON is the single wire
 // and cache-key encoding of a spec, and both the serve daemon and the sweep
-// worker protocol are built on the pair.
+// worker protocol are built on the pair. Within the serve daemon
+// (internal/serve) a protocol line passes through four layers: framing (the
+// lineio scanner over the connection, which flushes pending output whenever
+// it has to wait for input), decode (a shape-specialised scanner for flat
+// wctt/wcet/ping lines, encoding/json for every other line), execution (the
+// connection's reader goroutine when the line is flat and its model or
+// engine is cached, the shared worker pool otherwise — one Server.answer
+// either way) and ordered output (a bounded per-connection queue of
+// response slots drained by a writer goroutine).
 // See README.md for the user-facing documentation.
 package repro

@@ -167,6 +167,23 @@ func (c *LRU[K, V]) Get(k K) (V, bool) {
 	return v, true
 }
 
+// Lookup is Get for a caller that sends a miss elsewhere to be built: a hit
+// is counted and refreshed as by Get, a miss is not counted — the Get of
+// whoever builds the value counts it, once.
+func (c *LRU[K, V]) Lookup(k K) (V, bool) {
+	s := c.shard(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.items[k]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	s.stats.Hits++
+	s.moveToFront(e)
+	return e.value, true
+}
+
 // Put inserts (or refreshes) k, evicting the shard's least-recently-used
 // entry when the shard is full.
 func (c *LRU[K, V]) Put(k K, v V) {

@@ -55,6 +55,12 @@ func acquireModel(p analysis.Params) (*analysis.Model, error) {
 // versa.
 func SharedModel(p analysis.Params) (*analysis.Model, error) { return acquireModel(p) }
 
+// CachedModel returns the shared model only if it is already built. The
+// serve daemon answers a one-bound line on its connection's reader goroutine
+// when this hits and hands the line to its bounded worker pool (which calls
+// SharedModel and counts the miss) when it does not.
+func CachedModel(p analysis.Params) (*analysis.Model, bool) { return modelCache.Lookup(p) }
+
 // SharedCacheStats snapshots the hit/miss/eviction counters of the caches
 // the scenario layer shares between the sweep path and the serve daemon,
 // plus the process-wide compiled-WCET-engine cache.

@@ -1,0 +1,204 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"reflect"
+	"testing"
+)
+
+// flatCorpus is the committed seed corpus of FuzzFlatDecodeMatchesJSON: the
+// shapes the flat decoder accepts, and one line for every rule of
+// encoding/json it must decline rather than re-implement.
+var flatCorpus = []string{
+	// accepted shapes
+	`{"id":1,"op":"ping"}`,
+	`{"op":"ping"}`,
+	`{"id":2,"op":"wctt","design":"regular","width":4,"height":4,"src":{"x":0,"y":0},"dst":{"x":3,"y":3}}`,
+	`{"id":3,"op":"wctt","design":"waw+wap","width":8,"height":8,"payload_bits":512,"src":{"x":1,"y":2},"dst":{"x":7,"y":0}}`,
+	`{"id":4,"op":"wcet","design":"waw+wap","width":4,"height":4,"core":{"x":2,"y":1},"workload":"a2time","max_packet_flits":4}`,
+	`{"id":5,"op":"wctt","design":"regular","width":4,"height":4,"src":{"x":0,"y":0},"dst":{"x":3,"y":3},"timeout_ms":1000}`,
+	`{"id":6,"op":"wctt","design":"waw+wap","width":8,"height":8,"topology":"cmesh","src":{"x":0,"y":0},"dst":{"x":7,"y":7}}`,
+	`{"id":7,"op":"wctt","design":"regular","width":4,"height":4,"topology":"torus","src":{"x":0,"y":0},"dst":{"x":3,"y":3}}`,
+	`{"id":-8,"op":"wctt","design":"nope","width":-4,"height":0,"src":{"y":3},"dst":{"y":1,"x":2}}`,
+	`{"id":9,"op":"wctt","design":"regular","width":4,"height":4}`,
+	`{"id":10,"op":"wctt","design":"regular","width":4,"height":4,"src":{"x":0,"y":0},"dst":{"x":0,"y":0}}`,
+	`{"id":11,"op":"wctt","design":"regular","width":4,"height":4,"src":{"x":9,"y":0},"dst":{"x":0,"y":0}}`,
+	`{"id":999999999999999999,"op":"ping"}`,
+	// every whitespace placement
+	" \t{ \"id\" : 12 , \"op\" : \"wctt\" , \"design\" : \"regular\" , \"width\" : 4 , \"height\" : 4 , \"src\" : { \"x\" : 0 , \"y\" : 0 } , \"dst\" : { \"x\" : 3 , \"y\" : 3 } } \r",
+	// declined: other verbs, nesting, unknown and differently-cased keys
+	`{}`,
+	`{"id":13}`,
+	`{"id":14,"op":"stats"}`,
+	`{"id":15,"op":"warp"}`,
+	`{"id":16,"op":"batch","design":"regular","width":4,"height":4,"queries":[[0,0,3,3]]}`,
+	`{"id":17,"op":"wcet-batch","design":"regular","width":4,"height":4,"workload":"cacheb","queries":[[0,0]]}`,
+	`{"id":18,"op":"ping","extra":1}`,
+	`{"ID":19,"op":"ping"}`,
+	`{"id":20,"Op":"ping"}`,
+	`{"id":21,"op":"ping","OP":"wctt"}`,
+	`{"id":22,"op":"wctt","design":"regular","width":4,"height":4,"src":{"X":1,"y":0},"dst":{"x":3,"y":3}}`,
+	`{"id":23,"op":"wctt","design":"regular","width":4,"height":4,"src":{"x":1,"y":0,"z":2},"dst":{"x":3,"y":3}}`,
+	`{"id":24,"op":"wctt","design":"regular","width":4,"height":4,"src":{},"dst":{"x":3,"y":3}}`,
+	`{"id":25,"op":"wctt","design":"regular","width":4,"height":4,"src":[0,0],"dst":{"x":3,"y":3}}`,
+	// declined: duplicate keys (last wins in encoding/json)
+	`{"id":26,"id":27,"op":"ping"}`,
+	`{"id":28,"op":"ping","op":"wctt"}`,
+	`{"id":29,"op":"wctt","design":"regular","width":4,"height":4,"src":{"x":1,"x":2},"dst":{"x":3,"y":3}}`,
+	`{"id":30,"op":"wctt","design":"regular","width":4,"height":4,"src":{"x":0,"y":0},"src":{"x":1,"y":1},"dst":{"x":3,"y":3}}`,
+	// declined: null, floats, exponents, leading zeros, -0, big integers
+	`{"id":null,"op":"ping"}`,
+	`{"id":31,"op":null}`,
+	`{"id":32,"op":"wctt","design":"regular","width":4,"height":4,"src":null,"dst":{"x":3,"y":3}}`,
+	`{"id":1e2,"op":"ping"}`,
+	`{"id":1.0,"op":"ping"}`,
+	`{"id":1.5,"op":"ping"}`,
+	`{"id":-0,"op":"ping"}`,
+	`{"id":007,"op":"ping"}`,
+	`{"id":-,"op":"ping"}`,
+	`{"id":12345678901234567890,"op":"ping"}`,
+	`{"id":9223372036854775807,"op":"ping"}`,
+	`{"id":9223372036854775808,"op":"ping"}`,
+	`{"id":33,"op":"wctt","design":"regular","width":99999999999999999999,"height":4}`,
+	`{"id":"34","op":"ping"}`,
+	`{"id":true,"op":"ping"}`,
+	// declined: escapes, control bytes, UTF-8, BOM
+	`{"id":35,"op":"wc\u0074t","design":"regular","width":4,"height":4,"src":{"x":0,"y":0},"dst":{"x":3,"y":3}}`,
+	`{"id":36,"op":"wctt","design":"regu\lar","width":4,"height":4}`,
+	`{"id":37,"op":"wctt","design":"reg\"ular","width":4,"height":4}`,
+	`{"id":38,"op":"wctt","design":"régulier","width":4,"height":4}`,
+	"{\"id\":39,\"op\":\"wctt\",\"design\":\"re\tgular\",\"width\":4,\"height\":4}",
+	"{\"id\":40,\"op\":\"wctt\",\"design\":\"\xff\xfe\",\"width\":4,\"height\":4}",
+	"\xef\xbb\xbf" + `{"id":41,"op":"ping"}`,
+	`{"id":42,"op":"ping","design":"\u0041\n"}`,
+	// declined: trailing garbage, truncation, not an object
+	`{"id":43,"op":"ping"} x`,
+	`{"id":44,"op":"ping"}{"id":45,"op":"ping"}`,
+	`{"id":46,"op":"ping"`,
+	`{"id":47,"op":"ping",}`,
+	`{"id":48 "op":"ping"}`,
+	`{"id":49,"op":"pin`,
+	`[1,2,3]`,
+	`"ping"`,
+	`42`,
+	``,
+	` `,
+}
+
+// FuzzFlatDecodeMatchesJSON is the proof that the flat decoder accepts a
+// strict subset of encoding/json: whenever it accepts a line, the Request is
+// the one json.Unmarshal produces, field for field; and whatever the line,
+// a one-line ServeLines (reader-goroutine path where it applies) answers
+// with the bytes of the generic path (json.Unmarshal on a pool worker,
+// called here directly, which is how the test forces the flat decoder off).
+func FuzzFlatDecodeMatchesJSON(f *testing.F) {
+	for _, line := range flatCorpus {
+		f.Add([]byte(line))
+	}
+	s := NewServer(Config{Workers: 2})
+	f.Cleanup(s.Close)
+	var dec flatDecoder
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var want Request
+		jsonErr := json.Unmarshal(line, &want)
+		got, ok := dec.decode(line)
+		if ok && jsonErr != nil {
+			t.Fatalf("flat decoder accepted %q, encoding/json says %v", line, jsonErr)
+		}
+		if ok && !reflect.DeepEqual(*got, want) {
+			t.Fatalf("flat decoder read %q as\n%+v\nencoding/json as\n%+v", line, *got, want)
+		}
+		// On any valid JSON a rejection echoes the id encoding/json reads;
+		// on a malformed line the scan may recover one where that gives up.
+		if id, ok := lineID(line); ok && json.Valid(line) {
+			var hdr struct {
+				ID int64 `json:"id"`
+			}
+			_ = json.Unmarshal(line, &hdr)
+			if id != hdr.ID {
+				t.Fatalf("lineID(%q) = %d, encoding/json reads id %d", line, id, hdr.ID)
+			}
+		}
+
+		// The response comparison stays off inputs that are not one frame,
+		// whose answer is not a function of the line (stats), or whose cost
+		// the fuzzer could blow up (scenario runs, huge meshes).
+		if bytes.IndexByte(line, '\n') >= 0 {
+			return
+		}
+		if jsonErr == nil && (want.Op == "scenario" || want.Op == "stats" ||
+			want.Width > 32 || want.Height > 32 || len(want.Queries) > 1<<12) {
+			return
+		}
+		var out bytes.Buffer
+		if err := s.ServeLines(context.Background(), bytes.NewReader(append(line, '\n')), &out); err != nil {
+			t.Fatalf("ServeLines(%q): %v", line, err)
+		}
+		// What the line scanner hands on: one trailing CR dropped, blank
+		// lines skipped.
+		frame := bytes.TrimSuffix(line, []byte("\r"))
+		var generic []byte
+		if len(bytes.TrimSpace(frame)) > 0 {
+			generic = append(s.handleLine(context.Background(), frame), '\n')
+		}
+		if !bytes.Equal(out.Bytes(), generic) {
+			t.Fatalf("line %q\nServeLines   %q\ngeneric path %q", line, out.Bytes(), generic)
+		}
+	})
+}
+
+// TestFlatDecodeAcceptSet pins which side of the split the corpus lines fall
+// on, so a decoder that declines everything (and still passes the fuzz
+// target) fails here.
+func TestFlatDecodeAcceptSet(t *testing.T) {
+	var dec flatDecoder
+	accepted := 0
+	for _, line := range flatCorpus {
+		if _, ok := dec.decode([]byte(line)); ok {
+			accepted++
+		}
+	}
+	if accepted != 14 {
+		t.Fatalf("flat decoder accepts %d corpus lines, want the first 14", accepted)
+	}
+	for i, line := range flatCorpus[:14] {
+		if _, ok := dec.decode([]byte(line)); !ok {
+			t.Errorf("corpus line %d declined: %s", i, line)
+		}
+	}
+}
+
+// TestLineID pins the rejection path's id recovery: a byte search for a line
+// that leads with a flat integer id, whatever else it carries, and a decline
+// wherever encoding/json could read another id.
+func TestLineID(t *testing.T) {
+	for _, c := range []struct {
+		line string
+		id   int64
+		ok   bool
+	}{
+		{`{"id":7,"op":"ping"}`, 7, true},
+		{`{"id":7}`, 7, true},
+		{` { "id" : -12 , "op":"batch","queries":[[1,2,3,4],[5,6,7,8]]} `, -12, true},
+		{`{"id":9,"op":"scenario","spec":{"name":"grid","mode":"wctt"}}`, 9, true},
+		{`{"op":"ping","id":7}`, 0, false},
+		{`{"op":"ping"}`, 0, false},
+		{`{"id":1,"id":2}`, 0, false},
+		{`{"id":1,"ID":2}`, 0, false},
+		{`{"id":1,"spec":{"Id":2}}`, 0, false},
+		{`{"id":1,"\u0069d":2}`, 0, false},
+		{`{"Id":1}`, 0, false},
+		{`{"id":1.5}`, 0, false},
+		{`{"id":"1"}`, 0, false},
+		{`{"id":1 "op":"ping"}`, 0, false},
+		{`[{"id":1}]`, 0, false},
+		{``, 0, false},
+	} {
+		id, ok := lineID([]byte(c.line))
+		if ok != c.ok || (ok && id != c.id) {
+			t.Errorf("lineID(%s) = %d, %v; want %d, %v", c.line, id, ok, c.id, c.ok)
+		}
+	}
+}

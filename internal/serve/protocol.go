@@ -14,6 +14,18 @@
 // responses. Identical queries return byte-identical JSON to the one-shot
 // CLI, pinned by goldens.
 //
+// A line is answered in one of two places, chosen from what the server sees
+// in it and never from a setting. A flat wctt, wcet or ping line (flat.go)
+// whose model or engine is already built is answered on the connection's
+// reader goroutine, straight into its buffered writer: the co-simulator's
+// line costs no copy, hand-off or allocation (the benchmark's serve-lines
+// latency_p50_ms, serve.inproc_us_per_line and serve.daemon_cpu_us_per_line
+// measure it). Every other line is decoded by encoding/json on the shared
+// worker pool, which bounds concurrent model builds by Config.Workers, and
+// resolved through the connection's ordered slot queue. Both paths pass the
+// same admission and drain checks and run the same Server.answer, so
+// validation, deadline budget, counters and bytes cannot differ.
+//
 // See PROTOCOL.md at the repository root for the wire format.
 package serve
 

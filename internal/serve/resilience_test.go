@@ -44,44 +44,6 @@ func TestServeErrorWireShapes(t *testing.T) {
 	}
 }
 
-// TestServeOverloadAdmission saturates a MaxInflight=1 server with a slow
-// scenario and pins that the lines behind it are answered immediately with
-// the exact overloaded error bytes, in request order, and counted as
-// rejections rather than handled requests.
-func TestServeOverloadAdmission(t *testing.T) {
-	s := NewServer(Config{Workers: 1, Queue: 8, MaxInflight: 1})
-	defer s.Close()
-	lines := strings.Join([]string{
-		`{"id":1,"op":"scenario","spec":{"name":"slow","mode":"simulate","width":4,"height":4,"design":"regular","seed":1,"traffic":{"pattern":"uniform","rate":40,"messages":20000}}}`,
-		`{"id":2,"op":"ping"}`,
-		`{"id":3,"op":"ping"}`,
-	}, "\n") + "\n"
-	var out bytes.Buffer
-	if err := s.ServeLines(context.Background(), strings.NewReader(lines), &out); err != nil {
-		t.Fatalf("ServeLines: %v", err)
-	}
-	resps := bytes.Split(bytes.TrimSpace(out.Bytes()), []byte("\n"))
-	if len(resps) != 3 {
-		t.Fatalf("got %d responses, want 3:\n%s", len(resps), out.Bytes())
-	}
-	if !bytes.Contains(resps[0], []byte(`"ok":true`)) {
-		t.Fatalf("scenario line failed: %s", resps[0])
-	}
-	for i, id := range []int{2, 3} {
-		want := fmt.Sprintf(`{"id":%d,"ok":false,"error":"server overloaded","code":"overloaded","retryable":true}`, id)
-		if string(resps[i+1]) != want {
-			t.Errorf("rejection %d:\ngot  %s\nwant %s", id, resps[i+1], want)
-		}
-	}
-	st := s.Stats()
-	if st.Rejected != 2 {
-		t.Errorf("rejected counter %d, want 2", st.Rejected)
-	}
-	if st.Requests != 1 {
-		t.Errorf("rejections leaked into the request counter: %d requests, want 1", st.Requests)
-	}
-}
-
 // drainGateReader yields its first chunk immediately and the rest only once
 // the server drains. It deliberately lacks SetReadDeadline, so Shutdown
 // cannot poke it — the scan loop itself must answer the buffered tail.

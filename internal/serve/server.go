@@ -69,6 +69,11 @@ type Server struct {
 	engineFlight cache.Group[engineFlightKey, *wcet.Engine]
 	specFlight   cache.Group[string, []byte]
 
+	// testHold, set only by tests, runs on the pool worker between a line's
+	// decode and its verb: a test blocks in it to make "this line is still
+	// running" a fact instead of a race against the verb's speed.
+	testHold func(op string)
+
 	drainCh   chan struct{}
 	drainOnce sync.Once
 	closeOnce sync.Once
@@ -165,13 +170,136 @@ func (s *Server) Close() {
 // histogram.
 func (s *Server) Stats() Stats { return s.stats.snapshot() }
 
+// slot is one response's place in a connection's ordered queue: ready holds
+// the bytes of a line answered on the reader goroutine, pending delivers
+// those of a line handed to the pool.
+type slot struct {
+	ready   []byte
+	pending chan []byte
+}
+
+// conn is the state of one ServeLines stream. Two goroutines share its
+// buffered writer without a lock: the writer goroutine touches bw only
+// between receiving a slot and decrementing queued for it, and the reader
+// only while it reads queued as 0 — and only the reader sends slots.
+type conn struct {
+	s     *Server
+	r     io.Reader
+	bw    *bufio.Writer
+	order chan slot
+	// queued counts slots sent to order that the writer goroutine has not
+	// finished writing. While it is 0 the reader owns bw.
+	queued atomic.Int64
+	dec    flatDecoder
+	out    []byte // the reader goroutine's response scratch
+}
+
+// Read is the line scanner's source. The scanner calls it only when it
+// holds no complete line, that is when the server has consumed all the
+// input it has received: what the reader goroutine answered since the last
+// call is flushed here, one transport write per burst of lines (per line
+// for a closed-loop caller), before blocking for more.
+func (c *conn) Read(p []byte) (int, error) {
+	if c.queued.Load() == 0 {
+		_ = c.bw.Flush() // a write error is sticky in bw; ServeLines returns it from its last Flush
+	}
+	return c.r.Read(p)
+}
+
+// writeLoop resolves queued slots in order. It flushes when it catches up
+// and before it waits on an unresolved slot, so a finished response is never
+// held back by a slower line behind it.
+func (c *conn) writeLoop(done chan<- struct{}) {
+	defer close(done)
+	for sl := range c.order {
+		resp := sl.ready
+		if resp == nil {
+			select {
+			case resp = <-sl.pending:
+			default:
+				_ = c.bw.Flush() // sticky, as in Read
+				resp = <-sl.pending
+			}
+		}
+		c.write(resp)
+		if len(c.order) == 0 {
+			_ = c.bw.Flush()
+		}
+		c.queued.Add(-1)
+	}
+}
+
+// write buffers one response line; write errors are sticky in bw.
+func (c *conn) write(resp []byte) {
+	_, _ = c.bw.Write(resp)
+	_ = c.bw.WriteByte('\n')
+}
+
+// enqueue reserves the next place in the response order.
+func (c *conn) enqueue(sl slot) {
+	c.queued.Add(1)
+	c.order <- sl
+}
+
+// deliver emits a response computed on the reader goroutine at its place in
+// request order: into the buffered writer directly when no earlier response
+// is still queued, else as an already-resolved slot behind those that are.
+func (c *conn) deliver(resp []byte) {
+	if c.queued.Load() == 0 {
+		c.write(resp)
+		return
+	}
+	c.enqueue(slot{ready: bytes.Clone(resp)})
+}
+
+// inline answers a line on the reader goroutine and reports whether it did.
+// false sends the line to the pool: it is not a flat wctt, wcet or ping
+// request, or its verb needs a model or engine that is not built yet — the
+// pool bounds cold builds by Config.Workers however many connections ask at
+// once.
+func (c *conn) inline(ctx context.Context, raw []byte) bool {
+	start := time.Now()
+	req, ok := c.dec.decode(raw)
+	if !ok {
+		return false
+	}
+	resp, failed := c.s.answer(ctx, c.out[:0], req, true)
+	if resp == nil {
+		return false
+	}
+	c.s.stats.observe(uint64(time.Since(start).Nanoseconds()), failed)
+	c.out = resp
+	c.deliver(resp)
+	return true
+}
+
+// reject answers a line without admitting it: the id is recovered from the
+// raw bytes (best effort — a line that is not JSON echoes its id only if it
+// leads the line, else 0) and the coded error takes the line's place in
+// request order.
+func (c *conn) reject(raw []byte, pe *protoError) {
+	id, ok := lineID(raw)
+	if !ok {
+		var hdr struct {
+			ID int64 `json:"id"`
+		}
+		_ = json.Unmarshal(raw, &hdr) // best effort: id stays 0
+		id = hdr.ID
+	}
+	c.s.stats.reject()
+	c.out = appendError(c.out[:0], id, pe)
+	c.deliver(c.out)
+}
+
 // ServeLines reads newline-delimited requests from r and writes one
 // response line per request to w, in request order, until EOF, context
-// cancellation or drain. The pipeline is a bounded queue of response
-// promises: the reader admits a line, reserves its response slot, and hands
-// the work to the shared pool; the writer resolves slots in order and
-// flushes whenever it catches up. When the queue is full the reader blocks —
-// backpressure — so at most queue-depth lines are in flight per connection.
+// cancellation or drain. A flat wctt, wcet or ping line whose model or
+// engine is already built is answered where it is read, on this goroutine;
+// every other line reserves a slot in a bounded ordered queue and goes to
+// the shared pool, and a writer goroutine resolves the slots in order. When
+// the queue is full the reader blocks — backpressure — so at most
+// queue-depth lines are in flight per connection. Output is flushed whenever
+// all received input has been consumed and before waiting on a slower line.
 func (s *Server) ServeLines(ctx context.Context, r io.Reader, w io.Writer) error {
 	if s.draining() {
 		return fmt.Errorf("serve: %w", errDraining)
@@ -189,37 +317,11 @@ func (s *Server) ServeLines(ctx context.Context, r io.Reader, w io.Writer) error
 		}()
 	}
 
-	bw := bufio.NewWriterSize(w, 64<<10)
-	order := make(chan chan []byte, s.queue)
-	writerDone := make(chan error, 1)
-	go func() {
-		var err error
-		for promise := range order {
-			resp := <-promise
-			if err != nil {
-				continue // keep draining promises after a write error
-			}
-			if _, werr := bw.Write(resp); werr != nil {
-				err = werr
-				continue
-			}
-			if werr := bw.WriteByte('\n'); werr != nil {
-				err = werr
-				continue
-			}
-			if len(order) == 0 {
-				if werr := bw.Flush(); werr != nil {
-					err = werr
-				}
-			}
-		}
-		if err == nil {
-			err = bw.Flush()
-		}
-		writerDone <- err
-	}()
+	c := &conn{s: s, r: r, bw: bufio.NewWriterSize(w, 64<<10), order: make(chan slot, s.queue)}
+	writerDone := make(chan struct{})
+	go c.writeLoop(writerDone)
 
-	sc := lineio.NewScanner(r)
+	sc := lineio.NewScanner(c)
 	drainAnswers := 0
 	for sc.Scan() {
 		if ctx.Err() != nil {
@@ -239,26 +341,30 @@ func (s *Server) ServeLines(ctx context.Context, r io.Reader, w io.Writer) error
 				break
 			}
 			drainAnswers++
-			s.reject(order, raw, errDraining)
+			c.reject(raw, errDraining)
 			continue
 		}
 		if s.cfg.MaxInflight > 0 && s.admitted.Load() >= int64(s.cfg.MaxInflight) {
-			s.reject(order, raw, errOverloaded)
+			c.reject(raw, errOverloaded)
 			continue
 		}
 		s.admitted.Add(1)
-		line := make([]byte, len(raw))
-		copy(line, raw)
-		promise := make(chan []byte, 1)
-		order <- promise
+		if c.inline(ctx, raw) {
+			s.admitted.Add(-1)
+			continue
+		}
+		line := bytes.Clone(raw)
+		pending := make(chan []byte, 1)
+		c.enqueue(slot{pending: pending})
 		s.workers.Submit(func() {
 			defer s.admitted.Add(-1)
-			promise <- s.handleLine(ctx, line)
+			pending <- s.handleLine(ctx, line)
 		})
 	}
 	readErr := sc.Err()
-	close(order)
-	writeErr := <-writerDone
+	close(c.order)
+	<-writerDone
+	writeErr := c.bw.Flush()
 
 	if readErr != nil && s.draining() {
 		readErr = nil // the deadline poke that unblocked the read
@@ -330,22 +436,8 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// reject answers a line without admitting it to the worker pool: the id is
-// recovered from the raw bytes (best effort — an unparsable line rejects
-// with id 0) and the coded error resolves through the ordered-response
-// queue, so rejections interleave in request order with real responses.
-func (s *Server) reject(order chan chan []byte, raw []byte, pe *protoError) {
-	var hdr struct {
-		ID int64 `json:"id"`
-	}
-	_ = json.Unmarshal(raw, &hdr)
-	s.stats.reject()
-	promise := make(chan []byte, 1)
-	promise <- errorResponse(hdr.ID, pe)
-	order <- promise
-}
-
-// handleLine dispatches one request line and records its latency.
+// handleLine decodes and answers one line on a pool worker and records its
+// latency.
 func (s *Server) handleLine(ctx context.Context, line []byte) []byte {
 	start := time.Now()
 	resp, failed := s.dispatch(ctx, line)
@@ -382,32 +474,46 @@ func (s *Server) dispatch(ctx context.Context, line []byte) ([]byte, bool) {
 	if err := json.Unmarshal(line, &req); err != nil {
 		return errorResponse(0, fmt.Errorf("parse: %w", err)), true
 	}
-	rctx, cancel := s.requestCtx(ctx, &req)
+	if s.testHold != nil {
+		s.testHold(req.Op)
+	}
+	return s.answer(ctx, nil, &req, false)
+}
+
+// answer runs one decoded request and returns its response appended to dst;
+// the bool reports failure. It is the one place a verb is given its deadline
+// budget, validated and executed, whichever decoder read the line and
+// whichever goroutine runs it. inline is set by the reader goroutine, which
+// only brings flat verbs: a verb that would have to build a model or compile
+// an engine then returns nil instead, and the line is run again from the
+// pool.
+func (s *Server) answer(ctx context.Context, dst []byte, req *Request, inline bool) ([]byte, bool) {
+	rctx, cancel := s.requestCtx(ctx, req)
 	if cancel != nil {
 		defer cancel()
 	}
-	// A line whose budget expired while it sat in the queue is answered
-	// with the coded deadline error before any work starts.
+	// A line whose budget is already spent is answered with the coded
+	// deadline error before any work starts.
 	if err := rctx.Err(); err != nil {
-		return errorResponse(req.ID, wireError(req.Op, err)), true
+		return appendError(dst, req.ID, wireError(req.Op, err)), true
 	}
 	switch req.Op {
 	case "ping":
-		return append(appendHeader(nil, req.ID, true), '}'), false
+		return append(appendHeader(dst, req.ID, true), '}'), false
 	case "wctt":
-		return s.wcttOne(&req)
+		return s.wcttOne(dst, req, inline)
 	case "batch":
-		return s.wcttBatch(rctx, &req)
+		return s.wcttBatch(rctx, req)
 	case "wcet":
-		return s.wcetOne(&req)
+		return s.wcetOne(dst, req, inline)
 	case "wcet-batch":
-		return s.wcetBatch(rctx, &req)
+		return s.wcetBatch(rctx, req)
 	case "scenario":
-		return s.scenarioOp(rctx, &req)
+		return s.scenarioOp(rctx, req)
 	case "stats":
-		return s.statsOp(&req)
+		return s.statsOp(req)
 	default:
-		return errorResponse(req.ID, fmt.Errorf("unknown op %q", req.Op)), true
+		return appendError(dst, req.ID, fmt.Errorf("unknown op %q", req.Op)), true
 	}
 }
 
@@ -441,14 +547,14 @@ func meshOnly(verb string, ts mesh.TopoSpec) error {
 	return nil
 }
 
-// wcttOne answers the wctt verb.
-func (s *Server) wcttOne(req *Request) ([]byte, bool) {
+// wcttOne answers the wctt verb (see answer for dst and inline).
+func (s *Server) wcttOne(dst []byte, req *Request, inline bool) ([]byte, bool) {
 	design, dim, ts, err := queryTarget(req)
 	if err != nil {
-		return errorResponse(req.ID, err), true
+		return appendError(dst, req.ID, err), true
 	}
 	if req.Src == nil || req.Dst == nil {
-		return errorResponse(req.ID, errors.New("wctt: src and dst are required")), true
+		return appendError(dst, req.ID, errors.New("wctt: src and dst are required")), true
 	}
 	payload := req.PayloadBits
 	if payload <= 0 {
@@ -456,17 +562,22 @@ func (s *Server) wcttOne(req *Request) ([]byte, bool) {
 	}
 	p := analysis.DefaultParams(dim)
 	p.Topo = ts
-	m, err := scenario.SharedModel(p)
-	if err != nil {
-		return errorResponse(req.ID, err), true
+	var m *analysis.Model
+	if inline {
+		var ok bool
+		if m, ok = scenario.CachedModel(p); !ok {
+			return nil, false
+		}
+	} else if m, err = scenario.SharedModel(p); err != nil {
+		return appendError(dst, req.ID, err), true
 	}
 	c, err := m.MessageWCTT(design,
 		mesh.Node{X: req.Src.X, Y: req.Src.Y}, mesh.Node{X: req.Dst.X, Y: req.Dst.Y}, payload)
 	if err != nil {
-		return errorResponse(req.ID, err), true
+		return appendError(dst, req.ID, err), true
 	}
 	s.stats.queries.Add(1)
-	return appendCycles(nil, req.ID, c), false
+	return appendCycles(dst, req.ID, c), false
 }
 
 // wcttBatch answers the batch verb: a vector of WCTT queries sharing one
@@ -536,32 +647,37 @@ func (s *Server) engineFor(dim mesh.Dim, maxPacketFlits int) (*wcet.Engine, erro
 	return e, err
 }
 
-// wcetOne answers the wcet verb.
-func (s *Server) wcetOne(req *Request) ([]byte, bool) {
+// wcetOne answers the wcet verb (see answer for dst and inline).
+func (s *Server) wcetOne(dst []byte, req *Request, inline bool) ([]byte, bool) {
 	design, dim, ts, err := queryTarget(req)
 	if err != nil {
-		return errorResponse(req.ID, err), true
+		return appendError(dst, req.ID, err), true
 	}
 	if err := meshOnly("wcet", ts); err != nil {
-		return errorResponse(req.ID, err), true
+		return appendError(dst, req.ID, err), true
 	}
 	if req.Core == nil {
-		return errorResponse(req.ID, errors.New("wcet: core is required")), true
+		return appendError(dst, req.ID, errors.New("wcet: core is required")), true
 	}
 	b, err := workload.BenchmarkByName(req.Workload)
 	if err != nil {
-		return errorResponse(req.ID, err), true
+		return appendError(dst, req.ID, err), true
 	}
-	eng, err := s.engineFor(dim, req.MaxPacketFlits)
-	if err != nil {
-		return errorResponse(req.ID, err), true
+	var eng *wcet.Engine
+	if inline {
+		var ok bool
+		if eng, ok = scenario.PlatformFor(dim).CachedEngine(req.MaxPacketFlits); !ok {
+			return nil, false
+		}
+	} else if eng, err = s.engineFor(dim, req.MaxPacketFlits); err != nil {
+		return appendError(dst, req.ID, err), true
 	}
 	c, err := eng.BenchmarkWCET(design, mesh.Node{X: req.Core.X, Y: req.Core.Y}, b)
 	if err != nil {
-		return errorResponse(req.ID, err), true
+		return appendError(dst, req.ID, err), true
 	}
 	s.stats.queries.Add(1)
-	return appendCycles(nil, req.ID, c), false
+	return appendCycles(dst, req.ID, c), false
 }
 
 // wcetBatch answers the wcet-batch verb: per-core WCET estimates sharing

@@ -95,6 +95,18 @@ func (p Platform) EngineWithMaxPacket(maxPacketFlits int) (*Engine, error) {
 	return cached.(*Engine), nil
 }
 
+// CachedEngine returns the engine EngineWithMaxPacket would, only if it is
+// already compiled (counted as a hit; a miss is left for the compiling call
+// to count).
+func (p Platform) CachedEngine(maxPacketFlits int) (*Engine, bool) {
+	cached, ok := engineCache.Load(engineKey{p: p, l: maxPacketFlits})
+	if !ok {
+		return nil, false
+	}
+	engineHits.Add(1)
+	return cached.(*Engine), true
+}
+
 // Platform returns the platform the engine was compiled from.
 func (e *Engine) Platform() Platform { return e.p }
 
