@@ -123,14 +123,23 @@
 // with a row stride padded by a cache line, so a destination's W writes do
 // not alias in one cache set and the block, never an N^2 table, is the
 // working set — and hands it to the consumer (the summary folds its rows,
-// the table kernel copies them). The WaW bound is source-major outright:
-// its per-hop slot terms compose additively while the packet-count
-// finishing term reads only the running output-share maximum and is
-// applied on a copy. The O(N^2 * hops) all-pairs loop becomes amortized
-// O(1) per pair with results bit-identical by construction (the identical
-// saturating-arithmetic sequence, no reassociation); the route walk is the
-// kernels' oracle across designs, dims and concentrated meshes
-// (kernel_test.go). SummarizeOneFlitWCTT, the wcet engine's round-trip UBD
+// the table kernel copies them). The arithmetic under every bound is two
+// divide-free primitives, a bits.Mul64 and a bits.Add64 clamped at 2^64-1,
+// and a clamped total is absorbing, so a regular sweep that carries a
+// saturated total onwards fills the rest of its direction instead of
+// computing it (most flows from 48x48 up). The WaW bound is source-major
+// outright: its per-hop slot terms compose additively — each depends only
+// on the router output and the slot size, so a kernel call tabulates them
+// once (five planes of N words) and a source's sweep walks the destination
+// rows outwards from its own, one carried (total, maxShare) state per
+// column, reading and writing every array contiguously — while the
+// packet-count finishing term reads only the running output-share maximum
+// and is applied on a copy. The O(N^2 * hops) all-pairs loop becomes
+// amortized O(1) per pair with results bit-identical by construction (the
+// identical saturating-arithmetic sequence, no reassociation); the route
+// walk is the kernels' oracle across designs, dims and concentrated meshes
+// (kernel_test.go), and the divide-based primitives are the oracle of the
+// new ones (reference_test.go, FuzzSaturatingOps). SummarizeOneFlitWCTT, the wcet engine's round-trip UBD
 // precomputation (AllCoresRoundTripUBD row sweeps, Engine.WCETMap) and the
 // wctt/wcet-map scenario modes run on the kernels, extending the
 // analytical sweep axes to 48x48 and 64x64 — where the regular bound

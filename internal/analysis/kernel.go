@@ -36,6 +36,13 @@ package analysis
 //     is the working set; consumers read its rows contiguously and it is
 //     reused for the next mesh row.
 //
+//     Saturation cuts the sweeps short. The regular bound compounds
+//     multiplicatively and overflows 64 bits on routes of a few dozen hops;
+//     the saturating arithmetic is absorbing (saturatingMul in wctt.go), so a
+//     run that carries in a saturated total fills the rest of its direction
+//     instead of computing it (regularRowRun) — on 48x48 and 64x64 meshes
+//     most flows.
+//
 //   - The WaW guaranteed-bandwidth bound accumulates source-first (X segment
 //     from the source, then the Y segment down the destination column, then
 //     ejection), so pairs with the same SOURCE share prefixes and the kernel
@@ -44,12 +51,24 @@ package analysis
 //     max, so both extend hop-by-hop; the per-destination remainder is the
 //     ejection hop plus the (P-1)*maxShare*slot + 1 admission term, applied
 //     on a copy. This is why WaW slot terms compose: each hop contributes
-//     (O_j-1)*m + R independently of every other hop, and the admission term
-//     reads only the running maximum.
+//     (O_j-1)*slot + R independently of every other hop, and the admission
+//     term reads only the running maximum.
+//
+//     That per-hop term depends on the router output and the slot size alone,
+//     so a kernel call first tabulates it for every router output (newWaWWork,
+//     five planes of N words, 160 KiB at 64x64) and the sweeps add table
+//     entries instead of redoing the multiply per flow. A source's sweep
+//     (wawSourceSweep) first folds the X hops of its own row into one state
+//     per turn column, then walks the destination rows outwards from its own
+//     — downwards, then upwards — extending all W column states by one Y hop
+//     and finishing the W destinations of the row in the same pass. Every
+//     array a row step touches (hop-cost and share planes, the column states,
+//     the output row) is read or written at consecutive addresses.
 //
 // Because the carried state is the exact fold state of the per-pair loops,
 // every pair's value is produced by the IDENTICAL sequence of saturatingAdd/
-// saturatingMul applications as RegularPacketWCTT/WaWPacketWCTT — the
+// saturatingMul applications as RegularPacketWCTT/WaWPacketWCTT (or, past
+// saturation, is the MaxUint64 that sequence is bound to yield) — the
 // kernels are byte-identical to the per-pair path by construction, and the
 // equivalence tests in kernel_test.go pin it. Total work is O(N^2): amortized
 // O(1) per pair (one hop extension + the finishing terms).
@@ -63,7 +82,9 @@ package analysis
 // skipped (summaries).
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -127,67 +148,66 @@ func (m *Model) identityTopo() bool { return m.rdim == m.p.Dim }
 // route part nearest the destination. Only the contender size L enters; the
 // analysed packet's own size is a finishing term of the row sweep.
 func (m *Model) regularColStates(col []uint64, rd mesh.Node, L uint64) {
-	H := uint64(m.p.HeaderOverhead)
-	R := uint64(m.p.RouterLatency)
+	H, R := uint64(m.p.HeaderOverhead), uint64(m.p.RouterLatency)
 	W, Ht := m.rdim.Width, m.rdim.Height
-
 	// Seed the fold with the ejection hop at the destination router — the
 	// prefix every source shares; sources in the destination row use it as is.
-	var t0, i0 uint64 = 0, 1
-	{
-		c := m.contender[rd.Y*W+rd.X][mesh.Local]
-		wait := saturatingMul(c-1, saturatingAdd(H, saturatingMul(L, i0)))
-		t0 = saturatingAdd(t0, saturatingAdd(wait, R))
-		i0 = saturatingMul(c, i0)
-	}
+	c0 := m.contender[mesh.Local][rd.Y*W+rd.X]
+	t0, i0 := saturatingAdd(regularWait(1, c0, H, L), R), c0
 	col[2*rd.Y], col[2*rd.Y+1] = t0, i0
 	// Sources above the destination (rs.Y < rd.Y) travel YPlus down the
-	// destination column: extend the fold by the hop at each row on the way.
-	t, iv := t0, i0
-	for y := rd.Y - 1; y >= 0; y-- {
-		c := m.contender[y*W+rd.X][mesh.YPlus]
-		wait := saturatingMul(c-1, saturatingAdd(H, saturatingMul(L, iv)))
-		t = saturatingAdd(t, saturatingAdd(wait, R))
-		iv = saturatingMul(c, iv)
-		col[2*y], col[2*y+1] = t, iv
+	// destination column, sources below it YMinus: extend the fold by the hop
+	// at each row on the way.
+	run := func(cs []uint64, from, to, step int) {
+		t, iv := t0, i0
+		for y := from; y != to; y += step {
+			// A saturated total is absorbing (see regularRowRun): it stays
+			// MaxUint64 and the interval beside it is never read again.
+			if t != math.MaxUint64 {
+				c := cs[y*W+rd.X]
+				t, iv = saturatingAdd(t, saturatingAdd(regularWait(iv, c, H, L), R)), saturatingMul(c, iv)
+			}
+			col[2*y], col[2*y+1] = t, iv
+		}
 	}
-	// Sources below the destination travel YMinus.
-	t, iv = t0, i0
-	for y := rd.Y + 1; y < Ht; y++ {
-		c := m.contender[y*W+rd.X][mesh.YMinus]
-		wait := saturatingMul(c-1, saturatingAdd(H, saturatingMul(L, iv)))
-		t = saturatingAdd(t, saturatingAdd(wait, R))
-		iv = saturatingMul(c, iv)
-		col[2*y], col[2*y+1] = t, iv
-	}
+	run(m.contender[mesh.YPlus], rd.Y-1, -1, -1)
+	run(m.contender[mesh.YMinus], rd.Y+1, Ht, 1)
 }
 
 // regularRowSweep extends one column state (tC, iC) of destination column
 // rdX along source row y, finishing one source per X hop in both directions:
 // the source at column x lands in out[x*stride].
 func (m *Model) regularRowSweep(out []uint64, stride, y, rdX int, tC, iC, S, L uint64) {
-	H := uint64(m.p.HeaderOverhead)
-	R := uint64(m.p.RouterLatency)
-	row := m.contender[y*m.rdim.Width:][:m.rdim.Width]
+	W := m.rdim.Width
 	// The source in the destination column finishes from the column state.
-	out[rdX*stride] = saturatingAdd(saturatingAdd(tC, saturatingMul(S-1, iC)), 1)
-	// Sources left of the destination column travel XPlus along row y.
-	t, iv := tC, iC
-	for x := rdX - 1; x >= 0; x-- {
-		c := row[x][mesh.XPlus]
-		wait := saturatingMul(c-1, saturatingAdd(H, saturatingMul(L, iv)))
-		t = saturatingAdd(t, saturatingAdd(wait, R))
-		iv = saturatingMul(c, iv)
-		out[x*stride] = saturatingAdd(saturatingAdd(t, saturatingMul(S-1, iv)), 1)
+	out[rdX*stride] = regularFinish(tC, iC, S)
+	// Sources left of the destination column travel XPlus along row y,
+	// sources right of it XMinus.
+	m.regularRowRun(out, stride, m.contender[mesh.XPlus][y*W:][:W], rdX-1, -1, -1, tC, iC, S, L)
+	m.regularRowRun(out, stride, m.contender[mesh.XMinus][y*W:][:W], rdX+1, W, 1, tC, iC, S, L)
+}
+
+// regularRowRun extends the state (t, iv) by the hop at each column from,
+// from+step, … (to excluded) of one router row, cs holding the row's
+// contender counts in the travel direction, and finishes one source per hop.
+//
+// The saturating arithmetic is absorbing (saturatingMul): once the carried
+// total is MaxUint64, every later total of the run is MaxUint64 whatever the
+// hops contribute, and so is every finished bound — regularFinish only adds
+// to the total. The run therefore stops doing arithmetic at the first source
+// whose carried-in total is saturated and fills the rest. Not one hop
+// earlier: the source whose own hop saturates the total is still computed,
+// because its predecessor's total was finite.
+func (m *Model) regularRowRun(out []uint64, stride int, cs []uint64, from, to, step int, t, iv, S, L uint64) {
+	H, R := uint64(m.p.HeaderOverhead), uint64(m.p.RouterLatency)
+	x := from
+	for ; x != to && t != math.MaxUint64; x += step {
+		c := cs[x]
+		t, iv = saturatingAdd(t, saturatingAdd(regularWait(iv, c, H, L), R)), saturatingMul(c, iv)
+		out[x*stride] = regularFinish(t, iv, S)
 	}
-	// Sources right of the destination column travel XMinus.
-	t, iv = tC, iC
-	for x := rdX + 1; x < len(row); x++ {
-		c := row[x][mesh.XMinus]
-		wait := saturatingMul(c-1, saturatingAdd(H, saturatingMul(L, iv)))
-		t = saturatingAdd(t, saturatingAdd(wait, R))
-		iv = saturatingMul(c, iv)
-		out[x*stride] = saturatingAdd(saturatingAdd(t, saturatingMul(S-1, iv)), 1)
+	for ; x != to; x += step {
+		out[x*stride] = math.MaxUint64
 	}
 }
 
@@ -225,8 +245,9 @@ const blockPad = 8
 // one entry per source row, so consecutive destinations write the same W
 // cache lines and the block, not an N^2 table, is the working set. Endpoint
 // index order visits the router rows in ascending order, so each block is
-// filled once.
-func (m *Model) regularSourceRows(S, L uint64, visit func(si int, row []uint64)) {
+// filled once. ctx is polled once per router row; a cancelled sweep returns
+// its error with the remaining rows unvisited.
+func (m *Model) regularSourceRows(ctx context.Context, S, L uint64, visit func(si int, row []uint64)) error {
 	W, Ht := m.rdim.Width, m.rdim.Height
 	n, rn := len(m.nodes), W*Ht
 	stride := rn + blockPad
@@ -239,6 +260,9 @@ func (m *Model) regularSourceRows(S, L uint64, visit func(si int, row []uint64))
 	}
 	si := 0
 	for y := 0; y < Ht; y++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		for rdIdx := 0; rdIdx < rn; rdIdx++ {
 			st := col[2*(Ht*rdIdx+y):]
 			m.regularRowSweep(block[rdIdx:], stride, y, rdIdx%W, st[0], st[1], S, L)
@@ -252,83 +276,114 @@ func (m *Model) regularSourceRows(S, L uint64, visit func(si int, row []uint64))
 			visit(si, row)
 		}
 	}
+	return nil
 }
+
+// wawWork is the working memory of the guaranteed-bandwidth sweeps of one
+// kernel call, carved from one pooled buffer so that a call costs one pool
+// round trip however many sources it sweeps.
+type wawWork struct {
+	buf  *[]uint64
+	slot uint64 // the arbitration slot size, in flits, the costs are for
+	// cost tabulates wawHopCost of every router output for that slot size in
+	// NumDirections planes of one entry per router — cost[out*rn+idx], the
+	// layout of outShare — once per call instead of once per flow crossing
+	// the port; the Local plane is the ejection term of each destination.
+	cost []uint64
+	// state is 4W words: the row state and the column states of the sweep in
+	// progress. rrow is a router row (expanded to endpoints on the
+	// concentrated meshes) and row an endpoint row for streaming callers.
+	state, rrow, row []uint64
+}
+
+func (m *Model) newWaWWork(slot uint64) wawWork {
+	R := uint64(m.p.RouterLatency)
+	W, rn, n := m.rdim.Width, m.rdim.Nodes(), len(m.nodes)
+	w := wawWork{buf: getScratch(mesh.NumDirections*rn + 4*W + rn + n), slot: slot}
+	rest := *w.buf
+	w.cost, rest = rest[:mesh.NumDirections*rn], rest[mesh.NumDirections*rn:]
+	w.state, rest = rest[:4*W], rest[4*W:]
+	w.rrow, w.row = rest[:rn], rest[rn:]
+	for out, shares := range m.outShare {
+		for idx, o := range shares {
+			w.cost[out*rn+idx] = wawHopCost(o, slot, R)
+		}
+	}
+	return w
+}
+
+func (w wawWork) release() { putScratch(w.buf) }
 
 // wawSourceSweep runs the source-major prefix-sharing sweep of the
-// guaranteed-bandwidth bound for one source router rs: it writes the bound
-// of a message of P packets of slot flits to EVERY destination router into
-// out (indexed by dense router index, len >= router count), including the
-// rs entry (the ejection-only route).
-func (m *Model) wawSourceSweep(out []uint64, rs mesh.Node, P, slot uint64) {
-	W := m.rdim.Width
-	// Destinations in the source column share the empty prefix.
-	m.wawColSweep(out, rs.X, rs, 0, 1, P, slot)
-	// Destination columns right of the source: extend the row state by one
-	// XPlus hop per column crossed.
-	R := uint64(m.p.RouterLatency)
-	var t uint64 = 0
-	var sh uint64 = 1
-	for cx := rs.X + 1; cx < W; cx++ {
-		o := m.outShare[rs.Y*W+cx-1][mesh.XPlus]
-		if o > sh {
-			sh = o
-		}
-		t = saturatingAdd(t, saturatingAdd(saturatingMul(o-1, slot), R))
-		m.wawColSweep(out, cx, rs, t, sh, P, slot)
-	}
-	// Destination columns left of the source travel XMinus.
-	t, sh = 0, 1
-	for cx := rs.X - 1; cx >= 0; cx-- {
-		o := m.outShare[rs.Y*W+cx+1][mesh.XMinus]
-		if o > sh {
-			sh = o
-		}
-		t = saturatingAdd(t, saturatingAdd(saturatingMul(o-1, slot), R))
-		m.wawColSweep(out, cx, rs, t, sh, P, slot)
-	}
-}
-
-// wawColSweep extends one turn-column state (tR, shR) of wawSourceSweep down
-// destination column cx, finishing one destination per Y hop in both
-// directions.
-func (m *Model) wawColSweep(out []uint64, cx int, rs mesh.Node, tR, shR, P, slot uint64) {
-	R := uint64(m.p.RouterLatency)
+// guaranteed-bandwidth bound for one source router rs over the hop costs of
+// w: it writes the bound of a message of P packets of w.slot flits to EVERY
+// destination router into out (indexed by dense router index, len >= router
+// count), including the rs entry (the ejection-only route).
+//
+// Destinations are finished a router row at a time. The carried state is one
+// (total, maxShare) pair per destination column — the fold over the route
+// prefix that ends in the current row of that column — so a row step reads
+// one row of each hop plane and writes one row of bounds, all contiguous.
+func (m *Model) wawSourceSweep(out []uint64, w wawWork, rs mesh.Node, P uint64) {
 	W, Ht := m.rdim.Width, m.rdim.Height
-	// The destination in the source row finishes from the row state.
-	out[rs.Y*W+cx] = m.wawFinish(rs.Y*W+cx, tR, shR, P, slot)
-	// Destinations below the source row travel YPlus.
-	t, sh := tR, shR
-	for y := rs.Y + 1; y < Ht; y++ {
-		o := m.outShare[(y-1)*W+cx][mesh.YPlus]
-		if o > sh {
-			sh = o
-		}
-		t = saturatingAdd(t, saturatingAdd(saturatingMul(o-1, slot), R))
-		out[y*W+cx] = m.wawFinish(y*W+cx, t, sh, P, slot)
+	rn, base, slot := W*Ht, rs.Y*W, w.slot
+	plane := func(out mesh.Direction) []uint64 { return w.cost[int(out)*rn:][:rn] }
+	rowT, rowSh, t, sh := w.state[:W], w.state[W:2*W], w.state[2*W:3*W], w.state[3*W:]
+	// The row state: destinations in the source column share the empty
+	// prefix, turn columns right of the source extend it by one XPlus hop per
+	// column crossed, turn columns left of it by XMinus hops.
+	rowT[rs.X], rowSh[rs.X] = 0, 1
+	xp, xpSh := plane(mesh.XPlus)[base:], m.outShare[mesh.XPlus][base:]
+	for cx := rs.X + 1; cx < W; cx++ {
+		rowT[cx], rowSh[cx] = saturatingAdd(rowT[cx-1], xp[cx-1]), max(rowSh[cx-1], xpSh[cx-1])
 	}
-	// Destinations above the source row travel YMinus.
-	t, sh = tR, shR
-	for y := rs.Y - 1; y >= 0; y-- {
-		o := m.outShare[(y+1)*W+cx][mesh.YMinus]
-		if o > sh {
-			sh = o
+	xm, xmSh := plane(mesh.XMinus)[base:], m.outShare[mesh.XMinus][base:]
+	for cx := rs.X - 1; cx >= 0; cx-- {
+		rowT[cx], rowSh[cx] = saturatingAdd(rowT[cx+1], xm[cx+1]), max(rowSh[cx+1], xmSh[cx+1])
+	}
+	// Destinations in the source row finish from the row state; rows below
+	// extend a copy of it by the YPlus hop out of the row above, rows above
+	// by the YMinus hop out of the row below.
+	ej, ejSh := plane(mesh.Local), m.outShare[mesh.Local]
+	wawFinishRow(out[base:base+W], rowT, rowSh, ej[base:], ejSh[base:], P, slot)
+	rows := func(dir mesh.Direction, to, step int) {
+		copy(t, rowT)
+		copy(sh, rowSh)
+		hop, hopSh := plane(dir), m.outShare[dir]
+		for y := rs.Y + step; y != to; y += step {
+			prev := (y - step) * W
+			wawStepRow(out[y*W:y*W+W], t, sh, hop[prev:], hopSh[prev:], ej[y*W:], ejSh[y*W:], P, slot)
 		}
-		t = saturatingAdd(t, saturatingAdd(saturatingMul(o-1, slot), R))
-		out[y*W+cx] = m.wawFinish(y*W+cx, t, sh, P, slot)
+	}
+	rows(mesh.YPlus, Ht, 1)
+	rows(mesh.YMinus, -1, -1)
+}
+
+// wawFinishRow finishes one row of destinations, one per column, from the
+// carried per-column states (t, sh): the ejection hop (cost ej, share ejSh)
+// and the admission term, applied on a copy.
+func wawFinishRow(out, t, sh, ej, ejSh []uint64, P, slot uint64) {
+	for cx := range out {
+		total := saturatingAdd(t[cx], ej[cx])
+		total = saturatingAdd(total, wawAdmission(max(sh[cx], ejSh[cx]), P, slot))
+		out[cx] = saturatingAdd(total, 1)
 	}
 }
 
-// wawFinish closes the guaranteed-bandwidth fold at destination router idx:
-// the ejection hop plus the admission term, applied on a copy of the carried
-// state (t, sh).
-func (m *Model) wawFinish(idx int, t, sh, P, slot uint64) uint64 {
-	o := m.outShare[idx][mesh.Local]
-	if o > sh {
-		sh = o
+// wawStepRow extends the per-column states in place by one Y hop each — hop
+// and hopSh are that hop's cost and output share at each column — and
+// finishes the row they now end in: wawFinishRow fused into the extension
+// loop, so a flow costs one pass over the row, not two.
+func wawStepRow(out, t, sh, hop, hopSh, ej, ejSh []uint64, P, slot uint64) {
+	n := len(out) // one length for every row: no bounds check per flow
+	t, sh, hop, hopSh, ej, ejSh = t[:n], sh[:n], hop[:n], hopSh[:n], ej[:n], ejSh[:n]
+	for cx := range out {
+		total, share := saturatingAdd(t[cx], hop[cx]), max(sh[cx], hopSh[cx])
+		t[cx], sh[cx] = total, share
+		total = saturatingAdd(total, ej[cx])
+		total = saturatingAdd(total, wawAdmission(max(share, ejSh[cx]), P, slot))
+		out[cx] = saturatingAdd(total, 1)
 	}
-	t = saturatingAdd(t, saturatingAdd(saturatingMul(o-1, slot), uint64(m.p.RouterLatency)))
-	t = saturatingAdd(t, saturatingMul(P-1, saturatingMul(sh, slot)))
-	return saturatingAdd(t, 1)
 }
 
 // expandRow maps a row of bounds indexed by router (the far ends of the
@@ -341,18 +396,16 @@ func (m *Model) expandRow(out, row []uint64) {
 
 // wawSourceRow fills out (endpoint-indexed) with the guaranteed-bandwidth
 // bound from endpoint src to every endpoint: one source-major sweep, written
-// in place on the identity topology and expanded from a pooled router row
-// on the concentrated meshes. The src entry is the ejection-only route.
-func (m *Model) wawSourceRow(out []uint64, src mesh.Node, P, slot uint64) {
+// in place on the identity topology and expanded from w's router row on the
+// concentrated meshes. The src entry is the ejection-only route.
+func (m *Model) wawSourceRow(out []uint64, w wawWork, src mesh.Node, P uint64) {
 	rs := m.topo.RouterOf(src)
 	if m.identityTopo() {
-		m.wawSourceSweep(out, rs, P, slot)
+		m.wawSourceSweep(out, w, rs, P)
 		return
 	}
-	rowp := getScratch(m.rdim.Nodes())
-	m.wawSourceSweep(*rowp, rs, P, slot)
-	m.expandRow(out, *rowp)
-	putScratch(rowp)
+	m.wawSourceSweep(w.rrow, w, rs, P)
+	m.expandRow(out, w.rrow)
 }
 
 // AllPairsRegularPacketWCTT fills buf (reused when its capacity suffices)
@@ -368,10 +421,10 @@ func (m *Model) AllPairsRegularPacketWCTT(packetFlits, contenderFlits int, buf [
 	n := len(m.nodes)
 	buf = ensureTable(buf, n*n)
 	kernelAllPairsRuns.Add(1)
-	m.regularSourceRows(uint64(packetFlits), uint64(contenderFlits), func(si int, row []uint64) {
+	_ = m.regularSourceRows(context.Background(), uint64(packetFlits), uint64(contenderFlits), func(si int, row []uint64) {
 		copy(buf[si*n:], row)
 		buf[si*n+si] = 0
-	})
+	}) // the background context is never cancelled
 	return buf, nil
 }
 
@@ -385,8 +438,10 @@ func (m *Model) AllPairsWaWPacketWCTT(numPackets, slotFlits int, buf []uint64) (
 	n := len(m.nodes)
 	buf = ensureTable(buf, n*n)
 	kernelAllPairsRuns.Add(1)
+	w := m.newWaWWork(uint64(slotFlits))
+	defer w.release()
 	for si, src := range m.nodes {
-		m.wawSourceRow(buf[si*n:si*n+n], src, uint64(numPackets), uint64(slotFlits))
+		m.wawSourceRow(buf[si*n:si*n+n], w, src, uint64(numPackets))
 		buf[si*n+si] = 0
 	}
 	return buf, nil
@@ -482,7 +537,9 @@ func (m *Model) AllDestinationsMessageWCTT(design network.Design, src mesh.Node,
 	srcIdx := src.Y*m.p.Dim.Width + src.X
 	if sh.waw {
 		kernelRowSweeps.Add(1)
-		m.wawSourceRow(buf, src, uint64(sh.a), uint64(sh.b))
+		w := m.newWaWWork(uint64(sh.b))
+		m.wawSourceRow(buf, w, src, uint64(sh.a))
+		w.release()
 		buf[srcIdx] = 0
 		return buf, nil
 	}

@@ -1,6 +1,9 @@
 package analysis
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -55,69 +58,112 @@ func modelsFor(dims []mesh.Dim) []*Model {
 	return models
 }
 
+// wideSlotModel is an 8x8 mesh whose minimum packet is two flits: a 512-bit
+// WaW+WaP message is P = 3 packets of slot = 2 flits, so the (P-1)*maxShare*
+// slot admission term and a hop-cost table with slot > 1 are live through the
+// message-level kernels (on the default link slot is 1 whenever P > 1).
+func wideSlotModel() *Model {
+	p := DefaultParams(mesh.MustDim(8, 8))
+	p.Link.MinPacketFlits = 2
+	return MustNewModel(p)
+}
+
+// saturatingModels are the grids on which the chained-blocking bound
+// overflows 64 bits on the longer routes, so the kernels' saturation cut-off
+// (regularRowRun, regularColStates) decides part of every row: square meshes
+// from 32x32 up, one-dimensional stretches in X (contender count 2 per hop,
+// the slowest compounding) and in Y, a rectangle, and both concentrated
+// meshes on 64x64 endpoints. Building them costs milliseconds; only walking
+// all their pairs is expensive, and the callers choose how much of that to do.
+func saturatingModels() []*Model {
+	var models []*Model
+	for _, d := range []mesh.Dim{mesh.MustDim(64, 3), mesh.MustDim(3, 64), mesh.MustDim(32, 32), mesh.MustDim(32, 64),
+		mesh.MustDim(48, 48), mesh.MustDim(64, 64)} {
+		models = append(models, MustNewModel(DefaultParams(d)))
+	}
+	for _, conc := range []int{2, 4} {
+		p := DefaultParams(mesh.MustDim(64, 64))
+		p.Topo = mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: conc}
+		models = append(models, MustNewModel(p))
+	}
+	return models
+}
+
+// compareTable checks an all-pairs table against the per-pair bound want:
+// every entry bit-identical, self-flow entries 0.
+func compareTable(t *testing.T, m *Model, what string, tab []uint64, want func(src, dst mesh.Node) (uint64, error)) {
+	t.Helper()
+	nodes := m.Params().Dim.AllNodes()
+	n := len(nodes)
+	for si, src := range nodes {
+		for di, dst := range nodes {
+			var ref uint64
+			if src != dst {
+				var err error
+				if ref, err = want(src, dst); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := tab[si*n+di]; got != ref {
+				t.Fatalf("%v %v %s %v->%v: kernel %d != pairwise %d", m.Params().Topo, m.Params().Dim, what, src, dst, got, ref)
+			}
+		}
+	}
+}
+
 // TestAllPairsMatchesPairwise pins every entry of the all-pairs kernel
 // tables bit-identical to the per-pair route walk, across designs, dims
 // and topologies, for both the one-flit (Table II) configuration and
 // realistic message payloads.
 func TestAllPairsMatchesPairwise(t *testing.T) {
 	payloads := []int{48, 512}
-	for _, m := range kernelModels(t) {
-		d := m.Params().Dim
-		n := d.Nodes()
-		nodes := d.AllNodes()
-		var buf []uint64
+	// Beside the kernel matrix: the wide-slot link, the two saturating
+	// stretches (cheap at 192 nodes) and, outside -short, a 32x32 mesh whose
+	// corner-to-corner region is filled by the cut-off, not computed.
+	models := append(kernelModels(t), wideSlotModel(),
+		MustNewModel(DefaultParams(mesh.MustDim(64, 3))), MustNewModel(DefaultParams(mesh.MustDim(3, 64))))
+	if !testing.Short() {
+		models = append(models, MustNewModel(DefaultParams(mesh.MustDim(32, 32))))
+	}
+	var buf []uint64
+	for _, m := range models {
 		for _, design := range allDesigns {
 			var err error
-			buf, err = m.AllPairsOneFlitWCTT(design, buf)
-			if err != nil {
+			if buf, err = m.AllPairsOneFlitWCTT(design, buf); err != nil {
 				t.Fatal(err)
 			}
-			for si, src := range nodes {
-				for di, dst := range nodes {
-					got := buf[si*n+di]
-					if src == dst {
-						if got != 0 {
-							t.Fatalf("%v %v %v: self-flow entry %v->%v = %d, want 0", m.Params().Topo, d, design, src, dst, got)
-						}
-						continue
-					}
-					want, err := m.FlowWCTTOneFlit(design, src, dst)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want {
-						t.Fatalf("%v %v %v one-flit %v->%v: kernel %d != pairwise %d",
-							m.Params().Topo, d, design, src, dst, got, want)
-					}
-				}
-			}
+			compareTable(t, m, design.String()+" one-flit", buf, func(src, dst mesh.Node) (uint64, error) {
+				return m.FlowWCTTOneFlit(design, src, dst)
+			})
 			for _, bits := range payloads {
-				var err error
-				buf, err = m.AllPairsMessageWCTT(design, bits, buf)
-				if err != nil {
+				if buf, err = m.AllPairsMessageWCTT(design, bits, buf); err != nil {
 					t.Fatal(err)
 				}
-				for si, src := range nodes {
-					for di, dst := range nodes {
-						got := buf[si*n+di]
-						if src == dst {
-							if got != 0 {
-								t.Fatalf("%v %v %v: self-flow entry = %d, want 0", m.Params().Topo, d, design, got)
-							}
-							continue
-						}
-						want, err := m.MessageWCTT(design, src, dst, bits)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got != want {
-							t.Fatalf("%v %v %v message(%d bits) %v->%v: kernel %d != pairwise %d",
-								m.Params().Topo, d, design, bits, src, dst, got, want)
-						}
-					}
-				}
+				compareTable(t, m, fmt.Sprintf("%v message(%d bits)", design, bits), buf, func(src, dst mesh.Node) (uint64, error) {
+					return m.MessageWCTT(design, src, dst, bits)
+				})
 			}
 		}
+		// Packet shapes no default-link message produces: P > 1 together
+		// with slot > 1 (admission term and hop-cost table both scaled), and
+		// a long packet among shorter contenders ((S-1)*interval live).
+		// Mutations these catch: reading a hop cost from the wrong port's
+		// plane (any shape — every output has its own share), and dropping
+		// the slot factor from either the table or the admission term (only
+		// slot > 1, and for the latter only P > 1).
+		var err error
+		if buf, err = m.AllPairsWaWPacketWCTT(5, 3, buf); err != nil {
+			t.Fatal(err)
+		}
+		compareTable(t, m, "WaW P=5 slot=3", buf, func(src, dst mesh.Node) (uint64, error) {
+			return m.WaWPacketWCTT(src, dst, 5, 3)
+		})
+		if buf, err = m.AllPairsRegularPacketWCTT(6, 3, buf); err != nil {
+			t.Fatal(err)
+		}
+		compareTable(t, m, "regular S=6 L=3", buf, func(src, dst mesh.Node) (uint64, error) {
+			return m.RegularPacketWCTT(src, dst, 6, 3)
+		})
 	}
 }
 
@@ -125,7 +171,10 @@ func TestAllPairsMatchesPairwise(t *testing.T) {
 // engine's building blocks) to the per-pair path: fixed-destination rows,
 // fixed-source rows and the combined per-core round-trip UBD row.
 func TestRowKernelsMatchPairwise(t *testing.T) {
-	for _, m := range kernelModels(t) {
+	for _, m := range saturatingModels() {
+		checkSaturationBoundary(t, m)
+	}
+	for _, m := range append(kernelModels(t), wideSlotModel()) {
 		d := m.Params().Dim
 		nodes := d.AllNodes()
 		anchors := []mesh.Node{{X: 0, Y: 0}, {X: d.Width - 1, Y: d.Height - 1}, {X: d.Width / 2, Y: d.Height / 3}}
@@ -192,18 +241,98 @@ func TestRowKernelsMatchPairwise(t *testing.T) {
 	}
 }
 
+// checkSaturationBoundary pins the saturation cut-off of the chained-blocking
+// sweeps where it acts. For destinations at the corners, an edge and the
+// centre it compares the whole fixed-destination row (regularDestSweep: the
+// column states and row runs every regular kernel is made of) with the
+// per-pair walk, and requires the row to contain saturation boundaries — a
+// finite bound next to a MaxUint64 one along a source row (the row runs) or
+// along a source column (the column states) — so the sources around the
+// first saturated one, in both sweep directions, are among those compared.
+//
+// Mutations this catches (each tried by hand): cutting a row run one hop
+// early — treating a total >= 2^63 as saturated — turns the last finite
+// source before a boundary into MaxUint64; dropping the fill loop leaves
+// stale scratch (0 on a fresh buffer) beyond each boundary; the same early
+// cut in regularColStates saturates whole source rows whose column state is
+// still finite (3x64, where the column does the compounding).
+func checkSaturationBoundary(t *testing.T, m *Model) {
+	t.Helper()
+	d := m.Params().Dim
+	nodes := d.AllNodes()
+	boundaries := 0
+	var row []uint64
+	for _, dst := range []mesh.Node{{}, {X: d.Width - 1}, {Y: d.Height - 1}, {X: d.Width - 1, Y: d.Height - 1},
+		{X: d.Width / 2}, {X: d.Width / 2, Y: d.Height / 2}} {
+		for _, design := range []network.Design{network.DesignRegular, network.DesignWaPOnly} {
+			var err error
+			if row, err = m.AllSourcesMessageWCTT(design, dst, 512, row); err != nil {
+				t.Fatal(err)
+			}
+			for i, src := range nodes {
+				if src == dst {
+					continue
+				}
+				want, err := m.MessageWCTT(design, src, dst, 512)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if row[i] != want {
+					t.Fatalf("%v %v %v %v->%v: kernel %d != pairwise %d (saturated: kernel %v, pairwise %v)",
+						m.Params().Topo, d, design, src, dst, row[i], want, row[i] == math.MaxUint64, want == math.MaxUint64)
+				}
+				sat := want == math.MaxUint64
+				if src.X+1 < d.Width && sat != (row[i+1] == math.MaxUint64) {
+					boundaries++
+				}
+				if src.Y+1 < d.Height && sat != (row[i+d.Width] == math.MaxUint64) {
+					boundaries++
+				}
+			}
+		}
+	}
+	if boundaries == 0 {
+		t.Fatalf("%v %v: no saturation boundary in any sampled row; the grid no longer exercises the cut-off", m.Params().Topo, d)
+	}
+}
+
 // summaryModels extends the kernel matrix with the grids where the summary's
 // streaming is most exposed: degenerate 1xN / Nx1 / 1x1 meshes (empty row or
 // column sweeps, no flows at all), a wide rectangle whose source-row blocks
-// are far from square (mesh and both concentrations), and — outside -short —
-// a 32x32 mesh, where most regular bounds saturate at 2^64-1 and the
-// in-order float sum is exactly where a changed fold order would show.
+// are far from square (mesh and both concentrations), the two saturating
+// stretches and — outside -short — a 32x32 mesh, where most regular bounds
+// saturate at 2^64-1 and the in-order float sum is exactly where a changed
+// fold order would show.
 func summaryModels(t *testing.T) []*Model {
 	t.Helper()
 	models := append(kernelModels(t),
-		modelsFor([]mesh.Dim{mesh.MustDim(1, 1), mesh.MustDim(1, 7), mesh.MustDim(7, 1), mesh.MustDim(16, 8)})...)
+		modelsFor([]mesh.Dim{mesh.MustDim(1, 1), mesh.MustDim(1, 7), mesh.MustDim(7, 1), mesh.MustDim(16, 8),
+			mesh.MustDim(64, 3), mesh.MustDim(3, 64)})...)
 	if !testing.Short() {
 		models = append(models, MustNewModel(DefaultParams(mesh.MustDim(32, 32))))
+	}
+	return models
+}
+
+// saturatingSummaryModels are the grids on which the REGULAR summary is
+// checked alone: mostly MaxUint64, so the cut-off fills most of every block.
+// The per-pair oracle walks O(N^2 * hops) hops, so -short samples 32x32 only
+// (summaryModels covers it otherwise) and the full run takes 48x48, 64x64
+// and both concentrations of 32x64 endpoints — except under the race
+// detector, which is 5-10x slower and has nothing to find in single-threaded
+// arithmetic; there the row-level checkSaturationBoundary covers these grids.
+func saturatingSummaryModels() []*Model {
+	if testing.Short() {
+		return []*Model{MustNewModel(DefaultParams(mesh.MustDim(32, 32)))}
+	}
+	if raceEnabled {
+		return nil
+	}
+	models := []*Model{MustNewModel(DefaultParams(mesh.MustDim(48, 48))), MustNewModel(DefaultParams(mesh.MustDim(64, 64)))}
+	for _, conc := range []int{2, 4} {
+		p := DefaultParams(mesh.MustDim(32, 64))
+		p.Topo = mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: conc}
+		models = append(models, MustNewModel(p))
 	}
 	return models
 }
@@ -213,23 +342,74 @@ func summaryModels(t *testing.T) []*Model {
 // which is fold-order-sensitive — to the plain per-pair loop over the route
 // walk across designs, dims and topologies.
 func TestSummarizeMatchesPairwise(t *testing.T) {
-	saturated := false
+	check := func(m *Model, design network.Design) WCTTSummary {
+		t.Helper()
+		fast, err1 := m.SummarizeOneFlitWCTT(design)
+		ref, err2 := pairwiseSummary(m, design)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%v %v %v: errors %v / %v", m.Params().Topo, m.Params().Dim, design, err1, err2)
+		}
+		if fast != ref {
+			t.Fatalf("%v %v %v: kernel summary %+v != pairwise %+v", m.Params().Topo, m.Params().Dim, design, fast, ref)
+		}
+		return fast
+	}
 	for _, m := range summaryModels(t) {
 		for _, design := range allDesigns {
-			fast, err1 := m.SummarizeOneFlitWCTT(design)
-			ref, err2 := pairwiseSummary(m, design)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("%v %v %v: errors %v / %v", m.Params().Topo, m.Params().Dim, design, err1, err2)
-			}
-			if fast != ref {
-				t.Fatalf("%v %v %v: kernel summary %+v != pairwise %+v",
-					m.Params().Topo, m.Params().Dim, design, fast, ref)
-			}
-			saturated = saturated || fast.Max == math.MaxUint64
+			check(m, design)
 		}
 	}
-	if !testing.Short() && !saturated {
-		t.Fatal("no summary saturated; the 32x32 case no longer covers the saturating fold")
+	for _, m := range saturatingSummaryModels() {
+		if s := check(m, network.DesignRegular); s.Max != math.MaxUint64 {
+			t.Fatalf("%v %v: regular summary max %d is not saturated; the grid no longer covers the saturating fold",
+				m.Params().Topo, m.Params().Dim, s.Max)
+		}
+	}
+}
+
+// pollCtx is a context that reports cancellation from its cancelAt-th Err
+// poll on and counts the polls, so a test can cancel a summary at an exact
+// row and see how soon it returned.
+type pollCtx struct {
+	context.Context
+	polls, cancelAt int
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	if c.polls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSummarizeContextCancel: a 64x64 summary polls its context once per row
+// of sources; cancelled halfway it returns at that very poll — within one
+// row's work — with the context's error and no partial result, and the pooled
+// scratch it abandoned serves the next summary unharmed.
+func TestSummarizeContextCancel(t *testing.T) {
+	m := MustNewModel(DefaultParams(mesh.MustDim(64, 64)))
+	for _, design := range []network.Design{network.DesignRegular, network.DesignWaWWaP} {
+		whole := &pollCtx{Context: context.Background(), cancelAt: math.MaxInt}
+		want, err := m.SummarizeOneFlitWCTTContext(whole, design)
+		if err != nil || whole.polls != 64 {
+			t.Fatalf("%v: uncancelled summary: err %v, %d polls (want one per source row, 64)", design, err, whole.polls)
+		}
+		runs, _, _ := KernelCounters()
+		half := &pollCtx{Context: context.Background(), cancelAt: 33}
+		got, err := m.SummarizeOneFlitWCTTContext(half, design)
+		if !errors.Is(err, context.Canceled) || got != (WCTTSummary{}) {
+			t.Fatalf("%v: cancelled summary returned %+v, err %v; want the zero summary and context.Canceled", design, got, err)
+		}
+		if half.polls != 33 {
+			t.Fatalf("%v: cancelled at poll 33 but polled %d times; the summary must return at the first failing poll", design, half.polls)
+		}
+		if after, _, _ := KernelCounters(); after != runs {
+			t.Fatalf("%v: a cancelled summary counted as a kernel run", design)
+		}
+		if again, err := m.SummarizeOneFlitWCTT(design); err != nil || again != want {
+			t.Fatalf("%v: summary after a cancelled one: %+v, err %v; want %+v", design, again, err, want)
+		}
 	}
 }
 

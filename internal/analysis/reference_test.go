@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/mesh"
 	"repro/internal/network"
@@ -17,7 +18,30 @@ import (
 // shares per hop from first principles (the topology's legal-input table and
 // the weight table). The equivalence tests pin the two bit-identical across
 // meshes, designs and packet shapes, so the walk can never silently drift
-// from the model the paper defines.
+// from the model the paper defines. The reference bounds compute on the
+// divide-based saturating primitives below, so those comparisons also pin the
+// production bits.Mul64/bits.Add64 primitives along whole routes.
+
+// referenceSaturatingMul is the overflow-check-by-division multiply the
+// production saturatingMul replaced, kept as its oracle (FuzzSaturatingOps
+// compares the two, and math/big, on arbitrary operands).
+func referenceSaturatingMul(a, b uint64) uint64 {
+	if a == 0 || b == 0 {
+		return 0
+	}
+	if a > math.MaxUint64/b {
+		return math.MaxUint64
+	}
+	return a * b
+}
+
+// referenceSaturatingAdd is the compare-before-add oracle of saturatingAdd.
+func referenceSaturatingAdd(a, b uint64) uint64 {
+	if a > math.MaxUint64-b {
+		return math.MaxUint64
+	}
+	return a + b
+}
 
 // ReferenceRegularPacketWCTT is the route-materialising implementation of
 // RegularPacketWCTT, kept as the naive reference for equivalence testing.
@@ -42,12 +66,12 @@ func (m *Model) ReferenceRegularPacketWCTT(src, dst mesh.Node, packetFlits, cont
 	for j := len(route.Hops) - 1; j >= 0; j-- {
 		hop := route.Hops[j]
 		c := uint64(m.contenders(hop.Router, hop.Out))
-		wait := saturatingMul(c-1, saturatingAdd(H, saturatingMul(L, interval)))
-		total = saturatingAdd(total, saturatingAdd(wait, R))
-		interval = saturatingMul(c, interval)
+		wait := referenceSaturatingMul(c-1, referenceSaturatingAdd(H, referenceSaturatingMul(L, interval)))
+		total = referenceSaturatingAdd(total, referenceSaturatingAdd(wait, R))
+		interval = referenceSaturatingMul(c, interval)
 	}
-	total = saturatingAdd(total, saturatingMul(S-1, interval))
-	total = saturatingAdd(total, 1)
+	total = referenceSaturatingAdd(total, referenceSaturatingMul(S-1, interval))
+	total = referenceSaturatingAdd(total, 1)
 	return total, nil
 }
 
@@ -78,10 +102,10 @@ func (m *Model) ReferenceWaWPacketWCTT(src, dst mesh.Node, numPackets, slotFlits
 		if o > maxShare {
 			maxShare = o
 		}
-		total = saturatingAdd(total, saturatingAdd(saturatingMul(o-1, slot), R))
+		total = referenceSaturatingAdd(total, referenceSaturatingAdd(referenceSaturatingMul(o-1, slot), R))
 	}
-	total = saturatingAdd(total, saturatingMul(uint64(numPackets-1), saturatingMul(maxShare, slot)))
-	total = saturatingAdd(total, 1)
+	total = referenceSaturatingAdd(total, referenceSaturatingMul(uint64(numPackets-1), referenceSaturatingMul(maxShare, slot)))
+	total = referenceSaturatingAdd(total, 1)
 	return total, nil
 }
 

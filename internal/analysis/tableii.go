@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -40,20 +41,34 @@ func (s WCTTSummary) String() string {
 // bit-identical to that loop's, not merely close. Steady-state calls perform
 // no heap allocations (the transient rows and blocks are pooled).
 func (m *Model) SummarizeOneFlitWCTT(design network.Design) (WCTTSummary, error) {
+	return m.SummarizeOneFlitWCTTContext(context.Background(), design)
+}
+
+// SummarizeOneFlitWCTTContext is SummarizeOneFlitWCTT with cancellation: ctx
+// is polled once per row of sources, and a cancelled summary returns ctx's
+// error and no partial result.
+func (m *Model) SummarizeOneFlitWCTTContext(ctx context.Context, design network.Design) (WCTTSummary, error) {
 	f := summaryFold{min: math.MaxUint64}
 	switch design {
 	case network.DesignRegular, network.DesignWaPOnly:
 		// The chained-blocking kernel shares fold prefixes per destination;
 		// its producer still delivers whole source rows in source order.
-		m.regularSourceRows(1, 1, f.addSource)
+		if err := m.regularSourceRows(ctx, 1, 1, f.addSource); err != nil {
+			return WCTTSummary{}, err
+		}
 	case network.DesignWaWWaP, network.DesignWaWOnly:
 		// The guaranteed-bandwidth kernel is source-major — exactly the fold
 		// order — so the summary streams one O(N) row per source.
-		rowp := getScratch(len(m.nodes))
-		defer putScratch(rowp)
+		w := m.newWaWWork(1)
+		defer w.release()
 		for si, src := range m.nodes {
-			m.wawSourceRow(*rowp, src, 1, 1)
-			f.addSource(si, *rowp)
+			if src.X == 0 {
+				if err := ctx.Err(); err != nil {
+					return WCTTSummary{}, err
+				}
+			}
+			m.wawSourceRow(w.row, w, src, 1)
+			f.addSource(si, w.row)
 		}
 	default:
 		return WCTTSummary{}, fmt.Errorf("analysis: unknown design %v", design)
@@ -185,14 +200,14 @@ func (m *Model) LocalAccessWCTT(design network.Design, n mesh.Node) (uint64, err
 	idx := m.rdim.Index(m.topo.RouterOf(n))
 	switch design {
 	case network.DesignRegular, network.DesignWaPOnly:
-		c := m.contender[idx][mesh.Local]
+		c := m.contender[mesh.Local][idx]
 		L := uint64(m.p.Link.MaxPacketFlits)
 		if design == network.DesignWaPOnly || L == 0 {
 			L = uint64(m.p.Link.MinPacketFlits)
 		}
 		return saturatingAdd(saturatingMul(c-1, saturatingAdd(H, L)), R+1), nil
 	case network.DesignWaWWaP, network.DesignWaWOnly:
-		o := m.outShare[idx][mesh.Local]
+		o := m.outShare[mesh.Local][idx]
 		slot := uint64(m.p.Link.MinPacketFlits)
 		if design == network.DesignWaWOnly && m.p.Link.MaxPacketFlits > 0 {
 			slot = uint64(m.p.Link.MaxPacketFlits)

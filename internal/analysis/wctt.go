@@ -57,6 +57,7 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/flit"
 	"repro/internal/flows"
@@ -134,12 +135,14 @@ type Model struct {
 	topo mesh.Topology
 	rdim mesh.Dim
 
-	// contender[idx][out] is the chained-blocking contender count c of
-	// output `out` at the router with dense index idx (>= 1).
-	contender [][mesh.NumDirections]uint64
-	// outShare[idx][out] is max(1, OutputTotal) of output `out` at router
+	// contender[out][idx] is the chained-blocking contender count c of
+	// output `out` at the router with dense index idx (>= 1). One plane per
+	// output, so a kernel sweeping a router row or column in one travel
+	// direction reads consecutive words.
+	contender [mesh.NumDirections][]uint64
+	// outShare[out][idx] is max(1, OutputTotal) of output `out` at router
 	// idx — the O_j term of the WaW guaranteed-bandwidth bound.
-	outShare [][mesh.NumDirections]uint64
+	outShare [mesh.NumDirections][]uint64
 
 	// epRouter[epIdx] is the dense router index of endpoint epIdx — the
 	// identity on the mesh, the concentration map on the concentrated mesh.
@@ -165,23 +168,21 @@ func NewModel(p Params) (*Model, error) {
 	}
 	rdim := topo.RouterDim()
 	m := &Model{
-		p:         p,
-		weights:   flows.CachedWeightTableTopo(topo),
-		nodes:     p.Dim.AllNodes(),
-		topo:      topo,
-		rdim:      rdim,
-		contender: make([][mesh.NumDirections]uint64, rdim.Nodes()),
-		outShare:  make([][mesh.NumDirections]uint64, rdim.Nodes()),
+		p:       p,
+		weights: flows.CachedWeightTableTopo(topo),
+		nodes:   p.Dim.AllNodes(),
+		topo:    topo,
+		rdim:    rdim,
+	}
+	for _, out := range mesh.Directions {
+		m.contender[out] = make([]uint64, rdim.Nodes())
+		m.outShare[out] = make([]uint64, rdim.Nodes())
 	}
 	for idx, n := range rdim.AllNodes() {
 		counts := m.weights.CountsAt(idx)
 		for _, out := range mesh.Directions {
-			m.contender[idx][out] = uint64(m.contenders(n, out))
-			o := uint64(counts.OutputTotal[out])
-			if o < 1 {
-				o = 1
-			}
-			m.outShare[idx][out] = o
+			m.contender[out][idx] = uint64(m.contenders(n, out))
+			m.outShare[out][idx] = max(1, uint64(counts.OutputTotal[out]))
 		}
 	}
 	m.epRouter = make([]int32, len(m.nodes))
@@ -222,24 +223,64 @@ func (m *Model) contenders(n mesh.Node, out mesh.Direction) int {
 	return c
 }
 
-// saturatingMul multiplies two non-negative uint64 values, saturating at
-// MaxUint64 (relevant only for unrealistically large meshes, where the
-// regular bound overflows any practical representation anyway).
+// saturatingMul multiplies two uint64 values, clamping the product to
+// MaxUint64: one widening multiply and a test of the high word — no divide,
+// no zero special case. Saturation is the common case, not a corner: the
+// regular bound's service interval compounds multiplicatively along the
+// route, so on the default platform the longest flows overflow 64 bits from
+// about 24x24 and most flows of a 48x48 or 64x64 mesh report MaxUint64.
+//
+// Together with saturatingAdd it forms a monotone, absorbing arithmetic:
+// both are non-decreasing in every operand, sat(MaxUint64 + x) = MaxUint64
+// for every x, and sat(MaxUint64 * x) = MaxUint64 for every x >= 1. A fold
+// total that reaches MaxUint64 therefore stays there whatever is added to it
+// later; the chained-blocking kernel (regularRowRun, kernel.go) relies on it.
 func saturatingMul(a, b uint64) uint64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	if a > math.MaxUint64/b {
+	hi, lo := bits.Mul64(a, b)
+	if hi != 0 {
 		return math.MaxUint64
 	}
-	return a * b
+	return lo
 }
 
+// saturatingAdd adds two uint64 values, clamping the sum to MaxUint64.
 func saturatingAdd(a, b uint64) uint64 {
-	if a > math.MaxUint64-b {
-		return math.MaxUint64
-	}
-	return a + b
+	sum, carry := bits.Add64(a, b, 0)
+	return sum | -carry // carry is 0 or 1: the mask is 0 or all ones
+}
+
+// regularWait is the worst-case arbitration wait W_j = (c-1)*(H+L*iv) of a
+// hop with c contenders whose downstream service interval is iv; H is the
+// header overhead and L the contender packet size. With R the hop latency, a
+// hop joins the chained-blocking fold as
+//
+//	total = saturatingAdd(total, saturatingAdd(regularWait(iv, c, H, L), R))
+//	iv    = saturatingMul(c, iv)
+//
+// in the route walk and in the kernels alike.
+func regularWait(iv, c, H, L uint64) uint64 {
+	return saturatingMul(c-1, saturatingAdd(H, saturatingMul(L, iv)))
+}
+
+// regularFinish closes the chained-blocking fold at the source: the remaining
+// S-1 flits serialise at the compounded worst-case interval of the most
+// upstream link, plus the final ejection cycle of the tail.
+func regularFinish(total, iv, S uint64) uint64 {
+	return saturatingAdd(saturatingAdd(total, saturatingMul(S-1, iv)), 1)
+}
+
+// wawHopCost is the guaranteed-bandwidth cost of one hop through an output
+// of share o: every other flow crossing the port may be served once (one
+// slot each) before this flow's slot, plus the hop latency R.
+func wawHopCost(o, slot, R uint64) uint64 {
+	return saturatingAdd(saturatingMul(o-1, slot), R)
+}
+
+// wawAdmission is the admission term of the guaranteed-bandwidth bound: the
+// remaining P-1 packets of the message are admitted one per guaranteed slot
+// at the bottleneck port, whose share is maxShare.
+func wawAdmission(maxShare, P, slot uint64) uint64 {
+	return saturatingMul(P-1, saturatingMul(maxShare, slot))
 }
 
 // checkFlow validates a (src, dst) flow request with the same errors (and
@@ -301,9 +342,8 @@ func (m *Model) RegularPacketWCTT(src, dst mesh.Node, packetFlits, contenderFlit
 	interval := uint64(1) // I_{k+1}: ejection accepts one flit per cycle
 	var total uint64
 	hop := func(idx int, out mesh.Direction) {
-		c := m.contender[idx][out]
-		wait := saturatingMul(c-1, saturatingAdd(H, saturatingMul(L, interval)))
-		total = saturatingAdd(total, saturatingAdd(wait, R))
+		c := m.contender[out][idx]
+		total = saturatingAdd(total, saturatingAdd(regularWait(interval, c, H, L), R))
 		interval = saturatingMul(c, interval)
 	}
 	// Ejection at the destination router.
@@ -320,12 +360,7 @@ func (m *Model) RegularPacketWCTT(src, dst mesh.Node, packetFlits, contenderFlit
 			hop(rs.Y*W+x, dirX)
 		}
 	}
-	// Serialization of the remaining S-1 flits at the most upstream link,
-	// each needing the compounded worst-case interval, plus the final
-	// ejection cycle of the tail.
-	total = saturatingAdd(total, saturatingMul(S-1, interval))
-	total = saturatingAdd(total, 1)
-	return total, nil
+	return regularFinish(total, interval, S), nil
 }
 
 // WaWPacketWCTT returns the guaranteed-bandwidth WCTT bound of a message
@@ -353,13 +388,9 @@ func (m *Model) WaWPacketWCTT(src, dst mesh.Node, numPackets, slotFlits int) (ui
 	var total uint64
 	var maxShare uint64 = 1
 	hop := func(idx int, out mesh.Direction) {
-		o := m.outShare[idx][out]
-		if o > maxShare {
-			maxShare = o
-		}
-		// Worst-case wait for this flow's slot at this hop: every other flow
-		// crossing the output port may be served once (one slot each).
-		total = saturatingAdd(total, saturatingAdd(saturatingMul(o-1, slot), R))
+		o := m.outShare[out][idx]
+		maxShare = max(maxShare, o)
+		total = saturatingAdd(total, wawHopCost(o, slot, R))
 	}
 	// The X segment from the source towards the turn router at (rd.X,
 	// rs.Y), then the Y segment down the destination column, then ejection.
@@ -372,11 +403,8 @@ func (m *Model) WaWPacketWCTT(src, dst mesh.Node, numPackets, slotFlits int) (ui
 		hop(y*W+rd.X, dirY)
 	}
 	hop(rd.Y*W+rd.X, mesh.Local)
-	// The remaining packets of the message are admitted one per guaranteed
-	// slot at the bottleneck port.
-	total = saturatingAdd(total, saturatingMul(uint64(numPackets-1), saturatingMul(maxShare, slot)))
-	total = saturatingAdd(total, 1)
-	return total, nil
+	total = saturatingAdd(total, wawAdmission(maxShare, uint64(numPackets), slot))
+	return saturatingAdd(total, 1), nil
 }
 
 // msgShape is the per-design packetisation of a message bound: which bound

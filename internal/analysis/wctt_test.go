@@ -370,48 +370,55 @@ func TestSaturatingArithmetic(t *testing.T) {
 // The simulator must never observe a latency above the analytical bound for
 // the scenario the bound models: a congested all-to-one pattern of one-flit
 // requests. The bound assumes worse contention than any actual execution, so
-// measured <= bound must hold for every flow.
+// measured <= bound must hold for every flow — on every design, on square and
+// rectangular meshes, with the hotspot at a corner (the longest routes, all
+// arriving through two ports) and at the centre (all four ports contended).
+// A violation is a defect in the simulator or in the bound, never a margin
+// to widen.
 func TestSimulatedLatencyWithinBound(t *testing.T) {
-	for _, design := range []network.Design{network.DesignRegular, network.DesignWaWWaP} {
-		dim := mesh.MustDim(4, 4)
+	const perSource = 5
+	for _, dim := range []mesh.Dim{mesh.MustDim(4, 4), mesh.MustDim(6, 6), mesh.MustDim(8, 4)} {
 		m := MustNewModel(DefaultParams(dim))
-		net := network.MustNew(network.DefaultConfig(dim, design))
-		dst := node(0, 0)
-		const perSource = 5
-		for i := 0; i < perSource; i++ {
-			for _, src := range dim.AllNodes() {
-				if src == dst {
-					continue
+		for _, dst := range []mesh.Node{node(0, 0), node(dim.Width/2, dim.Height/2)} {
+			for _, design := range allDesigns {
+				net := network.MustNew(network.DefaultConfig(dim, design))
+				for i := 0; i < perSource; i++ {
+					for _, src := range dim.AllNodes() {
+						if src == dst {
+							continue
+						}
+						msg := &flit.Message{Flow: flit.FlowID{Src: src, Dst: dst}, PayloadBits: 48, Class: flit.ClassRequest}
+						if _, err := net.Send(msg); err != nil {
+							t.Fatal(err)
+						}
+					}
 				}
-				msg := &flit.Message{Flow: flit.FlowID{Src: src, Dst: dst}, PayloadBits: 48, Class: flit.ClassRequest}
-				if _, err := net.Send(msg); err != nil {
-					t.Fatal(err)
+				if !net.RunUntilDrained(200000) {
+					t.Fatalf("%v %v hotspot %v: network did not drain", dim, design, dst)
 				}
-			}
-		}
-		if !net.RunUntilDrained(200000) {
-			t.Fatalf("%v: network did not drain", design)
-		}
-		for _, src := range dim.AllNodes() {
-			if src == dst {
-				continue
-			}
-			fs := net.FlowStatsFor(flit.FlowID{Src: src, Dst: dst})
-			if fs == nil || fs.Messages != perSource {
-				t.Fatalf("%v: flow %v delivered %v messages", design, src, fs)
-			}
-			bound, err := m.MessageWCTT(design, src, dst, 48)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The bound covers a single traversal under worst-case
-			// contention; the measured latency additionally contains source
-			// queueing behind the flow's own earlier messages (up to
-			// perSource-1 of them), so compare against bound * perSource.
-			limit := float64(bound) * perSource
-			if fs.Latency.Max() > limit {
-				t.Errorf("%v: flow %v measured max latency %.0f exceeds bound budget %.0f (per-message bound %d)",
-					design, src, fs.Latency.Max(), limit, bound)
+				for _, src := range dim.AllNodes() {
+					if src == dst {
+						continue
+					}
+					fs := net.FlowStatsFor(flit.FlowID{Src: src, Dst: dst})
+					if fs == nil || fs.Messages != perSource {
+						t.Fatalf("%v %v hotspot %v: flow %v delivered %v messages", dim, design, dst, src, fs)
+					}
+					bound, err := m.MessageWCTT(design, src, dst, 48)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// The bound covers a single traversal under worst-case
+					// contention; the measured latency additionally contains
+					// source queueing behind the flow's own earlier messages
+					// (up to perSource-1 of them), so compare against
+					// bound * perSource.
+					limit := float64(bound) * perSource
+					if fs.Latency.Max() > limit {
+						t.Errorf("%v %v hotspot %v: flow %v measured max latency %.0f exceeds bound budget %.0f (per-message bound %d)",
+							dim, design, dst, src, fs.Latency.Max(), limit, bound)
+					}
+				}
 			}
 		}
 	}

@@ -48,10 +48,11 @@ func Execute(s Spec) (Result, error) {
 }
 
 // ExecuteContext is Execute with a cancellation context: modes with inner
-// parallel or long-running loops — the Table III map of ModeWCETMap, and
-// the cycle-accurate runs of ModeSimulate and ModeLoadCurve, which poll the
-// context every few thousand simulated cycles — abandon undone work and
-// return ctx's error once ctx is cancelled. The sweep engine threads its
+// parallel or long-running loops — the all-pairs summary of ModeWCTT, which
+// polls the context once per row of sources, the Table III map of
+// ModeWCETMap, and the cycle-accurate runs of ModeSimulate and
+// ModeLoadCurve, which poll it every few thousand simulated cycles — abandon
+// undone work and return ctx's error once ctx is cancelled. The sweep engine threads its
 // run context through here, so cancelling a sweep stops scenarios
 // mid-flight just like it stops dispatching new ones.
 func ExecuteContext(ctx context.Context, s Spec) (Result, error) {
@@ -73,7 +74,7 @@ func ExecuteContext(ctx context.Context, s Spec) (Result, error) {
 	}
 	switch s.Mode {
 	case ModeWCTT:
-		err = executeWCTT(s, d, &res)
+		err = executeWCTT(ctx, s, d, &res)
 	case ModeSimulate:
 		res.Seed = s.Seed
 		err = executeSimulate(ctx, s, d, &res)
@@ -99,14 +100,14 @@ func ExecuteContext(ctx context.Context, s Spec) (Result, error) {
 	return res, nil
 }
 
-func executeWCTT(s Spec, d mesh.Dim, res *Result) error {
+func executeWCTT(ctx context.Context, s Spec, d mesh.Dim, res *Result) error {
 	p := analysis.DefaultParams(d)
 	p.Topo, _ = s.TopoSpec() // Validate already vetted the name
 	m, err := acquireModel(p)
 	if err != nil {
 		return err
 	}
-	sum, err := m.SummarizeOneFlitWCTT(s.Design)
+	sum, err := m.SummarizeOneFlitWCTTContext(ctx, s.Design)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -357,18 +358,21 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExecuteContextCancellation: the analytical wcet-map scenarios must
-// honour cancellation mid-scenario (the per-core Table III loop checks the
-// context), so cancelling a sweep does not wait out a large mesh.
+// TestExecuteContextCancellation: the analytical scenarios must honour
+// cancellation mid-scenario (the per-core Table III loop and the all-pairs
+// WCTT summary's per-source-row loop check the context), so cancelling a
+// sweep — or a serve deadline — does not wait out a large mesh.
 func TestExecuteContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, spec := range []Spec{
+		{Name: "wctt-regular", Mode: ModeWCTT, Width: 8, Height: 8, Design: network.DesignRegular},
+		{Name: "wctt-waw", Mode: ModeWCTT, Width: 8, Height: 8, Design: network.DesignWaWWaP},
 		{Name: "map", Mode: ModeWCETMap, Width: 8, Height: 8},
 		{Name: "bench-map", Mode: ModeWCETMap, Width: 8, Height: 8, Workload: "matrix"},
 	} {
-		if _, err := ExecuteContext(ctx, spec); err == nil {
-			t.Errorf("%s: cancelled context should fail the scenario", spec.Name)
+		if _, err := ExecuteContext(ctx, spec); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: cancelled context should fail the scenario with context.Canceled, got %v", spec.Name, err)
 		}
 	}
 	// A cancelled context must not poison unrelated fast modes' results
