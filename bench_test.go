@@ -13,7 +13,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -401,90 +400,19 @@ func BenchmarkSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkEngine compares the active-set engine against the full-scan
-// reference on an 8x8 mesh under low uniform-random load — the ns/op ratio
-// is the scheduling win on the workload where most nodes idle most cycles.
-// The time-leap sub-benchmark measures the event-horizon scheduling on the
-// workload it targets: bursts separated by long idle windows plus an idle
-// tail, where the leaping engine's cost is O(events) instead of O(cycles).
+// BenchmarkEngine measures Network.Step on an 8x8 mesh under low
+// uniform-random load, the workload where most nodes idle most cycles and the
+// active set pays. (The pair against the full-scan oracle, past saturation
+// where the active set cannot win, is BenchmarkEngine in internal/network,
+// next to the oracle.) The time-leap sub-benchmark measures the event-horizon
+// scheduling on the workload it targets: bursts separated by long idle
+// windows plus an idle tail, where leaping costs O(events) instead of
+// O(cycles).
 func BenchmarkEngine(b *testing.B) {
-	for _, e := range []network.Engine{network.EngineActiveSet, network.EngineFullScan} {
-		b.Run(e.String(), func(b *testing.B) {
-			d := mesh.MustDim(8, 8)
-			cfg := network.DefaultConfig(d, network.DesignWaWWaP)
-			cfg.Engine = e
-			net := network.MustNew(cfg)
-			gen, err := traffic.NewUniformRandom(d, 3, 5, traffic.RequestPayloadBits, 1<<30)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, msg := range gen.Tick(net.Cycle()) {
-					if _, err := net.Send(msg); err != nil {
-						b.Fatal(err)
-					}
-				}
-				net.Step()
-			}
-			b.ReportMetric(float64(net.TotalInjectedFlits())/float64(b.N), "flits/cycle")
-		})
-	}
-
-	// saturated-8x8: the opposite regime — 400 msgs/node/kcycle of one-flit
-	// messages is past saturation, every router and NIC queue is busy every
-	// cycle, so the cost is per flit-hop router/arbiter work and the
-	// active-set bookkeeping is pure overhead. One op rewinds the network
-	// and simulates a 3000-cycle window (the source queues of a saturated
-	// network grow without bound, so the window is fixed instead of b.N
-	// cycles). The active-set/full-scan ratio is gated near 1.0: the
-	// default engine must not lose to the full scan where it cannot win.
-	for _, e := range []network.Engine{network.EngineActiveSet, network.EngineFullScan} {
-		b.Run("saturated-8x8/"+e.String(), func(b *testing.B) {
-			const window = 3000
-			d := mesh.MustDim(8, 8)
-			cfg := network.DefaultConfig(d, network.DesignWaWWaP)
-			cfg.Engine = e
-			net := network.MustNew(cfg)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				net.Reset()
-				gen, err := traffic.NewUniformRandom(d, 3, 400, traffic.RequestPayloadBits, 1<<30)
-				if err != nil {
-					b.Fatal(err)
-				}
-				traffic.AttachNetworkPool(gen, net)
-				for c := 0; c < window; c++ {
-					for _, msg := range gen.Tick(net.Cycle()) {
-						if _, err := net.Send(msg); err != nil {
-							b.Fatal(err)
-						}
-					}
-					net.Step()
-				}
-			}
-			b.ReportMetric(float64(net.TotalInjectedFlits())/window, "flits/cycle")
-		})
-	}
-
-	// sharded vs sharded-serial: the identical sustained uniform-random
-	// workload on a 16x16 mesh — large enough that a cycle carries real
-	// work in every row stripe — stepped by the serial active-set engine
-	// and by one shard per CPU. The ns/op ratio is the two-phase barrier
-	// engine's speedup on a single cycle-accurate run (≈1x on one core,
-	// where the stripes timeshare; the results are byte-identical either
-	// way, pinned by the sharded-equivalence tests).
-	shardedWorkload := func(b *testing.B, shards int) {
-		d := mesh.MustDim(16, 16)
-		cfg := network.DefaultConfig(d, network.DesignWaWWaP)
-		cfg.Shards = shards
-		net := network.MustNew(cfg)
-		// Rate 8 msgs/node/kcycle keeps the 16x16 mesh well below uniform
-		// saturation: the workload reaches a steady state (0 allocs/op)
-		// with every row stripe still carrying traffic every cycle.
-		gen, err := traffic.NewUniformRandom(d, 3, 8, traffic.CacheLinePayloadBits, 1<<30)
+	b.Run("active-set", func(b *testing.B) {
+		d := mesh.MustDim(8, 8)
+		net := network.MustNew(network.DefaultConfig(d, network.DesignWaWWaP))
+		gen, err := traffic.NewUniformRandom(d, 3, 5, traffic.RequestPayloadBits, 1<<30)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -499,10 +427,7 @@ func BenchmarkEngine(b *testing.B) {
 			net.Step()
 		}
 		b.ReportMetric(float64(net.TotalInjectedFlits())/float64(b.N), "flits/cycle")
-		b.ReportMetric(float64(net.Shards()), "shards")
-	}
-	b.Run("sharded-serial", func(b *testing.B) { shardedWorkload(b, 1) })
-	b.Run("sharded", func(b *testing.B) { shardedWorkload(b, runtime.GOMAXPROCS(0)) })
+	})
 
 	// time-leap: ten all-node permutation bursts 10k cycles apart (the
 	// network drains in a few hundred cycles, then idles), followed by a

@@ -43,7 +43,7 @@ func sweepOn(args []string, in io.Reader, w io.Writer) error {
 	designs := fs.String("designs", "regular,waw+wap", "comma-separated design points (regular, waw+wap, waw-only, wap-only)")
 	workloads := fs.String("workloads", "", "comma-separated EEMBC kernels (manycore mode)")
 	jobs := fs.Int("jobs", 0, "parallel workers; 0 = GOMAXPROCS")
-	shards := fs.Int("shards", 1, "engine shards per cycle-accurate scenario (simulate and load-curve modes); 1 = serial, 0 = auto (GOMAXPROCS split between concurrent grid points and each point's shard gang)")
+	shards := fs.Int("shards", 1, "accepted for compatibility, ignored (simulate and load-curve modes); parallelism is -jobs / -worker-procs")
 	seed := fs.Int64("seed", 1, "pseudo-random seed (simulate and load-curve modes)")
 	pattern := fs.String("pattern", "hotspot", "traffic pattern (simulate mode): hotspot, uniform, transpose, bitcomp, neighbor or tornado")
 	rate := fs.Int("rate", 0, "traffic injection rate (simulate mode); 0 = pattern default")
@@ -266,13 +266,7 @@ func sweepOn(args []string, in io.Reader, w io.Writer) error {
 	}
 	defer closeFiles()
 
-	// The engine shard count is execution policy, not part of the scenario
-	// identity: results are byte-identical for every value (pinned by the
-	// sharded-equivalence tests), so auto-resolution cannot change output.
-	// -shards 0 defers to sweep.AutoShards/AutoSplit, which split GOMAXPROCS
-	// between worker processes, concurrent points and each point's shard
-	// gang once the grid size is known.
-	opts := sweep.Options{Jobs: *jobs, AutoShards: *shards == 0}
+	opts := sweep.Options{Jobs: *jobs}
 	if *progress {
 		start := time.Now()
 		opts.Progress = func(done, tot int, r scenario.Result) {

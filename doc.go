@@ -55,8 +55,9 @@
 // cycle (traffic.EventSource), a WaW counter still replenishing, a staged
 // transfer — precedes the target cycle. Skipped visits and leapt cycles
 // are provably no-ops, so the engine is cycle-for-cycle identical to the
-// full per-node scan — retained as network.EngineFullScan and pinned by
-// equivalence, lockstep-microstate and leap-vs-step tests. What a busy
+// full per-node scan — retained as the network package's test oracle and
+// pinned by equivalence, lockstep-microstate, hook-order and leap-vs-step
+// tests. What a busy
 // cycle costs is the flit-hop path: a router's input FIFOs are fixed rings
 // (committed and staged counts on one ring, so a commit is a counter bump),
 // each buffered flit has a one-byte head-of-line record (head, tail, routed
@@ -76,19 +77,6 @@
 // allocations, injection included. The rate-driven generators take each
 // per-node, per-cycle injection decision from an exact replica of math/rand's
 // source (traffic.drawSource): the same streams, no call or divide per draw.
-// A single cycle-accurate run itself parallelizes through sharding
-// (network.Config.Shards, noctool sweep -shards, scenario.Spec.Shards):
-// the mesh is partitioned into index-contiguous row stripes, each with its
-// own active set, scratch buffers, pool arena and per-flow statistics,
-// stepped concurrently on a reusable barrier gang (sweep/pool.Gang) with a
-// shard-local compute phase and a deterministic commit phase that applies
-// cross-stripe arrivals and credits in fixed order and replays delivery
-// hooks in global node order. Sharded output is byte-identical to the
-// serial engine for every shard count — the shard count is execution
-// policy, like the sweep's worker count — pinned by sharded equivalence,
-// lockstep and hook-order tests plus pre-sharding CLI goldens; this is
-// what opens 16x16-32x32 simulate and load-curve sweep points
-// (examples/simscaling).
 // The load-curve scenario mode builds the classical saturation study on top
 // of this engine: per injection rate it runs warmup, measurement and drain
 // windows of sustained uniform-random traffic and reports throughput plus

@@ -19,13 +19,10 @@ package flit
 //     the *Message they receive beyond the callback's return; copy the
 //     fields that matter.
 //   - A Pool is not safe for concurrent use. Every pool is owned by exactly
-//     one sequential consumer: parallel sweeps give each worker its own
-//     network (and therefore its own pools), and a sharded network gives
-//     each shard its own arena — the shard's NICs packetize from it and
-//     absorb into it. Objects may migrate between pools as long as each
-//     Get/Put runs on the pool owner's thread: a flit whose route crosses
-//     a shard boundary is recycled into the ejecting shard's arena, not
-//     the arena it was drawn from.
+//     one sequential consumer: a network has one arena, which its
+//     generators, its NICs and its delivery path all use from the goroutine
+//     that steps it, and parallel sweeps give each worker its own network
+//     (and therefore its own pool).
 type Pool struct {
 	messages []*Message
 	flits    []*Flit

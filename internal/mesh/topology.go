@@ -221,10 +221,6 @@ type Topology interface {
 	// endpoints share the router.
 	LocalPairLoad(r Node) int
 
-	// StripeSafe reports whether the row-stripe sharded engine's two-phase
-	// commit remains deterministic and serial-equivalent on this topology
-	// (see network.Config.Shards).
-	StripeSafe() bool
 	// Analytical reports whether the paper's chained-blocking WCTT argument
 	// transfers to this topology (destination-independent channel loads
 	// and acyclic turn ordering). Topologies without it are simulation-only.
@@ -364,11 +360,6 @@ func (m Mesh2D) InputLoads(r Node) [NumDirections]int {
 
 // LocalPairLoad implements Topology: a mesh node never sends to itself.
 func (m Mesh2D) LocalPairLoad(Node) int { return 0 }
-
-// StripeSafe implements Topology: XY routing crosses a row-stripe boundary
-// only on Y links, at most once per boundary per route — the invariant the
-// sharded engine's commit order was designed around.
-func (m Mesh2D) StripeSafe() bool { return true }
 
 // Analytical implements Topology: the paper's bounds are derived here.
 func (m Mesh2D) Analytical() bool { return true }
@@ -517,13 +508,6 @@ func (t Torus) InputLoads(Node) [NumDirections]int {
 // LocalPairLoad implements Topology.
 func (t Torus) LocalPairLoad(Node) int { return 0 }
 
-// StripeSafe implements Topology: the sharded engine's cross-shard outbox is
-// addressed by target shard, not by stripe adjacency, so the Y wrap link
-// (last row → first row) stages like any other cross-stripe transfer and the
-// serial-equivalence argument goes through unchanged; X wrap links stay
-// within their stripe. Pinned by the sharded torus equivalence tests.
-func (t Torus) StripeSafe() bool { return true }
-
 // Analytical implements Topology: see the deadlock/dateline discussion in
 // the type comment — the torus is simulation-only.
 func (t Torus) Analytical() bool { return false }
@@ -607,10 +591,6 @@ func (c CMesh) InputLoads(r Node) [NumDirections]int {
 // LocalPairLoad implements Topology: towards a destination core, the other
 // Conc-1 cores of its own router send through the Local→Local turn.
 func (c CMesh) LocalPairLoad(Node) int { return c.CX*c.CY - 1 }
-
-// StripeSafe implements Topology: stripes partition the router grid, which
-// is a plain XY mesh.
-func (c CMesh) StripeSafe() bool { return true }
 
 // Analytical implements Topology: see InputLoads.
 func (c CMesh) Analytical() bool { return true }

@@ -29,24 +29,25 @@ func assertAllocsPerRun(t *testing.T, what string, runs int, fn func()) {
 }
 
 // TestStepZeroAllocsDrained: stepping an empty network must not allocate,
-// for both engines and for sharded stepping (whose per-cycle barrier gang
-// handoffs must not allocate either).
+// for Step (with the inert Config.Shards unset and set) and for the
+// full-scan oracle.
 func TestStepZeroAllocsDrained(t *testing.T) {
-	for _, e := range []network.Engine{network.EngineActiveSet, network.EngineFullScan} {
-		t.Run(e.String(), func(t *testing.T) {
-			cfg := network.DefaultConfig(mesh.MustDim(8, 8), network.DesignWaWWaP)
-			cfg.Engine = e
+	cfg := network.DefaultConfig(mesh.MustDim(8, 8), network.DesignWaWWaP)
+	for _, c := range []struct {
+		name   string
+		shards int
+	}{{"active-set", 0}, {"sharded", 4}} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := cfg
+			cfg.Shards = c.shards
 			net := network.MustNew(cfg)
 			net.Step() // settle the initial all-active visit list
-			assertAllocsPerRun(t, "drained Step", 1000, func() { net.Step() })
+			assertAllocsPerRun(t, "drained Step", 1000, net.Step)
 		})
 	}
-	t.Run("sharded", func(t *testing.T) {
-		cfg := network.DefaultConfig(mesh.MustDim(8, 8), network.DesignWaWWaP)
-		cfg.Shards = 4
-		net := network.MustNew(cfg)
-		net.Step() // settle the initial all-active visit list
-		assertAllocsPerRun(t, "drained sharded Step", 1000, func() { net.Step() })
+	t.Run("full-scan", func(t *testing.T) {
+		ref := network.MustNewFullScan(cfg)
+		assertAllocsPerRun(t, "drained full-scan Step", 1000, ref.Step)
 	})
 }
 
@@ -64,16 +65,11 @@ func TestStepZeroAllocsSteadyState(t *testing.T) {
 			testSteadyStateZeroAllocs(t, d, net)
 		})
 	}
-	// Sharded stepping must stay allocation-free too: the per-shard pool
-	// arenas recycle every flit (including those migrating across stripe
-	// boundaries), the outboxes reuse their backing arrays and the barrier
-	// gang hands the prebuilt phase closures over without allocating.
-	t.Run("sharded", func(t *testing.T) {
+	t.Run("sharded", func(t *testing.T) { // Config.Shards is inert: same loop
 		d := mesh.MustDim(4, 4)
 		cfg := network.DefaultConfig(d, network.DesignWaWWaP)
 		cfg.Shards = 4
-		net := network.MustNew(cfg)
-		testSteadyStateZeroAllocs(t, d, net)
+		testSteadyStateZeroAllocs(t, d, network.MustNew(cfg))
 	})
 	// Near saturation (an 8x8 mesh accepts about 350 uniform one-flit
 	// msgs/node/kcycle) every router forwards on several ports and every

@@ -1,0 +1,53 @@
+package network_test
+
+import (
+	"testing"
+
+	"repro/internal/mesh"
+	"repro/internal/network"
+	"repro/internal/traffic"
+)
+
+// BenchmarkEngine/saturated-8x8 is the engine-saturated-8x8 gate of
+// BENCH_baseline.json: Network.Step against the full-scan oracle where the
+// active set cannot win. 400 msgs/node/kcycle of one-flit messages is past
+// saturation, every router and NIC queue is busy every cycle, so the cost is
+// per flit-hop router/arbiter work and the visit lists, wake flags and
+// lazy-replenishment stamps are pure overhead. One op rewinds the network and
+// simulates a 3000-cycle window (the source queues of a saturated network
+// grow without bound, so the window is fixed instead of b.N cycles). The
+// ratio is gated near 1.0: Step must not lose to the plain scan.
+func BenchmarkEngine(b *testing.B) {
+	const window = 3000
+	d := mesh.MustDim(8, 8)
+	cfg := network.DefaultConfig(d, network.DesignWaWWaP)
+	saturated := func(b *testing.B, net *network.Network, step func()) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			net.Reset()
+			gen, err := traffic.NewUniformRandom(d, 3, 400, traffic.RequestPayloadBits, 1<<30)
+			if err != nil {
+				b.Fatal(err)
+			}
+			traffic.AttachNetworkPool(gen, net)
+			for c := 0; c < window; c++ {
+				for _, msg := range gen.Tick(net.Cycle()) {
+					if _, err := net.Send(msg); err != nil {
+						b.Fatal(err)
+					}
+				}
+				step()
+			}
+		}
+		b.ReportMetric(float64(net.TotalInjectedFlits())/window, "flits/cycle")
+	}
+	b.Run("saturated-8x8/active-set", func(b *testing.B) {
+		net := network.MustNew(cfg)
+		saturated(b, net, net.Step)
+	})
+	b.Run("saturated-8x8/full-scan", func(b *testing.B) {
+		ref := network.MustNewFullScan(cfg)
+		saturated(b, ref.Net, ref.Step)
+	})
+}

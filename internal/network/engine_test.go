@@ -1,9 +1,9 @@
-// Equivalence tests for the active-set engine: every simulation observable
-// (delivered counts, per-flow latency samplers, cycle counts, and even the
-// per-cycle buffer/credit microstate) must be identical to the full-scan
-// reference engine for every design point, traffic pattern and seed. These
-// are the regression tests that let the active-set scheduling be trusted to
-// keep golden outputs byte-identical.
+// Equivalence tests for Network.Step: every simulation observable (delivered
+// counts, per-flow latency samplers, delivery-hook call order, cycle counts,
+// and even the per-cycle buffer/credit/arbiter microstate) must be identical
+// to the full-scan oracle (network.FullScan, export_test.go) for every design
+// point, traffic pattern and seed. These are the regression tests that let
+// the active-set scheduling be trusted to keep golden outputs byte-identical.
 package network_test
 
 import (
@@ -42,21 +42,67 @@ func buildGen(t *testing.T, pattern string, d mesh.Dim, seed int64) traffic.Gene
 	return gen
 }
 
-// runEngine drives the pattern through a fresh network built on the given
-// engine until drained.
-func runEngine(t *testing.T, e network.Engine, d mesh.Dim, design network.Design, pattern string, seed int64) *network.Network {
+// runStep drives the pattern through a fresh network with traffic.Drive
+// (Network.Step plus time leaps) until drained.
+func runStep(t *testing.T, cfg network.Config, pattern string, seed int64) *network.Network {
 	t.Helper()
-	cfg := network.DefaultConfig(d, design)
-	cfg.Engine = e
 	net, err := network.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := buildGen(t, pattern, d, seed)
-	if _, done := traffic.Drive(net, gen, 1_000_000); !done {
-		t.Fatalf("%v/%v/%s/seed=%d did not drain", e, design, pattern, seed)
+	if _, done := traffic.Drive(net, buildGen(t, pattern, cfg.Dim, seed), 1_000_000); !done {
+		t.Fatalf("%v/%v/%s/seed=%d did not drain", cfg.Dim, cfg.Design, pattern, seed)
 	}
 	return net
+}
+
+// driveOracle runs the generator through the full-scan oracle with the plain
+// cycle-by-cycle loop until the generator is done and the network drained.
+func driveOracle(t *testing.T, ref network.FullScan, gen traffic.Generator) *network.Network {
+	t.Helper()
+	for i := 0; i < 1_000_000; i++ {
+		sendAll(t, ref.Net, gen)
+		if gen.Done() && ref.Drained() {
+			return ref.Net
+		}
+		ref.Step()
+	}
+	t.Fatalf("full-scan %v/%v did not drain", ref.Net.Config().Dim, ref.Net.Config().Design)
+	return nil
+}
+
+// runOracle drives the pattern through a fresh full-scan oracle until drained.
+func runOracle(t *testing.T, cfg network.Config, pattern string, seed int64) *network.Network {
+	t.Helper()
+	return driveOracle(t, network.MustNewFullScan(cfg), buildGen(t, pattern, cfg.Dim, seed))
+}
+
+// sendAll sends the messages the generator releases at the network's cycle.
+func sendAll(t *testing.T, net *network.Network, gen traffic.Generator) {
+	t.Helper()
+	for _, msg := range gen.Tick(net.Cycle()) {
+		if _, err := net.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// compareRuns asserts two finished runs agree on the cycle count, the flit
+// and message totals and every per-flow statistic.
+func compareRuns(t *testing.T, what string, ref, act *network.Network) {
+	t.Helper()
+	if ref.Cycle() != act.Cycle() {
+		t.Errorf("%s cycles: full-scan %d, Step %d", what, ref.Cycle(), act.Cycle())
+	}
+	if ref.TotalInjectedFlits() != act.TotalInjectedFlits() {
+		t.Errorf("%s injected flits: full-scan %d, Step %d", what, ref.TotalInjectedFlits(), act.TotalInjectedFlits())
+	}
+	if ref.TotalDeliveredMessages() != act.TotalDeliveredMessages() {
+		t.Errorf("%s delivered: full-scan %d, Step %d", what, ref.TotalDeliveredMessages(), act.TotalDeliveredMessages())
+	}
+	if rf, af := flowFingerprint(ref), flowFingerprint(act); rf != af {
+		t.Errorf("%s flow stats differ:\nfull-scan:\n%s\nStep:\n%s", what, rf, af)
+	}
 }
 
 func samplerKey(s *stats.Sampler) string {
@@ -75,60 +121,44 @@ func flowFingerprint(net *network.Network) string {
 }
 
 // TestAllFlowStatsOrdered: flows are listed by ascending source index, then
-// destination index — on one shard and on several, where each shard holds
-// only the flows that end in its stripe.
+// destination index.
 func TestAllFlowStatsOrdered(t *testing.T) {
 	d := mesh.MustDim(4, 4)
-	for _, shards := range []int{1, 4} {
-		fss := runSharded(t, shards, d, network.DesignWaWWaP, "uniform", 3).AllFlowStats()
-		if len(fss) < d.Nodes() {
-			t.Fatalf("shards=%d: only %d flows delivered", shards, len(fss))
-		}
-		for i := 1; i < len(fss); i++ {
-			a, b := fss[i-1].Flow, fss[i].Flow
-			ka := d.Index(a.Src)*d.Nodes() + d.Index(a.Dst)
-			kb := d.Index(b.Src)*d.Nodes() + d.Index(b.Dst)
-			if ka >= kb {
-				t.Fatalf("shards=%d: flow %v listed before %v", shards, a, b)
-			}
+	fss := runStep(t, network.DefaultConfig(d, network.DesignWaWWaP), "uniform", 3).AllFlowStats()
+	if len(fss) < d.Nodes() {
+		t.Fatalf("only %d flows delivered", len(fss))
+	}
+	for i := 1; i < len(fss); i++ {
+		a, b := fss[i-1].Flow, fss[i].Flow
+		ka := d.Index(a.Src)*d.Nodes() + d.Index(a.Dst)
+		kb := d.Index(b.Src)*d.Nodes() + d.Index(b.Dst)
+		if ka >= kb {
+			t.Fatalf("flow %v listed before %v", a, b)
 		}
 	}
 }
 
-// TestEnginesEquivalent checks that the active-set engine reproduces the
-// full-scan engine's results exactly — delivered counts, cycle counts and
-// every per-flow latency sampler — across all four design points, several
-// traffic patterns and seeds, on square and rectangular meshes.
-func TestEnginesEquivalent(t *testing.T) {
-	designs := []network.Design{
+var (
+	allDesigns = []network.Design{
 		network.DesignRegular, network.DesignWaWWaP,
 		network.DesignWaWOnly, network.DesignWaPOnly,
 	}
-	dims := []mesh.Dim{mesh.MustDim(4, 4), mesh.MustDim(4, 2)}
-	patterns := []string{"hotspot", "uniform", "transpose", "neighbor"}
-	seeds := []int64{1, 7}
-	for _, d := range dims {
-		for _, design := range designs {
-			for _, pattern := range patterns {
-				for _, seed := range seeds {
+	allPatterns = []string{"hotspot", "uniform", "transpose", "neighbor"}
+)
+
+// TestEnginesEquivalent checks that Step reproduces the full-scan oracle's
+// results exactly — delivered counts, cycle counts and every per-flow latency
+// sampler — across all four design points, several traffic patterns and
+// seeds, on square and rectangular meshes.
+func TestEnginesEquivalent(t *testing.T) {
+	for _, d := range []mesh.Dim{mesh.MustDim(4, 4), mesh.MustDim(4, 2)} {
+		for _, design := range allDesigns {
+			for _, pattern := range allPatterns {
+				for _, seed := range []int64{1, 7} {
 					name := fmt.Sprintf("%v/%v/%s/seed=%d", d, design, pattern, seed)
 					t.Run(name, func(t *testing.T) {
-						ref := runEngine(t, network.EngineFullScan, d, design, pattern, seed)
-						act := runEngine(t, network.EngineActiveSet, d, design, pattern, seed)
-						if ref.Cycle() != act.Cycle() {
-							t.Errorf("cycles: full-scan %d, active-set %d", ref.Cycle(), act.Cycle())
-						}
-						if ref.TotalInjectedFlits() != act.TotalInjectedFlits() {
-							t.Errorf("injected flits: full-scan %d, active-set %d",
-								ref.TotalInjectedFlits(), act.TotalInjectedFlits())
-						}
-						if ref.TotalDeliveredMessages() != act.TotalDeliveredMessages() {
-							t.Errorf("delivered: full-scan %d, active-set %d",
-								ref.TotalDeliveredMessages(), act.TotalDeliveredMessages())
-						}
-						if rf, af := flowFingerprint(ref), flowFingerprint(act); rf != af {
-							t.Errorf("flow stats differ:\nfull-scan:\n%s\nactive-set:\n%s", rf, af)
-						}
+						cfg := network.DefaultConfig(d, design)
+						compareRuns(t, "run", runOracle(t, cfg, pattern, seed), runStep(t, cfg, pattern, seed))
 					})
 				}
 			}
@@ -136,61 +166,111 @@ func TestEnginesEquivalent(t *testing.T) {
 	}
 }
 
-// TestEnginesLockstepMicrostate steps both engines side by side under a
-// congested hotspot and compares the complete observable microstate — every
-// input-buffer occupancy and every credit counter of every router — after
-// every cycle. This pins the active-set scheduling to the reference engine
-// at cycle granularity, not just at drain time.
+// lockstep steps the full-scan oracle and a Step network of the same
+// configuration side by side under the pattern, calling check after every
+// cycle, until both have drained or the cycle budget runs out.
+func lockstep(t *testing.T, cfg network.Config, pattern string, seed int64, cycles int,
+	check func(cycle int, ref network.FullScan, act *network.Network)) {
+	t.Helper()
+	ref, act := network.MustNewFullScan(cfg), network.MustNew(cfg)
+	genRef := buildGen(t, pattern, cfg.Dim, seed)
+	genAct := buildGen(t, pattern, cfg.Dim, seed)
+	for cycle := 0; cycle < cycles; cycle++ {
+		sendAll(t, ref.Net, genRef)
+		sendAll(t, act, genAct)
+		ref.Step()
+		act.Step()
+		check(cycle, ref, act)
+		if genRef.Done() && ref.Drained() && act.Drained() {
+			break
+		}
+	}
+}
+
+// compareMicrostate asserts the complete observable microstate — every
+// input-buffer occupancy and every credit counter of every router, the
+// delivered count and the drained flag — matches between the two networks.
+func compareMicrostate(t *testing.T, cycle int, ref network.FullScan, act *network.Network) {
+	t.Helper()
+	for _, nd := range act.Config().Dim.AllNodes() {
+		rr, ra := ref.Net.Router(nd), act.Router(nd)
+		for _, dir := range mesh.Directions {
+			if ro, ao := rr.InputOccupancy(dir), ra.InputOccupancy(dir); ro != ao {
+				t.Fatalf("cycle %d node %v input %v occupancy: full-scan %d, Step %d", cycle, nd, dir, ro, ao)
+			}
+			if rr.HasOutput(dir) && rr.Credits(dir) != ra.Credits(dir) {
+				t.Fatalf("cycle %d node %v output %v credits: full-scan %d, Step %d",
+					cycle, nd, dir, rr.Credits(dir), ra.Credits(dir))
+			}
+		}
+	}
+	if rd, ad := ref.Net.TotalDeliveredMessages(), act.TotalDeliveredMessages(); rd != ad {
+		t.Fatalf("cycle %d delivered: full-scan %d, Step %d", cycle, rd, ad)
+	}
+	if ref.Drained() != act.Drained() {
+		t.Fatalf("cycle %d drained: full-scan %v, Step %v", cycle, ref.Drained(), act.Drained())
+	}
+}
+
+// TestEnginesLockstepMicrostate steps Step and the oracle side by side under
+// a congested hotspot and compares the complete observable microstate after
+// every cycle. This pins the active-set scheduling to the reference at cycle
+// granularity, not just at drain time.
 func TestEnginesLockstepMicrostate(t *testing.T) {
-	d := mesh.MustDim(4, 4)
 	for _, design := range []network.Design{network.DesignRegular, network.DesignWaWWaP} {
 		t.Run(design.String(), func(t *testing.T) {
-			mk := func(e network.Engine) *network.Network {
-				cfg := network.DefaultConfig(d, design)
-				cfg.Engine = e
-				return network.MustNew(cfg)
-			}
-			ref, act := mk(network.EngineFullScan), mk(network.EngineActiveSet)
-			genRef := buildGen(t, "hotspot", d, 3)
-			genAct := buildGen(t, "hotspot", d, 3)
-			for cycle := 0; cycle < 3000; cycle++ {
-				for _, msg := range genRef.Tick(ref.Cycle()) {
-					if _, err := ref.Send(msg); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for _, msg := range genAct.Tick(act.Cycle()) {
-					if _, err := act.Send(msg); err != nil {
-						t.Fatal(err)
-					}
-				}
-				ref.Step()
-				act.Step()
-				for _, nd := range d.AllNodes() {
-					rr, ra := ref.Router(nd), act.Router(nd)
-					for _, dir := range mesh.Directions {
-						if ro, ao := rr.InputOccupancy(dir), ra.InputOccupancy(dir); ro != ao {
-							t.Fatalf("cycle %d node %v input %v occupancy: full-scan %d, active-set %d",
-								cycle, nd, dir, ro, ao)
-						}
-						if rr.HasOutput(dir) && rr.Credits(dir) != ra.Credits(dir) {
-							t.Fatalf("cycle %d node %v output %v credits: full-scan %d, active-set %d",
-								cycle, nd, dir, rr.Credits(dir), ra.Credits(dir))
-						}
-					}
-				}
-				if ref.TotalDeliveredMessages() != act.TotalDeliveredMessages() {
-					t.Fatalf("cycle %d delivered: full-scan %d, active-set %d",
-						cycle, ref.TotalDeliveredMessages(), act.TotalDeliveredMessages())
-				}
-				if ref.Drained() != act.Drained() {
-					t.Fatalf("cycle %d drained: full-scan %v, active-set %v", cycle, ref.Drained(), act.Drained())
-				}
-				if genRef.Done() && ref.Drained() && act.Drained() {
-					break
-				}
-			}
+			cfg := network.DefaultConfig(mesh.MustDim(4, 4), design)
+			lockstep(t, cfg, "hotspot", 3, 3000, func(cycle int, ref network.FullScan, act *network.Network) {
+				compareMicrostate(t, cycle, ref, act)
+			})
 		})
+	}
+}
+
+// TestDeliveryHookOrder checks that Step calls the DeliveryHook in exactly
+// the full-scan oracle's order, with identical arguments and cycle stamps —
+// the property the load-curve mode's order-sensitive samplers (Welford mean
+// and m2) depend on for byte-identical output. The hook's sample stream is
+// fingerprinted through a Sampler, whose StdDev is sensitive to sample order,
+// and through an explicit event log.
+func TestDeliveryHookOrder(t *testing.T) {
+	type run struct {
+		log []string
+		lat stats.Sampler
+	}
+	hook := func(r *run) func(*flit.Message, uint64) {
+		return func(msg *flit.Message, at uint64) {
+			r.log = append(r.log, fmt.Sprintf("%d %v %d %d", at, msg.Flow, msg.CreatedAt, msg.DeliveredAt))
+			r.lat.AddUint(msg.DeliveredAt - msg.CreatedAt)
+		}
+	}
+	d := mesh.MustDim(4, 4)
+	cfg := network.DefaultConfig(d, network.DesignWaWWaP)
+
+	var want, got run
+	ref := network.MustNewFullScan(cfg)
+	ref.Net.DeliveryHook = hook(&want)
+	driveOracle(t, ref, buildGen(t, "uniform", d, 11))
+
+	act := network.MustNew(cfg)
+	act.DeliveryHook = hook(&got)
+	if _, done := traffic.Drive(act, buildGen(t, "uniform", d, 11), 1_000_000); !done {
+		t.Fatal("Step run did not drain")
+	}
+
+	if len(want.log) == 0 {
+		t.Fatal("reference run delivered nothing")
+	}
+	if len(got.log) != len(want.log) {
+		t.Fatalf("%d hook calls, want %d", len(got.log), len(want.log))
+	}
+	for i := range want.log {
+		if got.log[i] != want.log[i] {
+			t.Fatalf("hook call %d = %q, want %q", i, got.log[i], want.log[i])
+		}
+	}
+	if samplerKey(&got.lat) != samplerKey(&want.lat) {
+		t.Errorf("hook sampler %s, want %s", samplerKey(&got.lat), samplerKey(&want.lat))
 	}
 }
 
@@ -245,19 +325,15 @@ func TestNetworkLatencyExcludesSourceQueueing(t *testing.T) {
 	}
 }
 
-// stepEngine drives the pattern through a fresh active-set network with a
-// plain cycle-by-cycle loop — no Drive, no leaping — as the per-cycle
-// reference for the time-leap scheduling.
+// stepEngine drives the pattern through a fresh network with a plain
+// cycle-by-cycle loop — no Drive, no leaping — as the per-cycle reference for
+// the time-leap scheduling.
 func stepEngine(t *testing.T, d mesh.Dim, design network.Design, pattern string, seed int64) *network.Network {
 	t.Helper()
 	net := network.MustNew(network.DefaultConfig(d, design))
 	gen := buildGen(t, pattern, d, seed)
 	for i := 0; i < 1_000_000; i++ {
-		for _, msg := range gen.Tick(net.Cycle()) {
-			if _, err := net.Send(msg); err != nil {
-				t.Fatal(err)
-			}
-		}
+		sendAll(t, net, gen)
 		if gen.Done() && net.Drained() {
 			return net
 		}
@@ -279,7 +355,7 @@ func TestLeapMatchesStep(t *testing.T) {
 		for _, pattern := range []string{"transpose", "neighbor", "hotspot", "uniform"} {
 			t.Run(design.String()+"/"+pattern, func(t *testing.T) {
 				ref := stepEngine(t, d, design, pattern, 5)
-				leap := runEngine(t, network.EngineActiveSet, d, design, pattern, 5)
+				leap := runStep(t, network.DefaultConfig(d, design), pattern, 5)
 				if ref.Cycle() != leap.Cycle() {
 					t.Errorf("cycles: stepped %d, leaping Drive %d", ref.Cycle(), leap.Cycle())
 				}
@@ -296,44 +372,47 @@ func TestLeapMatchesStep(t *testing.T) {
 }
 
 // TestRunLeapsIdleWindow checks the Run/RunUntilDrained leap directly: an
-// idle active-set network must cross an arbitrarily long window in one jump
-// (cycle counter advanced, WaW counters settled lazily) with state identical
-// to the stepped full-scan reference.
+// idle network must cross an arbitrarily long window in one jump (cycle
+// counter advanced, WaW counters settled lazily) with state identical to the
+// full-scan oracle, which steps through it.
 func TestRunLeapsIdleWindow(t *testing.T) {
-	d := mesh.MustDim(4, 4)
-	mk := func(e network.Engine) *network.Network {
-		cfg := network.DefaultConfig(d, network.DesignWaWWaP)
-		cfg.Engine = e
-		return network.MustNew(cfg)
-	}
-	ref, act := mk(network.EngineFullScan), mk(network.EngineActiveSet)
-	for _, net := range []*network.Network{ref, act} {
-		// One multi-flit burst so arbiters move off their power-on state.
-		msg := &flit.Message{
+	leapsIdleWindow(t, network.DefaultConfig(mesh.MustDim(4, 4), network.DesignWaWWaP))
+}
+
+func leapsIdleWindow(t *testing.T, cfg network.Config) {
+	t.Helper()
+	ref, act := network.MustNewFullScan(cfg), network.MustNew(cfg)
+	// One multi-flit burst so arbiters move off their power-on state.
+	burst := func() *flit.Message {
+		return &flit.Message{
 			Flow:        flit.FlowID{Src: mesh.Node{X: 3, Y: 3}, Dst: mesh.Node{X: 0, Y: 0}},
 			Class:       flit.ClassData,
 			PayloadBits: traffic.CacheLinePayloadBits,
 		}
-		if _, err := net.Send(msg); err != nil {
-			t.Fatal(err)
-		}
-		if !net.RunUntilDrained(10_000) {
-			t.Fatal("burst did not drain")
-		}
 	}
-	if ref.Cycle() != act.Cycle() {
-		t.Fatalf("drain cycle differs: full-scan %d, active-set %d", ref.Cycle(), act.Cycle())
+	if _, err := ref.Net.Send(burst()); err != nil {
+		t.Fatal(err)
 	}
-	// A long idle window: the active-set engine leaps it, the full-scan
-	// reference steps it; the resulting states must agree exactly.
+	if _, err := act.Send(burst()); err != nil {
+		t.Fatal(err)
+	}
+	if !ref.RunUntilDrained(10_000) || !act.RunUntilDrained(10_000) {
+		t.Fatal("burst did not drain")
+	}
+	if ref.Net.Cycle() != act.Cycle() {
+		t.Fatalf("drain cycle differs: full-scan %d, Step %d", ref.Net.Cycle(), act.Cycle())
+	}
+	if !act.Leapable() {
+		t.Fatal("drained network not leapable")
+	}
 	const idle = 250_000
 	ref.Run(idle)
 	act.Run(idle)
-	if ref.Cycle() != act.Cycle() {
-		t.Fatalf("idle window cycle differs: full-scan %d, active-set %d", ref.Cycle(), act.Cycle())
+	if ref.Net.Cycle() != act.Cycle() {
+		t.Fatalf("idle window cycle differs: full-scan %d, Step %d", ref.Net.Cycle(), act.Cycle())
 	}
 	act.FlushReplenishment()
-	compareArbiterState(t, d, ref, act, int(ref.Cycle()))
+	compareArbiterState(t, cfg.Dim, ref.Net, act, int(act.Cycle()))
 }
 
 // compareArbiterState asserts every WaW flit counter of every router matches
@@ -353,7 +432,7 @@ func compareArbiterState(t *testing.T, d mesh.Dim, ref, act *network.Network, cy
 			}
 			for i := 0; i < wr.NumInputs(); i++ {
 				if wr.Count(i) != wa.Count(i) {
-					t.Fatalf("cycle %d node %v output %v input %d: WaW counter full-scan %d, active-set %d",
+					t.Fatalf("cycle %d node %v output %v input %d: WaW counter full-scan %d, Step %d",
 						cycle, nd, dir, i, wr.Count(i), wa.Count(i))
 				}
 			}
@@ -361,40 +440,18 @@ func compareArbiterState(t *testing.T, d mesh.Dim, ref, act *network.Network, cy
 	}
 }
 
-// TestEnginesLockstepArbiterState steps both engines side by side and, after
-// every cycle, flushes the active-set engine's lazy replenishment and
-// compares every WaW flit counter against the full-scan reference. This pins
-// the lazy-replenishment bookkeeping (and its credit/lock gating) to the
-// hardware rule at cycle granularity.
+// TestEnginesLockstepArbiterState steps Step and the oracle side by side and,
+// after every cycle, flushes Step's lazy replenishment and compares every WaW
+// flit counter against the full-scan reference. This pins the
+// lazy-replenishment bookkeeping (and its credit/lock gating) to the hardware
+// rule at cycle granularity.
 func TestEnginesLockstepArbiterState(t *testing.T) {
 	d := mesh.MustDim(4, 4)
-	mk := func(e network.Engine) *network.Network {
-		cfg := network.DefaultConfig(d, network.DesignWaWWaP)
-		cfg.Engine = e
-		return network.MustNew(cfg)
-	}
-	ref, act := mk(network.EngineFullScan), mk(network.EngineActiveSet)
-	genRef := buildGen(t, "uniform", d, 9)
-	genAct := buildGen(t, "uniform", d, 9)
-	for cycle := 0; cycle < 4000; cycle++ {
-		for _, msg := range genRef.Tick(ref.Cycle()) {
-			if _, err := ref.Send(msg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, msg := range genAct.Tick(act.Cycle()) {
-			if _, err := act.Send(msg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ref.Step()
-		act.Step()
+	cfg := network.DefaultConfig(d, network.DesignWaWWaP)
+	lockstep(t, cfg, "uniform", 9, 4000, func(cycle int, ref network.FullScan, act *network.Network) {
 		act.FlushReplenishment()
-		compareArbiterState(t, d, ref, act, cycle)
-		if genRef.Done() && ref.Drained() && act.Drained() {
-			break
-		}
-	}
+		compareArbiterState(t, d, ref.Net, act, cycle)
+	})
 }
 
 // TestResetMatchesFresh pins Network.Reset: after running an arbitrary
@@ -403,42 +460,43 @@ func TestEnginesLockstepArbiterState(t *testing.T) {
 // across designs and patterns. This is what makes the scenario layer's
 // network reuse safe.
 func TestResetMatchesFresh(t *testing.T) {
-	d := mesh.MustDim(4, 4)
-	for _, design := range []network.Design{
-		network.DesignRegular, network.DesignWaWWaP,
-		network.DesignWaWOnly, network.DesignWaPOnly,
-	} {
+	for _, design := range allDesigns {
 		for _, pattern := range []string{"hotspot", "uniform", "transpose"} {
 			t.Run(design.String()+"/"+pattern, func(t *testing.T) {
-				fresh := runEngine(t, network.EngineActiveSet, d, design, pattern, 3)
-
-				reused := network.MustNew(network.DefaultConfig(d, design))
-				// Dirty the network with a different workload, then rewind.
-				dirty := buildGen(t, "uniform", d, 99)
-				if _, done := traffic.Drive(reused, dirty, 1_000_000); !done {
-					t.Fatal("dirtying run did not drain")
-				}
-				reused.Reset()
-				if reused.Cycle() != 0 || !reused.Drained() ||
-					reused.TotalInjectedFlits() != 0 || reused.TotalDeliveredMessages() != 0 ||
-					len(reused.AllFlowStats()) != 0 {
-					t.Fatal("Reset did not rewind the network to its initial state")
-				}
-				gen := buildGen(t, pattern, d, 3)
-				if _, done := traffic.Drive(reused, gen, 1_000_000); !done {
-					t.Fatal("reused run did not drain")
-				}
-				if fresh.Cycle() != reused.Cycle() {
-					t.Errorf("cycles: fresh %d, reused %d", fresh.Cycle(), reused.Cycle())
-				}
-				if fresh.TotalDeliveredMessages() != reused.TotalDeliveredMessages() {
-					t.Errorf("delivered: fresh %d, reused %d",
-						fresh.TotalDeliveredMessages(), reused.TotalDeliveredMessages())
-				}
-				if ff, rf := flowFingerprint(fresh), flowFingerprint(reused); ff != rf {
-					t.Errorf("flow stats differ:\nfresh:\n%s\nreused:\n%s", ff, rf)
-				}
+				resetMatchesFresh(t, network.DefaultConfig(mesh.MustDim(4, 4), design), pattern)
 			})
 		}
+	}
+}
+
+func resetMatchesFresh(t *testing.T, cfg network.Config, pattern string) {
+	t.Helper()
+	fresh := runStep(t, cfg, pattern, 3)
+
+	reused := network.MustNew(cfg)
+	// Dirty the network with a different workload, then rewind.
+	dirty := buildGen(t, "uniform", cfg.Dim, 99)
+	if _, done := traffic.Drive(reused, dirty, 1_000_000); !done {
+		t.Fatal("dirtying run did not drain")
+	}
+	reused.Reset()
+	if reused.Cycle() != 0 || !reused.Drained() ||
+		reused.TotalInjectedFlits() != 0 || reused.TotalDeliveredMessages() != 0 ||
+		len(reused.AllFlowStats()) != 0 {
+		t.Fatal("Reset did not rewind the network to its initial state")
+	}
+	gen := buildGen(t, pattern, cfg.Dim, 3)
+	if _, done := traffic.Drive(reused, gen, 1_000_000); !done {
+		t.Fatal("reused run did not drain")
+	}
+	if fresh.Cycle() != reused.Cycle() {
+		t.Errorf("cycles: fresh %d, reused %d", fresh.Cycle(), reused.Cycle())
+	}
+	if fresh.TotalDeliveredMessages() != reused.TotalDeliveredMessages() {
+		t.Errorf("delivered: fresh %d, reused %d",
+			fresh.TotalDeliveredMessages(), reused.TotalDeliveredMessages())
+	}
+	if ff, rf := flowFingerprint(fresh), flowFingerprint(reused); ff != rf {
+		t.Errorf("flow stats differ:\nfresh:\n%s\nreused:\n%s", ff, rf)
 	}
 }

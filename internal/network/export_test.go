@@ -1,0 +1,65 @@
+package network
+
+// FullScan is the executable reference Network.Step is validated against: the
+// plain scan the repository started with, which visits every router and every
+// NIC every cycle and so needs neither the active set nor lazy replenishment.
+// It steps a Network of its own through the same stepRouter and stepNIC as
+// Step; every router stays flagged active for the network's whole life, so
+// activateRouter never settles or queues anything. Inspect and feed the
+// network through Net (Send, Router, Cycle, the statistics), but advance it
+// only through the oracle's own Step, Run and RunUntilDrained: Net.Step,
+// Net.Run and Net.Drained belong to the active-set engine.
+type FullScan struct{ Net *Network }
+
+// MustNewFullScan builds a network stepped by the full-scan oracle and panics
+// on an invalid configuration.
+func MustNewFullScan(cfg Config) FullScan { return FullScan{MustNew(cfg)} }
+
+// Step advances the oracle by one cycle.
+func (o FullScan) Step() {
+	n := o.Net
+	n.credits = n.credits[:0]
+	// Phase 1: router transfers.
+	for idx := range n.routers {
+		n.stepRouter(int32(idx))
+	}
+	// Phase 2: NIC injection (at most one flit per NIC per cycle).
+	for idx := range n.nics {
+		n.stepNIC(int32(idx))
+	}
+	// Phase 3: commit arrivals and credit returns.
+	for _, r := range n.routers {
+		r.CommitArrivals()
+	}
+	for _, cr := range n.credits {
+		n.routers[cr.router].ReturnCredit(cr.dir)
+	}
+	n.cycle++
+}
+
+// Run steps the oracle through cycles cycles, one by one.
+func (o FullScan) Run(cycles int) {
+	for ; cycles > 0; cycles-- {
+		o.Step()
+	}
+}
+
+// Drained reports whether the network holds no traffic, by looking at every
+// NIC and router.
+func (o FullScan) Drained() bool {
+	for idx, ni := range o.Net.nics {
+		if ni.PendingFlits() > 0 || ni.PendingReassemblies() > 0 || !o.Net.routers[idx].InputsEmpty() {
+			return false
+		}
+	}
+	return true
+}
+
+// RunUntilDrained steps until the network drains or maxCycles have elapsed,
+// and reports whether it drained.
+func (o FullScan) RunUntilDrained(maxCycles int) bool {
+	for ; maxCycles > 0 && !o.Drained(); maxCycles-- {
+		o.Step()
+	}
+	return o.Drained()
+}

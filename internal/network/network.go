@@ -33,51 +33,25 @@
 // under an integer key (flowKey). The bench keys network.ns_per_flit_hop and
 // router.transfers_ns measure this path on the sim-saturated workload.
 //
-// # Sharded stepping
+// # One engine
 //
-// A network built with Config.Shards > 1 partitions the mesh into stripes of
-// whole rows — contiguous ranges of the row-major node index — and steps all
-// stripes concurrently on a reusable barrier worker gang, one cycle in two
-// phases:
-//
-//   - Compute: every shard walks its own active set and performs the work of
-//     simulation phases 1 and 2 for its nodes only. All state a shard touches
-//     is shard-local: its routers' arbitration, FIFOs and locks, its NICs,
-//     its message/flit pool arena and its per-flow statistics. Effects that
-//     cross a stripe boundary (a flit staged into a neighbouring stripe, a
-//     credit returned to one) are not applied; they are recorded in per-peer
-//     outboxes.
-//   - Commit: after a barrier, every shard applies the boundary effects
-//     addressed to it — staged arrivals first (waking the receiving routers,
-//     exactly as an in-shard staging would have), then credit returns — in a
-//     fixed order: source shards in ascending id, entries in production
-//     order, which is ascending node index within each source. It then
-//     rebuilds its visit list and commits staged arrivals, as phase 3 does.
-//
-// Because rows are index-contiguous, a stripe partition is the index-order
-// analogue of the column-stripe partitions used by barrier-synchronized NoC
-// co-simulators; XY routing crosses a stripe boundary only on Y links, at
-// most once per boundary per route. The outboxes are addressed by the id of
-// the shard owning the target router — not by stripe adjacency — so the
-// torus's Y wrap link (last row to first row) stages exactly like any other
-// cross-stripe transfer; see Topology.StripeSafe for the per-topology gate.
-// The per-(router, input-port) uniqueness
-// of arrivals and the commutativity of credit increments make the commit
-// order above reproduce the serial engine's state evolution exactly; the
-// one serial-order-sensitive event stream — message deliveries, whose
-// sampler arithmetic and DeliveryHook calls are order-dependent — is
-// shard-local by construction when no hook is set (a flow's deliveries all
-// happen at its destination node), and is replayed in global ascending node
-// order at the end of the cycle when a hook is set. Sharded results are
-// therefore byte-identical to the serial engine's, which the equivalence
-// tests pin across designs, patterns and seeds.
+// Step visits only the routers that hold flits and the NICs that hold
+// pending injection traffic (the active set), settles idle WaW replenishment
+// lazily when a router wakes (see replenishFrom), and lets Run,
+// RunUntilDrained and traffic.Drive leap over event-idle windows in O(1).
+// A network is single-threaded: one goroutine steps it, and the traffic
+// generators, the NICs and the delivery path all draw from and recycle into
+// the one message/flit arena it owns (Pool). Parallelism lives a layer up,
+// across scenarios (sweep -jobs, -worker-procs). The plain every-router,
+// every-NIC scan the repository started with survives as the in-package test
+// oracle (export_test.go) that the equivalence and lockstep tests step next
+// to Step.
 package network
 
 import (
 	"cmp"
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 
 	"repro/internal/arbiter"
@@ -87,42 +61,7 @@ import (
 	"repro/internal/nic"
 	"repro/internal/router"
 	"repro/internal/stats"
-	"repro/internal/sweep/pool"
 )
-
-// Engine selects the Step scheduling strategy of a Network.
-type Engine int
-
-const (
-	// EngineActiveSet is the default engine: each cycle it only visits the
-	// routers that hold flits and the NICs that hold pending injection
-	// traffic. Idle WaW counter replenishment is tracked lazily (see
-	// replenishFrom) and settled in bulk when a router wakes, and Run,
-	// RunUntilDrained and traffic.Drive leap over event-idle windows in
-	// O(1). Its observable behaviour (every flit movement, timestamp,
-	// arbitration decision and delivery order) is identical to
-	// EngineFullScan; only the wall-clock cost of idle nodes differs.
-	// With Config.Shards > 1 the active set is partitioned into row
-	// stripes stepped concurrently (see the package comment); the
-	// observable behaviour is still identical.
-	EngineActiveSet Engine = iota
-	// EngineFullScan visits every router and NIC every cycle — the
-	// straightforward engine the repository started with, kept as the
-	// executable reference that the active-set engine is validated against.
-	EngineFullScan
-)
-
-// String names the engine.
-func (e Engine) String() string {
-	switch e {
-	case EngineActiveSet:
-		return "active-set"
-	case EngineFullScan:
-		return "full-scan"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
-	}
-}
 
 // Design selects the NoC design point evaluated in the paper.
 type Design int
@@ -188,16 +127,9 @@ type Config struct {
 	// XY-routed 2D mesh, so pre-topology Config literals keep their meaning.
 	Topo mesh.TopoSpec
 
-	// Engine selects the simulation scheduling strategy; the zero value is
-	// the active-set engine. The engine is fixed at construction time.
-	Engine Engine
-
-	// Shards partitions the mesh into that many row stripes stepped
-	// concurrently by the active-set engine (see the package comment);
-	// values <= 1 select the serial single-shard engine. The effective
-	// count is capped at the mesh height (every stripe holds at least one
-	// whole row). Sharding requires EngineActiveSet. Results are
-	// byte-identical for every shard count.
+	// Shards is accepted for compatibility and ignored: every value runs the
+	// one engine, so results are byte-identical for every shard count.
+	// Negative counts are rejected.
 	Shards int
 
 	// CustomWeights optionally overrides the topology-derived WaW weights
@@ -223,44 +155,41 @@ func DefaultConfig(d mesh.Dim, design Design) Config {
 
 // Validate checks the configuration for consistency.
 func (c Config) Validate() error {
+	_, err := c.resolve()
+	return err
+}
+
+// resolve validates the configuration and builds its topology.
+func (c Config) resolve() (mesh.Topology, error) {
 	if err := c.Dim.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	if err := c.Router.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	if err := c.Link.Validate(); err != nil {
-		return err
-	}
-	if c.Engine != EngineActiveSet && c.Engine != EngineFullScan {
-		return fmt.Errorf("network: unknown engine %v", c.Engine)
+		return nil, err
 	}
 	if c.Shards < 0 {
-		return fmt.Errorf("network: negative shard count %d", c.Shards)
-	}
-	if c.Shards > 1 && c.Engine != EngineActiveSet {
-		return fmt.Errorf("network: sharded stepping requires the active-set engine, got %v", c.Engine)
+		return nil, fmt.Errorf("network: negative shard count %d", c.Shards)
 	}
 	topo, err := c.Topo.Build(c.Dim)
 	if err != nil {
-		return err
-	}
-	if c.Shards > 1 && !topo.StripeSafe() {
-		return fmt.Errorf("network: topology %v does not support sharded stepping (StripeSafe), use -shards 1", topo)
+		return nil, err
 	}
 	if c.Router.Arbitration != c.Design.Arbitration() {
-		return fmt.Errorf("network: design %v requires %v arbitration, config says %v",
+		return nil, fmt.Errorf("network: design %v requires %v arbitration, config says %v",
 			c.Design, c.Design.Arbitration(), c.Router.Arbitration)
 	}
 	if c.CustomWeights != nil {
 		if c.Design.Arbitration() != arbiter.KindWeighted {
-			return fmt.Errorf("network: custom weights require a weighted-arbitration design, got %v", c.Design)
+			return nil, fmt.Errorf("network: custom weights require a weighted-arbitration design, got %v", c.Design)
 		}
 		if c.CustomWeights.Dim != topo.RouterDim() {
-			return fmt.Errorf("network: custom weight table is for a %v mesh, network is %v", c.CustomWeights.Dim, topo.RouterDim())
+			return nil, fmt.Errorf("network: custom weight table is for a %v mesh, network is %v", c.CustomWeights.Dim, topo.RouterDim())
 		}
 	}
-	return nil
+	return topo, nil
 }
 
 // FlowStats aggregates the delivered-message statistics of one flow.
@@ -282,73 +211,6 @@ type creditReturn struct {
 	dir    mesh.Direction
 }
 
-// arrival is a flit staged across a shard boundary: the compute phase of the
-// sending shard records it, the commit phase of the receiving shard applies
-// it.
-type arrival struct {
-	router int32
-	dir    mesh.Direction
-	flit   *flit.Flit
-}
-
-// shard owns the active-set engine state of one row stripe of the mesh: the
-// visit lists, the scratch buffers, the message/flit pool arena its NICs draw
-// from, and the per-flow delivery statistics of its nodes. The serial engine
-// is the one-shard special case — every Network has at least one shard, and
-// the single-shard step never spawns a worker or touches an outbox peer.
-//
-// During the compute phase a shard mutates only its own state (and its own
-// routers/NICs, which no other shard touches); cross-boundary effects go to
-// the outboxes. During the commit phase a shard additionally reads the
-// outbox slots addressed to it in every peer — the phase barrier makes that
-// safe — and mutates only its own routers.
-type shard struct {
-	id     int32
-	lo, hi int32 // owned router index range [lo, hi)
-
-	// Active-set state of this stripe. activeList is the sorted visit list
-	// of the current cycle; retained and activated are per-cycle scratch;
-	// nicList tracks the stripe's NICs with pending injection flits.
-	activeList []int32
-	retained   []int32
-	activated  []int32
-	nicList    []int32
-
-	// creditScratch is the reusable end-of-cycle credit-return buffer for
-	// credits whose target router lies in this shard.
-	creditScratch []creditReturn
-
-	// outArrivals[t] and outCredits[t] are the boundary effects this
-	// shard's compute phase produced for shard t; slot id is unused. The
-	// receiving shard drains them in its commit phase.
-	outArrivals [][]arrival
-	outCredits  [][]creditReturn
-
-	// pool is the shard-owned message/flit free list; the stripe's NICs
-	// draw reassembled messages and packetized flits from it and absorbed
-	// flits return to it, keeping the pool single-threaded (see flit.Pool).
-	// Flits that cross a stripe boundary migrate arenas: popped from the
-	// source shard's queues, they are recycled into the pool of the shard
-	// that ejects them. For a single-shard network this is the network
-	// pool itself.
-	pool *flit.Pool
-
-	// flowStats holds the delivered-message statistics of the flows whose
-	// destination lies in this stripe, keyed by Network.flowKey. A flow
-	// delivers only at its destination router, so its samples are recorded
-	// by exactly one shard, in the serial engine's order.
-	flowStats map[uint64]*FlowStats
-
-	// pendingDeliveries defers reassembled messages until the end of the
-	// cycle when a DeliveryHook is set on a multi-shard network: hook
-	// calls (and the order-sensitive sampler arithmetic recorded with
-	// them) are replayed serially in global ascending node order.
-	pendingDeliveries []*flit.Message
-
-	injected  uint64 // flits injected by this stripe's NICs
-	delivered uint64 // messages delivered at this stripe's NICs
-}
-
 // Network is a cycle-accurate simulation of one NoC instance.
 type Network struct {
 	cfg Config
@@ -368,22 +230,19 @@ type Network struct {
 	// per-cycle loop never recomputes Dim.NodeAt/Dim.Neighbor/Dim.Index.
 	neighborIdx [][mesh.NumDirections]int32
 
-	// shards partitions the mesh into row stripes (always at least one).
-	// shardOf maps a router index to the id of its owning shard.
-	shards  []*shard
-	shardOf []int32
-
-	// gang is the barrier worker pool stepping the shards (nil for a
-	// single-shard network); computePhase/commitPhase are the prebuilt
-	// per-phase closures so the per-cycle Run calls allocate nothing.
-	gang         *pool.Gang
-	computePhase func(int)
-	commitPhase  func(int)
-
-	// routerActive marks routers present in their shard's activeList or
-	// activated scratch; nicActive marks NICs on their shard's nicList.
+	// Active-set state. activeList is the sorted visit list of the current
+	// cycle; retained and activated are per-cycle scratch; nicList tracks the
+	// NICs with pending injection flits. routerActive marks routers present
+	// in activeList or activated; nicActive marks NICs on nicList.
+	activeList   []int32
+	retained     []int32
+	activated    []int32
+	nicList      []int32
 	routerActive []bool
 	nicActive    []bool
+
+	// credits is the reusable end-of-cycle credit-return buffer.
+	credits []creditReturn
 
 	// replenishFrom implements lazy WaW replenishment: for a router that
 	// has left the active set (empty input FIFOs), it records the first
@@ -395,29 +254,30 @@ type Network struct {
 	// per-cycle loop entirely and is what makes time leaps O(1).
 	replenishFrom []uint64
 
-	// pool is the network-owned message free list the traffic generators
-	// and Send draw from and recycle into; those calls run between Step
-	// calls, never inside one, so the pool stays single-threaded even on a
-	// sharded network. On a single-shard network it is also the arena the
-	// NICs use (see shard.pool).
+	// pool is the network's one message/flit arena: the traffic generators
+	// and Send draw messages from it, the NICs packetize from and reassemble
+	// into it, and absorbed flits and delivered messages return to it (see
+	// flit.Pool).
 	pool *flit.Pool
+
+	// flowStats holds the delivered-message statistics, keyed by flowKey.
+	flowStats map[uint64]*FlowStats
+
+	injected  uint64 // flits injected by the NICs
+	delivered uint64 // messages delivered at the NICs
 
 	cycle uint64
 
 	// DeliveryHook, when non-nil, is invoked for every reassembled message
-	// (used by the many-core model to wake up cores waiting on replies).
-	// On a sharded network the calls are replayed at the end of the cycle
-	// in the serial engine's order; hooks must not retain the message, and
-	// must not mutate or query the network.
+	// (used by the many-core model to wake up cores waiting on replies), in
+	// ascending node order within a cycle. Hooks must not retain the message,
+	// and must not mutate or query the network.
 	DeliveryHook func(msg *flit.Message, at uint64)
 }
 
 // New builds the routers and NICs of a NoC instance.
 func New(cfg Config) (*Network, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	topo, err := cfg.Topo.Build(cfg.Dim)
+	topo, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -430,13 +290,12 @@ func New(cfg Config) (*Network, error) {
 		routers:       make([]*router.Router, nodes),
 		nics:          make([]*nic.NIC, nodes),
 		neighborIdx:   make([][mesh.NumDirections]int32, nodes),
-		shardOf:       make([]int32, nodes),
 		routerActive:  make([]bool, nodes),
 		nicActive:     make([]bool, nodes),
 		replenishFrom: make([]uint64, nodes),
 		pool:          &flit.Pool{},
+		flowStats:     make(map[uint64]*FlowStats),
 	}
-	n.buildShards(cfg.EffectiveShards())
 	var weightTable *flows.WeightTable
 	if cfg.Design.Arbitration() == arbiter.KindWeighted {
 		if cfg.CustomWeights != nil {
@@ -466,7 +325,7 @@ func New(cfg Config) (*Network, error) {
 			ni.SetEndpointOwner(func(ep mesh.Node) bool { return topo.RouterOf(ep) == rn })
 		}
 		idx := rdim.Index(node)
-		ni.AttachPool(n.shards[n.shardOf[idx]].pool)
+		ni.AttachPool(n.pool)
 		n.routers[idx] = r
 		n.nics[idx] = ni
 	}
@@ -481,71 +340,9 @@ func New(cfg Config) (*Network, error) {
 		// Every router starts in the active set; the quiescent ones drop
 		// out after the first Step visit.
 		n.routerActive[idx] = true
-		sh := n.shards[n.shardOf[idx]]
-		sh.activeList = append(sh.activeList, int32(idx))
+		n.activeList = append(n.activeList, int32(idx))
 	}
 	return n, nil
-}
-
-// EffectiveShards resolves the configured shard count to the partition the
-// network will actually build: at least one, at most one per router-grid row
-// (a stripe must hold whole rows to stay index-contiguous; for the mesh and
-// the torus the router grid is Dim itself, for the concentrated mesh the
-// reduced grid). Configurations with the same effective count build identical
-// networks, which is what lets the scenario layer's network cache key on this
-// value.
-func (c Config) EffectiveShards() int {
-	s := c.Shards
-	if s < 1 {
-		s = 1
-	}
-	h := c.Dim.Height
-	if t, err := c.Topo.Build(c.Dim); err == nil {
-		h = t.RouterDim().Height
-	}
-	if s > h {
-		s = h
-	}
-	return s
-}
-
-// buildShards carves the router grid into count row stripes (rows distributed
-// as evenly as possible), assigns every router index to its stripe and, for a
-// multi-shard network, builds the outboxes and the barrier worker gang.
-func (n *Network) buildShards(count int) {
-	width := n.rdim.Width
-	height := n.rdim.Height
-	n.shards = make([]*shard, count)
-	for s := 0; s < count; s++ {
-		rowLo := s * height / count
-		rowHi := (s + 1) * height / count
-		sh := &shard{
-			id:        int32(s),
-			lo:        int32(rowLo * width),
-			hi:        int32(rowHi * width),
-			flowStats: make(map[uint64]*FlowStats),
-		}
-		if count == 1 {
-			sh.pool = n.pool
-		} else {
-			sh.pool = &flit.Pool{}
-			sh.outArrivals = make([][]arrival, count)
-			sh.outCredits = make([][]creditReturn, count)
-		}
-		n.shards[s] = sh
-		for idx := sh.lo; idx < sh.hi; idx++ {
-			n.shardOf[idx] = sh.id
-		}
-	}
-	if count > 1 {
-		n.gang = pool.NewGang(count)
-		n.computePhase = func(w int) { n.computeShard(n.shards[w]) }
-		n.commitPhase = func(w int) { n.commitShard(n.shards[w]) }
-		// The gang's worker goroutines outlive any reference the collector
-		// can see, so release them when the network itself becomes garbage
-		// (the cleanup must not reference n, or n would never be collected).
-		runtime.AddCleanup(n, func(g *pool.Gang) { g.Close() }, n.gang)
-	}
 }
 
 // MustNew is like New but panics on error.
@@ -563,15 +360,9 @@ func (n *Network) Config() Config { return n.cfg }
 // Topology returns the resolved topology instance the network was built on.
 func (n *Network) Topology() mesh.Topology { return n.topo }
 
-// Shards returns the effective shard count of the engine (1 for the serial
-// engines).
-func (n *Network) Shards() int { return len(n.shards) }
-
-// Pool returns the network-owned message free list. Traffic generators
-// attach to it so their messages are recycled once consumed; see flit.Pool
-// for the ownership rules. Generators and Send run between Step calls, so
-// the pool needs no synchronization even on a sharded network (whose NICs
-// use per-shard arenas instead).
+// Pool returns the network's message/flit arena. Traffic generators attach
+// to it so their messages are recycled once consumed; see flit.Pool for the
+// ownership rules.
 func (n *Network) Pool() *flit.Pool { return n.pool }
 
 // Cycle returns the current simulation cycle.
@@ -598,7 +389,7 @@ func (n *Network) Send(msg *flit.Message) (uint64, error) {
 	idx := n.rdim.Index(n.topo.RouterOf(msg.Flow.Src))
 	id, err := n.nics[idx].Send(msg, n.cycle)
 	if err == nil {
-		n.activateNIC(n.shards[n.shardOf[idx]], int32(idx))
+		n.activateNIC(int32(idx))
 		// The NIC has packetized the message; a pool-owned message is
 		// fully consumed at this point and can be recycled (a no-op for
 		// caller-owned messages).
@@ -616,14 +407,11 @@ func owed(from, through uint64) uint64 {
 	return through - from + 1
 }
 
-// activateRouter wakes the router into the next cycle's active set of its
-// owning shard s, first settling the idle replenishment it is owed for the
-// cycles it was skipped — including the currently executing cycle, which the
-// full-scan engine would have visited but the active set will not. The
-// caller must be s's own phase work (compute for in-shard events, commit for
-// inbound boundary events), which is what keeps the flag and scratch writes
-// single-threaded.
-func (n *Network) activateRouter(s *shard, idx int32) {
+// activateRouter wakes the router into the next cycle's active set, first
+// settling the idle replenishment it is owed for the cycles it was skipped —
+// including the currently executing cycle, which a plain every-router scan
+// would have visited but the active set will not.
+func (n *Network) activateRouter(idx int32) {
 	if n.routerActive[idx] {
 		return
 	}
@@ -631,24 +419,21 @@ func (n *Network) activateRouter(s *shard, idx int32) {
 		n.routers[idx].CatchUpIdle(k)
 	}
 	n.routerActive[idx] = true
-	s.activated = append(s.activated, idx)
+	n.activated = append(n.activated, idx)
 }
 
-// activateNIC ensures the NIC is on its shard's pending-injection list.
-func (n *Network) activateNIC(s *shard, idx int32) {
+// activateNIC ensures the NIC is on the pending-injection list.
+func (n *Network) activateNIC(idx int32) {
 	if !n.nicActive[idx] {
 		n.nicActive[idx] = true
-		s.nicList = append(s.nicList, idx)
+		n.nicList = append(n.nicList, idx)
 	}
 }
 
-// stepRouter computes and applies the transfers of one router of shard s:
-// pops the forwarded flits, stages them downstream (activating the receiving
-// router), delivers ejected flits to the local NIC and queues credit
-// returns. Staging and credits that cross a stripe boundary are recorded in
-// the outbox for the owning shard instead of applied, preserving the
-// shard-locality of the compute phase.
-func (n *Network) stepRouter(s *shard, idx int32) {
+// stepRouter computes and applies the transfers of one router: pops the
+// forwarded flits, stages them downstream (activating the receiving router),
+// delivers ejected flits to the local NIC and queues credit returns.
+func (n *Network) stepRouter(idx int32) {
 	r := n.routers[idx]
 	transfers := r.ComputeTransfers()
 	for i := range transfers {
@@ -663,11 +448,7 @@ func (n *Network) stepRouter(s *shard, idx int32) {
 			if up < 0 {
 				panic(fmt.Sprintf("network: no upstream neighbour for %v input %v", r.Node, t.In))
 			}
-			if us := n.shardOf[up]; us == s.id {
-				s.creditScratch = append(s.creditScratch, creditReturn{router: up, dir: t.In})
-			} else {
-				s.outCredits[us] = append(s.outCredits[us], creditReturn{router: up, dir: t.In})
-			}
+			n.credits = append(n.credits, creditReturn{router: up, dir: t.In})
 		}
 		if t.Out == mesh.Local {
 			// Ejection: deliver to the local NIC.
@@ -676,7 +457,7 @@ func (n *Network) stepRouter(s *shard, idx int32) {
 				panic(fmt.Sprintf("network: ejection at %v: %v", r.Node, err))
 			}
 			if msg != nil {
-				n.recordDelivery(s, msg)
+				n.accountDelivery(msg)
 			}
 			continue
 		}
@@ -684,20 +465,16 @@ func (n *Network) stepRouter(s *shard, idx int32) {
 		if down < 0 {
 			panic(fmt.Sprintf("network: no downstream neighbour for %v output %v", r.Node, t.Out))
 		}
-		if ds := n.shardOf[down]; ds == s.id {
-			if err := n.routers[down].StageArrival(t.Out, f); err != nil {
-				panic(fmt.Sprintf("network: %v", err))
-			}
-			n.activateRouter(s, down)
-		} else {
-			s.outArrivals[ds] = append(s.outArrivals[ds], arrival{router: down, dir: t.Out, flit: f})
+		if err := n.routers[down].StageArrival(t.Out, f); err != nil {
+			panic(fmt.Sprintf("network: %v", err))
 		}
+		n.activateRouter(down)
 	}
 }
 
 // stepNIC injects at most one flit from the NIC into the local router and
 // reports whether the NIC still holds pending injection flits.
-func (n *Network) stepNIC(s *shard, idx int32) bool {
+func (n *Network) stepNIC(idx int32) bool {
 	ni := n.nics[idx]
 	if ni.PendingFlits() == 0 {
 		return false
@@ -713,92 +490,30 @@ func (n *Network) stepNIC(s *shard, idx int32) bool {
 	if err := r.StageArrival(mesh.Local, f); err != nil {
 		panic(fmt.Sprintf("network: injection at %v: %v", r.Node, err))
 	}
-	n.activateRouter(s, idx)
-	s.injected++
+	n.activateRouter(idx)
+	n.injected++
 	return ni.PendingFlits() > 0
 }
 
-// Step advances the simulation by one cycle.
+// Step advances the simulation by one cycle, visiting only the nodes that can
+// make progress. The engine maintains the invariant that every router holding
+// a flit — the only routers whose visit could produce a transfer — is in the
+// active set: a router enters the set when a flit is staged into one of its
+// input buffers and leaves it as soon as its input FIFOs are empty. A dropped
+// router may still owe request-less WaW replenishment; that debt is tracked
+// in replenishFrom and replayed in bulk when the router is woken (lazy
+// replenishment), so the cycle-by-cycle state evolution remains identical to
+// visiting every router and NIC every cycle.
 func (n *Network) Step() {
-	switch {
-	case n.cfg.Engine == EngineFullScan:
-		n.stepFullScan()
-	case len(n.shards) == 1:
-		n.stepActiveSet()
-	default:
-		n.stepSharded()
-	}
-}
+	n.credits = n.credits[:0]
+	n.activated = n.activated[:0]
+	n.retained = n.retained[:0]
 
-// stepFullScan is the reference engine: every router and NIC is visited
-// every cycle, exactly as the original simulator did. (A full-scan network
-// always has exactly one shard, which holds its scratch buffers.)
-func (n *Network) stepFullScan() {
-	s := n.shards[0]
-	s.creditScratch = s.creditScratch[:0]
-
-	// Phase 1: router transfers.
-	for idx := range n.routers {
-		n.stepRouter(s, int32(idx))
-	}
-	// Phase 2: NIC injection (at most one flit per NIC per cycle).
-	for idx := range n.nics {
-		n.stepNIC(s, int32(idx))
-	}
-	// Phase 3: commit arrivals and credit returns.
-	for _, r := range n.routers {
-		r.CommitArrivals()
-	}
-	for _, cr := range s.creditScratch {
-		n.routers[cr.router].ReturnCredit(cr.dir)
-	}
-	n.cycle++
-}
-
-// stepActiveSet advances one cycle of a single-shard network visiting only
-// the nodes that can make progress. The engine maintains the invariant that
-// every router holding a flit — the only routers whose full-scan visit could
-// produce a transfer — is in the active set: a router enters the set when a
-// flit is staged into one of its input buffers and leaves it as soon as its
-// input FIFOs are empty. A dropped router may still owe request-less WaW
-// replenishment; that debt is tracked in replenishFrom and replayed in bulk
-// when the router is woken (lazy replenishment), so the cycle-by-cycle state
-// evolution remains identical to stepFullScan's.
-func (n *Network) stepActiveSet() {
-	s := n.shards[0]
-	n.computeShard(s)
-	n.commitShard(s)
-	n.cycle++
-}
-
-// stepSharded advances one cycle of a multi-shard network in two
-// barrier-separated phases (see the package comment), then replays any
-// deferred delivery-hook calls in global node order and advances the clock.
-func (n *Network) stepSharded() {
-	n.gang.Run(n.computePhase)
-	n.gang.Run(n.commitPhase)
-	if n.DeliveryHook != nil {
-		n.replayDeliveries()
-	}
-	n.cycle++
-}
-
-// computeShard runs simulation phases 1 and 2 for one shard: router
-// transfers over the shard's active set in ascending index order — the order
-// the full scan uses, so deliveries and DeliveryHook calls are identical —
-// then NIC injection over the shard's pending list, compacting it in place.
-func (n *Network) computeShard(s *shard) {
-	s.creditScratch = s.creditScratch[:0]
-	for t := range s.outArrivals {
-		s.outArrivals[t] = s.outArrivals[t][:0]
-		s.outCredits[t] = s.outCredits[t][:0]
-	}
-	s.activated = s.activated[:0]
-	s.retained = s.retained[:0]
-
-	// Phase 1: router transfers.
-	for _, idx := range s.activeList {
-		n.stepRouter(s, idx)
+	// Phase 1: router transfers over the active set in ascending index order
+	// — the order a full scan uses, so deliveries and DeliveryHook calls are
+	// identical.
+	for _, idx := range n.activeList {
+		n.stepRouter(idx)
 		if n.routers[idx].InputsEmpty() {
 			// The router can neither move a flit nor form a request until
 			// something arrives; its remaining per-cycle work is pure idle
@@ -806,70 +521,42 @@ func (n *Network) computeShard(s *shard) {
 			n.routerActive[idx] = false
 			n.replenishFrom[idx] = n.cycle + 1
 		} else {
-			s.retained = append(s.retained, idx)
+			n.retained = append(n.retained, idx)
 		}
 	}
 
-	// Phase 2: NIC injection, visiting only NICs with pending traffic.
-	live := s.nicList[:0]
-	for _, idx := range s.nicList {
-		if n.stepNIC(s, idx) {
+	// Phase 2: NIC injection, visiting only NICs with pending traffic and
+	// compacting the list in place.
+	live := n.nicList[:0]
+	for _, idx := range n.nicList {
+		if n.stepNIC(idx) {
 			live = append(live, idx)
 		} else {
 			n.nicActive[idx] = false
 		}
 	}
-	s.nicList = live
-}
+	n.nicList = live
 
-// commitShard runs simulation phase 3 for one shard. Cross-boundary effects
-// addressed to this shard are applied first, in the fixed deterministic
-// order documented on the package: staged arrivals (waking their targets
-// exactly as the serial engine's phase 1 would have) before credit returns,
-// source shards in ascending id, entries in production order. Then credit
-// returns are applied — a credit returning to a sleeping router cannot give
-// it work (its inputs are empty), so the router stays out of the active set;
-// but the return changes the credit state the idle replay depends on, so the
-// owed cycles are settled first, against the pre-return credits the
-// full-scan engine would have seen this cycle. Finally the next cycle's
-// visit list is rebuilt and arrivals are committed for exactly the routers
-// that may hold staged flits — every staging event activated its target, so
-// the merged list covers them all.
-func (n *Network) commitShard(s *shard) {
-	if len(n.shards) > 1 {
-		for _, src := range n.shards {
-			if src.id == s.id {
-				continue
-			}
-			for _, a := range src.outArrivals[s.id] {
-				if err := n.routers[a.router].StageArrival(a.dir, a.flit); err != nil {
-					panic(fmt.Sprintf("network: %v", err))
-				}
-				n.activateRouter(s, a.router)
-			}
-		}
-	}
-	n.applyCredits(s.creditScratch)
-	if len(n.shards) > 1 {
-		for _, src := range n.shards {
-			if src.id == s.id {
-				continue
-			}
-			n.applyCredits(src.outCredits[s.id])
-		}
-	}
-	n.mergeActive(s)
-	for _, idx := range s.activeList {
+	// Phase 3: credit returns, then the next cycle's visit list, then commit
+	// arrivals for exactly the routers that may hold staged flits — every
+	// staging event activated its target, so the merged list covers them all.
+	n.applyCredits()
+	n.mergeActive()
+	for _, idx := range n.activeList {
 		if r := n.routers[idx]; r.HasStaged() {
 			r.CommitArrivals()
 		}
 	}
+	n.cycle++
 }
 
-// applyCredits returns the queued credits, settling the lazy replenishment
-// of sleeping receivers against the pre-return credit state first.
-func (n *Network) applyCredits(credits []creditReturn) {
-	for _, cr := range credits {
+// applyCredits returns the cycle's queued credits. A credit returning to a
+// sleeping router cannot give it work (its inputs are empty), so the router
+// stays out of the active set; but the return changes the credit state the
+// idle replay depends on, so the owed cycles are settled first, against the
+// pre-return credits a full scan would have seen this cycle.
+func (n *Network) applyCredits() {
+	for _, cr := range n.credits {
 		r := n.routers[cr.router]
 		if !n.routerActive[cr.router] {
 			if k := owed(n.replenishFrom[cr.router], n.cycle); k > 0 {
@@ -881,28 +568,28 @@ func (n *Network) applyCredits(credits []creditReturn) {
 	}
 }
 
-// mergeActive rebuilds the shard's activeList for the next cycle from the
-// routers that stayed active after their visit (already in ascending order)
-// and the routers activated during the cycle (sorted here). The two sets are
+// mergeActive rebuilds activeList for the next cycle from the routers that
+// stayed active after their visit (already in ascending order) and the
+// routers activated during the cycle (sorted here). The two sets are
 // disjoint by construction of the routerActive flag.
-func (n *Network) mergeActive(s *shard) {
-	if len(s.activated) > 1 {
-		slices.Sort(s.activated)
+func (n *Network) mergeActive() {
+	if len(n.activated) > 1 {
+		slices.Sort(n.activated)
 	}
-	out := s.activeList[:0]
+	out := n.activeList[:0]
 	i, j := 0, 0
-	for i < len(s.retained) && j < len(s.activated) {
-		if s.retained[i] < s.activated[j] {
-			out = append(out, s.retained[i])
+	for i < len(n.retained) && j < len(n.activated) {
+		if n.retained[i] < n.activated[j] {
+			out = append(out, n.retained[i])
 			i++
 		} else {
-			out = append(out, s.activated[j])
+			out = append(out, n.activated[j])
 			j++
 		}
 	}
-	out = append(out, s.retained[i:]...)
-	out = append(out, s.activated[j:]...)
-	s.activeList = out
+	out = append(out, n.retained[i:]...)
+	out = append(out, n.activated[j:]...)
+	n.activeList = out
 }
 
 // flowKey packs a flow's endpoint indices as srcIndex<<32 | dstIndex: the
@@ -913,30 +600,15 @@ func (n *Network) flowKey(f flit.FlowID) uint64 {
 	return uint64(n.cfg.Dim.Index(f.Src))<<32 | uint64(n.cfg.Dim.Index(f.Dst))
 }
 
-// recordDelivery accounts one reassembled message delivered at a node of
-// shard s. With a DeliveryHook set on a multi-shard network the whole event
-// is deferred: sampler arithmetic and hook calls are order-sensitive, so
-// they replay serially at the end of the cycle in the order the serial
-// engine would have produced them. Without a hook the event is shard-local
-// by construction — a flow delivers only at its destination node — and is
-// recorded immediately.
-func (n *Network) recordDelivery(s *shard, msg *flit.Message) {
-	if n.DeliveryHook != nil && len(n.shards) > 1 {
-		s.pendingDeliveries = append(s.pendingDeliveries, msg)
-		return
-	}
-	n.accountDelivery(s, msg)
-}
-
-// accountDelivery updates the delivery statistics of shard s for msg,
-// invokes the delivery hook and recycles the message into the shard's pool.
-func (n *Network) accountDelivery(s *shard, msg *flit.Message) {
-	s.delivered++
+// accountDelivery updates the delivery statistics for msg, invokes the
+// delivery hook and recycles the message into the pool.
+func (n *Network) accountDelivery(msg *flit.Message) {
+	n.delivered++
 	key := n.flowKey(msg.Flow)
-	fs, ok := s.flowStats[key]
+	fs, ok := n.flowStats[key]
 	if !ok {
 		fs = &FlowStats{Flow: msg.Flow}
-		s.flowStats[key] = fs
+		n.flowStats[key] = fs
 	}
 	fs.Messages++
 	fs.Latency.AddUint(msg.DeliveredAt - msg.CreatedAt)
@@ -949,25 +621,7 @@ func (n *Network) accountDelivery(s *shard, msg *flit.Message) {
 	}
 	// The delivery has been fully reported; a pool-owned message is
 	// recycled here, which is why delivery hooks must not retain it.
-	s.pool.PutMessage(msg)
-}
-
-// replayDeliveries drains every shard's deferred deliveries in ascending
-// shard order. Shards own ascending index ranges and append deliveries in
-// visit order, so the concatenation is exactly the serial engine's global
-// ascending-node-index delivery order (a router ejects at most one flit per
-// cycle, so it completes at most one message per cycle).
-func (n *Network) replayDeliveries() {
-	for _, s := range n.shards {
-		if len(s.pendingDeliveries) == 0 {
-			continue
-		}
-		for i, msg := range s.pendingDeliveries {
-			s.pendingDeliveries[i] = nil
-			n.accountDelivery(s, msg)
-		}
-		s.pendingDeliveries = s.pendingDeliveries[:0]
-	}
+	n.pool.PutMessage(msg)
 }
 
 // Leapable reports whether the network is event-idle: no router holds or is
@@ -976,21 +630,9 @@ func (n *Network) replayDeliveries() {
 // the lazy-replenishment bookkeeping tracks without per-cycle work. A leap
 // is legal iff no component's earliest-possible-action cycle precedes the
 // target, and for an event-idle network that horizon is "never" until new
-// traffic is Sent; only the full-scan engine (which must visit every node
-// every cycle by definition) is never leapable. On a sharded network every
-// stripe must be idle — in-flight boundary transfers live in some shard's
-// active set or staged buffers between Step calls, so the per-shard check
-// covers them.
+// traffic is Sent.
 func (n *Network) Leapable() bool {
-	if n.cfg.Engine != EngineActiveSet {
-		return false
-	}
-	for _, s := range n.shards {
-		if len(s.activeList) != 0 || len(s.nicList) != 0 {
-			return false
-		}
-	}
-	return true
+	return len(n.activeList) == 0 && len(n.nicList) == 0
 }
 
 // LeapTo advances an event-idle network directly to the given cycle, in O(1):
@@ -1089,8 +731,8 @@ func (n *Network) runUntilDrained(ctx context.Context, maxCycles int, poll bool)
 }
 
 // FlushReplenishment settles the idle WaW replenishment every sleeping
-// router is still owed, bringing all arbiter counters up to the state the
-// full-scan engine would show after the same number of cycles. The engines'
+// router is still owed, bringing all arbiter counters up to the state a
+// plain every-router scan would show after the same number of cycles. The
 // observable behaviour never depends on this — woken routers settle their
 // debt automatically — but out-of-band inspection of arbiter state (tests,
 // checkpoints) must flush first.
@@ -1113,70 +755,49 @@ func (n *Network) FlushReplenishment() {
 // Reset rewinds the network to its just-constructed state in place: every
 // router and NIC is rewound (buffers, credits, wormhole locks, arbiters,
 // identifier counters), the statistics and the delivery hook are cleared and
-// the cycle counter returns to zero. The topology, the design point, the
-// shard partition (with its worker gang) and the message/flit pools are all
-// retained, so a sweep worker can reuse one constructed network across
-// scenario points instead of rebuilding the topology per point. A reset
-// network behaves identically to a freshly constructed one.
+// the cycle counter returns to zero. The topology, the design point and the
+// message/flit pool are retained, so a sweep worker can reuse one constructed
+// network across scenario points instead of rebuilding the topology per
+// point. A reset network behaves identically to a freshly constructed one.
 func (n *Network) Reset() {
+	n.activeList = n.activeList[:0]
 	for idx := range n.routers {
 		n.routers[idx].Reset()
 		n.nics[idx].Reset()
 		n.routerActive[idx] = true
 		n.nicActive[idx] = false
 		n.replenishFrom[idx] = 0
+		n.activeList = append(n.activeList, int32(idx))
 	}
-	for _, s := range n.shards {
-		s.activeList = s.activeList[:0]
-		for idx := s.lo; idx < s.hi; idx++ {
-			s.activeList = append(s.activeList, idx)
-		}
-		s.retained = s.retained[:0]
-		s.activated = s.activated[:0]
-		s.nicList = s.nicList[:0]
-		s.creditScratch = s.creditScratch[:0]
-		for t := range s.outArrivals {
-			s.outArrivals[t] = s.outArrivals[t][:0]
-			s.outCredits[t] = s.outCredits[t][:0]
-		}
-		clear(s.pendingDeliveries)
-		s.pendingDeliveries = s.pendingDeliveries[:0]
-		clear(s.flowStats)
-		s.injected = 0
-		s.delivered = 0
-	}
+	n.retained = n.retained[:0]
+	n.activated = n.activated[:0]
+	n.nicList = n.nicList[:0]
+	n.credits = n.credits[:0]
+	clear(n.flowStats)
+	n.injected = 0
+	n.delivered = 0
 	n.cycle = 0
 	n.DeliveryHook = nil
 }
 
-// Close releases the shard worker goroutines of a sharded network. It is
-// optional — an unreachable network's workers are released by a GC cleanup —
-// and a closed network must not be stepped again. Close on a single-shard
-// network is a no-op.
-func (n *Network) Close() {
-	if n.gang != nil {
-		n.gang.Close()
-		n.gang = nil
-	}
-}
+// Close is a no-op kept for callers written against the sharded engine,
+// whose worker goroutines it released; a network holds no resources beyond
+// its memory.
+func (n *Network) Close() {}
 
 // Drained reports whether the network holds no traffic: no pending injection
 // flits, no occupied router buffers and no partially reassembled messages.
 func (n *Network) Drained() bool {
-	if n.cfg.Engine == EngineActiveSet {
-		// A busy network answers from the head of a list: every NIC with
-		// pending flits is on its shard's injection list and every router
-		// holding a flit on its visit list. (Only a just-built or just-reset
-		// network lists routers that hold nothing.)
-		for _, s := range n.shards {
-			if len(s.nicList) != 0 {
-				return false
-			}
-			for _, idx := range s.activeList {
-				if !n.routers[idx].InputsEmpty() {
-					return false
-				}
-			}
+	// A busy network answers from the head of a list: every NIC with pending
+	// flits is on the injection list and every router holding a flit on the
+	// visit list. (Only a just-built or just-reset network lists routers
+	// that hold nothing.)
+	if len(n.nicList) != 0 {
+		return false
+	}
+	for _, idx := range n.activeList {
+		if !n.routers[idx].InputsEmpty() {
+			return false
 		}
 	}
 	for idx, ni := range n.nics {
@@ -1188,23 +809,20 @@ func (n *Network) Drained() bool {
 }
 
 // FlowStatsFor returns the delivered-message statistics of a flow, or nil
-// when the flow has delivered nothing yet. A flow's statistics live in the
-// shard owning its destination endpoint's router.
+// when the flow has delivered nothing yet.
 func (n *Network) FlowStatsFor(f flit.FlowID) *FlowStats {
 	if !n.cfg.Dim.Contains(f.Src) || !n.cfg.Dim.Contains(f.Dst) {
 		return nil
 	}
-	return n.shards[n.shardOf[n.rdim.Index(n.topo.RouterOf(f.Dst))]].flowStats[n.flowKey(f)]
+	return n.flowStats[n.flowKey(f)]
 }
 
 // AllFlowStats returns the statistics of every flow that delivered at least
 // one message, in ascending (source index, destination index) order.
 func (n *Network) AllFlowStats() []*FlowStats {
 	var out []*FlowStats
-	for _, s := range n.shards {
-		for _, fs := range s.flowStats {
-			out = append(out, fs)
-		}
+	for _, fs := range n.flowStats {
+		out = append(out, fs)
 	}
 	slices.SortFunc(out, func(a, b *FlowStats) int {
 		return cmp.Compare(n.flowKey(a.Flow), n.flowKey(b.Flow))
@@ -1214,23 +832,11 @@ func (n *Network) AllFlowStats() []*FlowStats {
 
 // TotalInjectedFlits returns the number of flits injected into the network so
 // far.
-func (n *Network) TotalInjectedFlits() uint64 {
-	var total uint64
-	for _, s := range n.shards {
-		total += s.injected
-	}
-	return total
-}
+func (n *Network) TotalInjectedFlits() uint64 { return n.injected }
 
 // TotalDeliveredMessages returns the number of messages fully delivered so
 // far.
-func (n *Network) TotalDeliveredMessages() uint64 {
-	var total uint64
-	for _, s := range n.shards {
-		total += s.delivered
-	}
-	return total
-}
+func (n *Network) TotalDeliveredMessages() uint64 { return n.delivered }
 
 // AggregateLatency merges the message-latency samplers of every flow.
 // Count, Sum, Min, Max and Mean of the aggregate are exact (latencies are
@@ -1238,10 +844,8 @@ func (n *Network) TotalDeliveredMessages() uint64 {
 // so they do not depend on the merge order.
 func (n *Network) AggregateLatency() *stats.Sampler {
 	agg := &stats.Sampler{}
-	for _, s := range n.shards {
-		for _, fs := range s.flowStats {
-			agg.Merge(&fs.Latency)
-		}
+	for _, fs := range n.flowStats {
+		agg.Merge(&fs.Latency)
 	}
 	return agg
 }

@@ -1,8 +1,8 @@
-// Topology equivalence tests for the cycle-accurate engines: the torus and
-// concentrated meshes must run on all three engines (full-scan, active-set,
-// sharded) with byte-identical results, the torus wrap links must actually
-// shorten routes, and the configuration layer must reject topology/parameter
-// combinations it cannot honour.
+// Topology equivalence tests for the cycle-accurate simulator: on the torus
+// and the concentrated meshes Step must match the full-scan oracle
+// byte-for-byte, the torus wrap links must actually shorten routes, and the
+// configuration layer must reject topology/parameter combinations it cannot
+// honour.
 package network_test
 
 import (
@@ -38,32 +38,10 @@ func buildTopoGen(t *testing.T, topo mesh.Topology, pattern string, seed int64) 
 	return gen
 }
 
-// runTopo drives the pattern through a fresh network of the given topology,
-// engine and shard count until drained.
-func runTopo(t *testing.T, spec mesh.TopoSpec, engine network.Engine, shards int, d mesh.Dim, design network.Design, pattern string, seed int64) *network.Network {
-	t.Helper()
-	cfg := network.DefaultConfig(d, design)
-	cfg.Topo = spec
-	cfg.Engine = engine
-	cfg.Shards = shards
-	net, err := network.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := buildTopoGen(t, net.Topology(), pattern, seed)
-	if _, done := traffic.Drive(net, gen, 1_000_000); !done {
-		t.Fatalf("%v/%v/%v/%s/seed=%d did not drain", spec, d, design, pattern, seed)
-	}
-	return net
-}
-
 // TestTopologyEnginesAndShardsEquivalent checks that, on the torus and both
-// concentrated meshes, the full-scan engine, the active-set engine and
-// every sharded partition produce byte-identical results — cycles, flit
-// counts and every per-flow latency sampler. For the torus this is the test
-// behind StripeSafe()=true: the Y wrap link crosses the stripe boundary
-// between the last and first rows, and the shard-id-addressed outboxes must
-// stage it exactly like any interior cross-stripe transfer.
+// concentrated meshes, Step and the full-scan oracle produce byte-identical
+// results — cycles, flit counts and every per-flow latency sampler — with the
+// inert Config.Shards unset and set.
 func TestTopologyEnginesAndShardsEquivalent(t *testing.T) {
 	cases := []struct {
 		spec mesh.TopoSpec
@@ -81,32 +59,20 @@ func TestTopologyEnginesAndShardsEquivalent(t *testing.T) {
 			for _, pattern := range patterns {
 				name := fmt.Sprintf("%v/%v/%v/%s", c.spec, c.dim, design, pattern)
 				t.Run(name, func(t *testing.T) {
-					ref := runTopo(t, c.spec, network.EngineFullScan, 1, c.dim, design, pattern, 7)
-					rf := flowFingerprint(ref)
-					for _, alt := range []struct {
-						engine network.Engine
-						shards int
-					}{
-						{network.EngineActiveSet, 1},
-						{network.EngineActiveSet, 2},
-						{network.EngineActiveSet, 3},
-						{network.EngineActiveSet, 8},
-					} {
-						act := runTopo(t, c.spec, alt.engine, alt.shards, c.dim, design, pattern, 7)
-						if ref.Cycle() != act.Cycle() {
-							t.Errorf("%v shards=%d cycles: %d vs %d", alt.engine, alt.shards, ref.Cycle(), act.Cycle())
+					cfg := network.DefaultConfig(c.dim, design)
+					cfg.Topo = c.spec
+					ref := network.MustNewFullScan(cfg)
+					driveOracle(t, ref, buildTopoGen(t, ref.Net.Topology(), pattern, 7))
+					for _, shards := range []int{0, 3} {
+						cfg.Shards = shards
+						act, err := network.New(cfg)
+						if err != nil {
+							t.Fatal(err)
 						}
-						if ref.TotalInjectedFlits() != act.TotalInjectedFlits() {
-							t.Errorf("%v shards=%d injected flits: %d vs %d",
-								alt.engine, alt.shards, ref.TotalInjectedFlits(), act.TotalInjectedFlits())
+						if _, done := traffic.Drive(act, buildTopoGen(t, act.Topology(), pattern, 7), 1_000_000); !done {
+							t.Fatalf("shards=%d did not drain", shards)
 						}
-						if ref.TotalDeliveredMessages() != act.TotalDeliveredMessages() {
-							t.Errorf("%v shards=%d delivered: %d vs %d",
-								alt.engine, alt.shards, ref.TotalDeliveredMessages(), act.TotalDeliveredMessages())
-						}
-						if af := flowFingerprint(act); rf != af {
-							t.Errorf("%v shards=%d flow stats differ:\nref:\n%s\ngot:\n%s", alt.engine, alt.shards, rf, af)
-						}
+						compareRuns(t, fmt.Sprintf("shards=%d", shards), ref.Net, act)
 					}
 				})
 			}

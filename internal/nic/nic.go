@@ -274,11 +274,10 @@ func (n *NIC) ownsEndpoint(ep mesh.Node) bool {
 	return ep == n.Node
 }
 
-// AttachPool connects the NIC to a message/flit free-list pool — the owning
-// network's, or the owning shard's arena on a sharded network, so every NIC
-// pool stays single-threaded under concurrent shard stepping. See the
-// NIC.pool field and flit.Pool for the ownership rules; attaching a pool
-// disables the Delivered history.
+// AttachPool connects the NIC to the owning network's message/flit arena,
+// which every NIC of that network shares. See the NIC.pool field and
+// flit.Pool for the ownership rules; attaching a pool disables the Delivered
+// history.
 func (n *NIC) AttachPool(p *flit.Pool) { n.pool = p }
 
 // Reset rewinds the NIC to its just-constructed state: injection queue and

@@ -492,7 +492,7 @@ func (r *Router) InputsEmpty() bool { return r.occupied == 0 && r.stagedMask == 
 // step: every existing output port that a per-cycle visit would have
 // consulted — unlocked, and with credits available (the local ejection port
 // is never back-pressured) — has its arbiter replenished by the same number
-// of request-less grants the full-scan engine would have issued. The caller
+// of request-less grants a visit every cycle would have issued. The caller
 // (the network's lazy-replenishment bookkeeping) guarantees that the router's
 // inputs were empty and that no credit or lock changed over the replayed
 // window, which is what makes the bulk replay exact.

@@ -121,11 +121,9 @@ func executeWCTT(ctx context.Context, s Spec, d mesh.Dim, res *Result) error {
 }
 
 // simConfig is the network configuration of a cycle-accurate scenario: the
-// default platform for its mesh, topology and design, sharded as the spec
-// requests.
+// default platform for its mesh, topology and design.
 func simConfig(s Spec, d mesh.Dim) network.Config {
 	cfg := network.DefaultConfig(d, s.Design)
-	cfg.Shards = s.Shards
 	cfg.Topo, _ = s.TopoSpec() // Validate already vetted the name
 	return cfg
 }

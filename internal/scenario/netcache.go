@@ -23,10 +23,9 @@ import (
 // are now retained by strong references inside an explicit bound rather
 // than dropped wholesale at the next GC cycle — a long-running server keeps
 // its working set warm across requests — and the least-recently-used
-// configuration is evicted (and Closed, parking its shard gang) when the
-// bound is hit. Hit/miss/eviction counters feed the serve stats verb.
-var netCache = cache.NewPool[netKey, *network.Network](netCacheCapacity,
-	func(_ netKey, n *network.Network) { n.Close() })
+// configuration is evicted when the bound is hit. Hit/miss/eviction counters
+// feed the serve stats verb.
+var netCache = cache.NewPool[netKey, *network.Network](netCacheCapacity, nil)
 
 // netCacheCapacity bounds the idle networks retained across all
 // configurations. Networks are the heaviest cached objects (a 32x32 mesh
@@ -38,30 +37,20 @@ type netKey struct {
 	width, height int
 	topo          mesh.TopoSpec
 	design        network.Design
-	engine        network.Engine
-	shards        int
 }
 
 // cacheable reports whether the configuration is covered by the cache key:
-// the default platform parameters for its mesh/design/engine/shard-count,
-// with no custom weight table. Anything else is built directly. The shard
-// count is part of the key — it is fixed at construction time (it sizes the
-// stripe partition and its worker gang), so a cached network can only serve
-// requests for the same partition; the key uses the EFFECTIVE count (the
-// height-capped partition actually built), so requested counts that resolve
-// to the same partition share one cache entry instead of duplicating
-// networks and their parked worker gangs.
+// the default platform parameters for its mesh, topology and design, with no
+// custom weight table. Anything else is built directly.
 func cacheable(cfg network.Config) bool {
 	want := network.DefaultConfig(cfg.Dim, cfg.Design)
-	want.Engine = cfg.Engine
-	want.Shards = cfg.Shards
 	want.Topo = cfg.Topo
 	return cfg == want
 }
 
 // keyFor builds the cache key of a cacheable configuration.
 func keyFor(cfg network.Config) netKey {
-	return netKey{cfg.Dim.Width, cfg.Dim.Height, cfg.Topo, cfg.Design, cfg.Engine, cfg.EffectiveShards()}
+	return netKey{cfg.Dim.Width, cfg.Dim.Height, cfg.Topo, cfg.Design}
 }
 
 // acquireNetwork returns a reset network for the default configuration of

@@ -237,12 +237,11 @@ type Spec struct {
 	// MaxCycles bounds cycle-accurate runs (ModeSimulate, ModeManycore);
 	// 0 selects a mode-specific default.
 	MaxCycles int `json:"max_cycles,omitempty"`
-	// Shards partitions the cycle-accurate simulator of ModeSimulate and
-	// ModeLoadCurve scenarios into that many concurrently stepped row
-	// stripes (network.Config.Shards); 0 or 1 selects the serial engine.
-	// Results are byte-identical for every shard count, so the knob is
-	// pure execution policy — like sweep.Options.Jobs, it never appears
-	// in a Result.
+	// Shards is accepted for compatibility and ignored: it once set the
+	// shard count of the cycle-accurate simulator, results were and are
+	// byte-identical for every value, and it never appears in a Result.
+	// Negative counts are rejected. Parallelism is sweep.Options.Jobs and
+	// the multi-process executor.
 	Shards int `json:"shards,omitempty"`
 	// Workload names the EEMBC kernel of ModeManycore (required) and
 	// ModeWCETMap (optional, empty = normalised suite map).

@@ -382,14 +382,11 @@ func TestExecuteContextCancellation(t *testing.T) {
 	}
 }
 
-// TestSerialVsShardedByteIdentical is the regression test for the sharded
-// engine at the experiment layer: for every mode, a sweep executed with the
-// serial engine and one executed with sharded cycle-accurate networks must
-// produce byte-identical result JSON — the shard count is execution policy,
-// like the sweep's worker count. The cycle-accurate modes (simulate,
-// load-curve) really exercise the two-phase engine, including the
-// order-sensitive Welford/Chan sampler aggregation behind the load curve's
-// stddev column; the analytical modes pin that the knob is ignored there.
+// TestSerialVsShardedByteIdentical pins Spec.Shards as accepted and inert at
+// the experiment layer: for every mode, result JSON is byte-identical for
+// every shard count. The field once selected a sharded simulator; the frozen
+// bench module still sets it, and this test goes when the field does
+// (ROADMAP item 6).
 func TestSerialVsShardedByteIdentical(t *testing.T) {
 	specs := []Spec{
 		{Name: "wctt", Mode: ModeWCTT, Width: 4, Height: 4, Design: network.DesignWaWWaP},

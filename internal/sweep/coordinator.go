@@ -343,18 +343,6 @@ func (c *Coordinator) Execute(ctx context.Context, tasks []Task, opts Options, s
 	if window < 1 {
 		window = split.Window
 	}
-	// Workers cannot see the grid, so auto-sharding resolves here, before
-	// specs cross the wire — same policy, same byte-identical results.
-	if opts.AutoShards {
-		tasks = append([]Task(nil), tasks...)
-		for i := range tasks {
-			if tasks[i].Spec.Shards == 0 &&
-				(tasks[i].Spec.Mode == scenario.ModeSimulate || tasks[i].Spec.Mode == scenario.ModeLoadCurve) {
-				tasks[i].Spec.Shards = split.Shards
-			}
-		}
-	}
-
 	st := newCoordState(tasks, split.Procs, sink)
 	var ids atomic.Int64
 

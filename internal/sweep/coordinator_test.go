@@ -538,18 +538,18 @@ func TestCoordinatorPoisonTaskQuarantine(t *testing.T) {
 	}
 }
 
-// TestAutoSplit pins the three-level policy on synthetic machine shapes.
+// TestAutoSplit pins the process/window policy on synthetic machine shapes.
 func TestAutoSplit(t *testing.T) {
 	cases := []struct {
 		cores, procs, points int
 		want                 Split
 	}{
-		{cores: 8, procs: -1, points: 100, want: Split{Procs: 8, Window: 2, Shards: 1}},
-		{cores: 8, procs: 2, points: 100, want: Split{Procs: 2, Window: 2, Shards: 4}},
-		{cores: 8, procs: 2, points: 3, want: Split{Procs: 2, Window: 2, Shards: 4}},
-		{cores: 8, procs: 4, points: 2, want: Split{Procs: 2, Window: 1, Shards: 4}},
-		{cores: 1, procs: -1, points: 5, want: Split{Procs: 1, Window: 2, Shards: 1}},
-		{cores: 16, procs: 3, points: 3, want: Split{Procs: 3, Window: 1, Shards: 5}},
+		{cores: 8, procs: -1, points: 100, want: Split{Procs: 8, Window: 2}},
+		{cores: 8, procs: 2, points: 100, want: Split{Procs: 2, Window: 2}},
+		{cores: 8, procs: 2, points: 3, want: Split{Procs: 2, Window: 2}},
+		{cores: 8, procs: 4, points: 2, want: Split{Procs: 2, Window: 1}},
+		{cores: 1, procs: -1, points: 5, want: Split{Procs: 1, Window: 2}},
+		{cores: 16, procs: 3, points: 3, want: Split{Procs: 3, Window: 1}},
 	}
 	for _, c := range cases {
 		if got := AutoSplit(c.cores, c.procs, c.points); got != c.want {

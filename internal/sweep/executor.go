@@ -96,7 +96,6 @@ func (InProcess) Execute(ctx context.Context, tasks []Task, opts Options, sink R
 	if len(tasks) == 0 {
 		return nil
 	}
-	tasks = resolveShardsTasks(tasks, opts)
 
 	// A sink failure cancels the run context so in-flight scenarios stop
 	// early; the original ctx keeps deciding between "skipped by caller"

@@ -21,7 +21,6 @@ import (
 	"context"
 
 	"repro/internal/scenario"
-	"repro/internal/sweep/pool"
 )
 
 // Options tunes a sweep run.
@@ -38,51 +37,24 @@ type Options struct {
 	// callback runs outside the engine's internal locks: a slow callback
 	// delays further progress reports, never the workers' completions.
 	Progress func(done, total int, r scenario.Result)
-	// AutoShards resolves every cycle-accurate spec that left Shards at 0
-	// to AutoShards(GOMAXPROCS, Jobs, len(specs)) — splitting the cores
-	// between concurrently running points and the shard gang each point
-	// steps. The shard count is execution policy (results are byte-identical
-	// for every value), so the resolution cannot change output.
-	AutoShards bool
 }
 
-// AutoShards splits cores between the sweep's concurrently running points
-// and the engine shards each point steps: with W = min(effective workers,
-// points) points in flight, each gets cores/W shards (at least one), so
-// shards-per-point x concurrent points never oversubscribes the machine
-// with barrier-synchronised shard gangs. jobs follows the pool.Jobs
-// convention (<1 = GOMAXPROCS); cores is passed explicitly so policy is
-// testable on synthetic machine sizes.
-func AutoShards(cores, jobs, points int) int {
-	workers := pool.Jobs(jobs)
-	if points > 0 && points < workers {
-		workers = points
-	}
-	return max(1, cores/max(1, workers))
-}
-
-// Split is the three-level parallelism plan of a multi-process sweep:
-// worker processes x points in flight per worker x engine shards per
-// point. Every level is execution policy — results are byte-identical for
-// every split, pinned by the coordinator goldens.
+// Split is the two-level parallelism plan of a multi-process sweep: worker
+// processes x points in flight per worker. Both levels are execution policy
+// — results are byte-identical for every split, pinned by the coordinator
+// goldens.
 type Split struct {
 	// Procs is the number of worker subprocesses.
 	Procs int
 	// Window is the in-flight task window per worker process.
 	Window int
-	// Shards is the engine shard count per cycle-accurate point.
-	Shards int
 }
 
-// AutoSplit extends AutoShards to the multi-process executor's three
-// levels: given the machine's core count, a requested worker-process count
-// (<1 = one per core, capped by the grid) and the grid size, it splits the
-// cores between worker processes and each point's shard gang, and bounds
-// the per-worker in-flight window so the coordinator keeps every process
-// busy (one executing + one queued) without racing far ahead of the
-// checkpoint stream. Workers execute one task at a time, so the concurrent
-// points equal the processes and shards-per-point x procs never
-// oversubscribes cores.
+// AutoSplit plans a multi-process sweep: given the machine's core count, a
+// requested worker-process count (<1 = one per core, capped by the grid) and
+// the grid size, it picks the process count and bounds the per-worker
+// in-flight window so the coordinator keeps every process busy (one
+// executing + one queued) without racing far ahead of the checkpoint stream.
 func AutoSplit(cores, procs, points int) Split {
 	if cores < 1 {
 		cores = 1
@@ -100,27 +72,7 @@ func AutoSplit(cores, procs, points int) Split {
 	if perProc := (points + procs - 1) / procs; window > perProc {
 		window = perProc
 	}
-	return Split{
-		Procs:  procs,
-		Window: window,
-		Shards: max(1, cores/procs),
-	}
-}
-
-// resolveShardsTasks applies Options.AutoShards to a copy of the tasks.
-func resolveShardsTasks(tasks []Task, opts Options) []Task {
-	if !opts.AutoShards {
-		return tasks
-	}
-	shards := AutoShards(pool.Jobs(0), opts.Jobs, len(tasks))
-	out := append([]Task(nil), tasks...)
-	for i := range out {
-		if out[i].Spec.Shards == 0 &&
-			(out[i].Spec.Mode == scenario.ModeSimulate || out[i].Spec.Mode == scenario.ModeLoadCurve) {
-			out[i].Spec.Shards = shards
-		}
-	}
-	return out
+	return Split{Procs: procs, Window: window}
 }
 
 // Run executes every spec and returns the results in spec order. All specs

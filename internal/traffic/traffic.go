@@ -399,12 +399,6 @@ func (t *Trace) NextEvent(now uint64) (uint64, bool) {
 // the return values — is identical to the cycle-by-cycle loop, because only
 // provably no-op cycles are skipped; idle, warmup and drain windows just
 // cost O(events) instead of O(cycles).
-//
-// Injection is deliberately serial even when the network steps its shards
-// concurrently: the generators' pseudo-random draw stream defines the
-// workload, and consuming it in any order other than the serial engine's
-// would change the traffic itself. Send is cheap (packetization into the
-// source NIC's queue) next to Step, which is where the shards parallelize.
 func Drive(net *network.Network, gen Generator, maxCycles int) (int, bool) {
 	injected, done, _ := DriveContext(context.Background(), net, gen, maxCycles)
 	return injected, done
