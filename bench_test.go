@@ -544,11 +544,15 @@ func BenchmarkTraffic(b *testing.B) {
 // RoundTripUBD loop — and their ratio is a perf-gate input (cmd/benchgate).
 func BenchmarkWCTT(b *testing.B) {
 	b.Run("tableiii", func(b *testing.B) {
-		p := wcet.DefaultPlatform()
+		e, err := wcet.DefaultPlatform().Engine()
+		if err != nil {
+			b.Fatal(err)
+		}
 		suite := workload.EEMBCAutomotive()
 		var far float64
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			table, err := p.TableIII(suite)
+			table, err := e.TableIIIParallel(context.Background(), suite, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -84,21 +84,23 @@
 // source-queueing time; see noctool sweep -mode load-curve).
 //
 // The analytical stack mirrors the simulator's flat-indexed design: WaW
-// weight tables are fixed-size arrays in a per-node-index slice shared per
-// topology (flows.CachedWeightTableTopo), analysis.Model precomputes
-// per-node contender counts and output shares so the WCTT bound functions
-// walk XY routes as pure index arithmetic with zero allocations (mesh.WalkXY
-// / mesh.AppendXYHops are the general-purpose allocation-free walkers), and
-// wcet.Platform.Engine compiles a platform once per (platform, packet-size)
-// value — validation once per table, per-core round-trip UBDs once per
-// design, each Table III cell pure arithmetic. A point bound
-// (Model.MessageWCTT) is that route walk and nothing else: a few dozen
-// integer operations, never cached. The scenario layer caches models per
-// parameter set next to its network cache; every cache is keyed by the full
-// parameter value and every cached object is immutable, so no invalidation
-// protocol exists. The route-materialising implementations the walk
-// replaced live on in test code only (internal/analysis/reference_test.go)
-// as its oracle, next to pre-refactor JSON goldens.
+// weight tables are fixed-size arrays in a per-node-index slice owned by the
+// network or model built on them (flows.WeightTableFor), analysis.Model
+// precomputes per-node contender counts and output shares so the WCTT bound
+// functions walk XY routes as pure index arithmetic with zero allocations
+// (mesh.WalkXY / mesh.AppendXYHops are the general-purpose allocation-free
+// walkers), and wcet.Platform.Engine compiles a platform for one packet size
+// — validation once per table, per-core round-trip UBDs once per design,
+// each Table III cell pure arithmetic. A point bound (Model.MessageWCTT) is
+// that route walk and nothing else: a few dozen integer operations, never
+// cached. The scenario layer caches models per parameter set and compiled
+// engines per (mesh, packet size) next to its network pool, all three
+// bounded; no package below it keeps process-lifetime state. Every cache is
+// keyed by the full parameter value and every cached object is immutable, so
+// no invalidation protocol exists. The route-materialising implementations
+// the walk replaced live on in test code only
+// (internal/analysis/reference_test.go) as its oracle, next to pre-refactor
+// JSON goldens.
 // A whole-mesh table runs on the incremental all-pairs kernels
 // (internal/analysis/kernel.go): two flows sharing a route prefix repeat
 // the same per-hop folds along it, so the kernels sweep pairs in route

@@ -255,8 +255,8 @@ func (m *Model) regularSourceRows(ctx context.Context, S, L uint64, visit func(s
 	defer putScratch(sp)
 	col, rest := (*sp)[:2*Ht*rn], (*sp)[2*Ht*rn:]
 	block, epRow := rest[:W*stride], rest[W*stride:]
-	for rdIdx, rd := range m.rdim.AllNodes() {
-		m.regularColStates(col[2*Ht*rdIdx:], rd, L)
+	for rdIdx := 0; rdIdx < rn; rdIdx++ {
+		m.regularColStates(col[2*Ht*rdIdx:], m.rdim.NodeAt(rdIdx), L)
 	}
 	si := 0
 	for y := 0; y < Ht; y++ {

@@ -3,7 +3,9 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"sync"
 
+	"repro/internal/flows"
 	"repro/internal/mesh"
 	"repro/internal/network"
 	"repro/internal/stats"
@@ -75,6 +77,25 @@ func (m *Model) ReferenceRegularPacketWCTT(src, dst mesh.Node, packetFlits, cont
 	return total, nil
 }
 
+// referenceTable remembers the weight table of the model the reference bounds
+// were last asked about: a Model lets go of its table once its output shares
+// are derived, and the reference reads the shares from the table itself.
+var referenceTable struct {
+	sync.Mutex
+	m  *Model
+	wt *flows.WeightTable
+}
+
+// referenceWeights returns the WaW weight table of m's topology.
+func (m *Model) referenceWeights() *flows.WeightTable {
+	referenceTable.Lock()
+	defer referenceTable.Unlock()
+	if referenceTable.m != m {
+		referenceTable.m, referenceTable.wt = m, flows.WeightTableFor(m.topo)
+	}
+	return referenceTable.wt
+}
+
 // ReferenceWaWPacketWCTT is the route-materialising implementation of
 // WaWPacketWCTT, kept as the naive reference for equivalence testing.
 func (m *Model) ReferenceWaWPacketWCTT(src, dst mesh.Node, numPackets, slotFlits int) (uint64, error) {
@@ -91,10 +112,11 @@ func (m *Model) ReferenceWaWPacketWCTT(src, dst mesh.Node, numPackets, slotFlits
 	R := uint64(m.p.RouterLatency)
 	slot := uint64(slotFlits)
 
+	weights := m.referenceWeights()
 	var total uint64
 	var maxShare uint64 = 1
 	for _, hop := range route.Hops {
-		counts := m.weights.Counts(hop.Router)
+		counts := weights.Counts(hop.Router)
 		o := uint64(counts.OutputTotal[hop.Out])
 		if o < 1 {
 			o = 1

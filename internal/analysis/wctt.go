@@ -121,12 +121,14 @@ func (p Params) Validate() error {
 // bandwidth model — into flat per-node-index arrays, so the bound functions
 // walk XY routes with pure arithmetic: no maps, no route materialisation, no
 // heap allocations. A Model is immutable after construction and safe for
-// concurrent use; the scenario layer and the wcet engine share cached models
-// across sweep workers.
+// concurrent use. It owns everything it reads — the arrays below are built
+// for it, not shared with another model, and the WaW weight table they are
+// derived from is let go once outShare is filled — so dropping the model
+// frees all of it; sharing models is the scenario layer's bounded model
+// cache, nothing below it.
 type Model struct {
-	p       Params
-	weights *flows.WeightTable
-	nodes   []mesh.Node // shared endpoint-grid AllNodes slice, index order
+	p     Params
+	nodes []mesh.Node // the endpoint grid in index order
 
 	// topo is the resolved topology and rdim its router grid — the index
 	// space of the contender/outShare arrays. For the mesh rdim equals
@@ -168,18 +170,18 @@ func NewModel(p Params) (*Model, error) {
 	}
 	rdim := topo.RouterDim()
 	m := &Model{
-		p:       p,
-		weights: flows.CachedWeightTableTopo(topo),
-		nodes:   p.Dim.AllNodes(),
-		topo:    topo,
-		rdim:    rdim,
+		p:     p,
+		nodes: p.Dim.AllNodes(),
+		topo:  topo,
+		rdim:  rdim,
 	}
+	weights := flows.WeightTableFor(topo)
 	for _, out := range mesh.Directions {
 		m.contender[out] = make([]uint64, rdim.Nodes())
 		m.outShare[out] = make([]uint64, rdim.Nodes())
 	}
 	for idx, n := range rdim.AllNodes() {
-		counts := m.weights.CountsAt(idx)
+		counts := weights.CountsAt(idx)
 		for _, out := range mesh.Directions {
 			m.contender[out][idx] = uint64(m.contenders(n, out))
 			m.outShare[out][idx] = max(1, uint64(counts.OutputTotal[out]))

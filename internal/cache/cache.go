@@ -1,56 +1,30 @@
 // Package cache provides the bounded concurrent caches of the serving
-// layer: a sharded LRU for immutable values (analytical models, compiled
-// engines), an instance Pool for mutable checkout objects (constructed
-// networks) and a singleflight Group that coalesces identical in-flight
-// computations. All three are safe for concurrent use and count hits,
-// misses and evictions, so the scenario sweep path and the noctool serve
-// daemon can share one cache and expose its behaviour through the stats
-// protocol verb.
+// layer: an LRU for immutable values (analytical models, compiled engines),
+// an instance Pool for mutable checkout objects (constructed networks) and a
+// singleflight Group that coalesces identical in-flight computations. All
+// three are safe for concurrent use; LRU and Pool count hits, misses and
+// evictions, so the scenario sweep path and the noctool serve daemon can
+// share one cache and expose its behaviour through the stats protocol verb.
 //
-// Unlike the sync.Pool-based caches these types replace, entries are held
-// by strong references inside an explicit capacity bound: the garbage
-// collector never silently empties a warm cache between requests, and a
-// server under memory pressure degrades by evicting the least-recently-used
-// configuration instead of all of them.
+// Each LRU and Pool is one mutex, one map and one recency list. They are
+// asked at most once per protocol line or per scenario, never per bound, so
+// there is nothing for lock striping to win, and a capacity of 128 means 128
+// entries. Entries are held by strong references inside that bound: the
+// garbage collector never silently empties a warm cache between requests,
+// and a server under memory pressure degrades by evicting the
+// least-recently-used configuration instead of all of them.
 package cache
 
-import (
-	"hash/maphash"
-	"runtime"
-	"sync"
-)
+import "sync"
 
 // Stats reports the cumulative behaviour of a cache. Counters are updated
-// under the shard locks the operations already hold (no extra atomics on
-// the hot path) and summed on read.
+// under the lock the operations already hold.
 type Stats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
 	// Entries is the number of cached values at snapshot time.
 	Entries int `json:"entries"`
-}
-
-// add merges per-shard counters into the snapshot.
-func (s *Stats) add(o Stats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Evictions += o.Evictions
-	s.Entries += o.Entries
-}
-
-// defaultShards picks the shard count of a new cache: enough shards that
-// GOMAXPROCS workers rarely collide on one lock, capped so a small cache is
-// not split thinner than one entry per shard.
-func defaultShards(capacity int) int {
-	n := 1
-	for n < runtime.GOMAXPROCS(0) && n < 16 {
-		n <<= 1
-	}
-	for n > 1 && capacity/n < 1 {
-		n >>= 1
-	}
-	return n
 }
 
 // entry is one LRU node: an intrusive doubly-linked ring element ordered
@@ -61,181 +35,109 @@ type entry[K comparable, V any] struct {
 	prev, next *entry[K, V]
 }
 
-// lruShard is one lock domain of an LRU: a map for lookup plus a ring whose
-// root.next is the most-recently-used entry.
-type lruShard[K comparable, V any] struct {
-	mu    sync.Mutex
-	items map[K]*entry[K, V]
-	root  entry[K, V] // sentinel
-	cap   int
-	stats Stats
-}
-
-func (s *lruShard[K, V]) init(capacity int) {
-	s.items = make(map[K]*entry[K, V], capacity)
-	s.root.prev, s.root.next = &s.root, &s.root
-	s.cap = capacity
-}
-
-// moveToFront detaches e and re-links it as most-recently-used.
-func (s *lruShard[K, V]) moveToFront(e *entry[K, V]) {
-	e.prev.next = e.next
-	e.next.prev = e.prev
-	s.pushFront(e)
-}
-
-func (s *lruShard[K, V]) pushFront(e *entry[K, V]) {
-	e.prev = &s.root
-	e.next = s.root.next
-	s.root.next.prev = e
-	s.root.next = e
-}
-
-// popBack unlinks and returns the least-recently-used entry (nil when empty).
-func (s *lruShard[K, V]) popBack() *entry[K, V] {
-	e := s.root.prev
-	if e == &s.root {
-		return nil
-	}
-	e.prev.next = &s.root
-	s.root.prev = e.prev
-	e.prev, e.next = nil, nil
-	return e
-}
-
-// LRU is a bounded, sharded, concurrent least-recently-used cache for
-// immutable values: Get returns the cached value directly, so values must be
-// safe for concurrent readers (the analytical models and compiled engines it
-// holds are). Keys are sharded by runtime hash; each shard holds an equal
-// slice of the capacity and evicts independently, so the global bound is
-// exact while no operation ever takes more than one shard lock.
+// LRU is a bounded concurrent least-recently-used cache for immutable
+// values: Get returns the cached value directly, so values must be safe for
+// concurrent readers (the analytical models and compiled engines it holds
+// are).
 type LRU[K comparable, V any] struct {
-	seed    maphash.Seed
-	shards  []lruShard[K, V]
-	mask    uint64
+	mu      sync.Mutex
+	items   map[K]*entry[K, V]
+	root    entry[K, V] // sentinel; root.next is the most recently used entry
+	cap     int
+	stats   Stats
 	onEvict func(K, V)
 }
 
-// NewLRU builds an LRU holding at most capacity values, sharded for the
-// current GOMAXPROCS. onEvict, when non-nil, is called (outside the shard
-// lock) with every evicted entry.
+// NewLRU builds an LRU holding at most capacity values. onEvict, when
+// non-nil, is called (outside the lock) with every evicted entry.
 func NewLRU[K comparable, V any](capacity int, onEvict func(K, V)) *LRU[K, V] {
-	return NewLRUWithShards[K, V](capacity, defaultShards(capacity), onEvict)
-}
-
-// NewLRUWithShards is NewLRU with an explicit power-of-two shard count —
-// exposed so tests can pin eviction behaviour to one shard.
-func NewLRUWithShards[K comparable, V any](capacity, shards int, onEvict func(K, V)) *LRU[K, V] {
 	if capacity < 1 {
 		panic("cache: LRU capacity must be >= 1")
 	}
-	if shards < 1 || shards&(shards-1) != 0 {
-		panic("cache: shard count must be a positive power of two")
-	}
-	c := &LRU[K, V]{
-		seed:    maphash.MakeSeed(),
-		shards:  make([]lruShard[K, V], shards),
-		mask:    uint64(shards - 1),
-		onEvict: onEvict,
-	}
-	per := (capacity + shards - 1) / shards
-	for i := range c.shards {
-		c.shards[i].init(per)
-	}
+	c := &LRU[K, V]{items: make(map[K]*entry[K, V], capacity), cap: capacity, onEvict: onEvict}
+	c.root.prev, c.root.next = &c.root, &c.root
 	return c
 }
 
-func (c *LRU[K, V]) shard(k K) *lruShard[K, V] {
-	return &c.shards[maphash.Comparable(c.seed, k)&c.mask]
+// moveToFront detaches e and re-links it as most-recently-used.
+func (c *LRU[K, V]) moveToFront(e *entry[K, V]) {
+	e.prev.next = e.next
+	e.next.prev = e.prev
+	c.pushFront(e)
 }
 
-// Get returns the cached value for k, marking it most-recently used.
-func (c *LRU[K, V]) Get(k K) (V, bool) {
-	s := c.shard(k)
-	s.mu.Lock()
-	e, ok := s.items[k]
+func (c *LRU[K, V]) pushFront(e *entry[K, V]) {
+	e.prev = &c.root
+	e.next = c.root.next
+	c.root.next.prev = e
+	c.root.next = e
+}
+
+// lookup is the shared body of Get and Lookup; it counts a miss only when
+// countMiss is set.
+func (c *LRU[K, V]) lookup(k K, countMiss bool) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.items[k]
 	if !ok {
-		s.stats.Misses++
-		s.mu.Unlock()
+		if countMiss {
+			c.stats.Misses++
+		}
 		var zero V
 		return zero, false
 	}
-	s.stats.Hits++
-	s.moveToFront(e)
-	v := e.value
-	s.mu.Unlock()
-	return v, true
+	c.stats.Hits++
+	c.moveToFront(e)
+	return e.value, true
 }
+
+// Get returns the cached value for k, marking it most-recently used.
+func (c *LRU[K, V]) Get(k K) (V, bool) { return c.lookup(k, true) }
 
 // Lookup is Get for a caller that sends a miss elsewhere to be built: a hit
 // is counted and refreshed as by Get, a miss is not counted — the Get of
 // whoever builds the value counts it, once.
-func (c *LRU[K, V]) Lookup(k K) (V, bool) {
-	s := c.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.items[k]
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	s.stats.Hits++
-	s.moveToFront(e)
-	return e.value, true
-}
+func (c *LRU[K, V]) Lookup(k K) (V, bool) { return c.lookup(k, false) }
 
-// Put inserts (or refreshes) k, evicting the shard's least-recently-used
-// entry when the shard is full.
+// Put inserts (or refreshes) k, evicting the least-recently-used entry when
+// the cache is full.
 func (c *LRU[K, V]) Put(k K, v V) {
-	s := c.shard(k)
-	s.mu.Lock()
-	if e, ok := s.items[k]; ok {
+	c.mu.Lock()
+	if e, ok := c.items[k]; ok {
 		e.value = v
-		s.moveToFront(e)
-		s.mu.Unlock()
+		c.moveToFront(e)
+		c.mu.Unlock()
 		return
 	}
-	var evictedKey K
-	var evictedVal V
-	evicted := false
-	if len(s.items) >= s.cap {
-		if old := s.popBack(); old != nil {
-			delete(s.items, old.key)
-			s.stats.Evictions++
-			evictedKey, evictedVal, evicted = old.key, old.value, true
-		}
+	var old *entry[K, V]
+	if len(c.items) >= c.cap {
+		old = c.root.prev
+		old.prev.next = &c.root
+		c.root.prev = old.prev
+		delete(c.items, old.key)
+		c.stats.Evictions++
 	}
 	e := &entry[K, V]{key: k, value: v}
-	s.items[k] = e
-	s.pushFront(e)
-	s.mu.Unlock()
-	if evicted && c.onEvict != nil {
-		c.onEvict(evictedKey, evictedVal)
+	c.items[k] = e
+	c.pushFront(e)
+	c.mu.Unlock()
+	if old != nil && c.onEvict != nil {
+		c.onEvict(old.key, old.value)
 	}
 }
 
 // Len returns the number of cached values.
 func (c *LRU[K, V]) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.items)
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.items)
 }
 
-// Stats sums the per-shard counters into one snapshot.
+// Stats snapshots the counters.
 func (c *LRU[K, V]) Stats() Stats {
-	var out Stats
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		st := s.stats
-		st.Entries = len(s.items)
-		out.add(st)
-		s.mu.Unlock()
-	}
-	return out
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := c.stats
+	st.Entries = len(c.items)
+	return st
 }

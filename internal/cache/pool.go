@@ -1,36 +1,17 @@
 package cache
 
-import (
-	"hash/maphash"
-	"sync"
-)
+import "sync"
 
 // Pool is the checkout counterpart of LRU for mutable instances: several
 // identical instances of one key may be idle at once (one per concurrent
 // worker that released one), Get pops one for exclusive use and Put returns
-// it. Idle instances are bounded: when a shard holds more than its share of
-// the capacity, the oldest instance of the least-recently-used key is
-// evicted and handed to onEvict (which releases its resources — for
-// networks, Network.Close parks the shard gang).
+// it. Idle instances are bounded: when the pool holds more than its
+// capacity, the oldest instance of the least-recently-used key is dropped
+// for the garbage collector.
 //
 // Within a key, Get pops the most recently released instance (LIFO) so the
 // hottest memory is reused; across keys, eviction is LRU by last touch.
 type Pool[K comparable, V any] struct {
-	seed    maphash.Seed
-	shards  []poolShard[K, V]
-	mask    uint64
-	onEvict func(K, V)
-}
-
-// poolEntry holds the idle instances of one key, newest last, linked into
-// the shard's recency ring.
-type poolEntry[K comparable, V any] struct {
-	key        K
-	idle       []V
-	prev, next *poolEntry[K, V]
-}
-
-type poolShard[K comparable, V any] struct {
 	mu    sync.Mutex
 	items map[K]*poolEntry[K, V]
 	root  poolEntry[K, V] // sentinel; root.next = most recently used
@@ -39,151 +20,110 @@ type poolShard[K comparable, V any] struct {
 	stats Stats
 }
 
-func (s *poolShard[K, V]) init(capacity int) {
-	s.items = make(map[K]*poolEntry[K, V])
-	s.root.prev, s.root.next = &s.root, &s.root
-	s.cap = capacity
+// poolEntry holds the idle instances of one key, newest last, linked into
+// the pool's recency ring.
+type poolEntry[K comparable, V any] struct {
+	key        K
+	idle       []V
+	prev, next *poolEntry[K, V]
 }
 
-func (s *poolShard[K, V]) unlink(e *poolEntry[K, V]) {
+// NewPool builds a pool retaining at most capacity idle instances in total.
+func NewPool[K comparable, V any](capacity int) *Pool[K, V] {
+	if capacity < 1 {
+		panic("cache: pool capacity must be >= 1")
+	}
+	p := &Pool[K, V]{items: make(map[K]*poolEntry[K, V]), cap: capacity}
+	p.root.prev, p.root.next = &p.root, &p.root
+	return p
+}
+
+func (p *Pool[K, V]) unlink(e *poolEntry[K, V]) {
 	e.prev.next = e.next
 	e.next.prev = e.prev
 	e.prev, e.next = nil, nil
 }
 
-func (s *poolShard[K, V]) pushFront(e *poolEntry[K, V]) {
-	e.prev = &s.root
-	e.next = s.root.next
-	s.root.next.prev = e
-	s.root.next = e
-}
-
-// NewPool builds a pool retaining at most capacity idle instances in total.
-func NewPool[K comparable, V any](capacity int, onEvict func(K, V)) *Pool[K, V] {
-	return NewPoolWithShards[K, V](capacity, defaultShards(capacity), onEvict)
-}
-
-// NewPoolWithShards is NewPool with an explicit power-of-two shard count.
-func NewPoolWithShards[K comparable, V any](capacity, shards int, onEvict func(K, V)) *Pool[K, V] {
-	if capacity < 1 {
-		panic("cache: pool capacity must be >= 1")
-	}
-	if shards < 1 || shards&(shards-1) != 0 {
-		panic("cache: shard count must be a positive power of two")
-	}
-	p := &Pool[K, V]{
-		seed:    maphash.MakeSeed(),
-		shards:  make([]poolShard[K, V], shards),
-		mask:    uint64(shards - 1),
-		onEvict: onEvict,
-	}
-	per := (capacity + shards - 1) / shards
-	for i := range p.shards {
-		p.shards[i].init(per)
-	}
-	return p
-}
-
-func (p *Pool[K, V]) shard(k K) *poolShard[K, V] {
-	return &p.shards[maphash.Comparable(p.seed, k)&p.mask]
+func (p *Pool[K, V]) pushFront(e *poolEntry[K, V]) {
+	e.prev = &p.root
+	e.next = p.root.next
+	p.root.next.prev = e
+	p.root.next = e
 }
 
 // Get pops an idle instance of k for exclusive use by the caller, or reports
 // a miss (the caller then constructs a fresh instance).
 func (p *Pool[K, V]) Get(k K) (V, bool) {
-	s := p.shard(k)
-	s.mu.Lock()
-	e, ok := s.items[k]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var zero V
+	e, ok := p.items[k]
 	if !ok {
-		s.stats.Misses++
-		s.mu.Unlock()
-		var zero V
+		p.stats.Misses++
 		return zero, false
 	}
-	s.stats.Hits++
-	v := e.idle[len(e.idle)-1]
-	var zero V
-	e.idle[len(e.idle)-1] = zero // drop the reference
-	e.idle = e.idle[:len(e.idle)-1]
-	s.count--
-	if len(e.idle) == 0 {
-		delete(s.items, k)
-		s.unlink(e)
+	p.stats.Hits++
+	last := len(e.idle) - 1
+	v := e.idle[last]
+	e.idle[last] = zero // drop the reference
+	e.idle = e.idle[:last]
+	p.count--
+	p.unlink(e)
+	if last == 0 {
+		delete(p.items, k)
 	} else {
-		s.unlink(e)
-		s.pushFront(e)
+		p.pushFront(e)
 	}
-	s.mu.Unlock()
 	return v, true
 }
 
 // Put returns an instance of k to the idle pool, evicting the oldest
-// instance of the shard's least-recently-used key when the shard is over
-// capacity. Eviction callbacks run outside the shard lock.
+// instance of the least-recently-used key when the pool is over capacity.
 func (p *Pool[K, V]) Put(k K, v V) {
-	s := p.shard(k)
-	s.mu.Lock()
-	e, ok := s.items[k]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	e, ok := p.items[k]
 	if !ok {
 		e = &poolEntry[K, V]{key: k}
-		s.items[k] = e
-		s.pushFront(e)
+		p.items[k] = e
 	} else {
-		s.unlink(e)
-		s.pushFront(e)
+		p.unlink(e)
 	}
+	p.pushFront(e)
 	e.idle = append(e.idle, v)
-	s.count++
-	var evictedKey K
-	var evictedVal V
-	evicted := false
-	if s.count > s.cap {
-		// The victim is the oldest instance of the coldest key; that key can
-		// be the one just touched only when it is the shard's sole entry.
-		victim := s.root.prev
-		evictedKey = victim.key
-		evictedVal = victim.idle[0]
-		copy(victim.idle, victim.idle[1:])
-		var zero V
-		victim.idle[len(victim.idle)-1] = zero
-		victim.idle = victim.idle[:len(victim.idle)-1]
-		s.count--
-		s.stats.Evictions++
-		evicted = true
-		if len(victim.idle) == 0 {
-			delete(s.items, victim.key)
-			s.unlink(victim)
-		}
+	p.count++
+	if p.count <= p.cap {
+		return
 	}
-	s.mu.Unlock()
-	if evicted && p.onEvict != nil {
-		p.onEvict(evictedKey, evictedVal)
+	// The victim is the oldest instance of the coldest key; that key can be
+	// the one just touched only when it is the pool's sole entry.
+	victim := p.root.prev
+	var zero V
+	last := len(victim.idle) - 1
+	copy(victim.idle, victim.idle[1:])
+	victim.idle[last] = zero
+	victim.idle = victim.idle[:last]
+	p.count--
+	p.stats.Evictions++
+	if last == 0 {
+		delete(p.items, victim.key)
+		p.unlink(victim)
 	}
 }
 
 // Len returns the number of idle instances currently retained.
 func (p *Pool[K, V]) Len() int {
-	n := 0
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		n += s.count
-		s.mu.Unlock()
-	}
-	return n
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.count
 }
 
-// Stats sums the per-shard counters into one snapshot. Entries counts idle
-// instances, not distinct keys.
+// Stats snapshots the counters. Entries counts idle instances, not distinct
+// keys.
 func (p *Pool[K, V]) Stats() Stats {
-	var out Stats
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		st := s.stats
-		st.Entries = s.count
-		out.add(st)
-		s.mu.Unlock()
-	}
-	return out
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st := p.stats
+	st.Entries = p.count
+	return st
 }

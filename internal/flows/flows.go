@@ -86,8 +86,9 @@ func OneToAll(d mesh.Dim, src mesh.Node) *Set {
 // can send to and receive from any other node.
 func AllToAll(d mesh.Dim) *Set {
 	s := &Set{Dim: d}
-	for _, src := range d.AllNodes() {
-		for _, dst := range d.AllNodes() {
+	nodes := d.AllNodes()
+	for _, src := range nodes {
+		for _, dst := range nodes {
 			if src == dst {
 				continue
 			}

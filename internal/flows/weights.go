@@ -3,7 +3,6 @@ package flows
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/mesh"
 )
@@ -297,38 +296,16 @@ func ComputeWeightTableTopo(t mesh.Topology) *WeightTable {
 	return wt
 }
 
-// topoTableKey identifies a cached per-topology weight table.
-type topoTableKey struct {
-	spec mesh.TopoSpec
-	ep   mesh.Dim
-}
-
-// topoWeightTableCache memoises the closed-form table per (spec, endpoint
-// grid): the table depends on nothing but the topology, every network and
-// analytical model of one topology shares the identical immutable data, and
-// rebuilding it per model construction dominated the pre-flat-index WCET
-// table loops.
-var topoWeightTableCache sync.Map // topoTableKey -> *WeightTable
-
-// CachedWeightTableTopo returns the shared closed-form weight table of the
-// topology, computing it on first use (the reference mesh through
-// ComputeWeightTable, its original closed forms). The returned table is
-// immutable and safe for concurrent readers; callers that need
-// application-specific weights use WeightTableFromSet, which is never
-// cached.
-func CachedWeightTableTopo(t mesh.Topology) *WeightTable {
-	key := topoTableKey{spec: t.Spec(), ep: t.EndpointDim()}
-	if cached, ok := topoWeightTableCache.Load(key); ok {
-		return cached.(*WeightTable)
+// WeightTableFor builds the closed-form weight table of the topology: the
+// reference mesh through ComputeWeightTable (its original closed forms),
+// every other topology through ComputeWeightTableTopo. The caller owns the
+// table; callers that need application-specific weights use
+// WeightTableFromSet.
+func WeightTableFor(t mesh.Topology) *WeightTable {
+	if t.Spec().Kind == mesh.TopoMesh {
+		return ComputeWeightTable(t.EndpointDim())
 	}
-	var wt *WeightTable
-	if key.spec.Kind == mesh.TopoMesh {
-		wt = ComputeWeightTable(key.ep)
-	} else {
-		wt = ComputeWeightTableTopo(t)
-	}
-	cached, _ := topoWeightTableCache.LoadOrStore(key, wt)
-	return cached.(*WeightTable)
+	return ComputeWeightTableTopo(t)
 }
 
 // Counts returns the counts of the router at node n. It panics if the node

@@ -26,18 +26,16 @@ func TestTopoCountsMatchClosedFormOnMesh(t *testing.T) {
 	}
 }
 
-// TestCachedWeightTableTopoMeshIdentity requires two lookups of the mesh
-// spec to return the very same *WeightTable pointer — every model and
-// network of one mesh shares one table — built from the mesh's original
-// closed forms.
+// TestCachedWeightTableTopoMeshIdentity requires the topology-dispatching
+// constructor to build the mesh table from the mesh's original closed forms,
+// whichever way the mesh topology value was obtained.
 func TestCachedWeightTableTopoMeshIdentity(t *testing.T) {
 	d := mesh.MustDim(6, 6)
-	first := CachedWeightTableTopo(mesh.Mesh2D{D: d})
-	if again := CachedWeightTableTopo(mesh.TopoSpec{Kind: mesh.TopoMesh}.MustBuild(d)); again != first {
-		t.Errorf("two lookups of the %v mesh returned distinct tables", d)
-	}
-	if !reflect.DeepEqual(first, ComputeWeightTable(d)) {
-		t.Errorf("cached %v mesh table differs from ComputeWeightTable", d)
+	want := ComputeWeightTable(d)
+	for _, topo := range []mesh.Topology{mesh.Mesh2D{D: d}, mesh.TopoSpec{Kind: mesh.TopoMesh}.MustBuild(d)} {
+		if got := WeightTableFor(topo); !reflect.DeepEqual(got, want) {
+			t.Errorf("%v mesh table via %T differs from ComputeWeightTable", d, topo)
+		}
 	}
 }
 

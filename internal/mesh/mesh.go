@@ -19,10 +19,7 @@
 // paper.
 package mesh
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Direction identifies one of the five router ports of a 2D-mesh router.
 // The numerical order is stable and used to index per-port arrays.
@@ -191,27 +188,18 @@ func (d Dim) NodeAt(idx int) Node {
 	return Node{X: idx % d.Width, Y: idx / d.Width}
 }
 
-// allNodesCache memoises AllNodes per dimension: node lists are requested on
-// every analytical-model construction and every traffic-generator build, and
-// the flat-indexed analytical engine iterates them in hot loops, so one
-// immutable shared slice per Dim removes an O(N*M) allocation per call site.
-var allNodesCache sync.Map // Dim -> []Node
-
 // AllNodes returns every node of the mesh in index order (row-major,
-// top-left to bottom-right), i.e. position i holds NodeAt(i). The slice is
-// cached and shared between callers: it must be treated as read-only.
+// top-left to bottom-right), i.e. position i holds NodeAt(i). Every call
+// builds a fresh slice the caller owns; an object that iterates the nodes
+// repeatedly keeps its own copy.
 func (d Dim) AllNodes() []Node {
-	if cached, ok := allNodesCache.Load(d); ok {
-		return cached.([]Node)
-	}
 	nodes := make([]Node, 0, d.Nodes())
 	for y := 0; y < d.Height; y++ {
 		for x := 0; x < d.Width; x++ {
 			nodes = append(nodes, Node{X: x, Y: y})
 		}
 	}
-	cached, _ := allNodesCache.LoadOrStore(d, nodes)
-	return cached.([]Node)
+	return nodes
 }
 
 // Neighbor returns the neighbour of n in direction dir and true, or the zero

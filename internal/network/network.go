@@ -301,7 +301,7 @@ func New(cfg Config) (*Network, error) {
 		if cfg.CustomWeights != nil {
 			weightTable = cfg.CustomWeights
 		} else {
-			weightTable = flows.CachedWeightTableTopo(topo)
+			weightTable = flows.WeightTableFor(topo)
 		}
 	}
 	concentrated := topo.EndpointDim() != rdim

@@ -380,25 +380,33 @@ func platformFor(d mesh.Dim) wcet.Platform {
 }
 
 func executeParallelWCET(s Spec, d mesh.Dim, res *Result) error {
-	p := platformFor(d)
 	pl, err := workload.PlacementByName(d, placementName(s))
 	if err != nil {
 		return err
 	}
-	cycles, err := p.ParallelWCET(s.Design, workload.ThreeDPathPlanning(), pl, s.MaxPacketFlits)
+	// Figure 2a's per-size points, Figure 2b's per-placement points and the
+	// parallel-wcet sweep scenarios of one (mesh, L) share one engine.
+	eng, err := SharedEngine(d, s.MaxPacketFlits)
 	if err != nil {
 		return err
 	}
-	res.WCET = &WCETResult{Cycles: cycles, Millis: p.CyclesToMillis(cycles)}
+	cycles, err := eng.ParallelWCET(s.Design, workload.ThreeDPathPlanning(), pl)
+	if err != nil {
+		return err
+	}
+	res.WCET = &WCETResult{Cycles: cycles, Millis: eng.Platform().CyclesToMillis(cycles)}
 	return nil
 }
 
 func executeWCETMap(ctx context.Context, s Spec, d mesh.Dim, res *Result) error {
-	p := platformFor(d)
+	eng, err := SharedEngine(d, 0)
+	if err != nil {
+		return err
+	}
 	if s.Workload == "" {
 		// The inner per-core loop honours ctx, so cancelling a sweep
 		// interrupts even a single large Table III map.
-		m, err := p.TableIIIParallel(ctx, workload.EEMBCAutomotive(), 0)
+		m, err := eng.TableIIIParallel(ctx, workload.EEMBCAutomotive(), 0)
 		if err != nil {
 			return err
 		}
@@ -416,10 +424,6 @@ func executeWCETMap(ctx context.Context, s Spec, d mesh.Dim, res *Result) error 
 	// the per-core UBDs come from two prefix-sharing row sweeps and every
 	// cell is pure arithmetic — bit-identical to the former per-core
 	// BenchmarkWCET loop, which is why 64x64 maps are now a sweep point.
-	eng, err := p.Engine()
-	if err != nil {
-		return err
-	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}

@@ -18,14 +18,13 @@ import (
 // (and therefore different reuse patterns) and require byte-identical
 // output.
 //
-// The pool is a bounded, sharded, concurrent checkout cache (see
-// cache.Pool), replacing the PR-3 sync.Pool-per-key design: idle networks
-// are now retained by strong references inside an explicit bound rather
-// than dropped wholesale at the next GC cycle — a long-running server keeps
-// its working set warm across requests — and the least-recently-used
+// The pool is a bounded concurrent checkout cache (see cache.Pool): idle
+// networks are retained by strong references inside an explicit bound
+// rather than dropped wholesale at the next GC cycle — a long-running server
+// keeps its working set warm across requests — and the least-recently-used
 // configuration is evicted when the bound is hit. Hit/miss/eviction counters
 // feed the serve stats verb.
-var netCache = cache.NewPool[netKey, *network.Network](netCacheCapacity, nil)
+var netCache = cache.NewPool[netKey, *network.Network](netCacheCapacity)
 
 // netCacheCapacity bounds the idle networks retained across all
 // configurations. Networks are the heaviest cached objects (a 32x32 mesh

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/mesh"
 	"repro/internal/network"
+	"repro/internal/wcet"
 )
 
 func TestParseSizes(t *testing.T) {
@@ -442,6 +444,94 @@ func TestCycleAccurateCancellation(t *testing.T) {
 	for _, spec := range specs {
 		if _, err := ExecuteContext(ctx, spec); err == nil {
 			t.Errorf("%s: cancelled context should abort the scenario", spec.Name)
+		}
+	}
+}
+
+// TestSharedEngineIdentityAndEviction pins the engine cache: one (mesh, L)
+// is one engine however often it is asked for, distinct keys get distinct
+// engines, an engine runs on the model the wctt path of its mesh shares, a
+// failed compile is not cached, and the cache is bounded — asking for more
+// distinct engines than its capacity evicts the coldest, which is then
+// compiled again.
+func TestSharedEngineIdentityAndEviction(t *testing.T) {
+	d := mesh.MustDim(3, 5)
+	e1, err := SharedEngine(d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e2, err := SharedEngine(d, 0); err != nil || e2 != e1 {
+		t.Errorf("same (mesh, L) should share one compiled engine (err %v)", err)
+	}
+	if cached, ok := CachedEngine(d, 0); !ok || cached != e1 {
+		t.Error("CachedEngine should return the compiled engine")
+	}
+	if e1.Platform() != PlatformFor(d) {
+		t.Error("engine should be compiled from PlatformFor of its mesh")
+	}
+	if m, err := SharedModel(analysis.DefaultParams(d)); err != nil || m != e1.Model() {
+		t.Errorf("the default-L engine should run on the mesh's shared model (err %v)", err)
+	}
+	if eL, err := SharedEngine(d, 8); err != nil || eL == e1 {
+		t.Errorf("distinct packet-size overrides need distinct engines (err %v)", err)
+	}
+	if eq, err := SharedEngine(mesh.MustDim(5, 3), 0); err != nil || eq == e1 {
+		t.Errorf("distinct meshes need distinct engines (err %v)", err)
+	}
+	if _, ok := CachedEngine(d, 9); ok {
+		t.Error("CachedEngine should miss on an engine nobody compiled")
+	}
+	if _, err := SharedEngine(d, -1); err == nil {
+		t.Error("negative packet size should fail")
+	}
+	if _, ok := CachedEngine(d, -1); ok {
+		t.Error("a failed compile should not be cached")
+	}
+
+	before := CacheStats().Engines
+	for l := 1; l <= engineCacheCapacity; l++ {
+		if _, err := SharedEngine(mesh.MustDim(2, 2), 100+l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := CacheStats().Engines
+	if after.Entries != engineCacheCapacity {
+		t.Errorf("engine cache holds %d entries, want its capacity %d", after.Entries, engineCacheCapacity)
+	}
+	if after.Evictions == before.Evictions {
+		t.Error("filling the cache past capacity should evict")
+	}
+	if _, ok := CachedEngine(d, 0); ok {
+		t.Error("the coldest engine should have been evicted")
+	}
+	if e3, err := SharedEngine(d, 0); err != nil || e3 == e1 {
+		t.Errorf("an evicted engine should be compiled again (err %v)", err)
+	}
+}
+
+// TestSharedEngineConcurrentFirstCallers: a fan-in of first callers for one
+// (mesh, L) compiles once and every caller gets that engine (run under
+// -race in CI).
+func TestSharedEngineConcurrentFirstCallers(t *testing.T) {
+	const callers = 8
+	d := mesh.MustDim(7, 6)
+	engines := make([]*wcet.Engine, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range engines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			engines[i], errs[i] = SharedEngine(d, 3)
+		}()
+	}
+	wg.Wait()
+	for i, e := range engines {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if e != engines[0] {
+			t.Fatalf("caller %d got engine %p, caller 0 got %p", i, e, engines[0])
 		}
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/scenario"
@@ -200,8 +201,8 @@ type tupleFunc func(vals []int64) error
 // minLen and maxLen elements. It is a hand-rolled scanner because this is
 // the serving hot path: a million-query batch must not pay
 // encoding/json reflection per tuple. The grammar accepted is exactly JSON
-// restricted to arrays of arrays of (optionally negative) integers; any
-// other byte is an error.
+// restricted to arrays of arrays of integers in the int64 range; any other
+// byte is an error (FuzzParseTuples holds it to encoding/json).
 func parseTuples(raw []byte, minLen, maxLen int, fn tupleFunc) error {
 	vals := make([]int64, 0, maxLen)
 	i := skipSpace(raw, 0)
@@ -283,28 +284,35 @@ func checkTail(raw []byte, i int) error {
 	return nil
 }
 
-// parseInt reads one (optionally negative) decimal integer.
+// parseInt reads one JSON integer that fits int64: an optional minus sign,
+// then 0 or a digit string without a leading zero.
 func parseInt(raw []byte, i int) (int64, int, error) {
-	neg := false
-	if i < len(raw) && raw[i] == '-' {
-		neg = true
+	// |MinInt64| = MaxInt64 + 1: the two limits share every digit but the
+	// last, so they share the cut-off and differ in the final digit allowed.
+	const cutoff = math.MaxInt64 / 10
+	lastDigit := uint64(math.MaxInt64 % 10)
+	neg := i < len(raw) && raw[i] == '-'
+	if neg {
 		i++
+		lastDigit++
 	}
 	start := i
-	var v int64
-	for i < len(raw) && raw[i] >= '0' && raw[i] <= '9' {
-		d := int64(raw[i] - '0')
-		if v > (1<<62)/10 {
+	var v uint64
+	for ; i < len(raw) && raw[i] >= '0' && raw[i] <= '9'; i++ {
+		d := uint64(raw[i] - '0')
+		if v > cutoff || (v == cutoff && d > lastDigit) {
 			return 0, 0, fmt.Errorf("queries: integer overflow at offset %d", start)
 		}
 		v = v*10 + d
-		i++
 	}
 	if i == start {
 		return 0, 0, fmt.Errorf("queries: expected integer at offset %d", i)
 	}
+	if raw[start] == '0' && i > start+1 {
+		return 0, 0, fmt.Errorf("queries: leading zero at offset %d", start)
+	}
 	if neg {
 		v = -v
 	}
-	return v, i, nil
+	return int64(v), i, nil
 }

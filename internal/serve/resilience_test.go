@@ -33,6 +33,8 @@ func TestServeErrorWireShapes(t *testing.T) {
 			`{"id":10,"ok":false,"error":"scenario: canceled","code":"canceled","retryable":true}`},
 		{"plain errors stay uncoded", errorResponse(11, errors.New("boom")),
 			`{"id":11,"ok":false,"error":"boom"}`},
+		{"limit", errorResponse(12, checkNodeLimit(100000, 100000)),
+			`{"id":12,"ok":false,"error":"mesh 100000x100000 exceeds the limit of 16384 nodes","code":"limit","retryable":false}`},
 	}
 	for _, c := range cases {
 		if string(c.got) != c.want {
@@ -41,6 +43,50 @@ func TestServeErrorWireShapes(t *testing.T) {
 	}
 	if err := wireError("x", errors.New("boom")); err.Error() != "boom" {
 		t.Errorf("wireError rewrote a non-context error: %v", err)
+	}
+}
+
+// TestServeNodeLimit pins the node ceiling: every verb that names a mesh —
+// on the flat decoder's reader-goroutine path and on the pool — answers a
+// mesh above 128x128 with the coded limit error before building anything
+// (the 100000x100000 weight table alone would be a 2.56 TB allocation), the
+// connection goes on answering, and the comparison cannot overflow.
+func TestServeNodeLimit(t *testing.T) {
+	for _, c := range []struct {
+		w, h  int
+		limit bool
+	}{
+		{128, 128, false}, {129, 128, true}, {128, 129, true},
+		{16384, 1, false}, {16385, 1, true}, {1, 16385, true},
+		{1 << 62, 1 << 62, true}, {1 << 32, 1 << 32, true}, {3 << 61, 4, true},
+		{0, 1 << 40, false}, {-1 << 62, -1 << 62, false}, // not a mesh: the verb's validation names it
+	} {
+		if err := checkNodeLimit(c.w, c.h); (err != nil) != c.limit {
+			t.Errorf("checkNodeLimit(%d, %d) = %v, want limit error: %v", c.w, c.h, err, c.limit)
+		}
+	}
+
+	s := NewServer(Config{Workers: 2})
+	defer s.Close()
+	got := strings.Split(strings.TrimSpace(serveString(t, s, strings.Join([]string{
+		`{"id":1,"op":"wctt","design":"regular","width":100000,"height":100000,"src":{"x":0,"y":0},"dst":{"x":1,"y":1}}`,
+		`{"id":2,"op":"batch","design":"regular","width":100000,"height":100000,"queries":[[0,0,1,1]]}`,
+		`{"id":3,"op":"wcet","design":"regular","width":100000,"height":100000,"core":{"x":1,"y":1},"workload":"matrix"}`,
+		`{"id":4,"op":"wcet-batch","design":"regular","width":100000,"height":100000,"workload":"matrix","queries":[[1,1]]}`,
+		`{"id":5,"op":"scenario","spec":{"name":"big","mode":"wctt","width":100000,"height":100000,"design":"regular"}}`,
+		`{"id":6,"op":"wctt","design":"regular","width":4,"height":4,"src":{"x":0,"y":0},"dst":{"x":3,"y":3}}`,
+	}, "\n")+"\n")), "\n")
+	if len(got) != 6 {
+		t.Fatalf("got %d responses, want 6:\n%s", len(got), strings.Join(got, "\n"))
+	}
+	for i, resp := range got[:5] {
+		want := fmt.Sprintf(`{"id":%d,"ok":false,"error":"mesh 100000x100000 exceeds the limit of 16384 nodes","code":"limit","retryable":false}`, i+1)
+		if resp != want {
+			t.Errorf("line %d:\ngot  %s\nwant %s", i+1, resp, want)
+		}
+	}
+	if !strings.HasPrefix(got[5], `{"id":6,"ok":true,"cycles":`) {
+		t.Errorf("line after the rejected ones: %s", got[5])
 	}
 }
 
@@ -165,6 +211,15 @@ func TestServeVerbTimeoutBudget(t *testing.T) {
 	}
 }
 
+// liveHeap returns the bytes of heap still reachable after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC() // the second cycle frees what sync.Pool held over the first
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
 // TestServePayloadChurnHeapBounded is the hostile-input regression for the
 // deleted per-pair memo: one daemon answers over 200 000 bounds whose
 // payload_bits never repeat (batch tuples and wctt lines), then whole-mesh
@@ -225,21 +280,14 @@ func TestServePayloadChurnHeapBounded(t *testing.T) {
 			}
 		}
 	}
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC() // the second cycle frees what sync.Pool held over the first
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	// One lap first, so the models, weight tables and pool buffers the
 	// workload legitimately keeps are already part of the baseline.
 	churn(1)
 	wholeMeshes()
-	base := heap()
+	base := liveHeap()
 	churn(200)
 	wholeMeshes()
-	after := heap()
+	after := liveHeap()
 
 	st := s.Stats()
 	if st.Errors != 0 || st.Queries < 200_000 {
@@ -251,4 +299,66 @@ func TestServePayloadChurnHeapBounded(t *testing.T) {
 			(after-base)>>10, st.Queries, ceiling>>10)
 	}
 	t.Logf("live heap %d KiB -> %d KiB over %d bounds", base>>10, after>>10, st.Queries)
+}
+
+// TestServeDimsChurnHeapBounded is the hostile-input regression for the
+// process-lifetime tables that used to sit under the scenario caches: one
+// daemon answers wctt and batch lines whose (width, height, topology) never
+// repeats and wcet lines whose (mesh, max_packet_flits) never repeats, six
+// times more distinct keys than the model and engine caches hold. Once the
+// caches have filled, live heap must stop growing: what an evicted model or
+// engine was built from (weight table, node list, UBD rows) has to go with
+// it. Before this test every distinct topology kept its weight table and
+// node list, and every distinct (platform, L) its engine, forever.
+func TestServeDimsChurnHeapBounded(t *testing.T) {
+	s := NewServer(Config{Workers: 2})
+	defer s.Close()
+	// 16 even widths x 16 even heights x 3 topologies, visited in a fixed
+	// scattered order so that every window of keys holds a similar mix of
+	// mesh sizes and the caches' legitimate content stays the same size.
+	const meshKeys = 16 * 16 * 3
+	topologies := [3]string{"mesh", "cmesh2", "cmesh4"}
+	nextMesh, nextL := 0, 0
+	churn := func(meshes, engines int) {
+		t.Helper()
+		var lines bytes.Buffer
+		for i := 0; i < meshes; i++ {
+			j := nextMesh * 331 % meshKeys // 331 is coprime to 768: a permutation
+			nextMesh++
+			w, h, topo := 2+2*(j%16), 2+2*(j/16%16), topologies[j/256]
+			if i%2 == 0 {
+				fmt.Fprintf(&lines, `{"id":1,"op":"wctt","design":"waw+wap","topology":%q,"width":%d,"height":%d,"src":{"x":0,"y":0},"dst":{"x":%d,"y":%d}}`+"\n", topo, w, h, w-1, h-1)
+			} else {
+				fmt.Fprintf(&lines, `{"id":2,"op":"batch","design":"regular","topology":%q,"width":%d,"height":%d,"queries":[[0,0,%d,%d],[%d,0,0,%d]]}`+"\n", topo, w, h, w-1, h-1, w-1, h-1)
+			}
+		}
+		for i := 0; i < engines; i++ {
+			nextL++
+			side := 12 + 4*(i%3)
+			fmt.Fprintf(&lines, `{"id":3,"op":"wcet","design":"waw+wap","width":%d,"height":%d,"core":{"x":%d,"y":%d},"workload":"matrix","max_packet_flits":%d}`+"\n", side, side, side-1, side-1, nextL)
+		}
+		if err := s.ServeLines(context.Background(), &lines, io.Discard); err != nil {
+			t.Fatalf("ServeLines: %v", err)
+		}
+	}
+	// Twice the capacity of each cache first (128 models, 64 engines), so
+	// both are full and evicting when the baseline is taken.
+	churn(256, 128)
+	base := liveHeap()
+	for round := 0; round < 4; round++ {
+		churn(128, 64)
+	}
+	after := liveHeap()
+
+	st := s.Stats()
+	if st.Errors != 0 || st.Caches.Models.Evictions == 0 || st.Caches.Engines.Evictions == 0 {
+		t.Fatalf("churn: %d failed lines, %d model and %d engine evictions; want 0 failures and both caches evicting",
+			st.Errors, st.Caches.Models.Evictions, st.Caches.Engines.Evictions)
+	}
+	const ceiling = 8 << 20
+	if after > base && after-base > ceiling {
+		t.Fatalf("live heap grew by %d KiB over %d more distinct meshes and %d more distinct engines (ceiling %d KiB): something below the bounded caches retains per-topology state",
+			(after-base)>>10, 4*128, 4*64, ceiling>>10)
+	}
+	t.Logf("live heap %d KiB -> %d KiB", base>>10, after>>10)
 }

@@ -39,12 +39,27 @@ const (
 	// internal/lineio, so a batch accepted by one layer is never rejected
 	// by another.
 	maxLineBytes = lineio.MaxLineBytes
+
+	// maxNodes is the largest mesh (width x height endpoints) any verb
+	// accepts: 128x128. Every table a verb builds is at least O(nodes), so
+	// the ceiling is checked before the first allocation.
+	maxNodes = 128 * 128
 )
 
-// engineFlightKey identifies one compiled-engine construction.
-type engineFlightKey struct {
-	dim            mesh.Dim
-	maxPacketFlits int
+// checkNodeLimit rejects a mesh above maxNodes with the coded limit error.
+// A side below 1 is left to the verb's own validation; each side is compared
+// before the product, which therefore cannot overflow.
+func checkNodeLimit(width, height int) error {
+	if width < 1 || height < 1 {
+		return nil
+	}
+	if width > maxNodes || height > maxNodes || width*height > maxNodes {
+		return &protoError{
+			msg:  fmt.Sprintf("mesh %dx%d exceeds the limit of %d nodes", width, height, maxNodes),
+			code: "limit", retryable: false,
+		}
+	}
+	return nil
 }
 
 // Server answers protocol lines over any number of concurrent transports
@@ -66,8 +81,7 @@ type Server struct {
 	// admission gate (Config.MaxInflight) reads it before queueing a line.
 	admitted atomic.Int64
 
-	engineFlight cache.Group[engineFlightKey, *wcet.Engine]
-	specFlight   cache.Group[string, []byte]
+	specFlight cache.Group[string, []byte]
 
 	// testHold, set only by tests, runs on the pool worker between a line's
 	// decode and its verb: a test blocks in it to make "this line is still
@@ -526,6 +540,9 @@ func queryTarget(req *Request) (network.Design, mesh.Dim, mesh.TopoSpec, error) 
 	if err != nil {
 		return 0, mesh.Dim{}, mesh.TopoSpec{}, err
 	}
+	if err := checkNodeLimit(req.Width, req.Height); err != nil {
+		return 0, mesh.Dim{}, mesh.TopoSpec{}, err
+	}
 	dim, err := mesh.NewDim(req.Width, req.Height)
 	if err != nil {
 		return 0, mesh.Dim{}, mesh.TopoSpec{}, err
@@ -636,17 +653,6 @@ func (s *Server) wcttBatch(ctx context.Context, req *Request) ([]byte, bool) {
 	return append(buf, ']', '}'), false
 }
 
-// engineFor returns the compiled WCET engine of the paper's default
-// platform on the given mesh, coalescing concurrent first compiles (the
-// process-wide engine cache deduplicates storage but would let two first
-// callers both compile).
-func (s *Server) engineFor(dim mesh.Dim, maxPacketFlits int) (*wcet.Engine, error) {
-	e, err, _ := s.engineFlight.Do(engineFlightKey{dim, maxPacketFlits}, func() (*wcet.Engine, error) {
-		return scenario.PlatformFor(dim).EngineWithMaxPacket(maxPacketFlits)
-	})
-	return e, err
-}
-
 // wcetOne answers the wcet verb (see answer for dst and inline).
 func (s *Server) wcetOne(dst []byte, req *Request, inline bool) ([]byte, bool) {
 	design, dim, ts, err := queryTarget(req)
@@ -666,10 +672,10 @@ func (s *Server) wcetOne(dst []byte, req *Request, inline bool) ([]byte, bool) {
 	var eng *wcet.Engine
 	if inline {
 		var ok bool
-		if eng, ok = scenario.PlatformFor(dim).CachedEngine(req.MaxPacketFlits); !ok {
+		if eng, ok = scenario.CachedEngine(dim, req.MaxPacketFlits); !ok {
 			return nil, false
 		}
-	} else if eng, err = s.engineFor(dim, req.MaxPacketFlits); err != nil {
+	} else if eng, err = scenario.SharedEngine(dim, req.MaxPacketFlits); err != nil {
 		return appendError(dst, req.ID, err), true
 	}
 	c, err := eng.BenchmarkWCET(design, mesh.Node{X: req.Core.X, Y: req.Core.Y}, b)
@@ -694,7 +700,7 @@ func (s *Server) wcetBatch(ctx context.Context, req *Request) ([]byte, bool) {
 	if err != nil {
 		return errorResponse(req.ID, err), true
 	}
-	eng, err := s.engineFor(dim, req.MaxPacketFlits)
+	eng, err := scenario.SharedEngine(dim, req.MaxPacketFlits)
 	if err != nil {
 		return errorResponse(req.ID, err), true
 	}
@@ -737,6 +743,9 @@ func (s *Server) scenarioOp(ctx context.Context, req *Request) ([]byte, bool) {
 		return errorResponse(req.ID, errors.New("scenario: missing spec")), true
 	}
 	spec := *req.Spec
+	if err := checkNodeLimit(spec.Width, spec.Height); err != nil {
+		return errorResponse(req.ID, err), true
+	}
 	if err := spec.Validate(); err != nil {
 		return errorResponse(req.ID, err), true
 	}

@@ -292,7 +292,7 @@ func NewHotspot(dim mesh.Dim, target mesh.Node, seed int64, ratePct, payload, to
 	}
 	t := dim.Index(target)
 	return &Hotspot{
-		sources:   slices.Delete(slices.Clone(dim.AllNodes()), t, t+1),
+		sources:   slices.Delete(dim.AllNodes(), t, t+1),
 		target:    target,
 		rng:       newDrawSource(seed),
 		ratePct:   ratePct,

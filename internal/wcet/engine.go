@@ -3,7 +3,6 @@ package wcet
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/analysis"
 	"repro/internal/mesh"
@@ -12,21 +11,20 @@ import (
 )
 
 // Engine is a Platform compiled for repeated WCET analysis: the platform is
-// validated once, the analytical WCTT model (with its flat weight tables and
-// per-node contender/share arrays) is built once, and the per-core memory
+// validated once, the analytical WCTT model (its flat per-node
+// contender/share arrays) is built once, and the per-core memory
 // round-trip UBDs are computed once per design and then served from flat
-// per-core-index slices. The pre-engine implementation revalidated the
-// platform and rebuilt the full model for every (design, core, benchmark)
-// cell — 2 x cores x benchmarks model constructions per Table III.
+// per-core-index slices, so a table cell is pure arithmetic.
 //
 // Engines are immutable after compilation (the lazily filled per-design UBD
-// slices are guarded by sync.Once and deterministic), safe for concurrent
-// use, and cached per (Platform, maxPacketFlits) so Table III, Figure 2a/2b
-// and the wcet-map sweep scenarios of one platform all share one model.
+// slices are guarded by sync.Once and deterministic) and safe for concurrent
+// use. Compiling returns a new engine every time and this package remembers
+// none: whoever compiles an engine owns it, and a caller that analyses one
+// platform repeatedly holds on to its engine. Engines are shared in one
+// place, the scenario layer's bounded engine cache (scenario.SharedEngine).
 type Engine struct {
 	p     Platform
-	l     int // MaxPacketFlits override (the Figure 2a L parameter); 0 = platform default
-	model *analysis.Model
+	model *analysis.Model // built for ModelParams of the compile's maximum packet size
 
 	// memUBD[design] holds the per-core memory round-trip UBDs of one
 	// design, filled on first use.
@@ -42,75 +40,39 @@ type memoryUBDs struct {
 	err   error
 }
 
-// engineKey identifies a compiled engine: the full platform value plus the
-// packet-size override. Platform is a flat comparable struct, so the cache
-// key captures every parameter that could change a bound.
-type engineKey struct {
-	p Platform
-	l int
-}
-
-// engineCache shares compiled engines process-wide; entries are immutable.
-var engineCache sync.Map // engineKey -> *Engine
-
-// engineHits and engineMisses count cache behaviour for the serve stats
-// verb. A "miss" is a compile (two concurrent first callers both count: the
-// loser's engine is discarded by LoadOrStore but its work really happened).
-var engineHits, engineMisses atomic.Uint64
-
-// EngineCacheStats reports the cumulative hit/miss counters of the compiled
-// engine cache. The cache never evicts (engines are a few pointers plus one
-// shared model, keyed by full platform value), so there is no eviction
-// counter.
-func EngineCacheStats() (hits, misses uint64) {
-	return engineHits.Load(), engineMisses.Load()
-}
-
-// Engine returns the compiled analysis engine of the platform (with its
-// default maximum packet size), validating the platform and building the
-// analytical model only on the first call for a given platform value.
+// Engine compiles the analysis engine of the platform with its default
+// maximum packet size.
 func (p Platform) Engine() (*Engine, error) { return p.EngineWithMaxPacket(0) }
 
 // EngineWithMaxPacket is Engine with the network maximum packet size
 // overridden to maxPacketFlits (the L parameter of Figure 2a); 0 keeps the
 // platform default.
 func (p Platform) EngineWithMaxPacket(maxPacketFlits int) (*Engine, error) {
+	return p.CompileEngine(maxPacketFlits, analysis.NewModel)
+}
+
+// CompileEngine is EngineWithMaxPacket for a caller that has its own source
+// of analytical models (the scenario layer's model cache): the platform is
+// validated and the model of ModelParams(maxPacketFlits) obtained from
+// model.
+func (p Platform) CompileEngine(maxPacketFlits int, model func(analysis.Params) (*analysis.Model, error)) (*Engine, error) {
 	if maxPacketFlits < 0 {
 		return nil, fmt.Errorf("wcet: negative maximum packet size %d", maxPacketFlits)
 	}
-	key := engineKey{p: p, l: maxPacketFlits}
-	if cached, ok := engineCache.Load(key); ok {
-		engineHits.Add(1)
-		return cached.(*Engine), nil
-	}
-	engineMisses.Add(1)
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	m, err := p.model(maxPacketFlits)
+	m, err := model(p.ModelParams(maxPacketFlits))
 	if err != nil {
 		return nil, err
 	}
-	cached, _ := engineCache.LoadOrStore(key, &Engine{p: p, l: maxPacketFlits, model: m})
-	return cached.(*Engine), nil
-}
-
-// CachedEngine returns the engine EngineWithMaxPacket would, only if it is
-// already compiled (counted as a hit; a miss is left for the compiling call
-// to count).
-func (p Platform) CachedEngine(maxPacketFlits int) (*Engine, bool) {
-	cached, ok := engineCache.Load(engineKey{p: p, l: maxPacketFlits})
-	if !ok {
-		return nil, false
-	}
-	engineHits.Add(1)
-	return cached.(*Engine), true
+	return &Engine{p: p, model: m}, nil
 }
 
 // Platform returns the platform the engine was compiled from.
 func (e *Engine) Platform() Platform { return e.p }
 
-// Model returns the engine's shared analytical WCTT model.
+// Model returns the engine's analytical WCTT model.
 func (e *Engine) Model() *analysis.Model { return e.model }
 
 // memoryRoundTrips returns the per-core memory round-trip UBD slices of the
@@ -142,9 +104,10 @@ func (e *Engine) memoryRoundTrips(design network.Design) (*memoryUBDs, error) {
 }
 
 // BenchmarkWCET returns the WCET estimate, in cycles, of a single-threaded
-// benchmark on the core at node `core` under the given design — the compiled
-// counterpart of Platform.BenchmarkWCET. The benchmark is validated here;
-// table loops that validate their suite up front use cellWCET directly.
+// benchmark on the core at node `core` under the given design: the
+// benchmark's compute cycles plus one UBD-inflated round trip per memory
+// access and per eviction. The benchmark is validated here; table loops that
+// validate their suite up front use cellWCET directly.
 func (e *Engine) BenchmarkWCET(design network.Design, core mesh.Node, b workload.Benchmark) (uint64, error) {
 	if err := b.Validate(); err != nil {
 		return 0, err

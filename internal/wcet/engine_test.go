@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/mesh"
 	"repro/internal/network"
 	"repro/internal/workload"
@@ -25,7 +26,7 @@ func (p Platform) referenceBenchmarkWCET(design network.Design, core mesh.Node, 
 	if !p.Dim.Contains(core) {
 		return 0, fmt.Errorf("wcet: core %v outside %v mesh", core, p.Dim)
 	}
-	m, err := p.model(0)
+	m, err := analysis.NewModel(p.ModelParams(0))
 	if err != nil {
 		return 0, err
 	}
@@ -60,10 +61,11 @@ func TestEngineMatchesReference(t *testing.T) {
 		network.DesignRegular, network.DesignWaWWaP, network.DesignWaWOnly, network.DesignWaPOnly,
 	}
 	for _, p := range platforms {
+		e := mustEngine(t, p, 0)
 		for _, design := range designs {
 			for _, core := range p.Dim.AllNodes() {
 				for _, b := range suite {
-					fast, err1 := p.BenchmarkWCET(design, core, b)
+					fast, err1 := e.BenchmarkWCET(design, core, b)
 					ref, err2 := p.referenceBenchmarkWCET(design, core, b)
 					if err1 != nil || err2 != nil {
 						t.Fatalf("%v %v %s at %v: errors %v / %v", p.Dim, design, b.Name, core, err1, err2)
@@ -86,7 +88,7 @@ func TestTableIIIMatchesReference(t *testing.T) {
 	}
 	p := DefaultPlatform()
 	suite := workload.EEMBCAutomotive()
-	table, err := p.TableIII(suite)
+	table, err := p.TableIIIParallel(context.Background(), suite, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,43 +111,24 @@ func TestTableIIIMatchesReference(t *testing.T) {
 	}
 }
 
-// TestEngineCachingAndErrors: compiled engines are shared per (platform, L)
-// value, distinct parameter values get distinct engines, and invalid inputs
-// fail with the pre-engine errors.
+// TestEngineCachingAndErrors: an engine echoes what it was compiled from, the
+// package keeps no engine behind the caller's back (sharing is the scenario
+// layer's cache, pinned by its TestSharedEngineIdentityAndEviction), and
+// invalid inputs fail with the pre-engine errors.
 func TestEngineCachingAndErrors(t *testing.T) {
 	p := DefaultPlatform()
-	e1, err := p.Engine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := p.Engine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e1 != e2 {
-		t.Error("same platform value should share one compiled engine")
+	e1 := mustEngine(t, p, 0)
+	if e2 := mustEngine(t, p, 0); e1 == e2 {
+		t.Error("every compile should return an engine its caller owns")
 	}
 	if e1.Platform() != p {
 		t.Error("engine should echo its platform")
 	}
-	if e1.Model() == nil {
-		t.Error("engine should expose its model")
+	if e1.Model() == nil || e1.Model().Params() != p.ModelParams(0) {
+		t.Error("engine should expose the model of its platform parameters")
 	}
-	eL, err := p.EngineWithMaxPacket(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eL == e1 {
-		t.Error("distinct packet-size overrides need distinct engines")
-	}
-	q := p
-	q.MemoryLatency++
-	eq, err := q.Engine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eq == e1 {
-		t.Error("distinct platform values need distinct engines")
+	if got := mustEngine(t, p, 8).Model().Params().Link.MaxPacketFlits; got != 8 {
+		t.Errorf("packet-size override compiled a model with L=%d, want 8", got)
 	}
 	if _, err := p.EngineWithMaxPacket(-1); err == nil {
 		t.Error("negative packet size should fail")

@@ -87,9 +87,10 @@ func (p Platform) Validate() error {
 	return nil
 }
 
-// model builds the analytical WCTT model for the platform, optionally
-// overriding the network maximum packet size (the L parameter of Figure 2a).
-func (p Platform) model(maxPacketFlits int) (*analysis.Model, error) {
+// ModelParams returns the parameters of the platform's analytical WCTT
+// model, optionally overriding the network maximum packet size (the L
+// parameter of Figure 2a; 0 keeps the platform default).
+func (p Platform) ModelParams(maxPacketFlits int) analysis.Params {
 	params := analysis.Params{
 		Dim:            p.Dim,
 		Link:           p.Link,
@@ -99,27 +100,13 @@ func (p Platform) model(maxPacketFlits int) (*analysis.Model, error) {
 	if maxPacketFlits > 0 {
 		params.Link.MaxPacketFlits = maxPacketFlits
 	}
-	return analysis.NewModel(params)
+	return params
 }
 
 // CyclesToMillis converts a cycle count to milliseconds at the platform
 // clock.
 func (p Platform) CyclesToMillis(cycles uint64) float64 {
 	return float64(cycles) / (float64(p.ClockMHz) * 1000.0)
-}
-
-// BenchmarkWCET returns the WCET estimate, in cycles, of a single-threaded
-// benchmark running on the core at node `core` under the given NoC design:
-// the benchmark's compute cycles plus one UBD-inflated round trip per memory
-// access and per eviction. It delegates to the cached compiled engine; table
-// loops should hold the engine directly (see Platform.Engine) so validation
-// and model construction happen once per table, not once per cell.
-func (p Platform) BenchmarkWCET(design network.Design, core mesh.Node, b workload.Benchmark) (uint64, error) {
-	e, err := p.Engine()
-	if err != nil {
-		return 0, err
-	}
-	return e.BenchmarkWCET(design, core, b)
 }
 
 // NormalizedCell is one entry of the Table III map: the WCET of the WaW+WaP
@@ -130,35 +117,35 @@ type NormalizedCell struct {
 	Ratio float64
 }
 
-// TableIII computes the per-core normalised WCET map of Table III: for every
-// node of the mesh, the geometric structure of the paper is reproduced by
-// averaging, over the given benchmark suite, the ratio
-// WCET(WaW+WaP) / WCET(regular). Values above 1 mean the regular design is
-// better for that core; values far below 1 mean WaW+WaP is better.
-// The result is indexed [y][x]. The per-core loop runs on the sweep worker
-// pool with GOMAXPROCS workers; see TableIIIParallel.
-func (p Platform) TableIII(benchmarks []workload.Benchmark) ([][]float64, error) {
-	return p.TableIIIParallel(context.Background(), benchmarks, 0)
-}
-
-// TableIIIParallel is TableIII with an explicit context and worker count
-// (values < 1 select GOMAXPROCS). Every core's cell — an average over the
-// benchmark suite, accumulated in the suite's fixed order — is computed
-// independently and written into its index-addressed slot, so the produced
-// map is bit-identical for one worker and for many;
-// TestTableIIIParallelDeterminism pins that.
-//
-// The whole table runs on one compiled engine: the platform and every
-// benchmark are validated once up front, the analytical model is shared, and
-// each core's two round-trip UBDs are computed once and reused across the
-// whole suite (they do not depend on the benchmark), so a cell is pure
-// arithmetic. Cancelling ctx abandons the cores not yet dispatched and
-// returns ctx's error, mirroring sweep.Run.
+// TableIIIParallel compiles the platform's engine and computes Table III on
+// it (see Engine.TableIIIParallel); a caller that already holds the engine
+// calls that directly.
 func (p Platform) TableIIIParallel(ctx context.Context, benchmarks []workload.Benchmark, jobs int) ([][]float64, error) {
 	e, err := p.Engine()
 	if err != nil {
 		return nil, err
 	}
+	return e.TableIIIParallel(ctx, benchmarks, jobs)
+}
+
+// TableIIIParallel computes the per-core normalised WCET map of Table III:
+// for every node of the mesh, the geometric structure of the paper is
+// reproduced by averaging, over the given benchmark suite, the ratio
+// WCET(WaW+WaP) / WCET(regular). Values above 1 mean the regular design is
+// better for that core; values far below 1 mean WaW+WaP is better. The
+// result is indexed [y][x].
+//
+// The per-core loop runs on the sweep worker pool with jobs workers (values
+// < 1 select GOMAXPROCS). Every core's cell — an average over the benchmark
+// suite, accumulated in the suite's fixed order — is computed independently
+// and written into its index-addressed slot, so the produced map is
+// bit-identical for one worker and for many;
+// TestTableIIIParallelDeterminism pins that. Every benchmark is validated
+// once up front and each core's two round-trip UBDs are computed once and
+// reused across the whole suite (they do not depend on the benchmark), so a
+// cell is pure arithmetic. Cancelling ctx abandons the cores not yet
+// dispatched and returns ctx's error, mirroring sweep.Run.
+func (e *Engine) TableIIIParallel(ctx context.Context, benchmarks []workload.Benchmark, jobs int) ([][]float64, error) {
 	if len(benchmarks) == 0 {
 		return nil, fmt.Errorf("wcet: empty benchmark suite")
 	}
@@ -175,11 +162,12 @@ func (p Platform) TableIIIParallel(ctx context.Context, benchmarks []workload.Be
 	if err != nil {
 		return nil, err
 	}
-	table := make([][]float64, p.Dim.Height)
+	dim := e.p.Dim
+	table := make([][]float64, dim.Height)
 	for y := range table {
-		table[y] = make([]float64, p.Dim.Width)
+		table[y] = make([]float64, dim.Width)
 	}
-	cores := p.Dim.AllNodes()
+	cores := dim.AllNodes()
 	errs := make([]error, len(cores))
 	pool.ForEach(ctx, len(cores), jobs, func(i int) {
 		if err := ctx.Err(); err != nil {
@@ -226,15 +214,13 @@ func farthestPeer(placement workload.Placement, n mesh.Node) mesh.Node {
 
 // ParallelWCET returns the WCET estimate, in cycles, of a fork/join parallel
 // application mapped onto the mesh by the given placement, under the given
-// design and network maximum packet size (maxPacketFlits; 0 keeps the
-// platform default). Each phase completes when its slowest thread completes;
-// the estimate is the sum over phases of that critical path, with every
-// message exchange inflated by its round-trip UBD (memory exchanges also pay
-// the memory service latency).
-func (p Platform) ParallelWCET(design network.Design, app workload.ParallelApp, placement workload.Placement, maxPacketFlits int) (uint64, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
+// design and the network maximum packet size the engine was compiled with.
+// Each phase completes when its slowest thread completes; the estimate is
+// the sum over phases of that critical path, with every message exchange
+// inflated by its round-trip UBD (memory exchanges also pay the memory
+// service latency).
+func (e *Engine) ParallelWCET(design network.Design, app workload.ParallelApp, placement workload.Placement) (uint64, error) {
+	p, m := e.p, e.model
 	if err := app.Validate(); err != nil {
 		return 0, err
 	}
@@ -244,14 +230,6 @@ func (p Platform) ParallelWCET(design network.Design, app workload.ParallelApp, 
 	if len(placement.Nodes) < app.Threads {
 		return 0, fmt.Errorf("wcet: placement %s has %d nodes for %d threads", placement.Name, len(placement.Nodes), app.Threads)
 	}
-	// The engine cache shares one analytical model per (platform, L):
-	// Figure 2a's per-size points, Figure 2b's per-placement points and the
-	// parallel-wcet sweep scenarios all hit the same compiled state.
-	e, err := p.EngineWithMaxPacket(maxPacketFlits)
-	if err != nil {
-		return 0, err
-	}
-	m := e.model
 	master := placement.Nodes[0]
 	var total uint64
 	for _, phase := range app.Phases {
@@ -306,31 +284,6 @@ func (p Figure2aPoint) Improvement() float64 {
 	return p.RegularMs / p.WaWWaPMs
 }
 
-// Figure2a computes the WCET estimates of the application under placement
-// for each maximum packet size in sizes (the paper uses 1, 4 and 8 flits).
-func (p Platform) Figure2a(app workload.ParallelApp, placement workload.Placement, sizes []int) ([]Figure2aPoint, error) {
-	points := make([]Figure2aPoint, 0, len(sizes))
-	for _, l := range sizes {
-		if l < 1 {
-			return nil, fmt.Errorf("wcet: invalid maximum packet size %d", l)
-		}
-		reg, err := p.ParallelWCET(network.DesignRegular, app, placement, l)
-		if err != nil {
-			return nil, err
-		}
-		waw, err := p.ParallelWCET(network.DesignWaWWaP, app, placement, l)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, Figure2aPoint{
-			MaxPacketFlits: l,
-			RegularMs:      p.CyclesToMillis(reg),
-			WaWWaPMs:       p.CyclesToMillis(waw),
-		})
-	}
-	return points, nil
-}
-
 // Figure2bPoint is one group of bars of Figure 2(b): the WCET estimates (in
 // milliseconds) of the application under one placement, for the L1 (one-flit
 // maximum packet) configuration.
@@ -338,29 +291,6 @@ type Figure2bPoint struct {
 	Placement string
 	RegularMs float64
 	WaWWaPMs  float64
-}
-
-// Figure2b computes the placement-sensitivity study of Figure 2(b): the WCET
-// estimates of the application under every placement for the given maximum
-// packet size (the paper uses L1).
-func (p Platform) Figure2b(app workload.ParallelApp, placements []workload.Placement, maxPacketFlits int) ([]Figure2bPoint, error) {
-	points := make([]Figure2bPoint, 0, len(placements))
-	for _, pl := range placements {
-		reg, err := p.ParallelWCET(network.DesignRegular, app, pl, maxPacketFlits)
-		if err != nil {
-			return nil, err
-		}
-		waw, err := p.ParallelWCET(network.DesignWaWWaP, app, pl, maxPacketFlits)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, Figure2bPoint{
-			Placement: pl.Name,
-			RegularMs: p.CyclesToMillis(reg),
-			WaWWaPMs:  p.CyclesToMillis(waw),
-		})
-	}
-	return points, nil
 }
 
 // Variability returns max/min of the given per-placement WCETs; the paper

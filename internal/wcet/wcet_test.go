@@ -11,6 +11,32 @@ import (
 
 func node(x, y int) mesh.Node { return mesh.Node{X: x, Y: y} }
 
+// mustEngine compiles the platform's engine for maximum packet size l
+// (0 = platform default).
+func mustEngine(t *testing.T, p Platform, l int) *Engine {
+	t.Helper()
+	e, err := p.EngineWithMaxPacket(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// figure2Millis returns the two bars of one Figure 2 group: the application's
+// WCET estimate in milliseconds under the regular and the WaW+WaP design.
+func figure2Millis(t *testing.T, e *Engine, app workload.ParallelApp, pl workload.Placement) (regularMs, wawWaPMs float64) {
+	t.Helper()
+	reg, err := e.ParallelWCET(network.DesignRegular, app, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waw, err := e.ParallelWCET(network.DesignWaWWaP, app, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.Platform().CyclesToMillis(reg), e.Platform().CyclesToMillis(waw)
+}
+
 func TestPlatformValidate(t *testing.T) {
 	if err := DefaultPlatform().Validate(); err != nil {
 		t.Fatalf("default platform invalid: %v", err)
@@ -58,7 +84,7 @@ func TestCyclesToMillis(t *testing.T) {
 }
 
 func TestBenchmarkWCETBasics(t *testing.T) {
-	p := DefaultPlatform()
+	p := mustEngine(t, DefaultPlatform(), 0)
 	bench, err := workload.BenchmarkByName("matrix")
 	if err != nil {
 		t.Fatal(err)
@@ -102,8 +128,7 @@ func TestBenchmarkWCETBasics(t *testing.T) {
 // see values orders of magnitude below 1, and the number of cores that lose
 // with WaW+WaP is a small minority (the paper reports 11 of 64).
 func TestTableIIIShape(t *testing.T) {
-	p := DefaultPlatform()
-	table, err := p.TableIII(workload.EEMBCAutomotive())
+	table, err := mustEngine(t, DefaultPlatform(), 0).TableIIIParallel(context.Background(), workload.EEMBCAutomotive(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +185,11 @@ func TestTableIIIShape(t *testing.T) {
 
 func TestTableIIIErrors(t *testing.T) {
 	p := DefaultPlatform()
-	if _, err := p.TableIII(nil); err == nil {
+	if _, err := p.TableIIIParallel(context.Background(), nil, 0); err == nil {
 		t.Error("empty suite should fail")
 	}
 	p.Dim = mesh.Dim{}
-	if _, err := p.TableIII(workload.EEMBCAutomotive()); err == nil {
+	if _, err := p.TableIIIParallel(context.Background(), workload.EEMBCAutomotive(), 0); err == nil {
 		t.Error("invalid platform should fail")
 	}
 }
@@ -176,16 +201,17 @@ func TestParallelWCETValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.ParallelWCET(network.DesignRegular, workload.ParallelApp{}, placements[0], 1); err == nil {
+	e := mustEngine(t, p, 1)
+	if _, err := e.ParallelWCET(network.DesignRegular, workload.ParallelApp{}, placements[0]); err == nil {
 		t.Error("invalid app should fail")
 	}
-	if _, err := p.ParallelWCET(network.DesignRegular, app, workload.Placement{Name: "bad", Nodes: []mesh.Node{{X: 0, Y: 0}}}, 1); err == nil {
+	if _, err := e.ParallelWCET(network.DesignRegular, app, workload.Placement{Name: "bad", Nodes: []mesh.Node{{X: 0, Y: 0}}}); err == nil {
 		t.Error("placement smaller than the thread count should fail")
 	}
-	if _, err := p.ParallelWCET(network.DesignRegular, app, workload.Placement{}, 1); err == nil {
+	if _, err := e.ParallelWCET(network.DesignRegular, app, workload.Placement{}); err == nil {
 		t.Error("invalid placement should fail")
 	}
-	w, err := p.ParallelWCET(network.DesignWaWWaP, app, placements[0], 1)
+	w, err := e.ParallelWCET(network.DesignWaWWaP, app, placements[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,12 +231,11 @@ func TestFigure2aShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := p.Figure2a(app, p0, []int{1, 4, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("expected 3 points, got %d", len(points))
+	var points []Figure2aPoint
+	for _, l := range []int{1, 4, 8} {
+		pt := Figure2aPoint{MaxPacketFlits: l}
+		pt.RegularMs, pt.WaWWaPMs = figure2Millis(t, mustEngine(t, p, l), app, p0)
+		points = append(points, pt)
 	}
 	for _, pt := range points {
 		if pt.RegularMs <= 0 || pt.WaWWaPMs <= 0 {
@@ -233,7 +258,7 @@ func TestFigure2aShape(t *testing.T) {
 				base, pt.MaxPacketFlits, pt.WaWWaPMs)
 		}
 	}
-	if _, err := p.Figure2a(app, p0, []int{0}); err == nil {
+	if _, err := p.EngineWithMaxPacket(-1); err == nil {
 		t.Error("invalid packet size should fail")
 	}
 }
@@ -248,12 +273,15 @@ func TestFigure2bShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := p.Figure2b(app, placements, 1)
-	if err != nil {
-		t.Fatal(err)
+	if len(placements) != 4 {
+		t.Fatalf("expected 4 placements, got %d", len(placements))
 	}
-	if len(points) != 4 {
-		t.Fatalf("expected 4 points, got %d", len(points))
+	e := mustEngine(t, p, 1)
+	var points []Figure2bPoint
+	for _, pl := range placements {
+		pt := Figure2bPoint{Placement: pl.Name}
+		pt.RegularMs, pt.WaWWaPMs = figure2Millis(t, e, app, pl)
+		points = append(points, pt)
 	}
 	var regs, waws []float64
 	for _, pt := range points {
