@@ -59,7 +59,7 @@ func sweepOn(args []string, in io.Reader, w io.Writer) error {
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile taken after the sweep to this file")
 	worker := fs.Bool("worker", false, "run as a sweep worker: execute scenario specs received on stdin over the JSON-line worker protocol (spawned by the coordinator; see PROTOCOL.md)")
-	workerProcs := fs.Int("worker-procs", 0, "fan the grid out to this many `noctool sweep -worker` subprocesses; 0 = in-process, -1 = one per core")
+	workerProcs := fs.Int("worker-procs", 0, "fan the grid out to this many `noctool sweep -worker` subprocesses; 0 = in-process")
 	out := fs.String("out", "", "stream each result as a JSON line to this file the moment it completes, then merge into spec order")
 	checkpoint := fs.String("checkpoint", "", "record finished grid indices + result hashes in this file (requires -out); enables -resume")
 	resume := fs.Bool("resume", false, "resume an interrupted sweep from -out/-checkpoint, recomputing only unfinished scenarios")
@@ -92,8 +92,8 @@ func sweepOn(args []string, in io.Reader, w io.Writer) error {
 	if *unordered && *out == "" {
 		return fmt.Errorf("sweep: -unordered requires -out")
 	}
-	if *workerProcs < -1 {
-		return fmt.Errorf("sweep: invalid -worker-procs %d", *workerProcs)
+	if *jobs < 0 || *workerProcs < 0 {
+		return fmt.Errorf("sweep: -jobs and -worker-procs must not be negative (got %d and %d)", *jobs, *workerProcs)
 	}
 
 	// Validate the output format before spending any compute on the grid.
@@ -283,14 +283,10 @@ func sweepOn(args []string, in io.Reader, w io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("sweep: locate worker binary: %w", err)
 		}
-		procs := *workerProcs
-		if procs < 0 {
-			procs = 0 // AutoSplit: one per core, capped by the grid
-		}
 		exec = &sweep.Coordinator{
 			Command: []string{exe, "sweep", "-worker"},
 			Env:     append(os.Environ(), workerEnv+"=1"),
-			Procs:   procs,
+			Procs:   *workerProcs,
 			Stderr:  os.Stderr,
 		}
 	}

@@ -192,7 +192,8 @@ func TestCmdSweepStreamFlagValidation(t *testing.T) {
 		{"-resume"},                          // -resume requires -checkpoint
 		{"-resume", "-out", "x.jsonl"},       // still no checkpoint
 		{"-unordered"},                       // -unordered requires -out
-		{"-worker-procs", "-2"},              // below the -1 sentinel
+		{"-worker-procs", "-1"},              // used to mean "one per core"
+		{"-jobs", "-3"},                      // used to run on GOMAXPROCS workers
 		{"-worker", "-sizes", "4"},           // grid flags belong to the coordinator
 		{"-worker", "-jobs", "2"},            //
 		{"-worker", "-out", "x.jsonl"},       //

@@ -17,9 +17,10 @@
 // evaluation: the mesh/routing/flit substrate, a cycle-accurate wormhole NoC
 // simulator with pluggable arbitration and packetization, the analytical
 // WCTT and WCET models, synthetic models of the EEMBC Automotive suite and
-// of the 3DPP avionics application, an area model, a CLI (cmd/noctool),
-// runnable examples (examples/) and a benchmark harness (bench_test.go)
-// that regenerates every table and figure of the paper.
+// of the 3DPP avionics application, an area model, a CLI (cmd/noctool)
+// that regenerates every table and figure of the paper, runnable examples
+// (examples/) and one benchmark (bench/, compared between two commits by
+// scripts/benchpair.sh; see "Measuring" in README.md).
 //
 // Every experiment flows through a unified, two-package experiment layer:
 //
@@ -135,8 +136,7 @@
 // analytical sweep axes to 48x48 and 64x64 — where the regular bound
 // saturates uint64 and is reported as the explicit value 2^64-1
 // (examples/wcttscaling prints a `saturated` marker and keeps saturated
-// endpoints out of growth ratios). cmd/benchgate gates the committed
-// kernel-vs-walk speedup ratios in CI against BENCH_baseline.json.
+// endpoints out of growth ratios).
 //
 // Topology is a pluggable layer underneath all of this (mesh.Topology,
 // mesh.TopoSpec): the 2D mesh is one instance of an interface that owns the

@@ -1,0 +1,76 @@
+package analysis
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/mesh"
+	"repro/internal/network"
+)
+
+// The kernel-vs-oracle pairs of this package, for a developer to run by hand
+// after touching kernel.go (what a user waits for is measured by the
+// analytic-grid workload of bench/, which is also what CI compares):
+//
+//	go test -run xxx -bench 'BenchmarkSummary|BenchmarkWCETMapUBD' -benchtime 5x ./internal/analysis/
+
+// BenchmarkSummary is one Table II row (both one-flit summaries): kernel
+// builds the model and runs SummarizeOneFlitWCTT's all-pairs kernels,
+// pairwise folds the per-pair route walk the equivalence tests compare them
+// with (pairwiseSummary) over a prebuilt model.
+func BenchmarkSummary(b *testing.B) {
+	for _, size := range []int{16, 32} {
+		d := mesh.MustDim(size, size)
+		b.Run(fmt.Sprintf("%dx%d/kernel", size, size), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := RowForDim(d); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("%dx%d/pairwise", size, size), func(b *testing.B) {
+			m := MustNewModel(DefaultParams(d))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, design := range []network.Design{network.DesignRegular, network.DesignWaWWaP} {
+					if _, err := pairwiseSummary(m, design); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkWCETMapUBD is the per-core UBD precomputation of a 64x64 wcet-map
+// point from a cold model (a load and an eviction round trip per core): the
+// two AllCoresRoundTripUBD row sweeps against the per-core RoundTripUBD loop.
+func BenchmarkWCETMapUBD(b *testing.B) {
+	d, memory := mesh.MustDim(64, 64), mesh.Node{}
+	trips := [][2]int{{48, 512}, {512, 16}} // request, reply bits
+	b.Run("64x64/kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m := MustNewModel(DefaultParams(d))
+			for _, t := range trips {
+				if _, err := m.AllCoresRoundTripUBD(network.DesignWaWWaP, memory, t[0], t[1], nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("64x64/pairwise", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m := MustNewModel(DefaultParams(d))
+			for _, core := range d.AllNodes() {
+				for _, t := range trips {
+					if _, err := m.RoundTripUBD(network.DesignWaWWaP, core, memory, t[0], t[1]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+	})
+}

@@ -3,8 +3,8 @@
 // regular wormhole mesh and the proposed WaW+WaP design), the analytical
 // WCTT/WCET machinery, and ready-to-run versions of every experiment of the
 // paper (Tables I–III, Figure 2, the average-performance comparison and the
-// area estimate). The command-line tool, the examples and the benchmark
-// harness are thin wrappers around this package.
+// area estimate). The command-line tool and the examples are thin wrappers
+// around this package.
 //
 // Since the scenario/sweep refactor the experiment entry points are thin
 // adapters: each one declares its grid of scenario.Specs and hands them to

@@ -1,6 +1,7 @@
 package flit
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -148,6 +149,22 @@ func TestZeroAndNegativePayload(t *testing.T) {
 	flits, packets := c.WaPFlitsForPayload(0)
 	if flits != 1 || packets != 1 {
 		t.Errorf("WaP empty payload = %d,%d, want 1,1", flits, packets)
+	}
+}
+
+// TestHugePayloadNeverWraps: near MaxInt, payload + control bits (and payload
+// + per-packet capacity) used to wrap negative and report the one-flit minimum.
+func TestHugePayloadNeverWraps(t *testing.T) {
+	c := DefaultLinkConfig()
+	if got, want := c.FlitsForPayload(math.MaxInt), math.MaxInt/132+1; got != want {
+		t.Errorf("flits for a MaxInt payload = %d, want %d", got, want)
+	}
+	if _, got := c.WaPFlitsForPayload(math.MaxInt); got != math.MaxInt/116+1 {
+		t.Errorf("WaP packets for a MaxInt payload = %d, want %d", got, math.MaxInt/116+1)
+	}
+	c = LinkConfig{WidthBits: 1, MinPacketFlits: 2} // packets * 2 exceeds MaxInt
+	if got, _ := c.WaPFlitsForPayload(math.MaxInt); got != math.MaxInt {
+		t.Errorf("WaP flits of 2-flit packets for a MaxInt payload = %d, want saturation at MaxInt", got)
 	}
 }
 

@@ -8,15 +8,17 @@ import (
 	"repro/internal/traffic"
 )
 
-// BenchmarkEngine/saturated-8x8 is the engine-saturated-8x8 gate of
-// BENCH_baseline.json: Network.Step against the full-scan oracle where the
-// active set cannot win. 400 msgs/node/kcycle of one-flit messages is past
-// saturation, every router and NIC queue is busy every cycle, so the cost is
-// per flit-hop router/arbiter work and the visit lists, wake flags and
-// lazy-replenishment stamps are pure overhead. One op rewinds the network and
-// simulates a 3000-cycle window (the source queues of a saturated network
-// grow without bound, so the window is fixed instead of b.N cycles). The
-// ratio is gated near 1.0: Step must not lose to the plain scan.
+// BenchmarkEngine/saturated-8x8 is Network.Step against the full-scan oracle
+// where the active set cannot win. 400 msgs/node/kcycle of one-flit messages is
+// past saturation, every router and NIC queue is busy every cycle, so the cost
+// is per flit-hop router/arbiter work and the visit lists, wake flags and
+// lazy-replenishment stamps are pure overhead: Step should not lose to the
+// plain scan. One op rewinds the network and simulates a 3000-cycle window
+// (the source queues of a saturated network grow without bound, so the window
+// is fixed instead of b.N cycles). For a developer to run by hand; CI compares
+// the sim-saturated workload of bench/ end to end instead.
+//
+//	go test -run xxx -bench 'BenchmarkEngine/saturated-8x8/' -benchtime 10x -count 5 ./internal/network/
 func BenchmarkEngine(b *testing.B) {
 	const window = 3000
 	d := mesh.MustDim(8, 8)

@@ -1,0 +1,83 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"io"
+	"testing"
+)
+
+// BenchmarkServeLines measures ServeLines in process on every flow of a warm
+// 8x8 mesh, one op per bound: batch is the vectorised verb (lines of up to
+// 65536 tuples), flat the co-simulator's shape — one wctt line per bound,
+// answered on the reader goroutine — and generic the same lines with one
+// escaped character in the op string, which the flat decoder declines, so
+// every line pays encoding/json, a pool hand-off and the ordered queue. For
+// a developer to run by hand, at -cpu 1 (the generic pipeline's stages
+// overlap on several cores, and ns/op stops being work per line); over real
+// TCP the same paths are the serve-batch and serve-lines workloads of bench/,
+// which is what CI compares.
+//
+//	go test -run xxx -bench BenchmarkServeLines -cpu 1 ./internal/serve/
+func BenchmarkServeLines(b *testing.B) {
+	type flow struct{ sx, sy, dx, dy int }
+	var flows []flow
+	for s := 0; s < 64; s++ {
+		for d := 0; d < 64; d++ {
+			if s != d {
+				flows = append(flows, flow{s % 8, s / 8, d % 8, d / 8})
+			}
+		}
+	}
+	batch := func(n int) []byte {
+		var buf bytes.Buffer
+		for q := 0; q < n; q++ {
+			if q%65536 == 0 {
+				buf.WriteString(`{"id":1,"op":"batch","design":"waw+wap","width":8,"height":8,"queries":[`)
+			}
+			f := flows[q%len(flows)]
+			fmt.Fprintf(&buf, "[%d,%d,%d,%d]", f.sx, f.sy, f.dx, f.dy)
+			if q%65536 == 65535 || q == n-1 {
+				buf.WriteString("]}\n")
+			} else {
+				buf.WriteByte(',')
+			}
+		}
+		return buf.Bytes()
+	}
+	lines := func(op string) func(n int) []byte {
+		return func(n int) []byte {
+			var buf bytes.Buffer
+			for i := 0; i < n; i++ {
+				f := flows[i%len(flows)]
+				fmt.Fprintf(&buf, `{"id":%d,"op":%s,"design":"waw+wap","width":8,"height":8,"src":{"x":%d,"y":%d},"dst":{"x":%d,"y":%d}}`+"\n",
+					i+1, op, f.sx, f.sy, f.dx, f.dy)
+			}
+			return buf.Bytes()
+		}
+	}
+	for _, v := range []struct {
+		name   string
+		render func(n int) []byte
+	}{{"batch", batch}, {"flat", lines(`"wctt"`)}, {"generic", lines(`"wct\u0074"`)}} {
+		b.Run(v.name, func(b *testing.B) {
+			s := NewServer(Config{})
+			defer s.Close()
+			serve := func(in []byte) {
+				if err := s.ServeLines(context.Background(), bytes.NewReader(in), io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+			serve(batch(len(flows))) // builds the model
+			in := v.render(b.N)
+			b.ReportAllocs()
+			b.ResetTimer()
+			serve(in)
+			b.StopTimer()
+			if st := s.Stats(); st.Errors != 0 || st.Queries != uint64(len(flows)+b.N) {
+				b.Fatalf("%d bounds answered with %d failed lines, want %d and 0", st.Queries, st.Errors, len(flows)+b.N)
+			}
+		})
+	}
+}

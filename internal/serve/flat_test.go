@@ -26,6 +26,10 @@ var flatCorpus = []string{
 	`{"id":10,"op":"wctt","design":"regular","width":4,"height":4,"src":{"x":0,"y":0},"dst":{"x":0,"y":0}}`,
 	`{"id":11,"op":"wctt","design":"regular","width":4,"height":4,"src":{"x":9,"y":0},"dst":{"x":0,"y":0}}`,
 	`{"id":999999999999999999,"op":"ping"}`,
+	// payload_bits at the ceiling, one past it and negative (MaxInt64, 19 digits, is declined below)
+	`{"id":50,"op":"wctt","design":"waw+wap","width":8,"height":8,"payload_bits":4294967296,"src":{"x":0,"y":0},"dst":{"x":7,"y":7}}`,
+	`{"id":51,"op":"wctt","design":"waw+wap","width":8,"height":8,"payload_bits":4294967297,"src":{"x":0,"y":0},"dst":{"x":7,"y":7}}`,
+	`{"id":53,"op":"wctt","design":"waw+wap","width":8,"height":8,"payload_bits":-1,"src":{"x":0,"y":0},"dst":{"x":7,"y":7}}`,
 	// every whitespace placement
 	" \t{ \"id\" : 12 , \"op\" : \"wctt\" , \"design\" : \"regular\" , \"width\" : 4 , \"height\" : 4 , \"src\" : { \"x\" : 0 , \"y\" : 0 } , \"dst\" : { \"x\" : 3 , \"y\" : 3 } } \r",
 	// declined: other verbs, nesting, unknown and differently-cased keys
@@ -34,6 +38,7 @@ var flatCorpus = []string{
 	`{"id":14,"op":"stats"}`,
 	`{"id":15,"op":"warp"}`,
 	`{"id":16,"op":"batch","design":"regular","width":4,"height":4,"queries":[[0,0,3,3]]}`,
+	`{"id":54,"op":"batch","design":"regular","width":8,"height":8,"queries":[[0,0,7,7,4294967296],[0,0,7,7,9223372036854775807]]}`,
 	`{"id":17,"op":"wcet-batch","design":"regular","width":4,"height":4,"workload":"cacheb","queries":[[0,0]]}`,
 	`{"id":18,"op":"ping","extra":1}`,
 	`{"ID":19,"op":"ping"}`,
@@ -62,6 +67,7 @@ var flatCorpus = []string{
 	`{"id":9223372036854775807,"op":"ping"}`,
 	`{"id":9223372036854775808,"op":"ping"}`,
 	`{"id":33,"op":"wctt","design":"regular","width":99999999999999999999,"height":4}`,
+	`{"id":52,"op":"wctt","design":"waw+wap","width":8,"height":8,"payload_bits":9223372036854775807,"src":{"x":0,"y":0},"dst":{"x":7,"y":7}}`,
 	`{"id":"34","op":"ping"}`,
 	`{"id":true,"op":"ping"}`,
 	// declined: escapes, control bytes, UTF-8, BOM
@@ -160,10 +166,10 @@ func TestFlatDecodeAcceptSet(t *testing.T) {
 			accepted++
 		}
 	}
-	if accepted != 14 {
-		t.Fatalf("flat decoder accepts %d corpus lines, want the first 14", accepted)
+	if accepted != 17 {
+		t.Fatalf("flat decoder accepts %d corpus lines, want the first 17", accepted)
 	}
-	for i, line := range flatCorpus[:14] {
+	for i, line := range flatCorpus[:17] {
 		if _, ok := dec.decode([]byte(line)); !ok {
 			t.Errorf("corpus line %d declined: %s", i, line)
 		}

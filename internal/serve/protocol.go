@@ -51,7 +51,8 @@ type Coord struct {
 //
 //	ping        liveness probe
 //	wctt        one analytical WCTT bound: design, width, height, src, dst,
-//	            payload_bits (0 = the platform's one-flit request payload),
+//	            payload_bits (0 = the platform's one-flit request payload;
+//	            at most MaxPayloadBits),
 //	            topology ("" = mesh; cmesh/cmesh2 allowed, torus rejected)
 //	wcet        one per-core WCET estimate: design, width, height, core,
 //	            workload, max_packet_flits (0 = platform default)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -87,6 +88,54 @@ func TestServeNodeLimit(t *testing.T) {
 	}
 	if !strings.HasPrefix(got[5], `{"id":6,"ok":true,"cycles":`) {
 		t.Errorf("line after the rejected ones: %s", got[5])
+	}
+}
+
+// TestServePayloadLimit pins the payload ceiling on the 8x8 corner-to-corner
+// flow: up to MaxPayloadBits the bound never shrinks as payload_bits grows,
+// and a wctt line (flat, and escaped onto the generic decode path), a batch
+// default and a batch tuple agree on it; above the ceiling all four answer
+// the coded limit error, below zero a plain one. Before the ceiling a payload
+// near MaxInt64 wrapped the flit count negative and was answered with the
+// one-flit bound.
+func TestServePayloadLimit(t *testing.T) {
+	s := NewServer(Config{Workers: 2})
+	defer s.Close()
+	ask := func(design string, payload int64) []string {
+		const mesh = `"width":8,"height":8`
+		pair := `"src":{"x":0,"y":0},"dst":{"x":7,"y":7}`
+		return strings.Split(strings.TrimSpace(serveString(t, s, fmt.Sprintf(
+			`{"id":1,"op":"wctt","design":%[1]q,%[3]s,%[4]s,"payload_bits":%[2]d}
+{"id":1,"op":"wct\u0074","design":%[1]q,%[3]s,%[4]s,"payload_bits":%[2]d}
+{"id":1,"op":"batch","design":%[1]q,%[3]s,"payload_bits":%[2]d,"queries":[[0,0,7,7]]}
+{"id":1,"op":"batch","design":%[1]q,%[3]s,"queries":[[0,0,7,7,%[2]d]]}
+`, design, payload, mesh, pair))), "\n")
+	}
+	for _, design := range []string{"regular", "waw+wap", "waw-only", "wap-only"} {
+		var prev uint64
+		for _, payload := range []int64{1, 48, 116, 117, 512, 1 << 20, 1 << 31, MaxPayloadBits - 1, MaxPayloadBits} {
+			got := ask(design, payload)
+			var c uint64
+			if _, err := fmt.Sscanf(got[0], `{"id":1,"ok":true,"cycles":%d}`, &c); err != nil || c < prev {
+				t.Fatalf("%s payload_bits %d: %s, want a bound >= %d", design, payload, got[0], prev)
+			}
+			batch := fmt.Sprintf(`{"id":1,"ok":true,"cycles":[%d]}`, c)
+			if got[1] != got[0] || got[2] != batch || got[3] != batch {
+				t.Fatalf("%s payload_bits %d: the four routes disagree:\n%s", design, payload, strings.Join(got, "\n"))
+			}
+			prev = c
+		}
+		for _, payload := range []int64{MaxPayloadBits + 1, 9223372036854775000, math.MaxInt64, -1, math.MinInt64} {
+			want := fmt.Sprintf(`{"id":1,"ok":false,"error":"payload_bits %d exceeds the limit of 4294967296","code":"limit","retryable":false}`, payload)
+			if payload < 0 {
+				want = fmt.Sprintf(`{"id":1,"ok":false,"error":"payload_bits must not be negative, got %d"}`, payload)
+			}
+			for i, got := range ask(design, payload) {
+				if got != want {
+					t.Errorf("%s payload_bits %d, route %d:\ngot  %s\nwant %s", design, payload, i, got, want)
+				}
+			}
+		}
 	}
 }
 

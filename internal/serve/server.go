@@ -44,6 +44,10 @@ const (
 	// accepts: 128x128. Every table a verb builds is at least O(nodes), so
 	// the ceiling is checked before the first allocation.
 	maxNodes = 128 * 128
+
+	// MaxPayloadBits is the largest payload_bits the wctt and batch verbs
+	// accept (a 512 MiB message), checked before any flit arithmetic.
+	MaxPayloadBits = 1 << 32
 )
 
 // checkNodeLimit rejects a mesh above maxNodes with the coded limit error.
@@ -54,10 +58,25 @@ func checkNodeLimit(width, height int) error {
 		return nil
 	}
 	if width > maxNodes || height > maxNodes || width*height > maxNodes {
-		return &protoError{
-			msg:  fmt.Sprintf("mesh %dx%d exceeds the limit of %d nodes", width, height, maxNodes),
-			code: "limit", retryable: false,
-		}
+		return limitError("mesh %dx%d exceeds the limit of %d nodes", width, height, maxNodes)
+	}
+	return nil
+}
+
+// limitError is the coded, non-retryable error of a request that asks for
+// more than the daemon will build or compute.
+func limitError(format string, args ...any) error {
+	return &protoError{msg: fmt.Sprintf(format, args...), code: "limit", retryable: false}
+}
+
+// checkPayload validates a payload_bits value, top-level or in a batch tuple:
+// negative is a bad request, above MaxPayloadBits the coded limit error.
+func checkPayload(bits int64) error {
+	if bits < 0 {
+		return fmt.Errorf("payload_bits must not be negative, got %d", bits)
+	}
+	if bits > MaxPayloadBits {
+		return limitError("payload_bits %d exceeds the limit of %d", bits, int64(MaxPayloadBits))
 	}
 	return nil
 }
@@ -573,8 +592,11 @@ func (s *Server) wcttOne(dst []byte, req *Request, inline bool) ([]byte, bool) {
 	if req.Src == nil || req.Dst == nil {
 		return appendError(dst, req.ID, errors.New("wctt: src and dst are required")), true
 	}
+	if err := checkPayload(int64(req.PayloadBits)); err != nil {
+		return appendError(dst, req.ID, err), true
+	}
 	payload := req.PayloadBits
-	if payload <= 0 {
+	if payload == 0 {
 		payload = traffic.RequestPayloadBits
 	}
 	p := analysis.DefaultParams(dim)
@@ -607,8 +629,11 @@ func (s *Server) wcttBatch(ctx context.Context, req *Request) ([]byte, bool) {
 	if err != nil {
 		return errorResponse(req.ID, err), true
 	}
+	if err := checkPayload(int64(req.PayloadBits)); err != nil {
+		return errorResponse(req.ID, err), true
+	}
 	defPayload := req.PayloadBits
-	if defPayload <= 0 {
+	if defPayload == 0 {
 		defPayload = traffic.RequestPayloadBits
 	}
 	p := analysis.DefaultParams(dim)
@@ -633,6 +658,9 @@ func (s *Server) wcttBatch(ctx context.Context, req *Request) ([]byte, bool) {
 		dst := mesh.Node{X: int(vals[2]), Y: int(vals[3])}
 		payload := defPayload
 		if len(vals) == 5 {
+			if err := checkPayload(vals[4]); err != nil {
+				return err
+			}
 			payload = int(vals[4])
 		}
 		c, err := m.MessageWCTT(design, src, dst, payload)

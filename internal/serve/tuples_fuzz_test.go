@@ -29,6 +29,9 @@ var tupleCorpus = []string{
 	`[[-9223372036854775809,0]]`,
 	`[[4611686018427387910,0]]`,
 	`[[99999999999999999999999999,0]]`,
+	// a batch tuple's payload_bits at the ceiling, past it and negative
+	`[[0,0,7,7,4294967296],[0,0,7,7,4294967297]]`,
+	`[[0,0,7,7,9223372036854775807],[0,0,7,7,-1]]`,
 	// floats, exponents, -0, leading zeros, bare signs
 	`[[1.0,2]]`,
 	`[[1.5,2]]`,
