@@ -203,10 +203,16 @@ func TestCmdSweepStreamFlagValidation(t *testing.T) {
 			t.Errorf("sweep %v should fail flag validation", args)
 		}
 	}
+	// A maximum packet size past the ceiling used to wrap the regular design's
+	// WCET below WaW+WaP's; it is rejected with the grid, before any compute.
+	err := cmdSweep([]string{"-mode", "parallel-wcet", "-sizes", "8", "-max-packet-flits", "4611686018427387904"}, &strings.Builder{})
+	if err == nil || !strings.Contains(err.Error(), "exceeds the limit of 65536 flits") {
+		t.Errorf("sweep -max-packet-flits 2^62: err = %v, want the limit rejection", err)
+	}
 	// A missing checkpoint with -resume is a fresh start, not an error.
 	dir := t.TempDir()
 	var out strings.Builder
-	err := cmdSweep([]string{"-sizes", "2", "-out", filepath.Join(dir, "o.jsonl"),
+	err = cmdSweep([]string{"-sizes", "2", "-out", filepath.Join(dir, "o.jsonl"),
 		"-checkpoint", filepath.Join(dir, "o.ckpt"), "-resume"}, &out)
 	if err != nil {
 		t.Errorf("-resume with no prior checkpoint should start fresh: %v", err)

@@ -144,13 +144,16 @@ func TestMessageWCTTConcurrent(t *testing.T) {
 	}
 }
 
-// TestWalkersMatchXYRoute pins the allocation-free walkers to the
-// materialised route, hop for hop.
+// TestWalkersMatchXYRoute pins the callback walker and the caller-buffer
+// walker to each other, hop for hop, on a fresh and on a reused buffer.
 func TestWalkersMatchXYRoute(t *testing.T) {
 	for _, d := range []mesh.Dim{mesh.MustDim(4, 4), mesh.MustDim(3, 7)} {
 		for _, src := range d.AllNodes() {
 			for _, dst := range d.AllNodes() {
-				want := mesh.MustXYRoute(d, src, dst)
+				want, err := mesh.AppendXYHops(nil, d, src, dst)
+				if err != nil {
+					t.Fatal(err)
+				}
 				var got []mesh.Hop
 				if err := mesh.WalkXY(d, src, dst, func(h mesh.Hop) bool {
 					got = append(got, h)
@@ -158,12 +161,12 @@ func TestWalkersMatchXYRoute(t *testing.T) {
 				}); err != nil {
 					t.Fatal(err)
 				}
-				if len(got) != len(want.Hops) {
-					t.Fatalf("%v %v->%v: walked %d hops, route has %d", d, src, dst, len(got), len(want.Hops))
+				if len(got) != len(want) {
+					t.Fatalf("%v %v->%v: walked %d hops, route has %d", d, src, dst, len(got), len(want))
 				}
 				for i := range got {
-					if got[i] != want.Hops[i] {
-						t.Fatalf("%v %v->%v hop %d: walker %v, route %v", d, src, dst, i, got[i], want.Hops[i])
+					if got[i] != want[i] {
+						t.Fatalf("%v %v->%v hop %d: walker %v, route %v", d, src, dst, i, got[i], want[i])
 					}
 				}
 				buf, err := mesh.AppendXYHops(got[:0], d, src, dst)
@@ -171,8 +174,8 @@ func TestWalkersMatchXYRoute(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := range buf {
-					if buf[i] != want.Hops[i] {
-						t.Fatalf("%v %v->%v hop %d: buffer walker %v, route %v", d, src, dst, i, buf[i], want.Hops[i])
+					if buf[i] != want[i] {
+						t.Fatalf("%v %v->%v hop %d: buffer walker %v, route %v", d, src, dst, i, buf[i], want[i])
 					}
 				}
 			}

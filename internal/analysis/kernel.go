@@ -460,20 +460,6 @@ func (m *Model) AllPairsOneFlitWCTT(design network.Design, buf []uint64) ([]uint
 	}
 }
 
-// AllPairsMessageWCTT is the all-pairs kernel of MessageWCTT: the bound of a
-// message with the given payload for every ordered endpoint pair, using the
-// same per-design packetisation as the point query (messageShape).
-func (m *Model) AllPairsMessageWCTT(design network.Design, payloadBits int, buf []uint64) ([]uint64, error) {
-	sh, err := m.messageShape(design, payloadBits)
-	if err != nil {
-		return nil, err
-	}
-	if sh.waw {
-		return m.AllPairsWaWPacketWCTT(sh.a, sh.b, buf)
-	}
-	return m.AllPairsRegularPacketWCTT(sh.a, sh.b, buf)
-}
-
 // AllSourcesMessageWCTT fills buf with the MessageWCTT bound from every
 // endpoint to the fixed destination dst (dense node indexing; the dst entry
 // is 0 — a self flow has no defined WCTT). For regular-model designs this is

@@ -111,6 +111,20 @@ func compareTable(t *testing.T, m *Model, what string, tab []uint64, want func(s
 	}
 }
 
+// allPairsMessageWCTT runs the all-pairs kernel a message of the given payload
+// selects: the same per-design packetisation as the point query MessageWCTT
+// (messageShape), so the tables below are compared entry for entry with it.
+func (m *Model) allPairsMessageWCTT(design network.Design, payloadBits int, buf []uint64) ([]uint64, error) {
+	sh, err := m.messageShape(design, payloadBits)
+	if err != nil {
+		return nil, err
+	}
+	if sh.waw {
+		return m.AllPairsWaWPacketWCTT(sh.a, sh.b, buf)
+	}
+	return m.AllPairsRegularPacketWCTT(sh.a, sh.b, buf)
+}
+
 // TestAllPairsMatchesPairwise pins every entry of the all-pairs kernel
 // tables bit-identical to the per-pair route walk, across designs, dims
 // and topologies, for both the one-flit (Table II) configuration and
@@ -136,7 +150,7 @@ func TestAllPairsMatchesPairwise(t *testing.T) {
 				return m.FlowWCTTOneFlit(design, src, dst)
 			})
 			for _, bits := range payloads {
-				if buf, err = m.AllPairsMessageWCTT(design, bits, buf); err != nil {
+				if buf, err = m.allPairsMessageWCTT(design, bits, buf); err != nil {
 					t.Fatal(err)
 				}
 				compareTable(t, m, fmt.Sprintf("%v message(%d bits)", design, bits), buf, func(src, dst mesh.Node) (uint64, error) {
@@ -440,7 +454,7 @@ func TestKernelFuzzRandomDims(t *testing.T) {
 		}
 		design := allDesigns[rng.Intn(len(allDesigns))]
 		bits := payloads[rng.Intn(len(payloads))]
-		tab, err := m.AllPairsMessageWCTT(design, bits, nil)
+		tab, err := m.allPairsMessageWCTT(design, bits, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

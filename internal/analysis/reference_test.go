@@ -15,8 +15,8 @@ import (
 // the test-only oracle of the route walk (the walk in turn is the oracle of
 // the all-pairs kernels, kernel_test.go): the production paths in wctt.go
 // enumerate dimension-ordered routes straight from the geometry over
-// precomputed per-router-index arrays, while the reference walks a
-// materialised mesh.TopologyRoute and recomputes contender counts and output
+// precomputed per-router-index arrays, while the reference walks the hops
+// Topology.AppendHops materialises and recomputes contender counts and output
 // shares per hop from first principles (the topology's legal-input table and
 // the weight table). The equivalence tests pin the two bit-identical across
 // meshes, designs and packet shapes, so the walk can never silently drift
@@ -51,7 +51,7 @@ func (m *Model) ReferenceRegularPacketWCTT(src, dst mesh.Node, packetFlits, cont
 	if packetFlits < 1 || contenderFlits < 1 {
 		return 0, fmt.Errorf("analysis: packet sizes must be >= 1 flit (got %d, %d)", packetFlits, contenderFlits)
 	}
-	route, err := mesh.TopologyRoute(m.topo, src, dst)
+	hops, err := m.topo.AppendHops(nil, src, dst)
 	if err != nil {
 		return 0, err
 	}
@@ -65,8 +65,8 @@ func (m *Model) ReferenceRegularPacketWCTT(src, dst mesh.Node, packetFlits, cont
 
 	interval := uint64(1) // I_{k+1}: ejection accepts one flit per cycle
 	var total uint64
-	for j := len(route.Hops) - 1; j >= 0; j-- {
-		hop := route.Hops[j]
+	for j := len(hops) - 1; j >= 0; j-- {
+		hop := hops[j]
 		c := uint64(m.contenders(hop.Router, hop.Out))
 		wait := referenceSaturatingMul(c-1, referenceSaturatingAdd(H, referenceSaturatingMul(L, interval)))
 		total = referenceSaturatingAdd(total, referenceSaturatingAdd(wait, R))
@@ -102,7 +102,7 @@ func (m *Model) ReferenceWaWPacketWCTT(src, dst mesh.Node, numPackets, slotFlits
 	if numPackets < 1 || slotFlits < 1 {
 		return 0, fmt.Errorf("analysis: packet counts and sizes must be >= 1 (got %d, %d)", numPackets, slotFlits)
 	}
-	route, err := mesh.TopologyRoute(m.topo, src, dst)
+	hops, err := m.topo.AppendHops(nil, src, dst)
 	if err != nil {
 		return 0, err
 	}
@@ -115,7 +115,7 @@ func (m *Model) ReferenceWaWPacketWCTT(src, dst mesh.Node, numPackets, slotFlits
 	weights := m.referenceWeights()
 	var total uint64
 	var maxShare uint64 = 1
-	for _, hop := range route.Hops {
+	for _, hop := range hops {
 		counts := weights.Counts(hop.Router)
 		o := uint64(counts.OutputTotal[hop.Out])
 		if o < 1 {

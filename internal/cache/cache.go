@@ -126,13 +126,6 @@ func (c *LRU[K, V]) Put(k K, v V) {
 	}
 }
 
-// Len returns the number of cached values.
-func (c *LRU[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
-}
-
 // Stats snapshots the counters.
 func (c *LRU[K, V]) Stats() Stats {
 	c.mu.Lock()

@@ -148,3 +148,17 @@ func TestPoolConcurrent(t *testing.T) {
 		t.Fatalf("idle %d + hits %d + evictions %d = %d, want the %d instances put", st.Entries, st.Hits, st.Evictions, got, workers*iters)
 	}
 }
+
+// Len returns the number of cached values.
+func (c *LRU[K, V]) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.items)
+}
+
+// Len returns the number of idle instances currently retained.
+func (p *Pool[K, V]) Len() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.count
+}

@@ -111,13 +111,6 @@ func (p *Pool[K, V]) Put(k K, v V) {
 	}
 }
 
-// Len returns the number of idle instances currently retained.
-func (p *Pool[K, V]) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.count
-}
-
 // Stats snapshots the counters. Entries counts idle instances, not distinct
 // keys.
 func (p *Pool[K, V]) Stats() Stats {

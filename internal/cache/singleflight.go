@@ -50,22 +50,3 @@ func (g *Group[K, V]) Do(key K, fn func() (V, error)) (v V, err error, shared bo
 	c.wg.Done()
 	return c.val, c.err, shared
 }
-
-// waiters reports how many callers joined the in-flight computation of key
-// after its leader (0 when nothing is in flight) — a test hook for pinning
-// coalescing behaviour deterministically.
-func (g *Group[K, V]) waiters(key K) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if c, ok := g.m[key]; ok {
-		return c.others
-	}
-	return 0
-}
-
-// InFlight reports the number of keys currently being computed.
-func (g *Group[K, V]) InFlight() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.m)
-}

@@ -73,8 +73,8 @@ func TestSingleflightCoalesces(t *testing.T) {
 	if !sharedFlags[0] {
 		t.Error("leader did not report shared=true despite followers")
 	}
-	if g.InFlight() != 0 {
-		t.Errorf("calls leaked: %d still in flight", g.InFlight())
+	if g.inFlight() != 0 {
+		t.Errorf("calls leaked: %d still in flight", g.inFlight())
 	}
 }
 
@@ -125,3 +125,22 @@ type sentinelError struct{}
 func (sentinelError) Error() string { return "sentinel" }
 
 var errSentinel = sentinelError{}
+
+// waiters reports how many callers joined the in-flight computation of key
+// after its leader (0 when nothing is in flight) — a test hook for pinning
+// coalescing behaviour deterministically.
+func (g *Group[K, V]) waiters(key K) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.m[key]; ok {
+		return c.others
+	}
+	return 0
+}
+
+// inFlight reports the number of keys currently being computed.
+func (g *Group[K, V]) inFlight() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.m)
+}

@@ -1,14 +1,10 @@
-// Package core is the one-stop facade over the paper's contribution and its
-// evaluation: it exposes constructors for the two NoC design points (the
-// regular wormhole mesh and the proposed WaW+WaP design), the analytical
-// WCTT/WCET machinery, and ready-to-run versions of every experiment of the
-// paper (Tables I–III, Figure 2, the average-performance comparison and the
-// area estimate). The command-line tool and the examples are thin wrappers
-// around this package.
+// Package core holds the experiment grids of the paper's evaluation, shared
+// by the command-line tool, the quickstart example and the end-to-end claim
+// tests: ready-to-run versions of Tables I–III, Figure 2, the
+// average-performance comparison and the area estimate.
 //
-// Since the scenario/sweep refactor the experiment entry points are thin
-// adapters: each one declares its grid of scenario.Specs and hands them to
-// the sweep engine, which executes them across GOMAXPROCS workers with
+// Each entry point declares its grid of scenario.Specs and hands them to the
+// sweep engine, which executes them across GOMAXPROCS workers with
 // deterministic, spec-ordered aggregation. The functions here only translate
 // the stable scenario.Result values back into the paper-shaped row types.
 package core
@@ -20,45 +16,21 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/area"
 	"repro/internal/flows"
-	"repro/internal/manycore"
 	"repro/internal/mesh"
 	"repro/internal/network"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
 	"repro/internal/wcet"
-	"repro/internal/workload"
 )
 
 // Design aliases the NoC design points so callers only need this package.
 type Design = network.Design
 
-// The design points compared throughout the paper.
+// The two design points compared throughout the paper.
 const (
 	DesignRegular = network.DesignRegular
 	DesignWaWWaP  = network.DesignWaWWaP
-	DesignWaWOnly = network.DesignWaWOnly
-	DesignWaPOnly = network.DesignWaPOnly
 )
-
-// NewNoC builds a cycle-accurate simulation of a width x height mesh NoC
-// using the given design point and the paper's platform parameters.
-func NewNoC(width, height int, design Design) (*network.Network, error) {
-	d, err := mesh.NewDim(width, height)
-	if err != nil {
-		return nil, err
-	}
-	return network.New(network.DefaultConfig(d, design))
-}
-
-// NewManycore builds the full evaluation platform (cores + NoC + memory
-// controller at R(0,0)) for the given mesh size and design point.
-func NewManycore(width, height int, design Design) (*manycore.System, error) {
-	d, err := mesh.NewDim(width, height)
-	if err != nil {
-		return nil, err
-	}
-	return manycore.New(manycore.DefaultConfig(d, design))
-}
 
 // NewWCTTModel builds the analytical worst-case traversal time model for a
 // width x height mesh with the paper's platform parameters.
@@ -130,9 +102,6 @@ func wcttSummary(d mesh.Dim, design Design, r scenario.Result) analysis.WCTTSumm
 	}
 }
 
-// PaperTableIISizes are the mesh sizes evaluated in Table II of the paper.
-func PaperTableIISizes() []int { return []int{2, 3, 4, 5, 6, 7, 8} }
-
 // TableIII returns the per-core normalised WCET map of Table III (WaW+WaP
 // WCET divided by regular-design WCET, averaged over the EEMBC Automotive
 // suite) on the paper's 64-core platform. The result is indexed [y][x].
@@ -143,31 +112,6 @@ func TableIII() ([][]float64, error) {
 		Mode:   scenario.ModeWCETMap,
 		Width:  platform.Dim.Width,
 		Height: platform.Dim.Height,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return r.WCETMap, nil
-}
-
-// BenchmarkWCETs returns, for one EEMBC benchmark, the absolute WCET
-// estimate (in cycles) of every core of the platform under the given
-// design. The result is indexed [y][x].
-func BenchmarkWCETs(design Design, benchmarkName string) ([][]float64, error) {
-	if benchmarkName == "" {
-		// An empty workload would select the normalised suite map of
-		// ModeWCETMap (TableIII) — plausible-looking but wrong data
-		// for this per-benchmark, per-design entry point.
-		return nil, fmt.Errorf("core: BenchmarkWCETs needs a benchmark name")
-	}
-	platform := wcet.DefaultPlatform()
-	r, err := scenario.Execute(scenario.Spec{
-		Name:     "wcet-map",
-		Mode:     scenario.ModeWCETMap,
-		Width:    platform.Dim.Width,
-		Height:   platform.Dim.Height,
-		Design:   design,
-		Workload: benchmarkName,
 	})
 	if err != nil {
 		return nil, err
@@ -296,13 +240,3 @@ func AreaOverhead(width, height int) (area.Comparison, error) {
 	}
 	return area.Compare(area.DefaultParams(d))
 }
-
-// Platform returns the paper's default WCET platform (8x8 mesh, memory at
-// R(0,0), 500 MHz) for callers that need to customise the WCET experiments.
-func Platform() wcet.Platform { return wcet.DefaultPlatform() }
-
-// EEMBCSuite returns the synthetic EEMBC Automotive profiles.
-func EEMBCSuite() []workload.Benchmark { return workload.EEMBCAutomotive() }
-
-// AvionicsApp returns the synthetic 3DPP parallel application model.
-func AvionicsApp() workload.ParallelApp { return workload.ThreeDPathPlanning() }

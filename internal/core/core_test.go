@@ -3,39 +3,8 @@ package core
 import (
 	"testing"
 
-	"repro/internal/flit"
 	"repro/internal/mesh"
 )
-
-func TestNewNoC(t *testing.T) {
-	n, err := NewNoC(4, 4, DesignWaWWaP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Config().Dim != mesh.MustDim(4, 4) {
-		t.Error("unexpected mesh size")
-	}
-	if _, err := NewNoC(0, 4, DesignRegular); err == nil {
-		t.Error("invalid size should fail")
-	}
-	// Smoke test: send one message end to end.
-	msg := &flit.Message{Flow: flit.FlowID{Src: mesh.Node{X: 3, Y: 3}, Dst: mesh.Node{X: 0, Y: 0}}, PayloadBits: 512}
-	if _, err := n.Send(msg); err != nil {
-		t.Fatal(err)
-	}
-	if !n.RunUntilDrained(1000) {
-		t.Error("message not delivered")
-	}
-}
-
-func TestNewManycore(t *testing.T) {
-	if _, err := NewManycore(3, 3, DesignRegular); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewManycore(0, 3, DesignRegular); err == nil {
-		t.Error("invalid size should fail")
-	}
-}
 
 func TestNewWCTTModel(t *testing.T) {
 	m, err := NewWCTTModel(8, 8)
@@ -74,9 +43,6 @@ func TestTableIIFacade(t *testing.T) {
 	if len(rows) != 2 {
 		t.Errorf("rows = %d", len(rows))
 	}
-	if got := PaperTableIISizes(); len(got) != 7 || got[0] != 2 || got[6] != 8 {
-		t.Errorf("paper sizes = %v", got)
-	}
 }
 
 func TestTableIIIFacade(t *testing.T) {
@@ -89,23 +55,6 @@ func TestTableIIIFacade(t *testing.T) {
 	}
 	if len(table) != 8 || len(table[0]) != 8 {
 		t.Fatalf("table size %dx%d", len(table), len(table[0]))
-	}
-}
-
-func TestBenchmarkWCETsFacade(t *testing.T) {
-	reg, err := BenchmarkWCETs(DesignRegular, "matrix")
-	if err != nil {
-		t.Fatal(err)
-	}
-	waw, err := BenchmarkWCETs(DesignWaWWaP, "matrix")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reg[7][7] <= waw[7][7] {
-		t.Error("far corner should be much worse on the regular design")
-	}
-	if _, err := BenchmarkWCETs(DesignRegular, "nope"); err == nil {
-		t.Error("unknown benchmark should fail")
 	}
 }
 
@@ -161,17 +110,5 @@ func TestAreaOverheadFacade(t *testing.T) {
 	}
 	if _, err := AreaOverhead(0, 8); err == nil {
 		t.Error("invalid mesh should fail")
-	}
-}
-
-func TestWorkloadFacades(t *testing.T) {
-	if len(EEMBCSuite()) != 16 {
-		t.Error("EEMBC suite should have 16 kernels")
-	}
-	if AvionicsApp().Threads != 16 {
-		t.Error("3DPP should use 16 threads")
-	}
-	if Platform().Dim != mesh.MustDim(8, 8) {
-		t.Error("default platform should be 8x8")
 	}
 }

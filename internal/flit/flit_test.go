@@ -74,10 +74,6 @@ func TestStringers(t *testing.T) {
 	if m.String() == "" {
 		t.Error("Message.String empty")
 	}
-	p := &Packet{ID: 3, PacketsInMsg: 1}
-	if p.String() == "" {
-		t.Error("Packet.String empty")
-	}
 }
 
 func TestDefaultLinkConfig(t *testing.T) {
@@ -117,9 +113,6 @@ func TestPaperCacheLineSizing(t *testing.T) {
 	if flits != 5 || packets != 5 {
 		t.Errorf("WaP flits,packets for 512-bit payload = %d,%d, want 5,5", flits, packets)
 	}
-	if got := c.WaPOverhead(512); got != 0.25 {
-		t.Errorf("WaP overhead for 512-bit payload = %v, want 0.25", got)
-	}
 }
 
 func TestOneFlitRequestSizing(t *testing.T) {
@@ -132,9 +125,6 @@ func TestOneFlitRequestSizing(t *testing.T) {
 	flits, packets := c.WaPFlitsForPayload(64)
 	if flits != 1 || packets != 1 {
 		t.Errorf("WaP flits,packets for 64-bit payload = %d,%d, want 1,1", flits, packets)
-	}
-	if got := c.WaPOverhead(64); got != 0 {
-		t.Errorf("WaP overhead for one-flit message = %v, want 0", got)
 	}
 }
 
@@ -207,83 +197,13 @@ func TestWaPOverheadProperty(t *testing.T) {
 	}
 }
 
-func TestPacketValidateSingleFlit(t *testing.T) {
-	flow := FlowID{Src: mesh.Node{X: 0, Y: 0}, Dst: mesh.Node{X: 1, Y: 0}}
-	p := &Packet{ID: 1, Flow: flow, PacketsInMsg: 1,
-		Flits: []*Flit{{Type: HeadTail, Flow: flow, PacketID: 1, Seq: 0}}}
-	if err := p.Validate(); err != nil {
-		t.Errorf("valid single-flit packet rejected: %v", err)
-	}
-	p.Flits[0].Type = Head
-	if err := p.Validate(); err == nil {
-		t.Error("single Head flit without Tail should be invalid")
-	}
-}
-
-func TestPacketValidateMultiFlit(t *testing.T) {
-	flow := FlowID{Src: mesh.Node{X: 0, Y: 0}, Dst: mesh.Node{X: 1, Y: 1}}
-	mk := func() *Packet {
-		p := &Packet{ID: 9, Flow: flow, PacketsInMsg: 1}
-		types := []Type{Head, Body, Body, Tail}
-		for i, typ := range types {
-			p.Flits = append(p.Flits, &Flit{Type: typ, Flow: flow, PacketID: 9, Seq: i})
-		}
-		return p
-	}
-	if err := mk().Validate(); err != nil {
-		t.Errorf("valid 4-flit packet rejected: %v", err)
-	}
-
-	p := mk()
-	p.Flits[0].Type = Body
-	if err := p.Validate(); err == nil {
-		t.Error("packet without head flit should be invalid")
-	}
-	p = mk()
-	p.Flits[3].Type = Body
-	if err := p.Validate(); err == nil {
-		t.Error("packet without tail flit should be invalid")
-	}
-	p = mk()
-	p.Flits[1].Type = Head
-	if err := p.Validate(); err == nil {
-		t.Error("packet with interior head flit should be invalid")
-	}
-	p = mk()
-	p.Flits[2].Seq = 7
-	if err := p.Validate(); err == nil {
-		t.Error("packet with wrong flit sequence should be invalid")
-	}
-	p = mk()
-	p.Flits[2].PacketID = 1234
-	if err := p.Validate(); err == nil {
-		t.Error("packet with foreign flit should be invalid")
-	}
-	p = mk()
-	p.Flits[1].Flow = FlowID{Src: mesh.Node{X: 5, Y: 5}, Dst: mesh.Node{X: 0, Y: 0}}
-	if err := p.Validate(); err == nil {
-		t.Error("packet with mismatched flow should be invalid")
-	}
-	p = &Packet{ID: 2, Flow: flow}
-	if err := p.Validate(); err == nil {
-		t.Error("empty packet should be invalid")
-	}
-}
-
-func TestPacketSize(t *testing.T) {
-	p := &Packet{Flits: make([]*Flit, 3)}
-	if p.Size() != 3 {
-		t.Errorf("Size = %d, want 3", p.Size())
-	}
-}
-
 // Pool ownership rules: pool-born objects recycle (and come back zeroed),
 // caller-owned objects are ignored by Put.
 func TestPoolRecycling(t *testing.T) {
 	var p Pool
 	m := p.GetMessage()
-	if !m.Pooled() {
-		t.Fatal("pool message must report Pooled")
+	if !m.pooled {
+		t.Fatal("pool message must be marked pooled")
 	}
 	m.ID = 42
 	m.Flow = FlowID{Src: mesh.Node{X: 1}, Dst: mesh.Node{Y: 1}}
@@ -292,7 +212,7 @@ func TestPoolRecycling(t *testing.T) {
 	if m2 != m {
 		t.Error("pool should hand back the recycled message")
 	}
-	if m2.ID != 0 || m2.Flow != (FlowID{}) || !m2.Pooled() {
+	if m2.ID != 0 || m2.Flow != (FlowID{}) || !m2.pooled {
 		t.Errorf("recycled message not zeroed: %+v", m2)
 	}
 
@@ -306,13 +226,13 @@ func TestPoolRecycling(t *testing.T) {
 	}
 
 	f := p.GetFlit()
-	if !f.Pooled() {
-		t.Fatal("pool flit must report Pooled")
+	if !f.pooled {
+		t.Fatal("pool flit must be marked pooled")
 	}
 	f.Seq = 3
 	p.PutFlit(f)
 	f2 := p.GetFlit()
-	if f2 != f || f2.Seq != 0 || !f2.Pooled() {
+	if f2 != f || f2.Seq != 0 || !f2.pooled {
 		t.Errorf("flit not recycled/zeroed: %+v", f2)
 	}
 	p.PutFlit(&Flit{Seq: 9}) // ignored

@@ -11,9 +11,8 @@ package flit
 // # Ownership rules
 //
 //   - Only objects obtained from a Pool are ever recycled: Put is a no-op
-//     for objects allocated directly, so caller-owned messages (e.g. the
-//     events of a traffic.Trace, or messages built by tests) keep their
-//     ordinary garbage-collected lifetime.
+//     for objects allocated directly, so caller-owned messages (e.g. those
+//     built by tests) keep their ordinary garbage-collected lifetime.
 //   - An object handed back to the pool may be reused — and overwritten —
 //     by the very next Get. Delivery callbacks therefore must not retain
 //     the *Message they receive beyond the callback's return; copy the

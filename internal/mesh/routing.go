@@ -41,26 +41,6 @@ func (h Hop) String() string {
 	return fmt.Sprintf("%v[%v->%v]", h.Router, h.In, h.Out)
 }
 
-// Route describes the complete XY path of a flow from source to destination.
-type Route struct {
-	Src  Node
-	Dst  Node
-	Hops []Hop // one entry per router traversed, source router first
-}
-
-// NumRouters returns the number of routers traversed (including source and
-// destination routers).
-func (r Route) NumRouters() int { return len(r.Hops) }
-
-// NumLinks returns the number of router-to-router links crossed, i.e. the
-// Manhattan distance between source and destination.
-func (r Route) NumLinks() int {
-	if len(r.Hops) == 0 {
-		return 0
-	}
-	return len(r.Hops) - 1
-}
-
 // CheckEndpoints validates the endpoints of a route request, with the same
 // errors every route constructor reports. Exposed so analytical code that
 // walks routes through its own flat-indexed state validates identically.
@@ -75,10 +55,9 @@ func CheckEndpoints(d Dim, src, dst Node) error {
 }
 
 // WalkXY invokes fn for every hop of the XY route from src to dst, in path
-// order (source router first), without materialising a Route. fn returning
+// order (source router first), without materialising the route. fn returning
 // false stops the walk early. WalkXY performs no heap allocations, which is
-// what the analytical hot loops (O(N^2) flow enumerations) rely on; XYRoute
-// is the allocating adapter over it.
+// what the analytical hot loops (O(N^2) flow enumerations) rely on.
 func WalkXY(d Dim, src, dst Node, fn func(hop Hop) bool) error {
 	if err := CheckEndpoints(d, src, dst); err != nil {
 		return err
@@ -116,30 +95,6 @@ func AppendXYHops(hops []Hop, d Dim, src, dst Node) ([]Hop, error) {
 	return hops, nil
 }
 
-// XYRoute computes the full XY route from src to dst within mesh d. The
-// returned route always contains at least one hop (the source router), even
-// when src == dst (pure local loopback through the router). It returns an
-// error when either endpoint lies outside the mesh.
-func XYRoute(d Dim, src, dst Node) (Route, error) {
-	route := Route{Src: src, Dst: dst, Hops: make([]Hop, 0, src.ManhattanDistance(dst)+1)}
-	hops, err := AppendXYHops(route.Hops, d, src, dst)
-	if err != nil {
-		return Route{}, err
-	}
-	route.Hops = hops
-	return route, nil
-}
-
-// MustXYRoute is like XYRoute but panics on error. Intended for tests and
-// code paths where the endpoints are known to be valid.
-func MustXYRoute(d Dim, src, dst Node) Route {
-	r, err := XYRoute(d, src, dst)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // LegalTurn reports whether a packet entering a router through input port
 // `in` may leave through output port `out` under XY routing. The XY
 // discipline forbids turning from the Y dimension back into the X dimension
@@ -168,36 +123,6 @@ func LegalTurn(in, out Direction) bool {
 		return false
 	}
 	return true
-}
-
-// LegalInputsFor returns the set of input ports of a router at node n (in a
-// mesh of dimension d) that can legally feed output port out, taking into
-// account both the XY turn rules and the mesh boundary (ports facing outside
-// the mesh do not exist). The flow's own Local port is included when legal.
-//
-// This is the contender count `c` used by the chained-blocking WCTT analysis:
-// the number of input ports that may request a given output port.
-func LegalInputsFor(d Dim, n Node, out Direction) []Direction {
-	var inputs []Direction
-	for _, in := range Directions {
-		if in == Local {
-			if LegalTurn(in, out) {
-				inputs = append(inputs, in)
-			}
-			continue
-		}
-		// The input port named `in` carries flits travelling in direction
-		// `in`; such flits arrive from the neighbour in the opposite
-		// direction. The port physically exists only when that neighbour
-		// exists.
-		if !d.HasNeighbor(n, in.Opposite()) {
-			continue
-		}
-		if LegalTurn(in, out) {
-			inputs = append(inputs, in)
-		}
-	}
-	return inputs
 }
 
 // OutputExists reports whether the output port `out` of the router at node n

@@ -265,22 +265,11 @@ func appendTopologyHops[T Topology](t T, hops []Hop, src, dst Node) ([]Hop, erro
 	return hops, err
 }
 
-// TopologyRoute materialises the full route between two endpoints — the
-// allocating adapter over Topology.Walk, mirroring XYRoute.
-func TopologyRoute(t Topology, src, dst Node) (Route, error) {
-	route := Route{Src: src, Dst: dst}
-	hops, err := t.AppendHops(nil, src, dst)
-	if err != nil {
-		return Route{}, err
-	}
-	route.Hops = hops
-	return route, nil
-}
-
-// LegalInputsForTopo generalises LegalInputsFor to any topology: the input
-// ports of router r that physically exist (their upstream neighbour exists)
-// and may legally feed output out under the dimension-ordered turn rules.
-// This is the contender set of the chained-blocking WCTT analysis.
+// LegalInputsForTopo returns the input ports of router r that physically
+// exist (their upstream neighbour exists) and may legally feed output out
+// under the dimension-ordered turn rules; the flow's own Local port is
+// included when legal. This is the contender set `c` of the chained-blocking
+// WCTT analysis: the input ports that may request a given output port.
 func LegalInputsForTopo(t Topology, r Node, out Direction) []Direction {
 	var inputs []Direction
 	for _, in := range Directions {

@@ -131,13 +131,6 @@ type Config struct {
 	// one engine, so results are byte-identical for every shard count.
 	// Negative counts are rejected.
 	Shards int
-
-	// CustomWeights optionally overrides the topology-derived WaW weights
-	// with an application-specific weight table (see
-	// flows.WeightTableFromSet). Only meaningful for designs with weighted
-	// arbitration; nil selects the paper's time-composable closed-form
-	// weights.
-	CustomWeights *flows.WeightTable
 }
 
 // DefaultConfig returns a configuration for the given mesh dimensions and
@@ -180,14 +173,6 @@ func (c Config) resolve() (mesh.Topology, error) {
 	if c.Router.Arbitration != c.Design.Arbitration() {
 		return nil, fmt.Errorf("network: design %v requires %v arbitration, config says %v",
 			c.Design, c.Design.Arbitration(), c.Router.Arbitration)
-	}
-	if c.CustomWeights != nil {
-		if c.Design.Arbitration() != arbiter.KindWeighted {
-			return nil, fmt.Errorf("network: custom weights require a weighted-arbitration design, got %v", c.Design)
-		}
-		if c.CustomWeights.Dim != topo.RouterDim() {
-			return nil, fmt.Errorf("network: custom weight table is for a %v mesh, network is %v", c.CustomWeights.Dim, topo.RouterDim())
-		}
 	}
 	return topo, nil
 }
@@ -298,11 +283,7 @@ func New(cfg Config) (*Network, error) {
 	}
 	var weightTable *flows.WeightTable
 	if cfg.Design.Arbitration() == arbiter.KindWeighted {
-		if cfg.CustomWeights != nil {
-			weightTable = cfg.CustomWeights
-		} else {
-			weightTable = flows.WeightTableFor(topo)
-		}
+		weightTable = flows.WeightTableFor(topo)
 	}
 	concentrated := topo.EndpointDim() != rdim
 	for _, node := range rdim.AllNodes() {
@@ -653,35 +634,17 @@ func (n *Network) LeapTo(target uint64) {
 // window in O(1) once the network goes event-idle (no new traffic can appear
 // during Run, so an event-idle network stays idle to the end).
 func (n *Network) Run(cycles int) {
-	_ = n.run(context.Background(), cycles, false)
-}
-
-// RunContext is Run with cooperative cancellation: the context is polled
-// every few thousand cycles, so a single long cycle-accurate run — not just
-// the gaps between sweep points — honours a sweep's cancellation. It returns
-// ctx's error when the run was abandoned, nil when the window completed.
-func (n *Network) RunContext(ctx context.Context, cycles int) error {
-	return n.run(ctx, cycles, true)
-}
-
-func (n *Network) run(ctx context.Context, cycles int, poll bool) error {
 	if cycles <= 0 {
-		return nil
+		return
 	}
 	end := n.cycle + uint64(cycles)
 	for n.cycle < end {
 		if n.Leapable() {
 			n.cycle = end
-			return nil
-		}
-		if poll && n.cycle&ctxPollMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+			return
 		}
 		n.Step()
 	}
-	return nil
 }
 
 // ctxPollMask throttles context polling in the cycle loops: cancellation is
@@ -700,9 +663,11 @@ func (n *Network) RunUntilDrained(maxCycles int) bool {
 	return drained
 }
 
-// RunUntilDrainedContext is RunUntilDrained with cooperative cancellation
-// (polled every few thousand cycles, like RunContext). It reports whether
-// the network drained, and ctx's error when the run was abandoned first.
+// RunUntilDrainedContext is RunUntilDrained with cooperative cancellation:
+// the context is polled every few thousand cycles, so a single long
+// cycle-accurate run — not just the gaps between sweep points — honours a
+// sweep's cancellation. It reports whether the network drained, and ctx's
+// error when the run was abandoned first.
 func (n *Network) RunUntilDrainedContext(ctx context.Context, maxCycles int) (bool, error) {
 	return n.runUntilDrained(ctx, maxCycles, true)
 }
@@ -728,28 +693,6 @@ func (n *Network) runUntilDrained(ctx context.Context, maxCycles int, poll bool)
 		n.Step()
 	}
 	return n.Drained(), nil
-}
-
-// FlushReplenishment settles the idle WaW replenishment every sleeping
-// router is still owed, bringing all arbiter counters up to the state a
-// plain every-router scan would show after the same number of cycles. The
-// observable behaviour never depends on this — woken routers settle their
-// debt automatically — but out-of-band inspection of arbiter state (tests,
-// checkpoints) must flush first.
-func (n *Network) FlushReplenishment() {
-	if n.cycle == 0 {
-		return
-	}
-	through := n.cycle - 1 // last fully executed cycle
-	for idx := range n.routers {
-		if n.routerActive[idx] {
-			continue
-		}
-		if k := owed(n.replenishFrom[idx], through); k > 0 {
-			n.routers[idx].CatchUpIdle(k)
-		}
-		n.replenishFrom[idx] = n.cycle
-	}
 }
 
 // Reset rewinds the network to its just-constructed state in place: every

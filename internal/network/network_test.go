@@ -346,9 +346,9 @@ func TestRandomTrafficConservationProperty(t *testing.T) {
 	}
 }
 
-// TestRunContextCancellation: the context-aware run windows abort with the
-// context's error, and with a live context they behave exactly like their
-// plain counterparts (including the event-idle leap).
+// TestRunContextCancellation: the context-aware run window aborts with the
+// context's error, and with a live context it behaves exactly like its
+// plain counterpart (including the event-idle leap).
 func TestRunContextCancellation(t *testing.T) {
 	d := mesh.MustDim(4, 4)
 	load := func(net *Network) {
@@ -368,24 +368,21 @@ func TestRunContextCancellation(t *testing.T) {
 	cancel()
 	net := MustNew(DefaultConfig(d, DesignRegular))
 	load(net)
-	if err := net.RunContext(ctx, 100_000); err == nil {
-		t.Error("cancelled RunContext should return the context error")
-	}
-	if net.Cycle() != 0 {
-		t.Errorf("cancelled RunContext advanced to cycle %d before the first poll", net.Cycle())
-	}
 	if drained, err := net.RunUntilDrainedContext(ctx, 100_000); err == nil || drained {
 		t.Errorf("cancelled RunUntilDrainedContext: drained=%v err=%v, want aborted", drained, err)
+	}
+	if net.Cycle() != 0 {
+		t.Errorf("cancelled RunUntilDrainedContext advanced to cycle %d before the first poll", net.Cycle())
 	}
 
 	ref := MustNew(DefaultConfig(d, DesignRegular))
 	load(ref)
-	if err := net.RunContext(context.Background(), 50_000); err != nil {
+	drained, err := net.RunUntilDrainedContext(context.Background(), 50_000)
+	if err != nil {
 		t.Fatal(err)
 	}
-	ref.Run(50_000)
-	if net.Cycle() != ref.Cycle() || net.Drained() != ref.Drained() {
-		t.Errorf("RunContext (cycle %d, drained %v) diverged from Run (cycle %d, drained %v)",
-			net.Cycle(), net.Drained(), ref.Cycle(), ref.Drained())
+	if want := ref.RunUntilDrained(50_000); !drained || drained != want || net.Cycle() != ref.Cycle() {
+		t.Errorf("RunUntilDrainedContext (cycle %d, drained %v) diverged from RunUntilDrained (cycle %d, drained %v)",
+			net.Cycle(), drained, ref.Cycle(), want)
 	}
 }

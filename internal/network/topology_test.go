@@ -26,9 +26,9 @@ func buildTopoGen(t *testing.T, topo mesh.Topology, pattern string, seed int64) 
 	case "uniform":
 		gen, err = traffic.NewUniformRandom(ep, seed, 80, traffic.CacheLinePayloadBits, 300)
 	case "tornado":
-		gen, err = traffic.NewPermutationTopo(topo, traffic.Tornado, traffic.CacheLinePayloadBits, 8, 20)
+		gen, err = traffic.NewPermutation(ep, traffic.Tornado, traffic.CacheLinePayloadBits, 8, 20)
 	case "transpose":
-		gen, err = traffic.NewPermutationTopo(topo, traffic.Transpose, traffic.RequestPayloadBits, 8, 10)
+		gen, err = traffic.NewPermutation(ep, traffic.Transpose, traffic.RequestPayloadBits, 8, 10)
 	default:
 		t.Fatalf("unknown pattern %q", pattern)
 	}

@@ -41,134 +41,6 @@ func (s Scheme) String() string {
 	}
 }
 
-// Packetizer converts messages into packets according to a scheme and a link
-// configuration.
-type Packetizer struct {
-	Scheme Scheme
-	Link   flit.LinkConfig
-}
-
-// NewPacketizer returns a validated packetizer.
-func NewPacketizer(scheme Scheme, link flit.LinkConfig) (*Packetizer, error) {
-	if scheme != SchemeRegular && scheme != SchemeWaP {
-		return nil, fmt.Errorf("nic: unknown packetization scheme %v", scheme)
-	}
-	if err := link.Validate(); err != nil {
-		return nil, err
-	}
-	return &Packetizer{Scheme: scheme, Link: link}, nil
-}
-
-// maxFlitsPerPacket returns the packet-size ceiling the scheme imposes.
-// Zero means unlimited.
-func (p *Packetizer) maxFlitsPerPacket() int {
-	switch p.Scheme {
-	case SchemeWaP:
-		return p.Link.MinPacketFlits
-	default:
-		return p.Link.MaxPacketFlits
-	}
-}
-
-// FlitsForMessage returns the total number of flits the scheme produces for a
-// message with the given payload size, without building the packets. Useful
-// for analytical models and workload accounting.
-func (p *Packetizer) FlitsForMessage(payloadBits int) int {
-	if p.Scheme == SchemeWaP {
-		flits, _ := p.Link.WaPFlitsForPayload(payloadBits)
-		return flits
-	}
-	// Regular: a single packet when it fits under the maximum size,
-	// otherwise split into maximum-size packets each paying the control
-	// overhead.
-	total := p.Link.FlitsForPayload(payloadBits)
-	maxFlits := p.Link.MaxPacketFlits
-	if maxFlits == 0 || total <= maxFlits {
-		return total
-	}
-	perPacketPayload := maxFlits*p.Link.WidthBits - p.Link.ControlBitsPerPacket
-	packets := (payloadBits + perPacketPayload - 1) / perPacketPayload
-	lastPayload := payloadBits - (packets-1)*perPacketPayload
-	return (packets-1)*maxFlits + p.Link.FlitsForPayload(lastPayload)
-}
-
-// Packetize converts a message into packets. Packet and flit identifiers are
-// allocated starting at firstPacketID. The produced packets are well formed
-// (Packet.Validate passes) and collectively carry the whole payload.
-func (p *Packetizer) Packetize(msg *flit.Message, firstPacketID uint64) []*flit.Packet {
-	maxFlits := p.maxFlitsPerPacket()
-	perPacketPayload := 0
-	if maxFlits > 0 {
-		perPacketPayload = maxFlits*p.Link.WidthBits - p.Link.ControlBitsPerPacket
-	}
-
-	payload := msg.PayloadBits
-	if payload < 0 {
-		payload = 0
-	}
-	// Split the payload into per-packet chunks.
-	var chunks []int
-	if maxFlits == 0 || payload <= perPacketPayload || perPacketPayload <= 0 {
-		chunks = []int{payload}
-	} else {
-		remaining := payload
-		for remaining > 0 {
-			c := remaining
-			if c > perPacketPayload {
-				c = perPacketPayload
-			}
-			chunks = append(chunks, c)
-			remaining -= c
-		}
-	}
-
-	packets := make([]*flit.Packet, 0, len(chunks))
-	for i, chunk := range chunks {
-		nflits := p.Link.FlitsForPayload(chunk)
-		if p.Scheme == SchemeWaP && nflits < p.Link.MinPacketFlits {
-			nflits = p.Link.MinPacketFlits
-		}
-		pkt := &flit.Packet{
-			ID:           firstPacketID + uint64(i),
-			MsgID:        msg.ID,
-			Flow:         msg.Flow,
-			PacketIndex:  i,
-			PacketsInMsg: len(chunks),
-		}
-		for s := 0; s < nflits; s++ {
-			typ := flit.Body
-			switch {
-			case nflits == 1:
-				typ = flit.HeadTail
-			case s == 0:
-				typ = flit.Head
-			case s == nflits-1:
-				typ = flit.Tail
-			}
-			payloadBits := 0
-			if s == 0 {
-				// Attribute the whole chunk to the packet; per-flit payload
-				// split is irrelevant to the timing model.
-				payloadBits = chunk
-			}
-			pkt.Flits = append(pkt.Flits, &flit.Flit{
-				Type:         typ,
-				Flow:         msg.Flow,
-				PacketID:     pkt.ID,
-				MsgID:        msg.ID,
-				Seq:          s,
-				PacketIndex:  i,
-				PacketsInMsg: len(chunks),
-				PayloadBits:  payloadBits,
-				CreatedAt:    msg.CreatedAt,
-				Class:        msg.Class,
-			})
-		}
-		packets = append(packets, pkt)
-	}
-	return packets
-}
-
 // DeliveredMessage pairs a reassembled message with its delivery metadata.
 type DeliveredMessage struct {
 	Msg *flit.Message
@@ -192,7 +64,8 @@ type NIC struct {
 	// one-endpoint-per-router identity.
 	owns func(mesh.Node) bool
 
-	packetizer *Packetizer
+	scheme Scheme
+	link   flit.LinkConfig
 
 	// pool, when attached, supplies the flits the NIC packetizes and the
 	// messages it reassembles, and receives absorbed flits back. A pooled
@@ -219,10 +92,7 @@ type NIC struct {
 
 	delivered []DeliveredMessage
 
-	// statistics
-	injectedFlits uint64
-	ejectedFlits  uint64
-	sentMessages  uint64
+	injectedFlits uint64 // statistics
 }
 
 type reassembly struct {
@@ -238,14 +108,17 @@ type reassembly struct {
 // New returns a NIC for the given node using the given packetization scheme
 // and link configuration.
 func New(node mesh.Node, scheme Scheme, link flit.LinkConfig) (*NIC, error) {
-	p, err := NewPacketizer(scheme, link)
-	if err != nil {
+	if scheme != SchemeRegular && scheme != SchemeWaP {
+		return nil, fmt.Errorf("nic: unknown packetization scheme %v", scheme)
+	}
+	if err := link.Validate(); err != nil {
 		return nil, err
 	}
 	return &NIC{
-		Node:       node,
-		packetizer: p,
-		pending:    make(map[uint64]*reassembly),
+		Node:    node,
+		scheme:  scheme,
+		link:    link,
+		pending: make(map[uint64]*reassembly),
 	}, nil
 }
 
@@ -257,9 +130,6 @@ func MustNew(node mesh.Node, scheme Scheme, link flit.LinkConfig) *NIC {
 	}
 	return n
 }
-
-// Packetizer returns the NIC's packetizer (shared configuration).
-func (n *NIC) Packetizer() *Packetizer { return n.packetizer }
 
 // SetEndpointOwner installs the endpoint-identity predicate of a NIC that
 // serves several endpoints through one router (the concentrated-mesh Local
@@ -296,8 +166,6 @@ func (n *NIC) Reset() {
 	n.nextPacketID = 0
 	n.nextMsgID = 0
 	n.injectedFlits = 0
-	n.ejectedFlits = 0
-	n.sentMessages = 0
 }
 
 // getReassembly returns a cleared reassembly record, reusing a recycled one
@@ -338,21 +206,25 @@ func (n *NIC) Send(msg *flit.Message, now uint64) (uint64, error) {
 	}
 	msg.CreatedAt = now
 	n.enqueueFlits(msg)
-	n.sentMessages++
 	return msg.ID, nil
 }
 
-// enqueueFlits packetizes the message straight into the injection queue: the
-// same slicing and flit layout Packetize produces (identical packet ids,
-// types, sequence numbers and payload attribution), but without building
-// intermediate Packet values so that — with a pool attached — a Send on the
-// hot path performs no heap allocations.
+// enqueueFlits packetizes the message straight into the injection queue.
+// The scheme sets the packet-size ceiling (WaP: the minimum packet size;
+// regular: the network's maximum, 0 meaning unlimited), the payload is cut
+// into chunks that fill a ceiling-size packet, and each chunk becomes one
+// packet of HEAD, BODY…, TAIL flits (HEAD+TAIL when it is a single flit)
+// whose head carries the chunk's payload bits. No intermediate packet values
+// are built, so that — with a pool attached — a Send on the hot path
+// performs no heap allocations.
 func (n *NIC) enqueueFlits(msg *flit.Message) {
-	p := n.packetizer
-	maxFlits := p.maxFlitsPerPacket()
+	maxFlits := n.link.MaxPacketFlits
+	if n.scheme == SchemeWaP {
+		maxFlits = n.link.MinPacketFlits
+	}
 	perPacketPayload := 0
 	if maxFlits > 0 {
-		perPacketPayload = maxFlits*p.Link.WidthBits - p.Link.ControlBitsPerPacket
+		perPacketPayload = maxFlits*n.link.WidthBits - n.link.ControlBitsPerPacket
 	}
 	payload := msg.PayloadBits
 	if payload < 0 {
@@ -382,9 +254,9 @@ func (n *NIC) enqueueFlits(msg *flit.Message) {
 			chunk = perPacketPayload
 		}
 		remaining -= chunk
-		nflits := p.Link.FlitsForPayload(chunk)
-		if p.Scheme == SchemeWaP && nflits < p.Link.MinPacketFlits {
-			nflits = p.Link.MinPacketFlits
+		nflits := n.link.FlitsForPayload(chunk)
+		if n.scheme == SchemeWaP && nflits < n.link.MinPacketFlits {
+			nflits = n.link.MinPacketFlits
 		}
 		pktID := firstID + uint64(i)
 		for s := 0; s < nflits; s++ {
@@ -433,15 +305,6 @@ func (n *NIC) allocPacketIDs(count int) uint64 {
 // PendingFlits returns the number of flits waiting in the injection queue.
 func (n *NIC) PendingFlits() int { return len(n.injectQueue) - n.injectHead }
 
-// PeekFlit returns the next flit to inject without removing it, or nil when
-// the queue is empty.
-func (n *NIC) PeekFlit() *flit.Flit {
-	if n.PendingFlits() == 0 {
-		return nil
-	}
-	return n.injectQueue[n.injectHead]
-}
-
 // PopFlit removes and returns the next flit to inject, stamping its
 // injection cycle. It returns nil when the queue is empty.
 func (n *NIC) PopFlit(now uint64) *flit.Flit {
@@ -471,7 +334,6 @@ func (n *NIC) Receive(f *flit.Flit, now uint64) (*flit.Message, error) {
 		return nil, fmt.Errorf("nic %v: received flit for %v", n.Node, f.Flow.Dst)
 	}
 	f.EjectedAt = now
-	n.ejectedFlits++
 
 	if f.PacketsInMsg == 1 && f.Type == flit.HeadTail {
 		// The whole message in one flit: nothing to reassemble.
@@ -547,22 +409,8 @@ func (n *NIC) deliver(msgID uint64, r *reassembly, now uint64) *flit.Message {
 // Delivered returns the messages reassembled so far, in completion order.
 func (n *NIC) Delivered() []DeliveredMessage { return n.delivered }
 
-// DrainDelivered returns the delivered messages and clears the internal list
-// (useful for long simulations that process deliveries incrementally).
-func (n *NIC) DrainDelivered() []DeliveredMessage {
-	out := n.delivered
-	n.delivered = nil
-	return out
-}
-
 // PendingReassemblies returns the number of partially received messages.
 func (n *NIC) PendingReassemblies() int { return len(n.pending) }
 
 // InjectedFlits returns the number of flits handed to the router so far.
 func (n *NIC) InjectedFlits() uint64 { return n.injectedFlits }
-
-// EjectedFlits returns the number of flits received from the router so far.
-func (n *NIC) EjectedFlits() uint64 { return n.ejectedFlits }
-
-// SentMessages returns the number of messages accepted by Send so far.
-func (n *NIC) SentMessages() uint64 { return n.sentMessages }

@@ -22,94 +22,121 @@ func TestSchemeString(t *testing.T) {
 }
 
 func TestNewPacketizerValidation(t *testing.T) {
-	if _, err := NewPacketizer(Scheme(9), testLink()); err == nil {
+	if _, err := New(node(0, 0), Scheme(9), testLink()); err == nil {
 		t.Error("unknown scheme should fail")
 	}
 	bad := testLink()
 	bad.WidthBits = 0
-	if _, err := NewPacketizer(SchemeRegular, bad); err == nil {
+	if _, err := New(node(0, 0), SchemeRegular, bad); err == nil {
 		t.Error("invalid link config should fail")
 	}
-	if _, err := NewPacketizer(SchemeWaP, testLink()); err != nil {
-		t.Errorf("valid packetizer rejected: %v", err)
+	if _, err := New(node(0, 0), SchemeWaP, testLink()); err != nil {
+		t.Errorf("valid NIC rejected: %v", err)
 	}
 }
 
+// packetize sends msg through a fresh NIC at its source node and returns the
+// flits the NIC queued, grouped into packets in injection order. Every packet
+// is checked to be a well-formed wormhole unit: HEAD, BODY..., TAIL (HEAD+TAIL
+// alone), sequence numbers counting from 0, and one packet id, message id,
+// flow and packet index/total shared by all its flits.
+func packetize(t *testing.T, scheme Scheme, link flit.LinkConfig, msg *flit.Message) [][]*flit.Flit {
+	t.Helper()
+	n := MustNew(msg.Flow.Src, scheme, link)
+	if _, err := n.Send(msg, 0); err != nil {
+		t.Fatal(err)
+	}
+	var pkts [][]*flit.Flit
+	for f := n.PopFlit(1); f != nil; f = n.PopFlit(1) {
+		if f.Type.IsHead() {
+			pkts = append(pkts, nil)
+		}
+		if len(pkts) == 0 {
+			t.Fatalf("%v: flit stream starts with %v", scheme, f)
+		}
+		pkts[len(pkts)-1] = append(pkts[len(pkts)-1], f)
+	}
+	for i, pkt := range pkts {
+		for s, f := range pkt {
+			want := flit.Body
+			switch {
+			case len(pkt) == 1:
+				want = flit.HeadTail
+			case s == 0:
+				want = flit.Head
+			case s == len(pkt)-1:
+				want = flit.Tail
+			}
+			if f.Type != want || f.Seq != s {
+				t.Errorf("%v packet %d flit %d: %v seq %d, want %v seq %d", scheme, i, s, f.Type, f.Seq, want, s)
+			}
+			if f.PacketID != pkt[0].PacketID || f.MsgID != msg.ID || f.Flow != msg.Flow || f.Class != msg.Class {
+				t.Errorf("%v packet %d flit %d: identity %v differs from its head %v", scheme, i, s, f, pkt[0])
+			}
+			if f.PacketIndex != i || f.PacketsInMsg != len(pkts) {
+				t.Errorf("%v packet %d flit %d: index/total = %d/%d, want %d/%d", scheme, i, s, f.PacketIndex, f.PacketsInMsg, i, len(pkts))
+			}
+		}
+		if i > 0 && pkt[0].PacketID == pkts[i-1][0].PacketID {
+			t.Errorf("%v packets %d and %d share id %d", scheme, i-1, i, pkt[0].PacketID)
+		}
+	}
+	return pkts
+}
+
+// payloadOf sums the payload bits the packets' flits carry.
+func payloadOf(pkts [][]*flit.Flit) (bits, flits int) {
+	for _, pkt := range pkts {
+		flits += len(pkt)
+		for _, f := range pkt {
+			bits += f.PayloadBits
+		}
+	}
+	return bits, flits
+}
+
 func TestRegularPacketizeCacheLine(t *testing.T) {
-	p, _ := NewPacketizer(SchemeRegular, testLink())
 	msg := &flit.Message{ID: 5, Flow: flit.FlowID{Src: node(0, 0), Dst: node(3, 3)}, PayloadBits: 512, Class: flit.ClassReply}
-	pkts := p.Packetize(msg, 100)
+	pkts := packetize(t, SchemeRegular, testLink(), msg)
 	if len(pkts) != 1 {
 		t.Fatalf("regular packetization produced %d packets, want 1", len(pkts))
 	}
-	if pkts[0].Size() != 4 {
-		t.Errorf("cache-line packet has %d flits, want 4", pkts[0].Size())
-	}
-	if err := pkts[0].Validate(); err != nil {
-		t.Errorf("packet invalid: %v", err)
-	}
-	if pkts[0].ID != 100 || pkts[0].MsgID != 5 {
-		t.Errorf("packet ids wrong: %+v", pkts[0])
-	}
-	if p.FlitsForMessage(512) != 4 {
-		t.Errorf("FlitsForMessage(512) = %d, want 4", p.FlitsForMessage(512))
+	if len(pkts[0]) != 4 {
+		t.Errorf("cache-line packet has %d flits, want 4", len(pkts[0]))
 	}
 }
 
 func TestWaPPacketizeCacheLine(t *testing.T) {
-	p, _ := NewPacketizer(SchemeWaP, testLink())
 	msg := &flit.Message{ID: 9, Flow: flit.FlowID{Src: node(1, 1), Dst: node(0, 0)}, PayloadBits: 512, Class: flit.ClassReply}
-	pkts := p.Packetize(msg, 1)
+	pkts := packetize(t, SchemeWaP, testLink(), msg)
 	// 512 payload bits over packets carrying 116 payload bits each -> 5
 	// single-flit packets (the paper's 25% overhead example).
 	if len(pkts) != 5 {
 		t.Fatalf("WaP produced %d packets, want 5", len(pkts))
 	}
-	total := 0
-	payload := 0
 	for i, pkt := range pkts {
-		if err := pkt.Validate(); err != nil {
-			t.Errorf("packet %d invalid: %v", i, err)
-		}
-		if pkt.Size() != 1 {
-			t.Errorf("WaP packet %d has %d flits, want 1", i, pkt.Size())
-		}
-		if pkt.PacketIndex != i || pkt.PacketsInMsg != 5 {
-			t.Errorf("packet %d index/total = %d/%d", i, pkt.PacketIndex, pkt.PacketsInMsg)
-		}
-		total += pkt.Size()
-		for _, f := range pkt.Flits {
-			payload += f.PayloadBits
+		if len(pkt) != 1 {
+			t.Errorf("WaP packet %d has %d flits, want 1", i, len(pkt))
 		}
 	}
-	if total != 5 {
-		t.Errorf("total WaP flits = %d, want 5", total)
-	}
-	if payload != 512 {
-		t.Errorf("reassembled payload = %d bits, want 512", payload)
-	}
-	if p.FlitsForMessage(512) != 5 {
-		t.Errorf("FlitsForMessage(512) = %d, want 5", p.FlitsForMessage(512))
+	if payload, total := payloadOf(pkts); total != 5 || payload != 512 {
+		t.Errorf("WaP cache line = %d flits carrying %d bits, want 5 and 512", total, payload)
 	}
 }
 
 func TestRegularPacketizeSplitsAboveMaxSize(t *testing.T) {
 	link := testLink() // MaxPacketFlits = 4
-	p, _ := NewPacketizer(SchemeRegular, link)
 	// Two cache lines worth of payload does not fit the 4-flit maximum
 	// packet, so regular packetization must emit more than one packet, each
 	// within the limit.
 	msg := &flit.Message{ID: 2, Flow: flit.FlowID{Src: node(0, 0), Dst: node(1, 0)}, PayloadBits: 1024}
-	pkts := p.Packetize(msg, 1)
+	pkts := packetize(t, SchemeRegular, link, msg)
 	if len(pkts) < 2 {
 		t.Fatalf("oversized message produced %d packets, want >= 2", len(pkts))
 	}
 	for _, pkt := range pkts {
-		if pkt.Size() > link.MaxPacketFlits {
-			t.Errorf("packet of %d flits exceeds the maximum of %d", pkt.Size(), link.MaxPacketFlits)
-		}
-		if err := pkt.Validate(); err != nil {
-			t.Errorf("packet invalid: %v", err)
+		if len(pkt) > link.MaxPacketFlits {
+			t.Errorf("packet of %d flits exceeds the maximum of %d", len(pkt), link.MaxPacketFlits)
 		}
 	}
 }
@@ -117,78 +144,64 @@ func TestRegularPacketizeSplitsAboveMaxSize(t *testing.T) {
 func TestRegularUnlimitedPacketSize(t *testing.T) {
 	link := testLink()
 	link.MaxPacketFlits = 0 // protocols such as AMBA impose no limit
-	p, _ := NewPacketizer(SchemeRegular, link)
 	msg := &flit.Message{ID: 3, Flow: flit.FlowID{Src: node(0, 0), Dst: node(1, 0)}, PayloadBits: 4096}
-	pkts := p.Packetize(msg, 1)
+	pkts := packetize(t, SchemeRegular, link, msg)
 	if len(pkts) != 1 {
 		t.Fatalf("unlimited regular packetization produced %d packets, want 1", len(pkts))
 	}
-	want := (4096 + 16 + 131) / 132
-	if pkts[0].Size() != want {
-		t.Errorf("packet size = %d flits, want %d", pkts[0].Size(), want)
-	}
-	if p.FlitsForMessage(4096) != want {
-		t.Errorf("FlitsForMessage = %d, want %d", p.FlitsForMessage(4096), want)
+	if want := (4096 + 16 + 131) / 132; len(pkts[0]) != want {
+		t.Errorf("packet size = %d flits, want %d", len(pkts[0]), want)
 	}
 }
 
 func TestPacketizeOneFlitRequestIdenticalUnderBothSchemes(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeRegular, SchemeWaP} {
-		p, _ := NewPacketizer(scheme, testLink())
 		msg := &flit.Message{ID: 4, Flow: flit.FlowID{Src: node(0, 0), Dst: node(7, 7)}, PayloadBits: 48, Class: flit.ClassRequest}
-		pkts := p.Packetize(msg, 1)
-		if len(pkts) != 1 || pkts[0].Size() != 1 {
-			t.Errorf("%v: one-flit request became %d packets", scheme, len(pkts))
+		pkts := packetize(t, scheme, testLink(), msg)
+		if len(pkts) != 1 || len(pkts[0]) != 1 {
+			t.Fatalf("%v: one-flit request became %d packets", scheme, len(pkts))
 		}
-		if pkts[0].Flits[0].Type != flit.HeadTail {
+		if pkts[0][0].Type != flit.HeadTail {
 			t.Errorf("%v: single flit should be HEAD+TAIL", scheme)
 		}
 	}
 }
 
 // Property: for any payload size, both schemes produce well-formed packets
-// whose flits carry the full payload, and WaP never produces a packet larger
-// than the minimum packet size.
+// whose flits carry the full payload; WaP never produces a packet larger than
+// the minimum packet size and sends exactly the flits WaPFlitsForPayload
+// accounts for; regular packetization fills every packet but the last to the
+// maximum size.
 func TestPacketizeProperty(t *testing.T) {
 	link := testLink()
-	reg, _ := NewPacketizer(SchemeRegular, link)
-	wap, _ := NewPacketizer(SchemeWaP, link)
 	f := func(raw uint16) bool {
 		payload := int(raw)
-		msg := &flit.Message{ID: 77, Flow: flit.FlowID{Src: node(0, 0), Dst: node(3, 2)}, PayloadBits: payload}
-		for _, p := range []*Packetizer{reg, wap} {
-			pkts := p.Packetize(msg, 1)
+		for _, scheme := range []Scheme{SchemeRegular, SchemeWaP} {
+			msg := &flit.Message{ID: 77, Flow: flit.FlowID{Src: node(0, 0), Dst: node(3, 2)}, PayloadBits: payload}
+			pkts := packetize(t, scheme, link, msg)
 			if len(pkts) == 0 {
 				return false
 			}
-			gotPayload := 0
-			gotFlits := 0
-			for _, pkt := range pkts {
-				if pkt.Validate() != nil {
-					return false
-				}
-				if pkt.PacketsInMsg != len(pkts) {
-					return false
-				}
-				gotFlits += pkt.Size()
-				for _, fl := range pkt.Flits {
-					gotPayload += fl.PayloadBits
-				}
-				if p.Scheme == SchemeWaP && pkt.Size() > link.MinPacketFlits {
-					return false
-				}
-				if p.Scheme == SchemeRegular && link.MaxPacketFlits > 0 && pkt.Size() > link.MaxPacketFlits {
-					return false
-				}
-			}
+			gotPayload, gotFlits := payloadOf(pkts)
 			if gotPayload != payload {
 				return false
 			}
-			if gotFlits != p.FlitsForMessage(payload) {
+			for i, pkt := range pkts {
+				if scheme == SchemeWaP && len(pkt) != link.MinPacketFlits {
+					return false
+				}
+				if scheme == SchemeRegular && (len(pkt) > link.MaxPacketFlits || i < len(pkts)-1 && len(pkt) != link.MaxPacketFlits) {
+					return false
+				}
+			}
+			if wap, _ := link.WaPFlitsForPayload(payload); scheme == SchemeWaP && gotFlits != wap {
+				return false
+			}
+			if scheme == SchemeRegular && len(pkts) == 1 && gotFlits != link.FlitsForPayload(payload) {
 				return false
 			}
 		}
-		return true
+		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -213,14 +226,11 @@ func TestNICSendValidation(t *testing.T) {
 	if id == 0 {
 		t.Error("message id not assigned")
 	}
-	if n.SentMessages() != 1 {
-		t.Error("sent message counter not updated")
-	}
 }
 
 func TestNICInjectionQueue(t *testing.T) {
 	n := MustNew(node(0, 0), SchemeWaP, testLink())
-	if n.PeekFlit() != nil || n.PopFlit(0) != nil {
+	if n.PopFlit(0) != nil {
 		t.Error("empty queue should return nil")
 	}
 	msg := &flit.Message{Flow: flit.FlowID{Src: node(0, 0), Dst: node(1, 0)}, PayloadBits: 512}
@@ -230,11 +240,7 @@ func TestNICInjectionQueue(t *testing.T) {
 	if n.PendingFlits() != 5 {
 		t.Fatalf("pending flits = %d, want 5", n.PendingFlits())
 	}
-	first := n.PeekFlit()
 	popped := n.PopFlit(7)
-	if first != popped {
-		t.Error("Peek and Pop disagree")
-	}
 	if popped.InjectedAt != 7 {
 		t.Errorf("InjectedAt = %d, want 7", popped.InjectedAt)
 	}
@@ -355,12 +361,6 @@ func TestNICRoundTrip(t *testing.T) {
 			if d.NetworkLatency > d.Latency {
 				t.Errorf("network latency %d exceeds total latency %d", d.NetworkLatency, d.Latency)
 			}
-			if drained := dst.DrainDelivered(); len(drained) != 1 || len(dst.Delivered()) != 0 {
-				t.Error("DrainDelivered did not clear the list")
-			}
-			if dst.EjectedFlits() == 0 {
-				t.Error("ejected flit counter not updated")
-			}
 		}
 	}
 }
@@ -474,13 +474,13 @@ func TestNICReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.PendingFlits() == 0 || n.SentMessages() != 1 {
+	if n.PendingFlits() == 0 {
 		t.Fatal("send did not enqueue")
 	}
 	n.PopFlit(4)
 	n.Reset()
-	if n.PendingFlits() != 0 || n.PendingReassemblies() != 0 || n.SentMessages() != 0 ||
-		n.InjectedFlits() != 0 || n.EjectedFlits() != 0 || len(n.Delivered()) != 0 {
+	if n.PendingFlits() != 0 || n.PendingReassemblies() != 0 ||
+		n.InjectedFlits() != 0 || len(n.Delivered()) != 0 {
 		t.Fatalf("Reset left state behind: %+v", n)
 	}
 	again := &flit.Message{Flow: msg.Flow, PayloadBits: 512}
@@ -525,13 +525,14 @@ func TestNICPooledReceive(t *testing.T) {
 	if out == nil {
 		t.Fatal("message did not reassemble")
 	}
-	if !out.Pooled() {
-		t.Error("reassembled message should come from the pool")
-	}
 	if out.PayloadBits != 512 {
 		t.Errorf("payload = %d, want 512", out.PayloadBits)
 	}
 	if len(dst.Delivered()) != 0 {
 		t.Error("pooled NIC must not retain delivered messages")
+	}
+	// Only a message drawn from the pool is taken back by it.
+	if pool.PutMessage(out); pool.GetMessage() != out {
+		t.Error("reassembled message should come from the pool")
 	}
 }

@@ -53,7 +53,3 @@ func (b *Backoff) Next() time.Duration {
 // Reset rewinds the schedule to the first attempt (the jitter stream keeps
 // advancing, so delays stay decorrelated across resets).
 func (b *Backoff) Reset() { b.attempt = 0 }
-
-// Attempt reports how many delays have been handed out since the last
-// Reset.
-func (b *Backoff) Attempt() int { return b.attempt }

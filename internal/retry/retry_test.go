@@ -17,8 +17,8 @@ func TestBackoffSchedule(t *testing.T) {
 			t.Errorf("attempt %d: delay %v outside [%v, %v)", i, d, c/2, c)
 		}
 	}
-	if b.Attempt() != len(ceil) {
-		t.Errorf("Attempt() = %d, want %d", b.Attempt(), len(ceil))
+	if b.attempt != len(ceil) {
+		t.Errorf("attempt = %d, want %d", b.attempt, len(ceil))
 	}
 	b.Reset()
 	if d := b.Next(); d < 5*time.Millisecond || d >= 10*time.Millisecond {

@@ -209,6 +209,13 @@ type Traffic struct {
 	MeasureCycles int `json:"measure_cycles,omitempty"`
 }
 
+// MaxPacketFlitsLimit is the largest max_packet_flits (the network's L
+// parameter) a spec, the sweep CLI or the daemon's wcet verbs accept. The
+// regular design's bound grows with L at every hop; beyond this ceiling the
+// access-count product of the WCET wraps even on the paper's 8x8 platform and
+// a hostile value reads as a small, unsound bound.
+const MaxPacketFlitsLimit = 1 << 16
+
 // Spec declares one experiment, or — through the Sizes/Designs/Workloads
 // sweep axes — a whole grid of them.
 type Spec struct {
@@ -254,7 +261,7 @@ type Spec struct {
 	Placement string `json:"placement,omitempty"`
 	// MaxPacketFlits overrides the maximum packet size of
 	// ModeParallelWCET (the L parameter of Figure 2a); 0 keeps the
-	// platform default.
+	// platform default, values above MaxPacketFlitsLimit are rejected.
 	MaxPacketFlits int `json:"max_packet_flits,omitempty"`
 
 	// Sweep axes: when non-empty, Expand crosses them into concrete
@@ -405,6 +412,9 @@ func (s Spec) Validate() error {
 	}
 	if s.MaxPacketFlits < 0 {
 		return fmt.Errorf("scenario: negative max packet size %d", s.MaxPacketFlits)
+	}
+	if s.MaxPacketFlits > MaxPacketFlitsLimit {
+		return fmt.Errorf("scenario: max packet size %d exceeds the limit of %d flits", s.MaxPacketFlits, MaxPacketFlitsLimit)
 	}
 	return nil
 }

@@ -130,12 +130,18 @@ func TestValidateRejections(t *testing.T) {
 		"missing workload": {Mode: ModeManycore, Width: 2, Height: 2},
 		"negative budget":  {Mode: ModeWCTT, Width: 2, Height: 2, MaxCycles: -1},
 		"negative L":       {Mode: ModeParallelWCET, Width: 8, Height: 8, MaxPacketFlits: -4},
+		"L past the limit": {Mode: ModeParallelWCET, Width: 8, Height: 8, MaxPacketFlits: MaxPacketFlitsLimit + 1},
+		"L that wraps":     {Mode: ModeParallelWCET, Width: 8, Height: 8, MaxPacketFlits: 1 << 62},
 		"unknown mode":     {Mode: Mode(99), Width: 2, Height: 2},
 	}
 	for name, s := range cases {
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: Validate() should fail for %+v", name, s)
 		}
+	}
+	atLimit := Spec{Mode: ModeParallelWCET, Width: 8, Height: 8, MaxPacketFlits: MaxPacketFlitsLimit}
+	if err := atLimit.Validate(); err != nil {
+		t.Errorf("max packet size at the limit rejected: %v", err)
 	}
 }
 

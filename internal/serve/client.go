@@ -257,42 +257,3 @@ type Response struct {
 	Code      string          `json:"code,omitempty"`
 	Retryable bool            `json:"retryable,omitempty"`
 }
-
-// Err converts a protocol-level rejection into a Go error (nil when OK).
-func (r *Response) Err() error {
-	if r.OK {
-		return nil
-	}
-	if r.Code != "" {
-		return fmt.Errorf("server error %s (code %s, retryable %v)", r.Error, r.Code, r.Retryable)
-	}
-	return fmt.Errorf("server error %s", r.Error)
-}
-
-// Ping performs a liveness round trip.
-func (c *Client) Ping(ctx context.Context) error {
-	resp, err := c.Do(ctx, &Request{Op: "ping"})
-	if err != nil {
-		return err
-	}
-	return resp.Err()
-}
-
-// WCTT fetches one analytical bound.
-func (c *Client) WCTT(ctx context.Context, design string, width, height int, src, dst Coord, payloadBits int) (uint64, error) {
-	resp, err := c.Do(ctx, &Request{
-		Op: "wctt", Design: design, Width: width, Height: height,
-		Src: &src, Dst: &dst, PayloadBits: payloadBits,
-	})
-	if err != nil {
-		return 0, err
-	}
-	if err := resp.Err(); err != nil {
-		return 0, err
-	}
-	var cycles uint64
-	if err := json.Unmarshal(resp.Cycles, &cycles); err != nil {
-		return 0, fmt.Errorf("serve client: bad cycles payload: %w", err)
-	}
-	return cycles, nil
-}

@@ -30,6 +30,9 @@ var flatCorpus = []string{
 	`{"id":50,"op":"wctt","design":"waw+wap","width":8,"height":8,"payload_bits":4294967296,"src":{"x":0,"y":0},"dst":{"x":7,"y":7}}`,
 	`{"id":51,"op":"wctt","design":"waw+wap","width":8,"height":8,"payload_bits":4294967297,"src":{"x":0,"y":0},"dst":{"x":7,"y":7}}`,
 	`{"id":53,"op":"wctt","design":"waw+wap","width":8,"height":8,"payload_bits":-1,"src":{"x":0,"y":0},"dst":{"x":7,"y":7}}`,
+	// max_packet_flits at the ceiling and one past it (2^62, 19 digits, is declined below)
+	`{"id":55,"op":"wcet","design":"regular","width":8,"height":8,"core":{"x":7,"y":7},"workload":"matrix","max_packet_flits":65536}`,
+	`{"id":56,"op":"wcet","design":"regular","width":8,"height":8,"core":{"x":7,"y":7},"workload":"matrix","max_packet_flits":65537}`,
 	// every whitespace placement
 	" \t{ \"id\" : 12 , \"op\" : \"wctt\" , \"design\" : \"regular\" , \"width\" : 4 , \"height\" : 4 , \"src\" : { \"x\" : 0 , \"y\" : 0 } , \"dst\" : { \"x\" : 3 , \"y\" : 3 } } \r",
 	// declined: other verbs, nesting, unknown and differently-cased keys
@@ -40,6 +43,7 @@ var flatCorpus = []string{
 	`{"id":16,"op":"batch","design":"regular","width":4,"height":4,"queries":[[0,0,3,3]]}`,
 	`{"id":54,"op":"batch","design":"regular","width":8,"height":8,"queries":[[0,0,7,7,4294967296],[0,0,7,7,9223372036854775807]]}`,
 	`{"id":17,"op":"wcet-batch","design":"regular","width":4,"height":4,"workload":"cacheb","queries":[[0,0]]}`,
+	`{"id":58,"op":"wcet-batch","design":"regular","width":8,"height":8,"workload":"matrix","max_packet_flits":65537,"queries":[[7,7]]}`,
 	`{"id":18,"op":"ping","extra":1}`,
 	`{"ID":19,"op":"ping"}`,
 	`{"id":20,"Op":"ping"}`,
@@ -68,6 +72,7 @@ var flatCorpus = []string{
 	`{"id":9223372036854775808,"op":"ping"}`,
 	`{"id":33,"op":"wctt","design":"regular","width":99999999999999999999,"height":4}`,
 	`{"id":52,"op":"wctt","design":"waw+wap","width":8,"height":8,"payload_bits":9223372036854775807,"src":{"x":0,"y":0},"dst":{"x":7,"y":7}}`,
+	`{"id":57,"op":"wcet","design":"regular","width":8,"height":8,"core":{"x":7,"y":7},"workload":"matrix","max_packet_flits":4611686018427387904}`,
 	`{"id":"34","op":"ping"}`,
 	`{"id":true,"op":"ping"}`,
 	// declined: escapes, control bytes, UTF-8, BOM
@@ -166,10 +171,10 @@ func TestFlatDecodeAcceptSet(t *testing.T) {
 			accepted++
 		}
 	}
-	if accepted != 17 {
-		t.Fatalf("flat decoder accepts %d corpus lines, want the first 17", accepted)
+	if accepted != 19 {
+		t.Fatalf("flat decoder accepts %d corpus lines, want the first 19", accepted)
 	}
-	for i, line := range flatCorpus[:17] {
+	for i, line := range flatCorpus[:19] {
 		if _, ok := dec.decode([]byte(line)); !ok {
 			t.Errorf("corpus line %d declined: %s", i, line)
 		}

@@ -55,7 +55,8 @@ type Coord struct {
 //	            at most MaxPayloadBits),
 //	            topology ("" = mesh; cmesh/cmesh2 allowed, torus rejected)
 //	wcet        one per-core WCET estimate: design, width, height, core,
-//	            workload, max_packet_flits (0 = platform default)
+//	            workload, max_packet_flits (0 = platform default; at most
+//	            scenario.MaxPacketFlitsLimit)
 //	batch       a vector of WCTT queries sharing design/mesh/payload:
 //	            queries = [[sx,sy,dx,dy], [sx,sy,dx,dy,payload_bits], ...]
 //	wcet-batch  a vector of WCET queries sharing design/mesh/workload:

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/scenario"
 )
 
 // TestServeErrorWireShapes pins the exact bytes of the coded error lines —
@@ -133,6 +135,48 @@ func TestServePayloadLimit(t *testing.T) {
 			for i, got := range ask(design, payload) {
 				if got != want {
 					t.Errorf("%s payload_bits %d, route %d:\ngot  %s\nwant %s", design, payload, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestServeMaxPacketLimit pins the max_packet_flits ceiling on the far corner
+// of the 8x8 platform: up to scenario.MaxPacketFlitsLimit the wcet answer
+// never shrinks as the maximum packet size grows, and a wcet line (flat, and
+// escaped onto the generic decode path) and a wcet-batch line agree on it;
+// above the ceiling all three answer the coded limit error. Before the
+// ceiling the regular design's access-count product wrapped: 10^12 answered
+// less than 10^9, and from 10^17 the answer fell below WaW+WaP's.
+func TestServeMaxPacketLimit(t *testing.T) {
+	s := NewServer(Config{Workers: 2})
+	defer s.Close()
+	ask := func(design string, flits int64) []string {
+		const target = `"width":8,"height":8,"workload":"matrix"`
+		return strings.Split(strings.TrimSpace(serveString(t, s, fmt.Sprintf(
+			`{"id":1,"op":"wcet","design":%[1]q,%[3]s,"core":{"x":7,"y":7},"max_packet_flits":%[2]d}
+{"id":1,"op":"wce\u0074","design":%[1]q,%[3]s,"core":{"x":7,"y":7},"max_packet_flits":%[2]d}
+{"id":1,"op":"wcet-batch","design":%[1]q,%[3]s,"max_packet_flits":%[2]d,"queries":[[7,7]]}
+`, design, flits, target))), "\n")
+	}
+	for _, design := range []string{"regular", "waw+wap"} {
+		var prev uint64
+		for _, flits := range []int64{1, 2, 4, 8, 64, 1 << 10, scenario.MaxPacketFlitsLimit - 1, scenario.MaxPacketFlitsLimit} {
+			got := ask(design, flits)
+			var c uint64
+			if _, err := fmt.Sscanf(got[0], `{"id":1,"ok":true,"cycles":%d}`, &c); err != nil || c < prev {
+				t.Fatalf("%s max_packet_flits %d: %s, want a bound >= %d", design, flits, got[0], prev)
+			}
+			if batch := fmt.Sprintf(`{"id":1,"ok":true,"cycles":[%d]}`, c); got[1] != got[0] || got[2] != batch {
+				t.Fatalf("%s max_packet_flits %d: the three routes disagree:\n%s", design, flits, strings.Join(got, "\n"))
+			}
+			prev = c
+		}
+		for _, flits := range []int64{scenario.MaxPacketFlitsLimit + 1, 1e9, 1e12, 1e17, 1 << 62, math.MaxInt64} {
+			want := fmt.Sprintf(`{"id":1,"ok":false,"error":"max_packet_flits %d exceeds the limit of 65536","code":"limit","retryable":false}`, flits)
+			for i, got := range ask(design, flits) {
+				if got != want {
+					t.Errorf("%s max_packet_flits %d, route %d:\ngot  %s\nwant %s", design, flits, i, got, want)
 				}
 			}
 		}

@@ -81,6 +81,15 @@ func checkPayload(bits int64) error {
 	return nil
 }
 
+// checkMaxPacket rejects a max_packet_flits above the scenario layer's
+// ceiling with the coded limit error, before an engine is looked up or built.
+func checkMaxPacket(flits int) error {
+	if flits > scenario.MaxPacketFlitsLimit {
+		return limitError("max_packet_flits %d exceeds the limit of %d", flits, scenario.MaxPacketFlitsLimit)
+	}
+	return nil
+}
+
 // Server answers protocol lines over any number of concurrent transports
 // (stdin pipe, TCP connections, HTTP bodies) from one shared worker pool
 // and the scenario layer's shared caches. Identical in-flight computations
@@ -690,6 +699,9 @@ func (s *Server) wcetOne(dst []byte, req *Request, inline bool) ([]byte, bool) {
 	if err := meshOnly("wcet", ts); err != nil {
 		return appendError(dst, req.ID, err), true
 	}
+	if err := checkMaxPacket(req.MaxPacketFlits); err != nil {
+		return appendError(dst, req.ID, err), true
+	}
 	if req.Core == nil {
 		return appendError(dst, req.ID, errors.New("wcet: core is required")), true
 	}
@@ -722,6 +734,9 @@ func (s *Server) wcetBatch(ctx context.Context, req *Request) ([]byte, bool) {
 		return errorResponse(req.ID, err), true
 	}
 	if err := meshOnly("wcet-batch", ts); err != nil {
+		return errorResponse(req.ID, err), true
+	}
+	if err := checkMaxPacket(req.MaxPacketFlits); err != nil {
 		return errorResponse(req.ID, err), true
 	}
 	b, err := workload.BenchmarkByName(req.Workload)

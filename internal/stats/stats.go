@@ -1,12 +1,11 @@
-// Package stats provides the small statistics utilities used by the NoC
-// simulator and the benchmark harnesses: latency samplers with min/mean/max,
-// histograms and per-flow aggregation.
+// Package stats provides the statistics utility used by the NoC simulator
+// and the experiment drivers: a sampler with count, min/mean/max and a
+// numerically stable standard deviation, mergeable across runs.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sampler accumulates scalar samples (latencies in cycles, bandwidth shares,
@@ -121,119 +120,4 @@ func (s *Sampler) Merge(other *Sampler) {
 // String summarises the sampler.
 func (s *Sampler) String() string {
 	return fmt.Sprintf("n=%d min=%.2f mean=%.2f max=%.2f", s.count, s.Min(), s.Mean(), s.Max())
-}
-
-// Histogram is a fixed-bucket histogram for latency distributions.
-type Histogram struct {
-	bounds []float64 // ascending upper bounds; the last bucket is unbounded
-	counts []uint64
-	total  uint64
-}
-
-// NewHistogram creates a histogram with the given ascending bucket upper
-// bounds. A final overflow bucket is added automatically. It panics when the
-// bounds are empty or not strictly ascending.
-func NewHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		panic("stats: histogram needs at least one bound")
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("stats: histogram bounds must be strictly ascending")
-		}
-	}
-	return &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]uint64, len(bounds)+1),
-	}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v float64) {
-	idx := sort.SearchFloat64s(h.bounds, v)
-	h.counts[idx]++
-	h.total++
-}
-
-// Total returns the number of samples recorded.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Bucket returns the count of the i-th bucket (the last index is the
-// overflow bucket).
-func (h *Histogram) Bucket(i int) uint64 { return h.counts[i] }
-
-// NumBuckets returns the number of buckets including the overflow bucket.
-func (h *Histogram) NumBuckets() int { return len(h.counts) }
-
-// Quantile returns an upper bound on the q-quantile (0 < q <= 1) using the
-// bucket upper bounds; the overflow bucket returns +Inf. It returns 0 when
-// the histogram is empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if q <= 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := uint64(math.Ceil(q * float64(h.total)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			if i == len(h.bounds) {
-				return math.Inf(1)
-			}
-			return h.bounds[i]
-		}
-	}
-	return math.Inf(1)
-}
-
-// KeyedSamplers aggregates samples per string key (e.g. per flow, per node,
-// per benchmark). The zero value is not ready to use; call NewKeyed.
-type KeyedSamplers struct {
-	samplers map[string]*Sampler
-}
-
-// NewKeyed returns an empty keyed-sampler collection.
-func NewKeyed() *KeyedSamplers {
-	return &KeyedSamplers{samplers: make(map[string]*Sampler)}
-}
-
-// Add records a sample under key.
-func (k *KeyedSamplers) Add(key string, v float64) {
-	s, ok := k.samplers[key]
-	if !ok {
-		s = &Sampler{}
-		k.samplers[key] = s
-	}
-	s.Add(v)
-}
-
-// Get returns the sampler for key, or nil when no sample was recorded.
-func (k *KeyedSamplers) Get(key string) *Sampler { return k.samplers[key] }
-
-// Keys returns the recorded keys in sorted order.
-func (k *KeyedSamplers) Keys() []string {
-	keys := make([]string, 0, len(k.samplers))
-	for key := range k.samplers {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Overall returns a sampler merging every key.
-func (k *KeyedSamplers) Overall() *Sampler {
-	out := &Sampler{}
-	for _, s := range k.samplers {
-		out.Merge(s)
-	}
-	return out
 }

@@ -149,81 +149,3 @@ func TestSamplerMergeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{10, 100, 1000})
-	if h.NumBuckets() != 4 {
-		t.Fatalf("buckets = %d, want 4", h.NumBuckets())
-	}
-	for _, v := range []float64{1, 5, 10, 50, 200, 5000} {
-		h.Add(v)
-	}
-	if h.Total() != 6 {
-		t.Errorf("total = %d", h.Total())
-	}
-	if h.Bucket(0) != 3 { // 1, 5, 10 (<=10)
-		t.Errorf("bucket 0 = %d, want 3", h.Bucket(0))
-	}
-	if h.Bucket(1) != 1 || h.Bucket(2) != 1 || h.Bucket(3) != 1 {
-		t.Errorf("buckets = %d,%d,%d", h.Bucket(1), h.Bucket(2), h.Bucket(3))
-	}
-	if q := h.Quantile(0.5); q != 10 {
-		t.Errorf("median bound = %v, want 10", q)
-	}
-	if q := h.Quantile(1.0); !math.IsInf(q, 1) {
-		t.Errorf("q100 = %v, want +Inf (overflow bucket)", q)
-	}
-	if q := h.Quantile(-1); q != 10 {
-		t.Errorf("clamped quantile = %v", q)
-	}
-	if q := h.Quantile(2); !math.IsInf(q, 1) {
-		t.Errorf("clamped-high quantile = %v", q)
-	}
-}
-
-func TestHistogramEmptyQuantile(t *testing.T) {
-	h := NewHistogram([]float64{1})
-	if h.Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile should be 0")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("empty bounds should panic")
-			}
-		}()
-		NewHistogram(nil)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("non-ascending bounds should panic")
-			}
-		}()
-		NewHistogram([]float64{5, 5})
-	}()
-}
-
-func TestKeyedSamplers(t *testing.T) {
-	k := NewKeyed()
-	k.Add("b", 2)
-	k.Add("a", 1)
-	k.Add("a", 3)
-	keys := k.Keys()
-	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
-		t.Errorf("keys = %v", keys)
-	}
-	if k.Get("a").Count() != 2 || k.Get("b").Count() != 1 {
-		t.Error("per-key counts wrong")
-	}
-	if k.Get("missing") != nil {
-		t.Error("missing key should return nil")
-	}
-	overall := k.Overall()
-	if overall.Count() != 3 || overall.Max() != 3 || overall.Min() != 1 {
-		t.Errorf("overall = %v", overall)
-	}
-}

@@ -328,32 +328,3 @@ func MergeJSONL(path string, total int) error {
 	}
 	return nil
 }
-
-// ReadMerged loads a merged JSONL stream back into spec-ordered results —
-// the helper behind tests that compare resumed and uninterrupted runs.
-func ReadMerged(path string, total int) ([]scenario.Result, error) {
-	lines, torn, err := scanLines(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(torn) > 0 || len(lines) != total {
-		return nil, fmt.Errorf("sweep: %s: want %d merged lines, have %d (torn: %v)",
-			path, total, len(lines), len(torn) > 0)
-	}
-	out := make([]scenario.Result, total)
-	for i, line := range lines {
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("sweep: %s line %d: %w", path, i+1, err)
-		}
-		if rec.Index != i {
-			return nil, fmt.Errorf("sweep: %s line %d: index %d, want %d", path, i+1, rec.Index, i)
-		}
-		if rec.Result != nil {
-			if err := json.Unmarshal(rec.Result, &out[i]); err != nil {
-				return nil, fmt.Errorf("sweep: %s line %d: %w", path, i+1, err)
-			}
-		}
-	}
-	return out, nil
-}

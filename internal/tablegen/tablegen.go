@@ -83,16 +83,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, row)
 }
 
-// AddRowValues appends a row of formatted cells; each argument is rendered
-// with %v.
-func (t *Table) AddRowValues(cells ...interface{}) {
-	strs := make([]string, len(cells))
-	for i, c := range cells {
-		strs[i] = fmt.Sprintf("%v", c)
-	}
-	t.AddRow(strs...)
-}
-
 // Render writes the table in the given format.
 func (t *Table) Render(w io.Writer, f Format) error {
 	switch f {
@@ -107,14 +97,6 @@ func (t *Table) Render(w io.Writer, f Format) error {
 	default:
 		return fmt.Errorf("tablegen: unknown format %v", f)
 	}
-}
-
-// RenderString renders the table to a string in the given format.
-func (t *Table) RenderString(f Format) string {
-	var b strings.Builder
-	// strings.Builder writes never fail.
-	_ = t.Render(&b, f)
-	return b.String()
 }
 
 func csvEscape(cell string) string {

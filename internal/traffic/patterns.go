@@ -75,14 +75,10 @@ type PermutationGenerator struct {
 	out    []*flit.Message // reused Tick result buffer
 }
 
-// NewPermutationTopo builds a permutation-pattern generator on a topology's
-// endpoint index space — the grid Permutation maps are defined on.
-func NewPermutationTopo(t mesh.Topology, perm Permutation, payload, rounds int, interval uint64) (*PermutationGenerator, error) {
-	return NewPermutation(t.EndpointDim(), perm, payload, rounds, interval)
-}
-
-// NewPermutation builds a permutation-pattern generator. interval is the
-// number of cycles between consecutive rounds (at least 1).
+// NewPermutation builds a permutation-pattern generator on the endpoint grid
+// d (a topology's EndpointDim — the index space Permutation maps are defined
+// on). interval is the number of cycles between consecutive rounds (at least
+// 1).
 func NewPermutation(d mesh.Dim, perm Permutation, payload, rounds int, interval uint64) (*PermutationGenerator, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err

@@ -221,19 +221,19 @@ func TestTornadoMapping(t *testing.T) {
 	}
 }
 
-// TestNewPermutationTopo checks the topology-aware constructor: the
-// generator is defined on the topology's endpoint grid and rejects the same
-// invalid arguments as NewPermutation.
+// TestNewPermutationTopo checks a generator built for a concentrated
+// topology: it is defined on the topology's endpoint grid, not its router
+// grid, and rejects a nil permutation.
 func TestNewPermutationTopo(t *testing.T) {
 	topo := mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: 4}.MustBuild(mesh.MustDim(4, 4))
-	g, err := NewPermutationTopo(topo, Tornado, 64, 1, 1)
+	g, err := NewPermutation(topo.EndpointDim(), Tornado, 64, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.dim != topo.EndpointDim() {
 		t.Errorf("generator dim %v, want the endpoint grid %v", g.dim, topo.EndpointDim())
 	}
-	if _, err := NewPermutationTopo(topo, nil, 64, 1, 1); err == nil {
+	if _, err := NewPermutation(topo.EndpointDim(), nil, 64, 1, 1); err == nil {
 		t.Error("nil permutation should fail")
 	}
 }

@@ -333,60 +333,6 @@ func (h *Hotspot) NextEvent(now uint64) (uint64, bool) {
 	return now, true
 }
 
-// Trace replays an explicit list of (cycle, message) events, e.g. extracted
-// from an application communication trace.
-type Trace struct {
-	events []TraceEvent
-	next   int
-	out    []*flit.Message // reused Tick result buffer
-}
-
-// TraceEvent is one entry of a replayed trace.
-type TraceEvent struct {
-	Cycle uint64
-	Msg   *flit.Message
-}
-
-// NewTrace builds a trace generator. Events must be sorted by cycle.
-func NewTrace(events []TraceEvent) (*Trace, error) {
-	for i := 1; i < len(events); i++ {
-		if events[i].Cycle < events[i-1].Cycle {
-			return nil, fmt.Errorf("traffic: trace events must be sorted by cycle (event %d)", i)
-		}
-	}
-	for i, e := range events {
-		if e.Msg == nil {
-			return nil, fmt.Errorf("traffic: trace event %d has a nil message", i)
-		}
-	}
-	return &Trace{events: events}, nil
-}
-
-// Tick implements Generator.
-func (t *Trace) Tick(cycle uint64) []*flit.Message {
-	t.out = t.out[:0]
-	for t.next < len(t.events) && t.events[t.next].Cycle <= cycle {
-		t.out = append(t.out, t.events[t.next].Msg)
-		t.next++
-	}
-	return t.out
-}
-
-// Done implements Generator.
-func (t *Trace) Done() bool { return t.next >= len(t.events) }
-
-// NextEvent implements EventSource: the next event's cycle (immediately, for
-// overdue events), or false once the trace is exhausted.
-func (t *Trace) NextEvent(now uint64) (uint64, bool) {
-	if t.next >= len(t.events) {
-		return 0, false
-	}
-	if c := t.events[t.next].Cycle; c > now {
-		return c, true
-	}
-	return now, true
-}
-
 // Drive runs the generator against the network until the generator is done
 // and the network has drained, or until maxCycles have elapsed. It returns
 // the number of messages injected and whether the run completed.

@@ -124,43 +124,6 @@ func TestHotspotTargetsSingleNode(t *testing.T) {
 	}
 }
 
-func TestTraceGenerator(t *testing.T) {
-	mk := func(cycle uint64) TraceEvent {
-		return TraceEvent{Cycle: cycle, Msg: &flit.Message{
-			Flow:        flit.FlowID{Src: mesh.Node{X: 0, Y: 0}, Dst: mesh.Node{X: 1, Y: 0}},
-			PayloadBits: 64,
-		}}
-	}
-	if _, err := NewTrace([]TraceEvent{mk(5), mk(3)}); err == nil {
-		t.Error("unsorted trace should fail")
-	}
-	if _, err := NewTrace([]TraceEvent{{Cycle: 1, Msg: nil}}); err == nil {
-		t.Error("nil message should fail")
-	}
-	g, err := NewTrace([]TraceEvent{mk(0), mk(2), mk(2), mk(7)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(g.Tick(0)); got != 1 {
-		t.Errorf("cycle 0: %d messages, want 1", got)
-	}
-	if got := len(g.Tick(1)); got != 0 {
-		t.Errorf("cycle 1: %d messages, want 0", got)
-	}
-	if got := len(g.Tick(3)); got != 2 {
-		t.Errorf("cycle 3: %d messages, want 2 (both cycle-2 events)", got)
-	}
-	if g.Done() {
-		t.Error("generator should not be done yet")
-	}
-	if got := len(g.Tick(10)); got != 1 {
-		t.Errorf("cycle 10: %d messages, want 1", got)
-	}
-	if !g.Done() {
-		t.Error("generator should be done")
-	}
-}
-
 func TestDriveDeliversEverything(t *testing.T) {
 	d := mesh.MustDim(4, 4)
 	net := network.MustNew(network.DefaultConfig(d, network.DesignWaWWaP))
@@ -385,30 +348,6 @@ func FuzzUniformTickMatchesReference(f *testing.F) {
 		d := mesh.MustDim(wrap(w, 1, 16), wrap(h, 1, 16))
 		matchUniformReference(t, d, seed, wrap(rate, 1, 1500), wrap(total, 0, 1<<20), wrap(ticks, 1, 4096))
 	})
-}
-
-// TestTraceTickReusesBuffer pins Trace to the Generator contract the other
-// generators already honour: the result slice is reused, so replaying a trace
-// allocates nothing per Tick.
-func TestTraceTickReusesBuffer(t *testing.T) {
-	events := make([]TraceEvent, 4000)
-	for i := range events {
-		events[i] = TraceEvent{Cycle: uint64(i / 4), Msg: &flit.Message{}}
-	}
-	g, err := NewTrace(events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cycle := uint64(0)
-	g.Tick(cycle) // sizes the buffer
-	if allocs := testing.AllocsPerRun(500, func() {
-		cycle++
-		if len(g.Tick(cycle)) != 4 {
-			t.Fatalf("cycle %d: want 4 due events", cycle)
-		}
-	}); allocs != 0 {
-		t.Errorf("Trace.Tick allocates %.1f times per call, want 0", allocs)
-	}
 }
 
 // TestDriveContextCancellation: a cancelled context aborts DriveContext with

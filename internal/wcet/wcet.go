@@ -109,14 +109,6 @@ func (p Platform) CyclesToMillis(cycles uint64) float64 {
 	return float64(cycles) / (float64(p.ClockMHz) * 1000.0)
 }
 
-// NormalizedCell is one entry of the Table III map: the WCET of the WaW+WaP
-// design divided by the WCET of the regular design for the core at Node,
-// averaged over a benchmark suite.
-type NormalizedCell struct {
-	Node  mesh.Node
-	Ratio float64
-}
-
 // TableIIIParallel compiles the platform's engine and computes Table III on
 // it (see Engine.TableIIIParallel); a caller that already holds the engine
 // calls that directly.

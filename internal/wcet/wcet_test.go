@@ -215,8 +215,12 @@ func TestParallelWCETValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w <= app.TotalComputeCycles() {
-		t.Errorf("parallel WCET %d should exceed the pure compute %d", w, app.TotalComputeCycles())
+	var compute uint64
+	for _, p := range app.Phases {
+		compute += p.ComputeCycles
+	}
+	if w <= compute {
+		t.Errorf("parallel WCET %d should exceed the pure compute %d", w, compute)
 	}
 }
 

@@ -90,25 +90,6 @@ func (a ParallelApp) Validate() error {
 	return nil
 }
 
-// TotalComputeCycles returns the per-thread compute summed over all phases.
-func (a ParallelApp) TotalComputeCycles() uint64 {
-	var total uint64
-	for _, p := range a.Phases {
-		total += p.ComputeCycles
-	}
-	return total
-}
-
-// TotalMessagesPerThread returns the number of round-trip exchanges each
-// thread performs over the whole execution.
-func (a ParallelApp) TotalMessagesPerThread() int {
-	total := 0
-	for _, p := range a.Phases {
-		total += p.MessagesPerThread
-	}
-	return total
-}
-
 // ThreeDPathPlanning returns the synthetic 16-thread 3DPP model: the obstacle
 // map is loaded from memory and distributed by the master, the workers then
 // iterate wavefront-expansion steps exchanging boundary planes and fetching

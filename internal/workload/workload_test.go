@@ -96,7 +96,13 @@ func TestThreeDPathPlanningModel(t *testing.T) {
 	if app.Threads != 16 {
 		t.Errorf("3DPP threads = %d, want 16 (the paper runs it on 16 cores)", app.Threads)
 	}
-	if app.TotalComputeCycles() == 0 || app.TotalMessagesPerThread() == 0 {
+	var compute uint64
+	messages := 0
+	for _, p := range app.Phases {
+		compute += p.ComputeCycles
+		messages += p.MessagesPerThread
+	}
+	if compute == 0 || messages == 0 {
 		t.Error("3DPP must both compute and communicate")
 	}
 	// The model must exercise all three communication targets.
