@@ -30,21 +30,37 @@ func BenchmarkServeLines(b *testing.B) {
 			}
 		}
 	}
-	batch := func(n int) []byte {
-		var buf bytes.Buffer
-		for q := 0; q < n; q++ {
-			if q%65536 == 0 {
-				buf.WriteString(`{"id":1,"op":"batch","design":"waw+wap","width":8,"height":8,"queries":[`)
+	// batch renders n bounds as batch lines of perLine tuples. With vary, line
+	// i starts elsewhere in the flow list and takes the design and payload_bits
+	// of line i%32 of the serve-batch workload (bench/serveload.go).
+	batch := func(perLine int, vary bool) func(n int) []byte {
+		return func(n int) []byte {
+			var buf bytes.Buffer
+			for q := 0; q < n; q++ {
+				line, shift := q/perLine, 0
+				if vary {
+					shift = line % 32 * 127
+				}
+				if q%perLine == 0 {
+					design, payload := "waw+wap", ""
+					if vary && line%2 == 0 {
+						design = "regular"
+					}
+					if vary && line/2%2 == 1 {
+						payload = `,"payload_bits":512`
+					}
+					fmt.Fprintf(&buf, `{"id":%d,"op":"batch","design":"%s","width":8,"height":8%s,"queries":[`, line%32+1, design, payload)
+				}
+				f := flows[(q+shift)%len(flows)]
+				fmt.Fprintf(&buf, "[%d,%d,%d,%d]", f.sx, f.sy, f.dx, f.dy)
+				if q%perLine == perLine-1 || q == n-1 {
+					buf.WriteString("]}\n")
+				} else {
+					buf.WriteByte(',')
+				}
 			}
-			f := flows[q%len(flows)]
-			fmt.Fprintf(&buf, "[%d,%d,%d,%d]", f.sx, f.sy, f.dx, f.dy)
-			if q%65536 == 65535 || q == n-1 {
-				buf.WriteString("]}\n")
-			} else {
-				buf.WriteByte(',')
-			}
+			return buf.Bytes()
 		}
-		return buf.Bytes()
 	}
 	lines := func(op string) func(n int) []byte {
 		return func(n int) []byte {
@@ -60,7 +76,7 @@ func BenchmarkServeLines(b *testing.B) {
 	for _, v := range []struct {
 		name   string
 		render func(n int) []byte
-	}{{"batch", batch}, {"flat", lines(`"wctt"`)}, {"generic", lines(`"wct\u0074"`)}} {
+	}{{"batch", batch(65536, false)}, {"batch4032", batch(len(flows), true)}, {"flat", lines(`"wctt"`)}, {"generic", lines(`"wct\u0074"`)}} {
 		b.Run(v.name, func(b *testing.B) {
 			s := NewServer(Config{})
 			defer s.Close()
@@ -69,7 +85,7 @@ func BenchmarkServeLines(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			serve(batch(len(flows))) // builds the model
+			serve(batch(len(flows), false)(len(flows))) // builds the model
 			in := v.render(b.N)
 			b.ReportAllocs()
 			b.ResetTimer()

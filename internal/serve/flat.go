@@ -1,19 +1,25 @@
 package serve
 
-import "bytes"
+import (
+	"bytes"
+	"math"
+)
 
-// The flat request shape. The O(hops) verbs — wctt, wcet, ping — are asked
-// one line at a time by a caller that blocks on the reply, and their request
-// is a flat object of integers, short names and {"x":..,"y":..} coordinates.
+// The flat request shape. The query verbs — wctt, wcet, ping, batch,
+// wcet-batch — are asked in one spelling by every caller that renders its own
+// lines: a flat object of integers, short names, {"x":..,"y":..} coordinates
+// and, on the two vector verbs, a queries array of integer tuples.
 // flatDecoder reads exactly that shape without reflection or allocation and
 // declines everything else, which then takes encoding/json: what it accepts
 // is a strict subset of what json.Unmarshal accepts, decoded to the same
 // Request (FuzzFlatDecodeMatchesJSON is the proof). It declines rather than
 // interprets wherever encoding/json has a rule of its own: unknown keys
 // (ignored there), differently-cased keys (matched there), duplicate keys
-// (last wins there), null, floats and exponents, leading zeros, -0, integers
-// past 18 digits, string escapes, control and non-ASCII bytes, an empty
-// coordinate object, trailing bytes.
+// (last wins there), null, floats and exponents, leading zeros, -0 and
+// integers past 18 digits outside queries, string escapes, control and
+// non-ASCII bytes, an empty coordinate object, trailing bytes. Inside queries
+// the grammar is parseTuples': a line is scanned for structure here, once,
+// and its tuples are converted by the verb, once.
 
 // flatDecoder holds one connection's decode target, reused line after line:
 // the Request a decoded line points into is valid until the next decode.
@@ -25,6 +31,9 @@ type flatDecoder struct {
 	// of an allocation.
 	strs [8]string
 	next int
+	// queriesAt is the offset in the decoded line of req.Queries, which
+	// aliases the line, and tuples the number of tuples in it.
+	queriesAt, tuples int
 }
 
 // maxInternLen bounds the strings flatDecoder.intern retains.
@@ -32,28 +41,34 @@ const maxInternLen = 32
 
 // flatField places one key of a flat object: kind 'n' stores an integer in
 // nums[slot], 's' a string in strs[slot], 'c' a coordinate object in
-// xy[slot].
+// xy[slot], 'q' a queries array as its start, end and tuple count in
+// nums[slot:slot+3].
 type flatField struct {
 	key  string
 	kind byte
 	slot int
 }
 
-// requestFields is the flat request shape; queries and spec are not in it.
-// The coordinate fields lead, so that their bit in the seen set is 1<<slot.
+// requestFields is the flat request shape; spec is not in it. The coordinate
+// fields lead, so that their bit in the seen set is 1<<slot, and queries
+// follows them.
 var requestFields = []flatField{
-	{"src", 'c', 0}, {"dst", 'c', 1}, {"core", 'c', 2},
+	{"src", 'c', 0}, {"dst", 'c', 1}, {"core", 'c', 2}, {"queries", 'q', 6},
 	{"id", 'n', 0}, {"op", 's', 0}, {"design", 's', 1}, {"width", 'n', 1}, {"height", 'n', 2},
 	{"payload_bits", 'n', 3}, {"topology", 's', 2}, {"workload", 's', 3},
 	{"max_packet_flits", 'n', 4}, {"timeout_ms", 'n', 5},
 }
 
+// vectorOp reports whether op is one of the two verbs that take a queries
+// array. They run on the pool however their line was decoded.
+func vectorOp(op string) bool { return op == "batch" || op == "wcet-batch" }
+
 var coordFields = []flatField{{"x", 'n', 0}, {"y", 'n', 1}}
 
 // decode reads raw into the decoder's Request; ok is false when the line is
-// not a flat wctt, wcet or ping request.
+// not a flat request of a query verb.
 func (d *flatDecoder) decode(raw []byte) (req *Request, ok bool) {
-	var nums [6]int64
+	var nums [9]int64
 	var strs [4][]byte
 	var xy [3][2]int64
 	seen, i, ok := flatObject(raw, skipSpace(raw, 0), requestFields, nums[:], strs[:], xy[:])
@@ -62,6 +77,10 @@ func (d *flatDecoder) decode(raw []byte) (req *Request, ok bool) {
 	}
 	switch string(strs[0]) {
 	case "wctt", "wcet", "ping":
+		if seen&(1<<3) != 0 {
+			return nil, false
+		}
+	case "batch", "wcet-batch":
 	default:
 		return nil, false
 	}
@@ -84,7 +103,28 @@ func (d *flatDecoder) decode(raw []byte) (req *Request, ok bool) {
 	if seen&(1<<2) != 0 {
 		d.req.Core = &d.core
 	}
+	if seen&(1<<3) != 0 {
+		d.req.Queries = raw[nums[6]:nums[7]]
+	}
+	d.queriesAt, d.tuples = int(nums[6]), int(nums[8])
 	return &d.req, true
+}
+
+// handOff returns a copy of the Request just decoded from raw that a pool
+// worker may keep while the decoder reads on: the coordinates are its own and
+// queries is the same span of line, the caller's copy of raw.
+func (d *flatDecoder) handOff(line []byte) *Request {
+	req := d.req
+	for _, c := range []**Coord{&req.Src, &req.Dst, &req.Core} {
+		if *c != nil {
+			own := **c
+			*c = &own
+		}
+	}
+	if req.Queries != nil {
+		req.Queries = line[d.queriesAt:][:len(req.Queries)]
+	}
+	return &req
 }
 
 // flatObject reads the JSON object at raw[i] whose members all come from
@@ -113,6 +153,11 @@ func flatObject(raw []byte, i int, fields []flatField, nums []int64, strs [][]by
 			strs[slot], i, ok = flatString(raw, at)
 		case 'c':
 			_, i, ok = flatObject(raw, at, coordFields, xy[slot][:], nil, nil)
+		case 'q':
+			var n int
+			var err error
+			i, n, err = scanTuples(raw, at, 0, math.MaxInt, nil)
+			nums[slot], nums[slot+1], nums[slot+2], ok = int64(at), int64(i), int64(n), err == nil
 		}
 		if !ok {
 			return 0, 0, false
@@ -196,18 +241,13 @@ func flatInt(raw []byte, i int) (v int64, next int, ok bool) {
 	if neg {
 		i++
 	}
-	start := i
-	for ; i < len(raw) && raw[i] >= '0' && raw[i] <= '9'; i++ {
-		v = v*10 + int64(raw[i]-'0')
-	}
-	digits := i - start
-	if digits == 0 || digits > 18 || raw[start] == '0' && (digits > 1 || neg) {
+	if v, next = shortInt(raw, i); next == i || neg && v == 0 {
 		return 0, 0, false
 	}
 	if neg {
 		v = -v
 	}
-	return v, i, true
+	return v, next, true
 }
 
 // lineID recovers the id of a line that is being turned away undecoded, so

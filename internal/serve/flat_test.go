@@ -8,11 +8,10 @@ import (
 	"testing"
 )
 
-// flatCorpus is the committed seed corpus of FuzzFlatDecodeMatchesJSON: the
-// shapes the flat decoder accepts, and one line for every rule of
-// encoding/json it must decline rather than re-implement.
-var flatCorpus = []string{
-	// accepted shapes
+// flatAccepted and flatDeclined are the committed seed corpus of
+// FuzzFlatDecodeMatchesJSON: the shapes the flat decoder accepts, and one line
+// for every rule of encoding/json it must decline rather than re-implement.
+var flatAccepted = []string{
 	`{"id":1,"op":"ping"}`,
 	`{"op":"ping"}`,
 	`{"id":2,"op":"wctt","design":"regular","width":4,"height":4,"src":{"x":0,"y":0},"dst":{"x":3,"y":3}}`,
@@ -26,24 +25,48 @@ var flatCorpus = []string{
 	`{"id":10,"op":"wctt","design":"regular","width":4,"height":4,"src":{"x":0,"y":0},"dst":{"x":0,"y":0}}`,
 	`{"id":11,"op":"wctt","design":"regular","width":4,"height":4,"src":{"x":9,"y":0},"dst":{"x":0,"y":0}}`,
 	`{"id":999999999999999999,"op":"ping"}`,
-	// payload_bits at the ceiling, one past it and negative (MaxInt64, 19 digits, is declined below)
+	// payload_bits at the ceiling, one past it and negative (MaxInt64, 19 digits, is declined)
 	`{"id":50,"op":"wctt","design":"waw+wap","width":8,"height":8,"payload_bits":4294967296,"src":{"x":0,"y":0},"dst":{"x":7,"y":7}}`,
 	`{"id":51,"op":"wctt","design":"waw+wap","width":8,"height":8,"payload_bits":4294967297,"src":{"x":0,"y":0},"dst":{"x":7,"y":7}}`,
 	`{"id":53,"op":"wctt","design":"waw+wap","width":8,"height":8,"payload_bits":-1,"src":{"x":0,"y":0},"dst":{"x":7,"y":7}}`,
-	// max_packet_flits at the ceiling and one past it (2^62, 19 digits, is declined below)
+	// max_packet_flits at the ceiling and one past it (2^62, 19 digits, is declined)
 	`{"id":55,"op":"wcet","design":"regular","width":8,"height":8,"core":{"x":7,"y":7},"workload":"matrix","max_packet_flits":65536}`,
 	`{"id":56,"op":"wcet","design":"regular","width":8,"height":8,"core":{"x":7,"y":7},"workload":"matrix","max_packet_flits":65537}`,
 	// every whitespace placement
 	" \t{ \"id\" : 12 , \"op\" : \"wctt\" , \"design\" : \"regular\" , \"width\" : 4 , \"height\" : 4 , \"src\" : { \"x\" : 0 , \"y\" : 0 } , \"dst\" : { \"x\" : 3 , \"y\" : 3 } } \r",
-	// declined: other verbs, nesting, unknown and differently-cased keys
-	`{}`,
-	`{"id":13}`,
-	`{"id":14,"op":"stats"}`,
-	`{"id":15,"op":"warp"}`,
+	// the vector verbs: queries last, first and in the middle, every
+	// whitespace placement, empty, absent, 5-element tuples
 	`{"id":16,"op":"batch","design":"regular","width":4,"height":4,"queries":[[0,0,3,3]]}`,
 	`{"id":54,"op":"batch","design":"regular","width":8,"height":8,"queries":[[0,0,7,7,4294967296],[0,0,7,7,9223372036854775807]]}`,
 	`{"id":17,"op":"wcet-batch","design":"regular","width":4,"height":4,"workload":"cacheb","queries":[[0,0]]}`,
 	`{"id":58,"op":"wcet-batch","design":"regular","width":8,"height":8,"workload":"matrix","max_packet_flits":65537,"queries":[[7,7]]}`,
+	`{"queries":[[0,0,3,3],[3,3,0,0]],"id":60,"op":"batch","design":"waw+wap","width":4,"height":4}`,
+	`{"id":61,"op":"batch","queries":[[0,0,3,3],[1,1,2,2],[3,0,0,3]],"design":"waw+wap","width":4,"height":4,"payload_bits":512}`,
+	"{\"id\":62,\"op\":\"batch\",\"design\":\"regular\",\"width\":4,\"height\":4,\"queries\" : [ [ 0 , 0 ,\t3 , 3 ] ,[1,1,2,2]\t] }",
+	`{"id":63,"op":"batch","design":"regular","width":4,"height":4,"queries":[]}`,
+	`{"id":64,"op":"batch","design":"regular","width":4,"height":4,"queries":[ ]}`,
+	`{"id":65,"op":"batch","design":"regular","width":4,"height":4}`,
+	`{"id":66,"op":"batch","design":"waw+wap","width":4,"height":4,"queries":[[0,0,3,3,512],[0,0,3,3],[0,0,3,3,-1]]}`,
+	`{"id":67,"op":"batch","design":"waw+wap","width":8,"height":8,"topology":"cmesh","timeout_ms":1000,"queries":[[0,0,7,7]]}`,
+	`{"id":68,"op":"wcet-batch","design":"waw+wap","width":4,"height":4,"workload":"a2time","queries":[ [0,0] , [3,3] ]}`,
+	// tuples only the verb can refuse: too short, too long, off the mesh, a
+	// self flow after good ones, the int64 range; -0 is parseTuples' to read
+	`{"id":69,"op":"batch","design":"regular","width":4,"height":4,"queries":[[0,0,3]]}`,
+	`{"id":70,"op":"batch","design":"regular","width":4,"height":4,"queries":[[0,0,3,3,4,5]]}`,
+	`{"id":71,"op":"batch","design":"regular","width":4,"height":4,"queries":[[0,0,1,1],[0,0,2,2],[0,0,9,9]]}`,
+	`{"id":72,"op":"batch","design":"regular","width":4,"height":4,"queries":[[0,0,1,1],[2,2,2,2]]}`,
+	`{"id":73,"op":"batch","design":"regular","width":4,"height":4,"queries":[[9223372036854775807,-9223372036854775808,0,0]]}`,
+	`{"id":74,"op":"batch","design":"regular","width":4,"height":4,"queries":[[-0,0,3,3]]}`,
+	`{"id":75,"op":"wcet-batch","design":"regular","width":4,"height":4,"workload":"cacheb","queries":[[0,0,0]]}`,
+	`{"id":76,"op":"wcet-batch","design":"regular","width":4,"height":4,"workload":"nope","queries":[[0,0]]}`,
+}
+
+var flatDeclined = []string{
+	// other verbs, nesting, unknown and differently-cased keys
+	`{}`,
+	`{"id":13}`,
+	`{"id":14,"op":"stats"}`,
+	`{"id":15,"op":"warp"}`,
 	`{"id":18,"op":"ping","extra":1}`,
 	`{"ID":19,"op":"ping"}`,
 	`{"id":20,"Op":"ping"}`,
@@ -52,12 +75,12 @@ var flatCorpus = []string{
 	`{"id":23,"op":"wctt","design":"regular","width":4,"height":4,"src":{"x":1,"y":0,"z":2},"dst":{"x":3,"y":3}}`,
 	`{"id":24,"op":"wctt","design":"regular","width":4,"height":4,"src":{},"dst":{"x":3,"y":3}}`,
 	`{"id":25,"op":"wctt","design":"regular","width":4,"height":4,"src":[0,0],"dst":{"x":3,"y":3}}`,
-	// declined: duplicate keys (last wins in encoding/json)
+	// duplicate keys (last wins in encoding/json)
 	`{"id":26,"id":27,"op":"ping"}`,
 	`{"id":28,"op":"ping","op":"wctt"}`,
 	`{"id":29,"op":"wctt","design":"regular","width":4,"height":4,"src":{"x":1,"x":2},"dst":{"x":3,"y":3}}`,
 	`{"id":30,"op":"wctt","design":"regular","width":4,"height":4,"src":{"x":0,"y":0},"src":{"x":1,"y":1},"dst":{"x":3,"y":3}}`,
-	// declined: null, floats, exponents, leading zeros, -0, big integers
+	// null, floats, exponents, leading zeros, -0, big integers
 	`{"id":null,"op":"ping"}`,
 	`{"id":31,"op":null}`,
 	`{"id":32,"op":"wctt","design":"regular","width":4,"height":4,"src":null,"dst":{"x":3,"y":3}}`,
@@ -75,7 +98,7 @@ var flatCorpus = []string{
 	`{"id":57,"op":"wcet","design":"regular","width":8,"height":8,"core":{"x":7,"y":7},"workload":"matrix","max_packet_flits":4611686018427387904}`,
 	`{"id":"34","op":"ping"}`,
 	`{"id":true,"op":"ping"}`,
-	// declined: escapes, control bytes, UTF-8, BOM
+	// escapes, control bytes, UTF-8, BOM
 	`{"id":35,"op":"wc\u0074t","design":"regular","width":4,"height":4,"src":{"x":0,"y":0},"dst":{"x":3,"y":3}}`,
 	`{"id":36,"op":"wctt","design":"regu\lar","width":4,"height":4}`,
 	`{"id":37,"op":"wctt","design":"reg\"ular","width":4,"height":4}`,
@@ -84,7 +107,7 @@ var flatCorpus = []string{
 	"{\"id\":40,\"op\":\"wctt\",\"design\":\"\xff\xfe\",\"width\":4,\"height\":4}",
 	"\xef\xbb\xbf" + `{"id":41,"op":"ping"}`,
 	`{"id":42,"op":"ping","design":"\u0041\n"}`,
-	// declined: trailing garbage, truncation, not an object
+	// trailing garbage, truncation, not an object
 	`{"id":43,"op":"ping"} x`,
 	`{"id":44,"op":"ping"}{"id":45,"op":"ping"}`,
 	`{"id":46,"op":"ping"`,
@@ -96,17 +119,44 @@ var flatCorpus = []string{
 	`42`,
 	``,
 	` `,
+	// queries that is not parseTuples' grammar, twice, or on another verb
+	`{"id":80,"op":"batch","design":"regular","width":4,"height":4,"queries":[1,,2]}`,
+	`{"id":81,"op":"batch","design":"regular","width":4,"height":4,"queries":[[1,,2]]}`,
+	`{"id":82,"op":"batch","design":"regular","width":4,"height":4,"queries":[[1.0,2,3,4]]}`,
+	`{"id":83,"op":"batch","design":"regular","width":4,"height":4,"queries":[[1e2,2,3,4]]}`,
+	`{"id":84,"op":"batch","design":"regular","width":4,"height":4,"queries":[[01,2,3,4]]}`,
+	`{"id":85,"op":"batch","design":"regular","width":4,"height":4,"queries":[[[0,0,3,3]]]}`,
+	`{"id":86,"op":"batch","design":"regular","width":4,"height":4,"queries":[[0,0,3,3],]}`,
+	`{"id":87,"op":"batch","design":"regular","width":4,"height":4,"queries":[[0,0,3,3,]]}`,
+	`{"id":88,"op":"batch","design":"regular","width":4,"height":4,"queries":[[0,0,3,3]`,
+	`{"id":89,"op":"batch","design":"regular","width":4,"height":4,"queries":[[0,0,3,3]}`,
+	`{"id":90,"op":"batch","design":"regular","width":4,"height":4,"queries":[[0,0,3,3]]]}`,
+	`{"id":91,"op":"batch","design":"regular","width":4,"height":4,"queries":[[0,0,1,1]],"queries":[[0,0,3,3]]}`,
+	`{"id":92,"op":"wctt","design":"regular","width":4,"height":4,"src":{"x":0,"y":0},"dst":{"x":3,"y":3},"queries":[[0,0,3,3]]}`,
+	`{"id":93,"op":"ping","queries":[]}`,
+	`{"id":94,"op":"batch","design":"regular","width":4,"height":4,"queries":null}`,
+	`{"id":95,"op":"batch","design":"regular","width":4,"height":4,"queries":[[]]}`,
+	`{"id":96,"op":"batch","design":"regular","width":4,"height":4,"queries":[0,0,3,3]}`,
+	`{"id":97,"op":"batch","design":"regular","width":4,"height":4,"queries":"[[0,0,3,3]]"}`,
+	`{"id":98,"op":"batch","design":"regular","width":4,"height":4,"queries":[["0",0,3,3]]}`,
+	`{"id":99,"op":"batch","design":"regular","width":4,"height":4,"queries":[[9223372036854775808,0,3,3]]}`,
+	`{"id":100,"op":"batch","design":"regular","width":4,"height":4,"Queries":[[0,0,3,3]]}`,
+	`{"id":101,"op":"b\u0061tch","design":"regular","width":4,"height":4,"queries":[[0,0,3,3]]}`,
+	`{"id":102,"op":"wcet-batch","design":"regular","width":4,"height":4,"workload":"cacheb","queries":[[0,0],[1,1]] x}`,
 }
 
 // FuzzFlatDecodeMatchesJSON is the proof that the flat decoder accepts a
 // strict subset of encoding/json: whenever it accepts a line, the Request is
-// the one json.Unmarshal produces, field for field; and whatever the line,
-// a one-line ServeLines (reader-goroutine path where it applies) answers
-// with the bytes of the generic path (json.Unmarshal on a pool worker,
-// called here directly, which is how the test forces the flat decoder off).
+// the one json.Unmarshal produces, field for field, and its tuple count the
+// length of queries; and whatever the line, error lines included, a one-line
+// ServeLines (flat decoder first, reader-goroutine answer where it applies)
+// answers with the bytes of the generic path: handleLine with no Request,
+// which is a pool worker's json.Unmarshal and nothing else.
 func FuzzFlatDecodeMatchesJSON(f *testing.F) {
-	for _, line := range flatCorpus {
-		f.Add([]byte(line))
+	for _, corpus := range [][]string{flatAccepted, flatDeclined} {
+		for _, line := range corpus {
+			f.Add([]byte(line))
+		}
 	}
 	s := NewServer(Config{Workers: 2})
 	f.Cleanup(s.Close)
@@ -120,6 +170,12 @@ func FuzzFlatDecodeMatchesJSON(f *testing.F) {
 		}
 		if ok && !reflect.DeepEqual(*got, want) {
 			t.Fatalf("flat decoder read %q as\n%+v\nencoding/json as\n%+v", line, *got, want)
+		}
+		if ok && want.Queries != nil {
+			var tuples [][]int64
+			if err := json.Unmarshal(want.Queries, &tuples); err != nil || dec.tuples != len(tuples) {
+				t.Fatalf("flat decoder counted %d tuples in %q, encoding/json reads %d (%v)", dec.tuples, line, len(tuples), err)
+			}
 		}
 		// On any valid JSON a rejection echoes the id encoding/json reads;
 		// on a malformed line the scan may recover one where that gives up.
@@ -152,7 +208,7 @@ func FuzzFlatDecodeMatchesJSON(f *testing.F) {
 		frame := bytes.TrimSuffix(line, []byte("\r"))
 		var generic []byte
 		if len(bytes.TrimSpace(frame)) > 0 {
-			generic = append(s.handleLine(context.Background(), frame), '\n')
+			generic = append(s.handleLine(context.Background(), frame, nil, 0), '\n')
 		}
 		if !bytes.Equal(out.Bytes(), generic) {
 			t.Fatalf("line %q\nServeLines   %q\ngeneric path %q", line, out.Bytes(), generic)
@@ -165,18 +221,14 @@ func FuzzFlatDecodeMatchesJSON(f *testing.F) {
 // target) fails here.
 func TestFlatDecodeAcceptSet(t *testing.T) {
 	var dec flatDecoder
-	accepted := 0
-	for _, line := range flatCorpus {
-		if _, ok := dec.decode([]byte(line)); ok {
-			accepted++
+	for _, line := range flatAccepted {
+		if _, ok := dec.decode([]byte(line)); !ok {
+			t.Errorf("declined: %s", line)
 		}
 	}
-	if accepted != 19 {
-		t.Fatalf("flat decoder accepts %d corpus lines, want the first 19", accepted)
-	}
-	for i, line := range flatCorpus[:19] {
-		if _, ok := dec.decode([]byte(line)); !ok {
-			t.Errorf("corpus line %d declined: %s", i, line)
+	for _, line := range flatDeclined {
+		if _, ok := dec.decode([]byte(line)); ok {
+			t.Errorf("accepted: %s", line)
 		}
 	}
 }

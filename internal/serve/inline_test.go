@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -284,6 +286,63 @@ func TestServeFlatLineZeroAllocs(t *testing.T) {
 	}
 	if string(got) != want {
 		t.Errorf("steady-state answer %q, want %q", got, want)
+	}
+	reqW.Close()
+	if err := <-served; err != nil {
+		t.Fatalf("ServeLines: %v", err)
+	}
+}
+
+// TestServeBatchLineAllocs pins the steady state of the vectorised line: a
+// warm batch line in the documented spelling through ServeLines, transport to
+// transport, costs a handful of allocations whatever its length — the line's
+// copy for the pool, its Request, its slot, its response — and bytes in
+// proportion to the line, not the ~160 KB in 28 allocations that decoding the
+// 4032-tuple line through encoding/json cost.
+func TestServeBatchLineAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s := NewServer(Config{Workers: 2})
+	defer s.Close()
+	reqR, reqW := io.Pipe()
+	respR, respW := io.Pipe()
+	served := make(chan error, 1)
+	go func() { served <- s.ServeLines(context.Background(), reqR, respW) }()
+	resp := bufio.NewReaderSize(respR, 64<<10)
+
+	measure := func(tuples int) (allocs, bytesPerLine float64) {
+		var line bytes.Buffer
+		line.WriteString(`{"id":7,"op":"batch","design":"waw+wap","width":8,"height":8,"payload_bits":512,"queries":[`)
+		for q := 0; q < tuples; q++ {
+			fmt.Fprintf(&line, "[%d,%d,%d,%d],", q%8, q/8%8, (q+1)%8, (q/8+1)%8)
+		}
+		line.Truncate(line.Len() - 1)
+		line.WriteString("]}\n")
+		roundTrip := func() {
+			if _, err := reqW.Write(line.Bytes()); err != nil {
+				t.Error(err)
+			}
+			got, err := resp.ReadSlice('\n')
+			if err != nil || !bytes.HasPrefix(got, []byte(`{"id":7,"ok":true,"cycles":[`)) || bytes.Count(got, []byte(",")) != tuples+1 {
+				t.Errorf("a %d-tuple line was answered %.80q, %v", tuples, got, err)
+			}
+		}
+		roundTrip() // builds the model, grows the scanner's buffer
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, roundTrip)
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	}
+	shortAllocs, _ := measure(504)
+	allocs, perLine := measure(4032)
+	if allocs != shortAllocs || allocs > 8 {
+		t.Errorf("a warm 4032-tuple line costs %v allocs and a 504-tuple line %v, want the same handful", allocs, shortAllocs)
+	}
+	if perLine > 100<<10 {
+		t.Errorf("a warm 4032-tuple line allocates %.0f bytes, want under 100 KiB (one copy of the line and its response)", perLine)
 	}
 	reqW.Close()
 	if err := <-served; err != nil {

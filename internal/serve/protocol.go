@@ -14,17 +14,23 @@
 // responses. Identical queries return byte-identical JSON to the one-shot
 // CLI, pinned by goldens.
 //
-// A line is answered in one of two places, chosen from what the server sees
-// in it and never from a setting. A flat wctt, wcet or ping line (flat.go)
-// whose model or engine is already built is answered on the connection's
-// reader goroutine, straight into its buffered writer: the co-simulator's
-// line costs no copy, hand-off or allocation (the benchmark's serve-lines
-// latency_p50_ms, serve.inproc_us_per_line and serve.daemon_cpu_us_per_line
-// measure it). Every other line is decoded by encoding/json on the shared
-// worker pool, which bounds concurrent model builds by Config.Workers, and
-// resolved through the connection's ordered slot queue. Both paths pass the
-// same admission and drain checks and run the same Server.answer, so
-// validation, deadline budget, counters and bytes cannot differ.
+// A line is decoded once and answered in one of two places, both chosen from
+// what the server sees in it and never from a setting. The connection's reader
+// goroutine tries the flat decoder (flat.go) on every line: the five query
+// verbs in their documented spelling — ping, wctt, wcet, batch, wcet-batch —
+// never reach encoding/json, which decodes, on the pool, only what the flat
+// grammar declines. A flat wctt, wcet or ping line whose model or engine is
+// already built is answered on the reader goroutine, straight into its
+// buffered writer: the co-simulator's line costs no copy, hand-off or
+// allocation (the benchmark's serve-lines latency_p50_ms,
+// serve.inproc_us_per_line and serve.daemon_cpu_us_per_line measure it).
+// Every other line — the vector verbs always — runs on the shared worker
+// pool, which bounds concurrent model builds by Config.Workers, and is
+// resolved through the connection's ordered slot queue; a batch line costs
+// one copy for the pool, one scan for structure and one to convert its tuples
+// (serve-batch throughput_per_s measures it). Both paths pass the same
+// admission and drain checks and run the same Server.answer, so validation,
+// deadline budget, counters and bytes cannot differ.
 //
 // See PROTOCOL.md at the repository root for the wire format.
 package serve
@@ -206,33 +212,52 @@ type tupleFunc func(vals []int64) error
 // restricted to arrays of arrays of integers in the int64 range; any other
 // byte is an error (FuzzParseTuples holds it to encoding/json).
 func parseTuples(raw []byte, minLen, maxLen int, fn tupleFunc) error {
-	vals := make([]int64, 0, maxLen)
-	i := skipSpace(raw, 0)
+	next, _, err := scanTuples(raw, skipSpace(raw, 0), minLen, maxLen, fn)
+	if err != nil {
+		return err
+	}
+	return checkTail(raw, next)
+}
+
+// scanTuples is parseTuples on the array that starts at raw[i], which may end
+// before raw does: next is the offset past it and n the number of tuples
+// delivered (with an error, before it). A nil fn makes it the validating scan:
+// the same grammar, nothing converted.
+func scanTuples(raw []byte, i, minLen, maxLen int, fn tupleFunc) (next, n int, err error) {
+	var vals []int64
+	if fn != nil {
+		vals = make([]int64, maxLen)
+	}
 	if i >= len(raw) || raw[i] != '[' {
-		return fmt.Errorf("queries: expected '[' at offset %d", i)
+		return 0, 0, fmt.Errorf("queries: expected '[' at offset %d", i)
 	}
 	i = skipSpace(raw, i+1)
 	if i < len(raw) && raw[i] == ']' {
-		return checkTail(raw, i+1) // empty batch
+		return i + 1, 0, nil // empty batch
 	}
 	for {
 		if i >= len(raw) || raw[i] != '[' {
-			return fmt.Errorf("queries: expected tuple '[' at offset %d", i)
+			return 0, n, fmt.Errorf("queries: expected tuple '[' at offset %d", i)
 		}
 		i = skipSpace(raw, i+1)
-		vals = vals[:0]
+		k := 0
 		for {
-			v, next, err := parseInt(raw, i)
-			if err != nil {
-				return err
+			v, next := shortInt(raw, i)
+			if next == i {
+				if v, next, err = parseInt(raw, i); err != nil {
+					return 0, n, err
+				}
 			}
-			if len(vals) == maxLen {
-				return fmt.Errorf("queries: tuple longer than %d at offset %d", maxLen, i)
+			if k == maxLen {
+				return 0, n, fmt.Errorf("queries: tuple longer than %d at offset %d", maxLen, i)
 			}
-			vals = append(vals, v)
+			if fn != nil {
+				vals[k] = v
+			}
+			k++
 			i = skipSpace(raw, next)
 			if i >= len(raw) {
-				return fmt.Errorf("queries: unterminated tuple")
+				return 0, n, fmt.Errorf("queries: unterminated tuple")
 			}
 			if raw[i] == ',' {
 				i = skipSpace(raw, i+1)
@@ -242,26 +267,29 @@ func parseTuples(raw []byte, minLen, maxLen int, fn tupleFunc) error {
 				i++
 				break
 			}
-			return fmt.Errorf("queries: unexpected byte %q at offset %d", raw[i], i)
+			return 0, n, fmt.Errorf("queries: unexpected byte %q at offset %d", raw[i], i)
 		}
-		if len(vals) < minLen {
-			return fmt.Errorf("queries: tuple needs at least %d elements, got %d", minLen, len(vals))
+		if k < minLen {
+			return 0, n, fmt.Errorf("queries: tuple needs at least %d elements, got %d", minLen, k)
 		}
-		if err := fn(vals); err != nil {
-			return err
+		if fn != nil {
+			if err := fn(vals[:k]); err != nil {
+				return 0, n, err
+			}
 		}
+		n++
 		i = skipSpace(raw, i)
 		if i >= len(raw) {
-			return fmt.Errorf("queries: unterminated array")
+			return 0, n, fmt.Errorf("queries: unterminated array")
 		}
 		if raw[i] == ',' {
 			i = skipSpace(raw, i+1)
 			continue
 		}
 		if raw[i] == ']' {
-			return checkTail(raw, i+1)
+			return i + 1, n, nil
 		}
-		return fmt.Errorf("queries: unexpected byte %q at offset %d", raw[i], i)
+		return 0, n, fmt.Errorf("queries: unexpected byte %q at offset %d", raw[i], i)
 	}
 }
 
@@ -284,6 +312,21 @@ func checkTail(raw []byte, i int) error {
 		return fmt.Errorf("queries: trailing data at offset %d", i)
 	}
 	return nil
+}
+
+// shortInt reads a run of at most 18 digits with no leading zero at raw[i]:
+// the common tuple element and the digits of every flat integer, small enough
+// for the compiler to inline into the tuple scan. next is i when raw[i:]
+// starts with anything else, which parseInt then reads or refuses.
+func shortInt(raw []byte, i int) (v int64, next int) {
+	j := i
+	for ; j < len(raw) && raw[j]-'0' <= 9; j++ {
+		v = v*10 + int64(raw[j]-'0')
+	}
+	if d := j - i; d == 0 || d > 18 || raw[i] == '0' && d > 1 {
+		return 0, i
+	}
+	return v, j
 }
 
 // parseInt reads one JSON integer that fits int64: an optional minus sign,

@@ -183,6 +183,53 @@ func TestServeMaxPacketLimit(t *testing.T) {
 	}
 }
 
+// TestServeTupleLimit pins the tuple ceiling of the vector verbs on both
+// decoders: MaxBatchTuples tuples are answered, one more gets the coded limit
+// error — before a model is looked up: the mesh named is one nothing has
+// built, and the model cache does not see it — and the connection goes on.
+func TestServeTupleLimit(t *testing.T) {
+	s := NewServer(Config{Workers: 1})
+	defer s.Close()
+	line := func(head, tuple string, n int) io.Reader {
+		return io.MultiReader(strings.NewReader(head+`,"queries":[`+tuple),
+			strings.NewReader(strings.Repeat(","+tuple, n-1)), strings.NewReader("]}\n"))
+	}
+	const wcetHead = `"design":"regular","width":4,"height":4,"workload":"matrix"`
+	before := scenario.CacheStats().Models
+	var out bytes.Buffer
+	if err := s.ServeLines(context.Background(), io.MultiReader(
+		line(`{"id":1,"op":"wcet-batch",`+wcetHead, "[0,0]", MaxBatchTuples+1),
+		line(`{"id":2,"op":"wcet-b\u0061tch",`+wcetHead, "[0,0]", MaxBatchTuples+1),
+		line(`{"id":3,"op":"batch","design":"regular","width":23,"height":29`, "[0,0,1,1]", MaxBatchTuples+1),
+		line(`{"id":4,"op":"wcet-batch",`+wcetHead, "[3,3]", MaxBatchTuples),
+		strings.NewReader(`{"id":5,"op":"ping"}`+"\n"),
+	), &out); err != nil {
+		t.Fatalf("ServeLines: %v", err)
+	}
+	got := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(got) != 5 {
+		t.Fatalf("got %d responses, want 5", len(got))
+	}
+	for i, resp := range got[:3] {
+		want := fmt.Sprintf(`{"id":%d,"ok":false,"error":"queries holds %d tuples, which exceeds the limit of %d","code":"limit","retryable":false}`, i+1, MaxBatchTuples+1, MaxBatchTuples)
+		if resp != want {
+			t.Errorf("line %d:\ngot  %.200s\nwant %s", i+1, resp, want)
+		}
+	}
+	if after := scenario.CacheStats().Models; after.Misses != before.Misses {
+		t.Errorf("a model was looked up for a line over the tuple limit: %+v -> %+v", before, after)
+	}
+	if !strings.HasPrefix(got[3], `{"id":4,"ok":true,"cycles":[`) || strings.Count(got[3], ",") != MaxBatchTuples+1 {
+		t.Errorf("a line of exactly %d tuples was answered %.100s", MaxBatchTuples, got[3])
+	}
+	if got[4] != `{"id":5,"ok":true}` {
+		t.Errorf("line after the rejected ones: %s", got[4])
+	}
+	if st := s.Stats(); st.Queries != MaxBatchTuples {
+		t.Errorf("counted %d bounds answered, want %d", st.Queries, MaxBatchTuples)
+	}
+}
+
 // drainGateReader yields its first chunk immediately and the rest only once
 // the server drains. It deliberately lacks SetReadDeadline, so Shutdown
 // cannot poke it — the scan loop itself must answer the buffered tail.

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -48,6 +49,12 @@ const (
 	// MaxPayloadBits is the largest payload_bits the wctt and batch verbs
 	// accept (a 512 MiB message), checked before any flit arithmetic.
 	MaxPayloadBits = 1 << 32
+
+	// MaxBatchTuples is the largest queries array the batch and wcet-batch
+	// verbs accept. The scan that decodes the line counts the tuples, so the
+	// ceiling is checked before a model is looked up, a response byte
+	// allocated or a bound computed.
+	MaxBatchTuples = 1 << 20
 )
 
 // checkNodeLimit rejects a mesh above maxNodes with the coded limit error.
@@ -77,6 +84,15 @@ func checkPayload(bits int64) error {
 	}
 	if bits > MaxPayloadBits {
 		return limitError("payload_bits %d exceeds the limit of %d", bits, int64(MaxPayloadBits))
+	}
+	return nil
+}
+
+// checkTuples rejects a queries array above MaxBatchTuples with the coded
+// limit error.
+func checkTuples(tuples int) error {
+	if tuples > MaxBatchTuples {
+		return limitError("queries holds %d tuples, which exceeds the limit of %d", tuples, MaxBatchTuples)
 	}
 	return nil
 }
@@ -294,18 +310,12 @@ func (c *conn) deliver(resp []byte) {
 	c.enqueue(slot{ready: bytes.Clone(resp)})
 }
 
-// inline answers a line on the reader goroutine and reports whether it did.
-// false sends the line to the pool: it is not a flat wctt, wcet or ping
-// request, or its verb needs a model or engine that is not built yet — the
-// pool bounds cold builds by Config.Workers however many connections ask at
-// once.
-func (c *conn) inline(ctx context.Context, raw []byte) bool {
-	start := time.Now()
-	req, ok := c.dec.decode(raw)
-	if !ok {
-		return false
-	}
-	resp, failed := c.s.answer(ctx, c.out[:0], req, true)
+// inline answers a flat wctt, wcet or ping request on the reader goroutine
+// and reports whether it did. false sends the line to the pool: its verb
+// needs a model or engine that is not built yet — the pool bounds cold builds
+// by Config.Workers however many connections ask at once.
+func (c *conn) inline(ctx context.Context, req *Request, start time.Time) bool {
+	resp, failed := c.s.answer(ctx, c.out[:0], req, 0, true)
 	if resp == nil {
 		return false
 	}
@@ -335,10 +345,12 @@ func (c *conn) reject(raw []byte, pe *protoError) {
 
 // ServeLines reads newline-delimited requests from r and writes one
 // response line per request to w, in request order, until EOF, context
-// cancellation or drain. A flat wctt, wcet or ping line whose model or
-// engine is already built is answered where it is read, on this goroutine;
-// every other line reserves a slot in a bounded ordered queue and goes to
-// the shared pool, and a writer goroutine resolves the slots in order. When
+// cancellation or drain. Every line meets the flat decoder here, once. A flat
+// wctt, wcet or ping line whose model or engine is already built is answered
+// where it is read, on this goroutine; every other line reserves a slot in a
+// bounded ordered queue and goes to the shared pool — with its Request if the
+// flat decoder read it, for encoding/json to decode there if not — and a
+// writer goroutine resolves the slots in order. When
 // the queue is full the reader blocks — backpressure — so at most
 // queue-depth lines are in flight per connection. Output is flushed whenever
 // all received input has been consumed and before waiting on a slower line.
@@ -391,16 +403,22 @@ func (s *Server) ServeLines(ctx context.Context, r io.Reader, w io.Writer) error
 			continue
 		}
 		s.admitted.Add(1)
-		if c.inline(ctx, raw) {
+		start := time.Now()
+		req, flat := c.dec.decode(raw)
+		if flat && !vectorOp(req.Op) && c.inline(ctx, req, start) {
 			s.admitted.Add(-1)
 			continue
 		}
 		line := bytes.Clone(raw)
+		tuples := 0
+		if flat {
+			req, tuples = c.dec.handOff(line), c.dec.tuples
+		}
 		pending := make(chan []byte, 1)
 		c.enqueue(slot{pending: pending})
 		s.workers.Submit(func() {
 			defer s.admitted.Add(-1)
-			pending <- s.handleLine(ctx, line)
+			pending <- s.handleLine(ctx, line, req, tuples)
 		})
 	}
 	readErr := sc.Err()
@@ -478,11 +496,12 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// handleLine decodes and answers one line on a pool worker and records its
-// latency.
-func (s *Server) handleLine(ctx context.Context, line []byte) []byte {
+// handleLine answers one line on a pool worker and records its latency. req
+// and tuples are what the flat decoder read from the line; a nil req is a
+// line it declined, which encoding/json decodes here.
+func (s *Server) handleLine(ctx context.Context, line []byte, req *Request, tuples int) []byte {
 	start := time.Now()
-	resp, failed := s.dispatch(ctx, line)
+	resp, failed := s.dispatch(ctx, line, req, tuples)
 	s.stats.observe(uint64(time.Since(start).Nanoseconds()), failed)
 	return resp
 }
@@ -510,26 +529,33 @@ func (s *Server) requestCtx(ctx context.Context, req *Request) (context.Context,
 	return context.WithTimeout(ctx, budget)
 }
 
-// dispatch parses and answers one line; the bool reports failure.
-func (s *Server) dispatch(ctx context.Context, line []byte) ([]byte, bool) {
-	var req Request
-	if err := json.Unmarshal(line, &req); err != nil {
-		return errorResponse(0, fmt.Errorf("parse: %w", err)), true
+// dispatch answers one line (see handleLine); the bool reports failure.
+func (s *Server) dispatch(ctx context.Context, line []byte, req *Request, tuples int) ([]byte, bool) {
+	if req == nil {
+		req = new(Request)
+		if err := json.Unmarshal(line, req); err != nil {
+			return errorResponse(0, fmt.Errorf("parse: %w", err)), true
+		}
+		if vectorOp(req.Op) {
+			// A malformed array is the verb's to report, where it always was.
+			_, tuples, _ = scanTuples(req.Queries, 0, 0, math.MaxInt, nil)
+		}
 	}
 	if s.testHold != nil {
 		s.testHold(req.Op)
 	}
-	return s.answer(ctx, nil, &req, false)
+	return s.answer(ctx, nil, req, tuples, false)
 }
 
 // answer runs one decoded request and returns its response appended to dst;
 // the bool reports failure. It is the one place a verb is given its deadline
 // budget, validated and executed, whichever decoder read the line and
-// whichever goroutine runs it. inline is set by the reader goroutine, which
-// only brings flat verbs: a verb that would have to build a model or compile
-// an engine then returns nil instead, and the line is run again from the
-// pool.
-func (s *Server) answer(ctx context.Context, dst []byte, req *Request, inline bool) ([]byte, bool) {
+// whichever goroutine runs it. tuples is the length of req.Queries as the
+// line's decoder counted it. inline is set by the reader goroutine, which
+// only brings wctt, wcet and ping: a verb that would have to build a model or
+// compile an engine then returns nil instead, and the line is run again from
+// the pool.
+func (s *Server) answer(ctx context.Context, dst []byte, req *Request, tuples int, inline bool) ([]byte, bool) {
 	rctx, cancel := s.requestCtx(ctx, req)
 	if cancel != nil {
 		defer cancel()
@@ -545,11 +571,11 @@ func (s *Server) answer(ctx context.Context, dst []byte, req *Request, inline bo
 	case "wctt":
 		return s.wcttOne(dst, req, inline)
 	case "batch":
-		return s.wcttBatch(rctx, req)
+		return s.wcttBatch(rctx, req, tuples)
 	case "wcet":
 		return s.wcetOne(dst, req, inline)
 	case "wcet-batch":
-		return s.wcetBatch(rctx, req)
+		return s.wcetBatch(rctx, req, tuples)
 	case "scenario":
 		return s.scenarioOp(rctx, req)
 	case "stats":
@@ -629,16 +655,17 @@ func (s *Server) wcttOne(dst []byte, req *Request, inline bool) ([]byte, bool) {
 }
 
 // wcttBatch answers the batch verb: a vector of WCTT queries sharing one
-// design/mesh (and default payload), parsed by the hand-rolled tuple
-// scanner, answered bound by bound by the allocation-free route walk into
-// one hand-built response line. The query count accumulates in a local and
-// merges once — the million-QPS path touches no shared cache line per query.
-func (s *Server) wcttBatch(ctx context.Context, req *Request) ([]byte, bool) {
+// design/mesh (and default payload), each bound an allocation-free route
+// walk.
+func (s *Server) wcttBatch(ctx context.Context, req *Request, tuples int) ([]byte, bool) {
 	design, dim, ts, err := queryTarget(req)
 	if err != nil {
 		return errorResponse(req.ID, err), true
 	}
 	if err := checkPayload(int64(req.PayloadBits)); err != nil {
+		return errorResponse(req.ID, err), true
+	}
+	if err := checkTuples(tuples); err != nil {
 		return errorResponse(req.ID, err), true
 	}
 	defPayload := req.PayloadBits
@@ -651,10 +678,30 @@ func (s *Server) wcttBatch(ctx context.Context, req *Request) ([]byte, bool) {
 	if err != nil {
 		return errorResponse(req.ID, err), true
 	}
-	buf := appendHeader(make([]byte, 0, 256), req.ID, true)
+	return s.cyclesVector(ctx, req, tuples, 4, 5, func(vals []int64) (uint64, error) {
+		payload := defPayload
+		if len(vals) == 5 {
+			if err := checkPayload(vals[4]); err != nil {
+				return 0, err
+			}
+			payload = int(vals[4])
+		}
+		return m.MessageWCTT(design, mesh.Node{X: int(vals[0]), Y: int(vals[1])},
+			mesh.Node{X: int(vals[2]), Y: int(vals[3])}, payload)
+	})
+}
+
+// cyclesVector assembles the one response line of a vector verb: bound is
+// called on every tuple of req.Queries, which the hand-rolled scanner
+// converts, and its results are appended to one hand-built line sized from
+// the tuple count. The query count accumulates in a local and merges once, on
+// success — the million-QPS path touches no shared cache line per query, and
+// a line that fails has answered no bound.
+func (s *Server) cyclesVector(ctx context.Context, req *Request, tuples, minLen, maxLen int, bound func(vals []int64) (uint64, error)) ([]byte, bool) {
+	buf := appendHeader(make([]byte, 0, 64+8*tuples), req.ID, true)
 	buf = append(buf, `,"cycles":[`...)
 	var n uint64
-	err = parseTuples(req.Queries, 4, 5, func(vals []int64) error {
+	err := parseTuples(req.Queries, minLen, maxLen, func(vals []int64) error {
 		// Deadline checks are amortised: one ctx.Err() per 1024 tuples keeps
 		// the million-QPS hot path unburdened while a stalled batch still
 		// stops within a bounded slice of work.
@@ -663,16 +710,7 @@ func (s *Server) wcttBatch(ctx context.Context, req *Request) ([]byte, bool) {
 				return err
 			}
 		}
-		src := mesh.Node{X: int(vals[0]), Y: int(vals[1])}
-		dst := mesh.Node{X: int(vals[2]), Y: int(vals[3])}
-		payload := defPayload
-		if len(vals) == 5 {
-			if err := checkPayload(vals[4]); err != nil {
-				return err
-			}
-			payload = int(vals[4])
-		}
-		c, err := m.MessageWCTT(design, src, dst, payload)
+		c, err := bound(vals)
 		if err != nil {
 			return err
 		}
@@ -683,10 +721,10 @@ func (s *Server) wcttBatch(ctx context.Context, req *Request) ([]byte, bool) {
 		buf = strconv.AppendUint(buf, c, 10)
 		return nil
 	})
-	s.stats.queries.Add(n)
 	if err != nil {
-		return errorResponse(req.ID, wireError("batch", err)), true
+		return errorResponse(req.ID, wireError(req.Op, err)), true
 	}
+	s.stats.queries.Add(n)
 	return append(buf, ']', '}'), false
 }
 
@@ -728,7 +766,7 @@ func (s *Server) wcetOne(dst []byte, req *Request, inline bool) ([]byte, bool) {
 
 // wcetBatch answers the wcet-batch verb: per-core WCET estimates sharing
 // one design/mesh/workload, queries = [[cx,cy],...].
-func (s *Server) wcetBatch(ctx context.Context, req *Request) ([]byte, bool) {
+func (s *Server) wcetBatch(ctx context.Context, req *Request, tuples int) ([]byte, bool) {
 	design, dim, ts, err := queryTarget(req)
 	if err != nil {
 		return errorResponse(req.ID, err), true
@@ -739,6 +777,9 @@ func (s *Server) wcetBatch(ctx context.Context, req *Request) ([]byte, bool) {
 	if err := checkMaxPacket(req.MaxPacketFlits); err != nil {
 		return errorResponse(req.ID, err), true
 	}
+	if err := checkTuples(tuples); err != nil {
+		return errorResponse(req.ID, err), true
+	}
 	b, err := workload.BenchmarkByName(req.Workload)
 	if err != nil {
 		return errorResponse(req.ID, err), true
@@ -747,31 +788,9 @@ func (s *Server) wcetBatch(ctx context.Context, req *Request) ([]byte, bool) {
 	if err != nil {
 		return errorResponse(req.ID, err), true
 	}
-	buf := appendHeader(make([]byte, 0, 256), req.ID, true)
-	buf = append(buf, `,"cycles":[`...)
-	var n uint64
-	err = parseTuples(req.Queries, 2, 2, func(vals []int64) error {
-		if n%1024 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		c, err := eng.BenchmarkWCET(design, mesh.Node{X: int(vals[0]), Y: int(vals[1])}, b)
-		if err != nil {
-			return err
-		}
-		if n > 0 {
-			buf = append(buf, ',')
-		}
-		n++
-		buf = strconv.AppendUint(buf, c, 10)
-		return nil
+	return s.cyclesVector(ctx, req, tuples, 2, 2, func(vals []int64) (uint64, error) {
+		return eng.BenchmarkWCET(design, mesh.Node{X: int(vals[0]), Y: int(vals[1])}, b)
 	})
-	s.stats.queries.Add(n)
-	if err != nil {
-		return errorResponse(req.ID, wireError("wcet-batch", err)), true
-	}
-	return append(buf, ']', '}'), false
 }
 
 // scenarioOp answers the scenario verb: a whole concrete scenario.Spec,

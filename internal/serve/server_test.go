@@ -264,6 +264,65 @@ func TestServeStats(t *testing.T) {
 	}
 }
 
+// expiringCtx reports a spent deadline from the third Err call on: a vector
+// verb passes answer's check and its own before the first tuple, computes
+// 1024 bounds and fails at its next check.
+type expiringCtx struct {
+	context.Context
+	asked int
+}
+
+func (c *expiringCtx) Err() error {
+	if c.asked++; c.asked > 2 {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestServeFailedBatchCountsNoBounds pins that queries counts bounds
+// answered: a batch or wcet-batch line that fails after computing some bounds
+// — a bad tuple behind good ones, or the deadline expiring mid-line — puts
+// none of them on the wire and none of them in the counter, on either
+// decoder's path.
+func TestServeFailedBatchCountsNoBounds(t *testing.T) {
+	s := NewServer(Config{Workers: 1})
+	defer s.Close()
+	got := serveString(t, s, `{"id":1,"op":"batch","design":"regular","width":4,"height":4,"queries":[[0,0,1,1],[0,0,2,2],[0,0,9,9]]}
+{"id":2,"op":"b\u0061tch","design":"regular","width":4,"height":4,"queries":[[0,0,1,1],[0,0,2,2],[0,0,9,9]]}
+{"id":3,"op":"wcet-batch","design":"regular","width":4,"height":4,"workload":"matrix","queries":[[0,0],[1,1],[9,9]]}
+{"id":4,"op":"batch","design":"regular","width":4,"height":4,"queries":[[0,0,1,1],[0,0,2,2],[0,0,3]]}
+`)
+	if strings.Count(got, `"ok":false`) != 4 || strings.Contains(got, "cycles") {
+		t.Fatalf("want four failed lines carrying no bound, got\n%s", got)
+	}
+	if st := s.Stats(); st.Queries != 0 || st.Errors != 4 {
+		t.Errorf("failed lines counted %d bounds answered and %d errors, want 0 and 4", st.Queries, st.Errors)
+	}
+
+	tuples := 2000
+	queries := json.RawMessage("[" + strings.TrimSuffix(strings.Repeat("[0,0],", tuples), ",") + "]")
+	for _, req := range []*Request{
+		{ID: 5, Op: "batch", Design: "regular", Width: 4, Height: 4, Queries: bytes.ReplaceAll(queries, []byte("[0,0]"), []byte("[0,0,3,3]"))},
+		{ID: 6, Op: "wcet-batch", Design: "regular", Width: 4, Height: 4, Workload: "matrix", Queries: queries},
+	} {
+		ctx := &expiringCtx{Context: context.Background()}
+		resp, failed := s.answer(ctx, nil, req, tuples, false)
+		want := fmt.Sprintf(`{"id":%d,"ok":false,"error":"%s: deadline exceeded","code":"deadline","retryable":false}`, req.ID, req.Op)
+		if !failed || string(resp) != want {
+			t.Errorf("%s under an expiring deadline:\ngot  %s\nwant %s", req.Op, resp, want)
+		}
+		if ctx.asked != 3 {
+			t.Errorf("%s asked its deadline %d times, want 3: it has to fail after 1024 bounds", req.Op, ctx.asked)
+		}
+	}
+	if got := s.Stats().Queries; got != 0 {
+		t.Errorf("lines that ran out of time counted %d bounds answered, want 0", got)
+	}
+	if got := serveString(t, s, `{"id":7,"op":"batch","design":"regular","width":4,"height":4,"queries":[[0,0,1,1],[0,0,2,2]]}`+"\n"); !strings.Contains(got, `"ok":true`) || s.Stats().Queries != 2 {
+		t.Errorf("a good line answered %q and left the counter at %d, want 2", got, s.Stats().Queries)
+	}
+}
+
 // TestServeKernelStats checks the kernel accounting: whole-mesh batches are
 // answered bound by bound by the route walk (identical bytes both times, no
 // kernel run, every bound counted), while a kernel-backed scenario line
