@@ -79,9 +79,9 @@ func sweepOn(args []string, in io.Reader, w io.Writer) error {
 				return fmt.Errorf("sweep: flag -%s is not supported with -worker", name)
 			}
 		}
-		// Fault hooks decode from the NOCTOOL_FAULT_* environment seam; a
-		// production environment decodes to the zero hooks.
-		return sweep.ServeWorker(context.Background(), in, w, sweep.HooksFromEnv(os.Getenv))
+		// The production worker runs no fault hooks, whatever the
+		// environment holds; the scripted fault plans are the sweep tests'.
+		return sweep.ServeWorker(context.Background(), in, w, sweep.WorkerHooks{})
 	}
 	if *checkpoint != "" && *out == "" {
 		return fmt.Errorf("sweep: -checkpoint requires -out")

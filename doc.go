@@ -75,10 +75,10 @@
 // study), workload or traffic selection and seeds; specs validate, carry
 // sweep axes that Expand crosses into concrete scenarios, and execute into a
 // stable, JSON-serialisable Result. The scenario layer also owns the only
-// shared state of the module: three bounded caches (constructed networks,
-// analytical models, compiled engines), keyed by the full parameter value
-// and holding immutable or reset-on-checkout objects. internal/sweep executes
-// spec lists through an Executor (the in-process worker pool, or the
+// shared state of the module: two bounded caches (analytical models,
+// compiled engines), keyed by the full parameter value and holding immutable
+// objects; a cycle-accurate scenario builds and owns its network.
+// internal/sweep executes spec lists through an Executor (the in-process worker pool, or the
 // Coordinator fanning tasks out to `noctool sweep -worker` subprocesses) and
 // composable ResultSinks (the spec-ordered collector, a streaming JSONL
 // sink, a checkpoint writer that makes interrupted sweeps resumable).
@@ -96,10 +96,10 @@
 // the shared worker pool otherwise) and ordered output (a bounded
 // per-connection queue of response slots). Requests that ask for more than
 // the daemon will build — mesh size, payload bits, maximum packet size — are
-// answered with a coded limit error before anything is allocated.
-// scenario.CanonicalJSON is the single wire and cache-key encoding of a spec,
-// shared with the sweep worker protocol; faultinject scripts the seeded
-// faults the chaos tests of both subsystems replay.
+// answered with a coded limit error before anything is allocated. A
+// scenario line runs its own execution under its own deadline budget, sharing
+// only the model and engine caches with other lines. faultinject scripts the
+// seeded faults the chaos tests of both subsystems replay.
 //
 // cmd/noctool regenerates every table and figure of the paper and exposes
 // the experiment layer (`noctool sweep`) and the daemon (`noctool serve`);

@@ -1,12 +1,11 @@
-// Package cache provides the bounded concurrent caches of the serving
-// layer: an LRU for immutable values (analytical models, compiled engines),
-// an instance Pool for mutable checkout objects (constructed networks) and a
-// singleflight Group that coalesces identical in-flight computations. All
-// three are safe for concurrent use; LRU and Pool count hits, misses and
+// Package cache provides the bounded concurrent cache of the scenario layer:
+// an LRU for immutable values (analytical models, compiled engines) and a
+// singleflight Group that coalesces the concurrent first builds of one key.
+// Both are safe for concurrent use; the LRU counts hits, misses and
 // evictions, so the scenario sweep path and the noctool serve daemon can
 // share one cache and expose its behaviour through the stats protocol verb.
 //
-// Each LRU and Pool is one mutex, one map and one recency list. They are
+// Each LRU is one mutex, one map and one recency list. They are
 // asked at most once per protocol line or per scenario, never per bound, so
 // there is nothing for lock striping to win, and a capacity of 128 means 128
 // entries. Entries are held by strong references inside that bound: the

@@ -79,86 +79,9 @@ func TestLRUConcurrentEviction(t *testing.T) {
 	}
 }
 
-// TestPoolCheckout pins the checkout discipline: instances are exclusive
-// between Get and Put, LIFO within a key, and bounded with
-// oldest-of-coldest-key eviction.
-func TestPoolCheckout(t *testing.T) {
-	p := NewPool[string, int](3)
-	if _, ok := p.Get("a"); ok {
-		t.Fatal("empty pool returned an instance")
-	}
-	p.Put("a", 1)
-	p.Put("a", 2)
-	p.Put("b", 3)
-	if v, ok := p.Get("a"); !ok || v != 2 {
-		t.Fatalf("Get(a) = %d, %v; want newest instance 2", v, ok)
-	}
-	p.Put("a", 2)
-	// Pool is at capacity 3 (a:[1,2], b:[3]); b is the LRU key, so its
-	// oldest instance goes first.
-	p.Put("c", 4)
-	if p.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", p.Len())
-	}
-	st := p.Stats()
-	if st.Evictions != 1 || st.Entries != 3 {
-		t.Fatalf("stats %+v", st)
-	}
-	if _, ok := p.Get("b"); ok {
-		t.Fatal("b survived the eviction, want it to be the victim")
-	}
-	if v, ok := p.Get("a"); !ok || v != 2 {
-		t.Fatalf("Get(a) after eviction = %d, %v; want 2", v, ok)
-	}
-}
-
-// TestPoolConcurrent checks the pool under contention: every instance is
-// held by at most one goroutine at a time (exclusive checkout), and the
-// idle bound holds. Instances are *int counters bumped while held; a data
-// race here means two holders shared one instance. Every Put is accounted
-// for: still idle, popped by a hit, or evicted.
-func TestPoolConcurrent(t *testing.T) {
-	const capacity, workers, iters = 8, 8, 400
-	p := NewPool[int, *int](capacity)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				k := i % 5
-				v, ok := p.Get(k)
-				if !ok {
-					v = new(int)
-				}
-				*v++ // exclusive: the race detector flags any sharing
-				p.Put(k, v)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if n := p.Len(); n > capacity {
-		t.Fatalf("idle bound violated: %d > %d", n, capacity)
-	}
-	st := p.Stats()
-	if st.Hits+st.Misses != workers*iters {
-		t.Fatalf("hits %d + misses %d != %d checkouts", st.Hits, st.Misses, workers*iters)
-	}
-	if got := uint64(st.Entries) + st.Hits + st.Evictions; got != workers*iters {
-		t.Fatalf("idle %d + hits %d + evictions %d = %d, want the %d instances put", st.Entries, st.Hits, st.Evictions, got, workers*iters)
-	}
-}
-
 // Len returns the number of cached values.
 func (c *LRU[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.items)
-}
-
-// Len returns the number of idle instances currently retained.
-func (p *Pool[K, V]) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.count
 }

@@ -4,10 +4,11 @@ import "sync"
 
 // Group coalesces identical in-flight computations (singleflight
 // semantics): when N callers Do the same key concurrently, one runs fn and
-// the other N-1 block and receive that computation's result. Because every
-// computation behind a Group in this repository is deterministic, sharing a
-// result is indistinguishable from recomputing it — which is what makes
-// coalescing safe to drop under the serve daemon's query paths.
+// the other N-1 block and receive that computation's result. The only
+// computations behind a Group in this repository are the scenario layer's
+// model and engine builds: deterministic, and run without any caller's
+// context, so sharing one is indistinguishable from recomputing it and no
+// caller's deadline or cancellation reaches another's answer.
 //
 // The zero Group is ready to use.
 type Group[K comparable, V any] struct {

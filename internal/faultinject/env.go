@@ -8,10 +8,10 @@ import (
 
 // Environment keys of the worker fault plan. The sweep coordinator's
 // Command/Env hook is the injection seam for worker processes: a chaos
-// harness appends these to the worker environment and the worker side
-// (sweep.HooksFromEnv) turns them into scripted crashes, garbled output,
-// skewed heartbeats or hangs. Production workers never set them, so the
-// zero plan is the production path.
+// test appends these to the worker environment and the re-exec'd sweep test
+// binary (HooksFromEnv in internal/sweep's tests) turns them into scripted
+// crashes, garbled output, skewed heartbeats or hangs. The production worker
+// (noctool sweep -worker) never reads them.
 const (
 	// EnvCrashAfter SIGKILLs the worker after its n-th run response — the
 	// classic crash-restart schedule.

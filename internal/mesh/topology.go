@@ -74,8 +74,8 @@ const DefaultCMeshConc = 4
 // family-specific parameters. The zero value means the plain 2D mesh, so
 // structs that gained a TopoSpec field keep their pre-topology meaning when
 // it is left unset. TopoSpec is intentionally a small value type: it is used
-// directly inside cache keys (netcache, modelcache, the serve singleflight
-// keys) and compared with ==.
+// directly inside cache keys (the scenario layer's model cache, through
+// analysis.Params) and compared with ==.
 type TopoSpec struct {
 	Kind TopoKind
 	// Conc is the number of endpoint cores per router for TopoCMesh

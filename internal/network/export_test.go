@@ -64,6 +64,9 @@ func (o FullScan) RunUntilDrained(maxCycles int) bool {
 	return o.Drained()
 }
 
+// Config returns the network configuration.
+func (n *Network) Config() Config { return n.cfg }
+
 // FlushReplenishment settles the idle WaW replenishment every sleeping
 // router is still owed, bringing all arbiter counters up to the state a
 // plain every-router scan would show after the same number of cycles. The

@@ -335,9 +335,6 @@ func MustNew(cfg Config) *Network {
 	return n
 }
 
-// Config returns the network configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // Topology returns the resolved topology instance the network was built on.
 func (n *Network) Topology() mesh.Topology { return n.topo }
 
@@ -699,8 +696,8 @@ func (n *Network) runUntilDrained(ctx context.Context, maxCycles int, poll bool)
 // router and NIC is rewound (buffers, credits, wormhole locks, arbiters,
 // identifier counters), the statistics and the delivery hook are cleared and
 // the cycle counter returns to zero. The topology, the design point and the
-// message/flit pool are retained, so a sweep worker can reuse one constructed
-// network across scenario points instead of rebuilding the topology per
+// message/flit pool are retained, so a load curve reuses one constructed
+// network across its rate points instead of rebuilding the topology per
 // point. A reset network behaves identically to a freshly constructed one.
 func (n *Network) Reset() {
 	n.activeList = n.activeList[:0]

@@ -4,10 +4,9 @@ import "encoding/json"
 
 // CanonicalJSON renders a spec in its canonical wire form: the compact,
 // field-ordered MarshalJSON encoding. This single representation is the
-// unit of exchange everywhere a spec crosses a process boundary or keys a
-// cache — the serve daemon's scenario verb (coalescing key), the sweep
-// worker protocol (coordinator → worker task payload), and the checkpoint
-// grid hash that guards resume against a changed grid.
+// unit of exchange everywhere a spec crosses a process boundary or is hashed
+// — the sweep worker protocol (coordinator → worker task payload) and the
+// checkpoint grid hash that guards resume against a changed grid.
 //
 // The encoding round-trips exactly: Unmarshal followed by CanonicalJSON
 // reproduces the same bytes, because every field is either integral or a

@@ -8,10 +8,9 @@ import (
 
 // TestCanonicalJSONRoundTrip pins the property CanonicalJSON documents:
 // decode followed by re-encode reproduces the exact bytes, for every mode
-// the grids exercise. The serve coalescing key, the worker-protocol task
-// payload and the checkpoint grid hash all assume this — a spec that
-// drifted through one hop would silently miss caches and invalidate
-// resumable checkpoints.
+// the grids exercise. The worker-protocol task payload and the checkpoint
+// grid hash both assume this — a spec that drifted through one hop would
+// silently change a worker's result or invalidate resumable checkpoints.
 func TestCanonicalJSONRoundTrip(t *testing.T) {
 	grids := []Spec{
 		{Name: "sweep", Mode: ModeWCTT, Sizes: []int{2, 3, 4, 8},

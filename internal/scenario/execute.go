@@ -129,11 +129,10 @@ func simConfig(s Spec, d mesh.Dim) network.Config {
 }
 
 func executeSimulate(ctx context.Context, s Spec, d mesh.Dim, res *Result) error {
-	net, err := acquireNetwork(simConfig(s, d))
+	net, err := network.New(simConfig(s, d))
 	if err != nil {
 		return err
 	}
-	defer releaseNetwork(net)
 	gen, err := buildGenerator(s, d)
 	if err != nil {
 		return err
@@ -211,12 +210,12 @@ func buildGenerator(s Spec, d mesh.Dim) (traffic.Generator, error) {
 // executeLoadCurve runs the saturation study of ModeLoadCurve: every
 // injection rate drives sustained uniform-random traffic through a warmup
 // window (discarded), a measurement window (sampled) and a bounded drain.
-// One network is constructed (or taken from the worker-shared cache) for the
-// whole curve and rewound in place between rate points — Network.Reset makes
-// a reused network indistinguishable from a fresh one, so the curve is
-// byte-identical to the build-per-point implementation. Execution is
-// single-threaded and seeded, so the produced curve is deterministic; the
-// sweep engine parallelises across scenarios, not within one.
+// One network is constructed for the whole curve and rewound in place
+// between rate points — Network.Reset makes a reused network
+// indistinguishable from a fresh one, so the curve is byte-identical to the
+// build-per-point implementation. Execution is single-threaded and seeded,
+// so the produced curve is deterministic; the sweep engine parallelises
+// across scenarios, not within one.
 func executeLoadCurve(ctx context.Context, s Spec, d mesh.Dim, res *Result) error {
 	t := s.Traffic
 	rates := t.Rates
@@ -235,11 +234,10 @@ func executeLoadCurve(ctx context.Context, s Spec, d mesh.Dim, res *Result) erro
 	if payload == 0 {
 		payload = traffic.RequestPayloadBits
 	}
-	net, err := acquireNetwork(simConfig(s, d))
+	net, err := network.New(simConfig(s, d))
 	if err != nil {
 		return err
 	}
-	defer releaseNetwork(net)
 	lc := &LoadCurveResult{WarmupCycles: warmup, MeasureCycles: measure}
 	for i, rate := range rates {
 		if err := ctx.Err(); err != nil {

@@ -39,13 +39,11 @@ func (c *sharedCache[K, V]) acquire(k K) (V, error) {
 	return v, err
 }
 
-// modelCache shares analytical WCTT models per parameter set, the
-// analytical sibling of netCache: a sweep over K designs of one mesh size
-// (or a server answering WCTT queries for many meshes) builds the model —
-// weight table, contender and output-share arrays — once and serves every
-// scenario and query from it. Models are immutable and safe for concurrent
-// readers, so there is no checkout protocol: entries are shared directly.
-// Cache hits cannot change any result — the sweep determinism tests run the
+// modelCache shares analytical WCTT models per parameter set: a sweep over K
+// designs of one mesh size (or a server answering WCTT queries for many
+// meshes) builds the model — weight table, contender and output-share arrays
+// — once and serves every scenario and query from it. Models are immutable
+// and safe for concurrent readers, so entries are shared directly. Cache hits cannot change any result — the sweep determinism tests run the
 // same grids with different worker counts (and therefore different hit
 // patterns) and require byte-identical output.
 //
@@ -123,8 +121,10 @@ func CachedEngine(d mesh.Dim, maxPacketFlits int) (*wcet.Engine, bool) {
 // SharedCacheStats snapshots the hit/miss/eviction counters of the caches
 // the scenario layer shares between the sweep path and the serve daemon.
 type SharedCacheStats struct {
-	// Networks counts checkout operations on the idle-network pool
-	// (entries = idle instances retained now).
+	// Networks is retired: the idle-network pool it counted is gone (PR 25,
+	// every cycle-accurate scenario builds and owns its network) and it is
+	// always zero. The serve stats payload is additive-only, so the field
+	// stays on the wire.
 	Networks cache.Stats `json:"networks"`
 	// Models counts lookups of immutable analytical models.
 	Models cache.Stats `json:"models"`
@@ -135,9 +135,8 @@ type SharedCacheStats struct {
 // CacheStats returns the current shared-cache counters.
 func CacheStats() SharedCacheStats {
 	return SharedCacheStats{
-		Networks: netCache.Stats(),
-		Models:   modelCache.lru.Stats(),
-		Engines:  engineCache.lru.Stats(),
+		Models:  modelCache.lru.Stats(),
+		Engines: engineCache.lru.Stats(),
 	}
 }
 

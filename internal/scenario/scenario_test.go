@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -540,4 +541,52 @@ func TestSharedEngineConcurrentFirstCallers(t *testing.T) {
 			t.Fatalf("caller %d got engine %p, caller 0 got %p", i, e, engines[0])
 		}
 	}
+}
+
+// TestCycleAccurateRunsRetainNothing: a simulate or load-curve scenario owns
+// the network it builds, so once Execute returns nothing of that network —
+// routers, NICs, weight tables, message and flit pools grown past saturation —
+// is reachable. Twelve distinct (mesh, design) keys run at an offered load past
+// saturation; afterwards the live heap must be back near where it started.
+// Before this test an idle-network pool kept every one of them until exit.
+func TestCycleAccurateRunsRetainNothing(t *testing.T) {
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the second cycle frees what sync.Pool held over the first
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	run := func(mode Mode, side int, design network.Design) {
+		t.Helper()
+		s := Spec{Mode: mode, Width: side, Height: side, Design: design, Seed: 3}
+		if mode == ModeLoadCurve {
+			s.Traffic = Traffic{Rates: []int{400}, WarmupCycles: 300, MeasureCycles: 700}
+		} else {
+			s.Traffic = Traffic{Pattern: "uniform", Rate: 400, Messages: 20 * side * side}
+		}
+		if _, err := Execute(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One run first, so what the first execution initialises once for the
+	// whole process is part of the baseline.
+	run(ModeSimulate, 4, network.DesignRegular)
+	base := liveHeap()
+	for side := 8; side < 14; side++ {
+		for _, design := range []network.Design{network.DesignRegular, network.DesignWaWWaP} {
+			mode := ModeLoadCurve
+			if side%2 == 1 {
+				mode = ModeSimulate
+			}
+			run(mode, side, design)
+		}
+	}
+	after := liveHeap()
+	const ceiling = 1 << 20
+	if after > base && after-base > ceiling {
+		t.Fatalf("live heap grew by %d KiB over 12 cycle-accurate scenarios (ceiling %d KiB): something retains their networks",
+			(after-base)>>10, ceiling>>10)
+	}
+	t.Logf("live heap %d KiB -> %d KiB", base>>10, after>>10)
 }

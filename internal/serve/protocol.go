@@ -1,18 +1,19 @@
-// Package serve turns the compiled analytical engines and cached networks
-// of this repository into a long-running NoC timing service: a daemon
-// speaking a JSON-line batch protocol on stdin/stdout, TCP and HTTP,
-// answering (design, mesh, src, dst, bytes) WCTT/WCET queries and whole
-// scenario.Spec submissions. This inverts the uPIMulator-BookSim2
+// Package serve turns the analytical models, compiled WCET engines and
+// cycle-accurate simulator of this repository into a long-running NoC timing
+// service: a daemon speaking a JSON-line batch protocol on stdin/stdout, TCP
+// and HTTP, answering (design, mesh, src, dst, bytes) WCTT/WCET queries and
+// whole scenario.Spec submissions. This inverts the uPIMulator-BookSim2
 // architecture — there a main engine drives an external NoC timing service
 // over a JSON line protocol; here we are the timing service.
 //
 // The serving concerns are the feature: queries are answered from the same
-// bounded concurrent caches the sweep path uses (internal/cache via the
-// scenario layer), identical in-flight computations are coalesced
-// (singleflight), the per-connection pipeline applies bounded-queue
-// backpressure, and shutdown drains in-flight batches without dropping
-// responses. Identical queries return byte-identical JSON to the one-shot
-// CLI, pinned by goldens.
+// two bounded concurrent caches the sweep path uses (models and engines, via
+// the scenario layer, each with a singleflight for its concurrent first
+// builds), every scenario line runs under its own deadline budget and shares
+// nothing with another line, the per-connection pipeline applies
+// bounded-queue backpressure, and shutdown drains in-flight batches without
+// dropping responses. Identical queries return byte-identical JSON to the
+// one-shot CLI, pinned by goldens.
 //
 // A line is decoded once and answered in one of two places, both chosen from
 // what the server sees in it and never from a setting. The connection's reader
@@ -148,8 +149,8 @@ func wireError(op string, err error) error {
 		return &protoError{msg: op + ": deadline exceeded", code: "deadline", retryable: false}
 	}
 	if errors.Is(err, context.Canceled) {
-		// Retryable: cancellation came from outside the request (a coalesced
-		// leader's disconnect, server teardown), not from its content.
+		// Retryable: cancellation came from outside the request (the
+		// caller's connection or server teardown), not from its content.
 		return &protoError{msg: op + ": canceled", code: "canceled", retryable: true}
 	}
 	return err

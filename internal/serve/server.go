@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/cache"
 	"repro/internal/lineio"
 	"repro/internal/mesh"
 	"repro/internal/network"
@@ -108,13 +107,13 @@ func checkMaxPacket(flits int) error {
 
 // Server answers protocol lines over any number of concurrent transports
 // (stdin pipe, TCP connections, HTTP bodies) from one shared worker pool
-// and the scenario layer's shared caches. Identical in-flight computations
-// are coalesced; responses on each transport come back in request order.
+// and the scenario layer's model and engine caches; responses on each
+// transport come back in request order. A scenario line shares nothing with
+// another: it runs its own execution under its own deadline budget.
 //
-// Caches, coalescing and worker scheduling are execution policy, never
-// result identity: a response is byte-identical whether its model, engine
-// or scenario result came from a cache, a shared flight or a fresh
-// computation, and byte-identical to the one-shot CLI.
+// Caches and worker scheduling are execution policy, never result identity:
+// a response is byte-identical whether its model or engine came from a cache
+// or a fresh build, and byte-identical to the one-shot CLI.
 type Server struct {
 	workers *pool.Workers
 	queue   int
@@ -124,8 +123,6 @@ type Server struct {
 	// admitted counts server-wide admitted-but-unanswered lines; the
 	// admission gate (Config.MaxInflight) reads it before queueing a line.
 	admitted atomic.Int64
-
-	specFlight cache.Group[string, []byte]
 
 	// testHold, set only by tests, runs on the pool worker between a line's
 	// decode and its verb: a test blocks in it to make "this line is still
@@ -794,12 +791,9 @@ func (s *Server) wcetBatch(ctx context.Context, req *Request, tuples int) ([]byt
 }
 
 // scenarioOp answers the scenario verb: a whole concrete scenario.Spec,
-// executed through the same ExecuteContext path as the CLI. Identical
-// in-flight specs (canonicalised by their marshalled form) are coalesced
-// onto one execution; the embedded result JSON is byte-identical to
-// json.Marshal of the CLI's Result. A follower of a coalesced execution
-// shares the leader's outcome, including a cancellation of the leader's
-// context.
+// executed through the same ExecuteContext path as the CLI under this line's
+// own context, so its deadline budget is its alone; the embedded result JSON
+// is byte-identical to json.Marshal of the CLI's Result.
 func (s *Server) scenarioOp(ctx context.Context, req *Request) ([]byte, bool) {
 	if req.Spec == nil {
 		return errorResponse(req.ID, errors.New("scenario: missing spec")), true
@@ -817,24 +811,13 @@ func (s *Server) scenarioOp(ctx context.Context, req *Request) ([]byte, bool) {
 		// summaries, all-cores UBD rows); surface that in the stats verb.
 		s.stats.scenarioKernel.Add(1)
 	}
-	// The canonical wire encoding is the coalescing key, the same bytes
-	// the sweep worker protocol ships — one representation everywhere.
-	key, err := scenario.CanonicalJSON(spec)
-	if err != nil {
-		return errorResponse(req.ID, err), true
-	}
-	res, err, shared := s.specFlight.Do(string(key), func() ([]byte, error) {
-		r, err := scenario.ExecuteContext(ctx, spec)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(r)
-	})
-	if shared {
-		s.stats.coalesced.Add(1)
-	}
+	r, err := scenario.ExecuteContext(ctx, spec)
 	if err != nil {
 		return errorResponse(req.ID, wireError("scenario", err)), true
+	}
+	res, err := json.Marshal(r)
+	if err != nil {
+		return errorResponse(req.ID, err), true
 	}
 	buf := appendHeader(make([]byte, 0, len(res)+32), req.ID, true)
 	buf = append(buf, `,"result":`...)

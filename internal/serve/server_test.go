@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/cache"
 	"repro/internal/mesh"
 	"repro/internal/network"
 	"repro/internal/scenario"
@@ -220,6 +221,99 @@ func TestServeScenarioMatchesExecute(t *testing.T) {
 	}
 }
 
+// TestServeScenarioOwnBudget: a scenario line runs under its own deadline
+// budget whatever an identical line in flight beside it asks for. The line
+// with timeout_ms:100 answers the coded deadline error within its budget
+// plus the simulator's poll slack, and the identical line without a timeout
+// answers Execute's bytes — in either order, whichever line the pool starts
+// first. Before this test the two shared one execution: the follower got
+// the leader's outcome and waited out the leader's run.
+func TestServeScenarioOwnBudget(t *testing.T) {
+	// About 0.3 s of simulation (seconds under -race): well past the budget.
+	spec := scenario.Spec{
+		Name:    "own-budget",
+		Mode:    scenario.ModeSimulate,
+		Width:   8,
+		Height:  8,
+		Design:  network.DesignWaWWaP,
+		Seed:    1,
+		Traffic: scenario.Traffic{Pattern: "uniform", Rate: 300, Messages: 400_000},
+	}
+	res, err := scenario.Execute(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 100 * time.Millisecond
+	short := fmt.Sprintf(`{"id":1,"op":"scenario","timeout_ms":%d,"spec":%s}`, budget.Milliseconds(), specJSON)
+	long := fmt.Sprintf(`{"id":2,"op":"scenario","spec":%s}`, specJSON)
+	check := func(t *testing.T, short, long response) {
+		t.Helper()
+		if short.OK || short.Error != "scenario: deadline exceeded" {
+			t.Errorf("line with timeout_ms:%d: ok %v error %q, want the deadline error", budget.Milliseconds(), short.OK, short.Error)
+		}
+		if !long.OK || !bytes.Equal(long.Result, want) {
+			t.Errorf("line without a timeout: ok %v error %q result %s, want Execute's %s", long.OK, long.Error, long.Result, want)
+		}
+	}
+
+	t.Run("short-first", func(t *testing.T) {
+		resps := run(t, 2, short, long)
+		check(t, resps[0], resps[1])
+	})
+
+	// The long line first, on its own connection: the short line's answer is
+	// then not held behind it in one connection's response order, so its
+	// arrival time is its own.
+	t.Run("long-first", func(t *testing.T) {
+		s := NewServer(Config{Workers: 2})
+		defer s.Close()
+		started := make(chan struct{})
+		var once sync.Once
+		s.testHold = func(string) { once.Do(func() { close(started) }) }
+		longDone := make(chan []byte, 1)
+		go func() {
+			var out bytes.Buffer
+			if err := s.ServeLines(context.Background(), strings.NewReader(long+"\n"), &out); err != nil {
+				t.Errorf("ServeLines (long): %v", err)
+			}
+			longDone <- out.Bytes()
+		}()
+		<-started
+		begin := time.Now()
+		var out bytes.Buffer
+		if err := s.ServeLines(context.Background(), strings.NewReader(short+"\n"), &out); err != nil {
+			t.Fatalf("ServeLines (short): %v", err)
+		}
+		took := time.Since(begin)
+		var longOut []byte
+		select {
+		case longOut = <-longDone:
+			t.Errorf("the line with timeout_ms:%d was answered after the line without one finished (%v)", budget.Milliseconds(), took)
+		default:
+			longOut = <-longDone
+		}
+		// The simulator polls its context every 4096 cycles, about 70 ms of
+		// this spec (0.7 s under -race); the slack allows a loaded host more.
+		slack := time.Second
+		if raceEnabled {
+			slack = 5 * time.Second
+		}
+		if took > budget+slack {
+			t.Errorf("the line with timeout_ms:%d was answered after %v, want within %v", budget.Milliseconds(), took, budget+slack)
+		}
+		check(t, decodeLines(t, out.Bytes(), 1)[0], decodeLines(t, longOut, 1)[0])
+		t.Logf("deadline answered after %v", took)
+	})
+}
+
 func TestServeScenarioRejectsAxes(t *testing.T) {
 	resps := run(t, 1, `{"id":1,"op":"scenario","spec":{"mode":"wctt","sizes":[2,3],"width":2,"height":2,"design":"regular"}}`)
 	if resps[0].OK || !strings.Contains(resps[0].Error, "sweep axes") {
@@ -228,13 +322,17 @@ func TestServeScenarioRejectsAxes(t *testing.T) {
 }
 
 // retiredZero fails the test unless every retired stats field reads 0: the
-// memo and warm counters stay on the wire (the payload is additive-only)
-// but nothing feeds them any more.
+// memo and warm counters, the coalesced count and the networks cache block
+// stay on the wire (the payload is additive-only) but nothing feeds them any
+// more.
 func retiredZero(t *testing.T, st *Stats) {
 	t.Helper()
 	k := st.Kernel
 	if st.WCTTMemoHits != 0 || st.WCTTMemoMisses != 0 || k.MemoWarmed != 0 || k.BatchWarms != 0 || k.BatchWarmedBounds != 0 {
 		t.Fatalf("retired stats fields must read 0: hits %d misses %d kernel %+v", st.WCTTMemoHits, st.WCTTMemoMisses, k)
+	}
+	if st.Coalesced != 0 || st.Caches.Networks != (cache.Stats{}) {
+		t.Fatalf("retired stats fields must read 0: coalesced %d networks %+v", st.Coalesced, st.Caches.Networks)
 	}
 }
 
@@ -372,8 +470,8 @@ func TestServeKernelStats(t *testing.T) {
 }
 
 // TestServeKernelStatsWireShape pins the stats payload's wire field names
-// (PROTOCOL.md): the payload is additive-only, so the retired memo and warm
-// fields stay present for consumers that decode them.
+// (PROTOCOL.md): the payload is additive-only, so the retired memo, warm,
+// coalesced and networks fields stay present for consumers that decode them.
 func TestServeKernelStatsWireShape(t *testing.T) {
 	s := NewServer(Config{Workers: 1})
 	defer s.Close()
@@ -383,7 +481,7 @@ func TestServeKernelStatsWireShape(t *testing.T) {
 	}
 	raw := out.String()
 	for _, field := range []string{
-		`"wctt_memo_hits":`, `"wctt_memo_misses":`, `"coalesced":`,
+		`"wctt_memo_hits":`, `"wctt_memo_misses":`, `"coalesced":`, `"networks":{`,
 		`"kernel":{`, `"all_pairs_runs":`, `"row_sweeps":`, `"memo_warmed":`,
 		`"batch_warms":`, `"batch_warmed_bounds":`, `"scenario_kernel_runs":`,
 	} {

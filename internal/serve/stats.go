@@ -14,11 +14,10 @@ import (
 // per query. Reads are approximate snapshots (each counter is individually
 // consistent).
 type counters struct {
-	requests  atomic.Uint64 // protocol lines handled
-	queries   atomic.Uint64 // individual WCTT/WCET bounds answered
-	errors    atomic.Uint64 // lines answered with ok:false
-	coalesced atomic.Uint64 // scenario lines that shared another's in-flight execution
-	rejected  atomic.Uint64 // lines turned away coded (overloaded/draining)
+	requests atomic.Uint64 // protocol lines handled
+	queries  atomic.Uint64 // individual WCTT/WCET bounds answered
+	errors   atomic.Uint64 // lines answered with ok:false
+	rejected atomic.Uint64 // lines turned away coded (overloaded/draining)
 
 	// scenarioKernel counts scenario lines whose mode ran on the
 	// kernel-backed analytical paths.
@@ -75,14 +74,16 @@ type Stats struct {
 	// The stats payload is additive-only, so the fields stay on the wire.
 	WCTTMemoHits   uint64 `json:"wctt_memo_hits"`
 	WCTTMemoMisses uint64 `json:"wctt_memo_misses"`
-	// Coalesced counts scenario lines that shared another line's in-flight
-	// execution.
+	// Coalesced is retired: the scenario flight it counted is gone (PR 25,
+	// every scenario line runs its own execution under its own budget) and
+	// it is always 0. It stays on the wire like the memo fields.
 	Coalesced uint64 `json:"coalesced"`
 	// Rejected counts lines answered with a coded rejection (overloaded or
 	// draining) without reaching a handler.
 	Rejected uint64 `json:"rejected"`
-	// Caches snapshots the scenario-layer shared caches (networks, models,
-	// compiled engines) — the same caches the sweep path uses.
+	// Caches snapshots the scenario-layer shared caches (models, compiled
+	// engines; the networks block is retired and always zero) — the same
+	// caches the sweep path uses.
 	Caches scenario.SharedCacheStats `json:"caches"`
 	// Kernel reports the incremental all-pairs kernel effectiveness.
 	Kernel KernelStats `json:"kernel"`
@@ -113,12 +114,11 @@ type KernelStats struct {
 // snapshot builds the stats payload.
 func (c *counters) snapshot() Stats {
 	s := Stats{
-		Requests:  c.requests.Load(),
-		Queries:   c.queries.Load(),
-		Errors:    c.errors.Load(),
-		Coalesced: c.coalesced.Load(),
-		Rejected:  c.rejected.Load(),
-		Caches:    scenario.CacheStats(),
+		Requests: c.requests.Load(),
+		Queries:  c.queries.Load(),
+		Errors:   c.errors.Load(),
+		Rejected: c.rejected.Load(),
+		Caches:   scenario.CacheStats(),
 	}
 	s.Kernel.AllPairsRuns, s.Kernel.RowSweeps, _ = analysis.KernelCounters()
 	s.Kernel.ScenarioKernelRuns = c.scenarioKernel.Load()

@@ -8,9 +8,11 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/network"
 	"repro/internal/scenario"
 )
@@ -20,7 +22,7 @@ import (
 // multi-process executor is exercised against real processes and real
 // pipes without building noctool first. Fault plans (crashes at exact,
 // reproducible points, hangs, garbled output, skewed pongs) arrive through
-// the same NOCTOOL_FAULT_* environment seam production workers decode.
+// the NOCTOOL_FAULT_* environment seam HooksFromEnv decodes.
 func TestMain(m *testing.M) {
 	if os.Getenv("SWEEP_TEST_WORKER") == "1" {
 		if err := ServeWorker(context.Background(), os.Stdin, os.Stdout, HooksFromEnv(os.Getenv)); err != nil {
@@ -30,6 +32,38 @@ func TestMain(m *testing.M) {
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
+}
+
+// HooksFromEnv decodes a scripted fault plan from the environment (the
+// NOCTOOL_FAULT_* keys of internal/faultinject) into worker hooks. This is
+// the worker half of the coordinator's Command/Env injection seam: a chaos
+// test appends faultinject.WorkerFaults.Env() to the worker command's
+// environment, and the re-exec'd test binary turns it into scripted crashes,
+// garbled output, skewed heartbeats or hangs. It lives with the tests: the
+// production worker (noctool sweep -worker) runs the zero hooks whatever its
+// environment holds.
+func HooksFromEnv(getenv func(string) string) WorkerHooks {
+	f := faultinject.WorkerFaultsFromEnv(getenv)
+	h := WorkerHooks{
+		PongDelay:   f.PongDelay,
+		GarbleEvery: f.GarbleEvery,
+		Hang:        f.Hang,
+	}
+	if n := f.CrashAfter; n > 0 {
+		h.AfterRespond = func(k int) {
+			if k >= n {
+				_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
+			}
+		}
+	}
+	if idx := f.CrashIndex; idx >= 0 {
+		h.BeforeRun = func(i int) {
+			if i == idx {
+				_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
+			}
+		}
+	}
+	return h
 }
 
 // testCoordinator builds a coordinator that re-execs this test binary as

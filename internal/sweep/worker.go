@@ -5,12 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sync"
-	"syscall"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/lineio"
 	"repro/internal/scenario"
 )
@@ -73,37 +70,6 @@ type WorkerHooks struct {
 	// entirely after the first run request — a *hung* worker (as opposed
 	// to a busy one), which the coordinator's heartbeat must detect.
 	Hang bool
-}
-
-// HooksFromEnv decodes a scripted fault plan from the environment (the
-// NOCTOOL_FAULT_* keys of internal/faultinject) into worker hooks. This is
-// the worker half of the coordinator's Command/Env injection seam: a chaos
-// harness appends faultinject.WorkerFaults.Env() to the worker command's
-// environment, and the worker process turns it into scripted crashes,
-// garbled output, skewed heartbeats or hangs. A production environment
-// decodes to the zero hooks.
-func HooksFromEnv(getenv func(string) string) WorkerHooks {
-	f := faultinject.WorkerFaultsFromEnv(getenv)
-	h := WorkerHooks{
-		PongDelay:   f.PongDelay,
-		GarbleEvery: f.GarbleEvery,
-		Hang:        f.Hang,
-	}
-	if n := f.CrashAfter; n > 0 {
-		h.AfterRespond = func(k int) {
-			if k >= n {
-				_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
-			}
-		}
-	}
-	if idx := f.CrashIndex; idx >= 0 {
-		h.BeforeRun = func(i int) {
-			if i == idx {
-				_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
-			}
-		}
-	}
-	return h
 }
 
 // ServeWorker runs the worker side of the protocol over r/w until r hits
