@@ -63,8 +63,11 @@
 // prefix — destination-shared column states swept along source rows for the
 // chained-blocking bound, source-major sweeps over a tabulated hop cost for
 // the WaW bound — applying the identical arithmetic sequence as the per-pair
-// walk, which is their oracle. wcet.Platform.Engine compiles a platform for
-// one maximum packet size: per-core memory round-trip UBDs once per design,
+// walk, which is their oracle. On meshes from 16x16 up, up to four producers
+// fill column slices of each row of sources in parallel and pass a turn in
+// source order, so the one serial fold (an in-order float sum, bit-pinned)
+// sees the same stream on any core count. wcet.Platform.Engine compiles a
+// platform for one maximum packet size: per-core memory round-trip UBDs once per design,
 // each WCET cell pure arithmetic. workload holds the synthetic EEMBC
 // Automotive profiles and the 3DPP avionics model, manycore and memctrl the
 // full simulated platform of the average-performance comparison.

@@ -119,21 +119,40 @@ func TestOneFlitSummaryZeroAllocs(t *testing.T) {
 // column states (N*H pairs) plus one source-row block (W*(N+8) bounds), never
 // an N^2 table. With the scratch pool emptied by two GC cycles, one 48x48
 // summary may allocate 2.6 MiB of them; the N^2 table alone would be 42 MiB.
+// The producers' slices add up to that one block, so four producers may
+// allocate no more than one, bar producerOverhead (one full-row block per
+// extra producer would be 0.85 MiB each).
 func TestRegularSummaryStreams(t *testing.T) {
 	m := MustNewModel(DefaultParams(mesh.MustDim(48, 48)))
-	runtime.GC()
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	s, err := m.SummarizeOneFlitWCTT(network.DesignRegular)
-	runtime.ReadMemStats(&after)
-	if err != nil || s.Flows != 2304*2303 {
-		t.Fatalf("summary %+v, err %v", s, err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cold := func(procs int) uint64 {
+		runtime.GOMAXPROCS(procs)
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := m.SummarizeOneFlitWCTT(network.DesignRegular)
+		runtime.ReadMemStats(&after)
+		if err != nil || s.Flows != 2304*2303 {
+			t.Fatalf("summary %+v, err %v", s, err)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		if got > 8<<20 {
+			t.Fatalf("cold 48x48 regular summary at GOMAXPROCS %d allocated %d bytes, want <= 8 MiB", procs, got)
+		}
+		return got
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
-		t.Fatalf("cold 48x48 regular summary allocated %d bytes, want <= 8 MiB", got)
+	one, four := cold(1), cold(4)
+	t.Logf("cold 48x48 regular summary: %d bytes at GOMAXPROCS 1, %d at 4", one, four)
+	if four > one+producerOverhead {
+		t.Fatalf("cold 48x48 regular summary allocated %d bytes at GOMAXPROCS 4, %d at 1; four producers may add at most %d", four, one, producerOverhead)
 	}
 }
+
+// producerOverhead bounds what P > 1 producers may allocate beside the
+// scratch one producer uses: their goroutines, turn channels and shared run
+// (about 3 KiB in 16 allocations at P = 4).
+const producerOverhead = 16 << 10
 
 // TestKernelZeroAllocs: the all-pairs and row kernels with a warm caller
 // buffer are pure table fills — 0 allocs for the whole N^2 (or N) sweep,

@@ -13,6 +13,7 @@ import (
 // analytic-grid workload of bench/, which is also what CI compares):
 //
 //	go test -run xxx -bench 'BenchmarkSummary|BenchmarkWCETMapUBD' -benchtime 5x ./internal/analysis/
+//	go test -run xxx -bench BenchmarkSummary64 -cpu 1,2,4 -benchtime 20x ./internal/analysis/
 
 // BenchmarkSummary is one Table II row (both one-flit summaries): kernel
 // builds the model and runs SummarizeOneFlitWCTT's all-pairs kernels,
@@ -37,6 +38,33 @@ func BenchmarkSummary(b *testing.B) {
 					if _, err := pairwiseSummary(m, design); err != nil {
 						b.Fatal(err)
 					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSummary64 is one 64x64 summary on a prebuilt model — the largest
+// scenarios of the analytic-grid workload — per kernel and topology; run it
+// with -cpu 1,2,4 to see what the all-pairs producers buy at each core count.
+func BenchmarkSummary64(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		topo   mesh.TopoSpec
+		design network.Design
+	}{
+		{"mesh/regular", mesh.TopoSpec{Kind: mesh.TopoMesh}, network.DesignRegular},
+		{"mesh/waw+wap", mesh.TopoSpec{Kind: mesh.TopoMesh}, network.DesignWaWWaP},
+		{"cmesh4/regular", mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: 4}, network.DesignRegular},
+		{"cmesh4/waw+wap", mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: 4}, network.DesignWaWWaP},
+	} {
+		p := DefaultParams(mesh.MustDim(64, 64))
+		p.Topo = tc.topo
+		m := MustNewModel(p)
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := m.SummarizeOneFlitWCTT(tc.design); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

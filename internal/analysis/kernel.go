@@ -27,14 +27,14 @@ package analysis
 //     (its float sum is order-bound) and tables are buf[src*N+dst]. Sweeping
 //     destination by destination into such a table scatters 8-byte stores a
 //     whole table row apart — 32 KiB at 64x64, every store of a sweep in one
-//     cache set, 134 MB of table. regularSourceRows instead keeps all N
-//     destinations' column states (N*H pairs) and produces the bounds one
-//     mesh row of sources at a time: a block of W source rows x N
-//     destinations, source-major, with the row stride padded by one cache
-//     line so the W lines a destination's row sweep touches spread over
-//     cache sets and the next seven destinations hit them again. The block
-//     is the working set; consumers read its rows contiguously and it is
-//     reused for the next mesh row.
+//     cache set, 134 MB of table. The all-pairs producers (allPairsRun)
+//     instead keep all N destinations' column states (N*H pairs) and
+//     produce the bounds one router row of sources at a time: a block of W
+//     source rows x N destinations, source-major, with the row stride padded
+//     by one cache line so the lines a destination's row sweep touches
+//     spread over cache sets and the next seven destinations hit them again.
+//     The block is the working set; consumers read its rows contiguously and
+//     it is reused for the next router row.
 //
 //     Saturation cuts the sweeps short. The regular bound compounds
 //     multiplicatively and overflows 64 bits on routes of a few dozen hops;
@@ -55,7 +55,7 @@ package analysis
 //     term reads only the running maximum.
 //
 //     That per-hop term depends on the router output and the slot size alone,
-//     so a kernel call first tabulates it for every router output (newWaWWork,
+//     so a kernel call first tabulates it for every router output (hopCosts,
 //     five planes of N words, 160 KiB at 64x64) and the sweeps add table
 //     entries instead of redoing the multiply per flow. A source's sweep
 //     (wawSourceSweep) first folds the X hops of its own row into one state
@@ -80,11 +80,34 @@ package analysis
 // ejection-only route, which is exactly the bound of two distinct co-located
 // endpoints; endpoint-diagonal (self-flow) entries are zeroed (tables) or
 // skipped (summaries).
+//
+// Both all-pairs kernels run on P = min(GOMAXPROCS, 4) producers on meshes
+// from 16x16 up (smaller grids and the concentrated meshes stay on the
+// caller: one producer, no goroutine); runs in flight at once share
+// GOMAXPROCS instead of each taking it (allPairsInFlight). Producer p owns
+// the source columns [p*W/P, (p+1)*W/P) of every router row and fills that
+// slice of the block; the P slices add up to the one block, so transient
+// memory is the column states (or hop costs) plus one block for any P. A
+// regular slice still folds the hops between the destination column and
+// itself — 1.25x the row hops at P = 2, 1.87x at P = 4, which with the
+// serial fold below is why P stops at four — and a WaW slice is W/P
+// independent source sweeps. The consumer is fed in source order: a turn
+// passes from slice to slice, row after row, and only its holder folds or
+// copies, so every bound and the summary's float sum see exactly the serial
+// order.
+//
+// summaryFold (tableii.go) is kept an in-order float sum, bit-pinned: the
+// mean of every summary is the float sum of its bounds in source-major order,
+// divided by the count, and the golden outputs pin its bits. An integer sum
+// would be exact and order-free but changes the low bits of the mean, so the
+// fold stays serial (about a quarter of a summary's work) and the producers
+// parallelise the rest.
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -175,21 +198,31 @@ func (m *Model) regularColStates(col []uint64, rd mesh.Node, L uint64) {
 }
 
 // regularRowSweep extends one column state (tC, iC) of destination column
-// rdX along source row y, finishing one source per X hop in both directions:
-// the source at column x lands in out[x*stride].
-func (m *Model) regularRowSweep(out []uint64, stride, y, rdX int, tC, iC, S, L uint64) {
+// rdX along source row y, finishing one source per X hop in both directions,
+// and stores the sources at columns [lo, hi): the one at column x lands in
+// out[(x-lo)*stride]. The hops between the destination column and the range
+// are folded (the range's bounds extend them) but finish no source.
+func (m *Model) regularRowSweep(out []uint64, stride, lo, hi, y, rdX int, tC, iC, S, L uint64) {
 	W := m.rdim.Width
 	// The source in the destination column finishes from the column state.
-	out[rdX*stride] = regularFinish(tC, iC, S)
+	if lo <= rdX && rdX < hi {
+		out[(rdX-lo)*stride] = regularFinish(tC, iC, S)
+	}
 	// Sources left of the destination column travel XPlus along row y,
 	// sources right of it XMinus.
-	m.regularRowRun(out, stride, m.contender[mesh.XPlus][y*W:][:W], rdX-1, -1, -1, tC, iC, S, L)
-	m.regularRowRun(out, stride, m.contender[mesh.XMinus][y*W:][:W], rdX+1, W, 1, tC, iC, S, L)
+	if lo < rdX {
+		m.regularRowRun(out, stride, lo, m.contender[mesh.XPlus][y*W:][:W], rdX-1, min(rdX-1, hi-1), lo-1, -1, tC, iC, S, L)
+	}
+	if rdX+1 < hi {
+		m.regularRowRun(out, stride, lo, m.contender[mesh.XMinus][y*W:][:W], rdX+1, max(rdX+1, lo), hi, 1, tC, iC, S, L)
+	}
 }
 
 // regularRowRun extends the state (t, iv) by the hop at each column from,
 // from+step, … (to excluded) of one router row, cs holding the row's
-// contender counts in the travel direction, and finishes one source per hop.
+// contender counts in the travel direction, and finishes one source per hop
+// from column first on, the one at column x into out[(x-lo)*stride]; the
+// hops before first only carry the state up to it.
 //
 // The saturating arithmetic is absorbing (saturatingMul): once the carried
 // total is MaxUint64, every later total of the run is MaxUint64 whatever the
@@ -198,16 +231,20 @@ func (m *Model) regularRowSweep(out []uint64, stride, y, rdX int, tC, iC, S, L u
 // whose carried-in total is saturated and fills the rest. Not one hop
 // earlier: the source whose own hop saturates the total is still computed,
 // because its predecessor's total was finite.
-func (m *Model) regularRowRun(out []uint64, stride int, cs []uint64, from, to, step int, t, iv, S, L uint64) {
+func (m *Model) regularRowRun(out []uint64, stride, lo int, cs []uint64, from, first, to, step int, t, iv, S, L uint64) {
 	H, R := uint64(m.p.HeaderOverhead), uint64(m.p.RouterLatency)
-	x := from
+	for x := from; x != first && t != math.MaxUint64; x += step {
+		c := cs[x]
+		t, iv = saturatingAdd(t, saturatingAdd(regularWait(iv, c, H, L), R)), saturatingMul(c, iv)
+	}
+	x := first
 	for ; x != to && t != math.MaxUint64; x += step {
 		c := cs[x]
 		t, iv = saturatingAdd(t, saturatingAdd(regularWait(iv, c, H, L), R)), saturatingMul(c, iv)
-		out[x*stride] = regularFinish(t, iv, S)
+		out[(x-lo)*stride] = regularFinish(t, iv, S)
 	}
 	for ; x != to; x += step {
-		out[x*stride] = math.MaxUint64
+		out[(x-lo)*stride] = math.MaxUint64
 	}
 }
 
@@ -223,96 +260,250 @@ func (m *Model) regularDestSweep(out []uint64, rd mesh.Node, S, L uint64) {
 	col := *colp
 	m.regularColStates(col, rd, L)
 	for y := 0; y < Ht; y++ {
-		m.regularRowSweep(out[y*W:], 1, y, rd.X, col[2*y], col[2*y+1], S, L)
+		m.regularRowSweep(out[y*W:], 1, 0, W, y, rd.X, col[2*y], col[2*y+1], S, L)
 	}
 }
 
 // blockPad is the padding, in entries, of a source-row block's row stride:
-// one cache line, so the W lines one destination's row sweep writes (one per
+// one cache line, so the lines one destination's row sweep writes (one per
 // source row, a row stride apart) fall into distinct cache sets instead of
 // aliasing on the power-of-two meshes.
 const blockPad = 8
 
-// regularSourceRows is the all-pairs producer of the chained-blocking bound:
-// it calls visit(si, row) for every source endpoint si in index order, with
-// row[dst] the bound from si to endpoint dst (the self entry is the
-// ejection-only route; row is only valid during the call). It precomputes
-// the column state of every destination at every source row (N*H pairs),
-// then for each router row y fills one block of W source rows,
-// block[x*stride+rd] being the bound from source router (x, y) to router rd.
-// The block is source-major — each source's bounds are contiguous, the order
-// summaries fold and tables store — while a destination's row sweep writes
-// one entry per source row, so consecutive destinations write the same W
-// cache lines and the block, not an N^2 table, is the working set. Endpoint
-// index order visits the router rows in ascending order, so each block is
-// filled once. ctx is polled once per router row; a cancelled sweep returns
-// its error with the remaining rows unvisited.
-func (m *Model) regularSourceRows(ctx context.Context, S, L uint64, visit func(si int, row []uint64)) error {
+// Producer counts of the all-pairs kernels: one below minParallelRouters
+// routers, else GOMAXPROCS shared among the runs in flight, capped at
+// maxProducers (see the file comment).
+const (
+	maxProducers       = 4
+	minParallelRouters = 16 * 16
+)
+
+// allPairsInFlight counts the all-pairs runs in progress in the process. A
+// run's producers get its share of GOMAXPROCS, so runs that already fill the
+// cores — a sweep's worker pool, a daemon's concurrent scenario lines — do
+// not add the slices' extra hops and turn hand-offs on top.
+var allPairsInFlight atomic.Int64
+
+// producers is the number of all-pairs producers on m's router grid when
+// inFlight runs (this one included) are in progress, never more than its
+// columns so that every producer owns a slice. The concentrated meshes keep
+// one: a router row there is several endpoint rows, so the serial fold and
+// row expansion are most of the work (on cmesh4 64x64 two producers measured
+// no faster than one).
+func (m *Model) producers(inFlight int64) int {
+	if m.rdim.Nodes() < minParallelRouters || !m.identityTopo() {
+		return 1
+	}
+	share := max(1, runtime.GOMAXPROCS(0)/int(inFlight))
+	return min(share, maxProducers, m.rdim.Width)
+}
+
+// allPairsRun is one call of the all-pairs producers: what every producer
+// reads, the block their slices cut up, and the consumer the turn holder
+// feeds. It lives on the caller's stack while one producer runs.
+type allPairsRun struct {
+	m   *Model
+	ctx context.Context
+	// waw selects the guaranteed-bandwidth kernel; (a, b) are the bound's
+	// size arguments as in msgShape.
+	waw  bool
+	a, b uint64
+	// pollEvery is the number of sources between two polls of ctx: a router
+	// row of them for the regular kernel, an endpoint row for WaW.
+	pollEvery int
+	// col holds the regular kernel's column states (regularColStates of
+	// every destination, 2*H words each); cost and state the WaW hop costs
+	// and 4W words of sweep state per producer.
+	col, cost, state []uint64
+	// block is one router row of sources: W rows of stride words, row x the
+	// bounds from source router x to every router, producer p's slice its
+	// rows [p*W/P, (p+1)*W/P). epRow is the endpoint row a router row
+	// expands to on the concentrated meshes.
+	block, epRow []uint64
+	stride       int
+	// The consumer: table, when non-nil, receives every source row at
+	// table[si*N:] with the self entry zeroed; otherwise fold sums them.
+	table []uint64
+	fold  summaryFold
+	err   error
+}
+
+// allPairs runs the all-pairs producers of one bound family — the
+// chained-blocking bound of packets of a flits among contenders of b flits,
+// or the guaranteed-bandwidth bound of a packets of b-flit slots — and feeds
+// every source endpoint's row of bounds, in index order, to table (when
+// non-nil) or to a summary fold, which it returns. ctx is polled once per
+// pollEvery sources by the turn holder; a cancelled run returns ctx's error
+// after every producer has stopped.
+func (m *Model) allPairs(ctx context.Context, waw bool, a, b uint64, table []uint64) (summaryFold, error) {
 	W, Ht := m.rdim.Width, m.rdim.Height
 	n, rn := len(m.nodes), W*Ht
-	stride := rn + blockPad
-	sp := getScratch(2*Ht*rn + W*stride + n)
+	allPairsInFlight.Add(1)
+	defer allPairsInFlight.Add(-1)
+	r := allPairsRun{m: m, ctx: ctx, waw: waw, a: a, b: b, stride: rn + blockPad, table: table,
+		fold: summaryFold{min: math.MaxUint64}}
+	pre := 2 * Ht * rn
+	if waw {
+		pre = mesh.NumDirections*rn + 4*W*maxProducers
+	}
+	sp := getScratch(pre + W*r.stride + n)
 	defer putScratch(sp)
-	col, rest := (*sp)[:2*Ht*rn], (*sp)[2*Ht*rn:]
-	block, epRow := rest[:W*stride], rest[W*stride:]
-	for rdIdx := 0; rdIdx < rn; rdIdx++ {
-		m.regularColStates(col[2*Ht*rdIdx:], m.rdim.NodeAt(rdIdx), L)
-	}
-	si := 0
-	for y := 0; y < Ht; y++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	buf := *sp
+	r.block, r.epRow = buf[pre:pre+W*r.stride], buf[pre+W*r.stride:]
+	if waw {
+		r.pollEvery = m.p.Dim.Width
+		r.cost, r.state = buf[:mesh.NumDirections*rn], buf[mesh.NumDirections*rn:pre]
+		m.hopCosts(r.cost, b)
+	} else {
+		r.pollEvery = n / Ht
+		r.col = buf[:pre]
 		for rdIdx := 0; rdIdx < rn; rdIdx++ {
-			st := col[2*(Ht*rdIdx+y):]
-			m.regularRowSweep(block[rdIdx:], stride, y, rdIdx%W, st[0], st[1], S, L)
-		}
-		for ; si < n && int(m.epRouter[si])/W == y; si++ {
-			row := block[int(m.epRouter[si])%W*stride:][:rn]
-			if !m.identityTopo() {
-				m.expandRow(epRow, row)
-				row = epRow
-			}
-			visit(si, row)
+			m.regularColStates(r.col[2*Ht*rdIdx:], m.rdim.NodeAt(rdIdx), b)
 		}
 	}
-	return nil
+	// Sized only now, so that runs started together see each other.
+	P := m.producers(allPairsInFlight.Load())
+	if P == 1 {
+		r.produce(0, 1, nil)
+		return r.fold, r.err
+	}
+	// The producers share a heap copy of the run, so that the caller's run
+	// stays on its stack when one producer runs (0 allocs per summary).
+	h := new(allPairsRun)
+	*h = r
+	turns := make([]chan bool, P)
+	for p := range turns {
+		turns[p] = make(chan bool, 1)
+	}
+	turns[0] <- true
+	var wg sync.WaitGroup
+	for p := 1; p < P; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h.produce(p, P, turns)
+		}()
+	}
+	h.produce(0, P, turns)
+	wg.Wait()
+	return h.fold, h.err
 }
 
-// wawWork is the working memory of the guaranteed-bandwidth sweeps of one
-// kernel call, carved from one pooled buffer so that a call costs one pool
-// round trip however many sources it sweeps.
+// produce is producer p of P: for every router row it fills its slice of the
+// block, waits for the turn, feeds the slice's sources to the consumer and
+// passes the turn on — to producer p+1, or to producer 0 for the next row.
+// turns[q] carries the turn to producer q (true to feed, false to stop) and
+// is nil for a lone producer, which always holds the turn and feeds every
+// endpoint of the router row (two endpoint rows of them on the 2x2
+// concentrated mesh). It returns early when the consumer's context is
+// cancelled, after telling the others to stop.
+func (r *allPairsRun) produce(p, P int, turns []chan bool) {
+	m := r.m
+	W, Ht := m.rdim.Width, m.rdim.Height
+	lo, hi := p*W/P, (p+1)*W/P
+	slice := r.block[lo*r.stride : hi*r.stride]
+	perRow := len(m.nodes) / Ht // source endpoints per router row
+	for y := 0; y < Ht; y++ {
+		r.fill(slice, p, y, lo, hi)
+		first, end := y*perRow, (y+1)*perRow
+		if turns != nil {
+			// Only the mesh runs several producers: one source per router.
+			first, end = y*W+lo, y*W+hi
+			if !<-turns[p] {
+				return
+			}
+		}
+		if !r.feed(slice, lo, first, end, p, turns) {
+			return
+		}
+		if turns != nil {
+			turns[(p+1)%P] <- true
+		}
+	}
+}
+
+// feed hands the sources [si, end) of producer p's slice (whose first column
+// is lo) to the consumer, polling ctx before every pollEvery-th source. On
+// cancellation it records ctx's error, tells the other producers to stop and
+// returns false.
+func (r *allPairsRun) feed(slice []uint64, lo, si, end, p int, turns []chan bool) bool {
+	m := r.m
+	W, rn := m.rdim.Width, m.rdim.Nodes()
+	for ; si < end; si++ {
+		if si%r.pollEvery == 0 {
+			if err := r.ctx.Err(); err != nil {
+				r.err = err
+				for q := range turns {
+					if q != p {
+						turns[q] <- false
+					}
+				}
+				return false
+			}
+		}
+		row := slice[(int(m.epRouter[si])%W-lo)*r.stride:][:rn]
+		if !m.identityTopo() {
+			m.expandRow(r.epRow, row)
+			row = r.epRow
+		}
+		r.visit(si, row)
+	}
+	return true
+}
+
+// fill writes producer p's slice of router row y: the bounds from the source
+// routers at columns [lo, hi) of the row to every router.
+func (r *allPairsRun) fill(slice []uint64, p, y, lo, hi int) {
+	m := r.m
+	W, Ht := m.rdim.Width, m.rdim.Height
+	if r.waw {
+		w := wawWork{slot: r.b, cost: r.cost, state: r.state[4*W*p:][:4*W]}
+		for x := lo; x < hi; x++ {
+			m.wawSourceSweep(slice[(x-lo)*r.stride:], w, mesh.Node{X: x, Y: y}, r.a)
+		}
+		return
+	}
+	for rdIdx := 0; rdIdx < W*Ht; rdIdx++ {
+		st := r.col[2*(Ht*rdIdx+y):]
+		m.regularRowSweep(slice[rdIdx:], r.stride, lo, hi, y, rdIdx%W, st[0], st[1], r.a, r.b)
+	}
+}
+
+// visit feeds the row of bounds from source endpoint si to the consumer.
+func (r *allPairsRun) visit(si int, row []uint64) {
+	if r.table == nil {
+		r.fold.addSource(si, row)
+		return
+	}
+	n := len(row)
+	copy(r.table[si*n:], row)
+	r.table[si*n+si] = 0
+}
+
+// wawWork is what one guaranteed-bandwidth source sweep reads and writes.
 type wawWork struct {
-	buf  *[]uint64
 	slot uint64 // the arbitration slot size, in flits, the costs are for
-	// cost tabulates wawHopCost of every router output for that slot size in
-	// NumDirections planes of one entry per router — cost[out*rn+idx], the
-	// layout of outShare — once per call instead of once per flow crossing
-	// the port; the Local plane is the ejection term of each destination.
+	// cost tabulates wawHopCost of every router output for that slot size
+	// (hopCosts); it is shared by every sweep of a call.
 	cost []uint64
 	// state is 4W words: the row state and the column states of the sweep in
-	// progress. rrow is a router row (expanded to endpoints on the
-	// concentrated meshes) and row an endpoint row for streaming callers.
-	state, rrow, row []uint64
+	// progress, one per concurrent sweep.
+	state []uint64
 }
 
-func (m *Model) newWaWWork(slot uint64) wawWork {
-	R := uint64(m.p.RouterLatency)
-	W, rn, n := m.rdim.Width, m.rdim.Nodes(), len(m.nodes)
-	w := wawWork{buf: getScratch(mesh.NumDirections*rn + 4*W + rn + n), slot: slot}
-	rest := *w.buf
-	w.cost, rest = rest[:mesh.NumDirections*rn], rest[mesh.NumDirections*rn:]
-	w.state, rest = rest[:4*W], rest[4*W:]
-	w.rrow, w.row = rest[:rn], rest[rn:]
+// hopCosts fills cost with wawHopCost of every router output for the given
+// slot size, in NumDirections planes of one entry per router —
+// cost[out*rn+idx], the layout of outShare — once per call instead of once
+// per flow crossing the port; the Local plane is the ejection term of each
+// destination.
+func (m *Model) hopCosts(cost []uint64, slot uint64) {
+	R, rn := uint64(m.p.RouterLatency), m.rdim.Nodes()
 	for out, shares := range m.outShare {
 		for idx, o := range shares {
-			w.cost[out*rn+idx] = wawHopCost(o, slot, R)
+			cost[out*rn+idx] = wawHopCost(o, slot, R)
 		}
 	}
-	return w
 }
-
-func (w wawWork) release() { putScratch(w.buf) }
 
 // wawSourceSweep runs the source-major prefix-sharing sweep of the
 // guaranteed-bandwidth bound for one source router rs over the hop costs of
@@ -394,24 +585,10 @@ func (m *Model) expandRow(out, row []uint64) {
 	}
 }
 
-// wawSourceRow fills out (endpoint-indexed) with the guaranteed-bandwidth
-// bound from endpoint src to every endpoint: one source-major sweep, written
-// in place on the identity topology and expanded from w's router row on the
-// concentrated meshes. The src entry is the ejection-only route.
-func (m *Model) wawSourceRow(out []uint64, w wawWork, src mesh.Node, P uint64) {
-	rs := m.topo.RouterOf(src)
-	if m.identityTopo() {
-		m.wawSourceSweep(out, w, rs, P)
-		return
-	}
-	m.wawSourceSweep(w.rrow, w, rs, P)
-	m.expandRow(out, w.rrow)
-}
-
 // AllPairsRegularPacketWCTT fills buf (reused when its capacity suffices)
 // with the chained-blocking bound of RegularPacketWCTT for every ordered
 // endpoint pair: buf[src*N+dst] with N = Dim.Nodes() and dense node
-// indexing; self-flow entries are 0. The source-row producer computes the
+// indexing; self-flow entries are 0. The all-pairs producers compute the
 // table in O(N^2) — amortized O(1) per pair — and every entry is
 // byte-identical to the per-pair walk.
 func (m *Model) AllPairsRegularPacketWCTT(packetFlits, contenderFlits int, buf []uint64) ([]uint64, error) {
@@ -421,10 +598,8 @@ func (m *Model) AllPairsRegularPacketWCTT(packetFlits, contenderFlits int, buf [
 	n := len(m.nodes)
 	buf = ensureTable(buf, n*n)
 	kernelAllPairsRuns.Add(1)
-	_ = m.regularSourceRows(context.Background(), uint64(packetFlits), uint64(contenderFlits), func(si int, row []uint64) {
-		copy(buf[si*n:], row)
-		buf[si*n+si] = 0
-	}) // the background context is never cancelled
+	// The background context is never cancelled.
+	_, _ = m.allPairs(context.Background(), false, uint64(packetFlits), uint64(contenderFlits), buf)
 	return buf, nil
 }
 
@@ -438,12 +613,7 @@ func (m *Model) AllPairsWaWPacketWCTT(numPackets, slotFlits int, buf []uint64) (
 	n := len(m.nodes)
 	buf = ensureTable(buf, n*n)
 	kernelAllPairsRuns.Add(1)
-	w := m.newWaWWork(uint64(slotFlits))
-	defer w.release()
-	for si, src := range m.nodes {
-		m.wawSourceRow(buf[si*n:si*n+n], w, src, uint64(numPackets))
-		buf[si*n+si] = 0
-	}
+	_, _ = m.allPairs(context.Background(), true, uint64(numPackets), uint64(slotFlits), buf)
 	return buf, nil
 }
 
@@ -523,9 +693,19 @@ func (m *Model) AllDestinationsMessageWCTT(design network.Design, src mesh.Node,
 	srcIdx := src.Y*m.p.Dim.Width + src.X
 	if sh.waw {
 		kernelRowSweeps.Add(1)
-		w := m.newWaWWork(uint64(sh.b))
-		m.wawSourceRow(buf, w, src, uint64(sh.a))
-		w.release()
+		W, rn := m.rdim.Width, m.rdim.Nodes()
+		sp := getScratch(mesh.NumDirections*rn + 4*W + rn)
+		cost, rest := (*sp)[:mesh.NumDirections*rn], (*sp)[mesh.NumDirections*rn:]
+		m.hopCosts(cost, uint64(sh.b))
+		w := wawWork{slot: uint64(sh.b), cost: cost, state: rest[:4*W]}
+		rs := m.topo.RouterOf(src)
+		if m.identityTopo() {
+			m.wawSourceSweep(buf, w, rs, uint64(sh.a))
+		} else {
+			m.wawSourceSweep(rest[4*W:], w, rs, uint64(sh.a))
+			m.expandRow(buf, rest[4*W:])
+		}
+		putScratch(sp)
 		buf[srcIdx] = 0
 		return buf, nil
 	}

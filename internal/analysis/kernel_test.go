@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/mesh"
 	"repro/internal/network"
@@ -314,14 +316,15 @@ func checkSaturationBoundary(t *testing.T, m *Model) {
 // streaming is most exposed: degenerate 1xN / Nx1 / 1x1 meshes (empty row or
 // column sweeps, no flows at all), a wide rectangle whose source-row blocks
 // are far from square (mesh and both concentrations), the two saturating
-// stretches and — outside -short — a 32x32 mesh, where most regular bounds
-// saturate at 2^64-1 and the in-order float sum is exactly where a changed
-// fold order would show.
+// stretches, a 17x16 mesh that runs on several producers whose column slices
+// cannot be equal (17 is no multiple of 2, 3 or 4) and — outside -short — a
+// 32x32 mesh, where most regular bounds saturate at 2^64-1 and the in-order
+// float sum is exactly where a changed fold order would show.
 func summaryModels(t *testing.T) []*Model {
 	t.Helper()
 	models := append(kernelModels(t),
 		modelsFor([]mesh.Dim{mesh.MustDim(1, 1), mesh.MustDim(1, 7), mesh.MustDim(7, 1), mesh.MustDim(16, 8),
-			mesh.MustDim(64, 3), mesh.MustDim(3, 64)})...)
+			mesh.MustDim(64, 3), mesh.MustDim(3, 64), mesh.MustDim(17, 16)})...)
 	if !testing.Short() {
 		models = append(models, MustNewModel(DefaultParams(mesh.MustDim(32, 32))))
 	}
@@ -381,6 +384,85 @@ func TestSummarizeMatchesPairwise(t *testing.T) {
 	}
 }
 
+// TestSummaryIndependentOfProcs: the all-pairs producers split each router
+// row of sources into min(GOMAXPROCS, 4) column slices, and nothing they
+// produce may depend on how many there are. Under GOMAXPROCS 1, 2, 3, 4 and 8
+// every summary (all four designs, float mean included) and both all-pairs
+// tables must equal the GOMAXPROCS 1 result, on grids whose router width is
+// no multiple of the producer count, a saturating 48x48 mesh (the cut-off
+// fills inside slices that start far from the destination column) and both
+// concentrated meshes (one producer whatever GOMAXPROCS, feeding one or two
+// endpoint rows per router row). Up to 16x16 routers the
+// GOMAXPROCS 1 summary is also checked against the per-pair fold. The 48x48
+// mesh is left to the plain run: under the race detector its tables cost a
+// few hundred MiB, and the other parallel grids give the detector the same
+// producers to watch.
+func TestSummaryIndependentOfProcs(t *testing.T) {
+	dims := []mesh.Dim{mesh.MustDim(1, 40), mesh.MustDim(40, 1), mesh.MustDim(17, 9), mesh.MustDim(33, 16), mesh.MustDim(31, 31)}
+	if !raceEnabled {
+		dims = append(dims, mesh.MustDim(48, 48))
+	}
+	var models []*Model
+	for _, d := range dims {
+		models = append(models, MustNewModel(DefaultParams(d)))
+	}
+	for _, c := range []struct {
+		d    mesh.Dim
+		conc int
+	}{{mesh.MustDim(16, 8), 2}, {mesh.MustDim(32, 32), 4}} {
+		p := DefaultParams(c.d)
+		p.Topo = mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: c.conc}
+		models = append(models, MustNewModel(p))
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var regular, waw []uint64
+	for _, m := range models {
+		name := fmt.Sprintf("%v %v", m.Params().Topo, m.Params().Dim)
+		runtime.GOMAXPROCS(1)
+		want := make(map[network.Design]WCTTSummary)
+		for _, design := range allDesigns {
+			s, err := m.SummarizeOneFlitWCTT(design)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[design] = s
+			if m.rdim.Nodes() <= 16*16 {
+				if ref, err := pairwiseSummary(m, design); err != nil || s != ref {
+					t.Fatalf("%s %v: summary %+v != pairwise %+v (%v)", name, design, s, ref, err)
+				}
+			}
+		}
+		wantRegular, err := m.AllPairsRegularPacketWCTT(1, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantWaW, err := m.AllPairsWaWPacketWCTT(1, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{2, 3, 4, 8} {
+			runtime.GOMAXPROCS(procs)
+			for _, design := range allDesigns {
+				if s, err := m.SummarizeOneFlitWCTT(design); err != nil || s != want[design] {
+					t.Fatalf("%s %v GOMAXPROCS %d: summary %+v (%v), want %+v", name, design, procs, s, err, want[design])
+				}
+			}
+			if regular, err = m.AllPairsRegularPacketWCTT(1, 1, regular); err != nil {
+				t.Fatal(err)
+			}
+			if waw, err = m.AllPairsWaWPacketWCTT(1, 1, waw); err != nil {
+				t.Fatal(err)
+			}
+			for i := range wantRegular {
+				if regular[i] != wantRegular[i] || waw[i] != wantWaW[i] {
+					t.Fatalf("%s GOMAXPROCS %d: table entry %d is (regular %d, WaW %d), want (%d, %d)",
+						name, procs, i, regular[i], waw[i], wantRegular[i], wantWaW[i])
+				}
+			}
+		}
+	}
+}
+
 // pollCtx is a context that reports cancellation from its cancelAt-th Err
 // poll on and counts the polls, so a test can cancel a summary at an exact
 // row and see how soon it returned.
@@ -400,29 +482,53 @@ func (c *pollCtx) Err() error {
 // TestSummarizeContextCancel: a 64x64 summary polls its context once per row
 // of sources; cancelled halfway it returns at that very poll — within one
 // row's work — with the context's error and no partial result, and the pooled
-// scratch it abandoned serves the next summary unharmed.
+// scratch it abandoned serves the next summary unharmed. With one producer
+// and with four alike: the turn holder polls, and a cancelled summary joins
+// every producer before it returns, so no goroutine outlives it.
 func TestSummarizeContextCancel(t *testing.T) {
 	m := MustNewModel(DefaultParams(mesh.MustDim(64, 64)))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		checkSummaryCancel(t, m, procs)
+	}
+}
+
+// checkSummaryCancel is TestSummarizeContextCancel under the current
+// GOMAXPROCS (procs, for the messages).
+func checkSummaryCancel(t *testing.T, m *Model, procs int) {
+	t.Helper()
 	for _, design := range []network.Design{network.DesignRegular, network.DesignWaWWaP} {
+		goroutines := runtime.NumGoroutine()
 		whole := &pollCtx{Context: context.Background(), cancelAt: math.MaxInt}
 		want, err := m.SummarizeOneFlitWCTTContext(whole, design)
 		if err != nil || whole.polls != 64 {
-			t.Fatalf("%v: uncancelled summary: err %v, %d polls (want one per source row, 64)", design, err, whole.polls)
+			t.Fatalf("GOMAXPROCS %d %v: uncancelled summary: err %v, %d polls (want one per source row, 64)", procs, design, err, whole.polls)
 		}
 		runs, _, _ := KernelCounters()
 		half := &pollCtx{Context: context.Background(), cancelAt: 33}
 		got, err := m.SummarizeOneFlitWCTTContext(half, design)
 		if !errors.Is(err, context.Canceled) || got != (WCTTSummary{}) {
-			t.Fatalf("%v: cancelled summary returned %+v, err %v; want the zero summary and context.Canceled", design, got, err)
+			t.Fatalf("GOMAXPROCS %d %v: cancelled summary returned %+v, err %v; want the zero summary and context.Canceled", procs, design, got, err)
 		}
 		if half.polls != 33 {
-			t.Fatalf("%v: cancelled at poll 33 but polled %d times; the summary must return at the first failing poll", design, half.polls)
+			t.Fatalf("GOMAXPROCS %d %v: cancelled at poll 33 but polled %d times; the summary must return at the first failing poll", procs, design, half.polls)
+		}
+		// A joined producer may still be on its way out of the scheduler when
+		// the summary returns; it must be gone within a second. (The count may
+		// also end lower: the starting one can include a previous summary's
+		// producers on their way out.)
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > goroutines && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > goroutines {
+			t.Fatalf("GOMAXPROCS %d %v: %d goroutines after a cancelled summary, %d before", procs, design, n, goroutines)
 		}
 		if after, _, _ := KernelCounters(); after != runs {
-			t.Fatalf("%v: a cancelled summary counted as a kernel run", design)
+			t.Fatalf("GOMAXPROCS %d %v: a cancelled summary counted as a kernel run", procs, design)
 		}
 		if again, err := m.SummarizeOneFlitWCTT(design); err != nil || again != want {
-			t.Fatalf("%v: summary after a cancelled one: %+v, err %v; want %+v", design, again, err, want)
+			t.Fatalf("GOMAXPROCS %d %v: summary after a cancelled one: %+v, err %v; want %+v", procs, design, again, err, want)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package analysis
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/mesh"
 	"repro/internal/network"
@@ -34,44 +33,33 @@ func (s WCTTSummary) String() string {
 // SummarizeOneFlitWCTT computes max/mean/min of the one-flit-packet WCTT
 // bound over every ordered pair of distinct nodes, for the given design.
 // It streams the incremental all-pairs kernels (kernel.go) — amortized O(1)
-// route-walk work per pair instead of O(hops), no N^2 table — and folds the
-// bounds in source-major pair order (sources outer, destinations inner, self
-// flows skipped), the order of the plain per-pair loop the tests compare
-// against: the mean is the in-order float sum divided by the count, so it is
-// bit-identical to that loop's, not merely close. Steady-state calls perform
-// no heap allocations (the transient rows and blocks are pooled).
+// route-walk work per pair instead of O(hops), no N^2 table, the rows
+// produced on up to four cores — and folds the bounds in source-major pair
+// order (sources outer, destinations inner, self flows skipped), the order
+// of the plain per-pair loop the tests compare against: the mean is the
+// in-order float sum divided by the count, so it is bit-identical to that
+// loop's, not merely close, whatever the core count. Steady-state calls that
+// run on the caller alone (meshes under 16x16, the concentrated meshes)
+// perform no heap allocations (the transient rows and blocks are pooled).
 func (m *Model) SummarizeOneFlitWCTT(design network.Design) (WCTTSummary, error) {
 	return m.SummarizeOneFlitWCTTContext(context.Background(), design)
 }
 
 // SummarizeOneFlitWCTTContext is SummarizeOneFlitWCTT with cancellation: ctx
 // is polled once per row of sources, and a cancelled summary returns ctx's
-// error and no partial result.
+// error and no partial result once every producer has stopped.
 func (m *Model) SummarizeOneFlitWCTTContext(ctx context.Context, design network.Design) (WCTTSummary, error) {
-	f := summaryFold{min: math.MaxUint64}
+	var waw bool
 	switch design {
 	case network.DesignRegular, network.DesignWaPOnly:
-		// The chained-blocking kernel shares fold prefixes per destination;
-		// its producer still delivers whole source rows in source order.
-		if err := m.regularSourceRows(ctx, 1, 1, f.addSource); err != nil {
-			return WCTTSummary{}, err
-		}
 	case network.DesignWaWWaP, network.DesignWaWOnly:
-		// The guaranteed-bandwidth kernel is source-major — exactly the fold
-		// order — so the summary streams one O(N) row per source.
-		w := m.newWaWWork(1)
-		defer w.release()
-		for si, src := range m.nodes {
-			if src.X == 0 {
-				if err := ctx.Err(); err != nil {
-					return WCTTSummary{}, err
-				}
-			}
-			m.wawSourceRow(w.row, w, src, 1)
-			f.addSource(si, w.row)
-		}
+		waw = true
 	default:
 		return WCTTSummary{}, fmt.Errorf("analysis: unknown design %v", design)
+	}
+	f, err := m.allPairs(ctx, waw, 1, 1, nil)
+	if err != nil {
+		return WCTTSummary{}, err
 	}
 	kernelAllPairsRuns.Add(1)
 	sum := WCTTSummary{Design: design, Dim: m.p.Dim, Max: f.max, Flows: f.count}
@@ -84,6 +72,10 @@ func (m *Model) SummarizeOneFlitWCTTContext(ctx context.Context, design network.
 // summaryFold accumulates the max/min/sum of a stream of bounds in arrival
 // order (the float sum, hence the mean, is order-sensitive). An empty fold
 // has min = MaxUint64, the identity of the running minimum.
+//
+// Kept an in-order float sum, bit-pinned: the goldens and the benchmark's
+// expected outputs pin the mean's bits, so the fold stays serial behind the
+// parallel producers instead of becoming an order-free integer sum.
 type summaryFold struct {
 	sum      float64
 	max, min uint64
