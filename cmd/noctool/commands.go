@@ -178,7 +178,7 @@ func cmdSimulate(args []string, w io.Writer) error {
 	fs, format := newFlagSet("simulate")
 	width := fs.Int("width", 8, "mesh width")
 	height := fs.Int("height", 8, "mesh height")
-	topology := fs.String("topology", "mesh", "network topology: mesh, torus, cmesh (4 cores/router) or cmesh2")
+	topology := fs.String("topology", "mesh", "network topology: mesh, cmesh (4 cores/router) or cmesh2")
 	messages := fs.Int("messages", 2000, "total number of request messages to inject")
 	rate := fs.Int("rate", 30, "per-node injection probability per cycle (percent)")
 	seed := fs.Int64("seed", 1, "pseudo-random seed")

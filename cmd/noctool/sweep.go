@@ -38,7 +38,7 @@ func cmdSweep(args []string, w io.Writer) error {
 func sweepOn(args []string, in io.Reader, w io.Writer) error {
 	fs, format := newFlagSet("sweep")
 	mode := fs.String("mode", "wctt", "scenario mode: wctt, simulate, manycore, parallel-wcet, wcet-map or load-curve")
-	topology := fs.String("topology", "mesh", "network topology: mesh, torus, cmesh (4 cores/router) or cmesh2")
+	topology := fs.String("topology", "mesh", "network topology: mesh, cmesh (4 cores/router) or cmesh2")
 	sizes := fs.String("sizes", "2..8", "square mesh sizes, e.g. 2..8 or 2,4,8")
 	designs := fs.String("designs", "regular,waw+wap", "comma-separated design points (regular, waw+wap, waw-only, wap-only)")
 	workloads := fs.String("workloads", "", "comma-separated EEMBC kernels (manycore mode)")

@@ -23,9 +23,8 @@
 // the allocation-free route walkers (Walk, AppendHops; mesh.WalkXY and
 // mesh.AppendXYHops on the plain mesh) and the per-input channel loads of the
 // WaW closed forms. The paper's XY-routed 2D mesh is the reference instance;
-// beside it ship a torus (simulation-only: its channel loads are not
-// destination-independent, so the chained-blocking argument does not
-// transfer) and concentrated meshes with 2 or 4 cores per router.
+// beside it ship concentrated meshes with 2 or 4 cores per router. Every
+// topology that ships carries the paper's WCTT bounds.
 //
 // Weights (internal/flows). flows.WeightTableFor derives, from a topology
 // alone, the per-router (input, output) flow counts the WaW arbiters count

@@ -55,7 +55,7 @@ func main() {
 			r.Sim.MinLatency, r.Sim.MeanLatency, r.Sim.MaxLatency)
 	}
 
-	// 2. Analytical worst-case traversal time bounds for a near and a far
+	// 2. The analytical worst-case traversal time bounds for a near and a far
 	//    flow, one-flit packets (the Table II configuration).
 	model, err := core.NewWCTTModel(width, height)
 	if err != nil {

@@ -1,10 +1,10 @@
-// topocompare runs the same cycle-accurate experiment on all three
-// topologies of the pluggable topology layer — the paper's 2D mesh, the
-// torus and the 4-cores-per-router concentrated mesh — and tabulates what
-// the geometry buys: under uniform random traffic the torus's wrap links
-// halve the average hop count and the concentrated mesh trades link
-// bandwidth for router count, while under an all-to-one hotspot the
-// topology barely matters because the bottleneck is the ejection port.
+// topocompare runs the same cycle-accurate experiment on both topology
+// families of the pluggable topology layer — the paper's 2D mesh and the
+// 4-cores-per-router concentrated mesh — and tabulates what the geometry
+// buys: under uniform random traffic the concentrated mesh trades link
+// bandwidth for router count and drains later, while under an all-to-one
+// hotspot the topology barely matters because the bottleneck is the
+// ejection port.
 //
 // Per endpoint grid (8x8 and 16x16, always counted in cores) and pattern
 // the table reports the drain time, the delivered messages and the mean
@@ -55,7 +55,6 @@ func run(spec mesh.TopoSpec, d mesh.Dim, pattern string) *network.Network {
 func main() {
 	topos := []mesh.TopoSpec{
 		{Kind: mesh.TopoMesh},
-		{Kind: mesh.TopoTorus},
 		{Kind: mesh.TopoCMesh, Conc: 4},
 	}
 	for _, pattern := range []string{"uniform", "hotspot"} {

@@ -159,9 +159,9 @@ func ensureTable(buf []uint64, n int) []uint64 {
 }
 
 // identityTopo reports whether endpoints and routers coincide (the 2D mesh),
-// letting the kernels write endpoint rows directly. Analytical topologies
-// with a reduced router grid (the concentrated meshes) expand router rows
-// through epRouter instead (expandRow).
+// letting the kernels write endpoint rows directly. Topologies with a
+// reduced router grid (the concentrated meshes) expand router rows through
+// epRouter instead (expandRow).
 func (m *Model) identityTopo() bool { return m.rdim == m.p.Dim }
 
 // regularColStates runs the column half of the chained-blocking sweep for

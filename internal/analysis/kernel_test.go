@@ -43,7 +43,8 @@ func kernelModels(t *testing.T) []*Model {
 
 // modelsFor builds one model per valid (dim, topo) combination; invalid
 // combinations (a concentrated mesh on an indivisible grid) are skipped —
-// NewModel's rejection of those is pinned by TestTorusModelRejected.
+// NewModel's rejection of those is pinned by
+// TestCMeshModelRejectsIndivisibleGrid.
 func modelsFor(dims []mesh.Dim) []*Model {
 	var models []*Model
 	for _, d := range dims {

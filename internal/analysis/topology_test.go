@@ -103,26 +103,13 @@ func TestCMeshBoundsDominateMeshOfRouters(t *testing.T) {
 	}
 }
 
-// TestTorusModelRejected pins the analytical gate: the torus has no WCTT
-// model and NewModel must say so with an error that points at the
-// simulation modes instead of silently computing a wrong bound.
-func TestTorusModelRejected(t *testing.T) {
-	p := DefaultParams(mesh.MustDim(8, 8))
-	p.Topo = mesh.TopoSpec{Kind: mesh.TopoTorus}
-	if _, err := NewModel(p); err == nil {
-		t.Fatal("NewModel should reject the torus")
-	} else {
-		for _, want := range []string{"torus", "simulation-only", "simulate"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("torus rejection %q should mention %q", err, want)
-			}
-		}
-	}
-	// An invalid cmesh build (indivisible grid) surfaces its own error.
-	p = DefaultParams(mesh.MustDim(5, 5))
+// TestCMeshModelRejectsIndivisibleGrid checks NewModel surfaces the
+// topology's build error: a concentration block must divide the grid.
+func TestCMeshModelRejectsIndivisibleGrid(t *testing.T) {
+	p := DefaultParams(mesh.MustDim(5, 5))
 	p.Topo = mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: 4}
-	if _, err := NewModel(p); err == nil {
-		t.Fatal("NewModel should reject cmesh4 on 5x5")
+	if _, err := NewModel(p); err == nil || !strings.Contains(err.Error(), "does not divide") {
+		t.Fatalf("NewModel(cmesh4 on 5x5) = %v, want the indivisible-grid error", err)
 	}
 }
 

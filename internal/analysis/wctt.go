@@ -71,9 +71,7 @@ type Params struct {
 	// core grid, whose router grid is derived from Topo).
 	Dim mesh.Dim
 	// Topo selects the topology the bounds are derived on; the zero value is
-	// the paper's 2D mesh. Only topologies whose Analytical() capability is
-	// true admit a model — the torus is rejected by NewModel (see
-	// mesh.Torus for why the chained-blocking argument does not transfer).
+	// the paper's 2D mesh.
 	Topo mesh.TopoSpec
 	// Link describes the link width, control overhead, maximum packet size L
 	// and minimum packet size m.
@@ -153,10 +151,7 @@ type Model struct {
 	epRouter []int32
 }
 
-// NewModel builds a WCTT model for the given parameters. Topologies whose
-// chained-blocking argument does not transfer (Analytical() is false, e.g.
-// the torus) are rejected with an error directing callers to the
-// simulation-only modes.
+// NewModel builds a WCTT model for the given parameters.
 func NewModel(p Params) (*Model, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -164,9 +159,6 @@ func NewModel(p Params) (*Model, error) {
 	topo, err := p.Topo.Build(p.Dim)
 	if err != nil {
 		return nil, err
-	}
-	if !topo.Analytical() {
-		return nil, fmt.Errorf("analysis: topology %v has no analytical WCTT model (channel loads are not destination-independent, so the paper's chained-blocking argument does not transfer); it is simulation-only — use the simulate or load-curve modes", topo)
 	}
 	rdim := topo.RouterDim()
 	m := &Model{

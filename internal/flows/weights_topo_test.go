@@ -21,13 +21,12 @@ func TestCachedWeightTableTopoMeshIdentity(t *testing.T) {
 }
 
 // TestTopoWeightTableProperties checks the structural invariants of the
-// torus and concentrated-mesh tables: counts only on existing ports and
+// concentrated-mesh tables: counts only on existing ports and
 // legal turns, non-Local weights summing to 1 per active output, and the
 // CMesh counts equalling the mesh counts of the router grid scaled by the
 // concentration (the Section III transfer argument).
 func TestTopoWeightTableProperties(t *testing.T) {
 	topos := []mesh.Topology{
-		mesh.TopoSpec{Kind: mesh.TopoTorus}.MustBuild(mesh.MustDim(6, 6)),
 		mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: 4}.MustBuild(mesh.MustDim(8, 8)),
 		mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: 2}.MustBuild(mesh.MustDim(8, 8)),
 	}

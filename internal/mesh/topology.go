@@ -16,16 +16,11 @@ import (
 // the WaW weight table — so the same simulator, analytical engine and daemon
 // run unchanged over any instance.
 //
-// Three topologies ship:
+// Two topology families ship, and the paper's WCTT bounds hold on both:
 //
 //   - Mesh (the reference instance): the paper's XY-routed 2D mesh. Every
 //     method delegates to the original Dim/XY helpers, so mesh behaviour is
 //     bit-identical to the pre-topology code.
-//   - Torus: the same grid with wrap links. Routing stays dimension-ordered
-//     (X fully, then Y) but each ring takes the shorter way around, with the
-//     half-way tie on even rings broken towards the positive direction — the
-//     "shortest-wrap with positive dateline" convention (see torus.OutputPort
-//     for the full statement and its deadlock discussion).
 //   - CMesh (concentrated mesh): Conc endpoint cores share each router
 //     through the Local port. The endpoint space stays a full W×H grid;
 //     routers form the (W/cx)×(H/cy) sub-grid and routing is XY over it.
@@ -42,9 +37,6 @@ const (
 	// TopoMesh is the paper's XY-routed 2D mesh (the zero value: every
 	// pre-topology Config/Params literal denotes it implicitly).
 	TopoMesh TopoKind = iota
-	// TopoTorus is the 2D torus: the mesh grid plus wrap links, routed
-	// dimension-ordered with the shortest-wrap/positive-dateline convention.
-	TopoTorus
 	// TopoCMesh is the concentrated mesh: Conc endpoint cores per router,
 	// XY routing over the reduced router grid.
 	TopoCMesh
@@ -56,8 +48,6 @@ func (k TopoKind) String() string {
 	switch k {
 	case TopoMesh:
 		return "mesh"
-	case TopoTorus:
-		return "torus"
 	case TopoCMesh:
 		return "cmesh"
 	default:
@@ -84,8 +74,8 @@ type TopoSpec struct {
 	Conc int
 }
 
-// String renders the spec in the canonical flag syntax: "mesh", "torus",
-// "cmesh" (default concentration) or "cmesh2".
+// String renders the spec in the canonical flag syntax: "mesh", "cmesh"
+// (default concentration) or "cmesh2".
 func (s TopoSpec) String() string {
 	if s.Kind == TopoCMesh && s.Conc != 0 && s.Conc != DefaultCMeshConc {
 		return fmt.Sprintf("cmesh%d", s.Conc)
@@ -94,14 +84,12 @@ func (s TopoSpec) String() string {
 }
 
 // ParseTopology parses the canonical topology names: "" or "mesh" (the
-// default), "torus", "cmesh" (4 cores per router) and "cmesh2"/"cmesh4"
-// (explicit concentration). Matching is case-insensitive.
+// default), "cmesh" (4 cores per router) and "cmesh2"/"cmesh4" (explicit
+// concentration). Matching is case-insensitive.
 func ParseTopology(s string) (TopoSpec, error) {
 	switch t := strings.ToLower(strings.TrimSpace(s)); t {
 	case "", "mesh":
 		return TopoSpec{Kind: TopoMesh}, nil
-	case "torus":
-		return TopoSpec{Kind: TopoTorus}, nil
 	case "cmesh":
 		return TopoSpec{Kind: TopoCMesh, Conc: DefaultCMeshConc}, nil
 	case "cmesh2":
@@ -109,7 +97,7 @@ func ParseTopology(s string) (TopoSpec, error) {
 	case "cmesh4":
 		return TopoSpec{Kind: TopoCMesh, Conc: 4}, nil
 	default:
-		return TopoSpec{}, fmt.Errorf("mesh: unknown topology %q (want mesh, torus, cmesh, cmesh2 or cmesh4)", s)
+		return TopoSpec{}, fmt.Errorf("mesh: unknown topology %q (want mesh, cmesh, cmesh2 or cmesh4)", s)
 	}
 }
 
@@ -136,8 +124,6 @@ func (s TopoSpec) Build(ep Dim) (Topology, error) {
 	switch s.Kind {
 	case TopoMesh:
 		return Mesh2D{D: ep}, nil
-	case TopoTorus:
-		return Torus{D: ep}, nil
 	case TopoCMesh:
 		cx, cy, err := concFactors(s.Conc)
 		if err != nil {
@@ -170,8 +156,8 @@ func (s TopoSpec) MustBuild(ep Dim) Topology {
 //
 // Two index spaces are involved. Endpoints (traffic sources/destinations,
 // the paper's PMEs) live on EndpointDim; routers live on RouterDim. For the
-// mesh and the torus the two coincide and RouterOf is the identity; for the
-// concentrated mesh several endpoints share a router. All routing methods
+// mesh the two coincide and RouterOf is the identity; for the concentrated
+// mesh several endpoints share a router. All routing methods
 // take endpoint destinations and resolve the attached router internally.
 //
 // Implementations are small immutable value types: they are freely copyable,
@@ -194,7 +180,7 @@ type Topology interface {
 	LocalEndpoints(r Node) int
 
 	// Neighbor returns the router adjacent to r through output direction
-	// dir (wrap links included), or false when the port does not exist.
+	// dir, or false when the port does not exist.
 	Neighbor(r Node, dir Direction) (Node, bool)
 	// HasOutput reports whether output port out of router r physically
 	// exists (Local always does).
@@ -220,49 +206,6 @@ type Topology interface {
 	// turn (endpoints sending to a co-located endpoint): 0 unless several
 	// endpoints share the router.
 	LocalPairLoad(r Node) int
-
-	// Analytical reports whether the paper's chained-blocking WCTT argument
-	// transfers to this topology (destination-independent channel loads
-	// and acyclic turn ordering). Topologies without it are simulation-only.
-	Analytical() bool
-}
-
-// walkTopology is the generic route walker shared by the non-mesh
-// topologies: follow OutputPort hop by hop from the source's router until
-// ejection. Like WalkXY it performs no heap allocations — the type
-// parameter keeps the concrete topology unboxed (an interface parameter
-// would heap-allocate the receiver on every walk of the analytical loops;
-// the Walk alloc test pins this).
-func walkTopology[T Topology](t T, src, dst Node, fn func(hop Hop) bool) error {
-	if err := CheckEndpoints(t.EndpointDim(), src, dst); err != nil {
-		return err
-	}
-	at := t.RouterOf(src)
-	in := Local
-	for {
-		out := t.OutputPort(at, dst)
-		if !fn(Hop{Router: at, In: in, Out: out}) {
-			return nil
-		}
-		if out == Local {
-			return nil
-		}
-		next, ok := t.Neighbor(at, out)
-		if !ok {
-			return fmt.Errorf("mesh: %v routing left the fabric at %v towards %v (dst %v)", t, at, out, dst)
-		}
-		in = out
-		at = next
-	}
-}
-
-// appendTopologyHops is the caller-buffer variant of walkTopology.
-func appendTopologyHops[T Topology](t T, hops []Hop, src, dst Node) ([]Hop, error) {
-	err := t.Walk(src, dst, func(h Hop) bool {
-		hops = append(hops, h)
-		return true
-	})
-	return hops, err
 }
 
 // LegalInputsForTopo returns the input ports of router r that physically
@@ -350,157 +293,6 @@ func (m Mesh2D) InputLoads(r Node) [NumDirections]int {
 // LocalPairLoad implements Topology: a mesh node never sends to itself.
 func (m Mesh2D) LocalPairLoad(Node) int { return 0 }
 
-// Analytical implements Topology: the paper's bounds are derived here.
-func (m Mesh2D) Analytical() bool { return true }
-
-// Torus is the 2D torus: the mesh grid plus wrap links on every row and
-// column ring, routed dimension-ordered (X fully, then Y) with each ring
-// taking the shorter way around.
-//
-// # Dateline / shortest-wrap convention
-//
-// Within a ring of size S the displacement towards the destination is taken
-// modulo S; the packet travels in the positive direction when the positive
-// displacement m satisfies 2m <= S and in the negative direction otherwise.
-// On even rings the half-way tie (m = S/2) therefore always routes through
-// the positive dateline (the wrap link from coordinate S-1 to 0), making the
-// choice deterministic and direction-unique per (src,dst) pair — a route
-// never uses both wrap links of one ring, and never crosses any dateline
-// twice (each ring is traversed monotonically in one direction for fewer
-// than S hops; the per-topology property tests pin this).
-//
-// # Deadlock
-//
-// Dimension-ordered routing removes inter-dimension cycles (no Y→X turns),
-// but a wrap ring is itself a cyclic channel dependency: a single-VC
-// wormhole torus can deadlock beyond saturation, which real datelined
-// implementations break with a second virtual channel. This simulator has
-// no virtual channels, so the torus is offered for average-performance
-// studies below saturation: bounded runs surface a cyclic stall as a
-// non-completion error / Drained=false, exactly like a post-saturation
-// load-curve point. For the same reason — channel loads are not
-// destination-independent on a ring — the paper's chained-blocking WCTT
-// argument does not transfer, and Analytical() reports false: the torus is
-// simulation-only (wctt/wcet verbs reject it).
-type Torus struct{ D Dim }
-
-// Spec implements Topology.
-func (t Torus) Spec() TopoSpec { return TopoSpec{Kind: TopoTorus} }
-
-// String implements Topology.
-func (t Torus) String() string { return "torus" }
-
-// EndpointDim implements Topology.
-func (t Torus) EndpointDim() Dim { return t.D }
-
-// RouterDim implements Topology.
-func (t Torus) RouterDim() Dim { return t.D }
-
-// RouterOf implements Topology.
-func (t Torus) RouterOf(ep Node) Node { return ep }
-
-// LocalEndpoints implements Topology.
-func (t Torus) LocalEndpoints(Node) int { return 1 }
-
-// Neighbor implements Topology: coordinates wrap modulo the ring size. A
-// ring of size 1 has no links (a wrap link to oneself is meaningless), so
-// those directions report false exactly like the 1-wide mesh.
-func (t Torus) Neighbor(r Node, dir Direction) (Node, bool) {
-	W, H := t.D.Width, t.D.Height
-	switch dir {
-	case XPlus:
-		if W < 2 {
-			return Node{}, false
-		}
-		return Node{X: (r.X + 1) % W, Y: r.Y}, true
-	case XMinus:
-		if W < 2 {
-			return Node{}, false
-		}
-		return Node{X: (r.X - 1 + W) % W, Y: r.Y}, true
-	case YPlus:
-		if H < 2 {
-			return Node{}, false
-		}
-		return Node{X: r.X, Y: (r.Y + 1) % H}, true
-	case YMinus:
-		if H < 2 {
-			return Node{}, false
-		}
-		return Node{X: r.X, Y: (r.Y - 1 + H) % H}, true
-	default:
-		return Node{}, false
-	}
-}
-
-// HasOutput implements Topology: every ring of size >= 2 closes, so interior
-// and boundary routers alike have all four link ports.
-func (t Torus) HasOutput(r Node, out Direction) bool {
-	if out == Local {
-		return true
-	}
-	_, ok := t.Neighbor(r, out)
-	return ok
-}
-
-// OutputPort implements Topology: dimension-ordered shortest-wrap routing
-// (see the type comment for the dateline convention).
-func (t Torus) OutputPort(at, dst Node) Direction {
-	if dx := dst.X - at.X; dx != 0 {
-		W := t.D.Width
-		m := ((dx % W) + W) % W // positive displacement, 1..W-1
-		if 2*m <= W {
-			return XPlus
-		}
-		return XMinus
-	}
-	if dy := dst.Y - at.Y; dy != 0 {
-		H := t.D.Height
-		m := ((dy % H) + H) % H
-		if 2*m <= H {
-			return YPlus
-		}
-		return YMinus
-	}
-	return Local
-}
-
-// Walk implements Topology via the generic allocation-free walker.
-func (t Torus) Walk(src, dst Node, fn func(hop Hop) bool) error {
-	return walkTopology(t, src, dst, fn)
-}
-
-// AppendHops implements Topology.
-func (t Torus) AppendHops(hops []Hop, src, dst Node) ([]Hop, error) {
-	return appendTopologyHops(t, hops, src, dst)
-}
-
-// InputLoads implements Topology with the worst-case-over-destinations
-// closed forms of shortest-wrap routing: at most floor(W/2) sources feed a
-// positive X input (the longest positive ring segment), floor((W-1)/2) a
-// negative one (ties go positive), and a Y input carries up to W flows per
-// upstream row. Unlike the mesh forms these are maxima, not exact
-// destination-independent counts — which is precisely why the WCTT argument
-// does not transfer (Analytical() is false) and the table only parameterises
-// the WaW arbitration counters of the simulator.
-func (t Torus) InputLoads(Node) [NumDirections]int {
-	W, H := t.D.Width, t.D.Height
-	var in [NumDirections]int
-	in[XPlus] = W / 2
-	in[XMinus] = (W - 1) / 2
-	in[YPlus] = W * (H / 2)
-	in[YMinus] = W * ((H - 1) / 2)
-	in[Local] = 1
-	return in
-}
-
-// LocalPairLoad implements Topology.
-func (t Torus) LocalPairLoad(Node) int { return 0 }
-
-// Analytical implements Topology: see the deadlock/dateline discussion in
-// the type comment — the torus is simulation-only.
-func (t Torus) Analytical() bool { return false }
-
 // CMesh is the concentrated mesh: CX×CY blocks of the endpoint grid share
 // one router through its Local port (Conc = CX*CY cores per router, the
 // "Local port fan-out"). The endpoint index space stays the full EP grid —
@@ -546,16 +338,37 @@ func (c CMesh) OutputPort(at, dst Node) Direction {
 	return XYOutputPort(at, c.RouterOf(dst))
 }
 
-// Walk implements Topology via the generic allocation-free walker. A route
-// between co-located cores is the single Local→Local hop through their
-// shared router.
+// Walk implements Topology: follow OutputPort hop by hop from the source's
+// router until ejection. Like WalkXY it performs no heap allocations (the
+// Walk alloc test pins this). A route between co-located cores is the single
+// Local→Local hop through their shared router.
 func (c CMesh) Walk(src, dst Node, fn func(hop Hop) bool) error {
-	return walkTopology(c, src, dst, fn)
+	if err := CheckEndpoints(c.EP, src, dst); err != nil {
+		return err
+	}
+	at := c.RouterOf(src)
+	in := Local
+	for {
+		out := c.OutputPort(at, dst)
+		if !fn(Hop{Router: at, In: in, Out: out}) || out == Local {
+			return nil
+		}
+		next, ok := c.R.Neighbor(at, out)
+		if !ok {
+			return fmt.Errorf("mesh: %v routing left the fabric at %v towards %v (dst %v)", c, at, out, dst)
+		}
+		in = out
+		at = next
+	}
 }
 
-// AppendHops implements Topology.
+// AppendHops implements Topology: Walk into the caller-owned buffer.
 func (c CMesh) AppendHops(hops []Hop, src, dst Node) ([]Hop, error) {
-	return appendTopologyHops(c, hops, src, dst)
+	err := c.Walk(src, dst, func(h Hop) bool {
+		hops = append(hops, h)
+		return true
+	})
+	return hops, err
 }
 
 // InputLoads implements Topology: the mesh closed forms on the router grid
@@ -564,7 +377,7 @@ func (c CMesh) AppendHops(hops []Hop, src, dst Node) ([]Hop, error) {
 // flows (one per attached core): I_{X+}=Conc·x, I_{X-}=Conc·(n-x-1),
 // I_{Y+}=Conc·n·y, I_{Y-}=Conc·n·(m-y-1), I_{PME}=Conc, with (n,m) the
 // router-grid dimensions. Destination-independence holds by the same XY
-// argument as the mesh, so the WCTT bounds transfer (Analytical() is true).
+// argument as the mesh, so the WCTT bounds transfer.
 func (c CMesh) InputLoads(r Node) [NumDirections]int {
 	n, m := c.R.Width, c.R.Height
 	conc := c.CX * c.CY
@@ -580,6 +393,3 @@ func (c CMesh) InputLoads(r Node) [NumDirections]int {
 // LocalPairLoad implements Topology: towards a destination core, the other
 // Conc-1 cores of its own router send through the Local→Local turn.
 func (c CMesh) LocalPairLoad(Node) int { return c.CX*c.CY - 1 }
-
-// Analytical implements Topology: see InputLoads.
-func (c CMesh) Analytical() bool { return true }

@@ -2,7 +2,6 @@ package mesh
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 )
 
@@ -20,7 +19,6 @@ func testTopologies(t *testing.T) []Topology {
 	}
 	for _, d := range [][2]int{{2, 2}, {3, 3}, {4, 4}, {5, 3}, {3, 5}, {8, 8}, {1, 4}, {4, 1}} {
 		build(TopoSpec{Kind: TopoMesh}, d[0], d[1])
-		build(TopoSpec{Kind: TopoTorus}, d[0], d[1])
 	}
 	for _, d := range [][2]int{{2, 2}, {4, 4}, {6, 4}, {8, 8}} {
 		build(TopoSpec{Kind: TopoCMesh, Conc: 4}, d[0], d[1])
@@ -131,101 +129,6 @@ func TestMesh2DMatchesXYWalk(t *testing.T) {
 	}
 }
 
-// torusRingDist is the shortest-wrap distance on a ring of size s.
-func torusRingDist(a, b, s int) int {
-	m := ((b-a)%s + s) % s
-	if s-m < m {
-		return s - m
-	}
-	return m
-}
-
-// TestTorusRouteProperties checks the torus-specific invariants on top of
-// the generic ones: every route is minimal under shortest-wrap distance,
-// each ring is traversed in one direction only, the positive dateline wins
-// the even-ring tie, and no route crosses any dateline twice.
-func TestTorusRouteProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, d := range []Dim{MustDim(4, 4), MustDim(5, 5), MustDim(6, 3), MustDim(3, 8), MustDim(16, 16)} {
-		topo := Torus{D: d}
-		// Exhaustive on small grids, 2000 fuzzed pairs on large ones.
-		pairs := [][2]Node{}
-		if d.Nodes() <= 64 {
-			for _, src := range d.AllNodes() {
-				for _, dst := range d.AllNodes() {
-					pairs = append(pairs, [2]Node{src, dst})
-				}
-			}
-		} else {
-			for i := 0; i < 2000; i++ {
-				pairs = append(pairs, [2]Node{d.NodeAt(rng.Intn(d.Nodes())), d.NodeAt(rng.Intn(d.Nodes()))})
-			}
-		}
-		for _, p := range pairs {
-			src, dst := p[0], p[1]
-			hops, err := topo.AppendHops(nil, src, dst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkRoute(t, topo, src, dst, hops)
-			var dirUsed [NumDirections]int
-			xWraps, yWraps := 0, 0
-			for i, h := range hops {
-				if h.Out == Local {
-					continue
-				}
-				dirUsed[h.Out]++
-				next := hops[i+1].Router
-				// A dateline crossing is a link step whose coordinate moves
-				// against the travel direction (W-1 -> 0 going XPlus, etc.).
-				switch h.Out {
-				case XPlus:
-					if next.X < h.Router.X {
-						xWraps++
-					}
-				case XMinus:
-					if next.X > h.Router.X {
-						xWraps++
-					}
-				case YPlus:
-					if next.Y < h.Router.Y {
-						yWraps++
-					}
-				case YMinus:
-					if next.Y > h.Router.Y {
-						yWraps++
-					}
-				}
-			}
-			if dirUsed[XPlus] > 0 && dirUsed[XMinus] > 0 {
-				t.Fatalf("%v: route %v->%v uses both X directions", d, src, dst)
-			}
-			if dirUsed[YPlus] > 0 && dirUsed[YMinus] > 0 {
-				t.Fatalf("%v: route %v->%v uses both Y directions", d, src, dst)
-			}
-			if xWraps > 1 || yWraps > 1 {
-				t.Fatalf("%v: route %v->%v crosses a dateline twice (x=%d y=%d)", d, src, dst, xWraps, yWraps)
-			}
-			wantX := torusRingDist(src.X, dst.X, d.Width)
-			wantY := torusRingDist(src.Y, dst.Y, d.Height)
-			if gotX := dirUsed[XPlus] + dirUsed[XMinus]; gotX != wantX {
-				t.Fatalf("%v: route %v->%v takes %d X hops, shortest-wrap needs %d", d, src, dst, gotX, wantX)
-			}
-			if gotY := dirUsed[YPlus] + dirUsed[YMinus]; gotY != wantY {
-				t.Fatalf("%v: route %v->%v takes %d Y hops, shortest-wrap needs %d", d, src, dst, gotY, wantY)
-			}
-			// Even-ring half-way ties must break towards the positive
-			// dateline (the documented convention).
-			if m := ((dst.X-src.X)%d.Width + d.Width) % d.Width; d.Width%2 == 0 && m == d.Width/2 && dirUsed[XMinus] > 0 {
-				t.Fatalf("%v: route %v->%v breaks the X tie negatively", d, src, dst)
-			}
-			if m := ((dst.Y-src.Y)%d.Height + d.Height) % d.Height; d.Height%2 == 0 && m == d.Height/2 && dirUsed[YMinus] > 0 {
-				t.Fatalf("%v: route %v->%v breaks the Y tie negatively", d, src, dst)
-			}
-		}
-	}
-}
-
 // TestCMeshMapping checks the endpoint/router split of the concentrated
 // mesh: the block mapping partitions the cores evenly, LocalEndpoints
 // matches the actual fan-in, and co-located cores reach each other through
@@ -282,7 +185,6 @@ func TestParseTopology(t *testing.T) {
 		{"", TopoSpec{}, "mesh"},
 		{"mesh", TopoSpec{}, "mesh"},
 		{" Mesh ", TopoSpec{}, "mesh"},
-		{"torus", TopoSpec{Kind: TopoTorus}, "torus"},
 		{"cmesh", TopoSpec{Kind: TopoCMesh, Conc: 4}, "cmesh"},
 		{"cmesh4", TopoSpec{Kind: TopoCMesh, Conc: 4}, "cmesh"},
 		{"cmesh2", TopoSpec{Kind: TopoCMesh, Conc: 2}, "cmesh2"},
@@ -300,9 +202,13 @@ func TestParseTopology(t *testing.T) {
 			t.Errorf("ParseTopology(%q).String() = %q, want %q", c.in, got.String(), c.str)
 		}
 	}
-	for _, bad := range []string{"banana", "cmesh3", "hypercube", "2dmesh"} {
-		if _, err := ParseTopology(bad); err == nil {
-			t.Errorf("ParseTopology(%q) should fail", bad)
+	// Every unknown name, the torus included, gets the one error naming the
+	// families that ship.
+	for _, bad := range []string{"banana", "torus", "cmesh3", "hypercube", "2dmesh"} {
+		_, err := ParseTopology(bad)
+		want := fmt.Sprintf("mesh: unknown topology %q (want mesh, cmesh, cmesh2 or cmesh4)", bad)
+		if err == nil || err.Error() != want {
+			t.Errorf("ParseTopology(%q) = %v, want %q", bad, err, want)
 		}
 	}
 	// Build-time constraints: concentration blocks must divide the grid.
@@ -320,41 +226,11 @@ func TestParseTopology(t *testing.T) {
 	}
 }
 
-// TestTorusNeighborWrap checks the wrap links and the degenerate rings.
-func TestTorusNeighborWrap(t *testing.T) {
-	topo := Torus{D: MustDim(4, 3)}
-	cases := []struct {
-		at   Node
-		dir  Direction
-		want Node
-	}{
-		{Node{X: 3, Y: 0}, XPlus, Node{X: 0, Y: 0}},
-		{Node{X: 0, Y: 0}, XMinus, Node{X: 3, Y: 0}},
-		{Node{X: 1, Y: 2}, YPlus, Node{X: 1, Y: 0}},
-		{Node{X: 1, Y: 0}, YMinus, Node{X: 1, Y: 2}},
-	}
-	for _, c := range cases {
-		got, ok := topo.Neighbor(c.at, c.dir)
-		if !ok || got != c.want {
-			t.Errorf("Neighbor(%v, %v) = %v/%v, want %v", c.at, c.dir, got, ok, c.want)
-		}
-	}
-	// A ring of size 1 has no links in that dimension.
-	thin := Torus{D: MustDim(1, 4)}
-	if _, ok := thin.Neighbor(Node{}, XPlus); ok {
-		t.Error("1-wide torus should have no X links")
-	}
-	if _, ok := thin.Neighbor(Node{}, YPlus); !ok {
-		t.Error("1-wide torus should keep its Y ring")
-	}
-}
-
 // TestTopologyWalkAllocs pins the walkers allocation-free: the analytical
 // hot loops call them per (src,dst) pair and rely on zero heap traffic.
 func TestTopologyWalkAllocs(t *testing.T) {
 	for _, topo := range []Topology{
 		Mesh2D{D: MustDim(8, 8)},
-		Torus{D: MustDim(8, 8)},
 		CMesh{EP: MustDim(8, 8), R: MustDim(4, 4), CX: 2, CY: 2},
 	} {
 		src, dst := Node{X: 1, Y: 2}, Node{X: 6, Y: 5}

@@ -115,9 +115,9 @@ func (d Design) Packetization() nic.Scheme {
 
 // Config describes a simulated NoC instance.
 type Config struct {
-	// Dim is the endpoint (traffic) grid. For the mesh and the torus it is
-	// also the router grid; for the concentrated mesh the router grid is
-	// Dim scaled down by the concentration block (see mesh.TopoSpec.Build).
+	// Dim is the endpoint (traffic) grid. For the mesh it is also the
+	// router grid; for the concentrated mesh the router grid is Dim scaled
+	// down by the concentration block (see mesh.TopoSpec.Build).
 	Dim    mesh.Dim
 	Design Design
 	Router router.Config
@@ -201,9 +201,9 @@ type Network struct {
 	cfg Config
 
 	// topo is the resolved topology instance; rdim caches its router grid,
-	// the index space of every per-router array below. For the mesh and the
-	// torus rdim equals cfg.Dim; for the concentrated mesh it is the reduced
-	// router grid.
+	// the index space of every per-router array below. For the mesh rdim
+	// equals cfg.Dim; for the concentrated mesh it is the reduced router
+	// grid.
 	topo mesh.Topology
 	rdim mesh.Dim
 
@@ -347,7 +347,7 @@ func (n *Network) Pool() *flit.Pool { return n.pool }
 func (n *Network) Cycle() uint64 { return n.cycle }
 
 // Router returns the router at router-grid node nd (panics when outside the
-// grid). For the mesh and the torus the router grid is Dim itself.
+// grid). For the mesh the router grid is Dim itself.
 func (n *Network) Router(nd mesh.Node) *router.Router { return n.routers[n.rdim.Index(nd)] }
 
 // NIC returns the NIC at router-grid node nd (panics when outside the grid).

@@ -15,7 +15,7 @@ func TestCanonicalJSONRoundTrip(t *testing.T) {
 	grids := []Spec{
 		{Name: "sweep", Mode: ModeWCTT, Sizes: []int{2, 3, 4, 8},
 			Designs: []network.Design{network.DesignRegular, network.DesignWaWWaP}},
-		{Name: "sweep", Mode: ModeSimulate, Topology: "torus", Sizes: []int{2, 3},
+		{Name: "sweep", Mode: ModeSimulate, Topology: "cmesh2", Sizes: []int{2, 4},
 			Designs: []network.Design{network.DesignRegular, network.DesignWaWWaP},
 			Seed:    7, Shards: 3,
 			Traffic: Traffic{Pattern: "uniform", Rate: 40, Messages: 120}},

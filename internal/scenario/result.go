@@ -13,7 +13,7 @@ type Result struct {
 	Dim    string `json:"dim"`
 	Design string `json:"design"`
 	// Topology names the network topology when it is not the default 2D
-	// mesh ("torus", "cmesh", "cmesh2"); it is omitted for the mesh so
+	// mesh ("cmesh", "cmesh2"); it is omitted for the mesh so
 	// pre-topology result JSON is reproduced byte-identically.
 	Topology string `json:"topology,omitempty"`
 	// Workload, Placement, MaxPacketFlits and Seed carry the remaining

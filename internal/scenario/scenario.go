@@ -230,10 +230,9 @@ type Spec struct {
 	Width  int `json:"width"`
 	Height int `json:"height"`
 	// Topology selects the network topology by canonical name: "" or "mesh"
-	// (the default), "torus", "cmesh"/"cmesh4" (4 cores per router) or
-	// "cmesh2". Analytical modes (wctt, wcet-map, parallel-wcet) require a
-	// topology with an analytical model; manycore requires the mesh; see
-	// Validate for the exact gating.
+	// (the default), "cmesh"/"cmesh4" (4 cores per router) or "cmesh2".
+	// The platform modes (wcet-map, parallel-wcet, manycore) require the
+	// mesh; see Validate for the exact gating.
 	Topology string `json:"topology,omitempty"`
 	// Design is the NoC design point under evaluation.
 	Design network.Design `json:"-"`
@@ -352,9 +351,7 @@ func (s Spec) Validate() error {
 	}
 	switch s.Mode {
 	case ModeWCTT:
-		if !topo.Analytical() {
-			return fmt.Errorf("scenario: mode wctt needs an analytical WCTT model, which topology %v does not have (simulation-only); use -mode simulate or -mode load-curve", topo)
-		}
+		// Every topology that builds carries a WCTT bound.
 	case ModeWCETMap, ModeParallelWCET:
 		if ts.Kind != mesh.TopoMesh {
 			return fmt.Errorf("scenario: mode %v models the paper's many-core platform, which is defined on the 2D mesh only; topology %v is not supported", s.Mode, topo)

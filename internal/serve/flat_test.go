@@ -19,7 +19,7 @@ var flatAccepted = []string{
 	`{"id":4,"op":"wcet","design":"waw+wap","width":4,"height":4,"core":{"x":2,"y":1},"workload":"a2time","max_packet_flits":4}`,
 	`{"id":5,"op":"wctt","design":"regular","width":4,"height":4,"src":{"x":0,"y":0},"dst":{"x":3,"y":3},"timeout_ms":1000}`,
 	`{"id":6,"op":"wctt","design":"waw+wap","width":8,"height":8,"topology":"cmesh","src":{"x":0,"y":0},"dst":{"x":7,"y":7}}`,
-	`{"id":7,"op":"wctt","design":"regular","width":4,"height":4,"topology":"torus","src":{"x":0,"y":0},"dst":{"x":3,"y":3}}`,
+	`{"id":7,"op":"wctt","design":"regular","width":4,"height":4,"topology":"cmesh2","src":{"x":0,"y":0},"dst":{"x":3,"y":3}}`,
 	`{"id":-8,"op":"wctt","design":"nope","width":-4,"height":0,"src":{"y":3},"dst":{"y":1,"x":2}}`,
 	`{"id":9,"op":"wctt","design":"regular","width":4,"height":4}`,
 	`{"id":10,"op":"wctt","design":"regular","width":4,"height":4,"src":{"x":0,"y":0},"dst":{"x":0,"y":0}}`,

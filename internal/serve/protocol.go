@@ -60,7 +60,7 @@ type Coord struct {
 //	wctt        one analytical WCTT bound: design, width, height, src, dst,
 //	            payload_bits (0 = the platform's one-flit request payload;
 //	            at most MaxPayloadBits),
-//	            topology ("" = mesh; cmesh/cmesh2 allowed, torus rejected)
+//	            topology ("" = mesh, cmesh, cmesh4 or cmesh2)
 //	wcet        one per-core WCET estimate: design, width, height, core,
 //	            workload, max_packet_flits (0 = platform default; at most
 //	            scenario.MaxPacketFlitsLimit)
@@ -77,10 +77,9 @@ type Request struct {
 	Design string `json:"design,omitempty"`
 	// Topology selects the network topology for the wctt and batch verbs:
 	// "" or "mesh" (the default) for the paper's 2D mesh, "cmesh"/"cmesh4"
-	// or "cmesh2" for the concentrated meshes. "torus" is accepted by the
-	// parser but rejected by the analytical verbs (it has no WCTT model;
-	// simulate it through the scenario verb instead), and the wcet verbs
-	// are defined on the mesh platform only.
+	// or "cmesh2" for the concentrated meshes. Any other name is the
+	// ordinary unknown-topology error, and the wcet verbs are defined on the
+	// mesh platform only.
 	Topology       string          `json:"topology,omitempty"`
 	Width          int             `json:"width,omitempty"`
 	Height         int             `json:"height,omitempty"`

@@ -703,8 +703,8 @@ func TestParseTuples(t *testing.T) {
 
 // TestServeTopologyField pins the wire-level topology contract: the cmesh
 // bound matches the analytical model built with the same TopoSpec, the
-// mesh-only and simulation-only verbs reject other topologies with
-// actionable errors, and the scenario verb runs a torus simulation.
+// mesh-only verbs reject other topologies, and a name that is not a shipped
+// topology, the torus included, gets the one unknown-topology error.
 func TestServeTopologyField(t *testing.T) {
 	p := analysis.DefaultParams(mesh.MustDim(8, 8))
 	p.Topo = mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: 4}
@@ -718,7 +718,7 @@ func TestServeTopologyField(t *testing.T) {
 		`{"id":2,"op":"wctt","design":"waw+wap","width":8,"height":8,"topology":"torus","src":{"x":0,"y":0},"dst":{"x":7,"y":7}}`,
 		`{"id":3,"op":"batch","design":"regular","width":4,"height":4,"topology":"torus","queries":[[0,0,3,3]]}`,
 		`{"id":4,"op":"wcet","design":"waw+wap","width":4,"height":4,"topology":"cmesh","core":{"x":1,"y":1},"workload":"a2time"}`,
-		`{"id":5,"op":"wcet-batch","design":"regular","width":4,"height":4,"topology":"torus","workload":"cacheb","queries":[[0,0]]}`,
+		`{"id":5,"op":"wcet-batch","design":"regular","width":4,"height":4,"topology":"cmesh2","workload":"cacheb","queries":[[0,0]]}`,
 		`{"id":6,"op":"wctt","design":"regular","width":4,"height":4,"topology":"banana","src":{"x":0,"y":0},"dst":{"x":3,"y":3}}`,
 		`{"id":7,"op":"wctt","design":"waw+wap","width":8,"height":8,"topology":"mesh","src":{"x":0,"y":0},"dst":{"x":7,"y":7}}`,
 		`{"id":8,"op":"wctt","design":"waw+wap","width":8,"height":8,"src":{"x":0,"y":0},"dst":{"x":7,"y":7}}`,
@@ -726,20 +726,18 @@ func TestServeTopologyField(t *testing.T) {
 	if got := cyclesScalar(t, resps[0]); got != want {
 		t.Errorf("served cmesh WCTT %d, model says %d", got, want)
 	}
-	if resps[1].OK || !strings.Contains(resps[1].Error, "simulation-only") {
-		t.Errorf("torus wctt not rejected with simulation-only pointer: %+v", resps[1])
+	unknown := func(name string) string {
+		return fmt.Sprintf("mesh: unknown topology %q (want mesh, cmesh, cmesh2 or cmesh4)", name)
 	}
-	if resps[2].OK || !strings.Contains(resps[2].Error, "torus") {
-		t.Errorf("torus batch not rejected: %+v", resps[2])
+	for i, name := range map[int]string{1: "torus", 2: "torus", 5: "banana"} {
+		if resps[i].OK || resps[i].Error != unknown(name) {
+			t.Errorf("line %d: topology %q answered %+v, want error %q", i+1, name, resps[i], unknown(name))
+		}
 	}
-	if resps[3].OK || !strings.Contains(resps[3].Error, "mesh only") {
-		t.Errorf("cmesh wcet not rejected as mesh-only: %+v", resps[3])
-	}
-	if resps[4].OK || !strings.Contains(resps[4].Error, "mesh only") {
-		t.Errorf("torus wcet-batch not rejected as mesh-only: %+v", resps[4])
-	}
-	if resps[5].OK || !strings.Contains(resps[5].Error, "unknown topology") {
-		t.Errorf("banana topology not rejected: %+v", resps[5])
+	for _, i := range []int{3, 4} {
+		if resps[i].OK || !strings.Contains(resps[i].Error, "mesh only") {
+			t.Errorf("line %d: cmesh wcet not rejected as mesh-only: %+v", i+1, resps[i])
+		}
 	}
 	// "mesh", "" and an absent field are the same topology.
 	if a, b := cyclesScalar(t, resps[6]), cyclesScalar(t, resps[7]); a != b {
@@ -747,13 +745,13 @@ func TestServeTopologyField(t *testing.T) {
 	}
 }
 
-// TestServeScenarioTorus runs a torus simulation through the scenario verb
+// TestServeScenarioCMesh runs a cmesh2 simulation through the scenario verb
 // and pins it to the one-shot Execute path.
-func TestServeScenarioTorus(t *testing.T) {
+func TestServeScenarioCMesh(t *testing.T) {
 	spec := scenario.Spec{
-		Name:     "serve-torus",
+		Name:     "serve-cmesh2",
 		Mode:     scenario.ModeSimulate,
-		Topology: "torus",
+		Topology: "cmesh2",
 		Width:    4,
 		Height:   4,
 		Design:   network.DesignRegular,
@@ -772,17 +770,11 @@ func TestServeScenarioTorus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resps := run(t, 2,
-		fmt.Sprintf(`{"id":1,"op":"scenario","spec":%s}`, specJSON),
-		`{"id":2,"op":"scenario","spec":{"mode":"wctt","topology":"torus","width":4,"height":4,"design":"regular"}}`,
-	)
+	resps := run(t, 1, fmt.Sprintf(`{"id":1,"op":"scenario","spec":%s}`, specJSON))
 	if !resps[0].OK {
-		t.Fatalf("torus scenario failed: %s", resps[0].Error)
+		t.Fatalf("cmesh2 scenario failed: %s", resps[0].Error)
 	}
 	if !bytes.Equal(resps[0].Result, want) {
-		t.Fatalf("served torus result differs from Execute:\nserve: %s\nexec:  %s", resps[0].Result, want)
-	}
-	if resps[1].OK || !strings.Contains(resps[1].Error, "simulation-only") {
-		t.Errorf("torus wctt scenario not rejected: %+v", resps[1])
+		t.Fatalf("served cmesh2 result differs from Execute:\nserve: %s\nexec:  %s", resps[0].Result, want)
 	}
 }

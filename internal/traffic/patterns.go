@@ -16,7 +16,7 @@ import (
 // Permutation maps every source node to a fixed destination node. The map is
 // defined on a topology's endpoint index space (mesh.Topology.EndpointDim):
 // the full core grid regardless of topology, so the same pattern drives a
-// mesh, a torus and a concentrated mesh of the same endpoint dimensions.
+// mesh and a concentrated mesh of the same endpoint dimensions.
 // Every pattern in this file is total and a bijection on arbitrary
 // (including non-square) grids, which the per-topology bijection regression
 // tests pin.
@@ -43,18 +43,15 @@ func BitComplement(d mesh.Dim, src mesh.Node) mesh.Node {
 
 // NearestNeighbor maps every node to its east neighbour (wrapping at the
 // edge to the first node of the same row), producing short-range traffic.
-// On a torus the wrap edge is a real link; on a mesh it is the row-long
-// worst case of the pattern.
+// The wrap edge is the row-long worst case of the pattern.
 func NearestNeighbor(d mesh.Dim, src mesh.Node) mesh.Node {
 	return mesh.Node{X: (src.X + 1) % d.Width, Y: src.Y}
 }
 
 // Tornado maps node (x, y) to ((x + ceil(Width/2) - 1) mod Width, y): every
-// node sends almost half-way around its row ring. On a torus this is the
-// classical adversarial pattern — shortest-wrap routing sends all of it the
-// same way around each ring, so the ring links see maximal load — while on a
-// mesh it degenerates to medium-range row traffic. A row rotation is a
-// bijection on any grid.
+// node sends almost half-way along its row, the classical adversarial
+// pattern of ring networks that degenerates to medium-range row traffic on a
+// mesh. A row rotation is a bijection on any grid.
 func Tornado(d mesh.Dim, src mesh.Node) mesh.Node {
 	k := (d.Width+1)/2 - 1
 	return mesh.Node{X: (src.X + k) % d.Width, Y: src.Y}
