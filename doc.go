@@ -50,7 +50,8 @@
 // *Message), and Network.Reset rewinds a network in place, so the
 // steady-state cycle loop is free of heap allocations, injection included.
 // The rate-driven generators take every injection decision from an exact
-// replica of math/rand's source (traffic.drawSource).
+// replica of math/rand's source (traffic.drawSource), whose block refill marks
+// the outputs that decide anything; a delivery adds to one latency sampler.
 //
 // Analysis (internal/analysis, wcet, workload, manycore, memctrl, area).
 // analysis.Model precomputes per-router contender counts and output shares

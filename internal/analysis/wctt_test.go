@@ -367,56 +367,80 @@ func TestSaturatingArithmetic(t *testing.T) {
 	}
 }
 
+// simulateAllToOne sends perSource one-flit requests from every node but dst
+// to dst at cycle 0, drains the network and returns each source's worst
+// total latency (creation to delivery), recorded through the delivery hook.
+func simulateAllToOne(t *testing.T, dim mesh.Dim, design network.Design, dst mesh.Node, perSource int) map[mesh.Node]uint64 {
+	t.Helper()
+	net := network.MustNew(network.DefaultConfig(dim, design))
+	worst := map[mesh.Node]uint64{}
+	delivered := map[mesh.Node]int{}
+	net.DeliveryHook = func(m *flit.Message, _ uint64) {
+		worst[m.Flow.Src] = max(worst[m.Flow.Src], m.DeliveredAt-m.CreatedAt)
+		delivered[m.Flow.Src]++
+	}
+	for i := 0; i < perSource; i++ {
+		for _, src := range dim.AllNodes() {
+			if src == dst {
+				continue
+			}
+			msg := &flit.Message{Flow: flit.FlowID{Src: src, Dst: dst}, PayloadBits: 48, Class: flit.ClassRequest}
+			if _, err := net.Send(msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !net.RunUntilDrained(200000) {
+		t.Fatalf("%v %v hotspot %v: network did not drain", dim, design, dst)
+	}
+	for _, src := range dim.AllNodes() {
+		if src != dst && delivered[src] != perSource {
+			t.Fatalf("%v %v hotspot %v: flow from %v delivered %d messages, want %d", dim, design, dst, src, delivered[src], perSource)
+		}
+	}
+	return worst
+}
+
 // The simulator must never observe a latency above the analytical bound for
 // the scenario the bound models: a congested all-to-one pattern of one-flit
 // requests. The bound assumes worse contention than any actual execution, so
 // measured <= bound must hold for every flow — on every design, on square and
-// rectangular meshes, with the hotspot at a corner (the longest routes, all
-// arriving through two ports) and at the centre (all four ports contended).
-// A violation is a defect in the simulator or in the bound, never a margin
-// to widen.
+// rectangular meshes. A violation is a defect in the simulator or in the
+// bound, never a margin to widen.
 func TestSimulatedLatencyWithinBound(t *testing.T) {
-	const perSource = 5
-	for _, dim := range []mesh.Dim{mesh.MustDim(4, 4), mesh.MustDim(6, 6), mesh.MustDim(8, 4)} {
-		m := MustNewModel(DefaultParams(dim))
-		for _, dst := range []mesh.Node{node(0, 0), node(dim.Width/2, dim.Height/2)} {
-			for _, design := range allDesigns {
-				net := network.MustNew(network.DefaultConfig(dim, design))
-				for i := 0; i < perSource; i++ {
-					for _, src := range dim.AllNodes() {
-						if src == dst {
-							continue
-						}
-						msg := &flit.Message{Flow: flit.FlowID{Src: src, Dst: dst}, PayloadBits: 48, Class: flit.ClassRequest}
-						if _, err := net.Send(msg); err != nil {
+	for _, c := range []struct {
+		perSource int
+		dims      []mesh.Dim
+		everyDst  bool
+	}{
+		// Five requests per source, with the hotspot at a corner (the longest
+		// routes, all arriving through two ports) and at the centre (all four
+		// ports contended). The bound covers one traversal; the measured
+		// latency also contains queueing behind the flow's own earlier
+		// messages (up to perSource-1 of them), so the budget is bound *
+		// perSource.
+		{5, []mesh.Dim{mesh.MustDim(4, 4), mesh.MustDim(6, 6), mesh.MustDim(8, 4)}, false},
+		// One request per source, so no message queues behind its own flow,
+		// towards every destination: no multiplier.
+		{1, []mesh.Dim{mesh.MustDim(4, 4), mesh.MustDim(6, 6), mesh.MustDim(8, 4), mesh.MustDim(8, 8)}, true},
+	} {
+		for _, dim := range c.dims {
+			m := MustNewModel(DefaultParams(dim))
+			dsts := []mesh.Node{node(0, 0), node(dim.Width/2, dim.Height/2)}
+			if c.everyDst {
+				dsts = dim.AllNodes()
+			}
+			for _, dst := range dsts {
+				for _, design := range allDesigns {
+					for src, worst := range simulateAllToOne(t, dim, design, dst, c.perSource) {
+						bound, err := m.MessageWCTT(design, src, dst, 48)
+						if err != nil {
 							t.Fatal(err)
 						}
-					}
-				}
-				if !net.RunUntilDrained(200000) {
-					t.Fatalf("%v %v hotspot %v: network did not drain", dim, design, dst)
-				}
-				for _, src := range dim.AllNodes() {
-					if src == dst {
-						continue
-					}
-					fs := net.FlowStatsFor(flit.FlowID{Src: src, Dst: dst})
-					if fs == nil || fs.Messages != perSource {
-						t.Fatalf("%v %v hotspot %v: flow %v delivered %v messages", dim, design, dst, src, fs)
-					}
-					bound, err := m.MessageWCTT(design, src, dst, 48)
-					if err != nil {
-						t.Fatal(err)
-					}
-					// The bound covers a single traversal under worst-case
-					// contention; the measured latency additionally contains
-					// source queueing behind the flow's own earlier messages
-					// (up to perSource-1 of them), so compare against
-					// bound * perSource.
-					limit := float64(bound) * perSource
-					if fs.Latency.Max() > limit {
-						t.Errorf("%v %v hotspot %v: flow %v measured max latency %.0f exceeds bound budget %.0f (per-message bound %d)",
-							dim, design, dst, src, fs.Latency.Max(), limit, bound)
+						if limit := bound * uint64(c.perSource); worst > limit {
+							t.Errorf("%v %v hotspot %v, %d per source: flow from %v measured max latency %d exceeds budget %d (per-message bound %d)",
+								dim, design, dst, c.perSource, src, worst, limit, bound)
+						}
 					}
 				}
 			}

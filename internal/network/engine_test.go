@@ -1,13 +1,14 @@
 // Equivalence tests for Network.Step: every simulation observable (delivered
-// counts, per-flow latency samplers, delivery-hook call order, cycle counts,
-// and even the per-cycle buffer/credit/arbiter microstate) must be identical
-// to the full-scan oracle (network.FullScan, export_test.go) for every design
-// point, traffic pattern and seed. These are the regression tests that let
+// counts, the delivery log — every message's cycles, in delivery-hook call
+// order — cycle counts, and even the per-cycle buffer/credit/arbiter
+// microstate) must be identical to the full-scan oracle (network.FullScan,
+// export_test.go) for every design point, traffic pattern and seed. These are the regression tests that let
 // the active-set scheduling be trusted to keep golden outputs byte-identical.
 package network_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/arbiter"
@@ -42,18 +43,37 @@ func buildGen(t *testing.T, pattern string, d mesh.Dim, seed int64) traffic.Gene
 	return gen
 }
 
+// run is a simulation and the log its delivery hook writes.
+type run struct {
+	*network.Network
+	log *strings.Builder
+}
+
+// logDeliveries makes net log every delivery, one line per DeliveryHook call:
+// the cycle, the flow, and the message's created, injected and delivered
+// cycles. Equal logs mean the same messages delivered at the same cycles in
+// the same order, which is strictly stronger than equal per-flow aggregates.
+func logDeliveries(net *network.Network) run {
+	r := run{net, &strings.Builder{}}
+	net.DeliveryHook = func(msg *flit.Message, at uint64) {
+		fmt.Fprintf(r.log, "%d %v %d %d %d\n", at, msg.Flow, msg.CreatedAt, msg.InjectedAt, msg.DeliveredAt)
+	}
+	return r
+}
+
 // runStep drives the pattern through a fresh network with traffic.Drive
 // (Network.Step plus time leaps) until drained.
-func runStep(t *testing.T, cfg network.Config, pattern string, seed int64) *network.Network {
+func runStep(t *testing.T, cfg network.Config, pattern string, seed int64) run {
 	t.Helper()
 	net, err := network.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := logDeliveries(net)
 	if _, done := traffic.Drive(net, buildGen(t, pattern, cfg.Dim, seed), 1_000_000); !done {
 		t.Fatalf("%v/%v/%s/seed=%d did not drain", cfg.Dim, cfg.Design, pattern, seed)
 	}
-	return net
+	return r
 }
 
 // driveOracle runs the generator through the full-scan oracle with the plain
@@ -72,9 +92,12 @@ func driveOracle(t *testing.T, ref network.FullScan, gen traffic.Generator) *net
 }
 
 // runOracle drives the pattern through a fresh full-scan oracle until drained.
-func runOracle(t *testing.T, cfg network.Config, pattern string, seed int64) *network.Network {
+func runOracle(t *testing.T, cfg network.Config, pattern string, seed int64) run {
 	t.Helper()
-	return driveOracle(t, network.MustNewFullScan(cfg), buildGen(t, pattern, cfg.Dim, seed))
+	ref := network.MustNewFullScan(cfg)
+	r := logDeliveries(ref.Net)
+	driveOracle(t, ref, buildGen(t, pattern, cfg.Dim, seed))
+	return r
 }
 
 // sendAll sends the messages the generator releases at the network's cycle.
@@ -88,8 +111,8 @@ func sendAll(t *testing.T, net *network.Network, gen traffic.Generator) {
 }
 
 // compareRuns asserts two finished runs agree on the cycle count, the flit
-// and message totals and every per-flow statistic.
-func compareRuns(t *testing.T, what string, ref, act *network.Network) {
+// and message totals and the delivery log.
+func compareRuns(t *testing.T, what string, ref, act run) {
 	t.Helper()
 	if ref.Cycle() != act.Cycle() {
 		t.Errorf("%s cycles: full-scan %d, Step %d", what, ref.Cycle(), act.Cycle())
@@ -100,41 +123,21 @@ func compareRuns(t *testing.T, what string, ref, act *network.Network) {
 	if ref.TotalDeliveredMessages() != act.TotalDeliveredMessages() {
 		t.Errorf("%s delivered: full-scan %d, Step %d", what, ref.TotalDeliveredMessages(), act.TotalDeliveredMessages())
 	}
-	if rf, af := flowFingerprint(ref), flowFingerprint(act); rf != af {
-		t.Errorf("%s flow stats differ:\nfull-scan:\n%s\nStep:\n%s", what, rf, af)
-	}
+	compareLogs(t, what, "full-scan", "Step", ref, act)
 }
 
-func samplerKey(s *stats.Sampler) string {
-	return fmt.Sprintf("n=%d sum=%v min=%v max=%v std=%v", s.Count(), s.Sum(), s.Min(), s.Max(), s.StdDev())
-}
-
-// flowFingerprint renders every per-flow statistic in AllFlowStats' order,
-// which is deterministic: ascending (source index, destination index).
-func flowFingerprint(net *network.Network) string {
-	out := ""
-	for _, fs := range net.AllFlowStats() {
-		out += fmt.Sprintf("%v msgs=%d lat{%s} netlat{%s}\n",
-			fs.Flow, fs.Messages, samplerKey(&fs.Latency), samplerKey(&fs.NetworkLatency))
-	}
-	return out
-}
-
-// TestAllFlowStatsOrdered: flows are listed by ascending source index, then
-// destination index.
-func TestAllFlowStatsOrdered(t *testing.T) {
-	d := mesh.MustDim(4, 4)
-	fss := runStep(t, network.DefaultConfig(d, network.DesignWaWWaP), "uniform", 3).AllFlowStats()
-	if len(fss) < d.Nodes() {
-		t.Fatalf("only %d flows delivered", len(fss))
-	}
-	for i := 1; i < len(fss); i++ {
-		a, b := fss[i-1].Flow, fss[i].Flow
-		ka := d.Index(a.Src)*d.Nodes() + d.Index(a.Dst)
-		kb := d.Index(b.Src)*d.Nodes() + d.Index(b.Dst)
-		if ka >= kb {
-			t.Fatalf("flow %v listed before %v", a, b)
+// compareLogs reports the first delivery at which two runs' logs differ.
+func compareLogs(t *testing.T, what, refName, actName string, ref, act run) {
+	t.Helper()
+	r, a := strings.Split(ref.log.String(), "\n"), strings.Split(act.log.String(), "\n")
+	for i := 0; i < len(r) && i < len(a); i++ {
+		if r[i] != a[i] {
+			t.Errorf("%s delivery %d: %s %q, %s %q", what, i+1, refName, r[i], actName, a[i])
+			return
 		}
+	}
+	if len(r) != len(a) {
+		t.Errorf("%s: %s logged %d deliveries, %s %d", what, refName, len(r)-1, actName, len(a)-1)
 	}
 }
 
@@ -147,9 +150,9 @@ var (
 )
 
 // TestEnginesEquivalent checks that Step reproduces the full-scan oracle's
-// results exactly — delivered counts, cycle counts and every per-flow latency
-// sampler — across all four design points, several traffic patterns and
-// seeds, on square and rectangular meshes.
+// results exactly — delivered counts, cycle counts and the delivery log —
+// across all four design points, several traffic patterns and seeds, on
+// square and rectangular meshes.
 func TestEnginesEquivalent(t *testing.T) {
 	for _, d := range []mesh.Dim{mesh.MustDim(4, 4), mesh.MustDim(4, 2)} {
 		for _, design := range allDesigns {
@@ -230,59 +233,31 @@ func TestEnginesLockstepMicrostate(t *testing.T) {
 // TestDeliveryHookOrder checks that Step calls the DeliveryHook in exactly
 // the full-scan oracle's order, with identical arguments and cycle stamps —
 // the property the load-curve mode's order-sensitive samplers (Welford mean
-// and m2) depend on for byte-identical output. The hook's sample stream is
-// fingerprinted through a Sampler, whose StdDev is sensitive to sample order,
-// and through an explicit event log.
+// and m2) depend on for byte-identical output.
 func TestDeliveryHookOrder(t *testing.T) {
-	type run struct {
-		log []string
-		lat stats.Sampler
-	}
-	hook := func(r *run) func(*flit.Message, uint64) {
-		return func(msg *flit.Message, at uint64) {
-			r.log = append(r.log, fmt.Sprintf("%d %v %d %d", at, msg.Flow, msg.CreatedAt, msg.DeliveredAt))
-			r.lat.AddUint(msg.DeliveredAt - msg.CreatedAt)
-		}
-	}
-	d := mesh.MustDim(4, 4)
-	cfg := network.DefaultConfig(d, network.DesignWaWWaP)
-
-	var want, got run
-	ref := network.MustNewFullScan(cfg)
-	ref.Net.DeliveryHook = hook(&want)
-	driveOracle(t, ref, buildGen(t, "uniform", d, 11))
-
-	act := network.MustNew(cfg)
-	act.DeliveryHook = hook(&got)
-	if _, done := traffic.Drive(act, buildGen(t, "uniform", d, 11), 1_000_000); !done {
-		t.Fatal("Step run did not drain")
-	}
-
-	if len(want.log) == 0 {
+	cfg := network.DefaultConfig(mesh.MustDim(4, 4), network.DesignWaWWaP)
+	ref, act := runOracle(t, cfg, "uniform", 11), runStep(t, cfg, "uniform", 11)
+	if ref.log.Len() == 0 {
 		t.Fatal("reference run delivered nothing")
 	}
-	if len(got.log) != len(want.log) {
-		t.Fatalf("%d hook calls, want %d", len(got.log), len(want.log))
-	}
-	for i := range want.log {
-		if got.log[i] != want.log[i] {
-			t.Fatalf("hook call %d = %q, want %q", i, got.log[i], want.log[i])
-		}
-	}
-	if samplerKey(&got.lat) != samplerKey(&want.lat) {
-		t.Errorf("hook sampler %s, want %s", samplerKey(&got.lat), samplerKey(&want.lat))
-	}
+	compareLogs(t, "hook", "full-scan", "Step", ref, act)
 }
 
 // TestNetworkLatencyExcludesSourceQueueing is the regression test for the
-// latency-accounting bugfix: FlowStats.NetworkLatency must measure
-// injection-to-delivery, so with a burst of back-to-back messages queueing
-// at one source NIC the network latency is strictly below the total latency
-// (which includes the source-queueing time), while a solitary message keeps
-// the two nearly equal.
+// latency-accounting bugfix: a delivered message's InjectedAt stamps the
+// injection of its first flit, so network latency (DeliveredAt - InjectedAt)
+// measures injection-to-delivery. With a burst of back-to-back messages
+// queueing at one source NIC the network latency is strictly below the total
+// latency (which includes the source-queueing time), while a solitary
+// message keeps the two nearly equal.
 func TestNetworkLatencyExcludesSourceQueueing(t *testing.T) {
 	d := mesh.MustDim(4, 4)
 	net := network.MustNew(network.DefaultConfig(d, network.DesignRegular))
+	var lat, netLat stats.Sampler
+	net.DeliveryHook = func(msg *flit.Message, _ uint64) {
+		lat.AddUint(msg.DeliveredAt - msg.CreatedAt)
+		netLat.AddUint(msg.DeliveredAt - msg.InjectedAt)
+	}
 	flow := flit.FlowID{Src: mesh.Node{X: 3, Y: 3}, Dst: mesh.Node{X: 0, Y: 0}}
 	// Queue several multi-flit messages at once: all are created at cycle 0
 	// but the later ones wait in the injection queue behind the earlier.
@@ -296,57 +271,52 @@ func TestNetworkLatencyExcludesSourceQueueing(t *testing.T) {
 	if !net.RunUntilDrained(100_000) {
 		t.Fatal("network did not drain")
 	}
-	fs := net.FlowStatsFor(flow)
-	if fs == nil || fs.Messages != burst {
-		t.Fatalf("flow stats missing or incomplete: %+v", fs)
-	}
-	if fs.NetworkLatency.Count() != burst {
-		t.Fatalf("network latency samples = %d, want %d", fs.NetworkLatency.Count(), burst)
+	if netLat.Count() != burst {
+		t.Fatalf("network latency samples = %d, want %d", netLat.Count(), burst)
 	}
 	// Every message: network latency <= total latency.
-	if fs.NetworkLatency.Max() > fs.Latency.Max() || fs.NetworkLatency.Mean() > fs.Latency.Mean() {
-		t.Errorf("network latency exceeds total latency: net %v vs total %v",
-			fs.NetworkLatency.String(), fs.Latency.String())
+	if netLat.Max() > lat.Max() || netLat.Mean() > lat.Mean() {
+		t.Errorf("network latency exceeds total latency: net %v vs total %v", netLat.String(), lat.String())
 	}
 	// The last message of the burst queued behind the earlier ones, so the
 	// aggregate network latency must be STRICTLY below the total latency —
 	// this is exactly what the old DeliveredAt-CreatedAt accounting got
 	// wrong (it made the two samplers identical).
-	if fs.NetworkLatency.Sum() >= fs.Latency.Sum() {
+	if netLat.Sum() >= lat.Sum() {
 		t.Errorf("network latency not strictly below total latency under source queueing: net sum %v, total sum %v",
-			fs.NetworkLatency.Sum(), fs.Latency.Sum())
+			netLat.Sum(), lat.Sum())
 	}
 	// The first message of the burst injects immediately, so the smallest
 	// network latency should differ from total latency by at most the
 	// single-cycle injection offset.
-	if fs.Latency.Min()-fs.NetworkLatency.Min() > float64(fs.Messages) {
-		t.Errorf("min network latency %v implausibly far from min total latency %v",
-			fs.NetworkLatency.Min(), fs.Latency.Min())
+	if lat.Min()-netLat.Min() > float64(burst) {
+		t.Errorf("min network latency %v implausibly far from min total latency %v", netLat.Min(), lat.Min())
 	}
 }
 
 // stepEngine drives the pattern through a fresh network with a plain
 // cycle-by-cycle loop — no Drive, no leaping — as the per-cycle reference for
 // the time-leap scheduling.
-func stepEngine(t *testing.T, d mesh.Dim, design network.Design, pattern string, seed int64) *network.Network {
+func stepEngine(t *testing.T, d mesh.Dim, design network.Design, pattern string, seed int64) run {
 	t.Helper()
 	net := network.MustNew(network.DefaultConfig(d, design))
+	r := logDeliveries(net)
 	gen := buildGen(t, pattern, d, seed)
 	for i := 0; i < 1_000_000; i++ {
 		sendAll(t, net, gen)
 		if gen.Done() && net.Drained() {
-			return net
+			return r
 		}
 		net.Step()
 	}
 	t.Fatalf("%v/%s/seed=%d did not drain", design, pattern, seed)
-	return nil
+	return r
 }
 
 // TestLeapMatchesStep pins the time-leap scheduling to the per-cycle loop:
 // traffic.Drive (which leaps over event-idle windows, e.g. the gaps between
 // permutation rounds) must reach exactly the same final cycle, delivery
-// counts and per-flow statistics as stepping every cycle. The permutation
+// counts and delivery log as stepping every cycle. The permutation
 // patterns have long idle gaps, so this exercises real leaps; the random
 // patterns pin the no-leap-while-live rule.
 func TestLeapMatchesStep(t *testing.T) {
@@ -363,9 +333,7 @@ func TestLeapMatchesStep(t *testing.T) {
 					t.Errorf("delivered: stepped %d, leaping Drive %d",
 						ref.TotalDeliveredMessages(), leap.TotalDeliveredMessages())
 				}
-				if rf, lf := flowFingerprint(ref), flowFingerprint(leap); rf != lf {
-					t.Errorf("flow stats differ:\nstepped:\n%s\nleaping:\n%s", rf, lf)
-				}
+				compareLogs(t, "leap", "stepped", "leaping Drive", ref, leap)
 			})
 		}
 	}
@@ -456,7 +424,7 @@ func TestEnginesLockstepArbiterState(t *testing.T) {
 
 // TestResetMatchesFresh pins Network.Reset: after running an arbitrary
 // workload, a reset network must reproduce a fresh network's behaviour
-// exactly — same deliveries, same cycle counts, same per-flow statistics —
+// exactly — same deliveries, same cycle counts, same delivery log —
 // across designs and patterns. This is what makes the scenario layer's
 // network reuse safe.
 func TestResetMatchesFresh(t *testing.T) {
@@ -480,11 +448,12 @@ func resetMatchesFresh(t *testing.T, cfg network.Config, pattern string) {
 		t.Fatal("dirtying run did not drain")
 	}
 	reused.Reset()
-	if reused.Cycle() != 0 || !reused.Drained() ||
+	if reused.Cycle() != 0 || !reused.Drained() || reused.DeliveryHook != nil ||
 		reused.TotalInjectedFlits() != 0 || reused.TotalDeliveredMessages() != 0 ||
-		len(reused.AllFlowStats()) != 0 {
+		reused.AggregateLatency().Count() != 0 {
 		t.Fatal("Reset did not rewind the network to its initial state")
 	}
+	r := logDeliveries(reused)
 	gen := buildGen(t, pattern, cfg.Dim, 3)
 	if _, done := traffic.Drive(reused, gen, 1_000_000); !done {
 		t.Fatal("reused run did not drain")
@@ -496,7 +465,8 @@ func resetMatchesFresh(t *testing.T, cfg network.Config, pattern string) {
 		t.Errorf("delivered: fresh %d, reused %d",
 			fresh.TotalDeliveredMessages(), reused.TotalDeliveredMessages())
 	}
-	if ff, rf := flowFingerprint(fresh), flowFingerprint(reused); ff != rf {
-		t.Errorf("flow stats differ:\nfresh:\n%s\nreused:\n%s", ff, rf)
+	if *fresh.AggregateLatency() != *reused.AggregateLatency() {
+		t.Errorf("aggregate latency: fresh %v, reused %v", fresh.AggregateLatency(), reused.AggregateLatency())
 	}
+	compareLogs(t, "reset", "fresh", "reused", fresh, r)
 }

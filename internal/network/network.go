@@ -29,9 +29,11 @@
 // and records its head-of-line byte; deciding the hop (Router.ComputeTransfers)
 // reads only the router's own struct, and committing it is a counter bump
 // (see router.Router). At ejection a message that arrives whole in one flit
-// bypasses the NIC's reassembly table, and its per-flow statistics are found
-// under an integer key (flowKey). The bench keys network.ns_per_flit_hop and
-// router.transfers_ns measure this path on the sim-saturated workload.
+// bypasses the NIC's reassembly table, and its latency goes into one
+// aggregate sampler: the network keeps no per-flow state, and a caller that
+// wants per-flow or per-message numbers records them through DeliveryHook.
+// The bench keys network.ns_per_flit_hop and router.transfers_ns measure this
+// path on the sim-saturated workload.
 //
 // # One engine
 //
@@ -49,7 +51,6 @@
 package network
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -177,18 +178,6 @@ func (c Config) resolve() (mesh.Topology, error) {
 	return topo, nil
 }
 
-// FlowStats aggregates the delivered-message statistics of one flow.
-type FlowStats struct {
-	Flow flit.FlowID
-	// Latency aggregates total message latencies (creation at the source
-	// NIC to reassembly at the destination NIC) in cycles.
-	Latency stats.Sampler
-	// NetworkLatency aggregates injection-to-delivery latencies in cycles.
-	NetworkLatency stats.Sampler
-	// Messages is the number of delivered messages.
-	Messages uint64
-}
-
 // creditReturn records that the router at dense index `router` owes a credit
 // back on output port dir (applied at the end of the cycle).
 type creditReturn struct {
@@ -245,8 +234,9 @@ type Network struct {
 	// flit.Pool).
 	pool *flit.Pool
 
-	// flowStats holds the delivered-message statistics, keyed by flowKey.
-	flowStats map[uint64]*FlowStats
+	// latency aggregates the total latency (creation at the source NIC to
+	// reassembly at the destination NIC) of every delivered message.
+	latency stats.Sampler
 
 	injected  uint64 // flits injected by the NICs
 	delivered uint64 // messages delivered at the NICs
@@ -279,7 +269,6 @@ func New(cfg Config) (*Network, error) {
 		nicActive:     make([]bool, nodes),
 		replenishFrom: make([]uint64, nodes),
 		pool:          &flit.Pool{},
-		flowStats:     make(map[uint64]*FlowStats),
 	}
 	var weightTable *flows.WeightTable
 	if cfg.Design.Arbitration() == arbiter.KindWeighted {
@@ -570,30 +559,11 @@ func (n *Network) mergeActive() {
 	n.activeList = out
 }
 
-// flowKey packs a flow's endpoint indices as srcIndex<<32 | dstIndex: the
-// per-flow statistics key (an integer hashes and compares far cheaper than
-// the four-coordinate FlowID), whose numeric order is the (source,
-// destination) order AllFlowStats reports.
-func (n *Network) flowKey(f flit.FlowID) uint64 {
-	return uint64(n.cfg.Dim.Index(f.Src))<<32 | uint64(n.cfg.Dim.Index(f.Dst))
-}
-
-// accountDelivery updates the delivery statistics for msg, invokes the
-// delivery hook and recycles the message into the pool.
+// accountDelivery adds msg to the delivery statistics, invokes the delivery
+// hook and recycles the message into the pool.
 func (n *Network) accountDelivery(msg *flit.Message) {
 	n.delivered++
-	key := n.flowKey(msg.Flow)
-	fs, ok := n.flowStats[key]
-	if !ok {
-		fs = &FlowStats{Flow: msg.Flow}
-		n.flowStats[key] = fs
-	}
-	fs.Messages++
-	fs.Latency.AddUint(msg.DeliveredAt - msg.CreatedAt)
-	// Network latency runs from the injection of the message's first flit
-	// (stamped by the destination NIC during reassembly) to the delivery of
-	// its last, excluding the source-queueing time included in Latency.
-	fs.NetworkLatency.AddUint(msg.DeliveredAt - msg.InjectedAt)
+	n.latency.AddUint(msg.DeliveredAt - msg.CreatedAt)
 	if n.DeliveryHook != nil {
 		n.DeliveryHook(msg, n.cycle)
 	}
@@ -713,7 +683,7 @@ func (n *Network) Reset() {
 	n.activated = n.activated[:0]
 	n.nicList = n.nicList[:0]
 	n.credits = n.credits[:0]
-	clear(n.flowStats)
+	n.latency = stats.Sampler{}
 	n.injected = 0
 	n.delivered = 0
 	n.cycle = 0
@@ -748,28 +718,6 @@ func (n *Network) Drained() bool {
 	return true
 }
 
-// FlowStatsFor returns the delivered-message statistics of a flow, or nil
-// when the flow has delivered nothing yet.
-func (n *Network) FlowStatsFor(f flit.FlowID) *FlowStats {
-	if !n.cfg.Dim.Contains(f.Src) || !n.cfg.Dim.Contains(f.Dst) {
-		return nil
-	}
-	return n.flowStats[n.flowKey(f)]
-}
-
-// AllFlowStats returns the statistics of every flow that delivered at least
-// one message, in ascending (source index, destination index) order.
-func (n *Network) AllFlowStats() []*FlowStats {
-	var out []*FlowStats
-	for _, fs := range n.flowStats {
-		out = append(out, fs)
-	}
-	slices.SortFunc(out, func(a, b *FlowStats) int {
-		return cmp.Compare(n.flowKey(a.Flow), n.flowKey(b.Flow))
-	})
-	return out
-}
-
 // TotalInjectedFlits returns the number of flits injected into the network so
 // far.
 func (n *Network) TotalInjectedFlits() uint64 { return n.injected }
@@ -778,14 +726,11 @@ func (n *Network) TotalInjectedFlits() uint64 { return n.injected }
 // far.
 func (n *Network) TotalDeliveredMessages() uint64 { return n.delivered }
 
-// AggregateLatency merges the message-latency samplers of every flow.
-// Count, Sum, Min, Max and Mean of the aggregate are exact (latencies are
-// integer cycle counts, summed well within float64's exact-integer range),
-// so they do not depend on the merge order.
+// AggregateLatency returns a copy of the latency sampler of every message
+// delivered so far. Its Count, Sum, Min, Max and Mean are exact (latencies
+// are integer cycle counts, summed well within float64's exact-integer
+// range).
 func (n *Network) AggregateLatency() *stats.Sampler {
-	agg := &stats.Sampler{}
-	for _, fs := range n.flowStats {
-		agg.Merge(&fs.Latency)
-	}
-	return agg
+	agg := n.latency
+	return &agg
 }

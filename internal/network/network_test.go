@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/flit"
 	"repro/internal/mesh"
+	"repro/internal/stats"
 )
 
 func node(x, y int) mesh.Node { return mesh.Node{X: x, Y: y} }
@@ -27,6 +28,21 @@ func send(t *testing.T, n *Network, src, dst mesh.Node, payloadBits int, class f
 		t.Fatal(err)
 	}
 	return id
+}
+
+// flowLatencies records, through the delivery hook, the latency of every
+// message each flow delivers from now on.
+func flowLatencies(n *Network) map[flit.FlowID]*stats.Sampler {
+	lat := map[flit.FlowID]*stats.Sampler{}
+	n.DeliveryHook = func(m *flit.Message, _ uint64) {
+		s := lat[m.Flow]
+		if s == nil {
+			s = &stats.Sampler{}
+			lat[m.Flow] = s
+		}
+		s.AddUint(m.DeliveredAt - m.CreatedAt)
+	}
+	return lat
 }
 
 func TestDesignString(t *testing.T) {
@@ -95,16 +111,15 @@ func TestZeroLoadLatency(t *testing.T) {
 		if !n.RunUntilDrained(200) {
 			t.Fatalf("%v: network did not drain", design)
 		}
-		fs := n.FlowStatsFor(flit.FlowID{Src: node(0, 0), Dst: node(3, 0)})
-		if fs == nil || fs.Messages != 1 {
+		if n.TotalDeliveredMessages() != 1 {
 			t.Fatalf("%v: message not delivered", design)
 		}
-		lat3 := fs.Latency.Mean()
+		lat3 := n.AggregateLatency().Mean()
 
 		n2 := newNet(t, 4, 4, design)
 		send(t, n2, node(0, 0), node(1, 0), 48, flit.ClassRequest)
 		n2.RunUntilDrained(200)
-		lat1 := n2.FlowStatsFor(flit.FlowID{Src: node(0, 0), Dst: node(1, 0)}).Latency.Mean()
+		lat1 := n2.AggregateLatency().Mean()
 
 		if lat3 <= lat1 {
 			t.Errorf("%v: latency should grow with distance (1 hop %.0f, 3 hops %.0f)", design, lat1, lat3)
@@ -126,17 +141,15 @@ func TestMultiFlitMessageDelivery(t *testing.T) {
 	if !n.RunUntilDrained(500) {
 		t.Fatal("network did not drain")
 	}
-	fs := n.FlowStatsFor(flit.FlowID{Src: node(0, 0), Dst: node(2, 2)})
-	if fs == nil || fs.Messages != 1 {
+	if n.TotalDeliveredMessages() != 1 {
 		t.Fatal("reply not delivered")
 	}
 	nSmall := newNet(t, 4, 4, DesignRegular)
 	send(t, nSmall, node(0, 0), node(2, 2), 48, flit.ClassRequest)
 	nSmall.RunUntilDrained(500)
-	small := nSmall.FlowStatsFor(flit.FlowID{Src: node(0, 0), Dst: node(2, 2)}).Latency.Mean()
-	if fs.Latency.Mean() <= small {
-		t.Errorf("4-flit reply (%.0f cycles) should take longer than 1-flit request (%.0f cycles)",
-			fs.Latency.Mean(), small)
+	large, small := n.AggregateLatency().Mean(), nSmall.AggregateLatency().Mean()
+	if large <= small {
+		t.Errorf("4-flit reply (%.0f cycles) should take longer than 1-flit request (%.0f cycles)", large, small)
 	}
 }
 
@@ -210,6 +223,7 @@ func TestPerFlowOrdering(t *testing.T) {
 // bandwidth; with plain round-robin they get equal throughput.
 func TestRoundRobinFairSharingAtHotspot(t *testing.T) {
 	n := newNet(t, 3, 3, DesignRegular)
+	lat := flowLatencies(n)
 	dst := node(0, 0)
 	srcA, srcB := node(2, 0), node(0, 2)
 	const msgs = 30
@@ -220,16 +234,16 @@ func TestRoundRobinFairSharingAtHotspot(t *testing.T) {
 	if !n.RunUntilDrained(20000) {
 		t.Fatal("network did not drain")
 	}
-	a := n.FlowStatsFor(flit.FlowID{Src: srcA, Dst: dst})
-	b := n.FlowStatsFor(flit.FlowID{Src: srcB, Dst: dst})
-	if a == nil || b == nil || a.Messages != msgs || b.Messages != msgs {
+	a := lat[flit.FlowID{Src: srcA, Dst: dst}]
+	b := lat[flit.FlowID{Src: srcB, Dst: dst}]
+	if a == nil || b == nil || a.Count() != msgs || b.Count() != msgs {
 		t.Fatal("not all messages delivered")
 	}
 	// Both flows saturate the same ejection port, so their mean latencies
 	// must be of the same order (fair round-robin sharing).
-	ratio := a.Latency.Mean() / b.Latency.Mean()
+	ratio := a.Mean() / b.Mean()
 	if ratio < 0.5 || ratio > 2.0 {
-		t.Errorf("unfair sharing under round-robin: mean latencies %.1f vs %.1f", a.Latency.Mean(), b.Latency.Mean())
+		t.Errorf("unfair sharing under round-robin: mean latencies %.1f vs %.1f", a.Mean(), b.Mean())
 	}
 }
 
@@ -241,6 +255,7 @@ func TestWaWReducesFarFlowPenalty(t *testing.T) {
 	type result struct{ near, far float64 }
 	measure := func(design Design) result {
 		n := newNet(t, 4, 1, design) // a 4-node row: (3,0) is far from (0,0), (1,0) is adjacent
+		lat := flowLatencies(n)
 		dst := node(0, 0)
 		near, far := node(1, 0), node(3, 0)
 		const msgs = 40
@@ -255,8 +270,8 @@ func TestWaWReducesFarFlowPenalty(t *testing.T) {
 			t.Fatal("network did not drain")
 		}
 		return result{
-			near: n.FlowStatsFor(flit.FlowID{Src: near, Dst: dst}).Latency.Max(),
-			far:  n.FlowStatsFor(flit.FlowID{Src: far, Dst: dst}).Latency.Max(),
+			near: lat[flit.FlowID{Src: near, Dst: dst}].Max(),
+			far:  lat[flit.FlowID{Src: far, Dst: dst}].Max(),
 		}
 	}
 	reg := measure(DesignRegular)
@@ -287,9 +302,6 @@ func TestDrainedAndRunHelpers(t *testing.T) {
 	}
 	if got := n.AggregateLatency().Count(); got != 1 {
 		t.Errorf("aggregate latency count = %d", got)
-	}
-	if len(n.AllFlowStats()) != 1 {
-		t.Error("expected one flow with stats")
 	}
 }
 

@@ -40,7 +40,7 @@ func buildTopoGen(t *testing.T, topo mesh.Topology, pattern string, seed int64) 
 // TestTopologyEnginesAndShardsEquivalent checks that, on both concentrated
 // meshes over square, rectangular and odd-height grids, Step and the
 // full-scan oracle produce byte-identical results — cycles, flit counts and
-// every per-flow latency sampler — with the inert Config.Shards unset and set.
+// the delivery log — with the inert Config.Shards unset and set.
 func TestTopologyEnginesAndShardsEquivalent(t *testing.T) {
 	cases := []struct {
 		spec mesh.TopoSpec
@@ -61,6 +61,7 @@ func TestTopologyEnginesAndShardsEquivalent(t *testing.T) {
 					cfg := network.DefaultConfig(c.dim, design)
 					cfg.Topo = c.spec
 					ref := network.MustNewFullScan(cfg)
+					refRun := logDeliveries(ref.Net)
 					driveOracle(t, ref, buildTopoGen(t, ref.Net.Topology(), pattern, 7))
 					for _, shards := range []int{0, 3} {
 						cfg.Shards = shards
@@ -68,10 +69,11 @@ func TestTopologyEnginesAndShardsEquivalent(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
+						actRun := logDeliveries(act)
 						if _, done := traffic.Drive(act, buildTopoGen(t, act.Topology(), pattern, 7), 1_000_000); !done {
 							t.Fatalf("shards=%d did not drain", shards)
 						}
-						compareRuns(t, fmt.Sprintf("shards=%d", shards), ref.Net, act)
+						compareRuns(t, fmt.Sprintf("shards=%d", shards), refRun, actRun)
 					}
 				})
 			}
@@ -95,8 +97,7 @@ func TestCMeshColocatedDelivery(t *testing.T) {
 	if !n.RunUntilDrained(200) {
 		t.Fatal("did not drain")
 	}
-	fs := n.FlowStatsFor(flow)
-	if fs == nil || fs.Messages != 1 {
+	if n.TotalDeliveredMessages() != 1 {
 		t.Fatal("co-located message not delivered")
 	}
 	cross := flit.FlowID{Src: mesh.Node{X: 0, Y: 0}, Dst: mesh.Node{X: 3, Y: 3}}
@@ -110,7 +111,7 @@ func TestCMeshColocatedDelivery(t *testing.T) {
 	if !n2.RunUntilDrained(200) {
 		t.Fatal("did not drain")
 	}
-	if local, far := fs.Latency.Mean(), n2.FlowStatsFor(cross).Latency.Mean(); local >= far {
+	if local, far := n.AggregateLatency().Mean(), n2.AggregateLatency().Mean(); local >= far {
 		t.Errorf("co-located latency %.0f should beat the diagonal crossing %.0f", local, far)
 	}
 }

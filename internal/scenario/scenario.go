@@ -13,6 +13,7 @@
 package scenario
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -358,7 +359,11 @@ func (s Spec) Validate() error {
 		}
 	case ModeSimulate:
 		switch s.Traffic.Pattern {
-		case "", "hotspot", "uniform", "transpose", "bitcomp", "neighbor", "tornado":
+		case "", "hotspot", "uniform": // never to the source itself: one endpoint would never inject
+			if d.Nodes() == 1 {
+				return fmt.Errorf("scenario: %s traffic needs at least two endpoints; the %v grid has one", cmp.Or(s.Traffic.Pattern, "hotspot"), d)
+			}
+		case "transpose", "bitcomp", "neighbor", "tornado":
 		default:
 			return fmt.Errorf("scenario: unknown traffic pattern %q", s.Traffic.Pattern)
 		}

@@ -134,11 +134,17 @@ func TestValidateRejections(t *testing.T) {
 		"L past the limit": {Mode: ModeParallelWCET, Width: 8, Height: 8, MaxPacketFlits: MaxPacketFlitsLimit + 1},
 		"L that wraps":     {Mode: ModeParallelWCET, Width: 8, Height: 8, MaxPacketFlits: 1 << 62},
 		"unknown mode":     {Mode: Mode(99), Width: 2, Height: 2},
+		"1x1 hotspot":      {Mode: ModeSimulate, Width: 1, Height: 1},
+		"1x1 uniform":      {Mode: ModeSimulate, Width: 1, Height: 1, Traffic: Traffic{Pattern: "uniform"}},
 	}
 	for name, s := range cases {
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: Validate() should fail for %+v", name, s)
 		}
+	}
+	// A permutation on one endpoint sends nothing, and completes.
+	if err := (Spec{Mode: ModeSimulate, Width: 1, Height: 1, Traffic: Traffic{Pattern: "transpose"}}).Validate(); err != nil {
+		t.Errorf("1x1 transpose rejected: %v", err)
 	}
 	atLimit := Spec{Mode: ModeParallelWCET, Width: 8, Height: 8, MaxPacketFlits: MaxPacketFlitsLimit}
 	if err := atLimit.Validate(); err != nil {

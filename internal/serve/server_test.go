@@ -778,3 +778,20 @@ func TestServeScenarioCMesh(t *testing.T) {
 		t.Fatalf("served cmesh2 result differs from Execute:\nserve: %s\nexec:  %s", resps[0].Result, want)
 	}
 }
+
+// TestServeScenarioOneEndpoint: a simulate scenario with uniform or hotspot
+// traffic on a 1x1 grid is refused with the validation error, at once,
+// instead of stepping an idle network through its cycle budget (50 million
+// cycles took 0.7 s) or until the line's deadline.
+func TestServeScenarioOneEndpoint(t *testing.T) {
+	resps := run(t, 1,
+		`{"id":1,"op":"scenario","spec":{"mode":"simulate","width":1,"height":1,"design":"regular","traffic":{"pattern":"uniform"},"max_cycles":50000000}}`,
+		`{"id":2,"op":"scenario","spec":{"mode":"simulate","width":1,"height":1,"design":"regular","max_cycles":50000000}}`,
+	)
+	for i, pattern := range []string{"uniform", "hotspot"} {
+		want := "scenario: " + pattern + " traffic needs at least two endpoints; the 1x1 grid has one"
+		if resps[i].OK || resps[i].Error != want {
+			t.Errorf("line %d: %+v, want error %q", i+1, resps[i], want)
+		}
+	}
+}

@@ -1,6 +1,6 @@
 // Package stats provides the statistics utility used by the NoC simulator
 // and the experiment drivers: a sampler with count, min/mean/max and a
-// numerically stable standard deviation, mergeable across runs.
+// numerically stable standard deviation.
 package stats
 
 import (
@@ -90,31 +90,6 @@ func (s *Sampler) StdDev() float64 {
 		variance = 0 // numerical noise
 	}
 	return math.Sqrt(variance)
-}
-
-// Merge adds every sample of other into s (as if they had been recorded on
-// s directly). The deviation accumulators combine with the parallel variant
-// of Welford's algorithm (Chan et al.).
-func (s *Sampler) Merge(other *Sampler) {
-	if other == nil || other.count == 0 {
-		return
-	}
-	if s.count == 0 {
-		*s = *other
-		return
-	}
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
-	na, nb := float64(s.count), float64(other.count)
-	delta := other.mean - s.mean
-	s.m2 += other.m2 + delta*delta*na*nb/(na+nb)
-	s.mean += delta * nb / (na + nb)
-	s.count += other.count
-	s.sum += other.sum
 }
 
 // String summarises the sampler.

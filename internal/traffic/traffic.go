@@ -96,32 +96,54 @@ func Rand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // lagged-Fibonacci generator out[n] = out[n-607] + out[n-273] (mod 2^64).
 // Each output of that source is also the state word it has just stored, so
 // the first 607 outputs of rand.NewSource(seed) are its whole state:
-// newDrawSource captures them and refill extends the stream a block at a time
-// with two add loops, with no interface call and no tap bookkeeping per draw.
-// Bounded draws apply Rand.Intn's rejection rule to the same 31 bits of each
-// output, so every stream is bit-identical to rand.New(rand.NewSource(seed)):
-// TestDrawSourceMatchesMathRand pins the draws across refills, and
-// TestGeneratorsMatchMathRandReference and FuzzUniformTickMatchesReference
-// pin both generators to the math/rand per-node loop kept in traffic_test.go.
+// newDrawSource captures them and refill extends the stream a block at a time,
+// with no interface call and no tap bookkeeping per draw. Bounded draws apply
+// Rand.Intn's rejection rule to the same 31 bits of each output, so every
+// stream is bit-identical to rand.New(rand.NewSource(seed)).
+//
+// A source serves one generator and knows its per-node rate draw ("does this
+// node send this cycle?"). The pass that writes a block also marks its
+// events: the outputs that hit the rate draw and the ones Rand.Intn rejects.
+// Every other output is a plain miss, so scan walks a cycle's nodes from
+// event to event and does per-draw work only at one.
+// TestDrawSourceMatchesMathRand and TestScanRejectedOutputs pin the draws
+// across refills, and TestGeneratorsMatchMathRandReference and the
+// Fuzz*TickMatchesReference targets pin both generators to the math/rand
+// per-node loop kept in traffic_test.go.
 type drawSource struct {
 	vec [rngLen]uint64 // one block of consecutive outputs
-	pos int            // vec[pos:] is not consumed yet
+	// events marks outputs most significant bit first (bit 63-p%64 of word
+	// p/64 is vec[p]) and always marks position rngLen, as a sentinel.
+	events [rngLen/64 + 1]uint64
+	pos    int // vec[pos:] is not consumed yet
+
+	rate  bound  // the range of the rate draw
+	below uint64 // an accepted output v hits iff rate.recip*v mod 2^64 < below
 }
 
 const rngLen, rngTap = 607, 273 // the two lags; rngLen is also the state size
 
-// newDrawSource panics when the replica's first refill differs from the next
-// 607 outputs of the real source, i.e. when math/rand has stopped being this
-// recurrence: a silent fallback would change every seeded traffic stream.
-func newDrawSource(seed int64) drawSource {
+// newDrawSource returns the source of rand.NewSource(seed) for a generator
+// whose rate draw hits when Rand.Intn(b.n) < rate. It panics when the
+// replica's second block differs from the next 607 outputs of the real
+// source, i.e. when math/rand has stopped being this recurrence: a silent
+// fallback would change every seeded traffic stream.
+func newDrawSource(seed int64, b bound, rate uint64) drawSource {
 	src, ok := rand.NewSource(seed).(rand.Source64)
 	if !ok {
 		panic("traffic: math/rand source of " + runtime.Version() + " is not a rand.Source64")
 	}
-	var d drawSource
-	for i := range d.vec {
-		d.vec[i] = src.Uint64()
+	d := drawSource{rate: b, below: ^uint64(0)} // for n <= 2^31 the low product never reaches 2^64-1
+	if rate < b.n {
+		// The draw is the high word of (recip*v mod 2^64) * n, so it is below
+		// rate exactly when the low product is below ⌈rate·2^64/n⌉.
+		d.below, _ = bits.Div64(rate, b.n-1, b.n)
 	}
+	var first [rngLen]uint64
+	for i := range first {
+		first[i] = src.Uint64()
+	}
+	d.load(&first)
 	next := d
 	next.refill()
 	for i, v := range next.vec {
@@ -132,14 +154,44 @@ func newDrawSource(seed int64) drawSource {
 	return d
 }
 
-// refill replaces the block with the next rngLen outputs; callers rewind pos.
-func (d *drawSource) refill() {
-	for i := 0; i < rngTap; i++ {
-		d.vec[i] += d.vec[i+rngLen-rngTap]
-	}
+// load makes block the current block, events marked, by refilling from the
+// state that precedes it: the recurrence inverted, block[i] = prev[i] +
+// prev[i+334] below the tap and block[i] = prev[i] + block[i-273] from it on.
+func (d *drawSource) load(block *[rngLen]uint64) {
 	for i := rngTap; i < rngLen; i++ {
-		d.vec[i] += d.vec[i-rngTap]
+		d.vec[i] = block[i] - block[i-rngTap]
 	}
+	for i := 0; i < rngTap; i++ {
+		d.vec[i] = block[i] - d.vec[i+rngLen-rngTap]
+	}
+	d.refill()
+	d.pos = 0
+}
+
+// refill replaces the block with the next rngLen outputs and, in the same
+// pass, marks their events without a branch per output; callers rewind pos.
+func (d *drawSource) refill() {
+	// Rand.Intn rejects output x iff x<<1 > keep (its 31 bits exceed max).
+	recip, below, keep := d.rate.recip, d.below, uint64(d.rate.max)<<33|1<<33-1
+	for w := range d.events {
+		var hits, rejected uint64 // shift registers of the two tests' borrows
+		end := min(w*64+64, rngLen)
+		for i := w * 64; i < end; i++ {
+			j := i + rngLen - rngTap
+			if i >= rngTap {
+				j = i - rngTap
+			}
+			x := d.vec[i] + d.vec[j]
+			d.vec[i] = x
+			y := x << 1
+			_, c := bits.Sub64(recip*(y>>33), below, 0) // y>>33 is Source.Int63() >> 32
+			hits, _ = bits.Add64(hits, hits, c)
+			_, c = bits.Sub64(keep, y, 0)
+			rejected, _ = bits.Add64(rejected, rejected, c)
+		}
+		d.events[w] = (hits | rejected) << (64 - (end - w*64))
+	}
+	d.events[rngLen/64] |= 1 << (63 - rngLen%64)
 }
 
 // bound is a draw range [0, n), 0 < n <= MaxInt32, with Rand.Intn's rejection
@@ -157,49 +209,72 @@ func newBound(n int) bound {
 
 var perMil, perCent = newBound(1000), newBound(100) // the ranges of the rate draws
 
-// scan consumes one draw in b per index from i up to n, stops after the first
-// draw below rate, and returns that index and draw (n if every draw missed):
-// one cycle's per-node decisions, nearly all of them misses at realistic
-// rates, taken with the block position in a register.
-func (d *drawSource) scan(b bound, rate uint64, i, n int) (int, uint64) {
-	pos, draw := d.pos, uint64(0)
-	for i < n {
-		if pos == rngLen {
+// scan takes the rate draws of nodes i, i+1, ..., n-1, one accepted output
+// each, and returns the first node whose draw hits (n if none does): one
+// cycle's per-node decisions. The outputs before the next event all miss, so
+// node and block position advance by their count in one step; at an event a
+// rejected output makes the same node redraw and an accepted one is a hit.
+func (d *drawSource) scan(i, n int) int {
+	pos := d.pos
+	for {
+		e := d.nextEvent(pos)
+		if i+e-pos >= n {
+			d.pos = pos + n - i
+			return n
+		}
+		i += e - pos
+		if e == rngLen {
 			d.refill()
 			pos = 0
+			continue
 		}
-		v := uint32(d.vec[pos] << 1 >> 33) // Source.Int63() >> 32
-		pos++
-		if v > b.max {
-			continue // Rand.Intn redraws
+		pos = e + 1
+		if uint32(d.vec[e]<<1>>33) <= d.rate.max {
+			d.pos = pos
+			return i
 		}
-		if draw, _ = bits.Mul64(b.recip*uint64(v), b.n); draw < rate {
-			break
-		}
-		i++
 	}
-	d.pos = pos
-	return i, draw
 }
 
-// intn returns one uniform draw in b: any draw is below b.n.
+// nextEvent returns the first event position at or after pos; the sentinel
+// makes it rngLen when the block has none left.
+func (d *drawSource) nextEvent(pos int) int {
+	w := pos >> 6
+	m := d.events[w] & (^uint64(0) >> (pos & 63)) // positions before pos cleared
+	for m == 0 {
+		w++
+		m = d.events[w]
+	}
+	return w<<6 + bits.LeadingZeros64(m)
+}
+
+// intn returns one Rand.Intn draw in b, read straight from the block.
 func (d *drawSource) intn(b bound) int {
-	_, draw := d.scan(b, b.n, 0, 1)
-	return int(draw)
+	for {
+		if d.pos == rngLen {
+			d.refill()
+			d.pos = 0
+		}
+		v := uint32(d.vec[d.pos] << 1 >> 33)
+		d.pos++
+		if v <= b.max {
+			draw, _ := bits.Mul64(b.recip*uint64(v), b.n)
+			return int(draw)
+		}
+	}
 }
 
 // UniformRandom injects requests from every node to uniformly random
 // destinations at a fixed per-node injection rate (flit-equivalents per node
 // per cycle, approximated at message granularity).
 type UniformRandom struct {
-	nodes      []mesh.Node // AllNodes, precomputed once
-	rng        drawSource
-	anyNode    bound // the destination draw's range, [0, len(nodes))
-	ratePerMil int   // messages per node per 1000 cycles
-	payload    int
-	remaining  int
-	pool       *flit.Pool
-	out        []*flit.Message // reused Tick result buffer
+	nodes     []mesh.Node // AllNodes, precomputed once
+	rng       drawSource  // rate draw: Intn(1000) < messages per node per 1000 cycles
+	anyNode   bound       // the destination draw's range, [0, len(nodes))
+	payload   int
+	remaining int
+	pool      *flit.Pool
+	out       []*flit.Message // reused Tick result buffer
 }
 
 // NewUniformRandom builds a uniform-random generator producing `total`
@@ -216,12 +291,11 @@ func NewUniformRandom(dim mesh.Dim, seed int64, ratePerMil, payload, total int) 
 		return nil, fmt.Errorf("traffic: total message count must be non-negative, got %d", total)
 	}
 	return &UniformRandom{
-		nodes:      dim.AllNodes(),
-		rng:        newDrawSource(seed),
-		anyNode:    newBound(dim.Nodes()),
-		ratePerMil: ratePerMil,
-		payload:    payload,
-		remaining:  total,
+		nodes:     dim.AllNodes(),
+		rng:       newDrawSource(seed, perMil, uint64(ratePerMil)),
+		anyNode:   newBound(dim.Nodes()),
+		payload:   payload,
+		remaining: total,
 	}, nil
 }
 
@@ -235,7 +309,7 @@ func (u *UniformRandom) Tick(uint64) []*flit.Message {
 	}
 	out := u.out[:0]
 	for i := 0; u.remaining > 0; i++ {
-		if i, _ = u.rng.scan(perMil, uint64(u.ratePerMil), i, len(u.nodes)); i == len(u.nodes) {
+		if i = u.rng.scan(i, len(u.nodes)); i == len(u.nodes) {
 			break
 		}
 		src, dst := u.nodes[i], u.nodes[u.rng.intn(u.anyNode)]
@@ -266,8 +340,7 @@ func (u *UniformRandom) NextEvent(now uint64) (uint64, bool) {
 type Hotspot struct {
 	sources   []mesh.Node // every node but target, in AllNodes order
 	target    mesh.Node
-	rng       drawSource
-	ratePct   int // probability (percent) that a node issues a request each cycle
+	rng       drawSource // rate draw: Intn(100) < the per-cycle request probability in percent
 	payload   int
 	remaining int
 	pool      *flit.Pool
@@ -294,8 +367,7 @@ func NewHotspot(dim mesh.Dim, target mesh.Node, seed int64, ratePct, payload, to
 	return &Hotspot{
 		sources:   slices.Delete(dim.AllNodes(), t, t+1),
 		target:    target,
-		rng:       newDrawSource(seed),
-		ratePct:   ratePct,
+		rng:       newDrawSource(seed, perCent, uint64(ratePct)),
 		payload:   payload,
 		remaining: total,
 	}, nil
@@ -311,7 +383,7 @@ func (h *Hotspot) Tick(uint64) []*flit.Message {
 	}
 	out := h.out[:0]
 	for i := 0; h.remaining > 0; i++ {
-		if i, _ = h.rng.scan(perCent, uint64(h.ratePct), i, len(h.sources)); i == len(h.sources) {
+		if i = h.rng.scan(i, len(h.sources)); i == len(h.sources) {
 			break
 		}
 		out = append(out, newMessage(h.pool, flit.FlowID{Src: h.sources[i], Dst: h.target}, flit.ClassRequest, h.payload))

@@ -164,8 +164,8 @@ func TestDriveRespectsMaxCycles(t *testing.T) {
 func TestDrawSourceMatchesMathRand(t *testing.T) {
 	for _, seed := range []int64{1, 3, 7, 11, 42, 1 << 40, 0, -1, -(1 << 40)} {
 		for _, n := range []int{1, 2, 7, 16, 64, 100, 1000, 1 << 20, (1 << 30) + 1, (1 << 31) - 1} {
-			ref := Rand(seed)
-			fast, b := newDrawSource(seed), newBound(n)
+			ref, b := Rand(seed), newBound(n)
+			fast := newDrawSource(seed, b, uint64(n)/2)
 			for i := 0; i < 2000; i++ {
 				want := ref.Intn(n)
 				got := fast.intn(b)
@@ -181,12 +181,12 @@ func TestDrawSourceMatchesMathRand(t *testing.T) {
 	// redraw loop itself crosses the boundary.
 	for _, n := range []int{1000, (1 << 30) + 1} {
 		for _, count := range []int{605, 606, 607, 608, 1213, 1214, 1215, 3 * rngLen} {
-			ref := Rand(9)
-			fast, b := newDrawSource(9), newBound(n)
+			ref, b := Rand(9), newBound(n)
+			fast := newDrawSource(9, b, 0)
 			for i := 0; i < count; i++ {
 				ref.Intn(n)
 			}
-			if i, _ := fast.scan(b, 0, 0, count); i != count {
+			if i := fast.scan(0, count); i != count {
 				t.Fatalf("n=%d: all-miss scan stopped at %d of %d", n, i, count)
 			}
 			for i := 0; i < 5; i++ {
@@ -217,11 +217,94 @@ func TestDrawSourceMatchesMathRand(t *testing.T) {
 	}
 	// Interleaved mixed ranges must stay in lockstep too: the generators
 	// alternate rate draws and destination draws on one stream.
-	ref, fast := Rand(5), newDrawSource(5)
+	ref, fast := Rand(5), newDrawSource(5, perMil, 2)
 	for i := 0; i < 5000; i++ {
 		n := []int{1000, 256, 1000, 15, 100, 3}[i%6]
 		if want, got := ref.Intn(n), fast.intn(newBound(n)); want != got {
 			t.Fatalf("interleaved draw %d (n=%d): math/rand %d, drawSource %d", i, n, want, got)
+		}
+	}
+}
+
+// referenceScan is the per-draw loop scan replaces: node by node, one
+// Rand.Intn(d.rate.n) each with rejected outputs redrawn, reduced with a
+// plain modulo, on the source's own blocks and without its event bitmap.
+func referenceScan(d *drawSource, rate uint64, i, n int) int {
+	for ; i < n; i++ {
+		var v uint32
+		for {
+			if d.pos == rngLen {
+				d.refill()
+				d.pos = 0
+			}
+			v = uint32(d.vec[d.pos] << 1 >> 33)
+			d.pos++
+			if v <= d.rate.max {
+				break
+			}
+		}
+		if uint64(v)%d.rate.n < rate {
+			return i
+		}
+	}
+	return n
+}
+
+// TestScanRejectedOutputs: a seeded stream meets Rand.Intn's rejection limit
+// once in 2^31 draws, so hand-made blocks put rejected outputs where scan
+// must see them as events: twice in a row in the middle of a scan, on the
+// first output of a block and on its last, with the scan crossing into the
+// next block. Over four 256-node cycles scan must stop at the nodes the
+// per-draw loop stops at and leave the block position where it does, for
+// both rate ranges, a rate at which every accepted output hits, and a range
+// that rejects almost half of the outputs.
+func TestScanRejectedOutputs(t *testing.T) {
+	const nodes = 256
+	const noise = 1<<63 | 1<<32 - 1 // the bits Int31 drops
+	word := func(v uint32) uint64 { return uint64(v)<<32 | noise }
+	for _, c := range []struct {
+		b    bound
+		rate uint64
+	}{{perMil, 2}, {perCent, 30}, {perCent, 100}, {newBound(1<<30 + 1), 1 << 29}} {
+		for _, layout := range []struct {
+			name           string
+			rejected, hits []int
+		}{
+			{"mid-scan", []int{10, 11, 40}, []int{20, 300}},
+			{"block-start", []int{0}, []int{5}},
+			{"block-end", []int{rngLen - 1}, nil},
+			{"block-end-after-hit", []int{rngLen - 1}, []int{rngLen - 2}},
+		} {
+			var block [rngLen]uint64
+			for p := range block {
+				block[p] = word(uint32(c.b.n - 1)) // a miss unless every output hits
+			}
+			for _, p := range layout.hits {
+				block[p] = word(0)
+			}
+			for _, p := range layout.rejected {
+				// The largest output: rejected, and a miss once reduced, so
+				// only its rejection can make it an event.
+				block[p] = word(1<<31 - 1)
+			}
+			d := newDrawSource(1, c.b, c.rate)
+			d.load(&block)
+			if d.vec != block {
+				t.Fatalf("load installed a different block")
+			}
+			ref := d
+			for cycle := 0; cycle < 4; cycle++ {
+				for i := 0; ; i++ {
+					got, want := d.scan(i, nodes), referenceScan(&ref, c.rate, i, nodes)
+					if got != want || d.pos != ref.pos {
+						t.Fatalf("n=%d rate=%d %s cycle %d: scan from node %d stopped at %d (block position %d), per-draw loop at %d (%d)",
+							c.b.n, c.rate, layout.name, cycle, i, got, d.pos, want, ref.pos)
+					}
+					if i = got; i == nodes {
+						break
+					}
+				}
+			}
 		}
 	}
 }
@@ -306,6 +389,16 @@ func matchUniformReference(t *testing.T, d mesh.Dim, seed int64, rate, total, ti
 	matchReference(t, g, ref, referenceUniformTick, ticks)
 }
 
+func matchHotspotReference(t *testing.T, d mesh.Dim, target mesh.Node, seed int64, pct, total, ticks int) {
+	t.Helper()
+	g, err := NewHotspot(d, target, seed, pct, RequestPayloadBits, total)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &reference{nodes: d.AllNodes(), target: target, rng: Rand(seed), rate: pct, payload: RequestPayloadBits, remaining: total}
+	matchReference(t, g, ref, referenceHotspotTick, ticks)
+}
+
 // refillTicks is enough cycles for a generator on d to consume more than
 // three blocks of draws even when it draws only once per node per cycle.
 func refillTicks(d mesh.Dim) int { return 3*rngLen/d.Nodes() + 40 }
@@ -326,27 +419,32 @@ func TestGeneratorsMatchMathRandReference(t *testing.T) {
 					matchUniformReference(t, d, seed, rate, total, refillTicks(d))
 				}
 				for _, pct := range []int{1, 50, 100} {
-					target := mesh.Node{X: d.Width / 2, Y: d.Height - 1}
-					g, err := NewHotspot(d, target, seed, pct, RequestPayloadBits, total)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ref := &reference{nodes: d.AllNodes(), target: target, rng: Rand(seed), rate: pct, payload: RequestPayloadBits, remaining: total}
-					matchReference(t, g, ref, referenceHotspotTick, refillTicks(d))
+					matchHotspotReference(t, d, mesh.Node{X: d.Width / 2, Y: d.Height - 1}, seed, pct, total, refillTicks(d))
 				}
 			}
 		}
 	}
 }
 
+// wrap maps any fuzzed v into [lo, hi].
+func wrap(v, lo, hi int) int { return lo + int(uint(v-lo)%uint(hi-lo+1)) }
+
 // FuzzUniformTickMatchesReference lets the fuzzer pick the grid, rate, total
 // and run length; the committed corpus (testdata/fuzz) holds the corners of
 // the grid above and also runs under plain `go test`.
 func FuzzUniformTickMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, w, h, rate, total, ticks int) {
-		wrap := func(v, lo, hi int) int { return lo + int(uint(v-lo)%uint(hi-lo+1)) }
 		d := mesh.MustDim(wrap(w, 1, 16), wrap(h, 1, 16))
 		matchUniformReference(t, d, seed, wrap(rate, 1, 1500), wrap(total, 0, 1<<20), wrap(ticks, 1, 4096))
+	})
+}
+
+// FuzzHotspotTickMatchesReference is the same for the hotspot generator: the
+// fuzzer also picks the percentage (1 to 100) and the target node.
+func FuzzHotspotTickMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, w, h, pct, target, total, ticks int) {
+		d := mesh.MustDim(wrap(w, 1, 16), wrap(h, 1, 16))
+		matchHotspotReference(t, d, d.NodeAt(wrap(target, 0, d.Nodes()-1)), seed, wrap(pct, 1, 100), wrap(total, 0, 1<<20), wrap(ticks, 1, 4096))
 	})
 }
 

@@ -24,8 +24,6 @@ var surfaceInterfaceMethods = map[string]bool{
 // skipped whole: it is the chaos harness the serve and sweep tests share, and
 // Go has no way to import one package's _test.go files from another.
 var surfaceKept = map[string]string{
-	"FlowStatsFor":   "per-flow latency read-out: ROADMAP item 1 (soundness oracle) reads it",
-	"AllFlowStats":   "as FlowStatsFor",
 	"Credits":        "router occupancy accessor: ROADMAP item 2 (telemetry spine) reads it",
 	"InputOccupancy": "as Credits",
 	"OutputLocked":   "as Credits",
