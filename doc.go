@@ -66,7 +66,12 @@
 // walk, which is their oracle. On meshes from 16x16 up, up to four producers
 // fill column slices of each row of sources in parallel and pass a turn in
 // source order, so the one serial fold (an in-order float sum, bit-pinned)
-// sees the same stream on any core count. wcet.Platform.Engine compiles a
+// sees the same stream on any core count. The one-flit WaW summary visits no
+// pair: its bound is additive over the ports a route crosses, so the sum is a
+// per-port cost times a closed-form pair count, exact while it stays within
+// 2^53 (every mesh up to 128x128), where the integer total is the in-order
+// float sum bit for bit; regular summaries, and WaW ones past 2^53, take the
+// producers and the fold. wcet.Platform.Engine compiles a
 // platform for one maximum packet size: per-core memory round-trip UBDs once per design,
 // each WCET cell pure arithmetic. workload holds the synthetic EEMBC
 // Automotive profiles and the 3DPP avionics model, manycore and memctrl the

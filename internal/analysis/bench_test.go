@@ -16,9 +16,10 @@ import (
 //	go test -run xxx -bench BenchmarkSummary64 -cpu 1,2,4 -benchtime 20x ./internal/analysis/
 
 // BenchmarkSummary is one Table II row (both one-flit summaries): kernel
-// builds the model and runs SummarizeOneFlitWCTT's all-pairs kernels,
-// pairwise folds the per-pair route walk the equivalence tests compare them
-// with (pairwiseSummary) over a prebuilt model.
+// builds the model and runs SummarizeOneFlitWCTT (the all-pairs kernels for
+// the regular design, the closed form for WaW+WaP), pairwise folds the
+// per-pair route walk the equivalence tests compare them with
+// (pairwiseSummary) over a prebuilt model.
 func BenchmarkSummary(b *testing.B) {
 	for _, size := range []int{16, 32} {
 		d := mesh.MustDim(size, size)
@@ -45,8 +46,11 @@ func BenchmarkSummary(b *testing.B) {
 }
 
 // BenchmarkSummary64 is one 64x64 summary on a prebuilt model — the largest
-// scenarios of the analytic-grid workload — per kernel and topology; run it
-// with -cpu 1,2,4 to see what the all-pairs producers buy at each core count.
+// scenarios of the analytic-grid workload — per design and topology. The
+// regular cases run the all-pairs producers: run them with -cpu 1,2,4 to see
+// what the producers buy at each core count. The waw+wap cases visit no pair
+// (wawOneFlitFold, about 0.1 ms against 76 ms through the producers) and do
+// not depend on the core count.
 func BenchmarkSummary64(b *testing.B) {
 	for _, tc := range []struct {
 		name   string

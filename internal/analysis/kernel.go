@@ -98,10 +98,17 @@ package analysis
 //
 // summaryFold (tableii.go) is kept an in-order float sum, bit-pinned: the
 // mean of every summary is the float sum of its bounds in source-major order,
-// divided by the count, and the golden outputs pin its bits. An integer sum
-// would be exact and order-free but changes the low bits of the mean, so the
-// fold stays serial (about a quarter of a summary's work) and the producers
-// parallelise the rest.
+// divided by the count, and the golden outputs pin its bits. Once that sum
+// passes 2^53 an integer sum would change the low bits of the mean, so for
+// the regular summaries (past 2^53 from 18x18) the fold stays serial (about a
+// quarter of a summary's work) and the producers parallelise the rest.
+//
+// The one-flit WaW summary does not come here while its sum is at most 2^53
+// (every mesh up to 128x128): the bound is additive over the ports a route
+// crosses, so wawOneFlitFold (tableii.go) sums cost times crossing pairs per
+// port, reads the extremes off the hopCosts planes, and its exact integer
+// total is the in-order float sum bit for bit. The producers still serve the
+// AllPairs* tables, every regular summary and WaW summaries past 2^53.
 
 import (
 	"context"

@@ -464,6 +464,123 @@ func TestSummaryIndependentOfProcs(t *testing.T) {
 	}
 }
 
+// TestWaWSummaryClosedForm pins the WaW+WaP and WaW-only summaries, which
+// wawOneFlitFold answers without visiting a pair, to the in-order fold of the
+// all-pairs table AllPairsWaWPacketWCTT(1, 1) — mean bits, max, min and flows
+// — on grids where the per-pair walk is too slow to be the oracle: meshes of
+// 48x48, 64x64, 33x16 and 1x40, cmesh4 on 32x32 endpoints and cmesh2 on
+// 16x8. Under the race detector the two large meshes are left out: their
+// tables are 42 and 134 MB, and the arithmetic is single-threaded.
+func TestWaWSummaryClosedForm(t *testing.T) {
+	dims := []mesh.Dim{mesh.MustDim(33, 16), mesh.MustDim(1, 40)}
+	if !raceEnabled {
+		dims = append(dims, mesh.MustDim(48, 48), mesh.MustDim(64, 64))
+	}
+	var models []*Model
+	for _, d := range dims {
+		models = append(models, MustNewModel(DefaultParams(d)))
+	}
+	for _, c := range []struct {
+		d    mesh.Dim
+		conc int
+	}{{mesh.MustDim(32, 32), 4}, {mesh.MustDim(16, 8), 2}} {
+		p := DefaultParams(c.d)
+		p.Topo = mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: c.conc}
+		models = append(models, MustNewModel(p))
+	}
+	var tab []uint64
+	for _, m := range models {
+		name := fmt.Sprintf("%v %v", m.Params().Topo, m.Params().Dim)
+		if _, closed, err := m.wawOneFlitFold(context.Background()); err != nil || !closed {
+			t.Fatalf("%s: the closed form declined (err %v); the test no longer covers it", name, err)
+		}
+		var err error
+		if tab, err = m.AllPairsWaWPacketWCTT(1, 1, tab); err != nil {
+			t.Fatal(err)
+		}
+		d := m.Params().Dim
+		n := d.Nodes()
+		for _, design := range []network.Design{network.DesignWaWWaP, network.DesignWaWOnly} {
+			want, err := summarizePairs(m, design, func(src, dst mesh.Node) (uint64, error) {
+				return tab[(src.Y*d.Width+src.X)*n+dst.Y*d.Width+dst.X], nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := m.SummarizeOneFlitWCTT(design)
+			if err != nil || got != want || math.Float64bits(got.Mean) != math.Float64bits(want.Mean) {
+				t.Fatalf("%s %v: closed-form summary %+v (%v), table fold %+v", name, design, got, err, want)
+			}
+		}
+	}
+}
+
+// TestWaWSummaryClosedFormRandomShares breaks the grids' mirror symmetry. The
+// output shares of a topology mirror left to right and top to bottom, so a
+// scan that got one travel direction wrong could still find the global max
+// and min on the mirror image of the route it mishandled. Here every output
+// share of a fixed-seed stream of grids (mesh, cmesh2 and cmesh4, rectangles
+// and one-wide strips included) is redrawn at random, and the closed-form
+// summaries must still equal the per-pair fold over the same shares. Each
+// output direction draws its shares below its own scale (2, 10^3 or 10^6),
+// so that which direction dominates the extreme routes changes from grid to
+// grid.
+func TestWaWSummaryClosedFormRandomShares(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x3a57))
+	scales := []int{2, 1000, 1000000}
+	for it := 0; it < 200; it++ {
+		p := DefaultParams(mesh.MustDim(1+rng.Intn(12), 1+rng.Intn(12)))
+		p.Topo = kernelTopoSpecs[rng.Intn(len(kernelTopoSpecs))]
+		m, err := NewModel(p)
+		if err != nil {
+			// Indivisible concentrated grid — redraw as a plain mesh.
+			p.Topo = mesh.TopoSpec{Kind: mesh.TopoMesh}
+			m = MustNewModel(p)
+		}
+		for _, shares := range m.outShare {
+			scale := scales[rng.Intn(len(scales))]
+			for i := range shares {
+				shares[i] = 1 + uint64(rng.Intn(scale))
+			}
+		}
+		for _, design := range []network.Design{network.DesignWaWWaP, network.DesignWaWOnly} {
+			got, err1 := m.SummarizeOneFlitWCTT(design)
+			want, err2 := pairwiseSummary(m, design)
+			if err1 != nil || err2 != nil || got != want {
+				t.Fatalf("iter %d: %v %v %v: closed-form summary %+v (%v) != pairwise %+v (%v)",
+					it, p.Topo, p.Dim, design, got, err1, want, err2)
+			}
+		}
+	}
+}
+
+// TestWaWSummaryClosedFormLimits: the 1x1 grid, which has no flow, still
+// gives the zero summary; the closed form answers 128x128, the largest mesh
+// the daemon accepts (a total near 10^14), and declines 256x256, whose total
+// passes 2^53, leaving it to the producers (which this test does not run:
+// that is 4·10^9 pairs).
+func TestWaWSummaryClosedFormLimits(t *testing.T) {
+	one := MustNewModel(DefaultParams(mesh.MustDim(1, 1)))
+	for _, design := range []network.Design{network.DesignWaWWaP, network.DesignWaWOnly} {
+		if s, err := one.SummarizeOneFlitWCTT(design); err != nil || s != (WCTTSummary{Design: design, Dim: mesh.MustDim(1, 1)}) {
+			t.Fatalf("1x1 %v: summary %+v (%v), want the zero summary", design, s, err)
+		}
+	}
+	for _, c := range []struct {
+		size   int
+		closed bool
+	}{{128, true}, {256, false}} {
+		m := MustNewModel(DefaultParams(mesh.MustDim(c.size, c.size)))
+		f, closed, err := m.wawOneFlitFold(context.Background())
+		if err != nil || closed != c.closed {
+			t.Fatalf("%dx%d: closed form taken %v (err %v), want %v", c.size, c.size, closed, err, c.closed)
+		}
+		if closed && (f.count != 16384*16383 || f.sum < 1e13 || f.sum > maxExactSum) {
+			t.Fatalf("%dx%d: fold %+v; want every pair and a total in (10^13, 2^53]", c.size, c.size, f)
+		}
+	}
+}
+
 // pollCtx is a context that reports cancellation from its cancelAt-th Err
 // poll on and counts the polls, so a test can cancel a summary at an exact
 // row and see how soon it returned.
