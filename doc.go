@@ -94,7 +94,7 @@
 // -worker-procs count and across any kill/resume schedule. internal/core
 // declares the paper's own grids (Tables I-III, Figure 2, Section IV) on top.
 //
-// Serving (internal/serve, lineio, cache, retry, faultinject). `noctool
+// Serving (internal/serve, lineio, cache, faultinject). `noctool
 // serve` answers WCTT and WCET queries and whole scenario specs over a
 // JSON-line protocol on stdin, TCP and HTTP. A line passes through framing
 // (the lineio scanner, which flushes pending output whenever it has to wait

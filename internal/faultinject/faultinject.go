@@ -1,20 +1,20 @@
 // Package faultinject is the deterministic fault-injection layer of the
 // distributed subsystems: a seeded source of scripted failures that plugs
 // into the existing seams — the internal/lineio framing every wire protocol
-// shares, the serve transports (net.Conn wrappers), and the sweep
-// coordinator's worker Command/Env hook (env-scripted crash/garble/skew
-// plans). The same discipline that pins every engine refactor applies to
-// failures too: a fault schedule is a pure function of (seed, component
-// name, decision index), so a chaos run that breaks replays byte-for-byte
-// from its seed, and CI can assert invariants ("every request answered
-// exactly once, merged output byte-identical to the fault-free golden")
-// across a fixed seed matrix instead of hoping a flaky schedule recurs.
+// shares, and the sweep coordinator's worker Command/Env hook (env-scripted
+// crash/garble/skew plans). The same discipline that pins every engine
+// refactor applies to failures too: a fault schedule is a pure function of
+// (seed, component name, decision index), so a chaos run that breaks
+// replays byte-for-byte from its seed, and CI can assert invariants ("every
+// request answered exactly once, merged output byte-identical to the
+// fault-free golden") across a fixed seed matrix instead of hoping a flaky
+// schedule recurs.
 //
 // The package deliberately injects only faults a deployment actually
-// produces: delayed and stalled reads, garbled and torn (mid-byte
-// truncated) lines, connection resets, worker crashes at chosen points,
-// and clock-skewed heartbeats. It contains no test assertions itself — the
-// chaos harnesses in internal/serve and internal/sweep own the invariants.
+// produces: delayed, garbled and torn (mid-byte truncated) lines, worker
+// crashes at chosen points, and clock-skewed heartbeats. It contains no
+// test assertions itself — the chaos harnesses in internal/serve and
+// internal/sweep own the invariants.
 package faultinject
 
 import (
@@ -52,9 +52,8 @@ func (in *Injector) Stream(name string) *Stream {
 }
 
 // Stream is one deterministic decision source. It is safe for concurrent
-// use (a wrapped connection consults it from reader and writer
-// goroutines); determinism then holds per interleaving, which is exactly
-// what a -race chaos run explores.
+// use; determinism then holds per interleaving, which is exactly what a
+// -race chaos run explores.
 type Stream struct {
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -98,7 +97,7 @@ const garbleByte = '#'
 
 // garble overwrites 1..4 deterministic positions of b with garbleByte,
 // never touching newlines (framing faults are scripted separately, as
-// truncations and resets).
+// truncations).
 func (s *Stream) garble(b []byte) bool {
 	if len(b) == 0 {
 		return false

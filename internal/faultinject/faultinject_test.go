@@ -3,7 +3,6 @@ package faultinject
 import (
 	"bytes"
 	"io"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -125,35 +124,6 @@ func TestFileCorruptionShapes(t *testing.T) {
 	}
 	if !bytes.Equal(gar[:24], src[:24]) {
 		t.Errorf("GarbleLine mutated other lines: %q", gar)
-	}
-}
-
-// TestWrapConnFaults: resets sever the link with ErrInjectedReset and
-// garbling corrupts read data with the detectable byte.
-func TestWrapConnFaults(t *testing.T) {
-	a, b := net.Pipe()
-	defer b.Close()
-	wrapped := WrapConn(a, New(5).Stream("conn"), ConnFaults{ReadGarbleProb: 1})
-	go func() {
-		b.Write([]byte("0123456789"))
-	}()
-	buf := make([]byte, 16)
-	n, err := wrapped.Read(buf)
-	if err != nil || n != 10 {
-		t.Fatalf("read: n=%d err=%v", n, err)
-	}
-	if !bytes.Contains(buf[:n], []byte{garbleByte}) {
-		t.Errorf("garbled read contains no %q: %q", garbleByte, buf[:n])
-	}
-
-	c, d := net.Pipe()
-	defer d.Close()
-	wrapped = WrapConn(c, New(5).Stream("reset"), ConnFaults{ResetProb: 1})
-	if _, err := wrapped.Write([]byte("x")); err != ErrInjectedReset {
-		t.Errorf("write after reset: err=%v, want ErrInjectedReset", err)
-	}
-	if _, err := c.Write([]byte("x")); err == nil {
-		t.Error("underlying conn still open after injected reset")
 	}
 }
 

@@ -4,7 +4,7 @@
 // suite had and hold a network built with Shards set against the full-scan
 // oracle, so they pin both "accepted and inert" and Step's equivalence on the
 // 3x5 mesh the other tables leave out. They go when the field does (ROADMAP
-// item 6).
+// wcet-wrap).
 package network_test
 
 import (

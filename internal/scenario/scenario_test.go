@@ -401,7 +401,7 @@ func TestExecuteContextCancellation(t *testing.T) {
 // the experiment layer: for every mode, result JSON is byte-identical for
 // every shard count. The field once selected a sharded simulator; the frozen
 // bench module still sets it, and this test goes when the field does
-// (ROADMAP item 6).
+// (ROADMAP wcet-wrap).
 func TestSerialVsShardedByteIdentical(t *testing.T) {
 	specs := []Spec{
 		{Name: "wctt", Mode: ModeWCTT, Width: 4, Height: 4, Design: network.DesignWaWWaP},

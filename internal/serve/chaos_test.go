@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"os"
 	"strconv"
 	"testing"
@@ -27,94 +26,6 @@ func chaosSeeds(t *testing.T) []int64 {
 		return []int64{n}
 	}
 	return []int64{1, 2, 3}
-}
-
-// TestChaosClientTCP drives the client/server pair through a faulted TCP
-// transport — garbled reads, jittery delays, scripted connection resets —
-// and asserts the end-to-end resilience contract: every request is answered
-// exactly once at the API level, and no corruption ever surfaces as a wrong
-// value. Every successful answer must be byte-for-byte the fault-free one;
-// corruption is only allowed to show up as an explicit (and rare) error.
-func TestChaosClientTCP(t *testing.T) {
-	s := NewServer(Config{Workers: 4})
-	defer s.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = s.ServeListener(context.Background(), ln) }()
-	addr := ln.Addr().String()
-
-	const n = 200
-	type query struct{ src, dst Coord }
-	queries := make([]query, n)
-	for i := range queries {
-		queries[i] = query{Coord{i % 4, (i / 4) % 4}, Coord{(i + 1) % 4, (i / 2) % 4}}
-	}
-
-	// Fault-free pass: the expected value of every query.
-	clean := NewClient(ClientConfig{Dial: dialer(addr), RequestTimeout: 30 * time.Second})
-	want := make([]uint64, n)
-	for i, q := range queries {
-		if want[i], err = clean.WCTT(context.Background(), "regular", 4, 4, q.src, q.dst, 0); err != nil {
-			t.Fatalf("fault-free query %d: %v", i, err)
-		}
-	}
-	clean.Close()
-
-	for _, seed := range chaosSeeds(t) {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			inj := faultinject.New(seed)
-			stream := inj.Stream("tcp-conn")
-			faults := faultinject.ConnFaults{
-				ReadGarbleProb: 0.03,
-				ReadDelayProb:  0.1,
-				ReadDelayMax:   2 * time.Millisecond,
-				ResetProb:      0.02,
-			}
-			c := NewClient(ClientConfig{
-				Dial: func() (net.Conn, error) {
-					conn, err := net.Dial("tcp", addr)
-					if err != nil {
-						return nil, err
-					}
-					return faultinject.WrapConn(conn, stream, faults), nil
-				},
-				RequestTimeout: 30 * time.Second,
-				MaxRetries:     30,
-				BackoffBase:    time.Millisecond,
-				Seed:           seed,
-			})
-			defer c.Close()
-
-			failures := 0
-			for i, q := range queries {
-				got, err := c.WCTT(context.Background(), "regular", 4, 4, q.src, q.dst, 0)
-				if err != nil {
-					// Explicit failure — allowed (a corruption the retry
-					// budget could not outlast), but never a wrong value.
-					failures++
-					continue
-				}
-				if got != want[i] {
-					t.Fatalf("seed %d query %d: corrupted value %d, want %d", seed, i, got, want[i])
-				}
-			}
-			st := c.Stats()
-			if st.Requests != n {
-				t.Fatalf("seed %d: %d requests recorded, want %d", seed, st.Requests, n)
-			}
-			if uint64(failures) != st.Failures {
-				t.Fatalf("seed %d: %d observed failures vs %d counted", seed, failures, st.Failures)
-			}
-			if failures > n/10 {
-				t.Errorf("seed %d: %d/%d requests failed despite retries (retries=%d reconnects=%d)",
-					seed, failures, n, st.Retries, st.Reconnects)
-			}
-			t.Logf("seed %d: %d requests, %d attempts, %d retries, %d reconnects, %d failures",
-				seed, st.Requests, st.Attempts, st.Retries, st.Reconnects, failures)
-		})
-	}
 }
 
 // chaosRequestLines builds a mixed request script (pings + WCTT queries,

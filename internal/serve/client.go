@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -12,79 +11,35 @@ import (
 	"time"
 
 	"repro/internal/lineio"
-	"repro/internal/retry"
 )
 
-// ClientConfig tunes a Client. Only Dial is required.
+// ClientConfig configures a Client.
 type ClientConfig struct {
 	// Dial opens a connection to the server; the client calls it lazily on
 	// first use and again after any connection is dropped.
 	Dial func() (net.Conn, error)
-	// RequestTimeout bounds one attempt (write + read); 0 means no
-	// per-attempt deadline (the call's context still applies).
-	RequestTimeout time.Duration
-	// MaxRetries is the number of additional attempts after the first.
-	// Retries are restricted to idempotent verbs and to failures that
-	// cannot have a divergent server-side effect anyway (transport errors,
-	// desyncs, and coded retryable protocol errors).
-	MaxRetries int
-	// BackoffBase and BackoffMax shape the jittered exponential backoff
-	// between retries (0 = 100ms base, 64x base ceiling — the retry
-	// package defaults).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// Seed seeds the backoff jitter, keeping chaos runs replayable.
-	Seed int64
 }
 
-// ClientStats counts a client's activity. Retries and Reconnects are the
-// resilience columns a load harness reports; Failures counts Do calls that
-// exhausted their attempts.
-type ClientStats struct {
-	Requests   uint64 // Do calls
-	Attempts   uint64 // wire round trips (>= Requests)
-	Retries    uint64 // attempts after the first
-	Reconnects uint64 // redials after a dropped connection
-	Failures   uint64 // Do calls returning a transport-level error
-}
-
-// errDesync marks a response whose id does not match the in-flight request:
-// the stream's framing can no longer be trusted, so the connection is
-// dropped and — the request being idempotent — the attempt is retried on a
-// fresh one.
-var errDesync = errors.New("serve client: response id mismatch")
-
-// Client is a sequential protocol client with per-attempt deadlines,
-// transparent reconnect, and jittered exponential retries restricted to
-// idempotent verbs. It keeps at most one request in flight (calls are
-// serialised), which is what makes its retry loop exactly-once at the API
-// level: a request is either answered by the response bearing its id, or
-// retried on a fresh connection with a fresh id after the old one was
-// abandoned — no response can ever be attributed to the wrong call.
+// Client is a sequential protocol client: each Do is one attempt — write
+// one request line, read one response line — and retrying is the caller's
+// job. Any failure drops the connection, so the next call redials on a
+// fresh stream and no response can be attributed to the wrong call.
 //
 // A Client is safe for concurrent use (calls queue on an internal lock);
 // throughput-oriented callers run one Client per goroutine and share
 // nothing.
 type Client struct {
-	cfg     ClientConfig
-	backoff *retry.Backoff
+	cfg ClientConfig
 
 	mu     sync.Mutex
 	conn   net.Conn
 	sc     *bufio.Scanner
-	dialed bool // a connection has been established at least once
 	nextID int64
-	stats  ClientStats
 }
 
-// NewClient builds a client. The zero backoff configuration uses the retry
-// package defaults.
+// NewClient builds a client; it dials on first use.
 func NewClient(cfg ClientConfig) *Client {
-	return &Client{
-		cfg:     cfg,
-		backoff: retry.New(cfg.BackoffBase, cfg.BackoffMax, cfg.Seed),
-		nextID:  1,
-	}
+	return &Client{cfg: cfg, nextID: 1}
 }
 
 // Close drops the connection. The client can be used again afterwards (it
@@ -95,79 +50,32 @@ func (c *Client) Close() error {
 	return c.dropConn()
 }
 
-// Stats snapshots the client counters.
-func (c *Client) Stats() ClientStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
-// idempotentOp reports whether a verb can be safely resubmitted. Every
-// current verb is a pure query over immutable inputs, so all are
-// idempotent; unknown verbs are conservatively not (a future mutating verb
-// added to the server must not be silently retried by an old client).
-func idempotentOp(op string) bool {
-	switch op {
-	case "ping", "wctt", "batch", "wcet", "wcet-batch", "scenario", "stats":
-		return true
-	}
-	return false
-}
-
 // Do submits one request and returns its response. The request's ID is
-// assigned by the client (a fresh id per attempt); the caller's value is
-// ignored. A returned *Response may still carry ok:false — protocol-level
-// rejections the server answered are results, not transport errors — but
-// coded retryable rejections are retried first if the verb allows it. A
-// non-nil error means no trustworthy response was obtained.
+// assigned by the client; the caller's value is ignored. A returned
+// *Response may still carry ok:false — rejections the server answered,
+// retryable ones included, are results, not transport errors. A non-nil
+// error means no trustworthy response was obtained; ctx's deadline and its
+// cancellation both end the attempt.
 func (c *Client) Do(ctx context.Context, req *Request) (*Response, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.stats.Requests++
-	c.backoff.Reset()
-	retriable := idempotentOp(req.Op)
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			c.stats.Retries++
-			if err := c.sleep(ctx); err != nil {
-				c.stats.Failures++
-				return nil, fmt.Errorf("%w (after %v)", err, lastErr)
-			}
-		}
-		c.stats.Attempts++
-		resp, err := c.roundTrip(ctx, req)
-		if err == nil {
-			if resp.OK || !resp.Retryable || !retriable || attempt >= c.cfg.MaxRetries {
-				return resp, nil
-			}
-			lastErr = fmt.Errorf("server rejection %q", resp.Code)
-			continue
-		}
-		lastErr = err
+	resp, err := c.roundTrip(ctx, req)
+	if err != nil {
 		_ = c.dropConn()
-		if !retriable || attempt >= c.cfg.MaxRetries || ctx.Err() != nil {
-			c.stats.Failures++
-			return nil, lastErr
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return nil, fmt.Errorf("%w: %w", ctxErr, err)
 		}
+		return nil, err
 	}
-}
-
-// sleep waits one backoff step or until the context ends.
-func (c *Client) sleep(ctx context.Context) error {
-	t := time.NewTimer(c.backoff.Next())
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return resp, nil
 }
 
 // roundTrip performs one attempt: ensure a connection, write the request
-// under the attempt deadline, read exactly one response line and match its
-// id. Any failure poisons the connection (the caller drops it).
+// under ctx's deadline, read exactly one response line and match its id.
+// Any failure poisons the connection (the caller drops it).
 func (c *Client) roundTrip(ctx context.Context, req *Request) (*Response, error) {
 	if err := c.ensureConn(); err != nil {
 		return nil, err
@@ -180,16 +88,19 @@ func (c *Client) roundTrip(ctx context.Context, req *Request) (*Response, error)
 	if err != nil {
 		return nil, fmt.Errorf("serve client: marshal: %w", err)
 	}
-	deadline := time.Time{}
-	if c.cfg.RequestTimeout > 0 {
-		deadline = time.Now().Add(c.cfg.RequestTimeout)
-	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
-	if err := c.conn.SetDeadline(deadline); err != nil {
-		return nil, err
-	}
+	// ctx ending — its deadline or its cancellation — moves the connection's
+	// deadline into the past, which ends a blocked write or read. Doing it
+	// only after ctx is done means a timed-out attempt always reports
+	// ctx.Err().
+	conn := c.conn
+	stop := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
+	defer func() {
+		if !stop() {
+			// The cancellation raced the attempt and its deadline may land
+			// after this call returns: the connection is not reused.
+			_ = c.dropConn()
+		}
+	}()
 	if err := lineio.WriteLine(c.conn, body); err != nil {
 		return nil, err
 	}
@@ -204,7 +115,7 @@ func (c *Client) roundTrip(ctx context.Context, req *Request) (*Response, error)
 		return nil, fmt.Errorf("serve client: bad response line: %w", err)
 	}
 	if resp.ID != id {
-		return nil, fmt.Errorf("%w: got %d, want %d", errDesync, resp.ID, id)
+		return nil, fmt.Errorf("serve client: response id mismatch: got %d, want %d", resp.ID, id)
 	}
 	if !resp.OK && resp.Error == "" {
 		// The server never writes ok:false without an error message; this
@@ -224,10 +135,6 @@ func (c *Client) ensureConn() error {
 	if err != nil {
 		return err
 	}
-	if c.dialed {
-		c.stats.Reconnects++
-	}
-	c.dialed = true
 	c.conn = conn
 	c.sc = lineio.NewScanner(conn)
 	return nil

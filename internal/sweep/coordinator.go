@@ -5,13 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"os/exec"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/lineio"
-	"repro/internal/retry"
 	"repro/internal/scenario"
 	"repro/internal/sweep/pool"
 )
@@ -95,7 +95,7 @@ func (c *Coordinator) maxAttempts() int {
 // slotBackoff builds one slot's respawn backoff; nil when disabled. Slots
 // derive decorrelated jitter streams from the shared seed so they do not
 // respawn in lockstep.
-func (c *Coordinator) slotBackoff(slot int) *retry.Backoff {
+func (c *Coordinator) slotBackoff(slot int) *backoff {
 	if c.RestartBackoff < 0 {
 		return nil
 	}
@@ -107,15 +107,36 @@ func (c *Coordinator) slotBackoff(slot int) *retry.Backoff {
 	if max == 0 {
 		max = 2 * time.Second
 	}
-	return retry.New(base, max, c.BackoffSeed+int64(slot)*1000003)
+	return &backoff{base: base, max: max, rng: rand.New(rand.NewSource(c.BackoffSeed + int64(slot)*1000003))}
+}
+
+// backoff is one slot's jittered exponential respawn delay: respawn n
+// (0-based) draws uniformly from [d/2, d] where d = min(base·2ⁿ, max). The
+// half-width jitter keeps slots from respawning in lockstep while every
+// delay stays within a factor of two of the deterministic schedule, and
+// the seeded jitter keeps chaos runs replayable.
+type backoff struct {
+	base, max time.Duration
+	attempt   int
+	rng       *rand.Rand
+}
+
+// next returns the delay before the next respawn and advances the schedule.
+func (b *backoff) next() time.Duration {
+	d := b.base << uint(min(b.attempt, 62))
+	if d <= 0 || d > b.max {
+		d = b.max
+	}
+	b.attempt++
+	return d/2 + time.Duration(b.rng.Int63n(int64(d/2)+1))
 }
 
 // backoffSleep waits one backoff step, cut short when the run ends.
-func backoffSleep(st *coordState, b *retry.Backoff) {
+func backoffSleep(st *coordState, b *backoff) {
 	if b == nil {
 		return
 	}
-	t := time.NewTimer(b.Next())
+	t := time.NewTimer(b.next())
 	defer t.Stop()
 	select {
 	case <-t.C:

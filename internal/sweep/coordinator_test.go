@@ -525,6 +525,62 @@ func TestCoordinatorRestartBackoff(t *testing.T) {
 	}
 }
 
+// TestBackoffSchedule pins the respawn delay envelope — respawn n draws from
+// [d/2, d], d = min(base·2ⁿ, max) — for explicit and default settings.
+func TestBackoffSchedule(t *testing.T) {
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		name      string
+		base, max time.Duration
+		ceil      []time.Duration // ms
+	}{
+		{"explicit", 10 * ms, 80 * ms, []time.Duration{10, 20, 40, 80, 80, 80}},
+		{"defaults", 0, 0, []time.Duration{100, 200, 400, 800, 1600, 2000, 2000}},
+		{"long", 3 * ms, time.Second, []time.Duration{3, 6, 12, 24, 48, 96, 192, 384, 768, 1000, 1000, 1000}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := (&Coordinator{RestartBackoff: tc.base, RestartBackoffMax: tc.max, BackoffSeed: 1}).slotBackoff(0)
+			for i, c := range tc.ceil {
+				c *= ms
+				if d := b.next(); d < c/2 || d > c {
+					t.Errorf("respawn %d: delay %v outside [%v, %v]", i, d, c/2, c)
+				}
+			}
+		})
+	}
+	if b := (&Coordinator{RestartBackoff: -1}).slotBackoff(0); b != nil {
+		t.Errorf("negative RestartBackoff built a backoff: %+v", b)
+	}
+}
+
+// TestBackoffDeterministic: a slot's delays replay from the seed — the
+// property the chaos harness leans on — while another slot, or another
+// seed, draws other ones.
+func TestBackoffDeterministic(t *testing.T) {
+	co := &Coordinator{RestartBackoff: 3 * time.Millisecond, RestartBackoffMax: time.Second, BackoffSeed: 7}
+	reseeded := &Coordinator{RestartBackoff: 3 * time.Millisecond, RestartBackoffMax: time.Second, BackoffSeed: 8}
+	b, again, otherSlot, otherSeed := co.slotBackoff(0), co.slotBackoff(0), co.slotBackoff(1), reseeded.slotBackoff(0)
+	slotDiffers, seedDiffers := false, false
+	for i := 0; i < 32; i++ {
+		d := b.next()
+		if a := again.next(); a != d {
+			t.Errorf("respawn %d: same seed drew %v then %v", i, d, a)
+		}
+		if otherSlot.next() != d {
+			slotDiffers = true
+		}
+		if otherSeed.next() != d {
+			seedDiffers = true
+		}
+	}
+	if !slotDiffers {
+		t.Error("slots 0 and 1 drew identical delay sequences")
+	}
+	if !seedDiffers {
+		t.Error("distinct seeds drew identical delay sequences")
+	}
+}
+
 // TestCoordinatorPoisonTaskQuarantine: one task that SIGKILLs every worker
 // dispatched it must not take innocent tasks down with it. After its first
 // crash it is quarantined to dedicated solo workers; solo crashes charge

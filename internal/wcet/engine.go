@@ -42,19 +42,13 @@ type memoryUBDs struct {
 
 // Engine compiles the analysis engine of the platform with its default
 // maximum packet size.
-func (p Platform) Engine() (*Engine, error) { return p.EngineWithMaxPacket(0) }
+func (p Platform) Engine() (*Engine, error) { return p.CompileEngine(0, analysis.NewModel) }
 
-// EngineWithMaxPacket is Engine with the network maximum packet size
-// overridden to maxPacketFlits (the L parameter of Figure 2a); 0 keeps the
-// platform default.
-func (p Platform) EngineWithMaxPacket(maxPacketFlits int) (*Engine, error) {
-	return p.CompileEngine(maxPacketFlits, analysis.NewModel)
-}
-
-// CompileEngine is EngineWithMaxPacket for a caller that has its own source
-// of analytical models (the scenario layer's model cache): the platform is
-// validated and the model of ModelParams(maxPacketFlits) obtained from
-// model.
+// CompileEngine compiles the analysis engine with the network maximum packet
+// size overridden to maxPacketFlits (the L parameter of Figure 2a; 0 keeps
+// the platform default): the platform is validated and the model of
+// ModelParams(maxPacketFlits) obtained from model (analysis.NewModel, or
+// the scenario layer's model cache).
 func (p Platform) CompileEngine(maxPacketFlits int, model func(analysis.Params) (*analysis.Model, error)) (*Engine, error) {
 	if maxPacketFlits < 0 {
 		return nil, fmt.Errorf("wcet: negative maximum packet size %d", maxPacketFlits)

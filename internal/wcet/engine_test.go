@@ -130,7 +130,7 @@ func TestEngineCachingAndErrors(t *testing.T) {
 	if got := mustEngine(t, p, 8).Model().Params().Link.MaxPacketFlits; got != 8 {
 		t.Errorf("packet-size override compiled a model with L=%d, want 8", got)
 	}
-	if _, err := p.EngineWithMaxPacket(-1); err == nil {
+	if _, err := p.CompileEngine(-1, analysis.NewModel); err == nil {
 		t.Error("negative packet size should fail")
 	}
 	bad := p

@@ -19,8 +19,8 @@ import (
 // WCET >= MemoryAccesses x load-UBD, the product taken in math/big and clamped
 // to 2^64-1. It holds for the whole EEMBC suite on 8x8 and 16x16, which run
 // un-skipped; 20x20 and 28x28 are skipped by name with their reproduction
-// until cellWCET and ParallelWCET use the saturating primitives (ROADMAP item
-// 6, in the PR allowed to regenerate bench/expected/analytic-grid.json, which
+// until cellWCET and ParallelWCET use the saturating primitives (ROADMAP
+// wcet-wrap, in the PR allowed to regenerate bench/expected/analytic-grid.json, which
 // pins the wrapped bytes). A skipped size that stops wrapping fails, so the
 // skip cannot outlive the bug.
 func TestWCETSaturatesNotWraps(t *testing.T) {
@@ -61,7 +61,7 @@ func TestWCETSaturatesNotWraps(t *testing.T) {
 			case known && len(wrapped) == 0:
 				t.Errorf("%dx%d no longer wraps: drop it from knownWrap so it runs un-skipped", size, size)
 			case known:
-				t.Skipf("known wrap (ROADMAP item 6), %d cells, first: %s\nreproduce: %s", len(wrapped), wrapped[0], repro)
+				t.Skipf("known wrap (ROADMAP wcet-wrap), %d cells, first: %s\nreproduce: %s", len(wrapped), wrapped[0], repro)
 			case len(wrapped) > 0:
 				t.Errorf("%d cells below accesses x UBD, first: %s", len(wrapped), wrapped[0])
 			}

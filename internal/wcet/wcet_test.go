@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/mesh"
 	"repro/internal/network"
 	"repro/internal/workload"
@@ -15,7 +16,7 @@ func node(x, y int) mesh.Node { return mesh.Node{X: x, Y: y} }
 // (0 = platform default).
 func mustEngine(t *testing.T, p Platform, l int) *Engine {
 	t.Helper()
-	e, err := p.EngineWithMaxPacket(l)
+	e, err := p.CompileEngine(l, analysis.NewModel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestFigure2aShape(t *testing.T) {
 				base, pt.MaxPacketFlits, pt.WaWWaPMs)
 		}
 	}
-	if _, err := p.EngineWithMaxPacket(-1); err == nil {
+	if _, err := p.CompileEngine(-1, analysis.NewModel); err == nil {
 		t.Error("invalid packet size should fail")
 	}
 }

@@ -24,7 +24,7 @@ var surfaceInterfaceMethods = map[string]bool{
 // skipped whole: it is the chaos harness the serve and sweep tests share, and
 // Go has no way to import one package's _test.go files from another.
 var surfaceKept = map[string]string{
-	"Credits":        "router occupancy accessor: ROADMAP item 2 (telemetry spine) reads it",
+	"Credits":        "router occupancy accessor: ROADMAP telemetry reads it",
 	"InputOccupancy": "as Credits",
 	"OutputLocked":   "as Credits",
 	"Quiescent":      "as Credits",
