@@ -60,10 +60,11 @@
 // (bits.Mul64 / bits.Add64 clamped at 2^64-1), zero allocations, never
 // cached. Whole-mesh tables run on incremental all-pairs kernels
 // (kernel.go) that carry the exact fold state between flows sharing a route
-// prefix — destination-shared column states swept along source rows for the
-// chained-blocking bound, source-major sweeps over a tabulated hop cost for
-// the WaW bound — applying the identical arithmetic sequence as the per-pair
-// walk, which is their oracle. On meshes from 16x16 up, up to four producers
+// prefix — destination-shared column states times one X-segment map per
+// source and turn column for the chained-blocking bound, source-major sweeps
+// over a tabulated hop cost for the WaW bound — and give the per-pair walk's
+// value, which is their oracle: saturating arithmetic is the exact value
+// clamped, whatever the grouping. On meshes from 16x16 up, up to four producers
 // fill column slices of each row of sources in parallel and pass a turn in
 // source order, so the one serial fold (an in-order float sum, bit-pinned)
 // sees the same stream on any core count. The one-flit WaW summary visits no

@@ -116,14 +116,19 @@ func TestOneFlitSummaryZeroAllocs(t *testing.T) {
 }
 
 // TestRegularSummaryStreams: a regular summary's transient memory is the
-// column states (N*H pairs) plus one source-row block (W*(N+8) bounds), never
-// an N^2 table. With the scratch pool emptied by two GC cycles, one 48x48
-// summary may allocate 2.6 MiB of them; the N^2 table alone would be 42 MiB.
-// The producers' slices add up to that one block, so four producers may
-// allocate no more than one, bar producerOverhead (one full-row block per
-// extra producer would be 0.85 MiB each).
+// column states (two planes of N*H words), the X-segment maps of each distinct
+// X-contender row (2*W^2 words, one row on the mesh) and one source-row block
+// (W*N bounds), never an N^2 table. With the scratch pool emptied by two GC
+// cycles, one 48x48 summary at GOMAXPROCS 1 may allocate streamBudget, 2.6
+// MiB; the N^2 table alone would be 42 MiB. The producers' slices add up to
+// that one block, so four producers may allocate no more than one, bar
+// producerOverhead (one full-row block per extra producer would be 0.85 MiB
+// each).
 func TestRegularSummaryStreams(t *testing.T) {
 	m := MustNewModel(DefaultParams(mesh.MustDim(48, 48)))
+	if len(m.xRep) != 1 {
+		t.Fatalf("the 48x48 mesh has %d distinct X-contender rows, want 1", len(m.xRep))
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	cold := func(procs int) uint64 {
 		runtime.GOMAXPROCS(procs)
@@ -136,17 +141,25 @@ func TestRegularSummaryStreams(t *testing.T) {
 		if err != nil || s.Flows != 2304*2303 {
 			t.Fatalf("summary %+v, err %v", s, err)
 		}
-		got := after.TotalAlloc - before.TotalAlloc
-		if got > 8<<20 {
-			t.Fatalf("cold 48x48 regular summary at GOMAXPROCS %d allocated %d bytes, want <= 8 MiB", procs, got)
-		}
-		return got
+		return after.TotalAlloc - before.TotalAlloc
 	}
 	one, four := cold(1), cold(4)
-	t.Logf("cold 48x48 regular summary: %d bytes at GOMAXPROCS 1, %d at 4", one, four)
+	t.Logf("cold 48x48 regular summary: %d bytes at GOMAXPROCS 1, %d at 4 (budget %d)", one, four, streamBudget(48, 48))
+	if one > streamBudget(48, 48) {
+		t.Fatalf("cold 48x48 regular summary at GOMAXPROCS 1 allocated %d bytes, want <= %d", one, streamBudget(48, 48))
+	}
 	if four > one+producerOverhead {
 		t.Fatalf("cold 48x48 regular summary allocated %d bytes at GOMAXPROCS 4, %d at 1; four producers may add at most %d", four, one, producerOverhead)
 	}
+}
+
+// streamBudget is the bytes a cold regular summary on a W x H mesh may
+// allocate: its scratch words (column states 2*H*N, the X-segment maps of one
+// distinct row 2*W^2, a block W*N, one endpoint row N), the 4096-word buffer
+// the empty pool's New makes first, and 8 KiB for the runtime.
+func streamBudget(W, H int) uint64 {
+	n := W * H
+	return uint64(8*(2*H*n+2*W*W+W*n+n)) + 8*4096 + 8<<10
 }
 
 // producerOverhead bounds what P > 1 producers may allocate beside the

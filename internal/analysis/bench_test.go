@@ -48,7 +48,11 @@ func BenchmarkSummary(b *testing.B) {
 // BenchmarkSummary64 is one 64x64 summary on a prebuilt model — the largest
 // scenarios of the analytic-grid workload — per design and topology. The
 // regular cases run the all-pairs producers: run them with -cpu 1,2,4 to see
-// what the producers buy at each core count. The waw+wap cases visit no pair
+// what the producers buy at each core count. On a two-core Intel Xeon host,
+// mesh/regular took 128 ms at -cpu 1 and 91 ms at -cpu 2 when each source's
+// X hops were folded one by one per destination, and 89 and 63 ms with the
+// X-segment maps (medians of five alternating runs of -benchtime 20x); the
+// serial in-order fold is now most of the rest. The waw+wap cases visit no pair
 // (wawOneFlitFold, about 0.1 ms against 76 ms through the producers) and do
 // not depend on the core count.
 func BenchmarkSummary64(b *testing.B) {

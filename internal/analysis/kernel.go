@@ -10,38 +10,24 @@ package analysis
 //
 //   - The regular chained-blocking bound accumulates destination-first
 //     (ejection, then the Y segment upstream, then the X segment back to the
-//     source), so two pairs with the same DESTINATION share the fold prefix
-//     covering the route part nearest the destination: seed the fold with
-//     the ejection hop, extend it along the destination column one Y hop per
-//     source row (regularColStates), and from each column state extend along
-//     the row one X hop per source column (regularRowSweep). The legal
-//     carried state is exactly the fold state (total, interval): `total` is
-//     the sum of finished per-hop waits and `interval` the compounded
-//     downstream service interval I_j — both depend only on the hops already
-//     folded, never on the source still to come. Per source the only
-//     remaining terms are the final (S-1)*interval + 1 serialization,
-//     applied on a copy.
+//     source), so pairs with the same DESTINATION share the fold over the
+//     route part nearest it: seed the fold with the ejection hop and extend
+//     it one Y hop per source row (regularColStates). That column state
+//     (t, iv) — the finished waits and the compounded interval I_j — never
+//     depends on the source still to come. The X hops from turn column dx
+//     back to source column x, with the finishing (S-1)*iv + 1, compose into
+//     one map t + A + B*iv of it (regularSegHop, regularSegFinish; per hop
+//     A += (c-1)*H + R, B += (c-1)*L*P, P *= c). A row's maps are 2*W^2
+//     words, built once per distinct X-contender row (one on every shipped
+//     topology; regularXMaps), so a bound is one regularApply: two adds and
+//     a multiply, no loop-carried chain.
 //
-//     The sharing is per destination, but every consumer wants bounds
-//     source-major: the summary folds sources outer / destinations inner
-//     (its float sum is order-bound) and tables are buf[src*N+dst]. Sweeping
-//     destination by destination into such a table scatters 8-byte stores a
-//     whole table row apart — 32 KiB at 64x64, every store of a sweep in one
-//     cache set, 134 MB of table. The all-pairs producers (allPairsRun)
-//     instead keep all N destinations' column states (N*H pairs) and
-//     produce the bounds one router row of sources at a time: a block of W
-//     source rows x N destinations, source-major, with the row stride padded
-//     by one cache line so the lines a destination's row sweep touches
-//     spread over cache sets and the next seven destinations hit them again.
-//     The block is the working set; consumers read its rows contiguously and
-//     it is reused for the next router row.
-//
-//     Saturation cuts the sweeps short. The regular bound compounds
-//     multiplicatively and overflows 64 bits on routes of a few dozen hops;
-//     the saturating arithmetic is absorbing (saturatingMul in wctt.go), so a
-//     run that carries in a saturated total fills the rest of its direction
-//     instead of computing it (regularRowRun) — on 48x48 and 64x64 meshes
-//     most flows.
+//     Consumers want bounds source-major (the summary's float sum is
+//     order-bound, tables are buf[src*N+dst]), so the all-pairs producers
+//     (allPairsRun) keep every destination's column states as two row-major
+//     planes (colT[y*N+d], colIv[y*N+d]) and fill one router row of sources
+//     at a time: a block of W source rows x N destinations, each row written
+//     contiguously, read out by the consumer and reused for the next row.
 //
 //   - The WaW guaranteed-bandwidth bound accumulates source-first (X segment
 //     from the source, then the Y segment down the destination column, then
@@ -65,13 +51,12 @@ package analysis
 //     array a row step touches (hop-cost and share planes, the column states,
 //     the output row) is read or written at consecutive addresses.
 //
-// Because the carried state is the exact fold state of the per-pair loops,
-// every pair's value is produced by the IDENTICAL sequence of saturatingAdd/
-// saturatingMul applications as RegularPacketWCTT/WaWPacketWCTT (or, past
-// saturation, is the MaxUint64 that sequence is bound to yield) — the
-// kernels are byte-identical to the per-pair path by construction, and the
-// equivalence tests in kernel_test.go pin it. Total work is O(N^2): amortized
-// O(1) per pair (one hop extension + the finishing terms).
+// Saturating + and * on non-negative integers, and any expression of them,
+// equal the exact result clamped to MaxUint64 (saturatingMul, wctt.go). The
+// walks and the kernels group the same exact polynomial differently, so every
+// pair gets the same clamped exact value as RegularPacketWCTT/WaWPacketWCTT,
+// saturated pairs included (kernel_test.go, FuzzRegularSegmentMap). Total
+// work is O(N^2): amortized O(1) per pair.
 //
 // The kernels sweep the ROUTER grid (m.rdim): on the concentrated mesh a
 // bound depends only on the router pair (uniform packet shapes), so each
@@ -87,10 +72,8 @@ package analysis
 // GOMAXPROCS instead of each taking it (allPairsInFlight). Producer p owns
 // the source columns [p*W/P, (p+1)*W/P) of every router row and fills that
 // slice of the block; the P slices add up to the one block, so transient
-// memory is the column states (or hop costs) plus one block for any P. A
-// regular slice still folds the hops between the destination column and
-// itself — 1.25x the row hops at P = 2, 1.87x at P = 4, which with the
-// serial fold below is why P stops at four — and a WaW slice is W/P
+// memory is the column states and maps (or hop costs) plus one block for any
+// P. A regular slice applies its sources' maps, a WaW slice is W/P
 // independent source sweeps. The consumer is fed in source order: a turn
 // passes from slice to slice, row after row, and only its holder folds or
 // copies, so every bound and the summary's float sum see exactly the serial
@@ -100,8 +83,8 @@ package analysis
 // mean of every summary is the float sum of its bounds in source-major order,
 // divided by the count, and the golden outputs pin its bits. Once that sum
 // passes 2^53 an integer sum would change the low bits of the mean, so for
-// the regular summaries (past 2^53 from 18x18) the fold stays serial (about a
-// quarter of a summary's work) and the producers parallelise the rest.
+// the regular summaries (past 2^53 from 18x18) the fold stays serial, which
+// is why P stops at four, and the producers parallelise the rest.
 //
 // The one-flit WaW summary does not come here while its sum is at most 2^53
 // (every mesh up to 128x128): the bound is additive over the ports a route
@@ -173,86 +156,88 @@ func (m *Model) identityTopo() bool { return m.rdim == m.p.Dim }
 
 // regularColStates runs the column half of the chained-blocking sweep for
 // one destination router rd: it seeds the fold with the ejection hop and
-// extends it along the destination column, leaving in col[2*y], col[2*y+1]
-// the (total, interval) state every source of router row y shares — the
-// route part nearest the destination. Only the contender size L enters; the
-// analysed packet's own size is a finishing term of the row sweep.
-func (m *Model) regularColStates(col []uint64, rd mesh.Node, L uint64) {
+// extends it along the destination column, leaving in colT[y*stride],
+// colIv[y*stride] the (total, interval) state every source of router row y
+// shares — the route part nearest the destination. Only the contender size L
+// enters; the analysed packet's own size is a finishing term of the X map.
+func (m *Model) regularColStates(colT, colIv []uint64, stride int, rd mesh.Node, L uint64) {
 	H, R := uint64(m.p.HeaderOverhead), uint64(m.p.RouterLatency)
 	W, Ht := m.rdim.Width, m.rdim.Height
 	// Seed the fold with the ejection hop at the destination router — the
 	// prefix every source shares; sources in the destination row use it as is.
 	c0 := m.contender[mesh.Local][rd.Y*W+rd.X]
 	t0, i0 := saturatingAdd(regularWait(1, c0, H, L), R), c0
-	col[2*rd.Y], col[2*rd.Y+1] = t0, i0
+	colT[rd.Y*stride], colIv[rd.Y*stride] = t0, i0
 	// Sources above the destination (rs.Y < rd.Y) travel YPlus down the
 	// destination column, sources below it YMinus: extend the fold by the hop
 	// at each row on the way.
 	run := func(cs []uint64, from, to, step int) {
 		t, iv := t0, i0
 		for y := from; y != to; y += step {
-			// A saturated total is absorbing (see regularRowRun): it stays
-			// MaxUint64 and the interval beside it is never read again.
-			if t != math.MaxUint64 {
-				c := cs[y*W+rd.X]
-				t, iv = saturatingAdd(t, saturatingAdd(regularWait(iv, c, H, L), R)), saturatingMul(c, iv)
-			}
-			col[2*y], col[2*y+1] = t, iv
+			c := cs[y*W+rd.X]
+			t, iv = saturatingAdd(t, saturatingAdd(regularWait(iv, c, H, L), R)), saturatingMul(c, iv)
+			colT[y*stride], colIv[y*stride] = t, iv
 		}
 	}
 	run(m.contender[mesh.YPlus], rd.Y-1, -1, -1)
 	run(m.contender[mesh.YMinus], rd.Y+1, Ht, 1)
 }
 
-// regularRowSweep extends one column state (tC, iC) of destination column
-// rdX along source row y, finishing one source per X hop in both directions,
-// and stores the sources at columns [lo, hi): the one at column x lands in
-// out[(x-lo)*stride]. The hops between the destination column and the range
-// are folded (the range's bounds extend them) but finish no source.
-func (m *Model) regularRowSweep(out []uint64, stride, lo, hi, y, rdX int, tC, iC, S, L uint64) {
-	W := m.rdim.Width
-	// The source in the destination column finishes from the column state.
-	if lo <= rdX && rdX < hi {
-		out[(rdX-lo)*stride] = regularFinish(tC, iC, S)
-	}
-	// Sources left of the destination column travel XPlus along row y,
-	// sources right of it XMinus.
-	if lo < rdX {
-		m.regularRowRun(out, stride, lo, m.contender[mesh.XPlus][y*W:][:W], rdX-1, min(rdX-1, hi-1), lo-1, -1, tC, iC, S, L)
-	}
-	if rdX+1 < hi {
-		m.regularRowRun(out, stride, lo, m.contender[mesh.XMinus][y*W:][:W], rdX+1, max(rdX+1, lo), hi, 1, tC, iC, S, L)
-	}
+// regularSegHop extends the X-segment map (a, b, p) — the hops folded so far
+// take a column state (t, iv) to (t + a + b*iv, p*iv) — by the walk's next
+// hop upstream, one with c contenders.
+func regularSegHop(a, b, p, c, H, L, R uint64) (uint64, uint64, uint64) {
+	return saturatingAdd(a, saturatingAdd(saturatingMul(c-1, H), R)),
+		saturatingAdd(b, saturatingMul(c-1, saturatingMul(L, p))), saturatingMul(c, p)
 }
 
-// regularRowRun extends the state (t, iv) by the hop at each column from,
-// from+step, … (to excluded) of one router row, cs holding the row's
-// contender counts in the travel direction, and finishes one source per hop
-// from column first on, the one at column x into out[(x-lo)*stride]; the
-// hops before first only carry the state up to it.
-//
-// The saturating arithmetic is absorbing (saturatingMul): once the carried
-// total is MaxUint64, every later total of the run is MaxUint64 whatever the
-// hops contribute, and so is every finished bound — regularFinish only adds
-// to the total. The run therefore stops doing arithmetic at the first source
-// whose carried-in total is saturated and fills the rest. Not one hop
-// earlier: the source whose own hop saturates the total is still computed,
-// because its predecessor's total was finite.
-func (m *Model) regularRowRun(out []uint64, stride, lo int, cs []uint64, from, first, to, step int, t, iv, S, L uint64) {
-	H, R := uint64(m.p.HeaderOverhead), uint64(m.p.RouterLatency)
-	for x := from; x != first && t != math.MaxUint64; x += step {
-		c := cs[x]
-		t, iv = saturatingAdd(t, saturatingAdd(regularWait(iv, c, H, L), R)), saturatingMul(c, iv)
+// regularSegFinish folds regularFinish into the map (a, b, p) at the source:
+// the bound of a packet of S flits is regularApply(t, iv, A, B).
+func regularSegFinish(a, b, p, S uint64) (A, B uint64) {
+	return saturatingAdd(a, 1), saturatingAdd(b, saturatingMul(S-1, p))
+}
+
+// regularApply is the bound a finished X-segment map (A, B) gives from the
+// column state (t, iv).
+func regularApply(t, iv, A, B uint64) uint64 {
+	return saturatingAdd(saturatingAdd(t, A), saturatingMul(B, iv))
+}
+
+// regularXMaps writes the finished X-segment maps of turn column dx on router
+// row y for a packet of S flits among contenders of L flits: the map of
+// source column x into A[x*stride], B[x*stride].
+func (m *Model) regularXMaps(A, B []uint64, stride, y, dx int, S, L uint64) {
+	H, R, W := uint64(m.p.HeaderOverhead), uint64(m.p.RouterLatency), m.rdim.Width
+	// The source in the turn column crosses no X hop.
+	A[dx*stride], B[dx*stride] = regularSegFinish(0, 0, 1, S)
+	// Sources left of the turn column travel XPlus along the row, sources
+	// right of it XMinus.
+	run := func(cs []uint64, to, step int) {
+		a, b, p := uint64(0), uint64(0), uint64(1)
+		for x := dx + step; x != to; x += step {
+			a, b, p = regularSegHop(a, b, p, cs[x], H, L, R)
+			A[x*stride], B[x*stride] = regularSegFinish(a, b, p, S)
+		}
 	}
-	x := first
-	for ; x != to && t != math.MaxUint64; x += step {
-		c := cs[x]
-		t, iv = saturatingAdd(t, saturatingAdd(regularWait(iv, c, H, L), R)), saturatingMul(c, iv)
-		out[(x-lo)*stride] = regularFinish(t, iv, S)
+	run(m.contender[mesh.XPlus][y*W:][:W], -1, -1)
+	run(m.contender[mesh.XMinus][y*W:][:W], W, 1)
+}
+
+// distinctXRows numbers the router rows by their X contender counts: rows
+// with equal XPlus and XMinus counts share a number k, and so the X-segment
+// maps built from reps[k], the first of them.
+func (m *Model) distinctXRows() (rows []int32, reps []int) {
+	W := m.rdim.Width
+	seen := map[string]int32{}
+	rows = make([]int32, m.rdim.Height)
+	for y := range rows {
+		key := fmt.Sprint(m.contender[mesh.XPlus][y*W:][:W], m.contender[mesh.XMinus][y*W:][:W])
+		if _, ok := seen[key]; !ok {
+			seen[key], reps = int32(len(reps)), append(reps, y)
+		}
+		rows[y] = seen[key]
 	}
-	for ; x != to; x += step {
-		out[(x-lo)*stride] = math.MaxUint64
-	}
+	return rows, reps
 }
 
 // regularDestSweep is the single-row kernel of the chained-blocking bound:
@@ -260,22 +245,20 @@ func (m *Model) regularRowRun(out []uint64, stride, lo int, cs []uint64, from, f
 // EVERY source router to the destination router rd into out (dense router
 // index), including the rd entry (the ejection-only route, meaningful for
 // co-located concentrated-mesh endpoints; mesh callers zero it afterwards).
+// Per source row it builds the maps of the one turn column rd.X: O(W).
 func (m *Model) regularDestSweep(out []uint64, rd mesh.Node, S, L uint64) {
 	W, Ht := m.rdim.Width, m.rdim.Height
-	colp := getScratch(2 * Ht)
-	defer putScratch(colp)
-	col := *colp
-	m.regularColStates(col, rd, L)
+	sp := getScratch(2*Ht + 2*W)
+	defer putScratch(sp)
+	colT, colIv, A, B := (*sp)[:Ht], (*sp)[Ht:2*Ht], (*sp)[2*Ht:2*Ht+W], (*sp)[2*Ht+W:]
+	m.regularColStates(colT, colIv, 1, rd, L)
 	for y := 0; y < Ht; y++ {
-		m.regularRowSweep(out[y*W:], 1, 0, W, y, rd.X, col[2*y], col[2*y+1], S, L)
+		m.regularXMaps(A, B, 1, y, rd.X, S, L)
+		for x := range W {
+			out[y*W+x] = regularApply(colT[y], colIv[y], A[x], B[x])
+		}
 	}
 }
-
-// blockPad is the padding, in entries, of a source-row block's row stride:
-// one cache line, so the lines one destination's row sweep writes (one per
-// source row, a row stride apart) fall into distinct cache sets instead of
-// aliasing on the power-of-two meshes.
-const blockPad = 8
 
 // Producer counts of the all-pairs kernels: one below minParallelRouters
 // routers, else GOMAXPROCS shared among the runs in flight, capped at
@@ -288,7 +271,7 @@ const (
 // allPairsInFlight counts the all-pairs runs in progress in the process. A
 // run's producers get its share of GOMAXPROCS, so runs that already fill the
 // cores — a sweep's worker pool, a daemon's concurrent scenario lines — do
-// not add the slices' extra hops and turn hand-offs on top.
+// not add the producers' turn hand-offs on top.
 var allPairsInFlight atomic.Int64
 
 // producers is the number of all-pairs producers on m's router grid when
@@ -318,16 +301,16 @@ type allPairsRun struct {
 	// pollEvery is the number of sources between two polls of ctx: a router
 	// row of them for the regular kernel, an endpoint row for WaW.
 	pollEvery int
-	// col holds the regular kernel's column states (regularColStates of
-	// every destination, 2*H words each); cost and state the WaW hop costs
-	// and 4W words of sweep state per producer.
-	col, cost, state []uint64
-	// block is one router row of sources: W rows of stride words, row x the
+	// colT and colIv are the regular column states, planes of H rows of N
+	// words; maps holds distinct X row k's maps, source x's A words at
+	// maps[2W^2*k + x*W:] and its B words W^2 further. cost and state are
+	// the WaW hop costs and 4W words of sweep state per producer.
+	colT, colIv, maps, cost, state []uint64
+	// block is one router row of sources: W rows of N words, row x the
 	// bounds from source router x to every router, producer p's slice its
 	// rows [p*W/P, (p+1)*W/P). epRow is the endpoint row a router row
 	// expands to on the concentrated meshes.
 	block, epRow []uint64
-	stride       int
 	// The consumer: table, when non-nil, receives every source row at
 	// table[si*N:] with the self entry zeroed; otherwise fold sums them.
 	table []uint64
@@ -347,25 +330,29 @@ func (m *Model) allPairs(ctx context.Context, waw bool, a, b uint64, table []uin
 	n, rn := len(m.nodes), W*Ht
 	allPairsInFlight.Add(1)
 	defer allPairsInFlight.Add(-1)
-	r := allPairsRun{m: m, ctx: ctx, waw: waw, a: a, b: b, stride: rn + blockPad, table: table,
-		fold: summaryFold{min: math.MaxUint64}}
-	pre := 2 * Ht * rn
+	r := allPairsRun{m: m, ctx: ctx, waw: waw, a: a, b: b, table: table, fold: summaryFold{min: math.MaxUint64}}
+	pre := 2*Ht*rn + 2*W*W*len(m.xRep)
 	if waw {
 		pre = mesh.NumDirections*rn + 4*W*maxProducers
 	}
-	sp := getScratch(pre + W*r.stride + n)
+	sp := getScratch(pre + W*rn + n)
 	defer putScratch(sp)
 	buf := *sp
-	r.block, r.epRow = buf[pre:pre+W*r.stride], buf[pre+W*r.stride:]
+	r.block, r.epRow = buf[pre:pre+W*rn], buf[pre+W*rn:]
 	if waw {
 		r.pollEvery = m.p.Dim.Width
 		r.cost, r.state = buf[:mesh.NumDirections*rn], buf[mesh.NumDirections*rn:pre]
 		m.hopCosts(r.cost, b)
 	} else {
 		r.pollEvery = n / Ht
-		r.col = buf[:pre]
+		r.colT, r.colIv, r.maps = buf[:Ht*rn], buf[Ht*rn:2*Ht*rn], buf[2*Ht*rn:pre]
 		for rdIdx := 0; rdIdx < rn; rdIdx++ {
-			m.regularColStates(r.col[2*Ht*rdIdx:], m.rdim.NodeAt(rdIdx), b)
+			m.regularColStates(r.colT[rdIdx:], r.colIv[rdIdx:], rn, m.rdim.NodeAt(rdIdx), b)
+		}
+		for k, y := range m.xRep {
+			for dx := 0; dx < W; dx++ {
+				m.regularXMaps(r.maps[2*W*W*k+dx:], r.maps[(2*k+1)*W*W+dx:], W, y, dx, a, b)
+			}
 		}
 	}
 	// Sized only now, so that runs started together see each other.
@@ -407,8 +394,8 @@ func (m *Model) allPairs(ctx context.Context, waw bool, a, b uint64, table []uin
 func (r *allPairsRun) produce(p, P int, turns []chan bool) {
 	m := r.m
 	W, Ht := m.rdim.Width, m.rdim.Height
-	lo, hi := p*W/P, (p+1)*W/P
-	slice := r.block[lo*r.stride : hi*r.stride]
+	lo, hi, rn := p*W/P, (p+1)*W/P, m.rdim.Nodes()
+	slice := r.block[lo*rn : hi*rn]
 	perRow := len(m.nodes) / Ht // source endpoints per router row
 	for y := 0; y < Ht; y++ {
 		r.fill(slice, p, y, lo, hi)
@@ -448,7 +435,7 @@ func (r *allPairsRun) feed(slice []uint64, lo, si, end, p int, turns []chan bool
 				return false
 			}
 		}
-		row := slice[(int(m.epRouter[si])%W-lo)*r.stride:][:rn]
+		row := slice[(int(m.epRouter[si])%W-lo)*rn:][:rn]
 		if !m.identityTopo() {
 			m.expandRow(r.epRow, row)
 			row = r.epRow
@@ -462,17 +449,25 @@ func (r *allPairsRun) feed(slice []uint64, lo, si, end, p int, turns []chan bool
 // routers at columns [lo, hi) of the row to every router.
 func (r *allPairsRun) fill(slice []uint64, p, y, lo, hi int) {
 	m := r.m
-	W, Ht := m.rdim.Width, m.rdim.Height
+	W, rn := m.rdim.Width, m.rdim.Nodes()
 	if r.waw {
 		w := wawWork{slot: r.b, cost: r.cost, state: r.state[4*W*p:][:4*W]}
 		for x := lo; x < hi; x++ {
-			m.wawSourceSweep(slice[(x-lo)*r.stride:], w, mesh.Node{X: x, Y: y}, r.a)
+			m.wawSourceSweep(slice[(x-lo)*rn:], w, mesh.Node{X: x, Y: y}, r.a)
 		}
 		return
 	}
-	for rdIdx := 0; rdIdx < W*Ht; rdIdx++ {
-		st := r.col[2*(Ht*rdIdx+y):]
-		m.regularRowSweep(slice[rdIdx:], r.stride, lo, hi, y, rdIdx%W, st[0], st[1], r.a, r.b)
+	colT, colIv := r.colT[y*rn:][:rn], r.colIv[y*rn:][:rn]
+	maps := r.maps[2*W*W*int(m.xRow[y]):]
+	for x := lo; x < hi; x++ {
+		A, B, out := maps[x*W:][:W], maps[W*W+x*W:][:W], slice[(x-lo)*rn:][:rn]
+		// Destination d turns at column d%W: one pass per destination row.
+		for seg := 0; seg < rn; seg += W {
+			o, t, iv := out[seg:seg+W], colT[seg:seg+W], colIv[seg:seg+W]
+			for dx := range o {
+				o[dx] = regularApply(t[dx], iv[dx], A[dx], B[dx])
+			}
+		}
 	}
 }
 

@@ -72,10 +72,11 @@ func wideSlotModel() *Model {
 }
 
 // saturatingModels are the grids on which the chained-blocking bound
-// overflows 64 bits on the longer routes, so the kernels' saturation cut-off
-// (regularRowRun, regularColStates) decides part of every row: square meshes
-// from 32x32 up, one-dimensional stretches in X (contender count 2 per hop,
-// the slowest compounding) and in Y, a rectangle, and both concentrated
+// overflows 64 bits on the longer routes, so the clamp to MaxUint64 decides
+// part of every row — of the column states (regularColStates) and of the
+// X-segment maps and their application (regularXMaps, regularApply): square
+// meshes from 32x32 up, one-dimensional stretches in X (contender count 2 per
+// hop, the slowest compounding) and in Y, a rectangle, and both concentrated
 // meshes on 64x64 endpoints. Building them costs milliseconds; only walking
 // all their pairs is expensive, and the callers choose how much of that to do.
 func saturatingModels() []*Model {
@@ -136,7 +137,7 @@ func TestAllPairsMatchesPairwise(t *testing.T) {
 	payloads := []int{48, 512}
 	// Beside the kernel matrix: the wide-slot link, the two saturating
 	// stretches (cheap at 192 nodes) and, outside -short, a 32x32 mesh whose
-	// corner-to-corner region is filled by the cut-off, not computed.
+	// corner-to-corner region saturates.
 	models := append(kernelModels(t), wideSlotModel(),
 		MustNewModel(DefaultParams(mesh.MustDim(64, 3))), MustNewModel(DefaultParams(mesh.MustDim(3, 64))))
 	if !testing.Short() {
@@ -258,21 +259,68 @@ func TestRowKernelsMatchPairwise(t *testing.T) {
 	}
 }
 
-// checkSaturationBoundary pins the saturation cut-off of the chained-blocking
-// sweeps where it acts. For destinations at the corners, an edge and the
-// centre it compares the whole fixed-destination row (regularDestSweep: the
-// column states and row runs every regular kernel is made of) with the
-// per-pair walk, and requires the row to contain saturation boundaries — a
-// finite bound next to a MaxUint64 one along a source row (the row runs) or
-// along a source column (the column states) — so the sources around the
-// first saturated one, in both sweep directions, are among those compared.
+// TestRegularKernelsDistinctXRows: no shipped topology has two router rows
+// with different X contender counts, so every kernel run builds one row of
+// X-segment maps. Here the counts of some rows are redrawn — rows 1 and 3
+// alike, row 4 on its own, in both travel directions — and the all-pairs
+// table, a summary at 1 and 4 producers and every fixed-destination row must
+// still match the per-pair walk over the same counts.
+func TestRegularKernelsDistinctXRows(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	m := MustNewModel(DefaultParams(mesh.MustDim(17, 16)))
+	W := m.rdim.Width
+	for x := 0; x < W; x++ {
+		for _, y := range []int{1, 3} {
+			m.contender[mesh.XPlus][y*W+x] += uint64(x % 3)
+		}
+		m.contender[mesh.XMinus][4*W+x] += uint64(1 + x%2)
+	}
+	m.xRow, m.xRep = m.distinctXRows()
+	if len(m.xRep) != 3 || m.xRow[1] != m.xRow[3] || m.xRow[4] == m.xRow[0] {
+		t.Fatalf("distinct X rows %v (first rows %v); want rows 1 and 3 together, row 4 alone and the rest together", m.xRow, m.xRep)
+	}
+	want := func(src, dst mesh.Node) (uint64, error) { return m.RegularPacketWCTT(src, dst, 6, 3) }
+	tab, err := m.AllPairsRegularPacketWCTT(6, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareTable(t, m, "regular S=6 L=3, redrawn X rows", tab, want)
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		got, err1 := m.SummarizeOneFlitWCTT(network.DesignRegular)
+		ref, err2 := pairwiseSummary(m, network.DesignRegular)
+		if err1 != nil || err2 != nil || got != ref {
+			t.Fatalf("GOMAXPROCS %d: summary %+v (%v), pairwise %+v (%v)", procs, got, err1, ref, err2)
+		}
+	}
+	row := make([]uint64, m.rdim.Nodes())
+	for _, dst := range m.rdim.AllNodes() {
+		m.regularDestSweep(row, dst, 6, 3)
+		for i, src := range m.rdim.AllNodes() {
+			if v, _ := want(src, dst); src != dst && row[i] != v {
+				t.Fatalf("regularDestSweep %v->%v: %d, pairwise %d", src, dst, row[i], v)
+			}
+		}
+	}
+}
+
+// checkSaturationBoundary is the row-level oracle of the clamp identity: the
+// kernels regroup the walk's saturating fold (column states, then one
+// X-segment map per source), and that gives the same value only because
+// saturating + and * equal the exact result clamped to MaxUint64. For
+// destinations at the corners, an edge and the centre it compares the whole
+// fixed-destination row (regularDestSweep: the column states and X-segment
+// maps every regular kernel is made of) with the per-pair walk, and requires
+// the row to contain saturation boundaries — a finite bound next to a
+// MaxUint64 one along a source row (the X maps) or along a source column (the
+// column states) — so the sources around the first saturated one, in both
+// directions, are among those compared.
 //
-// Mutations this catches (each tried by hand): cutting a row run one hop
-// early — treating a total >= 2^63 as saturated — turns the last finite
-// source before a boundary into MaxUint64; dropping the fill loop leaves
-// stale scratch (0 on a fresh buffer) beyond each boundary; the same early
-// cut in regularColStates saturates whole source rows whose column state is
-// still finite (3x64, where the column does the compounding).
+// Mutations this catches: a wrapping + in regularApply or regularColStates
+// turns a saturated source near a boundary into a finite value; treating a
+// total >= 2^63 as saturated turns the last finite source before a boundary
+// into MaxUint64. The map steps themselves (regularSegHop) take no shipped
+// grid's intermediate sums past 2^64, so FuzzRegularSegmentMap guards them.
 func checkSaturationBoundary(t *testing.T, m *Model) {
 	t.Helper()
 	d := m.Params().Dim
@@ -309,7 +357,7 @@ func checkSaturationBoundary(t *testing.T, m *Model) {
 		}
 	}
 	if boundaries == 0 {
-		t.Fatalf("%v %v: no saturation boundary in any sampled row; the grid no longer exercises the cut-off", m.Params().Topo, d)
+		t.Fatalf("%v %v: no saturation boundary in any sampled row; the grid no longer exercises the clamp", m.Params().Topo, d)
 	}
 }
 
@@ -333,7 +381,7 @@ func summaryModels(t *testing.T) []*Model {
 }
 
 // saturatingSummaryModels are the grids on which the REGULAR summary is
-// checked alone: mostly MaxUint64, so the cut-off fills most of every block.
+// checked alone: mostly MaxUint64, so the clamp decides most of every block.
 // The per-pair oracle walks O(N^2 * hops) hops, so -short samples 32x32 only
 // (summaryModels covers it otherwise) and the full run takes 48x48, 64x64
 // and both concentrations of 32x64 endpoints — except under the race
@@ -390,8 +438,8 @@ func TestSummarizeMatchesPairwise(t *testing.T) {
 // produce may depend on how many there are. Under GOMAXPROCS 1, 2, 3, 4 and 8
 // every summary (all four designs, float mean included) and both all-pairs
 // tables must equal the GOMAXPROCS 1 result, on grids whose router width is
-// no multiple of the producer count, a saturating 48x48 mesh (the cut-off
-// fills inside slices that start far from the destination column) and both
+// no multiple of the producer count, a saturating 48x48 mesh (slices whose
+// sources saturate far from the destination column) and both
 // concentrated meshes (one producer whatever GOMAXPROCS, feeding one or two
 // endpoint rows per router row). Up to 16x16 routers the
 // GOMAXPROCS 1 summary is also checked against the per-pair fold. The 48x48

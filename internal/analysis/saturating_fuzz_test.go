@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"encoding/binary"
 	"math"
 	"math/big"
 	"testing"
@@ -54,6 +55,57 @@ func FuzzSaturatingOps(f *testing.F) {
 		exact := bigAdd(bigMul(c-1, bigAdd(H, bigMul(L, iv))), R)
 		if got != ref || got != exact {
 			t.Fatalf("hop step c=%d H=%d L=%d iv=%d R=%d: %d, divide-based %d, math/big %d", c, H, L, iv, R, got, ref, exact)
+		}
+	})
+}
+
+// FuzzRegularSegmentMap pins the chained-blocking kernel's X-segment map to
+// the walk it replaces. For up to eight contender counts (eight little-endian
+// bytes each; a short tail is zero-padded) and a column state (t, iv), the map
+// built hop by hop with regularSegHop and closed with regularSegFinish must,
+// after every hop, give through regularApply the same value as the walk's
+// fold of regularWait and the interval step closed by regularFinish, and as
+// the exact math/big value clamped to MaxUint64. c = 0 and S = 0 wrap c-1 and
+// S-1 to MaxUint64 on all three sides alike. The committed corpus
+// (testdata/fuzz/FuzzRegularSegmentMap) holds the saturating edges: a
+// saturated column total, iv = MaxUint64 against c = 1 (B stays 0, and
+// sat(MaxUint64*0) = 0), counts whose product is exactly MaxUint64 or one
+// past it, an interval P that saturates under L = 0, A and B sums whose
+// terms fit but whose total passes 2^64, L*iv = 2^64, a total one short of
+// MaxUint64, c = 0 with S = 0, and no hop at all. A wrapping + in either sum
+// of regularSegHop or in regularApply, a wrapping * of its interval, or a
+// finish without (S-1)*P fails on one of them.
+func FuzzRegularSegmentMap(f *testing.F) {
+	f.Fuzz(func(t *testing.T, counts []byte, t0, iv, S, L, H, R uint64) {
+		var cs []uint64
+		for len(counts) > 0 && len(cs) < 8 {
+			var w [8]byte
+			counts = counts[copy(w[:], counts):]
+			cs = append(cs, binary.LittleEndian.Uint64(w[:]))
+		}
+		big64 := func(v uint64) *big.Int { return new(big.Int).SetUint64(v) }
+		a, b, p := uint64(0), uint64(0), uint64(1)
+		wt, wiv := t0, iv
+		et, eiv := big64(t0), big64(iv)
+		for i := 0; ; i++ {
+			A, B := regularSegFinish(a, b, p, S)
+			got, walk := regularApply(t0, iv, A, B), regularFinish(wt, wiv, S)
+			fin := new(big.Int).Mul(big64(S-1), eiv)
+			exact := bigClamp(fin.Add(fin, et).Add(fin, big64(1)))
+			if got != walk || got != exact {
+				t.Fatalf("counts %v (first %d) t=%d iv=%d S=%d L=%d H=%d R=%d: map %d, walk %d, math/big %d",
+					cs, i, t0, iv, S, L, H, R, got, walk, exact)
+			}
+			if i == len(cs) {
+				return
+			}
+			c := cs[i]
+			a, b, p = regularSegHop(a, b, p, c, H, L, R)
+			wt, wiv = saturatingAdd(wt, saturatingAdd(regularWait(wiv, c, H, L), R)), saturatingMul(c, wiv)
+			wait := new(big.Int).Mul(big64(L), eiv)
+			wait.Add(wait, big64(H)).Mul(wait, big64(c-1))
+			et.Add(et, wait).Add(et, big64(R))
+			eiv.Mul(eiv, big64(c))
 		}
 	})
 }

@@ -149,6 +149,10 @@ type Model struct {
 	// The kernels use it to expand rows of router-pair bounds to endpoint
 	// rows (kernel.go).
 	epRouter []int32
+	// xRow[y] numbers router row y by its X contender counts, and xRep[k]
+	// is the first row numbered k (distinctXRows, kernel.go).
+	xRow []int32
+	xRep []int
 }
 
 // NewModel builds a WCTT model for the given parameters.
@@ -183,6 +187,7 @@ func NewModel(p Params) (*Model, error) {
 	for i, n := range m.nodes {
 		m.epRouter[i] = int32(rdim.Index(topo.RouterOf(n)))
 	}
+	m.xRow, m.xRep = m.distinctXRows()
 	return m, nil
 }
 
@@ -224,11 +229,11 @@ func (m *Model) contenders(n mesh.Node, out mesh.Direction) int {
 // route, so on the default platform the longest flows overflow 64 bits from
 // about 24x24 and most flows of a 48x48 or 64x64 mesh report MaxUint64.
 //
-// Together with saturatingAdd it forms a monotone, absorbing arithmetic:
-// both are non-decreasing in every operand, sat(MaxUint64 + x) = MaxUint64
-// for every x, and sat(MaxUint64 * x) = MaxUint64 for every x >= 1. A fold
-// total that reaches MaxUint64 therefore stays there whatever is added to it
-// later; the chained-blocking kernel (regularRowRun, kernel.go) relies on it.
+// Together with saturatingAdd it is the exact arithmetic clamped to
+// MaxUint64, and so is any expression of the two over non-negative operands:
+// min(min(a,M)+min(b,M), M) = min(a+b, M), likewise for *, where
+// sat(MaxUint64 * 0) = 0 = exact * 0. The chained-blocking kernel (kernel.go)
+// relies on it to regroup the walk's fold into X-segment maps.
 func saturatingMul(a, b uint64) uint64 {
 	hi, lo := bits.Mul64(a, b)
 	if hi != 0 {
