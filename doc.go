@@ -18,13 +18,14 @@
 // and which key of the benchmark (bench/, compared between two commits by
 // scripts/benchpair.sh) measures it; PROTOCOL.md specifies the wire formats.
 //
-// Topology (internal/mesh). mesh.Topology owns the endpoint and router index
-// spaces, the neighbour/port tables, the dimension-ordered routing decision,
-// the allocation-free route walkers (Walk, AppendHops; mesh.WalkXY and
-// mesh.AppendXYHops on the plain mesh) and the per-input channel loads of the
-// WaW closed forms. The paper's XY-routed 2D mesh is the reference instance;
-// beside it ship concentrated meshes with 2 or 4 cores per router. Every
-// topology that ships carries the paper's WCTT bounds.
+// Topology (internal/mesh). mesh.Topology is one concrete value: the
+// XY-routed router grid with a block of cores on each Local port. It owns the
+// endpoint and router index spaces, the neighbour/port tables, the
+// dimension-ordered routing decision, the allocation-free route walker (Walk;
+// mesh.WalkXY on the plain mesh) and the per-input channel loads of the WaW
+// closed forms. The paper's XY-routed 2D mesh is the 1×1 block; the
+// concentrated meshes put 2 or 4 cores behind each router. Every topology
+// that ships carries the paper's WCTT bounds.
 //
 // Weights (internal/flows). flows.WeightTableFor derives, from a topology
 // alone, the per-router (input, output) flow counts the WaW arbiters count

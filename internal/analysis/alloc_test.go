@@ -28,8 +28,7 @@ func assertAllocsPerRun(t *testing.T, what string, runs int, fn func()) {
 	}
 }
 
-// TestRouteWalkZeroAllocs: the callback walker and the caller-buffer walker
-// (with a warm buffer) must not allocate.
+// TestRouteWalkZeroAllocs: the callback walker must not allocate.
 func TestRouteWalkZeroAllocs(t *testing.T) {
 	d := mesh.MustDim(8, 8)
 	src, dst := mesh.Node{X: 7, Y: 7}, mesh.Node{X: 0, Y: 0}
@@ -43,14 +42,6 @@ func TestRouteWalkZeroAllocs(t *testing.T) {
 	if hops != src.ManhattanDistance(dst)+1 {
 		t.Fatalf("walked %d hops, want %d", hops, src.ManhattanDistance(dst)+1)
 	}
-	buf := make([]mesh.Hop, 0, d.Width+d.Height)
-	assertAllocsPerRun(t, "AppendXYHops (warm buffer)", 1000, func() {
-		var err error
-		buf, err = mesh.AppendXYHops(buf[:0], d, src, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
 }
 
 // TestPacketWCTTZeroAllocs: both per-flow bounds, and the MessageWCTT point

@@ -26,8 +26,11 @@ func BenchmarkSummary(b *testing.B) {
 		b.Run(fmt.Sprintf("%dx%d/kernel", size, size), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := RowForDim(d); err != nil {
-					b.Fatal(err)
+				m := MustNewModel(DefaultParams(d))
+				for _, design := range []network.Design{network.DesignRegular, network.DesignWaWWaP} {
+					if _, err := m.SummarizeOneFlitWCTT(design); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

@@ -16,7 +16,7 @@ import (
 // the all-pairs kernels, kernel_test.go): the production paths in wctt.go
 // enumerate dimension-ordered routes straight from the geometry over
 // precomputed per-router-index arrays, while the reference walks the hops
-// Topology.AppendHops materialises and recomputes contender counts and output
+// Topology.Walk visits (routeHops) and recomputes contender counts and output
 // shares per hop from first principles (the topology's legal-input table and
 // the weight table). The equivalence tests pin the two bit-identical across
 // meshes, designs and packet shapes, so the walk can never silently drift
@@ -45,13 +45,24 @@ func referenceSaturatingAdd(a, b uint64) uint64 {
 	return a + b
 }
 
+// routeHops materialises the route between endpoints src and dst of m's
+// topology.
+func (m *Model) routeHops(src, dst mesh.Node) ([]mesh.Hop, error) {
+	var hops []mesh.Hop
+	err := m.topo.Walk(src, dst, func(h mesh.Hop) bool {
+		hops = append(hops, h)
+		return true
+	})
+	return hops, err
+}
+
 // ReferenceRegularPacketWCTT is the route-materialising implementation of
 // RegularPacketWCTT, kept as the naive reference for equivalence testing.
 func (m *Model) ReferenceRegularPacketWCTT(src, dst mesh.Node, packetFlits, contenderFlits int) (uint64, error) {
 	if packetFlits < 1 || contenderFlits < 1 {
 		return 0, fmt.Errorf("analysis: packet sizes must be >= 1 flit (got %d, %d)", packetFlits, contenderFlits)
 	}
-	hops, err := m.topo.AppendHops(nil, src, dst)
+	hops, err := m.routeHops(src, dst)
 	if err != nil {
 		return 0, err
 	}
@@ -102,7 +113,7 @@ func (m *Model) ReferenceWaWPacketWCTT(src, dst mesh.Node, numPackets, slotFlits
 	if numPackets < 1 || slotFlits < 1 {
 		return 0, fmt.Errorf("analysis: packet counts and sizes must be >= 1 (got %d, %d)", numPackets, slotFlits)
 	}
-	hops, err := m.topo.AppendHops(nil, src, dst)
+	hops, err := m.routeHops(src, dst)
 	if err != nil {
 		return 0, err
 	}

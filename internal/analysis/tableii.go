@@ -283,53 +283,11 @@ func addCrossings(total, cost, src, dst uint64) (uint64, bool) {
 }
 
 // TableIIRow is one row of Table II: the regular-design and WaW+WaP-design
-// WCTT summaries for one mesh size.
+// WCTT summaries for one mesh size (core.TableII assembles the rows).
 type TableIIRow struct {
 	Dim     mesh.Dim
 	Regular WCTTSummary
 	WaWWaP  WCTTSummary
-}
-
-// RowForDim computes one Table II row (the regular and WaW+WaP one-flit
-// WCTT summaries) for a single mesh, sharing one model between the two
-// designs. The serial TableII below is a thin adapter over it; the
-// sweep-backed core.TableII instead schedules one scenario per
-// (size, design) pair — finer-grained parallelism at the cost of one extra
-// model construction per size — and reassembles the same rows.
-func RowForDim(d mesh.Dim) (TableIIRow, error) {
-	m, err := NewModel(DefaultParams(d))
-	if err != nil {
-		return TableIIRow{}, err
-	}
-	reg, err := m.SummarizeOneFlitWCTT(network.DesignRegular)
-	if err != nil {
-		return TableIIRow{}, err
-	}
-	waw, err := m.SummarizeOneFlitWCTT(network.DesignWaWWaP)
-	if err != nil {
-		return TableIIRow{}, err
-	}
-	return TableIIRow{Dim: d, Regular: reg, WaWWaP: waw}, nil
-}
-
-// TableII computes the WCTT scalability table for the given square mesh
-// sizes (the paper uses 2x2 … 8x8) with one-flit packets, serially. Callers
-// that want the sizes analysed in parallel should go through the scenario
-// and sweep layers (see core.TableII).
-func TableII(sizes []int) ([]TableIIRow, error) {
-	rows := make([]TableIIRow, 0, len(sizes))
-	for _, s := range sizes {
-		d, err := mesh.NewDim(s, s)
-		if err != nil {
-			return nil, err
-		}
-		row, err := RowForDim(d)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // RoundTripUBD returns the Upper-Bound Delay of one memory transaction of a

@@ -213,7 +213,7 @@ func (m *Model) Params() Params { return m.p }
 func (m *Model) contenders(n mesh.Node, out mesh.Direction) int {
 	ins := mesh.LegalInputsForTopo(m.topo, n, out)
 	c := len(ins)
-	if out == mesh.Local && m.topo.LocalPairLoad(n) == 0 {
+	if out == mesh.Local && m.topo.LocalPairLoad() == 0 {
 		c-- // a node does not send to itself
 	}
 	if c < 1 {

@@ -60,7 +60,7 @@ func TableI(width, height, x, y int) ([]flows.WeightEntry, error) {
 // TableII returns the WCTT scalability study of Table II (max/mean/min WCTT
 // of one-flit packets under worst-case contention) for the given square mesh
 // sizes. The per-size/per-design analyses run in parallel through the sweep
-// engine; the aggregated rows are identical to a serial analysis.TableII run.
+// engine, one scenario per (size, design) pair.
 func TableII(sizes []int) ([]analysis.TableIIRow, error) {
 	results, err := sweep.Expand(context.Background(), scenario.Spec{
 		Name:    "table-ii",

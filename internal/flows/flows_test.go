@@ -10,7 +10,7 @@ import (
 
 func TestAllToOne(t *testing.T) {
 	dst := mesh.Node{X: 0, Y: 0}
-	s := AllToOne(mesh.Mesh2D{D: mesh.MustDim(4, 4)}, dst)
+	s := AllToOne(mesh.Plain(mesh.MustDim(4, 4)), dst)
 	if s.Len() != 15 {
 		t.Fatalf("all-to-one flow count = %d, want 15", s.Len())
 	}
@@ -29,7 +29,7 @@ func TestAllToOne(t *testing.T) {
 
 func TestOneToAll(t *testing.T) {
 	src := mesh.Node{X: 1, Y: 1}
-	s := OneToAll(mesh.Mesh2D{D: mesh.MustDim(3, 3)}, src)
+	s := OneToAll(mesh.Plain(mesh.MustDim(3, 3)), src)
 	if s.Len() != 8 {
 		t.Fatalf("one-to-all flow count = %d, want 8", s.Len())
 	}
@@ -41,7 +41,7 @@ func TestOneToAll(t *testing.T) {
 }
 
 func TestAllToAll(t *testing.T) {
-	s := AllToAll(mesh.Mesh2D{D: mesh.MustDim(3, 2)})
+	s := AllToAll(mesh.Plain(mesh.MustDim(3, 2)))
 	want := 6 * 5
 	if s.Len() != want {
 		t.Fatalf("all-to-all flow count = %d, want %d", s.Len(), want)
@@ -56,7 +56,7 @@ func TestAllToAll(t *testing.T) {
 }
 
 func TestCustomValidation(t *testing.T) {
-	d := mesh.Mesh2D{D: mesh.MustDim(2, 2)}
+	d := mesh.Plain(mesh.MustDim(2, 2))
 	if _, err := Custom(d, []Flow{{Src: mesh.Node{X: 0, Y: 0}, Dst: mesh.Node{X: 1, Y: 1}}}); err != nil {
 		t.Errorf("valid custom set rejected: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestAnalyzeAllToOne2x2(t *testing.T) {
 	// 2x2 mesh. The destination router must see 1 flow on its X+ input,
 	// 2 flows on its Y+ input and 3 flows on its PME output.
 	dst := mesh.Node{X: 1, Y: 1}
-	a := MustAnalyze(AllToOne(mesh.Mesh2D{D: mesh.MustDim(2, 2)}, dst))
+	a := MustAnalyze(AllToOne(mesh.Plain(mesh.MustDim(2, 2)), dst))
 	rc := a.Counts(dst)
 	if got := rc.PerPair[mesh.Local][mesh.XPlus]; got != 1 {
 		t.Errorf("X+ -> PME flows = %d, want 1", got)
@@ -100,7 +100,7 @@ func TestAnalyzeAllToOne2x2(t *testing.T) {
 }
 
 func TestAnalyzeRouteCoverage(t *testing.T) {
-	s := AllToOne(mesh.Mesh2D{D: mesh.MustDim(4, 4)}, mesh.Node{X: 0, Y: 0})
+	s := AllToOne(mesh.Plain(mesh.MustDim(4, 4)), mesh.Node{X: 0, Y: 0})
 	a := MustAnalyze(s)
 	if len(a.Routes) != s.Len() {
 		t.Fatalf("analysed %d routes, want %d", len(a.Routes), s.Len())
@@ -124,7 +124,7 @@ func TestAnalyzeRouteCoverage(t *testing.T) {
 // equals the number of flows terminating at that node.
 func TestAnalyzeConservation(t *testing.T) {
 	d := mesh.MustDim(5, 4)
-	a := MustAnalyze(AllToAll(mesh.Mesh2D{D: d}))
+	a := MustAnalyze(AllToAll(mesh.Plain(d)))
 	terminating := make(map[mesh.Node]int)
 	for _, f := range a.Set.Flows {
 		terminating[f.Dst]++
@@ -149,7 +149,7 @@ func TestAnalyzeConservation(t *testing.T) {
 }
 
 func TestAnalyzeRejectsInvalidSet(t *testing.T) {
-	d := mesh.Mesh2D{D: mesh.MustDim(2, 2)}
+	d := mesh.Plain(mesh.MustDim(2, 2))
 	s := &Set{Topo: d, Flows: []Flow{{Src: mesh.Node{X: 9, Y: 9}, Dst: mesh.Node{X: 0, Y: 0}}}}
 	if _, err := Analyze(s); err == nil {
 		t.Error("Analyze should reject flows outside the mesh")
@@ -162,7 +162,7 @@ func TestMustAnalyzePanics(t *testing.T) {
 			t.Error("MustAnalyze should panic on invalid set")
 		}
 	}()
-	d := mesh.Mesh2D{D: mesh.MustDim(2, 2)}
+	d := mesh.Plain(mesh.MustDim(2, 2))
 	MustAnalyze(&Set{Topo: d, Flows: []Flow{{Src: mesh.Node{X: 0, Y: 0}, Dst: mesh.Node{X: 0, Y: 0}}}})
 }
 

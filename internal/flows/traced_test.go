@@ -9,7 +9,7 @@ import (
 
 // This file is the route-tracing oracle of the closed forms: explicit flow
 // sets between the endpoints of a topology, traced hop by hop over
-// Topology.AppendHops. It knows nothing of the Section III equations or of
+// Topology.Walk. It knows nothing of the Section III equations or of
 // InputLoads, so agreeing with topoCountsInto is evidence, not tautology —
 // for the mesh, whose forms the paper proves, and for the concentrated
 // meshes, whose forms are this repository's extension and carry no proof.
@@ -141,8 +141,11 @@ func Analyze(s *Set) (*Analysis, error) {
 		Routes:  make(map[Flow][]mesh.Hop, len(s.Flows)),
 	}
 	for _, f := range s.Flows {
-		hops, err := s.Topo.AppendHops(nil, f.Src, f.Dst)
-		if err != nil {
+		var hops []mesh.Hop
+		if err := s.Topo.Walk(f.Src, f.Dst, func(h mesh.Hop) bool {
+			hops = append(hops, h)
+			return true
+		}); err != nil {
 			return nil, err
 		}
 		a.Routes[f] = hops

@@ -33,7 +33,7 @@ import (
 // consistent forms above are off by one from the printed ones and are the
 // ones that match the route-traced counts and the paper's own 2x2 worked
 // example; see the package tests. The forms themselves live in
-// mesh.Mesh2D.InputLoads.)
+// mesh.Topology.InputLoads, with concentration 1 on the mesh.)
 
 // PortCounts holds the per-destination-normalised flow counts of one router:
 // for every output port, how many flows towards a single destination
@@ -82,7 +82,7 @@ func ClosedFormCounts(d mesh.Dim, n mesh.Node) *PortCounts {
 		panic(fmt.Sprintf("flows: node %v outside %v mesh", n, d))
 	}
 	pc := &PortCounts{}
-	topoCountsInto(mesh.Mesh2D{D: d}, n, pc)
+	topoCountsInto(mesh.Plain(d), n, pc)
 	return pc
 }
 
@@ -90,8 +90,8 @@ func ClosedFormCounts(d mesh.Dim, n mesh.Node) *PortCounts {
 // of topology t, writing straight into the caller's slot (a WeightTable's
 // flat per-node slice) instead of allocating per router: the Section III XY
 // turn-count dispatch, with the per-input loads, port existence and the
-// Local→Local fan-out supplied by the topology (Mesh2D.InputLoads holds the
-// paper's mesh forms, CMesh.InputLoads their concentrated scaling). The
+// Local→Local fan-out supplied by the topology (InputLoads holds the paper's
+// mesh forms scaled by the concentration, which is 1 on the mesh). The
 // package tests check every entry against counts traced over the topology's
 // own routes.
 func topoCountsInto(t mesh.Topology, n mesh.Node, pc *PortCounts) {
@@ -103,7 +103,7 @@ func topoCountsInto(t mesh.Topology, n mesh.Node, pc *PortCounts) {
 		}
 		for _, in := range mesh.LegalInputsForTopo(t, n, out) {
 			// U-turns never occur. Guarded to link ports: Local is its own
-			// Opposite, and the Local→Local ejection turn (co-located CMesh
+			// Opposite, and the Local→Local ejection turn (co-located cmesh
 			// cores) is a real flow, not a U-turn.
 			if in != mesh.Local && in == out.Opposite() {
 				continue
@@ -113,9 +113,9 @@ func topoCountsInto(t mesh.Topology, n mesh.Node, pc *PortCounts) {
 			case out == mesh.Local:
 				// Flows terminating here: every input contributes its own
 				// count; the Local input contributes only when several
-				// endpoints share the router (the CMesh Local→Local turn).
+				// endpoints share the router (the cmesh Local→Local turn).
 				if in == mesh.Local {
-					cnt = t.LocalPairLoad(n)
+					cnt = t.LocalPairLoad()
 				} else {
 					cnt = inCount[in]
 				}
@@ -154,9 +154,9 @@ type WeightTable struct {
 }
 
 // ComputeWeightTable precomputes the WaW weights for every router of the
-// XY-routed mesh d: WeightTableFor on the reference mesh topology.
+// XY-routed mesh d: WeightTableFor on the plain mesh.
 func ComputeWeightTable(d mesh.Dim) *WeightTable {
-	return WeightTableFor(mesh.Mesh2D{D: d})
+	return WeightTableFor(mesh.Plain(d))
 }
 
 // WeightTableFor precomputes the WaW weights for every router of the

@@ -8,14 +8,14 @@ import (
 )
 
 // TestCachedWeightTableTopoMeshIdentity requires every way of asking for the
-// mesh table — by dimension, by the reference topology value, by a built
-// spec — to produce the same table.
+// mesh table — by dimension, by mesh.Plain, by a built spec — to produce the
+// same table.
 func TestCachedWeightTableTopoMeshIdentity(t *testing.T) {
 	d := mesh.MustDim(6, 6)
 	want := ComputeWeightTable(d)
-	for _, topo := range []mesh.Topology{mesh.Mesh2D{D: d}, mesh.TopoSpec{Kind: mesh.TopoMesh}.MustBuild(d)} {
+	for i, topo := range []mesh.Topology{mesh.Plain(d), mesh.TopoSpec{Kind: mesh.TopoMesh}.MustBuild(d)} {
 		if got := WeightTableFor(topo); !reflect.DeepEqual(got, want) {
-			t.Errorf("%v mesh table via %T differs from ComputeWeightTable", d, topo)
+			t.Errorf("%v mesh table %d differs from ComputeWeightTable", d, i)
 		}
 	}
 }
@@ -23,7 +23,7 @@ func TestCachedWeightTableTopoMeshIdentity(t *testing.T) {
 // TestTopoWeightTableProperties checks the structural invariants of the
 // concentrated-mesh tables: counts only on existing ports and
 // legal turns, non-Local weights summing to 1 per active output, and the
-// CMesh counts equalling the mesh counts of the router grid scaled by the
+// cmesh counts equalling the mesh counts of the router grid scaled by the
 // concentration (the Section III transfer argument).
 func TestTopoWeightTableProperties(t *testing.T) {
 	topos := []mesh.Topology{
@@ -67,7 +67,7 @@ func TestTopoWeightTableProperties(t *testing.T) {
 	}
 }
 
-// TestCMeshCountsScaleMeshCounts checks the concentration transfer: a CMesh
+// TestCMeshCountsScaleMeshCounts checks the concentration transfer: a cmesh
 // router's link-port counts are exactly Conc times the mesh closed forms of
 // its router grid, and its ejection port additionally carries the
 // Local->Local fan-out of the co-located cores.

@@ -236,7 +236,7 @@ func TestXYOutputPort(t *testing.T) {
 
 func TestXYRouteSimple(t *testing.T) {
 	d := MustDim(4, 4)
-	hops, err := AppendXYHops(nil, d, Node{0, 0}, Node{2, 1})
+	hops, err := appendHops(Plain(d), Node{0, 0}, Node{2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestXYRouteSimple(t *testing.T) {
 
 func TestXYRouteSelf(t *testing.T) {
 	d := MustDim(3, 3)
-	hops, err := AppendXYHops(nil, d, Node{1, 1}, Node{1, 1})
+	hops, err := appendHops(Plain(d), Node{1, 1}, Node{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,10 +274,10 @@ func TestXYRouteSelf(t *testing.T) {
 
 func TestXYRouteErrors(t *testing.T) {
 	d := MustDim(3, 3)
-	if _, err := AppendXYHops(nil, d, Node{5, 0}, Node{0, 0}); err == nil {
+	if _, err := appendHops(Plain(d), Node{5, 0}, Node{0, 0}); err == nil {
 		t.Error("expected error for source outside mesh")
 	}
-	if _, err := AppendXYHops(nil, d, Node{0, 0}, Node{0, 9}); err == nil {
+	if _, err := appendHops(Plain(d), Node{0, 0}, Node{0, 9}); err == nil {
 		t.Error("expected error for destination outside mesh")
 	}
 }
@@ -290,7 +290,7 @@ func TestXYRouteProperties(t *testing.T) {
 	f := func(sx, sy, dx, dy uint8) bool {
 		src := Node{X: int(sx) % d.Width, Y: int(sy) % d.Height}
 		dst := Node{X: int(dx) % d.Width, Y: int(dy) % d.Height}
-		hops, err := AppendXYHops(nil, d, src, dst)
+		hops, err := appendHops(Plain(d), src, dst)
 		if err != nil {
 			return false
 		}
@@ -367,17 +367,17 @@ func TestLegalInputsForInterior(t *testing.T) {
 	d := MustDim(4, 4)
 	n := Node{1, 1} // interior node, all neighbours exist
 	// Output Y+ can be fed by X+, X-, Y+ (continuing) and Local = 4 inputs.
-	inputs := LegalInputsForTopo(Mesh2D{D: d}, n, YPlus)
+	inputs := LegalInputsForTopo(Plain(d), n, YPlus)
 	if len(inputs) != 4 {
 		t.Errorf("interior Y+ inputs = %v, want 4 ports", inputs)
 	}
 	// Output X+ can be fed by X+ (continuing) and Local only = 2 inputs.
-	inputs = LegalInputsForTopo(Mesh2D{D: d}, n, XPlus)
+	inputs = LegalInputsForTopo(Plain(d), n, XPlus)
 	if len(inputs) != 2 {
 		t.Errorf("interior X+ inputs = %v, want 2 ports", inputs)
 	}
 	// Output Local can be fed by all four network inputs plus Local = 5.
-	inputs = LegalInputsForTopo(Mesh2D{D: d}, n, Local)
+	inputs = LegalInputsForTopo(Plain(d), n, Local)
 	if len(inputs) != 5 {
 		t.Errorf("interior Local inputs = %v, want 5 ports", inputs)
 	}
@@ -387,7 +387,7 @@ func TestLegalInputsForBoundary(t *testing.T) {
 	d := MustDim(4, 4)
 	// Top-left corner (0,0): no X+ input (no west neighbour), no Y+ input
 	// (no north neighbour).
-	inputs := LegalInputsForTopo(Mesh2D{D: d}, Node{0, 0}, Local)
+	inputs := LegalInputsForTopo(Plain(d), Node{0, 0}, Local)
 	// Existing inputs: X- (from east neighbour), Y- (from south neighbour), Local.
 	if len(inputs) != 3 {
 		t.Errorf("corner Local inputs = %v, want 3", inputs)
@@ -395,7 +395,7 @@ func TestLegalInputsForBoundary(t *testing.T) {
 	// Column 0 node (0,2): output Y- can be fed by X- (flits travelling
 	// westwards turning... X- to Y- is legal), Y- (continuing) and Local.
 	// The X+ input does not exist because there is no west neighbour.
-	inputs = LegalInputsForTopo(Mesh2D{D: d}, Node{0, 2}, YMinus)
+	inputs = LegalInputsForTopo(Plain(d), Node{0, 2}, YMinus)
 	want := map[Direction]bool{XMinus: true, YMinus: true, Local: true}
 	if len(inputs) != len(want) {
 		t.Errorf("column-0 Y- inputs = %v, want %v", inputs, want)

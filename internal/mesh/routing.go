@@ -54,46 +54,12 @@ func CheckEndpoints(d Dim, src, dst Node) error {
 	return nil
 }
 
-// WalkXY invokes fn for every hop of the XY route from src to dst, in path
-// order (source router first), without materialising the route. fn returning
-// false stops the walk early. WalkXY performs no heap allocations, which is
-// what the analytical hot loops (O(N^2) flow enumerations) rely on.
-func WalkXY(d Dim, src, dst Node, fn func(hop Hop) bool) error {
-	if err := CheckEndpoints(d, src, dst); err != nil {
-		return err
-	}
-	at := src
-	in := Local
-	for {
-		out := XYOutputPort(at, dst)
-		if !fn(Hop{Router: at, In: in, Out: out}) {
-			return nil
-		}
-		if out == Local {
-			return nil
-		}
-		// XY routing never leaves the mesh for valid endpoints: out always
-		// points towards dst, which Contains-checked above.
-		next, _ := d.Neighbor(at, out)
-		in = out // the downstream router receives the flit on the port named after the travel direction
-		at = next
-	}
-}
-
-// AppendXYHops appends the hops of the XY route from src to dst to hops and
-// returns the extended slice, reusing the buffer's capacity — the
-// caller-owned-buffer variant of WalkXY for code that needs the hop list
-// materialised without a per-call allocation.
-func AppendXYHops(hops []Hop, d Dim, src, dst Node) ([]Hop, error) {
-	if err := CheckEndpoints(d, src, dst); err != nil {
-		return hops, err
-	}
-	_ = WalkXY(d, src, dst, func(h Hop) bool {
-		hops = append(hops, h)
-		return true
-	})
-	return hops, nil
-}
+// WalkXY invokes fn for every hop of the XY route from src to dst on the
+// plain mesh d, in path order (source router first), without materialising
+// the route: Plain(d).Walk. fn returning false stops the walk early. WalkXY
+// performs no heap allocations, which is what the analytical hot loops
+// (O(N^2) flow enumerations) rely on.
+func WalkXY(d Dim, src, dst Node, fn func(hop Hop) bool) error { return Plain(d).Walk(src, dst, fn) }
 
 // LegalTurn reports whether a packet entering a router through input port
 // `in` may leave through output port `out` under XY routing. The XY

@@ -5,30 +5,21 @@ import (
 	"strings"
 )
 
-// This file extracts the topology abstraction the rest of the module consumes.
-// Historically every layer hardwired the 2D mesh: routers asked XYOutputPort
-// for the next port, networks wired neighbours through Dim.Neighbor, the
-// analytical engine walked XY geometry inline and the WaW weight derivation
-// used the Section III closed forms. A Topology bundles exactly those
-// ingredients — an endpoint index space, a router grid with per-node
-// neighbour/port tables, a deterministic allocation-free route walker (the
-// WalkXY/AppendXYHops shape generalised) and the channel-load counts behind
-// the WaW weight table — so the same simulator, analytical engine and daemon
-// run unchanged over any instance.
-//
-// Two topology families ship, and the paper's WCTT bounds hold on both:
-//
-//   - Mesh (the reference instance): the paper's XY-routed 2D mesh. Every
-//     method delegates to the original Dim/XY helpers, so mesh behaviour is
-//     bit-identical to the pre-topology code.
-//   - CMesh (concentrated mesh): Conc endpoint cores share each router
-//     through the Local port. The endpoint space stays a full W×H grid;
-//     routers form the (W/cx)×(H/cy) sub-grid and routing is XY over it.
+// This file holds the one topology the rest of the module consumes: the
+// XY-routed router grid with a block of cores on each Local port, the way
+// BookSim2 writes a concentrated mesh as a mesh with concentration c. The
+// paper's 2D mesh is the 1×1 block (c = 1, every core owns its router);
+// cmesh2 and cmesh4 put a 2×1 or 2×2 block of cores behind each router. A
+// Topology bundles the endpoint index space, the router grid with its
+// neighbour/port tables, the routing decision, an allocation-free route
+// walker and the channel-load counts behind the WaW weight table, so the
+// simulator, the analytical engine and the daemon run unchanged over every
+// block shape, and the paper's WCTT bounds hold on all of them.
 //
 // TopoSpec is the comparable, serialisable identity of a topology. It is the
 // zero-value-friendly handle configs and cache keys carry (the zero TopoSpec
 // is the plain mesh, so every pre-topology struct literal keeps its meaning);
-// Build turns it into the behavioural Topology instance.
+// Build turns it into a Topology.
 
 // TopoKind enumerates the supported topology families.
 type TopoKind int
@@ -101,42 +92,34 @@ func ParseTopology(s string) (TopoSpec, error) {
 	}
 }
 
-// concFactors splits a CMesh concentration into its (cx, cy) block shape.
-func concFactors(conc int) (cx, cy int, err error) {
-	switch conc {
-	case 0, 4:
-		return 2, 2, nil
-	case 2:
-		return 2, 1, nil
-	default:
-		return 0, 0, fmt.Errorf("mesh: unsupported cmesh concentration %d (want 2 or 4)", conc)
-	}
-}
-
-// Build resolves the spec against an endpoint grid and returns the
-// behavioural Topology. ep is the index space traffic endpoints live on
-// (for CMesh it is the core grid; the router grid is derived by dividing by
-// the concentration block, so ep's width/height must be divisible by it).
+// Build resolves the spec against an endpoint grid. ep is the index space
+// traffic endpoints live on; the router grid is ep divided by the
+// concentration block, so ep's width/height must be divisible by it.
 func (s TopoSpec) Build(ep Dim) (Topology, error) {
 	if err := ep.Validate(); err != nil {
-		return nil, err
+		return Topology{}, err
 	}
+	t := Topology{ep: ep}
 	switch s.Kind {
 	case TopoMesh:
-		return Mesh2D{D: ep}, nil
 	case TopoCMesh:
-		cx, cy, err := concFactors(s.Conc)
-		if err != nil {
-			return nil, err
+		switch s.Conc {
+		case 0, 4:
+			t.sx, t.sy = 1, 1
+		case 2:
+			t.sx = 1
+		default:
+			return Topology{}, fmt.Errorf("mesh: unsupported cmesh concentration %d (want 2 or 4)", s.Conc)
 		}
+		cx, cy := 1<<t.sx, 1<<t.sy
 		if ep.Width%cx != 0 || ep.Height%cy != 0 {
-			return nil, fmt.Errorf("mesh: cmesh concentration %dx%d does not divide the %v endpoint grid (width must be a multiple of %d and height of %d)",
+			return Topology{}, fmt.Errorf("mesh: cmesh concentration %dx%d does not divide the %v endpoint grid (width must be a multiple of %d and height of %d)",
 				cx, cy, ep, cx, cy)
 		}
-		return CMesh{EP: ep, R: Dim{Width: ep.Width / cx, Height: ep.Height / cy}, CX: cx, CY: cy}, nil
 	default:
-		return nil, fmt.Errorf("mesh: unknown topology kind %d", int(s.Kind))
+		return Topology{}, fmt.Errorf("mesh: unknown topology kind %d", int(s.Kind))
 	}
+	return t, nil
 }
 
 // MustBuild is Build for constant arguments; it panics on error.
@@ -148,65 +131,121 @@ func (s TopoSpec) MustBuild(ep Dim) Topology {
 	return t
 }
 
-// Topology is the geometry-and-routing contract every layer of the module
-// consumes: the simulator wires routers from the neighbour table and asks
-// OutputPort per head flit, the analytical engine walks routes through Walk
-// and derives contender counts from the input/port existence tables, and the
-// WaW weight derivation reads the per-destination channel-load counts.
+// Plain returns the paper's XY-routed 2D mesh on d: the 1×1 block, where
+// every endpoint owns its router. It is the topology of the helpers that
+// take a bare Dim (WalkXY, the weight tables of package flows).
+func Plain(d Dim) Topology { return Topology{ep: d} }
+
+// Topology is the XY-routed router grid with a 2^sx × 2^sy block of endpoint
+// cores on each router's Local port: the simulator wires routers from its
+// neighbour table and asks OutputPort per head flit, the analytical engine
+// maps endpoints through RouterOf and derives contender counts from the port
+// tables, and the WaW weight derivation reads InputLoads.
 //
 // Two index spaces are involved. Endpoints (traffic sources/destinations,
-// the paper's PMEs) live on EndpointDim; routers live on RouterDim. For the
-// mesh the two coincide and RouterOf is the identity; for the concentrated
-// mesh several endpoints share a router. All routing methods
-// take endpoint destinations and resolve the attached router internally.
+// the paper's PMEs) live on EndpointDim; routers live on RouterDim. Endpoint
+// (x,y) attaches to router (x>>sx, y>>sy): the identity on the mesh (0/0),
+// a 2×1 block on cmesh2 (1/0) and a 2×2 block on cmesh4 (1/1). Every routing
+// method takes endpoint destinations and resolves the attached router
+// itself.
 //
-// Implementations are small immutable value types: they are freely copyable,
-// comparable, and safe for concurrent use.
-type Topology interface {
-	// Spec returns the comparable identity of the topology.
-	Spec() TopoSpec
-	// String renders the canonical name (Spec().String()).
-	String() string
-
-	// EndpointDim is the grid traffic endpoints are indexed on.
-	EndpointDim() Dim
-	// RouterDim is the router grid; per-router state (weight tables,
-	// contender arrays, simulator routers) is indexed by RouterDim().Index.
-	RouterDim() Dim
-	// RouterOf maps an endpoint to its attached router.
-	RouterOf(ep Node) Node
-	// LocalEndpoints is the number of endpoints attached to router r
-	// (the Local-port fan-out; 1 except for the concentrated mesh).
-	LocalEndpoints(r Node) int
-
-	// Neighbor returns the router adjacent to r through output direction
-	// dir, or false when the port does not exist.
-	Neighbor(r Node, dir Direction) (Node, bool)
-	// HasOutput reports whether output port out of router r physically
-	// exists (Local always does).
-	HasOutput(r Node, out Direction) bool
-
-	// OutputPort is the deterministic routing decision: the output port a
-	// packet at router `at` with endpoint destination `dst` takes. When the
-	// packet has reached dst's router it is ejected through Local.
-	OutputPort(at Node, dst Node) Direction
-	// Walk invokes fn for every hop of the route between endpoints src and
-	// dst in path order without materialising it (fn returning false stops
-	// early) — the allocation-free walker the analytical loops rely on.
-	Walk(src, dst Node, fn func(hop Hop) bool) error
-	// AppendHops appends the route's hops to the caller-owned buffer.
-	AppendHops(hops []Hop, src, dst Node) ([]Hop, error)
-
-	// InputLoads returns, for router r, the per-destination-normalised
-	// worst-case number of flows arriving through each input port — the
-	// I_{port} ingredients of the WaW weight closed forms (Section III of
-	// the paper for the mesh; see each implementation for its derivation).
-	InputLoads(r Node) [NumDirections]int
-	// LocalPairLoad is the per-destination flow count of the Local→Local
-	// turn (endpoints sending to a co-located endpoint): 0 unless several
-	// endpoints share the router.
-	LocalPairLoad(r Node) int
+// A Topology is a small comparable value, built only by TopoSpec.Build and
+// Plain, and safe for concurrent use. It is three words, so the compiler
+// keeps it in registers where OutputPort inlines into the router's
+// per-head-flit decision; the router grid is derived, not stored.
+type Topology struct {
+	ep     Dim   // endpoint (core) grid
+	sx, sy uint8 // log2 of the block's width and height
 }
+
+// String renders the canonical name, as TopoSpec.String does.
+func (t Topology) String() string {
+	if t.sx+t.sy == 0 {
+		return TopoSpec{}.String()
+	}
+	return TopoSpec{Kind: TopoCMesh, Conc: t.LocalEndpoints()}.String()
+}
+
+// EndpointDim is the grid traffic endpoints are indexed on.
+func (t Topology) EndpointDim() Dim { return t.ep }
+
+// RouterDim is the router grid; per-router state (weight tables, contender
+// arrays, simulator routers) is indexed by RouterDim().Index.
+func (t Topology) RouterDim() Dim {
+	r := t.RouterOf(Node{X: t.ep.Width, Y: t.ep.Height})
+	return Dim{Width: r.X, Height: r.Y}
+}
+
+// RouterOf maps an endpoint to its attached router. The masks change no
+// value (a shift is 0 or 1) but let the compiler drop its out-of-range shift
+// handling.
+func (t Topology) RouterOf(ep Node) Node { return Node{X: ep.X >> (t.sx & 7), Y: ep.Y >> (t.sy & 7)} }
+
+// LocalEndpoints is the number of endpoints attached to each router (the
+// Local-port fan-out, or concentration c): 1 on the mesh.
+func (t Topology) LocalEndpoints() int { return 1 << (t.sx + t.sy) }
+
+// Neighbor returns the router adjacent to r through output direction dir,
+// or false when the port does not exist.
+func (t Topology) Neighbor(r Node, dir Direction) (Node, bool) { return t.RouterDim().Neighbor(r, dir) }
+
+// HasOutput reports whether output port out of router r physically exists
+// (Local always does).
+func (t Topology) HasOutput(r Node, out Direction) bool { return OutputExists(t.RouterDim(), r, out) }
+
+// OutputPort is the routing decision: XY over the router grid towards the
+// router of endpoint dst. A packet that has reached that router is ejected
+// through Local (for co-located cores, the Local→Local turn).
+func (t Topology) OutputPort(at, dst Node) Direction { return XYOutputPort(at, t.RouterOf(dst)) }
+
+// Walk invokes fn for every hop of the route between endpoints src and dst
+// in path order, without materialising it (fn returning false stops early)
+// and without heap allocations, which the analytical loops rely on. A route
+// between co-located cores is the single Local→Local hop through their
+// shared router.
+func (t Topology) Walk(src, dst Node, fn func(hop Hop) bool) error {
+	if err := CheckEndpoints(t.ep, src, dst); err != nil {
+		return err
+	}
+	rd, at, to, in := t.RouterDim(), t.RouterOf(src), t.RouterOf(dst), Local
+	for {
+		out := XYOutputPort(at, to)
+		if !fn(Hop{Router: at, In: in, Out: out}) || out == Local {
+			return nil
+		}
+		// XY routing never leaves the grid for valid endpoints: out always
+		// points towards dst's router, which lies inside it.
+		at, _ = rd.Neighbor(at, out)
+		in = out // the downstream router receives the flit on the port named after the travel direction
+	}
+}
+
+// InputLoads returns, for router r, the per-destination-normalised
+// worst-case number of flows arriving through each input port — the
+// I_{port} ingredients of the WaW weight closed forms. They are the Section
+// III forms on the router grid (n×m) scaled by the concentration c, since
+// each upstream router aggregates c cores and the Local input injects one
+// flow per attached core: I_{X+}=c·x, I_{X-}=c·(n-x-1), I_{Y+}=c·n·y,
+// I_{Y-}=c·n·(m-y-1), I_{PME}=c. With c = 1 these are the paper's mesh
+// forms; destination-independence holds by the same XY argument, so the
+// WCTT bounds transfer.
+func (t Topology) InputLoads(r Node) [NumDirections]int {
+	rd := t.RouterDim()
+	n, m := rd.Width, rd.Height
+	c := t.LocalEndpoints()
+	var in [NumDirections]int
+	in[XPlus] = c * r.X
+	in[XMinus] = c * (n - r.X - 1)
+	in[YPlus] = c * n * r.Y
+	in[YMinus] = c * n * (m - r.Y - 1)
+	in[Local] = c
+	return in
+}
+
+// LocalPairLoad is the per-destination flow count of the Local→Local turn:
+// towards a destination core, the other c-1 cores of its router send
+// through it (0 on the mesh, where a node never sends to itself).
+func (t Topology) LocalPairLoad() int { return t.LocalEndpoints() - 1 }
 
 // LegalInputsForTopo returns the input ports of router r that physically
 // exist (their upstream neighbour exists) and may legally feed output out
@@ -234,162 +273,3 @@ func LegalInputsForTopo(t Topology, r Node, out Direction) []Direction {
 	}
 	return inputs
 }
-
-// Mesh2D is the reference Topology: the paper's XY-routed 2D mesh. Every
-// method delegates to the original Dim/XY helpers so behaviour (including
-// error text and iteration order) is bit-identical to the pre-topology code.
-type Mesh2D struct{ D Dim }
-
-// Spec implements Topology.
-func (m Mesh2D) Spec() TopoSpec { return TopoSpec{Kind: TopoMesh} }
-
-// String implements Topology.
-func (m Mesh2D) String() string { return "mesh" }
-
-// EndpointDim implements Topology.
-func (m Mesh2D) EndpointDim() Dim { return m.D }
-
-// RouterDim implements Topology.
-func (m Mesh2D) RouterDim() Dim { return m.D }
-
-// RouterOf implements Topology: every endpoint owns its router.
-func (m Mesh2D) RouterOf(ep Node) Node { return ep }
-
-// LocalEndpoints implements Topology.
-func (m Mesh2D) LocalEndpoints(Node) int { return 1 }
-
-// Neighbor implements Topology.
-func (m Mesh2D) Neighbor(r Node, dir Direction) (Node, bool) { return m.D.Neighbor(r, dir) }
-
-// HasOutput implements Topology.
-func (m Mesh2D) HasOutput(r Node, out Direction) bool { return OutputExists(m.D, r, out) }
-
-// OutputPort implements Topology with plain XY dimension-ordered routing.
-func (m Mesh2D) OutputPort(at, dst Node) Direction { return XYOutputPort(at, dst) }
-
-// Walk implements Topology via the original allocation-free XY walker.
-func (m Mesh2D) Walk(src, dst Node, fn func(hop Hop) bool) error {
-	return WalkXY(m.D, src, dst, fn)
-}
-
-// AppendHops implements Topology via AppendXYHops.
-func (m Mesh2D) AppendHops(hops []Hop, src, dst Node) ([]Hop, error) {
-	return AppendXYHops(hops, m.D, src, dst)
-}
-
-// InputLoads implements Topology with the Section III closed forms:
-// I_{X+}=x, I_{X-}=N-x-1, I_{Y+}=N*y, I_{Y-}=N*(M-y-1), I_{PME}=1.
-func (m Mesh2D) InputLoads(r Node) [NumDirections]int {
-	N, M := m.D.Width, m.D.Height
-	var in [NumDirections]int
-	in[XPlus] = r.X
-	in[XMinus] = N - r.X - 1
-	in[YPlus] = N * r.Y
-	in[YMinus] = N * (M - r.Y - 1)
-	in[Local] = 1
-	return in
-}
-
-// LocalPairLoad implements Topology: a mesh node never sends to itself.
-func (m Mesh2D) LocalPairLoad(Node) int { return 0 }
-
-// CMesh is the concentrated mesh: CX×CY blocks of the endpoint grid share
-// one router through its Local port (Conc = CX*CY cores per router, the
-// "Local port fan-out"). The endpoint index space stays the full EP grid —
-// traffic patterns, flow IDs and WCTT queries are expressed on cores — while
-// the fabric is a plain XY-routed R mesh of routers, so the paper's
-// chained-blocking argument transfers with every channel load scaled by the
-// concentration (see InputLoads).
-type CMesh struct {
-	EP     Dim // endpoint (core) grid
-	R      Dim // router grid: EP scaled down by the concentration block
-	CX, CY int // concentration block shape (cores per router = CX*CY)
-}
-
-// Spec implements Topology.
-func (c CMesh) Spec() TopoSpec { return TopoSpec{Kind: TopoCMesh, Conc: c.CX * c.CY} }
-
-// String implements Topology.
-func (c CMesh) String() string { return c.Spec().String() }
-
-// EndpointDim implements Topology.
-func (c CMesh) EndpointDim() Dim { return c.EP }
-
-// RouterDim implements Topology.
-func (c CMesh) RouterDim() Dim { return c.R }
-
-// RouterOf implements Topology: block mapping, core (x,y) attaches to
-// router (x/CX, y/CY).
-func (c CMesh) RouterOf(ep Node) Node { return Node{X: ep.X / c.CX, Y: ep.Y / c.CY} }
-
-// LocalEndpoints implements Topology.
-func (c CMesh) LocalEndpoints(Node) int { return c.CX * c.CY }
-
-// Neighbor implements Topology: plain mesh adjacency on the router grid.
-func (c CMesh) Neighbor(r Node, dir Direction) (Node, bool) { return c.R.Neighbor(r, dir) }
-
-// HasOutput implements Topology.
-func (c CMesh) HasOutput(r Node, out Direction) bool { return OutputExists(c.R, r, out) }
-
-// OutputPort implements Topology: XY routing over the router grid towards
-// the destination core's router; co-located destinations eject immediately
-// (the Local→Local turn, legal under the XY turn rules).
-func (c CMesh) OutputPort(at, dst Node) Direction {
-	return XYOutputPort(at, c.RouterOf(dst))
-}
-
-// Walk implements Topology: follow OutputPort hop by hop from the source's
-// router until ejection. Like WalkXY it performs no heap allocations (the
-// Walk alloc test pins this). A route between co-located cores is the single
-// Local→Local hop through their shared router.
-func (c CMesh) Walk(src, dst Node, fn func(hop Hop) bool) error {
-	if err := CheckEndpoints(c.EP, src, dst); err != nil {
-		return err
-	}
-	at := c.RouterOf(src)
-	in := Local
-	for {
-		out := c.OutputPort(at, dst)
-		if !fn(Hop{Router: at, In: in, Out: out}) || out == Local {
-			return nil
-		}
-		next, ok := c.R.Neighbor(at, out)
-		if !ok {
-			return fmt.Errorf("mesh: %v routing left the fabric at %v towards %v (dst %v)", c, at, out, dst)
-		}
-		in = out
-		at = next
-	}
-}
-
-// AppendHops implements Topology: Walk into the caller-owned buffer.
-func (c CMesh) AppendHops(hops []Hop, src, dst Node) ([]Hop, error) {
-	err := c.Walk(src, dst, func(h Hop) bool {
-		hops = append(hops, h)
-		return true
-	})
-	return hops, err
-}
-
-// InputLoads implements Topology: the mesh closed forms on the router grid
-// with every count scaled by the concentration — each upstream router now
-// aggregates Conc cores, and the Local input injects Conc per-destination
-// flows (one per attached core): I_{X+}=Conc·x, I_{X-}=Conc·(n-x-1),
-// I_{Y+}=Conc·n·y, I_{Y-}=Conc·n·(m-y-1), I_{PME}=Conc, with (n,m) the
-// router-grid dimensions. Destination-independence holds by the same XY
-// argument as the mesh, so the WCTT bounds transfer.
-func (c CMesh) InputLoads(r Node) [NumDirections]int {
-	n, m := c.R.Width, c.R.Height
-	conc := c.CX * c.CY
-	var in [NumDirections]int
-	in[XPlus] = conc * r.X
-	in[XMinus] = conc * (n - r.X - 1)
-	in[YPlus] = conc * n * r.Y
-	in[YMinus] = conc * n * (m - r.Y - 1)
-	in[Local] = conc
-	return in
-}
-
-// LocalPairLoad implements Topology: towards a destination core, the other
-// Conc-1 cores of its own router send through the Local→Local turn.
-func (c CMesh) LocalPairLoad(Node) int { return c.CX*c.CY - 1 }

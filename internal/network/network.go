@@ -156,23 +156,23 @@ func (c Config) Validate() error {
 // resolve validates the configuration and builds its topology.
 func (c Config) resolve() (mesh.Topology, error) {
 	if err := c.Dim.Validate(); err != nil {
-		return nil, err
+		return mesh.Topology{}, err
 	}
 	if err := c.Router.Validate(); err != nil {
-		return nil, err
+		return mesh.Topology{}, err
 	}
 	if err := c.Link.Validate(); err != nil {
-		return nil, err
+		return mesh.Topology{}, err
 	}
 	if c.Shards < 0 {
-		return nil, fmt.Errorf("network: negative shard count %d", c.Shards)
+		return mesh.Topology{}, fmt.Errorf("network: negative shard count %d", c.Shards)
 	}
 	topo, err := c.Topo.Build(c.Dim)
 	if err != nil {
-		return nil, err
+		return mesh.Topology{}, err
 	}
 	if c.Router.Arbitration != c.Design.Arbitration() {
-		return nil, fmt.Errorf("network: design %v requires %v arbitration, config says %v",
+		return mesh.Topology{}, fmt.Errorf("network: design %v requires %v arbitration, config says %v",
 			c.Design, c.Design.Arbitration(), c.Router.Arbitration)
 	}
 	return topo, nil
@@ -280,7 +280,7 @@ func New(cfg Config) (*Network, error) {
 		if weightTable != nil {
 			counts = weightTable.Counts(node)
 		}
-		r, err := router.NewTopo(topo, node, cfg.Router, counts, cfg.Router.BufferDepth)
+		r, err := router.New(topo, node, cfg.Router, counts, cfg.Router.BufferDepth)
 		if err != nil {
 			return nil, err
 		}

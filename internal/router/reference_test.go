@@ -38,7 +38,7 @@ func newRefRouter(d mesh.Dim, n mesh.Node, cfg Config, counts *flows.PortCounts,
 	r := &refRouter{node: n, depth: cfg.BufferDepth, downstream: downstream}
 	for _, dir := range mesh.Directions {
 		op := &r.out[dir]
-		if op.exists = (mesh.Mesh2D{D: d}).HasOutput(n, dir); !op.exists {
+		if op.exists = mesh.Plain(d).HasOutput(n, dir); !op.exists {
 			continue
 		}
 		op.credits = downstream
@@ -186,7 +186,7 @@ func runAgainstReference(t *testing.T, kind arbiter.Kind, depthSel, downSel, nod
 		downstream = cfg.BufferDepth
 	}
 	counts := flows.ClosedFormCounts(d, node)
-	prod, err := New(d, node, cfg, counts, downstream)
+	prod, err := New(mesh.Plain(d), node, cfg, counts, downstream)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,12 +113,9 @@ type Router struct {
 	Node mesh.Node
 	cfg  Config
 
-	// topo supplies the routing decision and port tables. xy caches whether
-	// it is the reference 2D mesh, so the per-head-flit routing decision of
-	// the dominant topology stays the direct, inlinable XYOutputPort call
-	// instead of an interface dispatch.
+	// topo supplies the routing decision and port tables; its OutputPort
+	// inlines into the per-head-flit routing decision.
 	topo mesh.Topology
-	xy   bool
 
 	// weighted selects the WaW arbiters in waw over the round-robin ones in
 	// the output ports.
@@ -150,19 +147,14 @@ type Router struct {
 	transferScratch [mesh.NumDirections]Transfer
 }
 
-// New builds a router at node n of a mesh with dimensions d. For WaW
-// arbitration the per-port weights are taken from counts (typically
-// flows.ClosedFormCounts(d, n)); counts may be nil for round-robin routers.
-// The downstream credit counters are initialised to downstreamDepth, the
-// input-buffer depth of the neighbouring routers (normally cfg.BufferDepth).
-func New(d mesh.Dim, n mesh.Node, cfg Config, counts *flows.PortCounts, downstreamDepth int) (*Router, error) {
-	return NewTopo(mesh.Mesh2D{D: d}, n, cfg, counts, downstreamDepth)
-}
-
-// NewTopo builds a router at router-grid node n of topology t: port
-// existence comes from the topology's port table and the per-head-flit
-// routing decision from its OutputPort — New is the 2D-mesh adapter over it.
-func NewTopo(t mesh.Topology, n mesh.Node, cfg Config, counts *flows.PortCounts, downstreamDepth int) (*Router, error) {
+// New builds a router at router-grid node n of topology t: port existence
+// comes from the topology's port table and the per-head-flit routing
+// decision from its OutputPort. For WaW arbitration the per-port weights are
+// taken from counts (typically the router's entry of flows.WeightTableFor(t));
+// counts may be nil for round-robin routers. The downstream credit counters
+// are initialised to downstreamDepth, the input-buffer depth of the
+// neighbouring routers (normally cfg.BufferDepth).
+func New(t mesh.Topology, n mesh.Node, cfg Config, counts *flows.PortCounts, downstreamDepth int) (*Router, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -178,7 +170,7 @@ func NewTopo(t mesh.Topology, n mesh.Node, cfg Config, counts *flows.PortCounts,
 		downstreamDepth = cfg.BufferDepth
 	}
 	r := &Router{Dim: d, Node: n, cfg: cfg, downstreamDepth: downstreamDepth,
-		topo: t, xy: t.Spec().Kind == mesh.TopoMesh, weighted: weighted,
+		topo: t, weighted: weighted,
 		depth: cfg.BufferDepth,
 		slots: make([]*flit.Flit, mesh.NumDirections*cfg.BufferDepth),
 		info:  make([]uint8, mesh.NumDirections*cfg.BufferDepth),
@@ -204,15 +196,6 @@ func NewTopo(t mesh.Topology, n mesh.Node, cfg Config, counts *flows.PortCounts,
 		}
 	}
 	return r, nil
-}
-
-// MustNew is like New but panics on error; intended for tests.
-func MustNew(d mesh.Dim, n mesh.Node, cfg Config, counts *flows.PortCounts) *Router {
-	r, err := New(d, n, cfg, counts, cfg.BufferDepth)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // Config returns the router configuration.
@@ -288,12 +271,7 @@ func (r *Router) slotInfo(in mesh.Direction, f *flit.Flit) uint8 {
 	if !f.Type.IsHead() {
 		return s
 	}
-	var out mesh.Direction
-	if r.xy {
-		out = mesh.XYOutputPort(r.Node, f.Flow.Dst)
-	} else {
-		out = r.topo.OutputPort(r.Node, f.Flow.Dst)
-	}
+	out := r.topo.OutputPort(r.Node, f.Flow.Dst)
 	s |= slotHead | uint8(out)<<slotOutShift
 	if mesh.LegalTurn(in, out) {
 		s |= slotRequest

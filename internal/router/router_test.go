@@ -11,6 +11,16 @@ import (
 
 var nextPacketID uint64
 
+// mustNew builds a router at node n of the plain mesh d with downstream
+// buffers as deep as its own; it panics on error.
+func mustNew(d mesh.Dim, n mesh.Node, cfg Config, counts *flows.PortCounts) *Router {
+	r, err := New(mesh.Plain(d), n, cfg, counts, cfg.BufferDepth)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 // makePacket builds a well-formed packet of n flits for the given flow.
 func makePacket(src, dst mesh.Node, n int) []*flit.Flit {
 	nextPacketID++
@@ -67,7 +77,7 @@ func TestConfigValidate(t *testing.T) {
 func TestDeepestRingWraps(t *testing.T) {
 	d := mesh.MustDim(3, 3)
 	cfg := Config{BufferDepth: 255, Arbitration: arbiter.KindRoundRobin}
-	r, err := New(d, mesh.Node{X: 1, Y: 1}, cfg, nil, 255)
+	r, err := New(mesh.Plain(d), mesh.Node{X: 1, Y: 1}, cfg, nil, 255)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,16 +111,16 @@ func TestDeepestRingWraps(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	d := mesh.MustDim(3, 3)
-	if _, err := New(d, mesh.Node{X: 5, Y: 5}, DefaultConfig(), nil, 4); err == nil {
+	if _, err := New(mesh.Plain(d), mesh.Node{X: 5, Y: 5}, DefaultConfig(), nil, 4); err == nil {
 		t.Error("node outside mesh should fail")
 	}
-	if _, err := New(d, mesh.Node{X: 0, Y: 0}, Config{BufferDepth: 4, Arbitration: arbiter.KindWeighted}, nil, 4); err == nil {
+	if _, err := New(mesh.Plain(d), mesh.Node{X: 0, Y: 0}, Config{BufferDepth: 4, Arbitration: arbiter.KindWeighted}, nil, 4); err == nil {
 		t.Error("WaW without counts should fail")
 	}
-	if _, err := New(d, mesh.Node{X: 0, Y: 0}, Config{BufferDepth: 0, Arbitration: arbiter.KindRoundRobin}, nil, 4); err == nil {
+	if _, err := New(mesh.Plain(d), mesh.Node{X: 0, Y: 0}, Config{BufferDepth: 0, Arbitration: arbiter.KindRoundRobin}, nil, 4); err == nil {
 		t.Error("invalid config should fail")
 	}
-	r, err := New(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil, 0)
+	r, err := New(mesh.Plain(d), mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil, 0)
 	if err != nil {
 		t.Fatalf("valid router rejected: %v", err)
 	}
@@ -121,14 +131,14 @@ func TestNewValidation(t *testing.T) {
 
 func TestOutputExistence(t *testing.T) {
 	d := mesh.MustDim(3, 3)
-	corner := MustNew(d, mesh.Node{X: 0, Y: 0}, DefaultConfig(), nil)
+	corner := mustNew(d, mesh.Node{X: 0, Y: 0}, DefaultConfig(), nil)
 	if corner.HasOutput(mesh.XMinus) || corner.HasOutput(mesh.YMinus) {
 		t.Error("corner router should not have X-/Y- outputs")
 	}
 	if !corner.HasOutput(mesh.XPlus) || !corner.HasOutput(mesh.YPlus) || !corner.HasOutput(mesh.Local) {
 		t.Error("corner router missing expected outputs")
 	}
-	center := MustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
+	center := mustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
 	for _, dir := range mesh.Directions {
 		if !center.HasOutput(dir) {
 			t.Errorf("centre router missing output %v", dir)
@@ -138,7 +148,7 @@ func TestOutputExistence(t *testing.T) {
 
 func TestSingleFlitTraversalDecision(t *testing.T) {
 	d := mesh.MustDim(4, 4)
-	r := MustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
+	r := mustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
 	// A single-flit packet injected locally, destined to (3,1): must leave
 	// through X+.
 	pkt := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 3, Y: 1}, 1)
@@ -174,7 +184,7 @@ func TestSingleFlitTraversalDecision(t *testing.T) {
 func TestEjectionAtDestination(t *testing.T) {
 	d := mesh.MustDim(4, 4)
 	dst := mesh.Node{X: 2, Y: 2}
-	r := MustNew(d, dst, DefaultConfig(), nil)
+	r := mustNew(d, dst, DefaultConfig(), nil)
 	pkt := makePacket(mesh.Node{X: 0, Y: 2}, dst, 1)
 	stageAll(t, r, mesh.XPlus, pkt)
 	transfers := r.ComputeTransfers()
@@ -185,7 +195,7 @@ func TestEjectionAtDestination(t *testing.T) {
 
 func TestWormholeLockingAndRelease(t *testing.T) {
 	d := mesh.MustDim(4, 4)
-	r := MustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
+	r := mustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
 	pkt := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 1, Y: 3}, 3) // Head, Body, Tail via Y+
 	stageAll(t, r, mesh.Local, pkt)
 
@@ -233,7 +243,7 @@ func TestWormholeLockingAndRelease(t *testing.T) {
 func TestCreditBackpressure(t *testing.T) {
 	d := mesh.MustDim(4, 4)
 	cfg := Config{BufferDepth: 2, Arbitration: arbiter.KindRoundRobin}
-	r, err := New(d, mesh.Node{X: 1, Y: 1}, cfg, nil, 2)
+	r, err := New(mesh.Plain(d), mesh.Node{X: 1, Y: 1}, cfg, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +279,7 @@ func TestCreditBackpressure(t *testing.T) {
 
 func TestCreditPanics(t *testing.T) {
 	d := mesh.MustDim(3, 3)
-	r := MustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
+	r := mustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -280,7 +290,7 @@ func TestCreditPanics(t *testing.T) {
 			r.ConsumeCredit(mesh.XPlus)
 		}
 	}()
-	r2 := MustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
+	r2 := mustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -290,7 +300,7 @@ func TestCreditPanics(t *testing.T) {
 		r2.ReturnCredit(mesh.XPlus)
 	}()
 	// The local ejection port ignores credit operations entirely.
-	r3 := MustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
+	r3 := mustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
 	r3.ConsumeCredit(mesh.Local)
 	r3.ReturnCredit(mesh.Local)
 }
@@ -301,7 +311,7 @@ func TestCreditPanics(t *testing.T) {
 func TestCreditOverflowTracksDownstreamDepth(t *testing.T) {
 	d := mesh.MustDim(3, 3)
 	for _, downstream := range []int{2, 6} { // own depth is 4
-		r, err := New(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil, downstream)
+		r, err := New(mesh.Plain(d), mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil, downstream)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +339,7 @@ func TestCreditOverflowTracksDownstreamDepth(t *testing.T) {
 func TestInputOverflowRejected(t *testing.T) {
 	d := mesh.MustDim(3, 3)
 	cfg := Config{BufferDepth: 2, Arbitration: arbiter.KindRoundRobin}
-	r, err := New(d, mesh.Node{X: 0, Y: 0}, cfg, nil, 2)
+	r, err := New(mesh.Plain(d), mesh.Node{X: 0, Y: 0}, cfg, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +360,7 @@ func TestInputOverflowRejected(t *testing.T) {
 
 func TestPopEmptyPanics(t *testing.T) {
 	d := mesh.MustDim(2, 2)
-	r := MustNew(d, mesh.Node{X: 0, Y: 0}, DefaultConfig(), nil)
+	r := mustNew(d, mesh.Node{X: 0, Y: 0}, DefaultConfig(), nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("PopInput on empty FIFO should panic")
@@ -361,7 +371,7 @@ func TestPopEmptyPanics(t *testing.T) {
 
 func TestApplyTransferMismatchPanics(t *testing.T) {
 	d := mesh.MustDim(3, 3)
-	r := MustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
+	r := mustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
 	pkt := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 2, Y: 1}, 1)
 	stageAll(t, r, mesh.Local, pkt)
 	other := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 2, Y: 1}, 1)
@@ -376,7 +386,7 @@ func TestApplyTransferMismatchPanics(t *testing.T) {
 func TestRoundRobinContentionAlternates(t *testing.T) {
 	d := mesh.MustDim(3, 3)
 	dst := mesh.Node{X: 2, Y: 1}
-	r := MustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
+	r := mustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
 	// Two streams of single-flit packets contend for X+: one injected
 	// locally, one arriving on the X+ input (travelling east).
 	var localFlits, throughFlits []*flit.Flit
@@ -415,7 +425,7 @@ func TestWaWContentionFavoursWeightedInput(t *testing.T) {
 			counts.CounterMax(mesh.XMinus, mesh.Local), counts.CounterMax(mesh.YMinus, mesh.Local))
 	}
 	cfg := Config{BufferDepth: 4, Arbitration: arbiter.KindWeighted}
-	r, err := New(d, node, cfg, counts, 4)
+	r, err := New(mesh.Plain(d), node, cfg, counts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +456,7 @@ func TestWaWContentionFavoursWeightedInput(t *testing.T) {
 
 func TestIllegalTurnNeverGranted(t *testing.T) {
 	d := mesh.MustDim(3, 3)
-	r := MustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
+	r := mustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
 	// A flit arriving on a Y input can never be routed to an X output under
 	// XY routing. Build a (malformed) flit that would want to do so: it
 	// arrives travelling Y+ but its destination is to the east.
@@ -464,7 +474,7 @@ func TestHeadOfLineBlocking(t *testing.T) {
 	// the head-of-line blocking inherent to wormhole switching (no virtual
 	// channels), which the paper's analysis assumes.
 	d := mesh.MustDim(4, 4)
-	r := MustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
+	r := mustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
 
 	// Lock Y+ with a 3-flit packet injected locally; only the head has
 	// arrived so the lock persists.
@@ -497,7 +507,7 @@ func TestParallelOutputsSameCycle(t *testing.T) {
 	// Different output ports can forward flits from different inputs in the
 	// same cycle (crossbar parallelism).
 	d := mesh.MustDim(3, 3)
-	r := MustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
+	r := mustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
 	east := makePacket(mesh.Node{X: 0, Y: 1}, mesh.Node{X: 2, Y: 1}, 1)
 	south := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 1, Y: 2}, 1)
 	stageAll(t, r, mesh.XPlus, east)
@@ -513,7 +523,7 @@ func TestOneTransferPerInputPerCycle(t *testing.T) {
 	// when consecutive single-flit packets in its FIFO target different
 	// outputs.
 	d := mesh.MustDim(3, 3)
-	r := MustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
+	r := mustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
 	first := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 2, Y: 1}, 1)
 	second := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 1, Y: 2}, 1)
 	stageAll(t, r, mesh.Local, append(first, second...))
