@@ -56,8 +56,8 @@ func BenchmarkSummary(b *testing.B) {
 // X hops were folded one by one per destination, and 89 and 63 ms with the
 // X-segment maps (medians of five alternating runs of -benchtime 20x); the
 // serial in-order fold is now most of the rest. The waw+wap cases visit no pair
-// (wawOneFlitFold, about 0.1 ms against 76 ms through the producers) and do
-// not depend on the core count.
+// (wawOneFlitFold, about 0.1 ms, where a fold of the WaW table's rows took
+// 76 ms) and, on the caller at every size, do not depend on the core count.
 func BenchmarkSummary64(b *testing.B) {
 	for _, tc := range []struct {
 		name   string

@@ -49,7 +49,10 @@ package analysis
 //     — downwards, then upwards — extending all W column states by one Y hop
 //     and finishing the W destinations of the row in the same pass. Every
 //     array a row step touches (hop-cost and share planes, the column states,
-//     the output row) is read or written at consecutive addresses.
+//     the output row) is read or written at consecutive addresses. Sources
+//     share nothing but the hop-cost planes, so the WaW table is one sweep
+//     per source on the caller and the WCET engine's reply row is one sweep
+//     (wawSourceRows serves both).
 //
 // Saturating + and * on non-negative integers, and any expression of them,
 // equal the exact result clamped to MaxUint64 (saturatingMul, wctt.go). The
@@ -66,32 +69,31 @@ package analysis
 // endpoints; endpoint-diagonal (self-flow) entries are zeroed (tables) or
 // skipped (summaries).
 //
-// Both all-pairs kernels run on P = min(GOMAXPROCS, 4) producers on meshes
-// from 16x16 up (smaller grids and the concentrated meshes stay on the
+// The regular all-pairs kernel runs on P = min(GOMAXPROCS, 4) producers on
+// meshes from 16x16 up (smaller grids and the concentrated meshes stay on the
 // caller: one producer, no goroutine); runs in flight at once share
 // GOMAXPROCS instead of each taking it (allPairsInFlight). Producer p owns
 // the source columns [p*W/P, (p+1)*W/P) of every router row and fills that
-// slice of the block; the P slices add up to the one block, so transient
-// memory is the column states and maps (or hop costs) plus one block for any
-// P. A regular slice applies its sources' maps, a WaW slice is W/P
-// independent source sweeps. The consumer is fed in source order: a turn
-// passes from slice to slice, row after row, and only its holder folds or
-// copies, so every bound and the summary's float sum see exactly the serial
-// order.
+// slice of the block by applying its sources' maps; the P slices add up to
+// the one block, so transient memory is the column states and maps plus one
+// block for any P. The consumer is fed in source order: a turn passes from
+// slice to slice, row after row, and only its holder folds or copies, so
+// every bound and the summary's float sum see exactly the serial order.
 //
 // summaryFold (tableii.go) is kept an in-order float sum, bit-pinned: the
-// mean of every summary is the float sum of its bounds in source-major order,
-// divided by the count, and the golden outputs pin its bits. Once that sum
-// passes 2^53 an integer sum would change the low bits of the mean, so for
-// the regular summaries (past 2^53 from 18x18) the fold stays serial, which
-// is why P stops at four, and the producers parallelise the rest.
+// mean of every regular summary is the float sum of its bounds in
+// source-major order, divided by the count, and the golden outputs pin its
+// bits. Once that sum passes 2^53 an integer sum would change the low bits of
+// the mean, so for the regular summaries (past 2^53 from 18x18) the fold
+// stays serial, which is why P stops at four, and the producers parallelise
+// the rest.
 //
-// The one-flit WaW summary does not come here while its sum is at most 2^53
-// (every mesh up to 128x128): the bound is additive over the ports a route
-// crosses, so wawOneFlitFold (tableii.go) sums cost times crossing pairs per
-// port, reads the extremes off the hopCosts planes, and its exact integer
-// total is the in-order float sum bit for bit. The producers still serve the
-// AllPairs* tables, every regular summary and WaW summaries past 2^53.
+// The one-flit WaW summary never comes here: the bound is additive over the
+// ports a route crosses, so wawOneFlitFold (tableii.go) sums cost times
+// crossing pairs per port into an exact 128-bit total and reads the extremes
+// off the hopCosts planes. Its mean is that total over the flow count,
+// correctly rounded, which is the in-order float sum's bits while the total
+// is at most 2^53 (every mesh up to 128x128).
 
 import (
 	"context"
@@ -260,7 +262,7 @@ func (m *Model) regularDestSweep(out []uint64, rd mesh.Node, S, L uint64) {
 	}
 }
 
-// Producer counts of the all-pairs kernels: one below minParallelRouters
+// Producer counts of the regular all-pairs kernel: one below minParallelRouters
 // routers, else GOMAXPROCS shared among the runs in flight, capped at
 // maxProducers (see the file comment).
 const (
@@ -288,24 +290,17 @@ func (m *Model) producers(inFlight int64) int {
 	return min(share, maxProducers, m.rdim.Width)
 }
 
-// allPairsRun is one call of the all-pairs producers: what every producer
-// reads, the block their slices cut up, and the consumer the turn holder
-// feeds. It lives on the caller's stack while one producer runs.
+// allPairsRun is one call of the all-pairs producers of the chained-blocking
+// bound: what every producer reads, the block their slices cut up, and the
+// consumer the turn holder feeds. It lives on the caller's stack while one
+// producer runs.
 type allPairsRun struct {
 	m   *Model
 	ctx context.Context
-	// waw selects the guaranteed-bandwidth kernel; (a, b) are the bound's
-	// size arguments as in msgShape.
-	waw  bool
-	a, b uint64
-	// pollEvery is the number of sources between two polls of ctx: a router
-	// row of them for the regular kernel, an endpoint row for WaW.
-	pollEvery int
-	// colT and colIv are the regular column states, planes of H rows of N
-	// words; maps holds distinct X row k's maps, source x's A words at
-	// maps[2W^2*k + x*W:] and its B words W^2 further. cost and state are
-	// the WaW hop costs and 4W words of sweep state per producer.
-	colT, colIv, maps, cost, state []uint64
+	// colT and colIv are the column states, planes of H rows of N words;
+	// maps holds distinct X row k's maps, source x's A words at
+	// maps[2W^2*k + x*W:] and its B words W^2 further.
+	colT, colIv, maps []uint64
 	// block is one router row of sources: W rows of N words, row x the
 	// bounds from source router x to every router, producer p's slice its
 	// rows [p*W/P, (p+1)*W/P). epRow is the endpoint row a router row
@@ -318,41 +313,30 @@ type allPairsRun struct {
 	err   error
 }
 
-// allPairs runs the all-pairs producers of one bound family — the
-// chained-blocking bound of packets of a flits among contenders of b flits,
-// or the guaranteed-bandwidth bound of a packets of b-flit slots — and feeds
-// every source endpoint's row of bounds, in index order, to table (when
-// non-nil) or to a summary fold, which it returns. ctx is polled once per
-// pollEvery sources by the turn holder; a cancelled run returns ctx's error
-// after every producer has stopped.
-func (m *Model) allPairs(ctx context.Context, waw bool, a, b uint64, table []uint64) (summaryFold, error) {
+// allPairs runs the all-pairs producers of the chained-blocking bound of
+// packets of a flits among contenders of b flits, and feeds every source
+// endpoint's row of bounds, in index order, to table (when non-nil) or to a
+// summary fold, which it returns. ctx is polled by the turn holder once per
+// router row of sources; a cancelled run returns ctx's error after every
+// producer has stopped.
+func (m *Model) allPairs(ctx context.Context, a, b uint64, table []uint64) (summaryFold, error) {
 	W, Ht := m.rdim.Width, m.rdim.Height
 	n, rn := len(m.nodes), W*Ht
 	allPairsInFlight.Add(1)
 	defer allPairsInFlight.Add(-1)
-	r := allPairsRun{m: m, ctx: ctx, waw: waw, a: a, b: b, table: table, fold: summaryFold{min: math.MaxUint64}}
+	r := allPairsRun{m: m, ctx: ctx, table: table, fold: summaryFold{min: math.MaxUint64}}
 	pre := 2*Ht*rn + 2*W*W*len(m.xRep)
-	if waw {
-		pre = mesh.NumDirections*rn + 4*W*maxProducers
-	}
 	sp := getScratch(pre + W*rn + n)
 	defer putScratch(sp)
 	buf := *sp
+	r.colT, r.colIv, r.maps = buf[:Ht*rn], buf[Ht*rn:2*Ht*rn], buf[2*Ht*rn:pre]
 	r.block, r.epRow = buf[pre:pre+W*rn], buf[pre+W*rn:]
-	if waw {
-		r.pollEvery = m.p.Dim.Width
-		r.cost, r.state = buf[:mesh.NumDirections*rn], buf[mesh.NumDirections*rn:pre]
-		m.hopCosts(r.cost, b)
-	} else {
-		r.pollEvery = n / Ht
-		r.colT, r.colIv, r.maps = buf[:Ht*rn], buf[Ht*rn:2*Ht*rn], buf[2*Ht*rn:pre]
-		for rdIdx := 0; rdIdx < rn; rdIdx++ {
-			m.regularColStates(r.colT[rdIdx:], r.colIv[rdIdx:], rn, m.rdim.NodeAt(rdIdx), b)
-		}
-		for k, y := range m.xRep {
-			for dx := 0; dx < W; dx++ {
-				m.regularXMaps(r.maps[2*W*W*k+dx:], r.maps[(2*k+1)*W*W+dx:], W, y, dx, a, b)
-			}
+	for rdIdx := 0; rdIdx < rn; rdIdx++ {
+		m.regularColStates(r.colT[rdIdx:], r.colIv[rdIdx:], rn, m.rdim.NodeAt(rdIdx), b)
+	}
+	for k, y := range m.xRep {
+		for dx := 0; dx < W; dx++ {
+			m.regularXMaps(r.maps[2*W*W*k+dx:], r.maps[(2*k+1)*W*W+dx:], W, y, dx, a, b)
 		}
 	}
 	// Sized only now, so that runs started together see each other.
@@ -398,7 +382,7 @@ func (r *allPairsRun) produce(p, P int, turns []chan bool) {
 	slice := r.block[lo*rn : hi*rn]
 	perRow := len(m.nodes) / Ht // source endpoints per router row
 	for y := 0; y < Ht; y++ {
-		r.fill(slice, p, y, lo, hi)
+		r.fill(slice, y, lo, hi)
 		first, end := y*perRow, (y+1)*perRow
 		if turns != nil {
 			// Only the mesh runs several producers: one source per router.
@@ -417,14 +401,15 @@ func (r *allPairsRun) produce(p, P int, turns []chan bool) {
 }
 
 // feed hands the sources [si, end) of producer p's slice (whose first column
-// is lo) to the consumer, polling ctx before every pollEvery-th source. On
-// cancellation it records ctx's error, tells the other producers to stop and
-// returns false.
+// is lo) to the consumer, polling ctx before the first source of every router
+// row. On cancellation it records ctx's error, tells the other producers to
+// stop and returns false.
 func (r *allPairsRun) feed(slice []uint64, lo, si, end, p int, turns []chan bool) bool {
 	m := r.m
 	W, rn := m.rdim.Width, m.rdim.Nodes()
+	perRow := len(m.nodes) / m.rdim.Height
 	for ; si < end; si++ {
-		if si%r.pollEvery == 0 {
+		if si%perRow == 0 {
 			if err := r.ctx.Err(); err != nil {
 				r.err = err
 				for q := range turns {
@@ -445,18 +430,11 @@ func (r *allPairsRun) feed(slice []uint64, lo, si, end, p int, turns []chan bool
 	return true
 }
 
-// fill writes producer p's slice of router row y: the bounds from the source
+// fill writes a producer's slice of router row y: the bounds from the source
 // routers at columns [lo, hi) of the row to every router.
-func (r *allPairsRun) fill(slice []uint64, p, y, lo, hi int) {
+func (r *allPairsRun) fill(slice []uint64, y, lo, hi int) {
 	m := r.m
 	W, rn := m.rdim.Width, m.rdim.Nodes()
-	if r.waw {
-		w := wawWork{slot: r.b, cost: r.cost, state: r.state[4*W*p:][:4*W]}
-		for x := lo; x < hi; x++ {
-			m.wawSourceSweep(slice[(x-lo)*rn:], w, mesh.Node{X: x, Y: y}, r.a)
-		}
-		return
-	}
 	colT, colIv := r.colT[y*rn:][:rn], r.colIv[y*rn:][:rn]
 	maps := r.maps[2*W*W*int(m.xRow[y]):]
 	for x := lo; x < hi; x++ {
@@ -482,17 +460,6 @@ func (r *allPairsRun) visit(si int, row []uint64) {
 	r.table[si*n+si] = 0
 }
 
-// wawWork is what one guaranteed-bandwidth source sweep reads and writes.
-type wawWork struct {
-	slot uint64 // the arbitration slot size, in flits, the costs are for
-	// cost tabulates wawHopCost of every router output for that slot size
-	// (hopCosts); it is shared by every sweep of a call.
-	cost []uint64
-	// state is 4W words: the row state and the column states of the sweep in
-	// progress, one per concurrent sweep.
-	state []uint64
-}
-
 // hopCosts fills cost with wawHopCost of every router output for the given
 // slot size, in NumDirections planes of one entry per router —
 // cost[out*rn+idx], the layout of outShare — once per call instead of once
@@ -507,21 +474,53 @@ func (m *Model) hopCosts(cost []uint64, slot uint64) {
 	}
 }
 
+// wawSourceRows writes, for every source endpoint si in [first, end), the
+// guaranteed-bandwidth bound of a message of P packets of slot flits from si
+// to every endpoint into out[(si-first)*N:][:N] (dense endpoint indexing),
+// the self entry 0. It tabulates the hop costs once and runs one
+// wawSourceSweep per source router; on the concentrated meshes each router
+// row is expanded to the endpoint row, and consecutive sources on one router
+// share its sweep.
+func (m *Model) wawSourceRows(out []uint64, first, end int, P, slot uint64) {
+	W, rn, n := m.rdim.Width, m.rdim.Nodes(), len(m.nodes)
+	sp := getScratch(mesh.NumDirections*rn + 4*W + rn)
+	defer putScratch(sp)
+	cost, state := (*sp)[:mesh.NumDirections*rn], (*sp)[mesh.NumDirections*rn:][:4*W]
+	routerRow := (*sp)[mesh.NumDirections*rn+4*W:]
+	m.hopCosts(cost, slot)
+	swept := -1
+	for si := first; si < end; si++ {
+		row, rs := out[(si-first)*n:][:n], int(m.epRouter[si])
+		if m.identityTopo() {
+			m.wawSourceSweep(row, cost, state, m.rdim.NodeAt(rs), P, slot)
+		} else {
+			if rs != swept {
+				m.wawSourceSweep(routerRow, cost, state, m.rdim.NodeAt(rs), P, slot)
+				swept = rs
+			}
+			m.expandRow(row, routerRow)
+		}
+		row[si] = 0
+	}
+}
+
 // wawSourceSweep runs the source-major prefix-sharing sweep of the
-// guaranteed-bandwidth bound for one source router rs over the hop costs of
-// w: it writes the bound of a message of P packets of w.slot flits to EVERY
-// destination router into out (indexed by dense router index, len >= router
-// count), including the rs entry (the ejection-only route).
+// guaranteed-bandwidth bound for one source router rs over cost, the hopCosts
+// planes for the given slot size: it writes the bound of a message of P
+// packets of slot flits to EVERY destination router into out (indexed by
+// dense router index, len >= router count), including the rs entry (the
+// ejection-only route). state is 4W words of scratch for the row and column
+// states.
 //
 // Destinations are finished a router row at a time. The carried state is one
 // (total, maxShare) pair per destination column — the fold over the route
 // prefix that ends in the current row of that column — so a row step reads
 // one row of each hop plane and writes one row of bounds, all contiguous.
-func (m *Model) wawSourceSweep(out []uint64, w wawWork, rs mesh.Node, P uint64) {
+func (m *Model) wawSourceSweep(out, cost, state []uint64, rs mesh.Node, P, slot uint64) {
 	W, Ht := m.rdim.Width, m.rdim.Height
-	rn, base, slot := W*Ht, rs.Y*W, w.slot
-	plane := func(out mesh.Direction) []uint64 { return w.cost[int(out)*rn:][:rn] }
-	rowT, rowSh, t, sh := w.state[:W], w.state[W:2*W], w.state[2*W:3*W], w.state[3*W:]
+	rn, base := W*Ht, rs.Y*W
+	plane := func(out mesh.Direction) []uint64 { return cost[int(out)*rn:][:rn] }
+	rowT, rowSh, t, sh := state[:W], state[W:2*W], state[2*W:3*W], state[3*W:]
 	// The row state: destinations in the source column share the empty
 	// prefix, turn columns right of the source extend it by one XPlus hop per
 	// column crossed, turn columns left of it by XMinus hops.
@@ -601,13 +600,13 @@ func (m *Model) AllPairsRegularPacketWCTT(packetFlits, contenderFlits int, buf [
 	buf = ensureTable(buf, n*n)
 	kernelAllPairsRuns.Add(1)
 	// The background context is never cancelled.
-	_, _ = m.allPairs(context.Background(), false, uint64(packetFlits), uint64(contenderFlits), buf)
+	_, _ = m.allPairs(context.Background(), uint64(packetFlits), uint64(contenderFlits), buf)
 	return buf, nil
 }
 
 // AllPairsWaWPacketWCTT is the source-major all-pairs kernel of
 // WaWPacketWCTT, with the same table layout and buffer contract as
-// AllPairsRegularPacketWCTT.
+// AllPairsRegularPacketWCTT: one wawSourceSweep per source, on the caller.
 func (m *Model) AllPairsWaWPacketWCTT(numPackets, slotFlits int, buf []uint64) ([]uint64, error) {
 	if numPackets < 1 || slotFlits < 1 {
 		return nil, fmt.Errorf("analysis: packet counts and sizes must be >= 1 (got %d, %d)", numPackets, slotFlits)
@@ -615,7 +614,7 @@ func (m *Model) AllPairsWaWPacketWCTT(numPackets, slotFlits int, buf []uint64) (
 	n := len(m.nodes)
 	buf = ensureTable(buf, n*n)
 	kernelAllPairsRuns.Add(1)
-	_, _ = m.allPairs(context.Background(), true, uint64(numPackets), uint64(slotFlits), buf)
+	m.wawSourceRows(buf, 0, n, uint64(numPackets), uint64(slotFlits))
 	return buf, nil
 }
 
@@ -695,20 +694,7 @@ func (m *Model) AllDestinationsMessageWCTT(design network.Design, src mesh.Node,
 	srcIdx := src.Y*m.p.Dim.Width + src.X
 	if sh.waw {
 		kernelRowSweeps.Add(1)
-		W, rn := m.rdim.Width, m.rdim.Nodes()
-		sp := getScratch(mesh.NumDirections*rn + 4*W + rn)
-		cost, rest := (*sp)[:mesh.NumDirections*rn], (*sp)[mesh.NumDirections*rn:]
-		m.hopCosts(cost, uint64(sh.b))
-		w := wawWork{slot: uint64(sh.b), cost: cost, state: rest[:4*W]}
-		rs := m.topo.RouterOf(src)
-		if m.identityTopo() {
-			m.wawSourceSweep(buf, w, rs, uint64(sh.a))
-		} else {
-			m.wawSourceSweep(rest[4*W:], w, rs, uint64(sh.a))
-			m.expandRow(buf, rest[4*W:])
-		}
-		putScratch(sp)
-		buf[srcIdx] = 0
+		m.wawSourceRows(buf, srcIdx, srcIdx+1, uint64(sh.a), uint64(sh.b))
 		return buf, nil
 	}
 	for i, dst := range m.nodes {

@@ -435,7 +435,9 @@ func TestSummarizeMatchesPairwise(t *testing.T) {
 
 // TestSummaryIndependentOfProcs: the all-pairs producers split each router
 // row of sources into min(GOMAXPROCS, 4) column slices, and nothing they
-// produce may depend on how many there are. Under GOMAXPROCS 1, 2, 3, 4 and 8
+// produce may depend on how many there are. The WaW summaries (the closed
+// form) and the WaW table (one row sweep per source) run on the caller, and
+// must not depend on the core count either. Under GOMAXPROCS 1, 2, 3, 4 and 8
 // every summary (all four designs, float mean included) and both all-pairs
 // tables must equal the GOMAXPROCS 1 result, on grids whose router width is
 // no multiple of the producer count, a saturating 48x48 mesh (slices whose
@@ -514,8 +516,10 @@ func TestSummaryIndependentOfProcs(t *testing.T) {
 
 // TestWaWSummaryClosedForm pins the WaW+WaP and WaW-only summaries, which
 // wawOneFlitFold answers without visiting a pair, to the in-order fold of the
-// all-pairs table AllPairsWaWPacketWCTT(1, 1) — mean bits, max, min and flows
-// — on grids where the per-pair walk is too slow to be the oracle: meshes of
+// WaW table AllPairsWaWPacketWCTT(1, 1), one wawSourceSweep row per source —
+// mean bits, max, min and flows; every total here is below 2^53, where the
+// correctly rounded mean is the in-order float sum's — on grids where the
+// per-pair walk is too slow to be the oracle: meshes of
 // 48x48, 64x64, 33x16 and 1x40, cmesh4 on 32x32 endpoints and cmesh2 on
 // 16x8. Under the race detector the two large meshes are left out: their
 // tables are 42 and 134 MB, and the arithmetic is single-threaded.
@@ -539,9 +543,6 @@ func TestWaWSummaryClosedForm(t *testing.T) {
 	var tab []uint64
 	for _, m := range models {
 		name := fmt.Sprintf("%v %v", m.Params().Topo, m.Params().Dim)
-		if _, closed, err := m.wawOneFlitFold(context.Background()); err != nil || !closed {
-			t.Fatalf("%s: the closed form declined (err %v); the test no longer covers it", name, err)
-		}
 		var err error
 		if tab, err = m.AllPairsWaWPacketWCTT(1, 1, tab); err != nil {
 			t.Fatal(err)
@@ -603,30 +604,69 @@ func TestWaWSummaryClosedFormRandomShares(t *testing.T) {
 }
 
 // TestWaWSummaryClosedFormLimits: the 1x1 grid, which has no flow, still
-// gives the zero summary; the closed form answers 128x128, the largest mesh
-// the daemon accepts (a total near 10^14), and declines 256x256, whose total
-// passes 2^53, leaving it to the producers (which this test does not run:
-// that is 4·10^9 pairs).
+// gives the zero summary. The closed form answers 128x128, the largest mesh
+// the daemon accepts, from a total in (10^13, 2^53], where the mean is the
+// float quotient of every pair's bound. It also answers 256x256 and 272x256,
+// whose totals pass 2^53, in milliseconds, and with -short too. Their totals
+// and correctly rounded means are pinned as constants: they come from
+// folding every wawSourceSweep row (4.3·10^9 and 4.8·10^9 pairs) into a
+// 128-bit accumulator, which takes tens of seconds. The in-order float sum of
+// the 272x256 bounds is 2 ulps above the correctly rounded mean
+// (0x41474abeabfec001).
 func TestWaWSummaryClosedFormLimits(t *testing.T) {
+	wawDesigns := []network.Design{network.DesignWaWWaP, network.DesignWaWOnly}
 	one := MustNewModel(DefaultParams(mesh.MustDim(1, 1)))
-	for _, design := range []network.Design{network.DesignWaWWaP, network.DesignWaWOnly} {
+	for _, design := range wawDesigns {
 		if s, err := one.SummarizeOneFlitWCTT(design); err != nil || s != (WCTTSummary{Design: design, Dim: mesh.MustDim(1, 1)}) {
 			t.Fatalf("1x1 %v: summary %+v (%v), want the zero summary", design, s, err)
 		}
 	}
-	for _, c := range []struct {
-		size   int
-		closed bool
-	}{{128, true}, {256, false}} {
-		m := MustNewModel(DefaultParams(mesh.MustDim(c.size, c.size)))
-		f, closed, err := m.wawOneFlitFold(context.Background())
-		if err != nil || closed != c.closed {
-			t.Fatalf("%dx%d: closed form taken %v (err %v), want %v", c.size, c.size, closed, err, c.closed)
-		}
-		if closed && (f.count != 16384*16383 || f.sum < 1e13 || f.sum > maxExactSum) {
-			t.Fatalf("%dx%d: fold %+v; want every pair and a total in (10^13, 2^53]", c.size, c.size, f)
+	m := MustNewModel(DefaultParams(mesh.MustDim(128, 128)))
+	if hi, lo := wawOneFlitTotalOf(m); hi != 0 || lo < 1e13 || lo > maxExactSum {
+		t.Fatalf("128x128: total (%d, %d); want one in (10^13, 2^53]", hi, lo)
+	} else {
+		for _, design := range wawDesigns {
+			s, err := m.SummarizeOneFlitWCTT(design)
+			if err != nil || s.Flows != 16384*16383 || s.Mean != float64(lo)/float64(s.Flows) {
+				t.Fatalf("128x128 %v: summary %+v (%v); want every pair and the mean %d / %d", design, s, err, lo, s.Flows)
+			}
 		}
 	}
+	for _, c := range []struct {
+		w, h     int
+		total    uint64
+		flows    int
+		max, min uint64
+		meanBits uint64
+	}{
+		{256, 256, 12337798216417280, 4294901760, 8454016, 65537, 0x4145eaaaaaaaaaab},
+		{272, 256, 14802248328544256, 4848545792, 8984568, 69633, 0x41474abeabfebfff},
+	} {
+		m := MustNewModel(DefaultParams(mesh.MustDim(c.w, c.h)))
+		if hi, lo := wawOneFlitTotalOf(m); hi != 0 || lo != c.total || lo <= maxExactSum {
+			t.Fatalf("%dx%d: total (%d, %d), want (0, %d) past 2^53", c.w, c.h, hi, lo, c.total)
+		}
+		for _, design := range wawDesigns {
+			start := time.Now()
+			s, err := m.SummarizeOneFlitWCTT(design)
+			took := time.Since(start)
+			want := WCTTSummary{Design: design, Dim: mesh.MustDim(c.w, c.h), Max: c.max, Min: c.min, Mean: math.Float64frombits(c.meanBits), Flows: c.flows}
+			if err != nil || s != want {
+				t.Fatalf("%dx%d %v: summary %+v (%v), want %+v (mean bits %#x, got %#x)",
+					c.w, c.h, design, s, err, want, c.meanBits, math.Float64bits(s.Mean))
+			}
+			t.Logf("%dx%d %v: summary in %v", c.w, c.h, design, took)
+		}
+	}
+}
+
+// wawOneFlitTotalOf is the exact total wawOneFlitFold divides by the flow
+// count.
+func wawOneFlitTotalOf(m *Model) (hi, lo uint64) {
+	rn := m.rdim.Nodes()
+	cost := make([]uint64, mesh.NumDirections*rn)
+	m.hopCosts(cost, 1)
+	return m.wawOneFlitTotal(func(out mesh.Direction) []uint64 { return cost[int(out)*rn:][:rn] })
 }
 
 // pollCtx is a context that reports cancellation from its cancelAt-th Err

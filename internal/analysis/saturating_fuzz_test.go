@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/big"
+	"math/bits"
 	"testing"
 )
 
@@ -24,6 +25,12 @@ func bigAdd(a, b uint64) uint64 {
 	return bigClamp(new(big.Int).Add(new(big.Int).SetUint64(a), new(big.Int).SetUint64(b)))
 }
 
+// big128 is the 128-bit integer hi·2^64 + lo.
+func big128(hi, lo uint64) *big.Int {
+	x := new(big.Int).Lsh(new(big.Int).SetUint64(hi), 64)
+	return x.Or(x, new(big.Int).SetUint64(lo))
+}
+
 // FuzzSaturatingOps pins the production saturating primitives (one widening
 // multiply / one add with carry, no divide, no zero branch) to the
 // divide-based oracle of reference_test.go and to math/big, on every ordered
@@ -37,6 +44,15 @@ func bigAdd(a, b uint64) uint64 {
 // product is exactly MaxUint64), 2^32 squared and 2*2^63 (one past it), 2^63,
 // MaxUint64, and MaxUint64/b, MaxUint64/b+1 for b = 3 and 7 (the exact and
 // the inexact quotient of the old overflow check).
+//
+// The same operands also drive the WaW summary's 128-bit arithmetic
+// (tableii.go). addCrossings(c, H, L, iv, R), the total (c, H) plus the cost L
+// times iv·R pairs, must equal math/big wherever its precondition holds
+// (iv·R < 2^64 and a result below 2^128), and exactMean(c, H, L), the total
+// (c, H) over the count L > 0, must equal big.Rat's correctly rounded
+// quotient. Seeds for them: a carry out of lo, totals of 2^53 (the last the
+// float quotient takes) and 2^53+1 (the first past it), a count of 2^53+1
+// (no float64), and a sum that ends one short of 2^128.
 func FuzzSaturatingOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, c, H, L, iv, R uint64) {
 		ops := [...]uint64{c, H, L, iv, R}
@@ -55,6 +71,21 @@ func FuzzSaturatingOps(f *testing.F) {
 		exact := bigAdd(bigMul(c-1, bigAdd(H, bigMul(L, iv))), R)
 		if got != ref || got != exact {
 			t.Fatalf("hop step c=%d H=%d L=%d iv=%d R=%d: %d, divide-based %d, math/big %d", c, H, L, iv, R, got, ref, exact)
+		}
+		if pairsHi, pairs := bits.Mul64(iv, R); pairsHi == 0 {
+			exact := new(big.Int).Mul(new(big.Int).SetUint64(L), new(big.Int).SetUint64(pairs))
+			exact.Add(exact, big128(c, H))
+			if exact.BitLen() <= 128 {
+				if hi, lo := addCrossings(c, H, L, iv, R); big128(hi, lo).Cmp(exact) != 0 {
+					t.Fatalf("addCrossings(%d, %d, %d, %d, %d) = (%d, %d), math/big %v", c, H, L, iv, R, hi, lo, exact)
+				}
+			}
+		}
+		if L > 0 {
+			want, _ := new(big.Rat).SetFrac(big128(c, H), new(big.Int).SetUint64(L)).Float64()
+			if got := exactMean(c, H, L); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("exactMean(%d, %d, %d) = %v (%#x), big.Rat %v (%#x)", c, H, L, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
 		}
 	})
 }

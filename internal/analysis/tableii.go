@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/big"
 	"math/bits"
 
 	"repro/internal/mesh"
@@ -33,21 +34,19 @@ func (s WCTTSummary) String() string {
 }
 
 // SummarizeOneFlitWCTT computes max/mean/min of the one-flit-packet WCTT
-// bound over every ordered pair of distinct nodes, for the given design. The
-// mean is bit-identical to the plain per-pair loop's the tests compare
-// against — its in-order float sum (sources outer, destinations inner, self
-// flows skipped) divided by the count — not merely close, whatever the core
-// count.
+// bound over every ordered pair of distinct nodes, for the given design,
+// whatever the core count.
 //
-// The guaranteed-bandwidth designs visit no pair: their one-flit bound is
-// additive over the ports a route crosses, so the summary is a per-port sum
-// and a few scans of the router grid (wawOneFlitFold). Regular summaries, and
-// WaW ones whose sum exceeds 2^53, stream the incremental all-pairs kernels
-// (kernel.go) — amortized O(1) route-walk work per pair instead of O(hops),
-// no N^2 table, the rows produced on up to four cores — through the in-order
-// fold. Steady-state calls that run on the caller alone (every WaW summary
-// the closed form answers, regular ones on meshes under 16x16 and on the
-// concentrated meshes) perform no heap allocations (the scratch is pooled).
+// The guaranteed-bandwidth designs visit no pair (wawOneFlitFold): the mean
+// is their exact 128-bit total over the count, correctly rounded. Regular
+// summaries stream the incremental all-pairs kernels (kernel.go) — amortized
+// O(1) work per pair, no N^2 table, the rows produced on up to four cores —
+// through the in-order fold: the mean is the plain per-pair loop's float sum
+// (sources outer, destinations inner, self flows skipped) over the count, bit
+// for bit. Up to a total of 2^53 the two agree (maxExactSum). Steady-state
+// calls that run on the caller alone (WaW summaries up to 2^53, regular ones
+// under 16x16 and on the concentrated meshes) allocate nothing (the scratch
+// is pooled).
 func (m *Model) SummarizeOneFlitWCTT(design network.Design) (WCTTSummary, error) {
 	return m.SummarizeOneFlitWCTTContext(context.Background(), design)
 }
@@ -56,34 +55,29 @@ func (m *Model) SummarizeOneFlitWCTT(design network.Design) (WCTTSummary, error)
 // is polled once per row of sources, and a cancelled summary returns ctx's
 // error and no partial result once every producer has stopped.
 func (m *Model) SummarizeOneFlitWCTTContext(ctx context.Context, design network.Design) (WCTTSummary, error) {
-	var waw bool
+	var (
+		s   WCTTSummary
+		err error
+	)
 	switch design {
 	case network.DesignRegular, network.DesignWaPOnly:
+		var f summaryFold
+		f, err = m.allPairs(ctx, 1, 1, nil)
+		s.Max, s.Flows = f.max, f.count
+		if f.count > 0 {
+			s.Min, s.Mean = f.min, f.sum/float64(f.count)
+		}
 	case network.DesignWaWWaP, network.DesignWaWOnly:
-		waw = true
+		s, err = m.wawOneFlitFold(ctx)
 	default:
 		return WCTTSummary{}, fmt.Errorf("analysis: unknown design %v", design)
-	}
-	var (
-		f      summaryFold
-		closed bool
-		err    error
-	)
-	if waw {
-		f, closed, err = m.wawOneFlitFold(ctx)
-	}
-	if !closed {
-		f, err = m.allPairs(ctx, waw, 1, 1, nil)
 	}
 	if err != nil {
 		return WCTTSummary{}, err
 	}
 	kernelAllPairsRuns.Add(1)
-	sum := WCTTSummary{Design: design, Dim: m.p.Dim, Max: f.max, Flows: f.count}
-	if f.count > 0 {
-		sum.Min, sum.Mean = f.min, f.sum/float64(f.count)
-	}
-	return sum, nil
+	s.Design, s.Dim = design, m.p.Dim
+	return s, nil
 }
 
 // summaryFold accumulates the max/min/sum of a stream of bounds in arrival
@@ -92,10 +86,9 @@ func (m *Model) SummarizeOneFlitWCTTContext(ctx context.Context, design network.
 //
 // Kept an in-order float sum, bit-pinned: the goldens and the benchmark's
 // expected outputs pin the mean's bits, so the fold stays serial behind the
-// parallel producers. An integer total no larger than 2^53 is the same float
-// bit for bit (maxExactSum), which is what lets wawOneFlitFold skip the fold;
-// the regular bounds compound and their sum passes 2^53 from 18x18, so their
-// summaries keep it.
+// parallel producers. It serves the regular summaries only, whose bounds
+// compound and whose sum passes 2^53 from 18x18; an integer total no larger
+// than 2^53 is the same float bit for bit (maxExactSum).
 type summaryFold struct {
 	sum      float64
 	max, min uint64
@@ -121,27 +114,42 @@ func (f *summaryFold) add(vs []uint64) {
 
 // maxExactSum is 2^53. Every integer up to it is a float64, so the in-order
 // float sum of non-negative integers whose total is at most 2^53 adds every
-// partial sum exactly: it equals the integer total, bit for bit.
+// partial sum exactly: it equals the integer total, bit for bit, and so
+// exactMean keeps the in-order fold's bits (every WaW mesh up to 128x128).
 const maxExactSum = 1 << 53
 
-// wawOneFlitFold is the summary fold of the one-flit guaranteed-bandwidth
-// bound over every ordered pair of distinct endpoints, answered without
-// visiting a pair. At P = 1 the bound of a route is 1 plus the hopCosts entry
-// of every output the route leaves through (the admission term is 0), so:
+// exactMean is the 128-bit total (hi, lo) over count > 0, correctly
+// rounded. When the total and the count are at most maxExactSum both are
+// float64s and one IEEE division is the correctly rounded quotient, with no
+// allocation; past that it takes math/big.
+func exactMean(hi, lo, count uint64) float64 {
+	if hi == 0 && lo <= maxExactSum && count <= maxExactSum {
+		return float64(lo) / float64(count)
+	}
+	total := new(big.Int).Lsh(new(big.Int).SetUint64(hi), 64)
+	total.Or(total, new(big.Int).SetUint64(lo))
+	mean, _ := new(big.Rat).SetFrac(total, new(big.Int).SetUint64(count)).Float64()
+	return mean
+}
+
+// wawOneFlitFold is the summary of the one-flit guaranteed-bandwidth bound
+// over every ordered pair of distinct endpoints (Design and Dim left zero),
+// answered without visiting a pair. At P = 1 the bound of a route is 1 plus
+// the hopCosts entry of every output the route leaves through (the admission
+// term is 0), so:
 //
 //   - the sum is n(n-1) plus, for every output, its cost times the number of
-//     ordered pairs whose route leaves through it (wawOneFlitTotal);
+//     ordered pairs whose route leaves through it (wawOneFlitTotal), and the
+//     mean is that exact total over n(n-1) (exactMean);
 //   - every hop costs at least R > 0, so extending a route never makes it
 //     cheaper: the minimum is a one-hop route, and the maximum starts in an
 //     edge column, where a scan along the source's row adds the X hops to the
 //     costliest tails (Y hops, then the ejection) of the turn routers, which
 //     two column scans tabulate.
 //
-// It declines (closed false, nothing polled) when the total exceeds
-// maxExactSum, where only the in-order fold gives the mean's bits: from
-// 256x256 on the mesh. Otherwise it polls ctx once per router row of
-// sources, like the producers, and returns ctx's error on cancellation.
-func (m *Model) wawOneFlitFold(ctx context.Context) (f summaryFold, closed bool, err error) {
+// It polls ctx once per router row of sources, like the producers, and
+// returns ctx's error on cancellation.
+func (m *Model) wawOneFlitFold(ctx context.Context) (WCTTSummary, error) {
 	W, Ht := m.rdim.Width, m.rdim.Height
 	n, rn := len(m.nodes), W*Ht
 	sp := getScratch((mesh.NumDirections + 2) * rn)
@@ -149,10 +157,6 @@ func (m *Model) wawOneFlitFold(ctx context.Context) (f summaryFold, closed bool,
 	cost := (*sp)[:mesh.NumDirections*rn]
 	m.hopCosts(cost, 1)
 	plane := func(out mesh.Direction) []uint64 { return cost[int(out)*rn:][:rn] }
-	total, ok := m.wawOneFlitTotal(plane)
-	if !ok {
-		return summaryFold{}, false, nil
-	}
 	ej, xp, xm, yp, ym := plane(mesh.Local), plane(mesh.XPlus), plane(mesh.XMinus), plane(mesh.YPlus), plane(mesh.YMinus)
 	// A source router hosting one endpoint sends to none of its own; with
 	// several (the concentrated meshes) the ejection-only route is a flow.
@@ -198,7 +202,7 @@ func (m *Model) wawOneFlitFold(ctx context.Context) (f summaryFold, closed bool,
 	hiRoute := uint64(0)
 	for y := 0; y < Ht; y++ {
 		if err := ctx.Err(); err != nil {
-			return summaryFold{}, true, err
+			return WCTTSummary{}, err
 		}
 		row := y * W
 		for _, sx := range [2]int{0, W - 1} {
@@ -224,16 +228,17 @@ func (m *Model) wawOneFlitFold(ctx context.Context) (f summaryFold, closed bool,
 			}
 		}
 	}
-	f = summaryFold{sum: float64(total), min: math.MaxUint64, count: n * (n - 1)}
-	if f.count > 0 {
-		f.max, f.min = hiRoute+1, loRoute+1
+	count := n * (n - 1)
+	if count == 0 {
+		return WCTTSummary{}, nil
 	}
-	return f, true, nil
+	hi, lo := m.wawOneFlitTotal(plane)
+	return WCTTSummary{Max: hiRoute + 1, Min: loRoute + 1, Mean: exactMean(hi, lo, uint64(count)), Flows: count}, nil
 }
 
-// wawOneFlitTotal returns the exact sum of the one-flit guaranteed-bandwidth
-// bound over every ordered pair of distinct endpoints, given the hopCosts
-// planes for a one-flit slot, and false when that sum exceeds maxExactSum.
+// wawOneFlitTotal returns the exact 128-bit sum (hi, lo) of the one-flit
+// guaranteed-bandwidth bound over every ordered pair of distinct endpoints,
+// given the hopCosts planes for a one-flit slot.
 //
 // Every router hosts c = n/rn endpoints (1 on the mesh, the concentration on
 // the concentrated meshes), so the pairs whose route leaves the router at
@@ -247,11 +252,11 @@ func (m *Model) wawOneFlitFold(ctx context.Context) (f summaryFold, closed bool,
 //
 // These count ordered pairs, not the per-destination flows of the weight
 // table's OutputTotal: XPlus at (0,0) of the 4x4 mesh carries 12 pairs.
-func (m *Model) wawOneFlitTotal(plane func(mesh.Direction) []uint64) (uint64, bool) {
+func (m *Model) wawOneFlitTotal(plane func(mesh.Direction) []uint64) (hi, lo uint64) {
 	W, Ht := uint64(m.rdim.Width), uint64(m.rdim.Height)
 	n := uint64(len(m.nodes))
 	c := n / (W * Ht)
-	total, ok := addCrossings(0, 1, n, n-1) // the final +1 of every bound
+	hi, lo = addCrossings(0, 0, 1, n, n-1) // the final +1 of every bound
 	ej, xp, xm, yp, ym := plane(mesh.Local), plane(mesh.XPlus), plane(mesh.XMinus), plane(mesh.YPlus), plane(mesh.YMinus)
 	for y := uint64(0); y < Ht; y++ {
 		for x := uint64(0); x < W; x++ {
@@ -263,23 +268,24 @@ func (m *Model) wawOneFlitTotal(plane func(mesh.Direction) []uint64) (uint64, bo
 				{yp[i], c * W * (y + 1), c * (Ht - 1 - y)},
 				{ym[i], c * W * (Ht - y), c * y},
 			} {
-				if !ok {
-					return 0, false
-				}
-				total, ok = addCrossings(total, p.cost, p.src, p.dst)
+				hi, lo = addCrossings(hi, lo, p.cost, p.src, p.dst)
 			}
 		}
 	}
-	return total, ok
+	return hi, lo
 }
 
-// addCrossings returns total + cost·src·dst, and false when any step leaves
-// 64 bits or the sum exceeds maxExactSum.
-func addCrossings(total, cost, src, dst uint64) (uint64, bool) {
-	hi1, pairs := bits.Mul64(src, dst)
-	hi2, lo := bits.Mul64(cost, pairs)
-	sum, carry := bits.Add64(total, lo, 0)
-	return sum, hi1|hi2|carry == 0 && sum <= maxExactSum
+// addCrossings returns the 128-bit total (hi, lo) + cost·src·dst. It needs
+// src·dst < 2^64 and a result below 2^128, and checks neither. Both hold for
+// wawOneFlitTotal while the endpoint count n is below 2^32: a port's pairs
+// are at most n(n-1) < 2^64, and the total is the sum of n(n-1) < 2^64
+// bounds, each below 2^64 (a route's one-flit hop costs add up to less than
+// (W+Ht+1)(n+R)), so it stays below 2^128.
+func addCrossings(hi, lo, cost, src, dst uint64) (uint64, uint64) {
+	phi, plo := bits.Mul64(cost, src*dst)
+	lo, carry := bits.Add64(lo, plo, 0)
+	hi, _ = bits.Add64(hi, phi, carry)
+	return hi, lo
 }
 
 // TableIIRow is one row of Table II: the regular-design and WaW+WaP-design
