@@ -27,12 +27,14 @@
 // concentrated meshes put 2 or 4 cores behind each router. Every topology
 // that ships carries the paper's WCTT bounds.
 //
-// Weights (internal/flows). flows.WeightTableFor derives, from a topology
-// alone, the per-router (input, output) flow counts the WaW arbiters count
-// down and the analytical model divides by: the Section III closed forms of
-// the paper for the mesh, the same forms scaled by the concentration for the
-// concentrated meshes. It is the only derivation; the package's tests hold
-// every entry of it to counts traced over the topology's own routes.
+// Weights (internal/flows). flows.TurnLoad is the load rule behind the
+// per-router (input, output) flow counts the WaW arbiters count down and the
+// analytical model divides by: over the legal turns of Topology.Ports, the
+// Section III closed forms of the paper for the mesh, the same forms scaled
+// by the concentration for the concentrated meshes. It is the only
+// derivation: flows.WeightTableFor packs its counts for the simulator, the
+// analytical model sums them itself, and the package's tests hold every
+// entry to counts traced over the topology's own routes.
 //
 // Simulator (internal/flit, nic, arbiter, router, network, traffic). A NIC
 // packetizes messages straight into its injection queue (regular or WaP) and
@@ -56,10 +58,11 @@
 //
 // Analysis (internal/analysis, wcet, workload, manycore, memctrl, area).
 // analysis.Model precomputes per-router contender counts and output shares
-// from the topology and its weight table, so a WCTT bound is a route walk of
-// pure index arithmetic: a few dozen saturating integer operations
-// (bits.Mul64 / bits.Add64 clamped at 2^64-1), zero allocations, never
-// cached. Whole-mesh tables run on incremental all-pairs kernels
+// in one pass over the routers that allocates nothing per router —
+// popcounts of the legal-input masks and sums of flows.TurnLoad over them —
+// so a WCTT bound is a route walk of pure index arithmetic: a few dozen
+// saturating integer operations (bits.Mul64 / bits.Add64 clamped at
+// 2^64-1), zero allocations, never cached. Whole-mesh tables run on incremental all-pairs kernels
 // (kernel.go) that carry the exact fold state between flows sharing a route
 // prefix — destination-shared column states times one X-segment map per
 // source and turn column for the chained-blocking bound, source-major sweeps

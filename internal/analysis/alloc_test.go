@@ -1,6 +1,7 @@
 // Allocation-regression tests for the analytical fast path: the route walk,
 // the per-flow bounds and the whole one-flit Table II summary must stay at 0
-// allocs/op so the flat-indexed engine cannot silently regress to
+// allocs/op, and a model build at a constant count independent of the grid,
+// so the flat-indexed engine cannot silently regress to
 // map-and-route-materialising behaviour. Under -race the workloads still run
 // but the counts are not asserted (the instrumentation allocates), mirroring
 // the simulator's TestStepZeroAllocs* convention.
@@ -10,6 +11,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/flows"
 	"repro/internal/mesh"
 	"repro/internal/network"
 )
@@ -81,6 +83,37 @@ func TestPacketWCTTZeroAllocs(t *testing.T) {
 	}
 	if sink == 0 {
 		t.Fatal("bounds were zero; the assertions covered dead code")
+	}
+}
+
+// TestNewModelAllocs: a model is built in one pass over the routers that
+// reads its contender and output-share planes off closed forms, so it makes
+// the same few allocations — the struct, its planes, the endpoint list and
+// map, the distinct-row numbering — on any grid; per-router legal-input
+// slices (about 120 000 allocations at 64x64) would scale with the routers.
+// The simulator's weight table is likewise a constant handful.
+func TestNewModelAllocs(t *testing.T) {
+	const maxModelAllocs = 20
+	for _, spec := range []mesh.TopoSpec{{Kind: mesh.TopoMesh}, {Kind: mesh.TopoCMesh, Conc: 4}} {
+		var counts []float64
+		for _, size := range []int{8, 64} {
+			p := DefaultParams(mesh.MustDim(size, size))
+			p.Topo = spec
+			counts = append(counts, testing.AllocsPerRun(20, func() { MustNewModel(p) }))
+		}
+		t.Logf("%v: NewModel %v allocs at 8x8 and 64x64", spec, counts)
+		if !raceEnabled && (counts[0] != counts[1] || counts[1] > maxModelAllocs) {
+			t.Errorf("%v: NewModel made %v allocs at 8x8 and %v at 64x64, want the same count, at most %d", spec, counts[0], counts[1], maxModelAllocs)
+		}
+	}
+	var counts []float64
+	for _, size := range []int{2, 8, 64} {
+		topo := mesh.Plain(mesh.MustDim(size, size))
+		counts = append(counts, testing.AllocsPerRun(20, func() { flows.WeightTableFor(topo) }))
+	}
+	t.Logf("WeightTableFor: %v allocs at 2x2, 8x8 and 64x64", counts)
+	if !raceEnabled && (counts[0] != counts[1] || counts[1] != counts[2]) {
+		t.Errorf("WeightTableFor made %v allocs at 2x2, 8x8 and 64x64, want one constant", counts)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 //
 //	go test -run xxx -bench 'BenchmarkSummary|BenchmarkWCETMapUBD' -benchtime 5x ./internal/analysis/
 //	go test -run xxx -bench BenchmarkSummary64 -cpu 1,2,4 -benchtime 20x ./internal/analysis/
+//	go test -run xxx -bench BenchmarkNewModel ./internal/analysis/
 
 // BenchmarkSummary is one Table II row (both one-flit summaries): kernel
 // builds the model and runs SummarizeOneFlitWCTT (the all-pairs kernels for
@@ -45,6 +46,24 @@ func BenchmarkSummary(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkNewModel is the cold model build every analytical scenario
+// starts from: the contender and output-share planes, the endpoint map and
+// the distinct X rows, per grid size and topology.
+func BenchmarkNewModel(b *testing.B) {
+	for _, topo := range []string{"mesh", "cmesh4"} {
+		for _, size := range []int{16, 32, 48, 64} {
+			p := DefaultParams(mesh.MustDim(size, size))
+			p.Topo, _ = mesh.ParseTopology(topo)
+			b.Run(fmt.Sprintf("%s/%dx%d", topo, size, size), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					MustNewModel(p)
+				}
+			})
+		}
 	}
 }
 

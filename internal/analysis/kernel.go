@@ -100,6 +100,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -230,14 +231,16 @@ func (m *Model) regularXMaps(A, B []uint64, stride, y, dx int, S, L uint64) {
 // maps built from reps[k], the first of them.
 func (m *Model) distinctXRows() (rows []int32, reps []int) {
 	W := m.rdim.Width
-	seen := map[string]int32{}
+	plus, minus := m.contender[mesh.XPlus], m.contender[mesh.XMinus]
 	rows = make([]int32, m.rdim.Height)
 	for y := range rows {
-		key := fmt.Sprint(m.contender[mesh.XPlus][y*W:][:W], m.contender[mesh.XMinus][y*W:][:W])
-		if _, ok := seen[key]; !ok {
-			seen[key], reps = int32(len(reps)), append(reps, y)
+		k := slices.IndexFunc(reps, func(r int) bool {
+			return slices.Equal(plus[r*W:][:W], plus[y*W:][:W]) && slices.Equal(minus[r*W:][:W], minus[y*W:][:W])
+		})
+		if k < 0 {
+			k, reps = len(reps), append(reps, y)
 		}
-		rows[y] = seen[key]
+		rows[y] = int32(k)
 	}
 	return rows, reps
 }

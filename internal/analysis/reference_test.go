@@ -17,10 +17,10 @@ import (
 // enumerate dimension-ordered routes straight from the geometry over
 // precomputed per-router-index arrays, while the reference walks the hops
 // Topology.Walk visits (routeHops) and recomputes contender counts and output
-// shares per hop from first principles (the topology's legal-input table and
-// the weight table). The equivalence tests pin the two bit-identical across
-// meshes, designs and packet shapes, so the walk can never silently drift
-// from the model the paper defines. The reference bounds compute on the
+// shares per hop from first principles (the turn rules over the neighbours
+// that exist, and the weight table). The equivalence tests pin the two
+// bit-identical across meshes, designs and packet shapes, so the walk can
+// never silently drift from the model the paper defines. The reference bounds compute on the
 // divide-based saturating primitives below, so those comparisons also pin the
 // production bits.Mul64/bits.Add64 primitives along whole routes.
 
@@ -56,6 +56,25 @@ func (m *Model) routeHops(src, dst mesh.Node) ([]mesh.Hop, error) {
 	return hops, err
 }
 
+// contenders is the turn-rule derivation of the contender count c(n, out),
+// the oracle of the model's contender planes: the input ports of router n
+// whose upstream neighbour exists (Local always does) and that LegalTurn lets
+// reach out, less the Local->Local pair where a router serves a single
+// endpoint, and at least 1.
+func (m *Model) contenders(n mesh.Node, out mesh.Direction) int {
+	c := 0
+	for _, in := range mesh.Directions {
+		// The input port named in faces the neighbour in direction in.Opposite().
+		if _, ok := m.topo.Neighbor(n, in.Opposite()); (ok || in == mesh.Local) && mesh.LegalTurn(in, out) {
+			c++
+		}
+	}
+	if out == mesh.Local && m.topo.LocalPairLoad() == 0 {
+		c-- // a node does not send to itself
+	}
+	return max(1, c)
+}
+
 // ReferenceRegularPacketWCTT is the route-materialising implementation of
 // RegularPacketWCTT, kept as the naive reference for equivalence testing.
 func (m *Model) ReferenceRegularPacketWCTT(src, dst mesh.Node, packetFlits, contenderFlits int) (uint64, error) {
@@ -89,8 +108,8 @@ func (m *Model) ReferenceRegularPacketWCTT(src, dst mesh.Node, packetFlits, cont
 }
 
 // referenceTable remembers the weight table of the model the reference bounds
-// were last asked about: a Model lets go of its table once its output shares
-// are derived, and the reference reads the shares from the table itself.
+// were last asked about: a Model holds no weight table (it reads its output
+// shares off flows.TurnLoad), and the reference reads them from the table.
 var referenceTable struct {
 	sync.Mutex
 	m  *Model

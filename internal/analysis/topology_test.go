@@ -4,9 +4,52 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/flows"
 	"repro/internal/mesh"
 	"repro/internal/network"
 )
+
+// TestModelPlanesMatchOracle: every contender and output-share entry of a
+// model equals the derivation the planes replaced — the count of LegalTurn
+// inputs whose upstream neighbour exists (contenders, reference_test.go) and
+// max(1, OutputTotal) of the simulator's WaW weight table — on the mesh and
+// both concentrated meshes, for every endpoint grid from 1x1 to 16x16 the
+// topology tiles, rectangular ones included.
+func TestModelPlanesMatchOracle(t *testing.T) {
+	for _, spec := range []mesh.TopoSpec{
+		{Kind: mesh.TopoMesh},
+		{Kind: mesh.TopoCMesh, Conc: 2},
+		{Kind: mesh.TopoCMesh, Conc: 4},
+	} {
+		grids := 0
+		for w := 1; w <= 16; w++ {
+			for h := 1; h <= 16; h++ {
+				p := DefaultParams(mesh.MustDim(w, h))
+				p.Topo = spec
+				m, err := NewModel(p)
+				if err != nil {
+					continue // the concentration does not tile this grid
+				}
+				grids++
+				wt := flows.WeightTableFor(m.topo)
+				for idx, n := range m.rdim.AllNodes() {
+					for _, out := range mesh.Directions {
+						if got, want := m.contender[out][idx], uint64(m.contenders(n, out)); got != want {
+							t.Errorf("%v %dx%d router %v output %v: contenders %d, oracle %d", spec, w, h, n, out, got, want)
+						}
+						if got, want := m.outShare[out][idx], max(1, uint64(wt.CountsAt(idx).OutputTotal[out])); got != want {
+							t.Errorf("%v %dx%d router %v output %v: output share %d, weight table %d", spec, w, h, n, out, got, want)
+						}
+					}
+				}
+			}
+		}
+		// A block of c cores tiles 256/c of the 256 grids.
+		if want := 256 / spec.MustBuild(mesh.MustDim(4, 4)).LocalEndpoints(); grids != want {
+			t.Errorf("%v: %d grids built, want %d", spec, grids, want)
+		}
+	}
+}
 
 // TestCMeshPacketWCTTMatchesReference pins the flat-index fast walks to the
 // route-materialising reference implementation on the concentrated meshes:

@@ -118,12 +118,13 @@ func (p Params) Validate() error {
 // per-destination-normalised output share O(n, out) of the guaranteed-
 // bandwidth model — into flat per-node-index arrays, so the bound functions
 // walk XY routes with pure arithmetic: no maps, no route materialisation, no
-// heap allocations. A Model is immutable after construction and safe for
-// concurrent use. It owns everything it reads — the arrays below are built
-// for it, not shared with another model, and the WaW weight table they are
-// derived from is let go once outShare is filled — so dropping the model
-// frees all of it; sharing models is the scenario layer's bounded model
-// cache, nothing below it.
+// heap allocations. Construction itself is one pass over the routers that
+// reads both arrays off the closed forms of each router's position
+// (Topology.Ports and flows.TurnLoad), allocating nothing per router.
+// A Model is immutable after construction and safe for concurrent use. It
+// owns everything it reads — the arrays below are built for it, not shared
+// with another model — so dropping the model frees all of it; sharing models
+// is the scenario layer's bounded model cache, nothing below it.
 type Model struct {
 	p     Params
 	nodes []mesh.Node // the endpoint grid in index order
@@ -171,16 +172,31 @@ func NewModel(p Params) (*Model, error) {
 		topo:  topo,
 		rdim:  rdim,
 	}
-	weights := flows.WeightTableFor(topo)
 	for _, out := range mesh.Directions {
 		m.contender[out] = make([]uint64, rdim.Nodes())
 		m.outShare[out] = make([]uint64, rdim.Nodes())
 	}
-	for idx, n := range rdim.AllNodes() {
-		counts := weights.CountsAt(idx)
-		for _, out := range mesh.Directions {
-			m.contender[out][idx] = uint64(m.contenders(n, out))
-			m.outShare[out][idx] = max(1, uint64(counts.OutputTotal[out]))
+	for idx := range rdim.Nodes() {
+		n := rdim.NodeAt(idx)
+		loads := topo.InputLoads(n)
+		legal, outputs := topo.Ports(n)
+		for out, ins := range legal {
+			// The contenders of assumption (2) are the inputs that may
+			// request out. The degenerate Local->Local pair is excluded
+			// where a router serves a single endpoint, which never sends
+			// to itself; with several endpoints per router (the
+			// concentrated mesh) the Local input does carry traffic
+			// towards local destinations. The output share sums the same
+			// inputs' loads, the weight table's OutputTotal.
+			c, o := bits.OnesCount8(ins), 0
+			if out == int(mesh.Local) && topo.LocalPairLoad() == 0 {
+				c--
+			}
+			for ; ins != 0 && outputs&(1<<out) != 0; ins &= ins - 1 {
+				o += flows.TurnLoad(topo, &loads, mesh.Direction(bits.TrailingZeros8(ins)), mesh.Direction(out))
+			}
+			m.contender[out][idx] = uint64(max(1, c))
+			m.outShare[out][idx] = uint64(max(1, o))
 		}
 	}
 	m.epRouter = make([]int32, len(m.nodes))
@@ -202,25 +218,6 @@ func MustNewModel(p Params) *Model {
 
 // Params returns the model parameters.
 func (m *Model) Params() Params { return m.p }
-
-// contenders returns the number of input ports of the router at router-grid
-// node n that can legally request output out under dimension-ordered routing
-// (the worst-case contender count of assumption (2)). The degenerate
-// Local->Local pair is excluded on topologies where a router serves a single
-// endpoint; with several endpoints per router (the concentrated mesh) the
-// Local input does carry traffic towards local destinations and stays a
-// contender of the ejection port.
-func (m *Model) contenders(n mesh.Node, out mesh.Direction) int {
-	ins := mesh.LegalInputsForTopo(m.topo, n, out)
-	c := len(ins)
-	if out == mesh.Local && m.topo.LocalPairLoad() == 0 {
-		c-- // a node does not send to itself
-	}
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
 
 // saturatingMul multiplies two uint64 values, clamping the product to
 // MaxUint64: one widening multiply and a test of the high word — no divide,

@@ -10,7 +10,7 @@ import (
 // This file is the route-tracing oracle of the closed forms: explicit flow
 // sets between the endpoints of a topology, traced hop by hop over
 // Topology.Walk. It knows nothing of the Section III equations or of
-// InputLoads, so agreeing with topoCountsInto is evidence, not tautology —
+// InputLoads, so agreeing with countsFor is evidence, not tautology —
 // for the mesh, whose forms the paper proves, and for the concentrated
 // meshes, whose forms are this repository's extension and carry no proof.
 
@@ -228,7 +228,7 @@ func canonicalDestination(t mesh.Topology, n mesh.Node, out mesh.Direction) (mes
 // TestClosedFormMatchesTraced is the oracle run: on the mesh and both
 // concentrated meshes, for every router of every endpoint grid from 2x2 to
 // 8x8 the topology admits (rectangular ones included), every entry and every
-// output total of topoCountsInto must equal the traced count.
+// output total of countsFor must equal the traced count.
 func TestClosedFormMatchesTraced(t *testing.T) {
 	specs := []mesh.TopoSpec{
 		{Kind: mesh.TopoMesh},
@@ -245,9 +245,7 @@ func TestClosedFormMatchesTraced(t *testing.T) {
 				}
 				grids++
 				for _, n := range topo.RouterDim().AllNodes() {
-					var cf PortCounts
-					topoCountsInto(topo, n, &cf)
-					if tr := TracedCounts(topo, n); cf != *tr {
+					if cf, tr := countsFor(topo, n), TracedCounts(topo, n); cf != *tr {
 						t.Errorf("%v %dx%d router %v:\n closed form %+v\n traced      %+v", topo, w, h, n, cf, *tr)
 					}
 				}

@@ -2,6 +2,7 @@ package flows
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/mesh"
@@ -81,68 +82,48 @@ func ClosedFormCounts(d mesh.Dim, n mesh.Node) *PortCounts {
 	if !d.Contains(n) {
 		panic(fmt.Sprintf("flows: node %v outside %v mesh", n, d))
 	}
-	pc := &PortCounts{}
-	topoCountsInto(mesh.Plain(d), n, pc)
+	pc := countsFor(mesh.Plain(d), n)
+	return &pc
+}
+
+// countsFor returns the closed-form counts of the router at node n of
+// topology t without allocating: every legal turn into an output that exists
+// (Topology.Ports) carries its TurnLoad. The package tests check every entry
+// against counts traced over the topology's own routes.
+func countsFor(t mesh.Topology, n mesh.Node) PortCounts {
+	inLoads := t.InputLoads(n)
+	legal, outputs := t.Ports(n)
+	pc := PortCounts{Node: n}
+	for out, ins := range legal {
+		if outputs&(1<<out) == 0 {
+			continue
+		}
+		for ; ins != 0; ins &= ins - 1 {
+			in := bits.TrailingZeros8(ins)
+			cnt := TurnLoad(t, &inLoads, mesh.Direction(in), mesh.Direction(out))
+			pc.InputsPerOutput[out][in] = cnt
+			pc.OutputTotal[out] += cnt
+		}
+	}
 	return pc
 }
 
-// topoCountsInto fills pc with the closed-form counts of the router at node n
-// of topology t, writing straight into the caller's slot (a WeightTable's
-// flat per-node slice) instead of allocating per router: the Section III XY
-// turn-count dispatch, with the per-input loads, port existence and the
-// Local→Local fan-out supplied by the topology (InputLoads holds the paper's
-// mesh forms scaled by the concentration, which is 1 on the mesh). The
-// package tests check every entry against counts traced over the topology's
-// own routes.
-func topoCountsInto(t mesh.Topology, n mesh.Node, pc *PortCounts) {
-	inCount := t.InputLoads(n)
-	*pc = PortCounts{Node: n}
-	for _, out := range mesh.Directions {
-		if !t.HasOutput(n, out) {
-			continue
-		}
-		for _, in := range mesh.LegalInputsForTopo(t, n, out) {
-			// U-turns never occur. Guarded to link ports: Local is its own
-			// Opposite, and the Local→Local ejection turn (co-located cmesh
-			// cores) is a real flow, not a U-turn.
-			if in != mesh.Local && in == out.Opposite() {
-				continue
-			}
-			cnt := 0
-			switch {
-			case out == mesh.Local:
-				// Flows terminating here: every input contributes its own
-				// count; the Local input contributes only when several
-				// endpoints share the router (the cmesh Local→Local turn).
-				if in == mesh.Local {
-					cnt = t.LocalPairLoad()
-				} else {
-					cnt = inCount[in]
-				}
-			case out.IsX():
-				// Only flows already travelling in the same X direction (or
-				// injected locally) may use an X output under dimension order.
-				if in == out {
-					cnt = inCount[in]
-				} else if in == mesh.Local {
-					cnt = inCount[mesh.Local]
-				}
-			case out.IsY():
-				// Flows travelling in the same Y direction continue; flows
-				// arriving on either X input turn into the column here; the
-				// local endpoints inject their own flows.
-				if in == out || in.IsX() {
-					cnt = inCount[in]
-				} else if in == mesh.Local {
-					cnt = inCount[mesh.Local]
-				}
-			}
-			if cnt > 0 {
-				pc.InputsPerOutput[out][in] = cnt
-				pc.OutputTotal[out] += cnt
-			}
-		}
+// TurnLoad is the Section III load rule, the one place it is applied (by
+// countsFor and by the analytical model's output shares): the
+// per-destination flow count a legal turn in→out carries at a router whose
+// inputs carry inLoads (Topology.InputLoads: the paper's mesh forms scaled
+// by the concentration, which is 1 on the mesh). Under XY routing the flows
+// an input carries towards any one destination reachable through out all
+// take out — X outputs take the same-direction flows and the local
+// injections, Y outputs also the flows turning in from either X input, the
+// ejection port every arrival — so the turn carries the input's whole load.
+// The exception is the Local→Local turn, which carries the flows of the
+// other cores sharing the router (Topology.LocalPairLoad, 0 on the mesh).
+func TurnLoad(t mesh.Topology, inLoads *[mesh.NumDirections]int, in, out mesh.Direction) int {
+	if in == mesh.Local && out == mesh.Local {
+		return t.LocalPairLoad()
 	}
+	return inLoads[in]
 }
 
 // WeightTable is the full static WaW weight configuration of a mesh: one
@@ -161,15 +142,15 @@ func ComputeWeightTable(d mesh.Dim) *WeightTable {
 
 // WeightTableFor precomputes the WaW weights for every router of the
 // topology: the table is indexed by the topology's router grid and each
-// router's counts come from the closed forms (topoCountsInto). The weights
+// router's counts come from the closed forms (countsFor). The weights
 // depend only on the topology and its routing algorithm, never on the
 // running applications, which preserves time composability. The caller owns
 // the table.
 func WeightTableFor(t mesh.Topology) *WeightTable {
 	rd := t.RouterDim()
 	wt := &WeightTable{Dim: rd, perNode: make([]PortCounts, rd.Nodes())}
-	for i, n := range rd.AllNodes() {
-		topoCountsInto(t, n, &wt.perNode[i])
+	for i := range wt.perNode {
+		wt.perNode[i] = countsFor(t, rd.NodeAt(i))
 	}
 	return wt
 }

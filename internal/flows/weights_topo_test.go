@@ -76,8 +76,7 @@ func TestCMeshCountsScaleMeshCounts(t *testing.T) {
 	rd := topo.RouterDim()
 	conc := 4
 	for _, n := range rd.AllNodes() {
-		var got PortCounts
-		topoCountsInto(topo, n, &got)
+		got := countsFor(topo, n)
 		meshPC := ClosedFormCounts(rd, n)
 		for _, out := range mesh.Directions {
 			for _, in := range mesh.Directions {

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -363,46 +364,82 @@ func TestLegalTurn(t *testing.T) {
 	}
 }
 
+// legalSet lists the inputs of a legal-input mask in Directions order.
+func legalSet(mask uint8) []Direction {
+	var ins []Direction
+	for _, in := range Directions {
+		if mask&(1<<in) != 0 {
+			ins = append(ins, in)
+		}
+	}
+	return ins
+}
+
 func TestLegalInputsForInterior(t *testing.T) {
-	d := MustDim(4, 4)
-	n := Node{1, 1} // interior node, all neighbours exist
-	// Output Y+ can be fed by X+, X-, Y+ (continuing) and Local = 4 inputs.
-	inputs := LegalInputsForTopo(Plain(d), n, YPlus)
-	if len(inputs) != 4 {
-		t.Errorf("interior Y+ inputs = %v, want 4 ports", inputs)
-	}
-	// Output X+ can be fed by X+ (continuing) and Local only = 2 inputs.
-	inputs = LegalInputsForTopo(Plain(d), n, XPlus)
-	if len(inputs) != 2 {
-		t.Errorf("interior X+ inputs = %v, want 2 ports", inputs)
-	}
-	// Output Local can be fed by all four network inputs plus Local = 5.
-	inputs = LegalInputsForTopo(Plain(d), n, Local)
-	if len(inputs) != 5 {
-		t.Errorf("interior Local inputs = %v, want 5 ports", inputs)
+	legal, _ := Plain(MustDim(4, 4)).Ports(Node{1, 1}) // interior node, all neighbours exist
+	for _, c := range []struct {
+		out  Direction
+		want []Direction
+	}{
+		// Output Y+ can be fed by X+, X-, Y+ (continuing) and Local.
+		{YPlus, []Direction{XPlus, XMinus, YPlus, Local}},
+		// Output X+ can be fed by X+ (continuing) and Local only.
+		{XPlus, []Direction{XPlus, Local}},
+		// Output Local can be fed by all four network inputs plus Local.
+		{Local, []Direction{XPlus, XMinus, YPlus, YMinus, Local}},
+	} {
+		if got := legalSet(legal[c.out]); !slices.Equal(got, c.want) {
+			t.Errorf("interior %v inputs = %v, want %v", c.out, got, c.want)
+		}
 	}
 }
 
 func TestLegalInputsForBoundary(t *testing.T) {
-	d := MustDim(4, 4)
+	topo := Plain(MustDim(4, 4))
 	// Top-left corner (0,0): no X+ input (no west neighbour), no Y+ input
-	// (no north neighbour).
-	inputs := LegalInputsForTopo(Plain(d), Node{0, 0}, Local)
-	// Existing inputs: X- (from east neighbour), Y- (from south neighbour), Local.
-	if len(inputs) != 3 {
-		t.Errorf("corner Local inputs = %v, want 3", inputs)
+	// (no north neighbour). Existing inputs: X- (from east neighbour), Y-
+	// (from south neighbour), Local.
+	legal, _ := topo.Ports(Node{0, 0})
+	if got, want := legalSet(legal[Local]), []Direction{XMinus, YMinus, Local}; !slices.Equal(got, want) {
+		t.Errorf("corner Local inputs = %v, want %v", got, want)
 	}
 	// Column 0 node (0,2): output Y- can be fed by X- (flits travelling
-	// westwards turning... X- to Y- is legal), Y- (continuing) and Local.
-	// The X+ input does not exist because there is no west neighbour.
-	inputs = LegalInputsForTopo(Plain(d), Node{0, 2}, YMinus)
-	want := map[Direction]bool{XMinus: true, YMinus: true, Local: true}
-	if len(inputs) != len(want) {
-		t.Errorf("column-0 Y- inputs = %v, want %v", inputs, want)
+	// westwards turning), Y- (continuing) and Local. The X+ input does not
+	// exist because there is no west neighbour.
+	legal, _ = topo.Ports(Node{0, 2})
+	if got, want := legalSet(legal[YMinus]), []Direction{XMinus, YMinus, Local}; !slices.Equal(got, want) {
+		t.Errorf("column-0 Y- inputs = %v, want %v", got, want)
 	}
-	for _, in := range inputs {
-		if !want[in] {
-			t.Errorf("unexpected input %v in %v", in, inputs)
+}
+
+// TestPortsMatchTurnRules: on every router of several grids and
+// concentrations, legal[out] holds exactly the inputs LegalTurn lets reach
+// out whose upstream neighbour exists (Local always does), and the output
+// mask exactly the outputs OutputExists reports.
+func TestPortsMatchTurnRules(t *testing.T) {
+	for _, spec := range []TopoSpec{{}, {Kind: TopoCMesh, Conc: 2}, {Kind: TopoCMesh, Conc: 4}} {
+		for _, ep := range []Dim{MustDim(1, 1), MustDim(4, 4), MustDim(8, 2), MustDim(2, 6)} {
+			topo, err := spec.Build(ep)
+			if err != nil {
+				continue // the concentration does not tile this grid
+			}
+			for _, r := range topo.RouterDim().AllNodes() {
+				legal, outputs := topo.Ports(r)
+				for _, d := range Directions {
+					var want uint8
+					for _, in := range Directions {
+						if _, ok := topo.Neighbor(r, in.Opposite()); (ok || in == Local) && LegalTurn(in, d) {
+							want |= 1 << in
+						}
+					}
+					if legal[d] != want {
+						t.Errorf("%v %v router %v output %v: legal inputs %05b, want %05b", spec, ep, r, d, legal[d], want)
+					}
+					if has := outputs&(1<<d) != 0; has != OutputExists(topo.RouterDim(), r, d) {
+						t.Errorf("%v %v router %v: output %v in mask %v, OutputExists %v", spec, ep, r, d, has, !has)
+					}
+				}
+			}
 		}
 	}
 }

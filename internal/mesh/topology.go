@@ -247,29 +247,45 @@ func (t Topology) InputLoads(r Node) [NumDirections]int {
 // through it (0 on the mesh, where a node never sends to itself).
 func (t Topology) LocalPairLoad() int { return t.LocalEndpoints() - 1 }
 
-// LegalInputsForTopo returns the input ports of router r that physically
-// exist (their upstream neighbour exists) and may legally feed output out
-// under the dimension-ordered turn rules; the flow's own Local port is
-// included when legal. This is the contender set `c` of the chained-blocking
-// WCTT analysis: the input ports that may request a given output port.
-func LegalInputsForTopo(t Topology, r Node, out Direction) []Direction {
-	var inputs []Direction
-	for _, in := range Directions {
-		if in == Local {
+// legalInputMask[out] has bit in set when LegalTurn(in, out): the inputs
+// dimension-ordered routing lets reach output out, wherever the router sits.
+var legalInputMask = func() (m [NumDirections]uint8) {
+	for _, out := range Directions {
+		for _, in := range Directions {
 			if LegalTurn(in, out) {
-				inputs = append(inputs, in)
+				m[out] |= 1 << in
 			}
-			continue
-		}
-		// The input port named `in` carries flits travelling in direction
-		// `in`, arriving from the neighbour in the opposite direction; the
-		// port exists only when that neighbour link does.
-		if _, ok := t.Neighbor(r, in.Opposite()); !ok {
-			continue
-		}
-		if LegalTurn(in, out) {
-			inputs = append(inputs, in)
 		}
 	}
-	return inputs
+	return m
+}()
+
+// Ports returns the ports of router r as bitmasks with bit d set for port d,
+// read off r's position without allocating: outputs holds the outputs that
+// lead to a neighbour, plus Local (what HasOutput answers port by port), and
+// legal[out] the inputs that exist and may feed output out under the
+// dimension-ordered turn rules, Local included when legal. The input port
+// named in carries flits travelling in direction in, so it exists where
+// output in.Opposite() does. The popcount of legal[out] is the contender set
+// `c` of the chained-blocking WCTT analysis.
+func (t Topology) Ports(r Node) (legal [NumDirections]uint8, outputs uint8) {
+	rd := t.RouterDim()
+	inputs := uint8(1) << Local
+	outputs = inputs
+	if r.X > 0 {
+		inputs, outputs = inputs|1<<XPlus, outputs|1<<XMinus
+	}
+	if r.X < rd.Width-1 {
+		inputs, outputs = inputs|1<<XMinus, outputs|1<<XPlus
+	}
+	if r.Y > 0 {
+		inputs, outputs = inputs|1<<YPlus, outputs|1<<YMinus
+	}
+	if r.Y < rd.Height-1 {
+		inputs, outputs = inputs|1<<YMinus, outputs|1<<YPlus
+	}
+	for out, mask := range legalInputMask {
+		legal[out] = inputs & mask
+	}
+	return legal, outputs
 }
