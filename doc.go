@@ -36,12 +36,15 @@
 // analytical model sums them itself, and the package's tests hold every
 // entry to counts traced over the topology's own routes.
 //
-// Simulator (internal/flit, nic, arbiter, router, network, traffic). A NIC
-// packetizes messages straight into its injection queue (regular or WaP) and
-// reassembles what its router ejects; a router keeps its input FIFOs as fixed
-// rings with a one-byte head-of-line record per buffered flit and a request
-// mask per output, granted by bitmask arbiters (round-robin or WaW) held
-// inside the Router struct. Network.Step is an active-set engine: it visits
+// Simulator (internal/flit, nic, arbiter, router, network, traffic). The
+// design point (network.Design) is the simulator's only policy input:
+// arbitration and packetization are read from it. A NIC packetizes messages
+// straight into its injection queue (regular or WaP) and reassembles what its
+// router ejects for every endpoint attached to that router; a router keeps
+// its input FIFOs as fixed rings with a one-byte head-of-line record per
+// buffered flit and a request mask per output, granted by bitmask arbiters
+// held inside the Router struct — WaW when it was built with port counts,
+// round-robin otherwise. Network.Step is an active-set engine: it visits
 // only routers holding flits and NICs with pending flits, tracks the WaW
 // replenishment a sleeping router still owes lazily, and — because the active
 // set empties the moment no flit exists anywhere — lets Run, RunUntilDrained

@@ -8,7 +8,9 @@
 // most one winner and updates its internal state. Both arbiters are
 // deterministic and therefore time-analyzable, and both are pointer-free
 // structs of a few bytes, so a router holds its arbiters inside its own
-// struct and calls them on their concrete types.
+// struct and calls them on their concrete types. Which one a router uses is
+// not configured here: it follows the design point (network.Design), and a
+// router built with WaW port counts arbitrates with Weighted.
 package arbiter
 
 import (
@@ -286,49 +288,4 @@ func (a *Weighted) largest(requests uint8) (best int32, tied uint8) {
 		}
 	}
 	return best, tied
-}
-
-// Kind identifies an arbitration policy for configuration purposes.
-type Kind int
-
-const (
-	// KindRoundRobin selects the regular round-robin arbiter.
-	KindRoundRobin Kind = iota
-	// KindWeighted selects the WaW weighted round-robin arbiter.
-	KindWeighted
-)
-
-// String names the arbitration policy.
-func (k Kind) String() string {
-	switch k {
-	case KindRoundRobin:
-		return "round-robin"
-	case KindWeighted:
-		return "WaW"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
-// New builds an arbiter of the given kind over n inputs. For KindWeighted the
-// per-input weights must be supplied; for KindRoundRobin they are ignored.
-func New(kind Kind, n int, weights []int) (Arbiter, error) {
-	if kind != KindRoundRobin && kind != KindWeighted {
-		return nil, fmt.Errorf("arbiter: unknown kind %v", kind)
-	}
-	if n <= 0 || n > MaxInputs {
-		return nil, fmt.Errorf("arbiter: need 1..%d inputs, got %d", MaxInputs, n)
-	}
-	if kind == KindRoundRobin {
-		return NewRoundRobin(n), nil
-	}
-	if len(weights) != n {
-		return nil, fmt.Errorf("arbiter: weighted arbiter over %d inputs needs %d weights, got %d", n, n, len(weights))
-	}
-	for i, w := range weights {
-		if w < 0 || w > math.MaxInt32 {
-			return nil, fmt.Errorf("arbiter: weight %d for input %d outside [0, %d]", w, i, math.MaxInt32)
-		}
-	}
-	return NewWeighted(weights), nil
 }

@@ -343,44 +343,6 @@ func TestWeightedNumInputs(t *testing.T) {
 	}
 }
 
-func TestKindString(t *testing.T) {
-	if KindRoundRobin.String() != "round-robin" || KindWeighted.String() != "WaW" {
-		t.Error("Kind.String mismatch")
-	}
-	if Kind(9).String() != "Kind(9)" {
-		t.Error("unknown kind string")
-	}
-}
-
-func TestNewFactory(t *testing.T) {
-	a, err := New(KindRoundRobin, 3, nil)
-	if err != nil {
-		t.Fatalf("New round-robin: %v", err)
-	}
-	if _, ok := a.(*RoundRobin); !ok {
-		t.Error("expected *RoundRobin")
-	}
-	a, err = New(KindWeighted, 2, []int{1, 2})
-	if err != nil {
-		t.Fatalf("New weighted: %v", err)
-	}
-	if _, ok := a.(*Weighted); !ok {
-		t.Error("expected *Weighted")
-	}
-	if _, err := New(KindWeighted, 2, []int{1}); err == nil {
-		t.Error("mismatched weight count should fail")
-	}
-	if _, err := New(KindWeighted, 2, []int{1, -1}); err == nil {
-		t.Error("negative weight should fail")
-	}
-	if _, err := New(KindRoundRobin, 0, nil); err == nil {
-		t.Error("zero inputs should fail")
-	}
-	if _, err := New(Kind(99), 2, nil); err == nil {
-		t.Error("unknown kind should fail")
-	}
-}
-
 func min(a, b int) int {
 	if a < b {
 		return a

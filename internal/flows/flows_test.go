@@ -10,7 +10,8 @@ import (
 
 func TestAllToOne(t *testing.T) {
 	dst := mesh.Node{X: 0, Y: 0}
-	s := AllToOne(mesh.Plain(mesh.MustDim(4, 4)), dst)
+	d := mesh.MustDim(4, 4)
+	s := AllToOne(mesh.Plain(d), d, dst)
 	if s.Len() != 15 {
 		t.Fatalf("all-to-one flow count = %d, want 15", s.Len())
 	}
@@ -29,7 +30,8 @@ func TestAllToOne(t *testing.T) {
 
 func TestOneToAll(t *testing.T) {
 	src := mesh.Node{X: 1, Y: 1}
-	s := OneToAll(mesh.Plain(mesh.MustDim(3, 3)), src)
+	d := mesh.MustDim(3, 3)
+	s := OneToAll(mesh.Plain(d), d, src)
 	if s.Len() != 8 {
 		t.Fatalf("one-to-all flow count = %d, want 8", s.Len())
 	}
@@ -41,7 +43,8 @@ func TestOneToAll(t *testing.T) {
 }
 
 func TestAllToAll(t *testing.T) {
-	s := AllToAll(mesh.Plain(mesh.MustDim(3, 2)))
+	d := mesh.MustDim(3, 2)
+	s := AllToAll(mesh.Plain(d), d)
 	want := 6 * 5
 	if s.Len() != want {
 		t.Fatalf("all-to-all flow count = %d, want %d", s.Len(), want)
@@ -56,17 +59,17 @@ func TestAllToAll(t *testing.T) {
 }
 
 func TestCustomValidation(t *testing.T) {
-	d := mesh.Plain(mesh.MustDim(2, 2))
-	if _, err := Custom(d, []Flow{{Src: mesh.Node{X: 0, Y: 0}, Dst: mesh.Node{X: 1, Y: 1}}}); err != nil {
+	d := mesh.MustDim(2, 2)
+	if _, err := Custom(mesh.Plain(d), d, []Flow{{Src: mesh.Node{X: 0, Y: 0}, Dst: mesh.Node{X: 1, Y: 1}}}); err != nil {
 		t.Errorf("valid custom set rejected: %v", err)
 	}
-	if _, err := Custom(d, []Flow{{Src: mesh.Node{X: 5, Y: 0}, Dst: mesh.Node{X: 0, Y: 0}}}); err == nil {
+	if _, err := Custom(mesh.Plain(d), d, []Flow{{Src: mesh.Node{X: 5, Y: 0}, Dst: mesh.Node{X: 0, Y: 0}}}); err == nil {
 		t.Error("source outside mesh should be rejected")
 	}
-	if _, err := Custom(d, []Flow{{Src: mesh.Node{X: 0, Y: 0}, Dst: mesh.Node{X: 3, Y: 0}}}); err == nil {
+	if _, err := Custom(mesh.Plain(d), d, []Flow{{Src: mesh.Node{X: 0, Y: 0}, Dst: mesh.Node{X: 3, Y: 0}}}); err == nil {
 		t.Error("destination outside mesh should be rejected")
 	}
-	if _, err := Custom(d, []Flow{{Src: mesh.Node{X: 1, Y: 1}, Dst: mesh.Node{X: 1, Y: 1}}}); err == nil {
+	if _, err := Custom(mesh.Plain(d), d, []Flow{{Src: mesh.Node{X: 1, Y: 1}, Dst: mesh.Node{X: 1, Y: 1}}}); err == nil {
 		t.Error("self flow should be rejected")
 	}
 }
@@ -76,7 +79,8 @@ func TestAnalyzeAllToOne2x2(t *testing.T) {
 	// 2x2 mesh. The destination router must see 1 flow on its X+ input,
 	// 2 flows on its Y+ input and 3 flows on its PME output.
 	dst := mesh.Node{X: 1, Y: 1}
-	a := MustAnalyze(AllToOne(mesh.Plain(mesh.MustDim(2, 2)), dst))
+	d := mesh.MustDim(2, 2)
+	a := MustAnalyze(AllToOne(mesh.Plain(d), d, dst))
 	rc := a.Counts(dst)
 	if got := rc.PerPair[mesh.Local][mesh.XPlus]; got != 1 {
 		t.Errorf("X+ -> PME flows = %d, want 1", got)
@@ -100,7 +104,8 @@ func TestAnalyzeAllToOne2x2(t *testing.T) {
 }
 
 func TestAnalyzeRouteCoverage(t *testing.T) {
-	s := AllToOne(mesh.Plain(mesh.MustDim(4, 4)), mesh.Node{X: 0, Y: 0})
+	d := mesh.MustDim(4, 4)
+	s := AllToOne(mesh.Plain(d), d, mesh.Node{X: 0, Y: 0})
 	a := MustAnalyze(s)
 	if len(a.Routes) != s.Len() {
 		t.Fatalf("analysed %d routes, want %d", len(a.Routes), s.Len())
@@ -124,7 +129,7 @@ func TestAnalyzeRouteCoverage(t *testing.T) {
 // equals the number of flows terminating at that node.
 func TestAnalyzeConservation(t *testing.T) {
 	d := mesh.MustDim(5, 4)
-	a := MustAnalyze(AllToAll(mesh.Plain(d)))
+	a := MustAnalyze(AllToAll(mesh.Plain(d), d))
 	terminating := make(map[mesh.Node]int)
 	for _, f := range a.Set.Flows {
 		terminating[f.Dst]++
@@ -149,8 +154,8 @@ func TestAnalyzeConservation(t *testing.T) {
 }
 
 func TestAnalyzeRejectsInvalidSet(t *testing.T) {
-	d := mesh.Plain(mesh.MustDim(2, 2))
-	s := &Set{Topo: d, Flows: []Flow{{Src: mesh.Node{X: 9, Y: 9}, Dst: mesh.Node{X: 0, Y: 0}}}}
+	d := mesh.MustDim(2, 2)
+	s := &Set{Topo: mesh.Plain(d), Dim: d, Flows: []Flow{{Src: mesh.Node{X: 9, Y: 9}, Dst: mesh.Node{X: 0, Y: 0}}}}
 	if _, err := Analyze(s); err == nil {
 		t.Error("Analyze should reject flows outside the mesh")
 	}
@@ -162,8 +167,8 @@ func TestMustAnalyzePanics(t *testing.T) {
 			t.Error("MustAnalyze should panic on invalid set")
 		}
 	}()
-	d := mesh.Plain(mesh.MustDim(2, 2))
-	MustAnalyze(&Set{Topo: d, Flows: []Flow{{Src: mesh.Node{X: 0, Y: 0}, Dst: mesh.Node{X: 0, Y: 0}}}})
+	d := mesh.MustDim(2, 2)
+	MustAnalyze(&Set{Topo: mesh.Plain(d), Dim: d, Flows: []Flow{{Src: mesh.Node{X: 0, Y: 0}, Dst: mesh.Node{X: 0, Y: 0}}}})
 }
 
 // Table I of the paper: arbitration weights for router R(1,1) of a 2x2 mesh.

@@ -17,6 +17,7 @@ import (
 // Set is a collection of flows between the endpoints of a topology.
 type Set struct {
 	Topo  mesh.Topology
+	Dim   mesh.Dim // the endpoint grid Topo was built on
 	Flows []Flow
 }
 
@@ -26,7 +27,7 @@ func (s *Set) Len() int { return len(s.Flows) }
 // Validate checks that every flow endpoint lies inside the endpoint grid and
 // that no flow is a self-loop.
 func (s *Set) Validate() error {
-	d := s.Topo.EndpointDim()
+	d := s.Dim
 	if err := d.Validate(); err != nil {
 		return err
 	}
@@ -47,9 +48,9 @@ func (s *Set) Validate() error {
 // AllToOne returns the flow set in which every endpoint except dst sends to
 // dst — the traffic pattern of the paper's evaluation platform, where all
 // cores access the memory controller attached to one node.
-func AllToOne(t mesh.Topology, dst mesh.Node) *Set {
-	s := &Set{Topo: t}
-	for _, n := range t.EndpointDim().AllNodes() {
+func AllToOne(t mesh.Topology, d mesh.Dim, dst mesh.Node) *Set {
+	s := &Set{Topo: t, Dim: d}
+	for _, n := range d.AllNodes() {
 		if n != dst {
 			s.Flows = append(s.Flows, Flow{Src: n, Dst: dst})
 		}
@@ -58,9 +59,9 @@ func AllToOne(t mesh.Topology, dst mesh.Node) *Set {
 }
 
 // OneToAll returns the flow set in which src sends to every other endpoint.
-func OneToAll(t mesh.Topology, src mesh.Node) *Set {
-	s := &Set{Topo: t}
-	for _, n := range t.EndpointDim().AllNodes() {
+func OneToAll(t mesh.Topology, d mesh.Dim, src mesh.Node) *Set {
+	s := &Set{Topo: t, Dim: d}
+	for _, n := range d.AllNodes() {
 		if n != src {
 			s.Flows = append(s.Flows, Flow{Src: src, Dst: n})
 		}
@@ -70,9 +71,9 @@ func OneToAll(t mesh.Topology, src mesh.Node) *Set {
 
 // AllToAll returns one flow for every ordered pair of distinct endpoints:
 // the load assumption (1) of the paper.
-func AllToAll(t mesh.Topology) *Set {
-	s := &Set{Topo: t}
-	nodes := t.EndpointDim().AllNodes()
+func AllToAll(t mesh.Topology, d mesh.Dim) *Set {
+	s := &Set{Topo: t, Dim: d}
+	nodes := d.AllNodes()
 	for _, src := range nodes {
 		for _, dst := range nodes {
 			if src != dst {
@@ -84,8 +85,8 @@ func AllToAll(t mesh.Topology) *Set {
 }
 
 // Custom returns a validated flow set from an explicit list of flows.
-func Custom(t mesh.Topology, fl []Flow) (*Set, error) {
-	s := &Set{Topo: t, Flows: append([]Flow(nil), fl...)}
+func Custom(t mesh.Topology, d mesh.Dim, fl []Flow) (*Set, error) {
+	s := &Set{Topo: t, Dim: d, Flows: append([]Flow(nil), fl...)}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -179,18 +180,18 @@ func (a *Analysis) Route(f Flow) ([]mesh.Hop, bool) {
 	return r, ok
 }
 
-// TracedCounts returns the per-destination-normalised counts of router n
-// obtained by tracing routes: for each output port a canonical destination
-// reachable through it is chosen and the all-to-one flow set towards it is
-// analysed.
-func TracedCounts(t mesh.Topology, n mesh.Node) *PortCounts {
+// TracedCounts returns the per-destination-normalised counts of router n of
+// topology t, built on endpoint grid d, obtained by tracing routes: for each
+// output port a canonical destination reachable through it is chosen and the
+// all-to-one flow set towards it is analysed.
+func TracedCounts(t mesh.Topology, d mesh.Dim, n mesh.Node) *PortCounts {
 	pc := &PortCounts{Node: n}
 	for _, out := range mesh.Directions {
-		dst, ok := canonicalDestination(t, n, out)
+		dst, ok := canonicalDestination(t, d, n, out)
 		if !ok {
 			continue
 		}
-		rc := MustAnalyze(AllToOne(t, dst)).Counts(n)
+		rc := MustAnalyze(AllToOne(t, d, dst)).Counts(n)
 		pc.InputsPerOutput[out] = rc.PerPair[out]
 		pc.OutputTotal[out] = rc.Output[out]
 	}
@@ -201,7 +202,7 @@ func TracedCounts(t mesh.Topology, n mesh.Node) *PortCounts {
 // output port out of router n: one attached to n itself for the Local port,
 // otherwise one attached to the farthest router in that direction (same
 // row/column of the router grid).
-func canonicalDestination(t mesh.Topology, n mesh.Node, out mesh.Direction) (mesh.Node, bool) {
+func canonicalDestination(t mesh.Topology, d mesh.Dim, n mesh.Node, out mesh.Direction) (mesh.Node, bool) {
 	if !t.HasOutput(n, out) {
 		return mesh.Node{}, false
 	}
@@ -217,7 +218,7 @@ func canonicalDestination(t mesh.Topology, n mesh.Node, out mesh.Direction) (mes
 	case mesh.YMinus:
 		target.Y = 0
 	}
-	for _, ep := range t.EndpointDim().AllNodes() {
+	for _, ep := range d.AllNodes() {
 		if t.RouterOf(ep) == target {
 			return ep, true
 		}
@@ -239,13 +240,14 @@ func TestClosedFormMatchesTraced(t *testing.T) {
 		grids := 0
 		for w := 2; w <= 8; w++ {
 			for h := 2; h <= 8; h++ {
-				topo, err := spec.Build(mesh.MustDim(w, h))
+				d := mesh.MustDim(w, h)
+				topo, err := spec.Build(d)
 				if err != nil {
 					continue // the concentration does not tile this grid
 				}
 				grids++
 				for _, n := range topo.RouterDim().AllNodes() {
-					if cf, tr := countsFor(topo, n), TracedCounts(topo, n); cf != *tr {
+					if cf, tr := countsFor(topo, n), TracedCounts(topo, d, n); cf != *tr {
 						t.Errorf("%v %dx%d router %v:\n closed form %+v\n traced      %+v", topo, w, h, n, cf, *tr)
 					}
 				}

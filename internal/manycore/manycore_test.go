@@ -48,7 +48,7 @@ func TestConfigValidate(t *testing.T) {
 		t.Error("invalid memctrl config should fail")
 	}
 	bad = cfg
-	bad.Network.Router.BufferDepth = 0
+	bad.Network.BufferDepth = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("invalid network config should fail")
 	}

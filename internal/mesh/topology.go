@@ -143,7 +143,8 @@ func Plain(d Dim) Topology { return Topology{ep: d} }
 // tables, and the WaW weight derivation reads InputLoads.
 //
 // Two index spaces are involved. Endpoints (traffic sources/destinations,
-// the paper's PMEs) live on EndpointDim; routers live on RouterDim. Endpoint
+// the paper's PMEs) live on the grid the topology was built on; routers live
+// on RouterDim. Endpoint
 // (x,y) attaches to router (x>>sx, y>>sy): the identity on the mesh (0/0),
 // a 2×1 block on cmesh2 (1/0) and a 2×2 block on cmesh4 (1/1). Every routing
 // method takes endpoint destinations and resolves the attached router
@@ -165,9 +166,6 @@ func (t Topology) String() string {
 	}
 	return TopoSpec{Kind: TopoCMesh, Conc: t.LocalEndpoints()}.String()
 }
-
-// EndpointDim is the grid traffic endpoints are indexed on.
-func (t Topology) EndpointDim() Dim { return t.ep }
 
 // RouterDim is the router grid; per-router state (weight tables, contender
 // arrays, simulator routers) is indexed by RouterDim().Index.

@@ -5,17 +5,24 @@ import (
 	"testing"
 )
 
+// builtTopology is a topology with the endpoint grid it was built on.
+type builtTopology struct {
+	topo Topology
+	ep   Dim
+}
+
 // testTopologies returns one built instance of every topology family on
 // grids its constraints allow, square and non-square.
-func testTopologies(t *testing.T) []Topology {
+func testTopologies(t *testing.T) []builtTopology {
 	t.Helper()
-	var topos []Topology
+	var topos []builtTopology
 	build := func(spec TopoSpec, w, h int) {
-		topo, err := spec.Build(MustDim(w, h))
+		ep := MustDim(w, h)
+		topo, err := spec.Build(ep)
 		if err != nil {
 			t.Fatalf("Build(%v, %dx%d): %v", spec, w, h, err)
 		}
-		topos = append(topos, topo)
+		topos = append(topos, builtTopology{topo, ep})
 	}
 	for _, d := range [][2]int{{2, 2}, {3, 3}, {4, 4}, {5, 3}, {3, 5}, {8, 8}, {1, 4}, {4, 1}} {
 		build(TopoSpec{Kind: TopoMesh}, d[0], d[1])
@@ -36,10 +43,9 @@ func testTopologies(t *testing.T) []Topology {
 // topology wires for that port, the walk terminates with a Local ejection at
 // the destination's router, and X hops strictly precede Y hops.
 func TestTopologyRouteProperties(t *testing.T) {
-	for _, topo := range testTopologies(t) {
-		name := fmt.Sprintf("%v-%v", topo, topo.EndpointDim())
-		t.Run(name, func(t *testing.T) {
-			ep := topo.EndpointDim()
+	for _, b := range testTopologies(t) {
+		topo, ep := b.topo, b.ep
+		t.Run(fmt.Sprintf("%v-%v", topo, ep), func(t *testing.T) {
 			for _, src := range ep.AllNodes() {
 				for _, dst := range ep.AllNodes() {
 					hops, err := appendHops(topo, src, dst)
@@ -195,14 +201,15 @@ func TestCMeshMapping(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, d := range [][2]int{{8, 8}, {4, 6}, {2, 2}} {
-			topo, err := spec.Build(MustDim(d[0], d[1]))
+			ep := MustDim(d[0], d[1])
+			topo, err := spec.Build(ep)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := topo.String(); got != c.str {
 				t.Fatalf("Build(ParseTopology(%q)).String() = %q, want %q", c.name, got, c.str)
 			}
-			ep, rd := topo.EndpointDim(), topo.RouterDim()
+			rd := topo.RouterDim()
 			if rd != MustDim(ep.Width/c.cx, ep.Height/c.cy) {
 				t.Fatalf("%v on %v: router grid %v, want a %dx%d block per router", spec, ep, rd, c.cx, c.cy)
 			}

@@ -3,7 +3,8 @@
 // the paper's evaluation: the same microarchitectural mechanisms (wormhole
 // output-port locking, credit-based flow control, round-robin or WaW
 // arbitration, regular or WaP packetization) drive the observable latency
-// behaviour.
+// behaviour. The design point (Design) is the only policy input: it selects
+// both the arbitration of every router and the packetization of every NIC.
 //
 // # Simulation model
 //
@@ -55,7 +56,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/arbiter"
 	"repro/internal/flit"
 	"repro/internal/flows"
 	"repro/internal/mesh"
@@ -98,31 +98,30 @@ func (d Design) String() string {
 	}
 }
 
-// Arbitration returns the arbitration policy of the design.
-func (d Design) Arbitration() arbiter.Kind {
-	if d == DesignWaWWaP || d == DesignWaWOnly {
-		return arbiter.KindWeighted
-	}
-	return arbiter.KindRoundRobin
-}
+// weighted reports whether the design arbitrates with WaW.
+func (d Design) weighted() bool { return d == DesignWaWWaP || d == DesignWaWOnly }
 
-// Packetization returns the packetization scheme of the design.
-func (d Design) Packetization() nic.Scheme {
+// packetization returns the packetization scheme of the design.
+func (d Design) packetization() nic.Scheme {
 	if d == DesignWaWWaP || d == DesignWaPOnly {
 		return nic.SchemeWaP
 	}
 	return nic.SchemeRegular
 }
 
-// Config describes a simulated NoC instance.
+// Config describes a simulated NoC instance. Design alone sets the policies
+// the paper compares — WaW or round-robin arbitration, WaP or regular
+// packetization; the other fields are the platform they run on.
 type Config struct {
 	// Dim is the endpoint (traffic) grid. For the mesh it is also the
 	// router grid; for the concentrated mesh the router grid is Dim scaled
 	// down by the concentration block (see mesh.TopoSpec.Build).
 	Dim    mesh.Dim
 	Design Design
-	Router router.Config
-	Link   flit.LinkConfig
+	// BufferDepth is the capacity, in flits, of every router input FIFO
+	// (1..router.MaxBufferDepth).
+	BufferDepth int
+	Link        flit.LinkConfig
 
 	// Topo selects the network topology; the zero value is the paper's
 	// XY-routed 2D mesh, so pre-topology Config literals keep their meaning.
@@ -135,15 +134,14 @@ type Config struct {
 }
 
 // DefaultConfig returns a configuration for the given mesh dimensions and
-// design point with the paper's platform parameters.
+// design point with the paper's platform parameters: 4-flit input buffers
+// and the default link.
 func DefaultConfig(d mesh.Dim, design Design) Config {
-	rc := router.DefaultConfig()
-	rc.Arbitration = design.Arbitration()
 	return Config{
-		Dim:    d,
-		Design: design,
-		Router: rc,
-		Link:   flit.DefaultLinkConfig(),
+		Dim:         d,
+		Design:      design,
+		BufferDepth: 4,
+		Link:        flit.DefaultLinkConfig(),
 	}
 }
 
@@ -158,8 +156,8 @@ func (c Config) resolve() (mesh.Topology, error) {
 	if err := c.Dim.Validate(); err != nil {
 		return mesh.Topology{}, err
 	}
-	if err := c.Router.Validate(); err != nil {
-		return mesh.Topology{}, err
+	if c.BufferDepth < 1 || c.BufferDepth > router.MaxBufferDepth {
+		return mesh.Topology{}, fmt.Errorf("network: buffer depth must be in 1..%d, got %d", router.MaxBufferDepth, c.BufferDepth)
 	}
 	if err := c.Link.Validate(); err != nil {
 		return mesh.Topology{}, err
@@ -167,15 +165,7 @@ func (c Config) resolve() (mesh.Topology, error) {
 	if c.Shards < 0 {
 		return mesh.Topology{}, fmt.Errorf("network: negative shard count %d", c.Shards)
 	}
-	topo, err := c.Topo.Build(c.Dim)
-	if err != nil {
-		return mesh.Topology{}, err
-	}
-	if c.Router.Arbitration != c.Design.Arbitration() {
-		return mesh.Topology{}, fmt.Errorf("network: design %v requires %v arbitration, config says %v",
-			c.Design, c.Design.Arbitration(), c.Router.Arbitration)
-	}
-	return topo, nil
+	return c.Topo.Build(c.Dim)
 }
 
 // creditReturn records that the router at dense index `router` owes a credit
@@ -271,31 +261,23 @@ func New(cfg Config) (*Network, error) {
 		pool:          &flit.Pool{},
 	}
 	var weightTable *flows.WeightTable
-	if cfg.Design.Arbitration() == arbiter.KindWeighted {
+	if cfg.Design.weighted() {
 		weightTable = flows.WeightTableFor(topo)
 	}
-	concentrated := topo.EndpointDim() != rdim
 	for _, node := range rdim.AllNodes() {
-		var counts *flows.PortCounts
+		var counts *flows.PortCounts // nil: a round-robin router
 		if weightTable != nil {
 			counts = weightTable.Counts(node)
 		}
-		r, err := router.New(topo, node, cfg.Router, counts, cfg.Router.BufferDepth)
+		r, err := router.New(topo, node, cfg.BufferDepth, counts, cfg.BufferDepth)
 		if err != nil {
 			return nil, err
 		}
-		ni, err := nic.New(node, cfg.Design.Packetization(), cfg.Link)
+		ni, err := nic.New(topo, node, cfg.Design.packetization(), cfg.Link, n.pool)
 		if err != nil {
 			return nil, err
-		}
-		if concentrated {
-			// Several endpoint cores share this NIC through the Local port:
-			// it owns every endpoint whose attached router is this node.
-			rn := node
-			ni.SetEndpointOwner(func(ep mesh.Node) bool { return topo.RouterOf(ep) == rn })
 		}
 		idx := rdim.Index(node)
-		ni.AttachPool(n.pool)
 		n.routers[idx] = r
 		n.nics[idx] = ni
 	}

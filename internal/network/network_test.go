@@ -5,8 +5,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/arbiter"
 	"repro/internal/flit"
 	"repro/internal/mesh"
+	"repro/internal/router"
 	"repro/internal/stats"
 )
 
@@ -68,14 +70,13 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("default config invalid: %v", err)
 	}
 	bad := cfg
-	bad.Design = DesignWaWWaP // arbitration mismatch with router config
+	bad.BufferDepth = 0
 	if err := bad.Validate(); err == nil {
-		t.Error("arbitration mismatch should be rejected")
+		t.Error("zero buffer depth should be rejected")
 	}
-	bad = cfg
-	bad.Router.BufferDepth = 0
+	bad.BufferDepth = router.MaxBufferDepth + 1
 	if err := bad.Validate(); err == nil {
-		t.Error("invalid router config should be rejected")
+		t.Error("a buffer depth the router rings cannot hold should be rejected")
 	}
 	bad = cfg
 	bad.Link.WidthBits = 0
@@ -86,6 +87,45 @@ func TestConfigValidate(t *testing.T) {
 	bad.Dim = mesh.Dim{}
 	if err := bad.Validate(); err == nil {
 		t.Error("invalid dim should be rejected")
+	}
+}
+
+// TestDesignConfiguresNetwork checks that the design point alone sets both
+// policies on every topology: WaW arbiters on every router output exactly
+// for WaW+WaP and WaW-only, and WaP slicing of a 512-bit message into five
+// one-flit packets (four flits as one regular packet) exactly for WaW+WaP
+// and WaP-only.
+func TestDesignConfiguresNetwork(t *testing.T) {
+	flits := map[Design]uint64{DesignRegular: 4, DesignWaWWaP: 5, DesignWaWOnly: 4, DesignWaPOnly: 5}
+	for _, spec := range []mesh.TopoSpec{{Kind: mesh.TopoMesh}, {Kind: mesh.TopoCMesh, Conc: 2}, {Kind: mesh.TopoCMesh, Conc: 4}} {
+		for design, want := range flits {
+			cfg := DefaultConfig(mesh.MustDim(4, 4), design)
+			cfg.Topo = spec
+			n, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			weighted := design == DesignWaWWaP || design == DesignWaWOnly
+			for _, nd := range n.Topology().RouterDim().AllNodes() {
+				for _, dir := range mesh.Directions {
+					arb := n.Router(nd).Arbiter(dir)
+					if arb == nil {
+						continue
+					}
+					if _, ok := arb.(*arbiter.Weighted); ok != weighted {
+						t.Fatalf("%v %v: router %v output %v arbitrates with %T", spec, design, nd, dir, arb)
+					}
+				}
+			}
+			send(t, n, node(0, 0), node(3, 3), 512, flit.ClassReply)
+			if !n.RunUntilDrained(500) {
+				t.Fatalf("%v %v: network did not drain", spec, design)
+			}
+			if n.TotalDeliveredMessages() != 1 || n.TotalInjectedFlits() != want {
+				t.Errorf("%v %v: %d messages delivered in %d flits, want 1 in %d",
+					spec, design, n.TotalDeliveredMessages(), n.TotalInjectedFlits(), want)
+			}
+		}
 	}
 }
 

@@ -15,10 +15,9 @@ import (
 	"repro/internal/traffic"
 )
 
-// buildTopoGen builds a generator on the topology's endpoint grid.
-func buildTopoGen(t *testing.T, topo mesh.Topology, pattern string, seed int64) traffic.Generator {
+// buildTopoGen builds a generator on endpoint grid ep.
+func buildTopoGen(t *testing.T, ep mesh.Dim, pattern string, seed int64) traffic.Generator {
 	t.Helper()
-	ep := topo.EndpointDim()
 	var gen traffic.Generator
 	var err error
 	switch pattern {
@@ -62,7 +61,7 @@ func TestTopologyEnginesAndShardsEquivalent(t *testing.T) {
 					cfg.Topo = c.spec
 					ref := network.MustNewFullScan(cfg)
 					refRun := logDeliveries(ref.Net)
-					driveOracle(t, ref, buildTopoGen(t, ref.Net.Topology(), pattern, 7))
+					driveOracle(t, ref, buildTopoGen(t, c.dim, pattern, 7))
 					for _, shards := range []int{0, 3} {
 						cfg.Shards = shards
 						act, err := network.New(cfg)
@@ -70,7 +69,7 @@ func TestTopologyEnginesAndShardsEquivalent(t *testing.T) {
 							t.Fatal(err)
 						}
 						actRun := logDeliveries(act)
-						if _, done := traffic.Drive(act, buildTopoGen(t, act.Topology(), pattern, 7), 1_000_000); !done {
+						if _, done := traffic.Drive(act, buildTopoGen(t, c.dim, pattern, 7), 1_000_000); !done {
 							t.Fatalf("shards=%d did not drain", shards)
 						}
 						compareRuns(t, fmt.Sprintf("shards=%d", shards), refRun, actRun)

@@ -41,37 +41,22 @@ func (s Scheme) String() string {
 	}
 }
 
-// DeliveredMessage pairs a reassembled message with its delivery metadata.
-type DeliveredMessage struct {
-	Msg *flit.Message
-	// Latency is DeliveredAt - CreatedAt in cycles (message creation at the
-	// source NIC to last flit ejected at the destination NIC).
-	Latency uint64
-	// NetworkLatency is DeliveredAt minus the injection cycle of the
-	// message's first flit (excludes source-queueing time).
-	NetworkLatency uint64
-}
-
-// NIC is the per-node network interface: an injection queue of flits awaiting
-// transmission and a reassembly table for incoming flits.
+// NIC is the per-router network interface: an injection queue of flits
+// awaiting transmission and a reassembly table for incoming flits.
 type NIC struct {
 	Node mesh.Node
 
-	// owns, when non-nil, widens the NIC's endpoint identity beyond Node:
-	// on a concentrated topology one NIC serves every core attached to its
-	// router (the Local port fan-out), so source/destination validation asks
-	// the predicate instead of comparing against Node. Nil means the default
-	// one-endpoint-per-router identity.
-	owns func(mesh.Node) bool
+	// topo maps endpoints to routers: the NIC serves every endpoint core
+	// attached to its router through the Local port — one on the mesh, the
+	// concentration block on a concentrated mesh.
+	topo mesh.Topology
 
 	scheme Scheme
 	link   flit.LinkConfig
 
-	// pool, when attached, supplies the flits the NIC packetizes and the
-	// messages it reassembles, and receives absorbed flits back. A pooled
-	// NIC does not retain delivered messages (Delivered stays empty);
-	// consumers must observe deliveries through the network's delivery
-	// callback instead.
+	// pool supplies the flits the NIC packetizes and the messages it
+	// reassembles, and receives absorbed flits back. The NIC retains no
+	// delivered message: its owner sees each one as Receive returns it.
 	pool *flit.Pool
 
 	nextPacketID uint64
@@ -89,10 +74,6 @@ type NIC struct {
 	// message. A message that arrives whole in one flit never enters it.
 	pending        map[uint64]*reassembly
 	freeReassembly []*reassembly
-
-	delivered []DeliveredMessage
-
-	injectedFlits uint64 // statistics
 }
 
 type reassembly struct {
@@ -105,9 +86,11 @@ type reassembly struct {
 	donePkts      int
 }
 
-// New returns a NIC for the given node using the given packetization scheme
-// and link configuration.
-func New(node mesh.Node, scheme Scheme, link flit.LinkConfig) (*NIC, error) {
+// New returns the NIC at router-grid node node of topology topo, using the
+// given packetization scheme and link configuration and drawing from pool,
+// the owning network's message/flit arena that every NIC of that network
+// shares (see flit.Pool for the ownership rules).
+func New(topo mesh.Topology, node mesh.Node, scheme Scheme, link flit.LinkConfig, pool *flit.Pool) (*NIC, error) {
 	if scheme != SchemeRegular && scheme != SchemeWaP {
 		return nil, fmt.Errorf("nic: unknown packetization scheme %v", scheme)
 	}
@@ -116,44 +99,21 @@ func New(node mesh.Node, scheme Scheme, link flit.LinkConfig) (*NIC, error) {
 	}
 	return &NIC{
 		Node:    node,
+		topo:    topo,
 		scheme:  scheme,
 		link:    link,
+		pool:    pool,
 		pending: make(map[uint64]*reassembly),
 	}, nil
 }
 
-// MustNew is like New but panics on error.
-func MustNew(node mesh.Node, scheme Scheme, link flit.LinkConfig) *NIC {
-	n, err := New(node, scheme, link)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
-// SetEndpointOwner installs the endpoint-identity predicate of a NIC that
-// serves several endpoints through one router (the concentrated-mesh Local
-// fan-out). It is construction-time configuration and survives Reset.
-func (n *NIC) SetEndpointOwner(owns func(mesh.Node) bool) { n.owns = owns }
-
-// ownsEndpoint reports whether the endpoint is attached to this NIC.
-func (n *NIC) ownsEndpoint(ep mesh.Node) bool {
-	if n.owns != nil {
-		return n.owns(ep)
-	}
-	return ep == n.Node
-}
-
-// AttachPool connects the NIC to the owning network's message/flit arena,
-// which every NIC of that network shares. See the NIC.pool field and
-// flit.Pool for the ownership rules; attaching a pool disables the Delivered
-// history.
-func (n *NIC) AttachPool(p *flit.Pool) { n.pool = p }
+// ownsEndpoint reports whether the endpoint is attached to this NIC's router.
+func (n *NIC) ownsEndpoint(ep mesh.Node) bool { return n.topo.RouterOf(ep) == n.Node }
 
 // Reset rewinds the NIC to its just-constructed state: injection queue and
-// reassembly table emptied, delivered history dropped, statistics and
-// message/packet identifier counters cleared. Backing buffers and the
-// attached pool are retained so a reset NIC allocates nothing when reused.
+// reassembly table emptied, message/packet identifier counters cleared.
+// Backing buffers and the pool are retained so a reset NIC allocates nothing
+// when reused.
 func (n *NIC) Reset() {
 	clear(n.injectQueue)
 	n.injectQueue = n.injectQueue[:0]
@@ -162,10 +122,8 @@ func (n *NIC) Reset() {
 		n.putReassembly(r)
 		delete(n.pending, id)
 	}
-	n.delivered = nil
 	n.nextPacketID = 0
 	n.nextMsgID = 0
-	n.injectedFlits = 0
 }
 
 // getReassembly returns a cleared reassembly record, reusing a recycled one
@@ -214,8 +172,8 @@ func (n *NIC) Send(msg *flit.Message, now uint64) (uint64, error) {
 // regular: the network's maximum, 0 meaning unlimited), the payload is cut
 // into chunks that fill a ceiling-size packet, and each chunk becomes one
 // packet of HEAD, BODY…, TAIL flits (HEAD+TAIL when it is a single flit)
-// whose head carries the chunk's payload bits. No intermediate packet values
-// are built, so that — with a pool attached — a Send on the hot path
+// whose head carries the chunk's payload bits. The flits come from the pool
+// and no intermediate packet values are built, so a Send on the hot path
 // performs no heap allocations.
 func (n *NIC) enqueueFlits(msg *flit.Message) {
 	maxFlits := n.link.MaxPacketFlits
@@ -273,12 +231,7 @@ func (n *NIC) enqueueFlits(msg *flit.Message) {
 			if s == 0 {
 				payloadBits = chunk
 			}
-			var f *flit.Flit
-			if n.pool != nil {
-				f = n.pool.GetFlit()
-			} else {
-				f = &flit.Flit{}
-			}
+			f := n.pool.GetFlit()
 			f.Type = typ
 			f.Flow = msg.Flow
 			f.PacketID = pktID
@@ -319,7 +272,6 @@ func (n *NIC) PopFlit(now uint64) *flit.Flit {
 		n.injectHead = 0
 	}
 	f.InjectedAt = now
-	n.injectedFlits++
 	return f
 }
 
@@ -339,9 +291,7 @@ func (n *NIC) Receive(f *flit.Flit, now uint64) (*flit.Message, error) {
 		// The whole message in one flit: nothing to reassemble.
 		msg := n.deliver(f.MsgID, &reassembly{flow: f.Flow, class: f.Class, createdAt: f.CreatedAt,
 			firstInjected: f.InjectedAt, payloadBits: f.PayloadBits}, now)
-		if n.pool != nil {
-			n.pool.PutFlit(f)
-		}
+		n.pool.PutFlit(f)
 		return msg, nil
 	}
 
@@ -365,9 +315,7 @@ func (n *NIC) Receive(f *flit.Flit, now uint64) (*flit.Message, error) {
 		done = r.donePkts >= r.expectedPkts
 	}
 	msgID := f.MsgID
-	if n.pool != nil {
-		n.pool.PutFlit(f) // the flit has been fully absorbed
-	}
+	n.pool.PutFlit(f) // the flit has been fully absorbed
 	if !done {
 		return nil, nil
 	}
@@ -377,15 +325,10 @@ func (n *NIC) Receive(f *flit.Flit, now uint64) (*flit.Message, error) {
 	return msg, nil
 }
 
-// deliver builds the message a completed reassembly describes, delivered at
-// cycle now.
+// deliver builds, from the pool, the message a completed reassembly
+// describes, delivered at cycle now.
 func (n *NIC) deliver(msgID uint64, r *reassembly, now uint64) *flit.Message {
-	var msg *flit.Message
-	if n.pool != nil {
-		msg = n.pool.GetMessage()
-	} else {
-		msg = &flit.Message{}
-	}
+	msg := n.pool.GetMessage()
 	msg.ID = msgID
 	msg.Flow = r.flow
 	msg.Class = r.class
@@ -393,24 +336,8 @@ func (n *NIC) deliver(msgID uint64, r *reassembly, now uint64) *flit.Message {
 	msg.CreatedAt = r.createdAt
 	msg.InjectedAt = r.firstInjected
 	msg.DeliveredAt = now
-	if n.pool == nil {
-		// Pooled NICs cannot retain delivered messages (the network
-		// recycles them after the delivery callback), so the history is
-		// only kept for standalone NICs.
-		n.delivered = append(n.delivered, DeliveredMessage{
-			Msg:            msg,
-			Latency:        now - r.createdAt,
-			NetworkLatency: now - r.firstInjected,
-		})
-	}
 	return msg
 }
 
-// Delivered returns the messages reassembled so far, in completion order.
-func (n *NIC) Delivered() []DeliveredMessage { return n.delivered }
-
 // PendingReassemblies returns the number of partially received messages.
 func (n *NIC) PendingReassemblies() int { return len(n.pending) }
-
-// InjectedFlits returns the number of flits handed to the router so far.
-func (n *NIC) InjectedFlits() uint64 { return n.injectedFlits }

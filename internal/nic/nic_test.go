@@ -12,6 +12,19 @@ func testLink() flit.LinkConfig { return flit.DefaultLinkConfig() }
 
 func node(x, y int) mesh.Node { return mesh.Node{X: x, Y: y} }
 
+// plain is the mesh the test NICs sit on: one endpoint per router.
+var plain = mesh.Plain(mesh.MustDim(8, 8))
+
+// mustNew builds a NIC at node n of the plain mesh with a pool of its own; it
+// panics on error.
+func mustNew(n mesh.Node, scheme Scheme, link flit.LinkConfig) *NIC {
+	ni, err := New(plain, n, scheme, link, &flit.Pool{})
+	if err != nil {
+		panic(err)
+	}
+	return ni
+}
+
 func TestSchemeString(t *testing.T) {
 	if SchemeRegular.String() != "regular" || SchemeWaP.String() != "WaP" {
 		t.Error("scheme names wrong")
@@ -22,15 +35,16 @@ func TestSchemeString(t *testing.T) {
 }
 
 func TestNewPacketizerValidation(t *testing.T) {
-	if _, err := New(node(0, 0), Scheme(9), testLink()); err == nil {
+	pool := &flit.Pool{}
+	if _, err := New(plain, node(0, 0), Scheme(9), testLink(), pool); err == nil {
 		t.Error("unknown scheme should fail")
 	}
 	bad := testLink()
 	bad.WidthBits = 0
-	if _, err := New(node(0, 0), SchemeRegular, bad); err == nil {
+	if _, err := New(plain, node(0, 0), SchemeRegular, bad, pool); err == nil {
 		t.Error("invalid link config should fail")
 	}
-	if _, err := New(node(0, 0), SchemeWaP, testLink()); err != nil {
+	if _, err := New(plain, node(0, 0), SchemeWaP, testLink(), pool); err != nil {
 		t.Errorf("valid NIC rejected: %v", err)
 	}
 }
@@ -42,7 +56,7 @@ func TestNewPacketizerValidation(t *testing.T) {
 // flow and packet index/total shared by all its flits.
 func packetize(t *testing.T, scheme Scheme, link flit.LinkConfig, msg *flit.Message) [][]*flit.Flit {
 	t.Helper()
-	n := MustNew(msg.Flow.Src, scheme, link)
+	n := mustNew(msg.Flow.Src, scheme, link)
 	if _, err := n.Send(msg, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +223,7 @@ func TestPacketizeProperty(t *testing.T) {
 }
 
 func TestNICSendValidation(t *testing.T) {
-	n := MustNew(node(1, 1), SchemeRegular, testLink())
+	n := mustNew(node(1, 1), SchemeRegular, testLink())
 	if _, err := n.Send(nil, 0); err == nil {
 		t.Error("nil message should fail")
 	}
@@ -229,7 +243,7 @@ func TestNICSendValidation(t *testing.T) {
 }
 
 func TestNICInjectionQueue(t *testing.T) {
-	n := MustNew(node(0, 0), SchemeWaP, testLink())
+	n := mustNew(node(0, 0), SchemeWaP, testLink())
 	if n.PopFlit(0) != nil {
 		t.Error("empty queue should return nil")
 	}
@@ -250,9 +264,6 @@ func TestNICInjectionQueue(t *testing.T) {
 	if n.PendingFlits() != 4 {
 		t.Errorf("pending flits after pop = %d", n.PendingFlits())
 	}
-	if n.InjectedFlits() != 1 {
-		t.Errorf("injected counter = %d", n.InjectedFlits())
-	}
 }
 
 // A backlog that grows past saturation must not be recopied on every Send:
@@ -260,7 +271,7 @@ func TestNICInjectionQueue(t *testing.T) {
 // it is amortised O(1) per flit, the slice stays within twice the live queue
 // (plus the message being appended), and the flits still leave in FIFO order.
 func TestNICBackloggedQueueCompactsAmortised(t *testing.T) {
-	n := MustNew(node(0, 0), SchemeWaP, testLink())
+	n := mustNew(node(0, 0), SchemeWaP, testLink())
 	const steps = 2000
 	var popped []*flit.Flit
 	compactions := 0
@@ -295,7 +306,7 @@ func TestNICBackloggedQueueCompactsAmortised(t *testing.T) {
 }
 
 func TestNICReceiveValidation(t *testing.T) {
-	n := MustNew(node(2, 2), SchemeRegular, testLink())
+	n := mustNew(node(2, 2), SchemeRegular, testLink())
 	if _, err := n.Receive(nil, 0); err == nil {
 		t.Error("nil flit should fail")
 	}
@@ -311,8 +322,8 @@ func TestNICReceiveValidation(t *testing.T) {
 func TestNICRoundTrip(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeRegular, SchemeWaP} {
 		for _, payload := range []int{0, 48, 116, 117, 512, 1024, 5000} {
-			src := MustNew(node(0, 0), scheme, testLink())
-			dst := MustNew(node(3, 2), scheme, testLink())
+			src := mustNew(node(0, 0), scheme, testLink())
+			dst := mustNew(node(3, 2), scheme, testLink())
 			msg := &flit.Message{
 				Flow:        flit.FlowID{Src: node(0, 0), Dst: node(3, 2)},
 				PayloadBits: payload,
@@ -350,16 +361,9 @@ func TestNICRoundTrip(t *testing.T) {
 			if dst.PendingReassemblies() != 0 {
 				t.Errorf("leftover reassembly state")
 			}
-			deliveries := dst.Delivered()
-			if len(deliveries) != 1 {
-				t.Fatalf("delivered = %d messages", len(deliveries))
-			}
-			d := deliveries[0]
-			if d.Latency != d.Msg.DeliveredAt-100 {
-				t.Errorf("latency = %d", d.Latency)
-			}
-			if d.NetworkLatency > d.Latency {
-				t.Errorf("network latency %d exceeds total latency %d", d.NetworkLatency, d.Latency)
+			if completed.CreatedAt != 100 || completed.InjectedAt != 101 || completed.DeliveredAt != cycle+2 {
+				t.Errorf("%v payload %d: created/injected/delivered at %d/%d/%d, want 100/101/%d",
+					scheme, payload, completed.CreatedAt, completed.InjectedAt, completed.DeliveredAt, cycle+2)
 			}
 		}
 	}
@@ -369,8 +373,8 @@ func TestNICRoundTrip(t *testing.T) {
 // flit: it never enters the reassembly table and leaves no record behind,
 // while a multi-flit message does both.
 func TestNICOneFlitMessageSkipsReassembly(t *testing.T) {
-	src := MustNew(node(0, 0), SchemeRegular, testLink())
-	dst := MustNew(node(3, 2), SchemeRegular, testLink())
+	src := mustNew(node(0, 0), SchemeRegular, testLink())
+	dst := mustNew(node(3, 2), SchemeRegular, testLink())
 	flow := flit.FlowID{Src: node(0, 0), Dst: node(3, 2)}
 	receiveAll := func() (last *flit.Message) {
 		for src.PendingFlits() > 0 {
@@ -410,9 +414,9 @@ func TestNICOneFlitMessageSkipsReassembly(t *testing.T) {
 // independently.
 func TestNICInterleavedReassembly(t *testing.T) {
 	link := testLink()
-	dst := MustNew(node(0, 0), SchemeWaP, link)
-	a := MustNew(node(1, 0), SchemeWaP, link)
-	b := MustNew(node(2, 0), SchemeWaP, link)
+	dst := mustNew(node(0, 0), SchemeWaP, link)
+	a := mustNew(node(1, 0), SchemeWaP, link)
+	b := mustNew(node(2, 0), SchemeWaP, link)
 	msgA := &flit.Message{Flow: flit.FlowID{Src: node(1, 0), Dst: node(0, 0)}, PayloadBits: 512}
 	msgB := &flit.Message{Flow: flit.FlowID{Src: node(2, 0), Dst: node(0, 0)}, PayloadBits: 512}
 	if _, err := a.Send(msgA, 0); err != nil {
@@ -445,8 +449,8 @@ func TestNICInterleavedReassembly(t *testing.T) {
 }
 
 func TestNICUniqueMessageIDsAcrossNodes(t *testing.T) {
-	a := MustNew(node(0, 1), SchemeRegular, testLink())
-	b := MustNew(node(1, 0), SchemeRegular, testLink())
+	a := mustNew(node(0, 1), SchemeRegular, testLink())
+	b := mustNew(node(1, 0), SchemeRegular, testLink())
 	seen := make(map[uint64]bool)
 	for i := 0; i < 50; i++ {
 		idA, err := a.Send(&flit.Message{Flow: flit.FlowID{Src: node(0, 1), Dst: node(3, 3)}, PayloadBits: 10}, 0)
@@ -465,10 +469,10 @@ func TestNICUniqueMessageIDsAcrossNodes(t *testing.T) {
 }
 
 // Reset must rewind a NIC to its just-constructed state: queue, reassembly
-// table, history, statistics and identifier counters, so a reused NIC
-// assigns the same message ids a fresh one would.
+// table and identifier counters, so a reused NIC assigns the same message
+// ids a fresh one would.
 func TestNICReset(t *testing.T) {
-	n := MustNew(mesh.Node{X: 1, Y: 1}, SchemeRegular, flit.DefaultLinkConfig())
+	n := mustNew(mesh.Node{X: 1, Y: 1}, SchemeRegular, flit.DefaultLinkConfig())
 	msg := &flit.Message{Flow: flit.FlowID{Src: mesh.Node{X: 1, Y: 1}, Dst: mesh.Node{X: 0, Y: 0}}, PayloadBits: 512}
 	firstID, err := n.Send(msg, 3)
 	if err != nil {
@@ -479,8 +483,7 @@ func TestNICReset(t *testing.T) {
 	}
 	n.PopFlit(4)
 	n.Reset()
-	if n.PendingFlits() != 0 || n.PendingReassemblies() != 0 ||
-		n.InjectedFlits() != 0 || len(n.Delivered()) != 0 {
+	if n.PendingFlits() != 0 || n.PendingReassemblies() != 0 {
 		t.Fatalf("Reset left state behind: %+v", n)
 	}
 	again := &flit.Message{Flow: msg.Flow, PayloadBits: 512}
@@ -493,15 +496,18 @@ func TestNICReset(t *testing.T) {
 	}
 }
 
-// A NIC attached to a pool recycles absorbed flits and reassembled
-// messages; the delivered history is disabled (the owner recycles messages
-// right after its delivery callback, so retaining them would dangle).
+// NICs sharing one pool packetize from it, return absorbed flits to it and
+// reassemble into messages drawn from it.
 func TestNICPooledReceive(t *testing.T) {
 	var pool flit.Pool
-	src := MustNew(mesh.Node{X: 1, Y: 0}, SchemeRegular, flit.DefaultLinkConfig())
-	dst := MustNew(mesh.Node{X: 0, Y: 0}, SchemeRegular, flit.DefaultLinkConfig())
-	src.AttachPool(&pool)
-	dst.AttachPool(&pool)
+	src, err := New(plain, mesh.Node{X: 1, Y: 0}, SchemeRegular, flit.DefaultLinkConfig(), &pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := New(plain, mesh.Node{X: 0, Y: 0}, SchemeRegular, flit.DefaultLinkConfig(), &pool)
+	if err != nil {
+		t.Fatal(err)
+	}
 	msg := pool.GetMessage()
 	msg.Flow = flit.FlowID{Src: mesh.Node{X: 1, Y: 0}, Dst: mesh.Node{X: 0, Y: 0}}
 	msg.PayloadBits = 512
@@ -528,11 +534,33 @@ func TestNICPooledReceive(t *testing.T) {
 	if out.PayloadBits != 512 {
 		t.Errorf("payload = %d, want 512", out.PayloadBits)
 	}
-	if len(dst.Delivered()) != 0 {
-		t.Error("pooled NIC must not retain delivered messages")
-	}
 	// Only a message drawn from the pool is taken back by it.
 	if pool.PutMessage(out); pool.GetMessage() != out {
 		t.Error("reassembled message should come from the pool")
+	}
+}
+
+// On cmesh4 one NIC serves the 2x2 block of endpoints behind its router: it
+// accepts Send from, and Receive for, exactly those four and rejects the
+// endpoints of other routers.
+func TestNICConcentratedEndpoints(t *testing.T) {
+	topo := mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: 4}.MustBuild(mesh.MustDim(4, 4))
+	n, err := New(topo, node(1, 0), SchemeRegular, testLink(), &flit.Pool{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ep := range []mesh.Node{node(2, 0), node(3, 0), node(2, 1), node(3, 1), node(1, 0), node(2, 2)} {
+		want := topo.RouterOf(ep) == n.Node
+		flow := flit.FlowID{Src: ep, Dst: node(0, 3)}
+		if _, err := n.Send(&flit.Message{Flow: flow, PayloadBits: 48}, 0); (err == nil) != want {
+			t.Errorf("Send from %v: error %v, want accepted=%v", ep, err, want)
+		}
+		f := &flit.Flit{Flow: flit.FlowID{Src: node(0, 3), Dst: ep}, Type: flit.HeadTail, PacketsInMsg: 1}
+		if msg, err := n.Receive(f, 1); (err == nil) != want || (msg != nil) != want {
+			t.Errorf("Receive for %v: message %v, error %v, want accepted=%v", ep, msg, err, want)
+		}
+	}
+	if n.PendingFlits() != 4 {
+		t.Errorf("%d flits queued, want one per block endpoint", n.PendingFlits())
 	}
 }

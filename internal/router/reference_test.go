@@ -34,15 +34,15 @@ type refPort struct {
 	credits  int
 }
 
-func newRefRouter(d mesh.Dim, n mesh.Node, cfg Config, counts *flows.PortCounts, downstream int) *refRouter {
-	r := &refRouter{node: n, depth: cfg.BufferDepth, downstream: downstream}
+func newRefRouter(d mesh.Dim, n mesh.Node, depth int, counts *flows.PortCounts, downstream int) *refRouter {
+	r := &refRouter{node: n, depth: depth, downstream: downstream}
 	for _, dir := range mesh.Directions {
 		op := &r.out[dir]
 		if op.exists = mesh.Plain(d).HasOutput(n, dir); !op.exists {
 			continue
 		}
 		op.credits = downstream
-		if cfg.Arbitration == arbiter.KindRoundRobin {
+		if counts == nil {
 			op.arb = arbiter.NewRoundRobin(mesh.NumDirections)
 			continue
 		}
@@ -176,21 +176,24 @@ var (
 // misrouted or tail-less packet), credit returns, bulk idle replays and
 // resets — and compares every transfer and the whole observable state after
 // every cycle.
-func runAgainstReference(t *testing.T, kind arbiter.Kind, depthSel, downSel, nodeSel uint8, data []byte) {
+func runAgainstReference(t *testing.T, weighted bool, depthSel, downSel, nodeSel uint8, data []byte) {
 	t.Helper()
 	d := mesh.MustDim(5, 5)
 	node := refNodes[int(nodeSel)%len(refNodes)]
-	cfg := Config{BufferDepth: refDepths[int(depthSel)%len(refDepths)], Arbitration: kind}
+	depth := refDepths[int(depthSel)%len(refDepths)]
 	downstream := refDownstreams[int(downSel)%len(refDownstreams)]
 	if downstream == 0 {
-		downstream = cfg.BufferDepth
+		downstream = depth
 	}
-	counts := flows.ClosedFormCounts(d, node)
-	prod, err := New(mesh.Plain(d), node, cfg, counts, downstream)
+	var counts *flows.PortCounts // nil: a round-robin router
+	if weighted {
+		counts = flows.ClosedFormCounts(d, node)
+	}
+	prod, err := New(mesh.Plain(d), node, depth, counts, downstream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newRefRouter(d, node, cfg, counts, downstream)
+	ref := newRefRouter(d, node, depth, counts, downstream)
 
 	// legal[in] lists the destinations a flit arriving on input in may
 	// legally be heading for under XY routing.
@@ -238,7 +241,7 @@ func runAgainstReference(t *testing.T, kind arbiter.Kind, depthSel, downSel, nod
 		switch {
 		case ctl == 0xFF:
 			prod.Reset()
-			ref = newRefRouter(d, node, cfg, counts, downstream)
+			ref = newRefRouter(d, node, depth, counts, downstream)
 			upstream = [mesh.NumDirections][]*flit.Flit{}
 		case ctl&0xF0 == 0xF0 && prod.InputsEmpty() && ref.inputsEmpty():
 			// The bulk idle replay against that many request-less cycles.
@@ -283,7 +286,7 @@ func runAgainstReference(t *testing.T, kind arbiter.Kind, depthSel, downSel, nod
 			if got, want := prod.InputOccupancy(dir), len(ref.inputs[dir]); got != want {
 				t.Fatalf("cycle %d: input %v occupancy %d, reference %d", cycle, dir, got, want)
 			}
-			if got, want := prod.InputSpace(dir), cfg.BufferDepth-len(ref.inputs[dir]); got != want {
+			if got, want := prod.InputSpace(dir), depth-len(ref.inputs[dir]); got != want {
 				t.Fatalf("cycle %d: input %v space %d, reference %d", cycle, dir, got, want)
 			}
 			op := ref.out[dir]
@@ -319,25 +322,25 @@ func runAgainstReference(t *testing.T, kind arbiter.Kind, depthSel, downSel, nod
 // depth (ring wrap-around at the non-power-of-two depth 3 included), every
 // downstream depth, interior, corner and edge routers, both arbiters.
 func TestRouterMatchesReference(t *testing.T) {
-	for _, kind := range []arbiter.Kind{arbiter.KindRoundRobin, arbiter.KindWeighted} {
+	for _, weighted := range []bool{false, true} {
 		for depthSel := range refDepths {
 			for downSel := range refDownstreams {
 				for nodeSel := range refNodes {
 					rng := rand.New(rand.NewSource(int64(1 + depthSel + 10*downSel + 100*nodeSel)))
 					data := make([]byte, 6000)
 					rng.Read(data)
-					runAgainstReference(t, kind, uint8(depthSel), uint8(downSel), uint8(nodeSel), data)
+					runAgainstReference(t, weighted, uint8(depthSel), uint8(downSel), uint8(nodeSel), data)
 				}
 			}
 		}
 	}
 }
 
-// FuzzRouterMatchesReference lets the fuzzer write the script; one router of
-// each arbitration kind runs it against the oracle.
+// FuzzRouterMatchesReference lets the fuzzer write the script; a round-robin
+// and a WaW router run it against the oracle.
 func FuzzRouterMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, depthSel, downSel, nodeSel uint8, data []byte) {
-		runAgainstReference(t, arbiter.KindRoundRobin, depthSel, downSel, nodeSel, data)
-		runAgainstReference(t, arbiter.KindWeighted, depthSel, downSel, nodeSel, data)
+		runAgainstReference(t, false, depthSel, downSel, nodeSel, data)
+		runAgainstReference(t, true, depthSel, downSel, nodeSel, data)
 	})
 }

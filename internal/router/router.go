@@ -1,8 +1,8 @@
 // Package router implements the cycle-level model of a wormhole mesh router:
 // five input-buffered ports (X+, X-, Y+, Y-, PME/local), XY route computation
 // on head flits, per-output-port arbitration (plain round-robin for the
-// regular wNoC or WaW weighted round-robin), wormhole output-port locking and
-// credit-based link-level flow control.
+// regular wNoC, WaW weighted round-robin for a router built with port counts),
+// wormhole output-port locking and credit-based link-level flow control.
 //
 // The router is deliberately passive: it decides, once per cycle, which flit
 // each of its output ports forwards (ComputeTransfers) and exposes the
@@ -26,31 +26,6 @@ import (
 	"repro/internal/mesh"
 )
 
-// Config gathers the microarchitectural parameters of a router.
-type Config struct {
-	// BufferDepth is the capacity, in flits, of each input port FIFO.
-	BufferDepth int
-	// Arbitration selects the output-port arbitration policy.
-	Arbitration arbiter.Kind
-}
-
-// DefaultConfig returns the router configuration used by the evaluation
-// platform: 4-flit input buffers and plain round-robin arbitration.
-func DefaultConfig() Config {
-	return Config{BufferDepth: 4, Arbitration: arbiter.KindRoundRobin}
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.BufferDepth < 1 || c.BufferDepth > maxBufferDepth {
-		return fmt.Errorf("router: buffer depth must be in 1..%d, got %d", maxBufferDepth, c.BufferDepth)
-	}
-	if c.Arbitration != arbiter.KindRoundRobin && c.Arbitration != arbiter.KindWeighted {
-		return fmt.Errorf("router: unknown arbitration kind %v", c.Arbitration)
-	}
-	return nil
-}
-
 // Transfer describes one flit movement decided by an output port in the
 // current cycle: the flit at the head of input port In is forwarded through
 // output port Out.
@@ -70,9 +45,9 @@ const (
 	slotOutShift = 3               // bits 3..5 of a head's byte: the routed output port
 )
 
-// maxBufferDepth is the deepest input FIFO the ring counters (one byte each)
+// MaxBufferDepth is the deepest input FIFO the ring counters (one byte each)
 // can describe.
-const maxBufferDepth = math.MaxUint8
+const MaxBufferDepth = math.MaxUint8
 
 // outputPort holds the per-output state: the wormhole reservation, the
 // credit counter towards the downstream buffer and the round-robin arbiter
@@ -111,7 +86,6 @@ type outputPort struct {
 type Router struct {
 	Dim  mesh.Dim
 	Node mesh.Node
-	cfg  Config
 
 	// topo supplies the routing decision and port tables; its OutputPort
 	// inlines into the per-head-flit routing decision.
@@ -131,7 +105,7 @@ type Router struct {
 	occupied   uint8
 	stagedMask uint8
 
-	depth    int // cfg.BufferDepth, the ring size
+	depth    int // input-buffer depth, the ring size
 	head     [mesh.NumDirections]uint8
 	count    [mesh.NumDirections]uint8
 	staged   [mesh.NumDirections]uint8
@@ -147,33 +121,31 @@ type Router struct {
 	transferScratch [mesh.NumDirections]Transfer
 }
 
-// New builds a router at router-grid node n of topology t: port existence
-// comes from the topology's port table and the per-head-flit routing
-// decision from its OutputPort. For WaW arbitration the per-port weights are
-// taken from counts (typically the router's entry of flows.WeightTableFor(t));
-// counts may be nil for round-robin routers. The downstream credit counters
-// are initialised to downstreamDepth, the input-buffer depth of the
-// neighbouring routers (normally cfg.BufferDepth).
-func New(t mesh.Topology, n mesh.Node, cfg Config, counts *flows.PortCounts, downstreamDepth int) (*Router, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// New builds a router with depth-flit input FIFOs at router-grid node n of
+// topology t: port existence comes from the topology's port table and the
+// per-head-flit routing decision from its OutputPort. A router given counts
+// (typically its entry of flows.WeightTableFor(t)) arbitrates with WaW,
+// taking its per-port weights from them; with nil counts it arbitrates
+// round-robin. The downstream credit counters are initialised to
+// downstreamDepth, the input-buffer depth of the neighbouring routers
+// (depth itself when below one).
+func New(t mesh.Topology, n mesh.Node, depth int, counts *flows.PortCounts, downstreamDepth int) (*Router, error) {
+	if depth < 1 || depth > MaxBufferDepth {
+		return nil, fmt.Errorf("router: buffer depth must be in 1..%d, got %d", MaxBufferDepth, depth)
 	}
 	d := t.RouterDim()
 	if !d.Contains(n) {
 		return nil, fmt.Errorf("router: node %v outside %v mesh", n, d)
 	}
-	weighted := cfg.Arbitration == arbiter.KindWeighted
-	if weighted && counts == nil {
-		return nil, fmt.Errorf("router: WaW arbitration requires per-port flow counts")
-	}
 	if downstreamDepth < 1 {
-		downstreamDepth = cfg.BufferDepth
+		downstreamDepth = depth
 	}
-	r := &Router{Dim: d, Node: n, cfg: cfg, downstreamDepth: downstreamDepth,
+	weighted := counts != nil
+	r := &Router{Dim: d, Node: n, downstreamDepth: downstreamDepth,
 		topo: t, weighted: weighted,
-		depth: cfg.BufferDepth,
-		slots: make([]*flit.Flit, mesh.NumDirections*cfg.BufferDepth),
-		info:  make([]uint8, mesh.NumDirections*cfg.BufferDepth),
+		depth: depth,
+		slots: make([]*flit.Flit, mesh.NumDirections*depth),
+		info:  make([]uint8, mesh.NumDirections*depth),
 	}
 	for _, dir := range mesh.Directions {
 		if !t.HasOutput(n, dir) {
@@ -198,19 +170,16 @@ func New(t mesh.Topology, n mesh.Node, cfg Config, counts *flows.PortCounts, dow
 	return r, nil
 }
 
-// Config returns the router configuration.
-func (r *Router) Config() Config { return r.cfg }
-
 // HasOutput reports whether the output port in direction dir exists.
 func (r *Router) HasOutput(dir mesh.Direction) bool { return r.out[dir].exists }
 
 // Credits returns the current credit count of the output port (the number of
 // free slots the router believes the downstream buffer has). The local
-// ejection port reports the configured buffer depth but is never
+// ejection port reports the router's buffer depth but is never
 // back-pressured.
 func (r *Router) Credits(dir mesh.Direction) int {
 	if dir == mesh.Local {
-		return r.cfg.BufferDepth
+		return r.depth
 	}
 	return r.out[dir].credits
 }

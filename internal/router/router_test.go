@@ -3,7 +3,6 @@ package router
 import (
 	"testing"
 
-	"repro/internal/arbiter"
 	"repro/internal/flit"
 	"repro/internal/flows"
 	"repro/internal/mesh"
@@ -11,10 +10,13 @@ import (
 
 var nextPacketID uint64
 
-// mustNew builds a router at node n of the plain mesh d with downstream
-// buffers as deep as its own; it panics on error.
-func mustNew(d mesh.Dim, n mesh.Node, cfg Config, counts *flows.PortCounts) *Router {
-	r, err := New(mesh.Plain(d), n, cfg, counts, cfg.BufferDepth)
+// depth is the input-buffer depth of the evaluation platform.
+const depth = 4
+
+// mustNew builds a router with depth-flit buffers at node n of the plain mesh
+// d, with downstream buffers as deep as its own; it panics on error.
+func mustNew(d mesh.Dim, n mesh.Node, counts *flows.PortCounts) *Router {
+	r, err := New(mesh.Plain(d), n, depth, counts, depth)
 	if err != nil {
 		panic(err)
 	}
@@ -53,22 +55,14 @@ func stageAll(t *testing.T, r *Router, dir mesh.Direction, fl []*flit.Flit) {
 	r.CommitArrivals()
 }
 
+// TestConfigValidate checks New's buffer-depth range: the ring positions and
+// counts are one byte each.
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
-	}
-	if err := (Config{BufferDepth: 0, Arbitration: arbiter.KindRoundRobin}).Validate(); err == nil {
-		t.Error("zero buffer depth should be invalid")
-	}
-	if err := (Config{BufferDepth: 2, Arbitration: arbiter.Kind(9)}).Validate(); err == nil {
-		t.Error("unknown arbitration should be invalid")
-	}
-	// The ring positions and counts are one byte each.
-	if err := (Config{BufferDepth: 255, Arbitration: arbiter.KindRoundRobin}).Validate(); err != nil {
-		t.Errorf("depth 255 should be valid: %v", err)
-	}
-	if err := (Config{BufferDepth: 256, Arbitration: arbiter.KindRoundRobin}).Validate(); err == nil {
-		t.Error("a depth the ring counters cannot hold should be invalid")
+	topo := mesh.Plain(mesh.MustDim(3, 3))
+	for depth, valid := range map[int]bool{0: false, 1: true, 4: true, MaxBufferDepth: true, MaxBufferDepth + 1: false} {
+		if _, err := New(topo, mesh.Node{X: 1, Y: 1}, depth, nil, 0); (err == nil) != valid {
+			t.Errorf("depth %d: error %v, want valid=%v", depth, err, valid)
+		}
 	}
 }
 
@@ -76,8 +70,7 @@ func TestConfigValidate(t *testing.T) {
 // one-byte counter passes through its largest value and the ring wraps.
 func TestDeepestRingWraps(t *testing.T) {
 	d := mesh.MustDim(3, 3)
-	cfg := Config{BufferDepth: 255, Arbitration: arbiter.KindRoundRobin}
-	r, err := New(mesh.Plain(d), mesh.Node{X: 1, Y: 1}, cfg, nil, 255)
+	r, err := New(mesh.Plain(d), mesh.Node{X: 1, Y: 1}, 255, nil, 255)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,34 +104,31 @@ func TestDeepestRingWraps(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	d := mesh.MustDim(3, 3)
-	if _, err := New(mesh.Plain(d), mesh.Node{X: 5, Y: 5}, DefaultConfig(), nil, 4); err == nil {
+	if _, err := New(mesh.Plain(d), mesh.Node{X: 5, Y: 5}, depth, nil, 4); err == nil {
 		t.Error("node outside mesh should fail")
 	}
-	if _, err := New(mesh.Plain(d), mesh.Node{X: 0, Y: 0}, Config{BufferDepth: 4, Arbitration: arbiter.KindWeighted}, nil, 4); err == nil {
-		t.Error("WaW without counts should fail")
+	if _, err := New(mesh.Plain(d), mesh.Node{X: 0, Y: 0}, 0, nil, 4); err == nil {
+		t.Error("zero buffer depth should fail")
 	}
-	if _, err := New(mesh.Plain(d), mesh.Node{X: 0, Y: 0}, Config{BufferDepth: 0, Arbitration: arbiter.KindRoundRobin}, nil, 4); err == nil {
-		t.Error("invalid config should fail")
-	}
-	r, err := New(mesh.Plain(d), mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil, 0)
+	r, err := New(mesh.Plain(d), mesh.Node{X: 1, Y: 1}, depth, nil, 0)
 	if err != nil {
 		t.Fatalf("valid router rejected: %v", err)
 	}
-	if r.Credits(mesh.XPlus) != DefaultConfig().BufferDepth {
+	if r.Credits(mesh.XPlus) != depth {
 		t.Errorf("downstreamDepth<1 should default to BufferDepth, credits=%d", r.Credits(mesh.XPlus))
 	}
 }
 
 func TestOutputExistence(t *testing.T) {
 	d := mesh.MustDim(3, 3)
-	corner := mustNew(d, mesh.Node{X: 0, Y: 0}, DefaultConfig(), nil)
+	corner := mustNew(d, mesh.Node{X: 0, Y: 0}, nil)
 	if corner.HasOutput(mesh.XMinus) || corner.HasOutput(mesh.YMinus) {
 		t.Error("corner router should not have X-/Y- outputs")
 	}
 	if !corner.HasOutput(mesh.XPlus) || !corner.HasOutput(mesh.YPlus) || !corner.HasOutput(mesh.Local) {
 		t.Error("corner router missing expected outputs")
 	}
-	center := mustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
+	center := mustNew(d, mesh.Node{X: 1, Y: 1}, nil)
 	for _, dir := range mesh.Directions {
 		if !center.HasOutput(dir) {
 			t.Errorf("centre router missing output %v", dir)
@@ -148,7 +138,7 @@ func TestOutputExistence(t *testing.T) {
 
 func TestSingleFlitTraversalDecision(t *testing.T) {
 	d := mesh.MustDim(4, 4)
-	r := mustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
+	r := mustNew(d, mesh.Node{X: 1, Y: 1}, nil)
 	// A single-flit packet injected locally, destined to (3,1): must leave
 	// through X+.
 	pkt := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 3, Y: 1}, 1)
@@ -170,7 +160,7 @@ func TestSingleFlitTraversalDecision(t *testing.T) {
 	if f != pkt[0] {
 		t.Error("ApplyTransfer returned wrong flit")
 	}
-	if r.Credits(mesh.XPlus) != DefaultConfig().BufferDepth-1 {
+	if r.Credits(mesh.XPlus) != depth-1 {
 		t.Errorf("credits after send = %d", r.Credits(mesh.XPlus))
 	}
 	if r.InputOccupancy(mesh.Local) != 0 {
@@ -184,7 +174,7 @@ func TestSingleFlitTraversalDecision(t *testing.T) {
 func TestEjectionAtDestination(t *testing.T) {
 	d := mesh.MustDim(4, 4)
 	dst := mesh.Node{X: 2, Y: 2}
-	r := mustNew(d, dst, DefaultConfig(), nil)
+	r := mustNew(d, dst, nil)
 	pkt := makePacket(mesh.Node{X: 0, Y: 2}, dst, 1)
 	stageAll(t, r, mesh.XPlus, pkt)
 	transfers := r.ComputeTransfers()
@@ -195,7 +185,7 @@ func TestEjectionAtDestination(t *testing.T) {
 
 func TestWormholeLockingAndRelease(t *testing.T) {
 	d := mesh.MustDim(4, 4)
-	r := mustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
+	r := mustNew(d, mesh.Node{X: 1, Y: 1}, nil)
 	pkt := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 1, Y: 3}, 3) // Head, Body, Tail via Y+
 	stageAll(t, r, mesh.Local, pkt)
 
@@ -242,8 +232,7 @@ func TestWormholeLockingAndRelease(t *testing.T) {
 
 func TestCreditBackpressure(t *testing.T) {
 	d := mesh.MustDim(4, 4)
-	cfg := Config{BufferDepth: 2, Arbitration: arbiter.KindRoundRobin}
-	r, err := New(mesh.Plain(d), mesh.Node{X: 1, Y: 1}, cfg, nil, 2)
+	r, err := New(mesh.Plain(d), mesh.Node{X: 1, Y: 1}, 2, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,18 +268,18 @@ func TestCreditBackpressure(t *testing.T) {
 
 func TestCreditPanics(t *testing.T) {
 	d := mesh.MustDim(3, 3)
-	r := mustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
+	r := mustNew(d, mesh.Node{X: 1, Y: 1}, nil)
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("credit underflow should panic")
 			}
 		}()
-		for i := 0; i < DefaultConfig().BufferDepth+1; i++ {
+		for i := 0; i < depth+1; i++ {
 			r.ConsumeCredit(mesh.XPlus)
 		}
 	}()
-	r2 := mustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
+	r2 := mustNew(d, mesh.Node{X: 1, Y: 1}, nil)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -300,7 +289,7 @@ func TestCreditPanics(t *testing.T) {
 		r2.ReturnCredit(mesh.XPlus)
 	}()
 	// The local ejection port ignores credit operations entirely.
-	r3 := mustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
+	r3 := mustNew(d, mesh.Node{X: 1, Y: 1}, nil)
 	r3.ConsumeCredit(mesh.Local)
 	r3.ReturnCredit(mesh.Local)
 }
@@ -311,7 +300,7 @@ func TestCreditPanics(t *testing.T) {
 func TestCreditOverflowTracksDownstreamDepth(t *testing.T) {
 	d := mesh.MustDim(3, 3)
 	for _, downstream := range []int{2, 6} { // own depth is 4
-		r, err := New(mesh.Plain(d), mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil, downstream)
+		r, err := New(mesh.Plain(d), mesh.Node{X: 1, Y: 1}, depth, nil, downstream)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,8 +327,7 @@ func TestCreditOverflowTracksDownstreamDepth(t *testing.T) {
 
 func TestInputOverflowRejected(t *testing.T) {
 	d := mesh.MustDim(3, 3)
-	cfg := Config{BufferDepth: 2, Arbitration: arbiter.KindRoundRobin}
-	r, err := New(mesh.Plain(d), mesh.Node{X: 0, Y: 0}, cfg, nil, 2)
+	r, err := New(mesh.Plain(d), mesh.Node{X: 0, Y: 0}, 2, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +348,7 @@ func TestInputOverflowRejected(t *testing.T) {
 
 func TestPopEmptyPanics(t *testing.T) {
 	d := mesh.MustDim(2, 2)
-	r := mustNew(d, mesh.Node{X: 0, Y: 0}, DefaultConfig(), nil)
+	r := mustNew(d, mesh.Node{X: 0, Y: 0}, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("PopInput on empty FIFO should panic")
@@ -371,7 +359,7 @@ func TestPopEmptyPanics(t *testing.T) {
 
 func TestApplyTransferMismatchPanics(t *testing.T) {
 	d := mesh.MustDim(3, 3)
-	r := mustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
+	r := mustNew(d, mesh.Node{X: 1, Y: 1}, nil)
 	pkt := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 2, Y: 1}, 1)
 	stageAll(t, r, mesh.Local, pkt)
 	other := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 2, Y: 1}, 1)
@@ -386,7 +374,7 @@ func TestApplyTransferMismatchPanics(t *testing.T) {
 func TestRoundRobinContentionAlternates(t *testing.T) {
 	d := mesh.MustDim(3, 3)
 	dst := mesh.Node{X: 2, Y: 1}
-	r := mustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
+	r := mustNew(d, mesh.Node{X: 1, Y: 1}, nil)
 	// Two streams of single-flit packets contend for X+: one injected
 	// locally, one arriving on the X+ input (travelling east).
 	var localFlits, throughFlits []*flit.Flit
@@ -424,8 +412,7 @@ func TestWaWContentionFavoursWeightedInput(t *testing.T) {
 		t.Fatalf("unexpected closed-form counts at (0,0): X-=%d Y-=%d",
 			counts.CounterMax(mesh.XMinus, mesh.Local), counts.CounterMax(mesh.YMinus, mesh.Local))
 	}
-	cfg := Config{BufferDepth: 4, Arbitration: arbiter.KindWeighted}
-	r, err := New(mesh.Plain(d), node, cfg, counts, 4)
+	r, err := New(mesh.Plain(d), node, depth, counts, depth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +443,7 @@ func TestWaWContentionFavoursWeightedInput(t *testing.T) {
 
 func TestIllegalTurnNeverGranted(t *testing.T) {
 	d := mesh.MustDim(3, 3)
-	r := mustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
+	r := mustNew(d, mesh.Node{X: 1, Y: 1}, nil)
 	// A flit arriving on a Y input can never be routed to an X output under
 	// XY routing. Build a (malformed) flit that would want to do so: it
 	// arrives travelling Y+ but its destination is to the east.
@@ -474,7 +461,7 @@ func TestHeadOfLineBlocking(t *testing.T) {
 	// the head-of-line blocking inherent to wormhole switching (no virtual
 	// channels), which the paper's analysis assumes.
 	d := mesh.MustDim(4, 4)
-	r := mustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
+	r := mustNew(d, mesh.Node{X: 1, Y: 1}, nil)
 
 	// Lock Y+ with a 3-flit packet injected locally; only the head has
 	// arrived so the lock persists.
@@ -507,7 +494,7 @@ func TestParallelOutputsSameCycle(t *testing.T) {
 	// Different output ports can forward flits from different inputs in the
 	// same cycle (crossbar parallelism).
 	d := mesh.MustDim(3, 3)
-	r := mustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
+	r := mustNew(d, mesh.Node{X: 1, Y: 1}, nil)
 	east := makePacket(mesh.Node{X: 0, Y: 1}, mesh.Node{X: 2, Y: 1}, 1)
 	south := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 1, Y: 2}, 1)
 	stageAll(t, r, mesh.XPlus, east)
@@ -523,7 +510,7 @@ func TestOneTransferPerInputPerCycle(t *testing.T) {
 	// when consecutive single-flit packets in its FIFO target different
 	// outputs.
 	d := mesh.MustDim(3, 3)
-	r := mustNew(d, mesh.Node{X: 1, Y: 1}, DefaultConfig(), nil)
+	r := mustNew(d, mesh.Node{X: 1, Y: 1}, nil)
 	first := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 2, Y: 1}, 1)
 	second := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 1, Y: 2}, 1)
 	stageAll(t, r, mesh.Local, append(first, second...))

@@ -14,8 +14,8 @@ import (
 // and simulator-throughput studies.
 
 // Permutation maps every source node to a fixed destination node. The map is
-// defined on a topology's endpoint index space (mesh.Topology.EndpointDim):
-// the full core grid regardless of topology, so the same pattern drives a
+// defined on a topology's endpoint index space (the grid mesh.TopoSpec.Build
+// was given): the full core grid regardless of topology, so the same pattern drives a
 // mesh and a concentrated mesh of the same endpoint dimensions.
 // Every pattern in this file is total and a bijection on arbitrary
 // (including non-square) grids, which the per-topology bijection regression
@@ -73,8 +73,8 @@ type PermutationGenerator struct {
 }
 
 // NewPermutation builds a permutation-pattern generator on the endpoint grid
-// d (a topology's EndpointDim — the index space Permutation maps are defined
-// on). interval is the number of cycles between consecutive rounds (at least
+// d (the grid a topology was built on — the index space Permutation maps are
+// defined on). interval is the number of cycles between consecutive rounds (at least
 // 1).
 func NewPermutation(d mesh.Dim, perm Permutation, payload, rounds int, interval uint64) (*PermutationGenerator, error) {
 	if err := d.Validate(); err != nil {

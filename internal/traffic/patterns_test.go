@@ -165,14 +165,16 @@ func TestPatternsAreBijectionsPerTopology(t *testing.T) {
 		"neighbor":  NearestNeighbor,
 		"tornado":   Tornado,
 	}
-	topos := []mesh.Topology{
-		mesh.TopoSpec{Kind: mesh.TopoMesh}.MustBuild(mesh.MustDim(8, 8)),
-		mesh.TopoSpec{Kind: mesh.TopoMesh}.MustBuild(mesh.MustDim(5, 3)),
-		mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: 4}.MustBuild(mesh.MustDim(8, 8)),
-		mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: 2}.MustBuild(mesh.MustDim(6, 4)),
-	}
-	for _, topo := range topos {
-		ep := topo.EndpointDim()
+	for _, c := range []struct {
+		spec mesh.TopoSpec
+		ep   mesh.Dim
+	}{
+		{mesh.TopoSpec{Kind: mesh.TopoMesh}, mesh.MustDim(8, 8)},
+		{mesh.TopoSpec{Kind: mesh.TopoMesh}, mesh.MustDim(5, 3)},
+		{mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: 4}, mesh.MustDim(8, 8)},
+		{mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: 2}, mesh.MustDim(6, 4)},
+	} {
+		topo, ep := c.spec.MustBuild(c.ep), c.ep
 		for name, perm := range patterns {
 			seen := make(map[mesh.Node]mesh.Node, ep.Nodes())
 			for _, src := range ep.AllNodes() {
@@ -222,15 +224,16 @@ func TestTornadoMapping(t *testing.T) {
 // topology: it is defined on the topology's endpoint grid, not its router
 // grid, and rejects a nil permutation.
 func TestNewPermutationTopo(t *testing.T) {
-	topo := mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: 4}.MustBuild(mesh.MustDim(4, 4))
-	g, err := NewPermutation(topo.EndpointDim(), Tornado, 64, 1, 1)
+	ep := mesh.MustDim(4, 4)
+	topo := mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: 4}.MustBuild(ep)
+	g, err := NewPermutation(ep, Tornado, 64, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.dim != topo.EndpointDim() {
-		t.Errorf("generator dim %v, want the endpoint grid %v", g.dim, topo.EndpointDim())
+	if g.dim != ep || g.dim == topo.RouterDim() {
+		t.Errorf("generator dim %v, want the endpoint grid %v", g.dim, ep)
 	}
-	if _, err := NewPermutation(topo.EndpointDim(), nil, 64, 1, 1); err == nil {
+	if _, err := NewPermutation(ep, nil, 64, 1, 1); err == nil {
 		t.Error("nil permutation should fail")
 	}
 }
