@@ -5,19 +5,23 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"testing"
 )
 
-// BenchmarkServeLines measures ServeLines in process on every flow of a warm
-// 8x8 mesh, one op per bound: batch is the vectorised verb (lines of up to
-// 65536 tuples), flat the co-simulator's shape — one wctt line per bound,
-// answered on the reader goroutine — and generic the same lines with one
-// escaped character in the op string, which the flat decoder declines, so
-// every line pays encoding/json, a pool hand-off and the ordered queue. For
-// a developer to run by hand, at -cpu 1 (the generic pipeline's stages
-// overlap on several cores, and ns/op stops being work per line); over real
-// TCP the same paths are the serve-batch and serve-lines workloads of bench/,
-// which is what CI compares.
+// BenchmarkServeLines measures ServeLines in process, one op per bound, on
+// warm models: batch is the vectorised verb on every flow of an 8x8 mesh
+// (lines of up to 65536 tuples), batch4032 the serve-batch workload's lines
+// (4032 tuples, a design and payload per line), and batch-sparse 16-tuple
+// lines of random pairs on a 64x64 mesh, where nearly every tuple is a group
+// of its own in the model's grouped kernel sweeps. flat is the co-simulator's
+// shape — one wctt line per bound, answered on the reader goroutine — and
+// generic the same lines with one escaped character in the op string, which
+// the flat decoder declines, so every line pays encoding/json, a pool
+// hand-off and the ordered queue. For a developer to run by hand, at -cpu 1
+// (the generic pipeline's stages overlap on several cores, and ns/op stops
+// being work per line); over real TCP the batch4032 and flat paths are the
+// serve-batch and serve-lines workloads of bench/, which is what CI compares.
 //
 //	go test -run xxx -bench BenchmarkServeLines -cpu 1 ./internal/serve/
 func BenchmarkServeLines(b *testing.B) {
@@ -62,6 +66,32 @@ func BenchmarkServeLines(b *testing.B) {
 			return buf.Bytes()
 		}
 	}
+	// sparse renders n bounds as 16-tuple batch lines of random pairs of a
+	// 64x64 mesh, the designs alternating by line.
+	sparse := func(n int) []byte {
+		rng := rand.New(rand.NewSource(1))
+		var buf bytes.Buffer
+		for q := 0; q < n; q++ {
+			if q%16 == 0 {
+				design := "waw+wap"
+				if q/16%2 == 0 {
+					design = "regular"
+				}
+				fmt.Fprintf(&buf, `{"id":%d,"op":"batch","design":"%s","width":64,"height":64,"queries":[`, q/16+1, design)
+			}
+			src, dst := rng.Intn(64*64), rng.Intn(64*64-1)
+			if dst >= src {
+				dst++
+			}
+			fmt.Fprintf(&buf, "[%d,%d,%d,%d]", src%64, src/64, dst%64, dst/64)
+			if q%16 == 15 || q == n-1 {
+				buf.WriteString("]}\n")
+			} else {
+				buf.WriteByte(',')
+			}
+		}
+		return buf.Bytes()
+	}
 	lines := func(op string) func(n int) []byte {
 		return func(n int) []byte {
 			var buf bytes.Buffer
@@ -76,7 +106,8 @@ func BenchmarkServeLines(b *testing.B) {
 	for _, v := range []struct {
 		name   string
 		render func(n int) []byte
-	}{{"batch", batch(65536, false)}, {"batch4032", batch(len(flows), true)}, {"flat", lines(`"wctt"`)}, {"generic", lines(`"wct\u0074"`)}} {
+	}{{"batch", batch(65536, false)}, {"batch4032", batch(len(flows), true)}, {"batch-sparse", sparse},
+		{"flat", lines(`"wctt"`)}, {"generic", lines(`"wct\u0074"`)}} {
 		b.Run(v.name, func(b *testing.B) {
 			s := NewServer(Config{})
 			defer s.Close()
@@ -85,14 +116,15 @@ func BenchmarkServeLines(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			serve(batch(len(flows), false)(len(flows))) // builds the model
+			serve(batch(len(flows), false)(len(flows))) // builds the models
+			serve(sparse(32))
 			in := v.render(b.N)
 			b.ReportAllocs()
 			b.ResetTimer()
 			serve(in)
 			b.StopTimer()
-			if st := s.Stats(); st.Errors != 0 || st.Queries != uint64(len(flows)+b.N) {
-				b.Fatalf("%d bounds answered with %d failed lines, want %d and 0", st.Queries, st.Errors, len(flows)+b.N)
+			if st := s.Stats(); st.Errors != 0 || st.Queries != uint64(len(flows)+32+b.N) {
+				b.Fatalf("%d bounds answered with %d failed lines, want %d and 0", st.Queries, st.Errors, len(flows)+32+b.N)
 			}
 		})
 	}

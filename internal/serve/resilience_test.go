@@ -187,6 +187,7 @@ func TestServeMaxPacketLimit(t *testing.T) {
 // decoders: MaxBatchTuples tuples are answered, one more gets the coded limit
 // error — before a model is looked up: the mesh named is one nothing has
 // built, and the model cache does not see it — and the connection goes on.
+// The scan behind the count stores at most MaxBatchTuples tuples.
 func TestServeTupleLimit(t *testing.T) {
 	s := NewServer(Config{Workers: 1})
 	defer s.Close()
@@ -227,6 +228,13 @@ func TestServeTupleLimit(t *testing.T) {
 	}
 	if st := s.Stats(); st.Queries != MaxBatchTuples {
 		t.Errorf("counted %d bounds answered, want %d", st.Queries, MaxBatchTuples)
+	}
+	// The scan that counts a line's tuples stores no more than the limit.
+	var tl tupleList
+	tl.scanQueries([]byte("[" + strings.Repeat("[0,0],", MaxBatchTuples) + "[3,3]]"))
+	if !tl.complete || tl.n != MaxBatchTuples+1 || len(tl.tuples) != MaxBatchTuples {
+		t.Errorf("a scan of %d tuples counted %d, stored %d (complete %v), want every one counted and %d stored",
+			MaxBatchTuples+1, tl.n, len(tl.tuples), tl.complete, MaxBatchTuples)
 	}
 }
 
