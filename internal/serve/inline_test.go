@@ -350,6 +350,75 @@ func TestServeBatchLineAllocs(t *testing.T) {
 	}
 }
 
+// maxScratchPerTuple is the pooled scratch a vector line keeps per tuple at
+// most, as PROTOCOL.md's "Memory per in-flight line" states it: the scan's
+// 48-byte tuple record, the answer, and the grouped sweeps' query links and
+// group table when every tuple is a group of its own, with the slack of the
+// slices' growth.
+const maxScratchPerTuple = 160
+
+// TestServeBatchLineScratchBounded holds the pooled scratch of one batch line
+// to maxScratchPerTuple: a 65 536-tuple line on a 128x128 mesh whose tuples
+// are all groups of their own (every source router with four payloads of
+// distinct packet counts) is answered on a warm connection, and the heap the
+// pools keep is measured as the heap they free when a second collection
+// empties them.
+func TestServeBatchLineScratchBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s := NewServer(Config{Workers: 1})
+	defer s.Close()
+	reqR, reqW := io.Pipe()
+	respR, respW := io.Pipe()
+	served := make(chan error, 1)
+	go func() { served <- s.ServeLines(context.Background(), reqR, respW) }()
+	resp := bufio.NewReader(respR)
+
+	const side, tuples = 128, 1 << 16
+	var line bytes.Buffer
+	line.WriteString(`{"id":7,"op":"batch","design":"waw+wap","width":128,"height":128,"queries":[`)
+	for q := 0; q < tuples; q++ {
+		src := q % (side * side)
+		fmt.Fprintf(&line, "[%d,%d,%d,%d,%d],", src%side, src/side, (src+side+1)%side, (src/side+3)%side, (q/(side*side)+1)*100000)
+	}
+	line.Truncate(line.Len() - 1)
+	line.WriteString("]}\n")
+	// A round trip is the line and then a one-tuple line, which leaves the
+	// connection and the pool worker holding nothing of the long one.
+	roundTrip := func() {
+		for _, l := range [][]byte{line.Bytes(), []byte(`{"id":7,"op":"batch","design":"waw+wap","width":128,"height":128,"queries":[[0,0,1,1]]}` + "\n")} {
+			if _, err := reqW.Write(l); err != nil {
+				t.Fatal(err)
+			}
+			got, err := resp.ReadBytes('\n')
+			if err != nil || !bytes.HasPrefix(got, []byte(`{"id":7,"ok":true,"cycles":[`)) {
+				t.Fatalf("a batch line was answered %.80q, %v", got, err)
+			}
+			if len(l) == line.Len() && bytes.Count(got, []byte(",")) != tuples+1 {
+				t.Fatalf("a %d-tuple line was answered %.80q", tuples, got)
+			}
+		}
+	}
+	roundTrip() // builds the model, grows the scanner's buffer
+	roundTrip()
+	var pooled, emptied runtime.MemStats
+	runtime.GC() // what the pools hold survives one collection
+	runtime.ReadMemStats(&pooled)
+	runtime.GC() // and not two
+	runtime.ReadMemStats(&emptied)
+	if kept := int64(pooled.HeapAlloc) - int64(emptied.HeapAlloc); kept > maxScratchPerTuple*tuples {
+		t.Errorf("a %d-tuple line left %d bytes of pooled scratch (%.1f per tuple), want at most %d per tuple",
+			tuples, kept, float64(kept)/tuples, maxScratchPerTuple)
+	} else {
+		t.Logf("a %d-tuple line left %d bytes of pooled scratch (%.1f per tuple)", tuples, kept, float64(kept)/tuples)
+	}
+	reqW.Close()
+	if err := <-served; err != nil {
+		t.Fatalf("ServeLines: %v", err)
+	}
+}
+
 // coldWidth hands every run of TestServeColdBuildsStayOnPool (-count) a mesh
 // width nothing in this package has built: the model cache is process-wide.
 var coldWidth atomic.Int64
