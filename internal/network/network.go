@@ -44,7 +44,10 @@
 // RunUntilDrained and traffic.Drive leap over event-idle windows in O(1).
 // A network is single-threaded: one goroutine steps it, and the traffic
 // generators, the NICs and the delivery path all draw from and recycle into
-// the one message/flit arena it owns (Pool). Parallelism lives a layer up,
+// the one message/flit arena it owns (Pool). Only a rate-driven generator's
+// pseudo-random draws run ahead, a chunk at a time on a goroutine of their
+// own that touches neither the network nor its pool; the generator builds
+// its messages on the stepping goroutine. Parallelism lives a layer up,
 // across scenarios (sweep -jobs, -worker-procs). The plain every-router,
 // every-NIC scan the repository started with survives as the in-package test
 // oracle (export_test.go) that the equivalence and lockstep tests step next
