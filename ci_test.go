@@ -11,21 +11,23 @@ import (
 	"testing"
 )
 
-// ciTestFlag captures a -run or -fuzz pattern of a `go test` command line,
-// quoted or bare.
-var ciTestFlag = regexp.MustCompile(`-(run|fuzz)\s+(?:'([^']*)'|(\S+))`)
+// ciTestFlag captures a -run, -fuzz or -bench pattern of a `go test` command
+// line, quoted or bare.
+var ciTestFlag = regexp.MustCompile(`-(run|fuzz|bench)\s+(?:'([^']*)'|(\S+))`)
 
 // TestCIPatternsMatchTests keeps the workflow's targeted steps honest: every
-// `|`-alternative of a -run or -fuzz pattern in .github/workflows/ci.yml must
-// match at least one func Test*/Fuzz* declared in the packages that command
+// `|`-alternative of a -run, -fuzz or -bench pattern in
+// .github/workflows/ci.yml must match at least one func Test*, Fuzz* or
+// Benchmark* (as the flag selects) declared in the packages that command
 // lists. A renamed or deleted test otherwise drops out of its CI step without
 // a failure, because `go test -run` that matches nothing passes. The `-run`
-// of a -fuzz line only silences the unit tests and is not checked.
+// of a -fuzz or -bench line only silences the unit tests and is not checked.
 func TestCIPatternsMatchTests(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	prefix := map[string]string{"run": "Test", "fuzz": "Fuzz", "bench": "Benchmark"}
 	checked := 0
 	for i, line := range strings.Split(string(data), "\n") {
 		flags := ciTestFlag.FindAllStringSubmatch(line, -1)
@@ -38,10 +40,10 @@ func TestCIPatternsMatchTests(t *testing.T) {
 				names = append(names, ciTestFuncs(t, arg)...)
 			}
 		}
-		fuzzing := strings.Contains(line, " -fuzz ")
+		silenced := strings.Contains(line, " -fuzz ") || strings.Contains(line, " -bench ")
 		for _, m := range flags {
 			flag, pattern := m[1], m[2]+m[3]
-			if flag == "run" && fuzzing {
+			if flag == "run" && silenced {
 				continue
 			}
 			// Only the top-level test name is matched here; a /subtest
@@ -54,7 +56,8 @@ func TestCIPatternsMatchTests(t *testing.T) {
 				}
 				matched := false
 				for _, name := range names {
-					if (flag == "run" || strings.HasPrefix(name, "Fuzz")) && re.MatchString(name) {
+					kind := strings.HasPrefix(name, prefix[flag]) || flag == "run" && strings.HasPrefix(name, "Fuzz")
+					if kind && re.MatchString(name) {
 						matched = true
 						break
 					}
@@ -71,8 +74,8 @@ func TestCIPatternsMatchTests(t *testing.T) {
 	}
 }
 
-// ciTestFuncs returns the names of the top-level Test* and Fuzz* functions
-// declared in the _test.go files of a package argument such as
+// ciTestFuncs returns the names of the top-level Test*, Fuzz* and Benchmark*
+// functions declared in the _test.go files of a package argument such as
 // ./internal/serve/.
 func ciTestFuncs(t *testing.T, pkg string) []string {
 	t.Helper()
@@ -89,7 +92,7 @@ func ciTestFuncs(t *testing.T, pkg string) []string {
 		}
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if ok && fn.Recv == nil && (strings.HasPrefix(fn.Name.Name, "Test") || strings.HasPrefix(fn.Name.Name, "Fuzz")) {
+			if ok && fn.Recv == nil && (strings.HasPrefix(fn.Name.Name, "Test") || strings.HasPrefix(fn.Name.Name, "Fuzz") || strings.HasPrefix(fn.Name.Name, "Benchmark")) {
 				names = append(names, fn.Name.Name)
 			}
 		}

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -302,6 +303,33 @@ func TestParseTopology(t *testing.T) {
 	if _, err := (TopoSpec{Kind: TopoCMesh, Conc: 3}).Build(MustDim(6, 6)); err == nil {
 		t.Error("conc 3 should fail (only 2 and 4 supported)")
 	}
+}
+
+// FuzzParseTopology holds the topology flag parser to its round trip. An
+// accepted name parses to a spec whose canonical String() parses back to the
+// same spec and builds on a 4x4 grid; a rejected name is quoted, escapes and
+// all, in the error. The seeds are the canonical names; the committed corpus
+// adds case and Unicode-space variants, NUL and invalid UTF-8.
+func FuzzParseTopology(f *testing.F) {
+	for _, s := range []string{"", "mesh", "cmesh", "cmesh2", "cmesh4", "torus"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseTopology(s)
+		if err != nil {
+			if !strings.Contains(err.Error(), fmt.Sprintf("%q", s)) {
+				t.Fatalf("ParseTopology(%q) error %q does not quote the input", s, err)
+			}
+			return
+		}
+		again, err := ParseTopology(spec.String())
+		if err != nil || again != spec {
+			t.Fatalf("ParseTopology(%q) = %v, but its String %q parses to %v, %v", s, spec, spec.String(), again, err)
+		}
+		if _, err := spec.Build(MustDim(4, 4)); err != nil {
+			t.Fatalf("ParseTopology(%q) = %v, which does not build on 4x4: %v", s, spec, err)
+		}
+	})
 }
 
 // TestTopologyWalkAllocs pins the walkers allocation-free: the analytical

@@ -1,14 +1,23 @@
 package network
 
+import (
+	"fmt"
+
+	"repro/internal/mesh"
+)
+
 // FullScan is the executable reference Network.Step is validated against: the
 // plain scan the repository started with, which visits every router and every
 // NIC every cycle and so needs neither the active set nor lazy replenishment.
-// It steps a Network of its own through the same stepRouter and stepNIC as
-// Step; every router stays flagged active for the network's whole life, so
-// activateRouter never settles or queues anything. Inspect and feed the
-// network through Net (Send, Router, Cycle, the statistics), but advance it
-// only through the oracle's own Step, Run and RunUntilDrained: Net.Step,
-// Net.Run and Net.Drained belong to the active-set engine.
+// It moves flits in two phases per router — Router.ComputeTransfers decides
+// every output, then ApplyTransfer and StageArrival move each transfer — so
+// the tests hold Step's one-walk Router.Forward to the decision made apart
+// from the moves. It shares stepNIC and hopped with Step; every router stays
+// flagged active for the network's whole life, so activateRouter never
+// settles or queues anything. Inspect and feed the network through Net
+// (Send, Router, Cycle, the statistics), but advance it only through the
+// oracle's own Step, Run and RunUntilDrained: Net.Step, Net.Run and
+// Net.Drained belong to the active-set engine.
 type FullScan struct{ Net *Network }
 
 // MustNewFullScan builds a network stepped by the full-scan oracle and panics
@@ -20,8 +29,16 @@ func (o FullScan) Step() {
 	n := o.Net
 	n.credits = n.credits[:0]
 	// Phase 1: router transfers.
-	for idx := range n.routers {
-		n.stepRouter(int32(idx))
+	for idx, r := range n.routers {
+		for _, t := range r.ComputeTransfers() {
+			f := r.ApplyTransfer(t)
+			if t.Out != mesh.Local {
+				if err := n.links[idx].down[t.Out].StageArrival(t.Out, f); err != nil {
+					panic(fmt.Sprintf("network: %v", err))
+				}
+			}
+			n.hopped(int32(idx), t)
+		}
 	}
 	// Phase 2: NIC injection (at most one flit per NIC per cycle).
 	for idx := range n.nics {

@@ -26,15 +26,15 @@
 //
 // # The flit-hop path
 //
-// A hop dereferences its flit once, when the downstream router stages it
-// and records its head-of-line byte; deciding the hop (Router.ComputeTransfers)
-// reads only the router's own struct, and committing it is a counter bump
-// (see router.Router). At ejection a message that arrives whole in one flit
-// bypasses the NIC's reassembly table, and its latency goes into one
-// aggregate sampler: the network keeps no per-flow state, and a caller that
-// wants per-flow or per-message numbers records them through DeliveryHook.
-// The bench keys network.ns_per_flit_hop and router.transfers_ns measure this
-// path on the sim-saturated workload.
+// A busy router runs one walk per cycle, Router.Forward, which decides each
+// output from the router's own struct and pops, charges and stages its winner
+// downstream in the same pass. A hop dereferences its flit once, when the
+// downstream router records its head-of-line byte; committing it is a counter
+// bump. A message that arrives whole in one flit bypasses the NIC's
+// reassembly table, and its latency goes into one aggregate sampler: the
+// network keeps no per-flow state (per-flow numbers are a DeliveryHook's
+// business). On sim-saturated, bench's network.ns_per_flit_hop times this
+// path, router.transfers_ns the two-phase API the test oracle steps with.
 //
 // # One engine
 //
@@ -178,6 +178,13 @@ type creditReturn struct {
 	dir    mesh.Direction
 }
 
+// routerLinks are one router's neighbours by port direction (-1 or nil: none).
+type routerLinks struct {
+	down    [mesh.NumDirections]*router.Router // the router each output feeds
+	downIdx [mesh.NumDirections]int32          // its dense index
+	upIdx   [mesh.NumDirections]int32          // dense index of the router feeding each input
+}
+
 // Network is a cycle-accurate simulation of one NoC instance.
 type Network struct {
 	cfg Config
@@ -192,10 +199,9 @@ type Network struct {
 	routers []*router.Router // indexed by rdim.Index
 	nics    []*nic.NIC       // indexed by rdim.Index
 
-	// neighborIdx precomputes, per router index and port direction, the
-	// dense index of the neighbouring router (-1 outside the mesh), so the
-	// per-cycle loop never recomputes Dim.NodeAt/Dim.Neighbor/Dim.Index.
-	neighborIdx [][mesh.NumDirections]int32
+	// links precomputes every router's neighbours, so the per-cycle loop
+	// never recomputes Dim.NodeAt/Dim.Neighbor/Dim.Index.
+	links []routerLinks
 
 	// Active-set state. activeList is the sorted visit list of the current
 	// cycle; retained and activated are per-cycle scratch; nicList tracks the
@@ -257,7 +263,7 @@ func New(cfg Config) (*Network, error) {
 		rdim:          rdim,
 		routers:       make([]*router.Router, nodes),
 		nics:          make([]*nic.NIC, nodes),
-		neighborIdx:   make([][mesh.NumDirections]int32, nodes),
+		links:         make([]routerLinks, nodes),
 		routerActive:  make([]bool, nodes),
 		nicActive:     make([]bool, nodes),
 		replenishFrom: make([]uint64, nodes),
@@ -286,10 +292,12 @@ func New(cfg Config) (*Network, error) {
 	}
 	for idx := 0; idx < nodes; idx++ {
 		node := rdim.NodeAt(idx)
+		l := &n.links[idx]
 		for _, dir := range mesh.Directions {
-			n.neighborIdx[idx][dir] = -1
+			l.downIdx[dir], l.upIdx[dir.Opposite()] = -1, -1
 			if nb, ok := topo.Neighbor(node, dir); ok {
-				n.neighborIdx[idx][dir] = int32(rdim.Index(nb))
+				nbIdx := rdim.Index(nb)
+				l.down[dir], l.downIdx[dir], l.upIdx[dir.Opposite()] = n.routers[nbIdx], int32(nbIdx), int32(nbIdx)
 			}
 		}
 		// Every router starts in the active set; the quiescent ones drop
@@ -382,45 +390,42 @@ func (n *Network) activateNIC(idx int32) {
 	}
 }
 
-// stepRouter computes and applies the transfers of one router: pops the
-// forwarded flits, stages them downstream (activating the receiving router),
-// delivers ejected flits to the local NIC and queues credit returns.
+// stepRouter runs one router's cycle (Router.Forward) and finishes its moves.
 func (n *Network) stepRouter(idx int32) {
-	r := n.routers[idx]
-	transfers := r.ComputeTransfers()
-	for i := range transfers {
-		t := transfers[i]
-		f := r.ApplyTransfer(t)
-		// Return the freed buffer slot to whoever filled it.
-		if t.In != mesh.Local {
-			// The flit travelling in direction t.In came from the
-			// neighbour on the opposite side; that neighbour's output
-			// port named t.In tracks this buffer's occupancy.
-			up := n.neighborIdx[idx][t.In.Opposite()]
-			if up < 0 {
-				panic(fmt.Sprintf("network: no upstream neighbour for %v input %v", r.Node, t.In))
-			}
-			n.credits = append(n.credits, creditReturn{router: up, dir: t.In})
+	for _, t := range n.routers[idx].Forward(&n.links[idx].down) {
+		n.hopped(idx, t)
+	}
+}
+
+// hopped finishes a move of router idx whose flit has left its input FIFO
+// and, unless ejected, been staged downstream: it queues the freed slot's
+// credit for the upstream router, then wakes the downstream router or
+// delivers the flit to the local NIC.
+func (n *Network) hopped(idx int32, t router.Transfer) {
+	// Return the freed buffer slot to whoever filled it.
+	if t.In != mesh.Local {
+		// The flit travelling in direction t.In came from the neighbour on
+		// the opposite side; that neighbour's output port named t.In tracks
+		// this buffer's occupancy.
+		up := n.links[idx].upIdx[t.In]
+		if up < 0 {
+			panic(fmt.Sprintf("network: no upstream neighbour for %v input %v", n.routers[idx].Node, t.In))
 		}
-		if t.Out == mesh.Local {
-			// Ejection: deliver to the local NIC.
-			msg, err := n.nics[idx].Receive(f, n.cycle)
-			if err != nil {
-				panic(fmt.Sprintf("network: ejection at %v: %v", r.Node, err))
-			}
-			if msg != nil {
-				n.accountDelivery(msg)
-			}
-			continue
+		n.credits = append(n.credits, creditReturn{router: up, dir: t.In})
+	}
+	if t.Out != mesh.Local {
+		if down := n.links[idx].downIdx[t.Out]; !n.routerActive[down] {
+			n.activateRouter(down)
 		}
-		down := n.neighborIdx[idx][t.Out]
-		if down < 0 {
-			panic(fmt.Sprintf("network: no downstream neighbour for %v output %v", r.Node, t.Out))
-		}
-		if err := n.routers[down].StageArrival(t.Out, f); err != nil {
-			panic(fmt.Sprintf("network: %v", err))
-		}
-		n.activateRouter(down)
+		return
+	}
+	// Ejection: deliver to the local NIC.
+	msg, err := n.nics[idx].Receive(t.Flit, n.cycle)
+	if err != nil {
+		panic(fmt.Sprintf("network: ejection at %v: %v", n.routers[idx].Node, err))
+	}
+	if msg != nil {
+		n.accountDelivery(msg)
 	}
 }
 

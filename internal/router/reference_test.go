@@ -175,7 +175,10 @@ var (
 // per port per cycle, attempted even when the buffer is full; now and then a
 // misrouted or tail-less packet), credit returns, bulk idle replays and
 // resets — and compares every transfer and the whole observable state after
-// every cycle.
+// every cycle. A bit of each cycle's control byte picks how the production
+// router moves its flits: the one-walk Forward, staging into neighbour
+// routers that the driver checks and drains, or ComputeTransfers and then
+// ApplyTransfer per transfer.
 func runAgainstReference(t *testing.T, weighted bool, depthSel, downSel, nodeSel uint8, data []byte) {
 	t.Helper()
 	d := mesh.MustDim(5, 5)
@@ -194,6 +197,14 @@ func runAgainstReference(t *testing.T, weighted bool, depthSel, downSel, nodeSel
 		t.Fatal(err)
 	}
 	ref := newRefRouter(d, node, depth, counts, downstream)
+	var down [mesh.NumDirections]*Router // Forward's staging targets
+	for _, dir := range mesh.Directions[:mesh.Local] {
+		if nb, ok := d.Neighbor(node, dir); ok {
+			if down[dir], err = New(mesh.Plain(d), nb, downstream, nil, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 
 	// legal[in] lists the destinations a flit arriving on input in may
 	// legally be heading for under XY routing.
@@ -256,16 +267,34 @@ func runAgainstReference(t *testing.T, weighted bool, depthSel, downSel, nodeSel
 		if ctl&1 != 0 {
 			stage(cycle)
 		}
-		got, want := prod.ComputeTransfers(), ref.computeTransfers()
+		forward := ctl&2 != 0
+		var got []Transfer
+		if forward {
+			got = prod.Forward(&down)
+		} else {
+			got = prod.ComputeTransfers()
+		}
+		want := ref.computeTransfers()
 		if len(got) != len(want) {
-			t.Fatalf("cycle %d: transfers %+v, reference %+v", cycle, got, want)
+			t.Fatalf("cycle %d (forward %v): transfers %+v, reference %+v", cycle, forward, got, want)
 		}
 		for i, tr := range want {
 			if got[i] != tr {
-				t.Fatalf("cycle %d: transfer %d is %+v, reference %+v", cycle, i, got[i], tr)
+				t.Fatalf("cycle %d (forward %v): transfer %d is %+v, reference %+v", cycle, forward, i, got[i], tr)
 			}
-			if f := prod.ApplyTransfer(got[i]); f != tr.Flit {
-				t.Fatalf("cycle %d: applied flit %v, reference %v", cycle, f, tr.Flit)
+			switch {
+			case !forward:
+				if f := prod.ApplyTransfer(got[i]); f != tr.Flit {
+					t.Fatalf("cycle %d: applied flit %v, reference %v", cycle, f, tr.Flit)
+				}
+			case tr.Out != mesh.Local:
+				// Forward staged the flit into the neighbour: it must be the
+				// only flit there, on the input named after the output.
+				nb := down[tr.Out]
+				nb.CommitArrivals()
+				if f := nb.PopInput(tr.Out); f != tr.Flit || !nb.InputsEmpty() {
+					t.Fatalf("cycle %d: output %v staged %v downstream, reference %v", cycle, tr.Out, f, tr.Flit)
+				}
 			}
 			ref.apply(tr)
 		}

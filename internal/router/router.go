@@ -4,15 +4,14 @@
 // regular wNoC, WaW weighted round-robin for a router built with port counts),
 // wormhole output-port locking and credit-based link-level flow control.
 //
-// The router is deliberately passive: it decides, once per cycle, which flit
-// each of its output ports forwards (ComputeTransfers) and exposes the
-// mutators the surrounding network simulator needs to apply those decisions
-// (PopInput, ConsumeCredit, StageArrival, ReturnCredit, CommitArrivals). This
-// keeps the router unit-testable in isolation and leaves the wiring and the
-// simultaneity rules (a flit forwarded in cycle T becomes visible downstream
-// in cycle T+1) to the network package. The Router type documents the data
-// layout — ring FIFOs, a head-of-line byte per buffered flit, per-output
-// request masks — that keeps the per-cycle decision inside the Router struct.
+// Once per cycle Forward walks the output ports, decides each one's flit and
+// moves it at once: popped, charged a credit and staged into the downstream
+// router the network names. The network also calls StageArrival (injection),
+// ReturnCredit and CommitArrivals, and owns the rule that a flit forwarded in
+// cycle T is visible downstream in T+1. ComputeTransfers, then ApplyTransfer
+// per transfer, is the same decision and pop in two phases. The Router type
+// documents the data layout — ring FIFOs, a head-of-line byte per buffered
+// flit, per-output request masks — that keeps the decision inside the struct.
 package router
 
 import (
@@ -80,8 +79,8 @@ type outputPort struct {
 // The per-cycle decision reads only the Router struct: front caches the
 // head-of-line byte of every non-empty FIFO, and wantMask[out] is the set of
 // inputs whose front flit requests output out. Both change only when a FIFO
-// front changes — a pop, or a commit into an empty FIFO — so ComputeTransfers
-// is one pass over the five output ports, each handing its arbiter the mask
+// front changes — a pop, or a commit into an empty FIFO — so a cycle is one
+// pass over the five output ports, each handing its arbiter the mask
 // wantMask[out] minus the inputs already granted this cycle.
 type Router struct {
 	Dim  mesh.Dim
@@ -117,7 +116,7 @@ type Router struct {
 	slots []*flit.Flit // input i owns slots[i*depth : (i+1)*depth]
 	info  []uint8      // head-of-line byte of the flit in the same slot
 
-	// transferScratch backs the slice returned by ComputeTransfers.
+	// transferScratch backs the slices Forward and ComputeTransfers return.
 	transferScratch [mesh.NumDirections]Transfer
 }
 
@@ -223,30 +222,35 @@ func (r *Router) StageArrival(dir mesh.Direction, f *flit.Flit) error {
 	}
 	slot := int(dir)*r.depth + pos
 	r.slots[slot] = f
-	r.info[slot] = r.slotInfo(dir, f)
+	// The head-of-line byte: a head records the topology's routing decision
+	// and whether it is a legal turn; body and tail flits follow the
+	// wormhole reservation of their packet.
+	var s uint8
+	if f.Type.IsTail() {
+		s = slotTail
+	}
+	if f.Type.IsHead() {
+		out := r.topo.OutputPort(r.Node, f.Flow.Dst)
+		s |= slotHead | uint8(out)<<slotOutShift | turnRequest[dir][out]
+	}
+	r.info[slot] = s
 	r.staged[dir]++
 	r.stagedMask |= 1 << uint(dir)
 	return nil
 }
 
-// slotInfo computes the head-of-line byte of flit f arriving on input in.
-// For head flits the routed output is the topology's routing decision;
-// body/tail flits follow the wormhole reservation of their packet.
-func (r *Router) slotInfo(in mesh.Direction, f *flit.Flit) uint8 {
-	var s uint8
-	if f.Type.IsTail() {
-		s = slotTail
+// turnRequest is mesh.LegalTurn as a table of head-of-line bits: slotRequest
+// where a head arriving on input in may leave through output out, else 0.
+var turnRequest = func() (t [mesh.NumDirections][mesh.NumDirections]uint8) {
+	for _, in := range mesh.Directions {
+		for _, out := range mesh.Directions {
+			if mesh.LegalTurn(in, out) {
+				t[in][out] = slotRequest
+			}
+		}
 	}
-	if !f.Type.IsHead() {
-		return s
-	}
-	out := r.topo.OutputPort(r.Node, f.Flow.Dst)
-	s |= slotHead | uint8(out)<<slotOutShift
-	if mesh.LegalTurn(in, out) {
-		s |= slotRequest
-	}
-	return s
-}
+	return t
+}()
 
 // CommitArrivals moves the flits staged during the current cycle into the
 // input FIFOs. The network calls it once per cycle, after every router has
@@ -336,14 +340,27 @@ func (r *Router) ReturnCredit(dir mesh.Direction) {
 	}
 }
 
+// Forward runs the router's cycle in one walk over its output ports: each
+// port decides as in ComputeTransfers, and its winner moves at once — popped,
+// charged a credit and, unless ejected, staged into down[out]. It returns the
+// moves in output order, in ComputeTransfers' scratch buffer, for the caller
+// to return credits, wake the downstream routers and eject the Local flit. A
+// flow-control violation panics with PopInput's, ConsumeCredit's or
+// StageArrival's text.
+func (r *Router) Forward(down *[mesh.NumDirections]*Router) []Transfer { return r.walk(down) }
+
 // ComputeTransfers decides, for the current cycle, which flit every output
-// port forwards. At most one transfer is produced per output port and per
-// input port. The decision mutates only the arbitration state and the
-// wormhole locks; the caller must then apply each transfer with
+// port forwards, and moves none of them. At most one transfer is produced per
+// output port and per input port. The decision mutates only the arbitration
+// state and the wormhole locks; the caller must then apply each transfer with
 // ApplyTransfer (or equivalent calls to PopInput/ConsumeCredit) and deliver
 // the flit downstream. The returned slice is backed by a per-router scratch
-// buffer and is only valid until the next ComputeTransfers call.
-func (r *Router) ComputeTransfers() []Transfer {
+// buffer and is only valid until the next ComputeTransfers or Forward call.
+func (r *Router) ComputeTransfers() []Transfer { return r.walk(nil) }
+
+// walk is the per-output decision of Forward (down set: each winner moves as
+// soon as it is granted) and of ComputeTransfers (down nil: it stays put).
+func (r *Router) walk(down *[mesh.NumDirections]*Router) []Transfer {
 	n := 0
 	var busy uint8 // inputs already feeding an output this cycle
 	for out := range r.out {
@@ -367,15 +384,18 @@ func (r *Router) ComputeTransfers() []Transfer {
 		} else {
 			// Free port: arbitrate among the inputs whose front flit is a
 			// head routed here. With no requester the grant is exactly the
-			// hardware's idle-cycle replenishment.
+			// hardware's idle-cycle replenishment (none for round-robin).
 			requests := r.wantMask[out] &^ busy
+			if requests == 0 {
+				if r.weighted {
+					r.waw[out].Replenish(1)
+				}
+				continue
+			}
 			if r.weighted {
 				in = r.waw[out].GrantMask(requests)
 			} else {
 				in = op.rr.GrantMask(requests)
-			}
-			if in < 0 {
-				continue
 			}
 			if r.front[in]&slotTail == 0 {
 				op.locked = true
@@ -383,11 +403,24 @@ func (r *Router) ComputeTransfers() []Transfer {
 			}
 		}
 		busy |= 1 << uint(in)
-		r.transferScratch[n] = Transfer{
-			Out:  mesh.Direction(out),
-			In:   mesh.Direction(in),
-			Flit: r.slots[in*r.depth+int(r.head[in])],
+		var f *flit.Flit
+		if down == nil {
+			f = r.slots[in*r.depth+int(r.head[in])]
+		} else {
+			f = r.PopInput(mesh.Direction(in))
+			r.ConsumeCredit(mesh.Direction(out))
+			op.forwarded++
+			if out != int(mesh.Local) {
+				d := down[out]
+				if d == nil {
+					panic(fmt.Sprintf("router %v: no downstream router on output %v", r.Node, mesh.Direction(out)))
+				}
+				if err := d.StageArrival(mesh.Direction(out), f); err != nil {
+					panic(err.Error())
+				}
+			}
 		}
+		r.transferScratch[n] = Transfer{Out: mesh.Direction(out), In: mesh.Direction(in), Flit: f}
 		n++
 	}
 	return r.transferScratch[:n]

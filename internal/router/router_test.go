@@ -1,6 +1,8 @@
 package router
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/flit"
@@ -369,6 +371,78 @@ func TestApplyTransferMismatchPanics(t *testing.T) {
 		}
 	}()
 	r.ApplyTransfer(Transfer{Out: mesh.XPlus, In: mesh.Local, Flit: other[0]})
+}
+
+// panicText runs f and returns the text it panicked with ("" if it did not).
+func panicText(f func()) (text string) {
+	defer func() {
+		if v := recover(); v != nil {
+			text = fmt.Sprint(v)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestForwardViolationsPanic forges the flow-control violations the one-walk
+// Forward must still catch — an empty locked input, a full downstream input,
+// a nil flit — and requires the panic texts of the two-phase mutators
+// (PopInput, StageArrival) for them. A forged zero credit cannot reach
+// ConsumeCredit from Forward, whose decision skips such a port: it must move
+// nothing, and the credit check it would meet is ConsumeCredit's own.
+func TestForwardViolationsPanic(t *testing.T) {
+	d := mesh.MustDim(3, 3)
+	at, east := mesh.Node{X: 1, Y: 1}, mesh.Node{X: 2, Y: 1}
+	// setup builds the router at (1,1) holding a one-flit packet for (2,1) on
+	// its local input, and the router its X+ output feeds, whose input
+	// buffers hold one flit.
+	setup := func() (*Router, *Router, *[mesh.NumDirections]*Router) {
+		r := mustNew(d, at, nil)
+		stageAll(t, r, mesh.Local, makePacket(at, east, 1))
+		nb, err := New(mesh.Plain(d), east, 1, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, nb, &[mesh.NumDirections]*Router{mesh.XPlus: nb}
+	}
+	check := func(what, got, want string) {
+		t.Helper()
+		if want == "" || got != want {
+			t.Errorf("%s: Forward panicked with %q, want %q", what, got, want)
+		}
+	}
+
+	// An output locked to an input that claims a flit it does not hold.
+	r, _, down := setup()
+	want := panicText(func() { mustNew(d, at, nil).PopInput(mesh.YPlus) })
+	r.out[mesh.XPlus].locked, r.out[mesh.XPlus].lockedTo = true, uint8(mesh.YPlus)
+	r.occupied |= 1 << uint(mesh.YPlus)
+	check("empty locked input", panicText(func() { r.Forward(down) }), want)
+
+	// The downstream input is full although the credit says otherwise.
+	r, nb, down := setup()
+	if err := nb.StageArrival(mesh.XPlus, makePacket(at, east, 1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	want = nb.StageArrival(mesh.XPlus, makePacket(at, east, 1)[0]).Error()
+	check("full input", panicText(func() { r.Forward(down) }), want)
+
+	// The buffered flit is nil.
+	r, nb, down = setup()
+	want = nb.StageArrival(mesh.XPlus, nil).Error()
+	r.slots[int(mesh.Local)*r.depth+int(r.head[mesh.Local])] = nil
+	check("nil flit", panicText(func() { r.Forward(down) }), want)
+
+	// A zero credit: nothing moves, and the credit body Forward charges
+	// through panics on it.
+	r, _, down = setup()
+	r.out[mesh.XPlus].credits = 0
+	if tr := r.Forward(down); len(tr) != 0 || r.InputOccupancy(mesh.Local) != 1 {
+		t.Errorf("zero credit: Forward moved %+v", tr)
+	}
+	if got := panicText(func() { r.ConsumeCredit(mesh.XPlus) }); !strings.Contains(got, "credit underflow on output X+") {
+		t.Errorf("zero credit: ConsumeCredit panicked with %q", got)
+	}
 }
 
 func TestRoundRobinContentionAlternates(t *testing.T) {
