@@ -38,23 +38,26 @@
 //
 // Simulator (internal/flit, nic, arbiter, router, network, traffic). The
 // design point (network.Design) is the simulator's only policy input:
-// arbitration and packetization are read from it. A NIC packetizes messages
-// straight into its injection queue (regular or WaP) and reassembles what its
-// router ejects for every endpoint attached to that router; a router keeps
-// its input FIFOs as fixed rings with a one-byte head-of-line record per
-// buffered flit and a request mask per output, granted by bitmask arbiters
+// arbitration and packetization are read from it. A NIC queues each message
+// as one 40-byte entry, cuts it into flits (regular or WaP) only as it
+// injects them, and delivers a message to its endpoint when the last tail
+// arrives. A flit is one 64-bit word — type, destination router, in-flight
+// record index — and a router keeps its input FIFOs as fixed rings of words
+// with a one-byte head-of-line record per buffered flit and a request mask
+// per output, granted by bitmask arbiters
 // held inside the Router struct — WaW when it was built with port counts,
 // round-robin otherwise. Network.Step is an active-set engine: it visits
-// only routers holding flits and NICs with pending flits, tracks the WaW
+// only routers holding flits and NICs with queued messages, tracks the WaW
 // replenishment a sleeping router still owes lazily, and — because the active
 // set empties the moment no flit exists anywhere — lets Run, RunUntilDrained
 // and traffic.Drive leap over event-idle windows in O(1). Skipped visits and
 // leapt cycles are provably no-ops, so the engine is cycle-for-cycle
 // identical to the full per-node scan, which is the package's test oracle.
-// Each network owns a flit.Pool that generators and NICs draw from and every
-// consumed object returns to (delivery callbacks must not retain their
-// *Message), and Network.Reset rewinds a network in place, so the
-// steady-state cycle loop is free of heap allocations, injection included.
+// Each network owns a flit.Pool of messages, queue blocks and in-flight
+// records that generators and NICs draw from and every consumed object
+// returns to (delivery callbacks must not retain their *Message), and
+// Network.Reset rewinds a network in place, so the steady-state cycle loop
+// is free of heap allocations, injection included.
 // The rate-driven generators take every injection decision from an exact
 // replica of math/rand's source (traffic.drawSource), whose block refill marks
 // the outputs that decide anything; a delivery adds to one latency sampler.

@@ -1,7 +1,9 @@
 package flit
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -66,9 +68,8 @@ func TestFlowIDString(t *testing.T) {
 }
 
 func TestStringers(t *testing.T) {
-	fl := &Flit{Type: Head, Flow: FlowID{}, PacketID: 7, Seq: 0}
-	if fl.String() == "" {
-		t.Error("Flit.String empty")
+	if got := NewWord(Head, mesh.Node{X: 2, Y: 1}, 7).String(); got != "flit{HEAD to (2,1) rec=7}" {
+		t.Errorf("Word.String() = %q", got)
 	}
 	m := &Message{ID: 1, Class: ClassReply, PayloadBits: 512}
 	if m.String() == "" {
@@ -197,8 +198,27 @@ func TestWaPOverheadProperty(t *testing.T) {
 	}
 }
 
-// Pool ownership rules: pool-born objects recycle (and come back zeroed),
-// caller-owned objects are ignored by Put.
+// A Word keeps each field apart at the extremes of its range: every type,
+// router coordinates 0 and MaxGridSide-1, record indices 0 and
+// MaxInFlight-1.
+func TestWordFields(t *testing.T) {
+	for _, typ := range []Type{Head, Body, Tail, HeadTail} {
+		for _, x := range []int{0, 1, MaxGridSide - 1} {
+			for _, y := range []int{0, 5, MaxGridSide - 1} {
+				for _, rec := range []uint32{0, 1, MaxInFlight - 1} {
+					w := NewWord(typ, mesh.Node{X: x, Y: y}, rec)
+					if w.Type() != typ || w.Dst() != (mesh.Node{X: x, Y: y}) || w.Record() != rec {
+						t.Fatalf("NewWord(%v, (%d,%d), %d) reads back %v %v %d", typ, x, y, rec, w.Type(), w.Dst(), w.Record())
+					}
+				}
+			}
+		}
+	}
+}
+
+// Pool ownership rules: pool-born messages recycle (and come back zeroed),
+// caller-owned ones are ignored by PutMessage; records are reused once
+// delivered, and a delivered message is a pooled copy of its record.
 func TestPoolRecycling(t *testing.T) {
 	var p Pool
 	m := p.GetMessage()
@@ -224,21 +244,81 @@ func TestPoolRecycling(t *testing.T) {
 	if got := p.GetMessage(); got == own {
 		t.Error("caller-owned message must not enter the pool")
 	}
-
-	f := p.GetFlit()
-	if !f.pooled {
-		t.Fatal("pool flit must be marked pooled")
-	}
-	f.Seq = 3
-	p.PutFlit(f)
-	f2 := p.GetFlit()
-	if f2 != f || f2.Seq != 0 || !f2.pooled {
-		t.Errorf("flit not recycled/zeroed: %+v", f2)
-	}
-	p.PutFlit(&Flit{Seq: 9}) // ignored
-	if got := p.GetFlit(); got.Seq != 0 {
-		t.Error("caller-owned flit must not enter the pool")
-	}
 	p.PutMessage(nil) // must not panic
-	p.PutFlit(nil)
+
+	i, r := p.OpenRecord()
+	r.Msg = Message{ID: 9, PayloadBits: 512, InjectedAt: 3}
+	r.Tails = 5
+	if p.Record(i) != r || p.Record(i+1) != nil {
+		t.Fatal("Record must return the open record and nil past the slab")
+	}
+	d := p.Deliver(i, 11)
+	if !d.pooled || d.ID != 9 || d.PayloadBits != 512 || d.InjectedAt != 3 || d.DeliveredAt != 11 {
+		t.Errorf("delivered %+v", d)
+	}
+	if p.Record(i).Tails != 0 {
+		t.Error("a delivered record must be closed")
+	}
+	if j, r := p.OpenRecord(); j != i || *r != (InFlight{}) {
+		t.Errorf("reopened record %d (%+v), want the closed record %d zeroed", j, *r, i)
+	}
+	p.CloseRecords()
+	if j, _ := p.OpenRecord(); j != 0 {
+		t.Errorf("after CloseRecords the first record is %d, want 0", j)
+	}
+}
+
+// Past MaxInFlight open records OpenRecord panics with a clear text instead of
+// handing out an index a Word would wrap (the limit is lowered to 3 here).
+func TestRecordLimitPanics(t *testing.T) {
+	defer func(old int) { recordLimit = old }(recordLimit)
+	recordLimit = 3
+	var p Pool
+	for range 3 {
+		p.OpenRecord()
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "2^30 messages in flight") {
+			t.Errorf("panic %v, want the in-flight limit", r)
+		}
+	}()
+	p.OpenRecord()
+}
+
+// A Queue keeps FIFO order across block boundaries and returns every block
+// it has emptied: a queue that has drained holds none.
+func TestQueueBlocks(t *testing.T) {
+	var p Pool
+	var q Queue
+	next, want := uint64(0), uint64(0)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 3*blockLen+5; i++ {
+			q.Push(&p).ID = next
+			next++
+			if i%3 == 0 { // pop one in three: the queue grows across blocks
+				if q.Front().ID != want {
+					t.Fatalf("front %d, want %d", q.Front().ID, want)
+				}
+				q.Pop(&p)
+				want++
+			}
+		}
+		for q.Len() > 0 {
+			if q.Front().ID != want {
+				t.Fatalf("front %d, want %d", q.Front().ID, want)
+			}
+			q.Pop(&p)
+			want++
+		}
+		if q.head != nil || q.tail != nil {
+			t.Fatal("an empty queue must hold no block")
+		}
+	}
+	free := 0
+	for b := p.blocks; b != nil; b = b.next {
+		free++
+	}
+	if free < 3 {
+		t.Errorf("%d free blocks after draining, want the 3 the queue grew to", free)
+	}
 }

@@ -138,7 +138,9 @@ func Plain(d Dim) Topology { return Topology{ep: d} }
 
 // Topology is the XY-routed router grid with a 2^sx × 2^sy block of endpoint
 // cores on each router's Local port: the simulator wires routers from its
-// neighbour table and asks OutputPort per head flit, the analytical engine
+// neighbour table and routes each head flit XY to RouterOf its destination
+// (a packet at that router is ejected through Local, for co-located cores
+// the Local→Local turn), the analytical engine
 // maps endpoints through RouterOf and derives contender counts from the port
 // tables, and the WaW weight derivation reads InputLoads.
 //
@@ -152,8 +154,8 @@ func Plain(d Dim) Topology { return Topology{ep: d} }
 //
 // A Topology is a small comparable value, built only by TopoSpec.Build and
 // Plain, and safe for concurrent use. It is three words, so the compiler
-// keeps it in registers where OutputPort inlines into the router's
-// per-head-flit decision; the router grid is derived, not stored.
+// keeps it in registers where RouterOf inlines; the router grid is derived,
+// not stored.
 type Topology struct {
 	ep     Dim   // endpoint (core) grid
 	sx, sy uint8 // log2 of the block's width and height
@@ -179,6 +181,10 @@ func (t Topology) RouterDim() Dim {
 // handling.
 func (t Topology) RouterOf(ep Node) Node { return Node{X: ep.X >> (t.sx & 7), Y: ep.Y >> (t.sy & 7)} }
 
+// BlockOrigin returns the first endpoint of router r's block of cores (the
+// block's lowest column and row): r itself on the mesh.
+func (t Topology) BlockOrigin(r Node) Node { return Node{X: r.X << (t.sx & 7), Y: r.Y << (t.sy & 7)} }
+
 // LocalEndpoints is the number of endpoints attached to each router (the
 // Local-port fan-out, or concentration c): 1 on the mesh.
 func (t Topology) LocalEndpoints() int { return 1 << (t.sx + t.sy) }
@@ -190,11 +196,6 @@ func (t Topology) Neighbor(r Node, dir Direction) (Node, bool) { return t.Router
 // HasOutput reports whether output port out of router r physically exists
 // (Local always does).
 func (t Topology) HasOutput(r Node, out Direction) bool { return OutputExists(t.RouterDim(), r, out) }
-
-// OutputPort is the routing decision: XY over the router grid towards the
-// router of endpoint dst. A packet that has reached that router is ejected
-// through Local (for co-located cores, the Local→Local turn).
-func (t Topology) OutputPort(at, dst Node) Direction { return XYOutputPort(at, t.RouterOf(dst)) }
 
 // Walk invokes fn for every hop of the route between endpoints src and dst
 // in path order, without materialising it (fn returning false stops early)

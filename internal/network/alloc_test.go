@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/flit"
 	"repro/internal/mesh"
 	"repro/internal/network"
 	"repro/internal/traffic"
@@ -167,6 +168,53 @@ func TestStepNoAllocsColdFlows(t *testing.T) {
 			}
 			if mallocs >= 64 {
 				t.Errorf("%d mallocs for %d deliveries, want fewer than 64", mallocs, delivered)
+			}
+		})
+	}
+}
+
+// TestResetReleasesInFlightRecords interrupts a 5-packet WaP cache line and a
+// 4-flit regular one mid-flight, with more lines queued behind them, and
+// resets: every in-flight record and queue block must go back to the pool.
+// After each reset the network is drained and partial-free and the pool's
+// record slab is empty, and a thousand interrupted rounds take almost no
+// allocation (a leaked queue block would be allocated afresh, two a round).
+func TestResetReleasesInFlightRecords(t *testing.T) {
+	for _, design := range []network.Design{network.DesignWaWWaP, network.DesignRegular} {
+		t.Run(design.String(), func(t *testing.T) {
+			net := network.MustNew(network.DefaultConfig(mesh.MustDim(4, 4), design))
+			src, dst := mesh.Node{X: 0, Y: 0}, mesh.Node{X: 1, Y: 0}
+			msg := &flit.Message{Flow: flit.FlowID{Src: src, Dst: dst}, PayloadBits: traffic.CacheLinePayloadBits}
+			round := func() {
+				for i := 0; i < 40; i++ { // two blocks of queued lines
+					msg.ID = 0
+					if _, err := net.Send(msg); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for net.NIC(dst).PendingReassemblies() == 0 {
+					net.Step()
+				}
+				net.Step() // one more flit of the line arrives
+				if net.NIC(dst).PendingReassemblies() != 1 || net.Pool().Record(0) == nil {
+					t.Fatal("the first line is not partly delivered")
+				}
+				net.Reset()
+				if !net.Drained() || net.NIC(dst).PendingReassemblies() != 0 || net.NIC(src).PendingMessages() != 0 ||
+					net.Pool().Record(0) != nil {
+					t.Fatal("Reset left a message queued, in flight or partly delivered")
+				}
+			}
+			round()
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i := 0; i < 1000; i++ {
+				round()
+			}
+			runtime.ReadMemStats(&after)
+			if mallocs := after.Mallocs - before.Mallocs; mallocs >= 64 && !raceEnabled {
+				t.Errorf("1000 interrupted rounds made %d allocations, want fewer than 64", mallocs)
 			}
 		})
 	}

@@ -65,7 +65,7 @@ func (o FullScan) Run(cycles int) {
 // NIC and router.
 func (o FullScan) Drained() bool {
 	for idx, ni := range o.Net.nics {
-		if ni.PendingFlits() > 0 || ni.PendingReassemblies() > 0 || !o.Net.routers[idx].InputsEmpty() {
+		if ni.PendingMessages() > 0 || ni.PendingReassemblies() > 0 || !o.Net.routers[idx].InputsEmpty() {
 			return false
 		}
 	}

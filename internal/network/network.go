@@ -26,15 +26,18 @@
 //
 // # The flit-hop path
 //
-// A busy router runs one walk per cycle, Router.Forward, which decides each
-// output from the router's own struct and pops, charges and stages its winner
-// downstream in the same pass. A hop dereferences its flit once, when the
-// downstream router records its head-of-line byte; committing it is a counter
-// bump. A message that arrives whole in one flit bypasses the NIC's
-// reassembly table, and its latency goes into one aggregate sampler: the
-// network keeps no per-flow state (per-flow numbers are a DeliveryHook's
-// business). On sim-saturated, bench's network.ns_per_flit_hop times this
-// path, router.transfers_ns the two-phase API the test oracle steps with.
+// A queued message is one 40-byte flit.Queued entry in its source NIC, cut
+// into flits only as they are injected; a flit is a flit.Word (type,
+// destination router, in-flight record index) copied by value. A busy router
+// runs one walk per cycle, Router.Forward, which decides each output from
+// the router's own struct and pops, charges and stages its winner downstream
+// in the same pass; staging builds the head-of-line byte from the word alone
+// and committing it is a counter bump. Only the destination NIC looks up the
+// message's record, to count its tails, and a delivery's latency goes into
+// one aggregate sampler: the network keeps no per-flow state (per-flow
+// numbers are a DeliveryHook's business). On sim-saturated, bench's
+// network.ns_per_flit_hop times this path, router.transfers_ns the two-phase
+// API the test oracle steps with.
 //
 // # One engine
 //
@@ -44,9 +47,9 @@
 // RunUntilDrained and traffic.Drive leap over event-idle windows in O(1).
 // A network is single-threaded: one goroutine steps it, and the traffic
 // generators, the NICs and the delivery path all draw from and recycle into
-// the one message/flit arena it owns (Pool). Only a rate-driven generator's
-// pseudo-random draws run ahead, a chunk at a time on a goroutine of their
-// own that touches neither the network nor its pool; the generator builds
+// the one arena it owns (Pool). Only a rate-driven generator's pseudo-random
+// draws run ahead, a chunk at a time on a goroutine of their own that
+// touches neither the network nor its pool; the generator builds
 // its messages on the stepping goroutine. Parallelism lives a layer up,
 // across scenarios (sweep -jobs, -worker-procs). The plain every-router,
 // every-NIC scan the repository started with survives as the in-package test
@@ -168,7 +171,11 @@ func (c Config) resolve() (mesh.Topology, error) {
 	if c.Shards < 0 {
 		return mesh.Topology{}, fmt.Errorf("network: negative shard count %d", c.Shards)
 	}
-	return c.Topo.Build(c.Dim)
+	topo, err := c.Topo.Build(c.Dim)
+	if rd := topo.RouterDim(); err == nil && (rd.Width > flit.MaxGridSide || rd.Height > flit.MaxGridSide) {
+		err = fmt.Errorf("network: the %v router grid exceeds the limit of %d routers per side", rd, flit.MaxGridSide)
+	}
+	return topo, err
 }
 
 // creditReturn records that the router at dense index `router` owes a credit
@@ -205,7 +212,7 @@ type Network struct {
 
 	// Active-set state. activeList is the sorted visit list of the current
 	// cycle; retained and activated are per-cycle scratch; nicList tracks the
-	// NICs with pending injection flits. routerActive marks routers present
+	// NICs with queued messages. routerActive marks routers present
 	// in activeList or activated; nicActive marks NICs on nicList.
 	activeList   []int32
 	retained     []int32
@@ -227,10 +234,8 @@ type Network struct {
 	// per-cycle loop entirely and is what makes time leaps O(1).
 	replenishFrom []uint64
 
-	// pool is the network's one message/flit arena: the traffic generators
-	// and Send draw messages from it, the NICs packetize from and reassemble
-	// into it, and absorbed flits and delivered messages return to it (see
-	// flit.Pool).
+	// pool is the network's one arena of messages, queue blocks and
+	// in-flight records (see flit.Pool).
 	pool *flit.Pool
 
 	// latency aggregates the total latency (creation at the source NIC to
@@ -320,7 +325,7 @@ func MustNew(cfg Config) *Network {
 // Topology returns the resolved topology instance the network was built on.
 func (n *Network) Topology() mesh.Topology { return n.topo }
 
-// Pool returns the network's message/flit arena. Traffic generators attach
+// Pool returns the network's arena. Traffic generators attach
 // to it so their messages are recycled once consumed; see flit.Pool for the
 // ownership rules.
 func (n *Network) Pool() *flit.Pool { return n.pool }
@@ -350,8 +355,8 @@ func (n *Network) Send(msg *flit.Message) (uint64, error) {
 	id, err := n.nics[idx].Send(msg, n.cycle)
 	if err == nil {
 		n.activateNIC(int32(idx))
-		// The NIC has packetized the message; a pool-owned message is
-		// fully consumed at this point and can be recycled (a no-op for
+		// The NIC has queued a copy of the message; a pool-owned message
+		// is fully consumed at this point and can be recycled (a no-op for
 		// caller-owned messages).
 		n.pool.PutMessage(msg)
 	}
@@ -430,26 +435,23 @@ func (n *Network) hopped(idx int32, t router.Transfer) {
 }
 
 // stepNIC injects at most one flit from the NIC into the local router and
-// reports whether the NIC still holds pending injection flits.
+// reports whether the NIC still holds queued messages.
 func (n *Network) stepNIC(idx int32) bool {
 	ni := n.nics[idx]
-	if ni.PendingFlits() == 0 {
-		return false
-	}
 	r := n.routers[idx]
 	if r.InputSpace(mesh.Local) == 0 {
-		return true
+		return ni.PendingMessages() > 0
 	}
-	f := ni.PopFlit(n.cycle)
-	if f == nil {
+	w, ok := ni.PopFlit(n.cycle)
+	if !ok {
 		return false
 	}
-	if err := r.StageArrival(mesh.Local, f); err != nil {
+	if err := r.StageArrival(mesh.Local, w); err != nil {
 		panic(fmt.Sprintf("network: injection at %v: %v", r.Node, err))
 	}
 	n.activateRouter(idx)
 	n.injected++
-	return ni.PendingFlits() > 0
+	return ni.PendingMessages() > 0
 }
 
 // Step advances the simulation by one cycle, visiting only the nodes that can
@@ -482,7 +484,7 @@ func (n *Network) Step() {
 		}
 	}
 
-	// Phase 2: NIC injection, visiting only NICs with pending traffic and
+	// Phase 2: NIC injection, visiting only NICs with queued messages and
 	// compacting the list in place.
 	live := n.nicList[:0]
 	for _, idx := range n.nicList {
@@ -563,7 +565,7 @@ func (n *Network) accountDelivery(msg *flit.Message) {
 }
 
 // Leapable reports whether the network is event-idle: no router holds or is
-// owed a flit, no NIC holds pending injection flits, and therefore stepping
+// owed a flit, no NIC holds a queued message, and therefore stepping
 // any number of cycles would only accumulate idle WaW replenishment — which
 // the lazy-replenishment bookkeeping tracks without per-cycle work. A leap
 // is legal iff no component's earliest-possible-action cycle precedes the
@@ -609,10 +611,10 @@ func (n *Network) Run(cycles int) {
 // a simulated cycle while bounding the cancellation latency.
 const ctxPollMask = 1<<12 - 1
 
-// RunUntilDrained steps the simulation until no flits remain in any NIC
+// RunUntilDrained steps the simulation until no message remains in any NIC
 // injection queue, router buffer or partial reassembly, or until maxCycles
 // additional cycles have elapsed. It returns true when the network drained.
-// An event-idle network that still is not drained (a reassembly waiting for
+// An event-idle network that still is not drained (a message waiting for
 // flits that no longer exist anywhere) can never drain, so the budget is
 // leapt over instead of stepped through.
 func (n *Network) RunUntilDrained(maxCycles int) bool {
@@ -654,9 +656,10 @@ func (n *Network) runUntilDrained(ctx context.Context, maxCycles int, poll bool)
 
 // Reset rewinds the network to its just-constructed state in place: every
 // router and NIC is rewound (buffers, credits, wormhole locks, arbiters,
-// identifier counters), the statistics and the delivery hook are cleared and
-// the cycle counter returns to zero. The topology, the design point and the
-// message/flit pool are retained, so a load curve reuses one constructed
+// identifier counters), every queue block and in-flight record goes back to
+// the pool, the statistics and the delivery hook are cleared and the cycle
+// counter returns to zero. The topology, the design point and the pool are
+// retained, so a load curve reuses one constructed
 // network across its rate points instead of rebuilding the topology per
 // point. A reset network behaves identically to a freshly constructed one.
 func (n *Network) Reset() {
@@ -669,6 +672,7 @@ func (n *Network) Reset() {
 		n.replenishFrom[idx] = 0
 		n.activeList = append(n.activeList, int32(idx))
 	}
+	n.pool.CloseRecords() // no flit names a record any more
 	n.retained = n.retained[:0]
 	n.activated = n.activated[:0]
 	n.nicList = n.nicList[:0]
@@ -685,11 +689,11 @@ func (n *Network) Reset() {
 // its memory.
 func (n *Network) Close() {}
 
-// Drained reports whether the network holds no traffic: no pending injection
-// flits, no occupied router buffers and no partially reassembled messages.
+// Drained reports whether the network holds no traffic: no queued messages,
+// no occupied router buffers and no partially reassembled messages.
 func (n *Network) Drained() bool {
-	// A busy network answers from the head of a list: every NIC with pending
-	// flits is on the injection list and every router holding a flit on the
+	// A busy network answers from the head of a list: every NIC with queued
+	// messages is on the injection list and every router holding a flit on the
 	// visit list. (Only a just-built or just-reset network lists routers
 	// that hold nothing.)
 	if len(n.nicList) != 0 {
@@ -701,7 +705,7 @@ func (n *Network) Drained() bool {
 		}
 	}
 	for idx, ni := range n.nics {
-		if ni.PendingFlits() > 0 || ni.PendingReassemblies() > 0 || !n.routers[idx].InputsEmpty() {
+		if ni.PendingMessages() > 0 || ni.PendingReassemblies() > 0 || !n.routers[idx].InputsEmpty() {
 			return false
 		}
 	}

@@ -2,6 +2,7 @@ package network
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -87,6 +88,28 @@ func TestConfigValidate(t *testing.T) {
 	bad.Dim = mesh.Dim{}
 	if err := bad.Validate(); err == nil {
 		t.Error("invalid dim should be rejected")
+	}
+	// A flit word names its destination router in 16 bits per coordinate:
+	// the router grid, not the endpoint grid, may be at most 65536 a side.
+	for _, c := range []struct {
+		w, h  int
+		topo  mesh.TopoSpec
+		valid bool
+	}{
+		{65536, 1, mesh.TopoSpec{}, true},
+		{65537, 1, mesh.TopoSpec{}, false},
+		{1, 65537, mesh.TopoSpec{}, false},
+		{131072, 2, mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: 2}, true},
+		{131074, 2, mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: 2}, false},
+		{2, 131072, mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: 4}, true},
+		{2, 131074, mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: 4}, false},
+	} {
+		big := cfg
+		big.Dim, big.Topo = mesh.Dim{Width: c.w, Height: c.h}, c.topo
+		err := big.Validate()
+		if (err == nil) != c.valid || err != nil && !strings.Contains(err.Error(), "limit of 65536 routers per side") {
+			t.Errorf("%v %dx%d: error %v, want valid=%v or the 65536-router limit", c.topo, c.w, c.h, err, c.valid)
+		}
 	}
 }
 
@@ -324,7 +347,35 @@ func TestWaWReducesFarFlowPenalty(t *testing.T) {
 	}
 }
 
+// TestDrainedAndRunHelpers: a network is drained only when no message is
+// queued, buffered or partly delivered. A 4-flit regular cache line and a
+// 5-packet WaP one are partial reassemblies at their destination NIC from
+// their first ejected flit to their last, and keep the network undrained
+// even with their source queue empty.
 func TestDrainedAndRunHelpers(t *testing.T) {
+	for _, design := range []Design{DesignRegular, DesignWaWWaP} {
+		n := newNet(t, 2, 2, design)
+		send(t, n, node(0, 0), node(1, 0), 512, flit.ClassReply)
+		partial := 0
+		for !n.Drained() {
+			if n.Cycle() > 100 {
+				t.Fatalf("%v: cache line did not drain", design)
+			}
+			// Drained reading true at a partial cycle would end the loop
+			// early and miss the count below.
+			if p := n.NIC(node(1, 0)).PendingReassemblies(); p > 1 {
+				t.Fatalf("%v: %d pending reassemblies for one message", design, p)
+			} else if p == 1 {
+				partial++
+			}
+			n.Step()
+		}
+		if want := map[Design]int{DesignRegular: 3, DesignWaWWaP: 4}[design]; partial != want || n.TotalDeliveredMessages() != 1 {
+			t.Errorf("%v: %d cycles with a partial reassembly and %d deliveries, want %d and 1",
+				design, partial, n.TotalDeliveredMessages(), want)
+		}
+	}
+
 	n := newNet(t, 2, 2, DesignRegular)
 	if !n.Drained() {
 		t.Error("fresh network should be drained")

@@ -4,7 +4,14 @@
 // a single packet bounded by the network's maximum packet size (regular
 // packetization) or into minimum-size packets with replicated control
 // information (WCTT-aware Packetization, WaP) — injects the resulting flits
-// into the local router, and reassembles incoming flits back into messages.
+// into the local router, and delivers each incoming message when its last
+// tail flit arrives.
+//
+// A sent message waits as one flit.Queued entry in the NIC's flit.Queue and
+// is packetized one flit at a time as PopFlit injects it: its first flit
+// opens the message's flit.InFlight record in the network's pool, and every
+// flit is a flit.Word naming that record. The destination NIC counts the
+// message's tails on the record and delivers the message from it.
 package nic
 
 import (
@@ -41,55 +48,51 @@ func (s Scheme) String() string {
 	}
 }
 
-// NIC is the per-router network interface: an injection queue of flits
-// awaiting transmission and a reassembly table for incoming flits.
+// NIC is the per-router network interface: an injection queue of messages,
+// the packetization state of the one at its head and a count of the
+// messages it is receiving.
 type NIC struct {
 	Node mesh.Node
 
 	// topo maps endpoints to routers: the NIC serves every endpoint core
 	// attached to its router through the Local port — one on the mesh, the
-	// concentration block on a concentrated mesh.
-	topo mesh.Topology
+	// concentration block, whose first endpoint is origin, on a concentrated
+	// mesh.
+	topo   mesh.Topology
+	origin mesh.Node
 
 	scheme Scheme
 	link   flit.LinkConfig
+	// maxFlits is the scheme's packet-size ceiling (WaP: the minimum packet
+	// size; regular: the network's maximum, 0 meaning unlimited), and
+	// perPacket the payload bits a ceiling-size packet carries (0:
+	// unlimited).
+	maxFlits, perPacket int
 
-	// pool supplies the flits the NIC packetizes and the messages it
-	// reassembles, and receives absorbed flits back. The NIC retains no
-	// delivered message: its owner sees each one as Receive returns it.
+	// pool is the owning network's arena: queue blocks, in-flight records
+	// and delivered messages.
 	pool *flit.Pool
 
-	nextPacketID uint64
-	nextMsgID    uint64
-
-	// injectQueue is consumed through injectHead (a head index) so the
-	// backing array is reused instead of being re-sliced away: combined
-	// with the compaction in Send this keeps steady-state injection free
-	// of heap allocations.
-	injectQueue []*flit.Flit
-	injectHead  int
-
-	// reassembly state per message id, with a free list so completed
-	// reassemblies recycle their bookkeeping instead of reallocating it per
-	// message. A message that arrives whole in one flit never enters it.
-	pending        map[uint64]*reassembly
-	freeReassembly []*reassembly
+	nextMsgID uint64
+	queue     flit.Queue
+	cur       cursor
+	partial   int // messages some, but not all, of whose flits were ejected here
 }
 
-type reassembly struct {
-	flow          flit.FlowID
-	class         flit.MessageClass
-	createdAt     uint64
-	firstInjected uint64
-	payloadBits   int
-	expectedPkts  int
-	donePkts      int
+// cursor is the packetization state of the message at the head of the
+// queue once its first flit is injected.
+type cursor struct {
+	rec       uint32
+	dst       mesh.Node // destination router
+	pkts      int       // packets not fully injected; 0 before the first flit
+	seq       int       // the next flit's place in its packet
+	lastFlits int       // the size of the message's last packet
 }
 
 // New returns the NIC at router-grid node node of topology topo, using the
 // given packetization scheme and link configuration and drawing from pool,
-// the owning network's message/flit arena that every NIC of that network
-// shares (see flit.Pool for the ownership rules).
+// the owning network's arena that every NIC of that network shares (see
+// flit.Pool for the ownership rules).
 func New(topo mesh.Topology, node mesh.Node, scheme Scheme, link flit.LinkConfig, pool *flit.Pool) (*NIC, error) {
 	if scheme != SchemeRegular && scheme != SchemeWaP {
 		return nil, fmt.Errorf("nic: unknown packetization scheme %v", scheme)
@@ -97,62 +100,38 @@ func New(topo mesh.Topology, node mesh.Node, scheme Scheme, link flit.LinkConfig
 	if err := link.Validate(); err != nil {
 		return nil, err
 	}
-	return &NIC{
-		Node:    node,
-		topo:    topo,
-		scheme:  scheme,
-		link:    link,
-		pool:    pool,
-		pending: make(map[uint64]*reassembly),
-	}, nil
+	n := &NIC{Node: node, topo: topo, origin: topo.BlockOrigin(node), scheme: scheme, link: link, pool: pool,
+		maxFlits: link.MaxPacketFlits}
+	if scheme == SchemeWaP {
+		n.maxFlits = link.MinPacketFlits
+	}
+	if n.maxFlits > 0 {
+		n.perPacket = n.maxFlits*link.WidthBits - link.ControlBitsPerPacket // > 0: Validate
+	}
+	return n, nil
 }
 
-// ownsEndpoint reports whether the endpoint is attached to this NIC's router.
-func (n *NIC) ownsEndpoint(ep mesh.Node) bool { return n.topo.RouterOf(ep) == n.Node }
-
-// Reset rewinds the NIC to its just-constructed state: injection queue and
-// reassembly table emptied, message/packet identifier counters cleared.
-// Backing buffers and the pool are retained so a reset NIC allocates nothing
-// when reused.
+// Reset rewinds the NIC to its just-constructed state, its queue's blocks
+// back in the pool. The in-flight records its flits named are closed by the
+// owner, which empties the routers holding those flits (Network.Reset).
 func (n *NIC) Reset() {
-	clear(n.injectQueue)
-	n.injectQueue = n.injectQueue[:0]
-	n.injectHead = 0
-	for id, r := range n.pending {
-		n.putReassembly(r)
-		delete(n.pending, id)
+	for n.queue.Len() > 0 {
+		n.queue.Pop(n.pool)
 	}
-	n.nextPacketID = 0
+	n.cur = cursor{}
+	n.partial = 0
 	n.nextMsgID = 0
 }
 
-// getReassembly returns a cleared reassembly record, reusing a recycled one
-// when available.
-func (n *NIC) getReassembly() *reassembly {
-	if k := len(n.freeReassembly); k > 0 {
-		r := n.freeReassembly[k-1]
-		n.freeReassembly[k-1] = nil
-		n.freeReassembly = n.freeReassembly[:k-1]
-		return r
-	}
-	return &reassembly{}
-}
-
-// putReassembly recycles a completed reassembly record.
-func (n *NIC) putReassembly(r *reassembly) {
-	*r = reassembly{}
-	n.freeReassembly = append(n.freeReassembly, r)
-}
-
 // Send accepts a message for transmission at cycle now. The message's source
-// must be the NIC's node. The message is packetized immediately and its
-// flits are appended to the injection queue. Send assigns the message an
-// identifier when it has none (ID == 0) and returns it.
+// must be one of the NIC's endpoints. Send appends one entry to the
+// injection queue, builds no flit and does not retain msg. It assigns the
+// message an identifier when it has none (ID == 0) and returns it.
 func (n *NIC) Send(msg *flit.Message, now uint64) (uint64, error) {
 	if msg == nil {
 		return 0, fmt.Errorf("nic %v: nil message", n.Node)
 	}
-	if !n.ownsEndpoint(msg.Flow.Src) {
+	if n.topo.RouterOf(msg.Flow.Src) != n.Node {
 		return 0, fmt.Errorf("nic %v: message source %v is not this node", n.Node, msg.Flow.Src)
 	}
 	if msg.Flow.Dst == msg.Flow.Src {
@@ -163,181 +142,112 @@ func (n *NIC) Send(msg *flit.Message, now uint64) (uint64, error) {
 		msg.ID = uint64(n.Node.X+1)<<48 | uint64(n.Node.Y+1)<<40 | n.nextMsgID
 	}
 	msg.CreatedAt = now
-	n.enqueueFlits(msg)
+	*n.queue.Push(n.pool) = flit.Queued{
+		ID: msg.ID, CreatedAt: now, PayloadBits: msg.PayloadBits,
+		DstX: uint32(msg.Flow.Dst.X), DstY: uint32(msg.Flow.Dst.Y), Class: uint8(msg.Class),
+		SrcOffset: uint8(msg.Flow.Src.X-n.origin.X) | uint8(msg.Flow.Src.Y-n.origin.Y)<<1,
+	}
 	return msg.ID, nil
 }
 
-// enqueueFlits packetizes the message straight into the injection queue.
-// The scheme sets the packet-size ceiling (WaP: the minimum packet size;
-// regular: the network's maximum, 0 meaning unlimited), the payload is cut
-// into chunks that fill a ceiling-size packet, and each chunk becomes one
-// packet of HEAD, BODY…, TAIL flits (HEAD+TAIL when it is a single flit)
-// whose head carries the chunk's payload bits. The flits come from the pool
-// and no intermediate packet values are built, so a Send on the hot path
-// performs no heap allocations.
-func (n *NIC) enqueueFlits(msg *flit.Message) {
-	maxFlits := n.link.MaxPacketFlits
-	if n.scheme == SchemeWaP {
-		maxFlits = n.link.MinPacketFlits
-	}
-	perPacketPayload := 0
-	if maxFlits > 0 {
-		perPacketPayload = maxFlits*n.link.WidthBits - n.link.ControlBitsPerPacket
-	}
-	payload := msg.PayloadBits
-	if payload < 0 {
-		payload = 0
-	}
-	packets := 1
-	if maxFlits != 0 && perPacketPayload > 0 && payload > perPacketPayload {
-		packets = (payload + perPacketPayload - 1) / perPacketPayload
-	}
-	firstID := n.allocPacketIDs(packets)
+// PendingMessages returns the number of messages in the injection queue,
+// the one being injected included.
+func (n *NIC) PendingMessages() int { return n.queue.Len() }
 
-	// Make room up front: once the consumed head is as long as the live
-	// queue, move the live flits to the front of the backing array. That is
-	// amortised O(1) per flit and keeps the slice within twice the live queue.
-	if n.injectHead > 0 && 2*n.injectHead >= len(n.injectQueue) {
-		q := n.injectQueue
-		live := copy(q, q[n.injectHead:])
-		clear(q[live:])
-		n.injectQueue = q[:live]
-		n.injectHead = 0
+// PopFlit removes and returns the next flit to inject at cycle now, and
+// false when the queue is empty. It packetizes the head message one flit at
+// a time: the scheme sets the packet-size ceiling, the payload is cut into
+// chunks that fill a ceiling-size packet, and each chunk becomes one packet
+// of HEAD, BODY…, TAIL flits (HEAD+TAIL when it is a single flit).
+func (n *NIC) PopFlit(now uint64) (flit.Word, bool) {
+	if n.queue.Len() == 0 {
+		return 0, false
 	}
-
-	remaining := payload
-	for i := 0; i < packets; i++ {
-		chunk := remaining
-		if packets > 1 && i < packets-1 {
-			chunk = perPacketPayload
-		}
-		remaining -= chunk
-		nflits := n.link.FlitsForPayload(chunk)
-		if n.scheme == SchemeWaP && nflits < n.link.MinPacketFlits {
-			nflits = n.link.MinPacketFlits
-		}
-		pktID := firstID + uint64(i)
-		for s := 0; s < nflits; s++ {
-			typ := flit.Body
-			switch {
-			case nflits == 1:
-				typ = flit.HeadTail
-			case s == 0:
-				typ = flit.Head
-			case s == nflits-1:
-				typ = flit.Tail
-			}
-			payloadBits := 0
-			if s == 0 {
-				payloadBits = chunk
-			}
-			f := n.pool.GetFlit()
-			f.Type = typ
-			f.Flow = msg.Flow
-			f.PacketID = pktID
-			f.MsgID = msg.ID
-			f.Seq = s
-			f.PacketIndex = i
-			f.PacketsInMsg = packets
-			f.PayloadBits = payloadBits
-			f.CreatedAt = msg.CreatedAt
-			f.Class = msg.Class
-			n.injectQueue = append(n.injectQueue, f)
+	c := &n.cur
+	if c.pkts == 0 {
+		n.open(now)
+	}
+	flits := n.maxFlits
+	if c.pkts == 1 {
+		flits = c.lastFlits
+	}
+	typ := flit.Body
+	switch {
+	case flits == 1:
+		typ = flit.HeadTail
+	case c.seq == 0:
+		typ = flit.Head
+	case c.seq == flits-1:
+		typ = flit.Tail
+	}
+	w := flit.NewWord(typ, c.dst, c.rec)
+	if c.seq++; c.seq == flits {
+		c.seq = 0
+		if c.pkts--; c.pkts == 0 {
+			n.queue.Pop(n.pool)
 		}
 	}
+	return w, true
 }
 
-func (n *NIC) allocPacketIDs(count int) uint64 {
-	first := n.nextPacketID + 1
-	n.nextPacketID += uint64(count)
-	// Packet ids are made globally unique by embedding the node coordinates
-	// in the high bits, so packets from different NICs never collide.
-	return uint64(n.Node.X+1)<<48 | uint64(n.Node.Y+1)<<40 | first
-}
-
-// PendingFlits returns the number of flits waiting in the injection queue.
-func (n *NIC) PendingFlits() int { return len(n.injectQueue) - n.injectHead }
-
-// PopFlit removes and returns the next flit to inject, stamping its
-// injection cycle. It returns nil when the queue is empty.
-func (n *NIC) PopFlit(now uint64) *flit.Flit {
-	if n.PendingFlits() == 0 {
-		return nil
+// open starts injecting the head message: it cuts the payload into packets
+// and opens the message's in-flight record, injected at cycle now. Every
+// packet but the last carries a ceiling-size chunk, so it is maxFlits long.
+func (n *NIC) open(now uint64) {
+	e := n.queue.Front()
+	payload := max(e.PayloadBits, 0)
+	pkts, last := 1, payload
+	if n.perPacket != 0 && payload > n.perPacket {
+		pkts = (payload-1)/n.perPacket + 1
+		last = payload - (pkts-1)*n.perPacket
 	}
-	f := n.injectQueue[n.injectHead]
-	n.injectQueue[n.injectHead] = nil // release the slot's reference
-	n.injectHead++
-	if n.injectHead == len(n.injectQueue) {
-		n.injectQueue = n.injectQueue[:0]
-		n.injectHead = 0
+	lastFlits := n.maxFlits // WaP: every packet is a minimum-size one
+	if n.scheme == SchemeRegular {
+		lastFlits = n.link.FlitsForPayload(last)
 	}
-	f.InjectedAt = now
-	return f
+	dst := mesh.Node{X: int(e.DstX), Y: int(e.DstY)}
+	rec, r := n.pool.OpenRecord()
+	*r = flit.InFlight{Tails: pkts, Msg: flit.Message{
+		ID: e.ID,
+		Flow: flit.FlowID{
+			Src: mesh.Node{X: n.origin.X + int(e.SrcOffset&1), Y: n.origin.Y + int(e.SrcOffset>>1)},
+			Dst: dst,
+		},
+		Class:       flit.MessageClass(e.Class),
+		PayloadBits: payload,
+		CreatedAt:   e.CreatedAt,
+		InjectedAt:  now,
+	}}
+	n.cur = cursor{rec: rec, dst: n.topo.RouterOf(dst), pkts: pkts, lastFlits: lastFlits}
 }
 
 // Receive accepts a flit ejected by the local router at cycle now. When the
-// flit completes its message the reassembled message is returned, otherwise
-// nil.
-func (n *NIC) Receive(f *flit.Flit, now uint64) (*flit.Message, error) {
-	if f == nil {
-		return nil, fmt.Errorf("nic %v: received nil flit", n.Node)
+// flit is its message's last tail, the message is returned, drawn from the
+// pool; otherwise nil.
+func (n *NIC) Receive(w flit.Word, now uint64) (*flit.Message, error) {
+	if w.Dst() != n.Node {
+		return nil, fmt.Errorf("nic %v: received flit for router %v", n.Node, w.Dst())
 	}
-	if !n.ownsEndpoint(f.Flow.Dst) {
-		return nil, fmt.Errorf("nic %v: received flit for %v", n.Node, f.Flow.Dst)
+	r := n.pool.Record(w.Record())
+	if r == nil || r.Tails <= 0 {
+		return nil, fmt.Errorf("nic %v: received %v of no message in flight", n.Node, w)
 	}
-	f.EjectedAt = now
-
-	if f.PacketsInMsg == 1 && f.Type == flit.HeadTail {
-		// The whole message in one flit: nothing to reassemble.
-		msg := n.deliver(f.MsgID, &reassembly{flow: f.Flow, class: f.Class, createdAt: f.CreatedAt,
-			firstInjected: f.InjectedAt, payloadBits: f.PayloadBits}, now)
-		n.pool.PutFlit(f)
-		return msg, nil
+	if w.Type().IsTail() {
+		r.Tails--
 	}
-
-	r, ok := n.pending[f.MsgID]
-	if !ok {
-		r = n.getReassembly()
-		r.flow = f.Flow
-		r.class = f.Class
-		r.createdAt = f.CreatedAt
-		r.firstInjected = f.InjectedAt
-		r.expectedPkts = f.PacketsInMsg
-		n.pending[f.MsgID] = r
-	}
-	if f.InjectedAt < r.firstInjected {
-		r.firstInjected = f.InjectedAt
-	}
-	r.payloadBits += f.PayloadBits
-	done := false
-	if f.Type.IsTail() {
-		r.donePkts++
-		done = r.donePkts >= r.expectedPkts
-	}
-	msgID := f.MsgID
-	n.pool.PutFlit(f) // the flit has been fully absorbed
-	if !done {
+	if r.Tails > 0 {
+		if !r.Ejected {
+			r.Ejected = true
+			n.partial++
+		}
 		return nil, nil
 	}
-	delete(n.pending, msgID)
-	msg := n.deliver(msgID, r, now)
-	n.putReassembly(r)
-	return msg, nil
+	if r.Ejected {
+		n.partial--
+	}
+	return n.pool.Deliver(w.Record(), now), nil
 }
 
-// deliver builds, from the pool, the message a completed reassembly
-// describes, delivered at cycle now.
-func (n *NIC) deliver(msgID uint64, r *reassembly, now uint64) *flit.Message {
-	msg := n.pool.GetMessage()
-	msg.ID = msgID
-	msg.Flow = r.flow
-	msg.Class = r.class
-	msg.PayloadBits = r.payloadBits
-	msg.CreatedAt = r.createdAt
-	msg.InjectedAt = r.firstInjected
-	msg.DeliveredAt = now
-	return msg
-}
-
-// PendingReassemblies returns the number of partially received messages.
-func (n *NIC) PendingReassemblies() int { return len(n.pending) }
+// PendingReassemblies returns the number of messages some, but not all, of
+// whose flits have been ejected here.
+func (n *NIC) PendingReassemblies() int { return n.partial }

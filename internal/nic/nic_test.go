@@ -1,8 +1,10 @@
 package nic
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/flit"
 	"repro/internal/mesh"
@@ -49,29 +51,52 @@ func TestNewPacketizerValidation(t *testing.T) {
 	}
 }
 
-// packetize sends msg through a fresh NIC at its source node and returns the
-// flits the NIC queued, grouped into packets in injection order. Every packet
-// is checked to be a well-formed wormhole unit: HEAD, BODY..., TAIL (HEAD+TAIL
-// alone), sequence numbers counting from 0, and one packet id, message id,
-// flow and packet index/total shared by all its flits.
-func packetize(t *testing.T, scheme Scheme, link flit.LinkConfig, msg *flit.Message) [][]*flit.Flit {
+// packetize sends msg through a fresh NIC at its source node, injects every
+// flit and ejects it at a fresh NIC at its destination (the two share a
+// pool). It returns the flits grouped into packets in injection order and
+// the delivered message. Every packet is checked to be a well-formed
+// wormhole unit — HEAD, BODY..., TAIL (HEAD+TAIL alone) — and every flit to
+// name the destination router and the message's one record; the message is
+// delivered by its last flit and by no other.
+func packetize(t *testing.T, scheme Scheme, link flit.LinkConfig, msg *flit.Message) ([][]flit.Word, *flit.Message) {
 	t.Helper()
-	n := mustNew(msg.Flow.Src, scheme, link)
-	if _, err := n.Send(msg, 0); err != nil {
+	pool := &flit.Pool{}
+	src, err := New(plain, msg.Flow.Src, scheme, link, pool)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var pkts [][]*flit.Flit
-	for f := n.PopFlit(1); f != nil; f = n.PopFlit(1) {
-		if f.Type.IsHead() {
+	dst, err := New(plain, msg.Flow.Dst, scheme, link, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Send(msg, 0); err != nil {
+		t.Fatal(err)
+	}
+	var pkts [][]flit.Word
+	var got *flit.Message
+	for w, ok := src.PopFlit(1); ok; w, ok = src.PopFlit(1) {
+		if got != nil {
+			t.Fatalf("%v: flit %v after the message was delivered", scheme, w)
+		}
+		if w.Type().IsHead() {
 			pkts = append(pkts, nil)
 		}
 		if len(pkts) == 0 {
-			t.Fatalf("%v: flit stream starts with %v", scheme, f)
+			t.Fatalf("%v: flit stream starts with %v", scheme, w)
 		}
-		pkts[len(pkts)-1] = append(pkts[len(pkts)-1], f)
+		pkts[len(pkts)-1] = append(pkts[len(pkts)-1], w)
+		if w.Dst() != msg.Flow.Dst || w.Record() != pkts[0][0].Record() {
+			t.Errorf("%v: flit %v does not name router %v and record %d", scheme, w, msg.Flow.Dst, pkts[0][0].Record())
+		}
+		if got, err = dst.Receive(w, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got == nil {
+		t.Fatalf("%v: message never delivered", scheme)
 	}
 	for i, pkt := range pkts {
-		for s, f := range pkt {
+		for s, w := range pkt {
 			want := flit.Body
 			switch {
 			case len(pkt) == 1:
@@ -81,37 +106,28 @@ func packetize(t *testing.T, scheme Scheme, link flit.LinkConfig, msg *flit.Mess
 			case s == len(pkt)-1:
 				want = flit.Tail
 			}
-			if f.Type != want || f.Seq != s {
-				t.Errorf("%v packet %d flit %d: %v seq %d, want %v seq %d", scheme, i, s, f.Type, f.Seq, want, s)
+			if w.Type() != want {
+				t.Errorf("%v packet %d flit %d: %v, want %v", scheme, i, s, w.Type(), want)
 			}
-			if f.PacketID != pkt[0].PacketID || f.MsgID != msg.ID || f.Flow != msg.Flow || f.Class != msg.Class {
-				t.Errorf("%v packet %d flit %d: identity %v differs from its head %v", scheme, i, s, f, pkt[0])
-			}
-			if f.PacketIndex != i || f.PacketsInMsg != len(pkts) {
-				t.Errorf("%v packet %d flit %d: index/total = %d/%d, want %d/%d", scheme, i, s, f.PacketIndex, f.PacketsInMsg, i, len(pkts))
-			}
-		}
-		if i > 0 && pkt[0].PacketID == pkts[i-1][0].PacketID {
-			t.Errorf("%v packets %d and %d share id %d", scheme, i-1, i, pkt[0].PacketID)
 		}
 	}
-	return pkts
+	if got.ID != msg.ID || got.Flow != msg.Flow || got.Class != msg.Class {
+		t.Errorf("%v: delivered %v, sent %v", scheme, got, msg)
+	}
+	return pkts, got
 }
 
-// payloadOf sums the payload bits the packets' flits carry.
-func payloadOf(pkts [][]*flit.Flit) (bits, flits int) {
+// flitsOf counts the flits of the packets.
+func flitsOf(pkts [][]flit.Word) (flits int) {
 	for _, pkt := range pkts {
 		flits += len(pkt)
-		for _, f := range pkt {
-			bits += f.PayloadBits
-		}
 	}
-	return bits, flits
+	return flits
 }
 
 func TestRegularPacketizeCacheLine(t *testing.T) {
 	msg := &flit.Message{ID: 5, Flow: flit.FlowID{Src: node(0, 0), Dst: node(3, 3)}, PayloadBits: 512, Class: flit.ClassReply}
-	pkts := packetize(t, SchemeRegular, testLink(), msg)
+	pkts, _ := packetize(t, SchemeRegular, testLink(), msg)
 	if len(pkts) != 1 {
 		t.Fatalf("regular packetization produced %d packets, want 1", len(pkts))
 	}
@@ -122,7 +138,7 @@ func TestRegularPacketizeCacheLine(t *testing.T) {
 
 func TestWaPPacketizeCacheLine(t *testing.T) {
 	msg := &flit.Message{ID: 9, Flow: flit.FlowID{Src: node(1, 1), Dst: node(0, 0)}, PayloadBits: 512, Class: flit.ClassReply}
-	pkts := packetize(t, SchemeWaP, testLink(), msg)
+	pkts, got := packetize(t, SchemeWaP, testLink(), msg)
 	// 512 payload bits over packets carrying 116 payload bits each -> 5
 	// single-flit packets (the paper's 25% overhead example).
 	if len(pkts) != 5 {
@@ -133,7 +149,7 @@ func TestWaPPacketizeCacheLine(t *testing.T) {
 			t.Errorf("WaP packet %d has %d flits, want 1", i, len(pkt))
 		}
 	}
-	if payload, total := payloadOf(pkts); total != 5 || payload != 512 {
+	if total, payload := flitsOf(pkts), got.PayloadBits; total != 5 || payload != 512 {
 		t.Errorf("WaP cache line = %d flits carrying %d bits, want 5 and 512", total, payload)
 	}
 }
@@ -144,7 +160,7 @@ func TestRegularPacketizeSplitsAboveMaxSize(t *testing.T) {
 	// packet, so regular packetization must emit more than one packet, each
 	// within the limit.
 	msg := &flit.Message{ID: 2, Flow: flit.FlowID{Src: node(0, 0), Dst: node(1, 0)}, PayloadBits: 1024}
-	pkts := packetize(t, SchemeRegular, link, msg)
+	pkts, _ := packetize(t, SchemeRegular, link, msg)
 	if len(pkts) < 2 {
 		t.Fatalf("oversized message produced %d packets, want >= 2", len(pkts))
 	}
@@ -159,7 +175,7 @@ func TestRegularUnlimitedPacketSize(t *testing.T) {
 	link := testLink()
 	link.MaxPacketFlits = 0 // protocols such as AMBA impose no limit
 	msg := &flit.Message{ID: 3, Flow: flit.FlowID{Src: node(0, 0), Dst: node(1, 0)}, PayloadBits: 4096}
-	pkts := packetize(t, SchemeRegular, link, msg)
+	pkts, _ := packetize(t, SchemeRegular, link, msg)
 	if len(pkts) != 1 {
 		t.Fatalf("unlimited regular packetization produced %d packets, want 1", len(pkts))
 	}
@@ -171,18 +187,18 @@ func TestRegularUnlimitedPacketSize(t *testing.T) {
 func TestPacketizeOneFlitRequestIdenticalUnderBothSchemes(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeRegular, SchemeWaP} {
 		msg := &flit.Message{ID: 4, Flow: flit.FlowID{Src: node(0, 0), Dst: node(7, 7)}, PayloadBits: 48, Class: flit.ClassRequest}
-		pkts := packetize(t, scheme, testLink(), msg)
+		pkts, _ := packetize(t, scheme, testLink(), msg)
 		if len(pkts) != 1 || len(pkts[0]) != 1 {
 			t.Fatalf("%v: one-flit request became %d packets", scheme, len(pkts))
 		}
-		if pkts[0][0].Type != flit.HeadTail {
+		if pkts[0][0].Type() != flit.HeadTail {
 			t.Errorf("%v: single flit should be HEAD+TAIL", scheme)
 		}
 	}
 }
 
 // Property: for any payload size, both schemes produce well-formed packets
-// whose flits carry the full payload; WaP never produces a packet larger than
+// that deliver the full payload; WaP never produces a packet larger than
 // the minimum packet size and sends exactly the flits WaPFlitsForPayload
 // accounts for; regular packetization fills every packet but the last to the
 // maximum size.
@@ -192,12 +208,12 @@ func TestPacketizeProperty(t *testing.T) {
 		payload := int(raw)
 		for _, scheme := range []Scheme{SchemeRegular, SchemeWaP} {
 			msg := &flit.Message{ID: 77, Flow: flit.FlowID{Src: node(0, 0), Dst: node(3, 2)}, PayloadBits: payload}
-			pkts := packetize(t, scheme, link, msg)
+			pkts, got := packetize(t, scheme, link, msg)
 			if len(pkts) == 0 {
 				return false
 			}
-			gotPayload, gotFlits := payloadOf(pkts)
-			if gotPayload != payload {
+			gotFlits := flitsOf(pkts)
+			if got.PayloadBits != payload {
 				return false
 			}
 			for i, pkt := range pkts {
@@ -244,75 +260,89 @@ func TestNICSendValidation(t *testing.T) {
 
 func TestNICInjectionQueue(t *testing.T) {
 	n := mustNew(node(0, 0), SchemeWaP, testLink())
-	if n.PopFlit(0) != nil {
-		t.Error("empty queue should return nil")
+	if _, ok := n.PopFlit(0); ok {
+		t.Error("empty queue should yield no flit")
 	}
 	msg := &flit.Message{Flow: flit.FlowID{Src: node(0, 0), Dst: node(1, 0)}, PayloadBits: 512}
 	if _, err := n.Send(msg, 5); err != nil {
 		t.Fatal(err)
 	}
-	if n.PendingFlits() != 5 {
-		t.Fatalf("pending flits = %d, want 5", n.PendingFlits())
+	if n.PendingMessages() != 1 {
+		t.Fatalf("pending messages = %d, want 1", n.PendingMessages())
 	}
-	popped := n.PopFlit(7)
-	if popped.InjectedAt != 7 {
-		t.Errorf("InjectedAt = %d, want 7", popped.InjectedAt)
+	w, _ := n.PopFlit(7)
+	r := n.pool.Record(w.Record())
+	if r.Msg.InjectedAt != 7 || r.Msg.CreatedAt != 5 || r.Tails != 5 {
+		t.Errorf("record after the first flit: injected %d, created %d, %d tails; want 7, 5, 5",
+			r.Msg.InjectedAt, r.Msg.CreatedAt, r.Tails)
 	}
-	if popped.CreatedAt != 5 {
-		t.Errorf("CreatedAt = %d, want 5", popped.CreatedAt)
+	for i := 1; i < 5; i++ {
+		if n.PendingMessages() != 1 {
+			t.Fatalf("after %d of 5 flits: pending messages = %d, want 1", i, n.PendingMessages())
+		}
+		n.PopFlit(8)
 	}
-	if n.PendingFlits() != 4 {
-		t.Errorf("pending flits after pop = %d", n.PendingFlits())
+	if n.PendingMessages() != 0 || n.queue.Len() != 0 {
+		t.Errorf("after the last flit: pending messages = %d", n.PendingMessages())
 	}
 }
 
-// A backlog that grows past saturation must not be recopied on every Send:
-// compaction waits until the consumed head is as long as the live queue, so
-// it is amortised O(1) per flit, the slice stays within twice the live queue
-// (plus the message being appended), and the flits still leave in FIFO order.
+// A backlog that grows past saturation is one 40-byte entry per message in
+// blocks of 32, never recopied: growing it to 1 600 messages allocates about
+// one block per 32 of them, and the messages still leave in FIFO order, each
+// cut into its flits as it is injected.
 func TestNICBackloggedQueueCompactsAmortised(t *testing.T) {
-	n := mustNew(node(0, 0), SchemeWaP, testLink())
+	pool := &flit.Pool{}
+	n, _ := New(plain, node(0, 0), SchemeWaP, testLink(), pool)
+	dst, _ := New(plain, node(1, 0), SchemeWaP, testLink(), pool)
 	const steps = 2000
-	var popped []*flit.Flit
-	compactions := 0
+	msg := &flit.Message{Flow: flit.FlowID{Src: node(0, 0), Dst: node(1, 0)}, PayloadBits: 512}
+	flits, delivered := 0, uint64(0)
+	pop := func(now uint64) {
+		w, _ := n.PopFlit(now)
+		flits++
+		m, err := dst.Receive(w, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m != nil {
+			if m.CreatedAt != delivered {
+				t.Fatalf("message %d delivered is the one created at cycle %d", delivered, m.CreatedAt)
+			}
+			delivered++
+			pool.PutMessage(m)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	for i := 0; i < steps; i++ { // 5 flits in, 1 flit out: the backlog grows
-		hadHead := n.injectHead > 0
-		msg := &flit.Message{Flow: flit.FlowID{Src: node(0, 0), Dst: node(1, 0)}, PayloadBits: 512}
+		msg.ID = 0
 		if _, err := n.Send(msg, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
-		if hadHead && n.injectHead == 0 {
-			compactions++
-		}
-		if len(n.injectQueue) > 2*n.PendingFlits()+5 {
-			t.Fatalf("step %d: queue slice %d for %d live flits", i, len(n.injectQueue), n.PendingFlits())
-		}
-		popped = append(popped, n.PopFlit(uint64(i)))
+		pop(uint64(i))
 	}
-	if compactions > steps/100 {
-		t.Errorf("%d compactions in %d sends of a growing backlog, want amortised O(1)", compactions, steps)
+	runtime.ReadMemStats(&after)
+	live := n.PendingMessages()
+	if mallocs := after.Mallocs - before.Mallocs; mallocs > uint64(live+31)/32+8 && !raceEnabled {
+		t.Errorf("a backlog of %d messages took %d allocations, want about one per 32", live, mallocs)
 	}
-	for n.PendingFlits() > 0 { // drain: now the head overtakes the live queue
-		popped = append(popped, n.PopFlit(steps))
+	for n.PendingMessages() > 0 {
+		pop(steps)
 	}
-	if len(popped) != 5*steps {
-		t.Fatalf("popped %d flits, want %d", len(popped), 5*steps)
-	}
-	for i, f := range popped {
-		if f.CreatedAt != uint64(i/5) || f.PacketIndex+f.Seq != i%5 {
-			t.Fatalf("flit %d out of order: message of cycle %d, packet %d, seq %d", i, f.CreatedAt, f.PacketIndex, f.Seq)
-		}
+	if flits != 5*steps || delivered != steps {
+		t.Fatalf("popped %d flits of %d messages, want %d and %d", flits, delivered, 5*steps, steps)
 	}
 }
 
 func TestNICReceiveValidation(t *testing.T) {
 	n := mustNew(node(2, 2), SchemeRegular, testLink())
-	if _, err := n.Receive(nil, 0); err == nil {
-		t.Error("nil flit should fail")
+	if _, err := n.Receive(flit.NewWord(flit.HeadTail, node(3, 3), 0), 0); err == nil {
+		t.Error("flit for another router should fail")
 	}
-	f := &flit.Flit{Flow: flit.FlowID{Src: node(0, 0), Dst: node(3, 3)}, Type: flit.HeadTail, PacketsInMsg: 1}
-	if _, err := n.Receive(f, 0); err == nil {
-		t.Error("flit for another node should fail")
+	if _, err := n.Receive(flit.NewWord(flit.HeadTail, node(2, 2), 0), 0); err == nil {
+		t.Error("flit of no message in flight should fail")
 	}
 }
 
@@ -322,8 +352,9 @@ func TestNICReceiveValidation(t *testing.T) {
 func TestNICRoundTrip(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeRegular, SchemeWaP} {
 		for _, payload := range []int{0, 48, 116, 117, 512, 1024, 5000} {
-			src := mustNew(node(0, 0), scheme, testLink())
-			dst := mustNew(node(3, 2), scheme, testLink())
+			pool := &flit.Pool{}
+			src, _ := New(plain, node(0, 0), scheme, testLink(), pool)
+			dst, _ := New(plain, node(3, 2), scheme, testLink(), pool)
 			msg := &flit.Message{
 				Flow:        flit.FlowID{Src: node(0, 0), Dst: node(3, 2)},
 				PayloadBits: payload,
@@ -335,9 +366,9 @@ func TestNICRoundTrip(t *testing.T) {
 			}
 			cycle := uint64(101)
 			var completed *flit.Message
-			for src.PendingFlits() > 0 {
-				f := src.PopFlit(cycle)
-				got, err := dst.Receive(f, cycle+3)
+			for src.PendingMessages() > 0 {
+				w, _ := src.PopFlit(cycle)
+				got, err := dst.Receive(w, cycle+3)
 				if err != nil {
 					t.Fatalf("%v payload %d: receive: %v", scheme, payload, err)
 				}
@@ -369,44 +400,54 @@ func TestNICRoundTrip(t *testing.T) {
 	}
 }
 
-// A message that arrives whole in one flit is delivered straight from the
-// flit: it never enters the reassembly table and leaves no record behind,
-// while a multi-flit message does both.
+// A message that arrives whole in one flit is delivered by that flit and is
+// never a partial reassembly. A 4-flit regular cache line and a 5-packet WaP
+// one are partial from their first ejected flit until their last tail, and
+// each delivery closes its record: the next message reuses it.
 func TestNICOneFlitMessageSkipsReassembly(t *testing.T) {
-	src := mustNew(node(0, 0), SchemeRegular, testLink())
-	dst := mustNew(node(3, 2), SchemeRegular, testLink())
-	flow := flit.FlowID{Src: node(0, 0), Dst: node(3, 2)}
-	receiveAll := func() (last *flit.Message) {
-		for src.PendingFlits() > 0 {
-			msg, err := dst.Receive(src.PopFlit(7), 9)
-			if err != nil {
-				t.Fatal(err)
+	for _, scheme := range []Scheme{SchemeRegular, SchemeWaP} {
+		pool := &flit.Pool{}
+		src, _ := New(plain, node(0, 0), scheme, testLink(), pool)
+		dst, _ := New(plain, node(3, 2), scheme, testLink(), pool)
+		flow := flit.FlowID{Src: node(0, 0), Dst: node(3, 2)}
+		receiveAll := func() (last *flit.Message, flits int, rec uint32) {
+			for src.PendingMessages() > 0 {
+				w, _ := src.PopFlit(7)
+				msg, err := dst.Receive(w, 9)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := 1; msg == nil && dst.PendingReassemblies() != want {
+					t.Fatalf("%v: a partial message must count as %d pending reassembly, got %d", scheme, want, dst.PendingReassemblies())
+				}
+				last, rec = msg, w.Record()
+				flits++
 			}
-			if msg == nil && dst.PendingReassemblies() != 1 {
-				t.Fatal("a partial message must sit in the reassembly table")
-			}
-			last = msg
+			return last, flits, rec
 		}
-		return last
-	}
-	id, err := src.Send(&flit.Message{Flow: flow, PayloadBits: 48, Class: flit.ClassRequest}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg := receiveAll()
-	if msg == nil || msg.ID != id || msg.Flow != flow || msg.Class != flit.ClassRequest || msg.PayloadBits != 48 ||
-		msg.CreatedAt != 5 || msg.InjectedAt != 7 || msg.DeliveredAt != 9 {
-		t.Fatalf("one-flit message delivered as %+v", msg)
-	}
-	if dst.PendingReassemblies() != 0 || len(dst.freeReassembly) != 0 {
-		t.Errorf("one-flit message used a reassembly record (pending %d, recycled %d)",
-			dst.PendingReassemblies(), len(dst.freeReassembly))
-	}
-	if _, err := src.Send(&flit.Message{Flow: flow, PayloadBits: 512}, 5); err != nil {
-		t.Fatal(err)
-	}
-	if receiveAll() == nil || dst.PendingReassemblies() != 0 || len(dst.freeReassembly) != 1 {
-		t.Errorf("four-flit message: pending %d, recycled %d records", dst.PendingReassemblies(), len(dst.freeReassembly))
+		id, err := src.Send(&flit.Message{Flow: flow, PayloadBits: 48, Class: flit.ClassRequest}, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, flits, first := receiveAll()
+		if msg == nil || flits != 1 || msg.ID != id || msg.Flow != flow || msg.Class != flit.ClassRequest || msg.PayloadBits != 48 ||
+			msg.CreatedAt != 5 || msg.InjectedAt != 7 || msg.DeliveredAt != 9 {
+			t.Fatalf("%v: one-flit message delivered as %+v after %d flits", scheme, msg, flits)
+		}
+		if dst.PendingReassemblies() != 0 {
+			t.Errorf("%v: one-flit message left %d pending reassemblies", scheme, dst.PendingReassemblies())
+		}
+		if _, err := src.Send(&flit.Message{Flow: flow, PayloadBits: 512}, 5); err != nil {
+			t.Fatal(err)
+		}
+		msg, flits, rec := receiveAll()
+		if want := map[Scheme]int{SchemeRegular: 4, SchemeWaP: 5}[scheme]; msg == nil || flits != want || msg.PayloadBits != 512 {
+			t.Errorf("%v cache line: delivered %v after %d flits, want 512 bits after %d", scheme, msg, flits, want)
+		}
+		if dst.PendingReassemblies() != 0 || rec != first {
+			t.Errorf("%v cache line: %d pending reassemblies, record %d (the one-flit message's was %d)",
+				scheme, dst.PendingReassemblies(), rec, first)
+		}
 	}
 }
 
@@ -414,9 +455,10 @@ func TestNICOneFlitMessageSkipsReassembly(t *testing.T) {
 // independently.
 func TestNICInterleavedReassembly(t *testing.T) {
 	link := testLink()
-	dst := mustNew(node(0, 0), SchemeWaP, link)
-	a := mustNew(node(1, 0), SchemeWaP, link)
-	b := mustNew(node(2, 0), SchemeWaP, link)
+	pool := &flit.Pool{}
+	dst, _ := New(plain, node(0, 0), SchemeWaP, link, pool)
+	a, _ := New(plain, node(1, 0), SchemeWaP, link, pool)
+	b, _ := New(plain, node(2, 0), SchemeWaP, link, pool)
 	msgA := &flit.Message{Flow: flit.FlowID{Src: node(1, 0), Dst: node(0, 0)}, PayloadBits: 512}
 	msgB := &flit.Message{Flow: flit.FlowID{Src: node(2, 0), Dst: node(0, 0)}, PayloadBits: 512}
 	if _, err := a.Send(msgA, 0); err != nil {
@@ -425,23 +467,22 @@ func TestNICInterleavedReassembly(t *testing.T) {
 	if _, err := b.Send(msgB, 0); err != nil {
 		t.Fatal(err)
 	}
-	completed := 0
+	var completed []mesh.Node
 	cycle := uint64(1)
-	for a.PendingFlits() > 0 || b.PendingFlits() > 0 {
-		if f := a.PopFlit(cycle); f != nil {
-			if m, _ := dst.Receive(f, cycle); m != nil {
-				completed++
-			}
-		}
-		if f := b.PopFlit(cycle); f != nil {
-			if m, _ := dst.Receive(f, cycle); m != nil {
-				completed++
+	for a.PendingMessages() > 0 || b.PendingMessages() > 0 {
+		for _, src := range []*NIC{a, b} {
+			if w, ok := src.PopFlit(cycle); ok {
+				if m, _ := dst.Receive(w, cycle); m != nil {
+					completed = append(completed, m.Flow.Src)
+				} else if dst.PendingReassemblies() == 0 {
+					t.Fatal("two messages in progress, none pending")
+				}
 			}
 		}
 		cycle++
 	}
-	if completed != 2 {
-		t.Errorf("completed %d messages, want 2", completed)
+	if len(completed) != 2 || completed[0] != node(1, 0) || completed[1] != node(2, 0) {
+		t.Errorf("completed messages from %v, want (1,0) then (2,0)", completed)
 	}
 	if dst.PendingReassemblies() != 0 {
 		t.Error("pending reassemblies left over")
@@ -468,22 +509,30 @@ func TestNICUniqueMessageIDsAcrossNodes(t *testing.T) {
 	}
 }
 
-// Reset must rewind a NIC to its just-constructed state: queue, reassembly
-// table and identifier counters, so a reused NIC assigns the same message
-// ids a fresh one would.
+// Reset must rewind a NIC to its just-constructed state: queue (its blocks
+// back in the pool), packetization state, partial count and identifier
+// counter, so a reused NIC assigns the same message ids a fresh one would
+// and injects from the start of its next message.
 func TestNICReset(t *testing.T) {
-	n := mustNew(mesh.Node{X: 1, Y: 1}, SchemeRegular, flit.DefaultLinkConfig())
-	msg := &flit.Message{Flow: flit.FlowID{Src: mesh.Node{X: 1, Y: 1}, Dst: mesh.Node{X: 0, Y: 0}}, PayloadBits: 512}
+	pool := &flit.Pool{}
+	n, _ := New(plain, node(1, 1), SchemeWaP, testLink(), pool)
+	dst, _ := New(plain, node(0, 0), SchemeWaP, testLink(), pool)
+	msg := &flit.Message{Flow: flit.FlowID{Src: node(1, 1), Dst: node(0, 0)}, PayloadBits: 512}
 	firstID, err := n.Send(msg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.PendingFlits() == 0 {
+	if n.PendingMessages() == 0 {
 		t.Fatal("send did not enqueue")
 	}
-	n.PopFlit(4)
+	w, _ := n.PopFlit(4)
+	if _, err := dst.Receive(w, 5); err != nil || dst.PendingReassemblies() != 1 {
+		t.Fatalf("first flit of five: error %v, %d pending", err, dst.PendingReassemblies())
+	}
 	n.Reset()
-	if n.PendingFlits() != 0 || n.PendingReassemblies() != 0 {
+	dst.Reset()
+	pool.CloseRecords()
+	if n.PendingMessages() != 0 || dst.PendingReassemblies() != 0 || pool.Record(0) != nil {
 		t.Fatalf("Reset left state behind: %+v", n)
 	}
 	again := &flit.Message{Flow: msg.Flow, PayloadBits: 512}
@@ -494,10 +543,13 @@ func TestNICReset(t *testing.T) {
 	if secondID != firstID {
 		t.Errorf("message ids after Reset must restart: first %d, after reset %d", firstID, secondID)
 	}
+	if w, _ := n.PopFlit(4); w.Type() != flit.HeadTail || w.Record() != 0 {
+		t.Errorf("first flit after Reset is %v, want the new message's head in record 0", w)
+	}
 }
 
-// NICs sharing one pool packetize from it, return absorbed flits to it and
-// reassemble into messages drawn from it.
+// NICs sharing one pool queue into its blocks, open its records and deliver
+// messages drawn from it.
 func TestNICPooledReceive(t *testing.T) {
 	var pool flit.Pool
 	src, err := New(plain, mesh.Node{X: 1, Y: 0}, SchemeRegular, flit.DefaultLinkConfig(), &pool)
@@ -516,11 +568,11 @@ func TestNICPooledReceive(t *testing.T) {
 	}
 	var out *flit.Message
 	for cycle := uint64(1); ; cycle++ {
-		f := src.PopFlit(cycle)
-		if f == nil {
+		w, ok := src.PopFlit(cycle)
+		if !ok {
 			break
 		}
-		m, err := dst.Receive(f, cycle)
+		m, err := dst.Receive(w, cycle)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -541,26 +593,96 @@ func TestNICPooledReceive(t *testing.T) {
 }
 
 // On cmesh4 one NIC serves the 2x2 block of endpoints behind its router: it
-// accepts Send from, and Receive for, exactly those four and rejects the
-// endpoints of other routers.
+// accepts Send from exactly those four, rejects the endpoints of other
+// routers, and each message delivered keeps its own source endpoint. Receive
+// accepts only flits bound for its router.
 func TestNICConcentratedEndpoints(t *testing.T) {
 	topo := mesh.TopoSpec{Kind: mesh.TopoCMesh, Conc: 4}.MustBuild(mesh.MustDim(4, 4))
-	n, err := New(topo, node(1, 0), SchemeRegular, testLink(), &flit.Pool{})
+	pool := &flit.Pool{}
+	n, err := New(topo, node(1, 0), SchemeRegular, testLink(), pool)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dst, err := New(topo, node(0, 1), SchemeRegular, testLink(), pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted []mesh.Node
 	for _, ep := range []mesh.Node{node(2, 0), node(3, 0), node(2, 1), node(3, 1), node(1, 0), node(2, 2)} {
 		want := topo.RouterOf(ep) == n.Node
-		flow := flit.FlowID{Src: ep, Dst: node(0, 3)}
+		flow := flit.FlowID{Src: ep, Dst: node(1, 3)}
 		if _, err := n.Send(&flit.Message{Flow: flow, PayloadBits: 48}, 0); (err == nil) != want {
 			t.Errorf("Send from %v: error %v, want accepted=%v", ep, err, want)
 		}
-		f := &flit.Flit{Flow: flit.FlowID{Src: node(0, 3), Dst: ep}, Type: flit.HeadTail, PacketsInMsg: 1}
-		if msg, err := n.Receive(f, 1); (err == nil) != want || (msg != nil) != want {
-			t.Errorf("Receive for %v: message %v, error %v, want accepted=%v", ep, msg, err, want)
+		if want {
+			accepted = append(accepted, ep)
 		}
 	}
-	if n.PendingFlits() != 4 {
-		t.Errorf("%d flits queued, want one per block endpoint", n.PendingFlits())
+	if n.PendingMessages() != 4 {
+		t.Errorf("%d messages queued, want one per block endpoint", n.PendingMessages())
+	}
+	for i := 0; n.PendingMessages() > 0; i++ {
+		w, _ := n.PopFlit(1)
+		if w.Dst() != node(0, 1) {
+			t.Fatalf("flit bound for router %v, want (0,1)", w.Dst())
+		}
+		if _, err := n.Receive(w, 2); err == nil {
+			t.Error("Receive accepted a flit for another router")
+		}
+		msg, err := dst.Receive(w, 2)
+		if err != nil || msg == nil || msg.Flow != (flit.FlowID{Src: accepted[i], Dst: node(1, 3)}) {
+			t.Errorf("message %d delivered as %v (error %v), want flow %v->(1,3)", i, msg, err, accepted[i])
+		}
+	}
+}
+
+// TestQueuedMessageFootprint pins the two compact forms of a message: a
+// queued message is one entry of at most 40 bytes and a router slot is one
+// 8-byte word. Queuing 10 000 messages allocates at most one 32-entry block
+// per 32 messages, and draining and refilling the queue allocates nothing.
+func TestQueuedMessageFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(flit.Queued{}); size > 40 {
+		t.Errorf("a queued message takes %d bytes, want at most 40", size)
+	}
+	if size := unsafe.Sizeof(flit.Word(0)); size != 8 {
+		t.Errorf("a router slot takes %d bytes, want 8", size)
+	}
+	const msgs = 10_000
+	pool := &flit.Pool{}
+	src, _ := New(plain, node(0, 0), SchemeWaP, testLink(), pool)
+	dst, _ := New(plain, node(5, 3), SchemeWaP, testLink(), pool)
+	flow := flit.FlowID{Src: node(0, 0), Dst: node(5, 3)}
+	msg := &flit.Message{Flow: flow, PayloadBits: 48}
+	fill := func() {
+		for i := 0; i < msgs; i++ {
+			msg.ID = 0
+			if _, err := src.Send(msg, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	drain := func() {
+		for src.PendingMessages() > 0 {
+			w, _ := src.PopFlit(1)
+			m, err := dst.Receive(w, 2)
+			if err != nil || m == nil {
+				t.Fatalf("delivered %v, error %v", m, err)
+			}
+			pool.PutMessage(m)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC() // a collection during fill would count its own allocations
+	runtime.ReadMemStats(&before)
+	fill()
+	runtime.ReadMemStats(&after)
+	if mallocs, blocks := after.Mallocs-before.Mallocs, uint64((msgs+31)/32); mallocs > blocks && !raceEnabled {
+		t.Errorf("queuing %d messages made %d allocations, want at most %d blocks", msgs, mallocs, blocks)
+	}
+	drain()
+	fill()
+	drain() // the record slab and the message free list are warm
+	if allocs := testing.AllocsPerRun(5, func() { fill(); drain() }); allocs != 0 && !raceEnabled {
+		t.Errorf("draining and refilling the queue: %v allocations per run, want 0", allocs)
 	}
 }

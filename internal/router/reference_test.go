@@ -12,8 +12,8 @@ import (
 )
 
 // refRouter is the oracle the production router is pinned to: the same
-// wormhole router written the obvious way — one growing slice per input FIFO
-// and per staging area, every waiting head flit dereferenced and re-routed
+// wormhole router written the obvious way — one growing slice of flit words
+// per input FIFO and per staging area, every waiting head flit re-routed
 // every cycle, one []bool request array per output handed to the arbiter's
 // Grant. Nothing outside the tests uses it. (The arbiters themselves are
 // pinned to their own oracle in the arbiter package.)
@@ -21,8 +21,8 @@ type refRouter struct {
 	node       mesh.Node
 	depth      int
 	downstream int
-	inputs     [mesh.NumDirections][]*flit.Flit
-	staged     [mesh.NumDirections][]*flit.Flit
+	inputs     [mesh.NumDirections][]flit.Word
+	staged     [mesh.NumDirections][]flit.Word
 	out        [mesh.NumDirections]refPort
 }
 
@@ -55,8 +55,8 @@ func newRefRouter(d mesh.Dim, n mesh.Node, depth int, counts *flows.PortCounts, 
 	return r
 }
 
-func (r *refRouter) stage(dir mesh.Direction, f *flit.Flit) error {
-	if f == nil || len(r.inputs[dir])+len(r.staged[dir]) >= r.depth {
+func (r *refRouter) stage(dir mesh.Direction, f flit.Word) error {
+	if len(r.inputs[dir])+len(r.staged[dir]) >= r.depth {
 		return fmt.Errorf("reference: cannot stage on %v", dir)
 	}
 	r.staged[dir] = append(r.staged[dir], f)
@@ -70,11 +70,11 @@ func (r *refRouter) commit() {
 	}
 }
 
-func (r *refRouter) front(dir mesh.Direction) *flit.Flit {
+func (r *refRouter) front(dir mesh.Direction) (flit.Word, bool) {
 	if len(r.inputs[dir]) == 0 {
-		return nil
+		return 0, false
 	}
-	return r.inputs[dir][0]
+	return r.inputs[dir][0], true
 }
 
 func (r *refRouter) computeTransfers() []Transfer {
@@ -87,32 +87,32 @@ func (r *refRouter) computeTransfers() []Transfer {
 		}
 		if op.locked {
 			in := op.lockedTo
-			f := r.front(in)
-			if inputBusy[in] || f == nil || f.Type.IsHead() {
+			f, ok := r.front(in)
+			if inputBusy[in] || !ok || f.Type().IsHead() {
 				continue
 			}
 			transfers = append(transfers, Transfer{Out: outDir, In: in, Flit: f})
 			inputBusy[in] = true
-			if f.Type.IsTail() {
+			if f.Type().IsTail() {
 				op.locked = false
 			}
 			continue
 		}
 		requests := make([]bool, mesh.NumDirections)
 		for _, inDir := range mesh.Directions {
-			f := r.front(inDir)
-			requests[inDir] = f != nil && f.Type.IsHead() && !inputBusy[inDir] &&
-				mesh.XYOutputPort(r.node, f.Flow.Dst) == outDir && mesh.LegalTurn(inDir, outDir)
+			f, ok := r.front(inDir)
+			requests[inDir] = ok && f.Type().IsHead() && !inputBusy[inDir] &&
+				mesh.XYOutputPort(r.node, f.Dst()) == outDir && mesh.LegalTurn(inDir, outDir)
 		}
 		winner := op.arb.Grant(requests)
 		if winner < 0 {
 			continue
 		}
 		in := mesh.Direction(winner)
-		f := r.front(in)
+		f, _ := r.front(in)
 		transfers = append(transfers, Transfer{Out: outDir, In: in, Flit: f})
 		inputBusy[in] = true
-		if !f.Type.IsTail() {
+		if !f.Type().IsTail() {
 			op.locked, op.lockedTo = true, in
 		}
 	}
@@ -218,7 +218,7 @@ func runAgainstReference(t *testing.T, weighted bool, depthSel, downSel, nodeSel
 	}
 
 	s := &script{data: data}
-	var upstream [mesh.NumDirections][]*flit.Flit // rest of the packet each link is sending
+	var upstream [mesh.NumDirections][]flit.Word // rest of the packet each link is sending
 	stage := func(cycle int) {
 		for _, in := range mesh.Directions {
 			b := s.next()
@@ -229,7 +229,7 @@ func runAgainstReference(t *testing.T, weighted bool, depthSel, downSel, nodeSel
 					if sel >= 0xF8 { // rarely: anywhere, illegal turns included
 						dst = d.NodeAt(int(s.next()) % d.Nodes())
 					}
-					upstream[in] = makePacket(node, dst, 1+int(b>>2&3))
+					upstream[in] = makePacket(dst, 1+int(b>>2&3))
 					if sel&0xF8 == 0xF0 && len(upstream[in]) > 1 {
 						// Rarely: a packet that loses its tail, so a second
 						// output can lock onto the same input behind it.
@@ -253,7 +253,7 @@ func runAgainstReference(t *testing.T, weighted bool, depthSel, downSel, nodeSel
 		case ctl == 0xFF:
 			prod.Reset()
 			ref = newRefRouter(d, node, depth, counts, downstream)
-			upstream = [mesh.NumDirections][]*flit.Flit{}
+			upstream = [mesh.NumDirections][]flit.Word{}
 		case ctl&0xF0 == 0xF0 && prod.InputsEmpty() && ref.inputsEmpty():
 			// The bulk idle replay against that many request-less cycles.
 			k := 1 + int(s.next()%40)

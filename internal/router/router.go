@@ -10,8 +10,9 @@
 // ReturnCredit and CommitArrivals, and owns the rule that a flit forwarded in
 // cycle T is visible downstream in T+1. ComputeTransfers, then ApplyTransfer
 // per transfer, is the same decision and pop in two phases. The Router type
-// documents the data layout — ring FIFOs, a head-of-line byte per buffered
-// flit, per-output request masks — that keeps the decision inside the struct.
+// documents the data layout — ring FIFOs of flit words, a head-of-line byte
+// per buffered flit, per-output request masks — that keeps the decision
+// inside the struct.
 package router
 
 import (
@@ -31,12 +32,12 @@ import (
 type Transfer struct {
 	Out  mesh.Direction
 	In   mesh.Direction
-	Flit *flit.Flit
+	Flit flit.Word
 }
 
 // The head-of-line byte: everything the per-cycle decision needs to know
-// about a buffered flit, computed once when the flit is staged so that
-// arbitration never dereferences a flit.
+// about a buffered flit, computed once from its word when the flit is
+// staged.
 const (
 	slotHead     uint8 = 1 << iota // carries routing information (HEAD, HEAD+TAIL)
 	slotTail                       // forwarding it releases the wormhole lock
@@ -71,10 +72,11 @@ type outputPort struct {
 // # Data layout
 //
 // Each input FIFO is a ring of BufferDepth slots carved out of one slots
-// array allocated at construction: head is the front position, count the
-// committed flits behind it and staged the arrivals of the current cycle
-// behind those, so committing arrivals is a counter bump. A parallel info
-// array holds one head-of-line byte per slot (see slotHead).
+// array of flit words (8 bytes each) allocated at construction: head is the
+// front position, count the committed flits behind it and staged the
+// arrivals of the current cycle behind those, so committing arrivals is a
+// counter bump. A parallel info array holds one head-of-line byte per slot
+// (see slotHead).
 //
 // The per-cycle decision reads only the Router struct: front caches the
 // head-of-line byte of every non-empty FIFO, and wantMask[out] is the set of
@@ -85,10 +87,6 @@ type outputPort struct {
 type Router struct {
 	Dim  mesh.Dim
 	Node mesh.Node
-
-	// topo supplies the routing decision and port tables; its OutputPort
-	// inlines into the per-head-flit routing decision.
-	topo mesh.Topology
 
 	// weighted selects the WaW arbiters in waw over the round-robin ones in
 	// the output ports.
@@ -113,21 +111,21 @@ type Router struct {
 	out      [mesh.NumDirections]outputPort
 	waw      [mesh.NumDirections]arbiter.Weighted
 
-	slots []*flit.Flit // input i owns slots[i*depth : (i+1)*depth]
-	info  []uint8      // head-of-line byte of the flit in the same slot
+	slots []flit.Word // input i owns slots[i*depth : (i+1)*depth]
+	info  []uint8     // head-of-line byte of the flit in the same slot
 
 	// transferScratch backs the slices Forward and ComputeTransfers return.
 	transferScratch [mesh.NumDirections]Transfer
 }
 
 // New builds a router with depth-flit input FIFOs at router-grid node n of
-// topology t: port existence comes from the topology's port table and the
-// per-head-flit routing decision from its OutputPort. A router given counts
-// (typically its entry of flows.WeightTableFor(t)) arbitrates with WaW,
-// taking its per-port weights from them; with nil counts it arbitrates
-// round-robin. The downstream credit counters are initialised to
-// downstreamDepth, the input-buffer depth of the neighbouring routers
-// (depth itself when below one).
+// topology t: port existence comes from the topology's port table, and each
+// head flit is routed XY towards the destination router its word names. A
+// router given counts (typically its entry of flows.WeightTableFor(t))
+// arbitrates with WaW, taking its per-port weights from them; with nil
+// counts it arbitrates round-robin. The downstream credit counters are
+// initialised to downstreamDepth, the input-buffer depth of the neighbouring
+// routers (depth itself when below one).
 func New(t mesh.Topology, n mesh.Node, depth int, counts *flows.PortCounts, downstreamDepth int) (*Router, error) {
 	if depth < 1 || depth > MaxBufferDepth {
 		return nil, fmt.Errorf("router: buffer depth must be in 1..%d, got %d", MaxBufferDepth, depth)
@@ -141,10 +139,10 @@ func New(t mesh.Topology, n mesh.Node, depth int, counts *flows.PortCounts, down
 	}
 	weighted := counts != nil
 	r := &Router{Dim: d, Node: n, downstreamDepth: downstreamDepth,
-		topo: t, weighted: weighted,
-		depth: depth,
-		slots: make([]*flit.Flit, mesh.NumDirections*depth),
-		info:  make([]uint8, mesh.NumDirections*depth),
+		weighted: weighted,
+		depth:    depth,
+		slots:    make([]flit.Word, mesh.NumDirections*depth),
+		info:     make([]uint8, mesh.NumDirections*depth),
 	}
 	for _, dir := range mesh.Directions {
 		if !t.HasOutput(n, dir) {
@@ -208,10 +206,7 @@ func (r *Router) InputSpace(dir mesh.Direction) int {
 // area; it becomes visible in the FIFO after CommitArrivals. It returns an
 // error when the buffer (committed plus staged) is full — with correct
 // credit-based flow control this never happens.
-func (r *Router) StageArrival(dir mesh.Direction, f *flit.Flit) error {
-	if f == nil {
-		return fmt.Errorf("router %v: staging nil flit on %v", r.Node, dir)
-	}
+func (r *Router) StageArrival(dir mesh.Direction, w flit.Word) error {
 	used := int(r.count[dir]) + int(r.staged[dir])
 	if used >= r.depth {
 		return fmt.Errorf("router %v: input buffer %v overflow (flow-control violation)", r.Node, dir)
@@ -221,16 +216,17 @@ func (r *Router) StageArrival(dir mesh.Direction, f *flit.Flit) error {
 		pos -= r.depth
 	}
 	slot := int(dir)*r.depth + pos
-	r.slots[slot] = f
-	// The head-of-line byte: a head records the topology's routing decision
-	// and whether it is a legal turn; body and tail flits follow the
-	// wormhole reservation of their packet.
+	r.slots[slot] = w
+	// The head-of-line byte: a head records the XY routing decision towards
+	// its destination router and whether it is a legal turn; body and tail
+	// flits follow the wormhole reservation of their packet.
 	var s uint8
-	if f.Type.IsTail() {
+	typ := w.Type()
+	if typ.IsTail() {
 		s = slotTail
 	}
-	if f.Type.IsHead() {
-		out := r.topo.OutputPort(r.Node, f.Flow.Dst)
+	if typ.IsHead() {
+		out := mesh.XYOutputPort(r.Node, w.Dst())
 		s |= slotHead | uint8(out)<<slotOutShift | turnRequest[dir][out]
 	}
 	r.info[slot] = s
@@ -288,14 +284,12 @@ func (r *Router) exposeFront(in int) {
 // PopInput removes and returns the flit at the head of the input FIFO of
 // port dir. It panics if the FIFO is empty (which would indicate a bug in
 // the transfer logic).
-func (r *Router) PopInput(dir mesh.Direction) *flit.Flit {
+func (r *Router) PopInput(dir mesh.Direction) flit.Word {
 	in := int(dir)
 	if r.count[in] == 0 {
 		panic(fmt.Sprintf("router %v: pop from empty input %v", r.Node, dir))
 	}
-	slot := in*r.depth + int(r.head[in])
-	f := r.slots[slot]
-	r.slots[slot] = nil // drop the reference so the slot does not pin the flit
+	w := r.slots[in*r.depth+int(r.head[in])]
 	if s := r.front[in]; s&slotRequest != 0 {
 		r.wantMask[s>>slotOutShift] &^= 1 << uint(in)
 	}
@@ -309,7 +303,7 @@ func (r *Router) PopInput(dir mesh.Direction) *flit.Flit {
 	} else {
 		r.exposeFront(in)
 	}
-	return f
+	return w
 }
 
 // ConsumeCredit decrements the credit counter of the output port after a flit
@@ -403,11 +397,11 @@ func (r *Router) walk(down *[mesh.NumDirections]*Router) []Transfer {
 			}
 		}
 		busy |= 1 << uint(in)
-		var f *flit.Flit
+		var w flit.Word
 		if down == nil {
-			f = r.slots[in*r.depth+int(r.head[in])]
+			w = r.slots[in*r.depth+int(r.head[in])]
 		} else {
-			f = r.PopInput(mesh.Direction(in))
+			w = r.PopInput(mesh.Direction(in))
 			r.ConsumeCredit(mesh.Direction(out))
 			op.forwarded++
 			if out != int(mesh.Local) {
@@ -415,12 +409,12 @@ func (r *Router) walk(down *[mesh.NumDirections]*Router) []Transfer {
 				if d == nil {
 					panic(fmt.Sprintf("router %v: no downstream router on output %v", r.Node, mesh.Direction(out)))
 				}
-				if err := d.StageArrival(mesh.Direction(out), f); err != nil {
+				if err := d.StageArrival(mesh.Direction(out), w); err != nil {
 					panic(err.Error())
 				}
 			}
 		}
-		r.transferScratch[n] = Transfer{Out: mesh.Direction(out), In: mesh.Direction(in), Flit: f}
+		r.transferScratch[n] = Transfer{Out: mesh.Direction(out), In: mesh.Direction(in), Flit: w}
 		n++
 	}
 	return r.transferScratch[:n]
@@ -506,7 +500,6 @@ func (r *Router) Arbiter(dir mesh.Direction) arbiter.Arbiter {
 // to the downstream buffer depth, arbiters back to their power-on state and
 // forwarding statistics cleared. Nothing is reallocated.
 func (r *Router) Reset() {
-	clear(r.slots) // release the flit references the rings still hold
 	var zero [mesh.NumDirections]uint8
 	r.head, r.count, r.staged, r.wantMask = zero, zero, zero, zero
 	r.occupied = 0
@@ -528,12 +521,12 @@ func (r *Router) Reset() {
 // credit of the output port and updates the forwarding statistics. It
 // returns the flit so the caller can deliver it to the downstream router or
 // to the local NIC.
-func (r *Router) ApplyTransfer(t Transfer) *flit.Flit {
-	f := r.PopInput(t.In)
-	if f != t.Flit {
+func (r *Router) ApplyTransfer(t Transfer) flit.Word {
+	w := r.PopInput(t.In)
+	if w != t.Flit {
 		panic(fmt.Sprintf("router %v: transfer flit mismatch on input %v", r.Node, t.In))
 	}
 	r.ConsumeCredit(t.Out)
 	r.out[t.Out].forwarded++
-	return f
+	return w
 }

@@ -10,7 +10,9 @@ import (
 	"repro/internal/mesh"
 )
 
-var nextPacketID uint64
+// nextRecord numbers the test flits: each gets a record index of its own, so
+// comparing words tells every flit apart.
+var nextRecord uint32
 
 // depth is the input-buffer depth of the evaluation platform.
 const depth = 4
@@ -25,11 +27,9 @@ func mustNew(d mesh.Dim, n mesh.Node, counts *flows.PortCounts) *Router {
 	return r
 }
 
-// makePacket builds a well-formed packet of n flits for the given flow.
-func makePacket(src, dst mesh.Node, n int) []*flit.Flit {
-	nextPacketID++
-	flow := flit.FlowID{Src: src, Dst: dst}
-	out := make([]*flit.Flit, 0, n)
+// makePacket builds a well-formed packet of n flits bound for router dst.
+func makePacket(dst mesh.Node, n int) []flit.Word {
+	out := make([]flit.Word, 0, n)
 	for i := 0; i < n; i++ {
 		typ := flit.Body
 		switch {
@@ -40,14 +40,13 @@ func makePacket(src, dst mesh.Node, n int) []*flit.Flit {
 		case i == n-1:
 			typ = flit.Tail
 		}
-		out = append(out, &flit.Flit{
-			Type: typ, Flow: flow, PacketID: nextPacketID, Seq: i,
-		})
+		nextRecord++
+		out = append(out, flit.NewWord(typ, dst, nextRecord))
 	}
 	return out
 }
 
-func stageAll(t *testing.T, r *Router, dir mesh.Direction, fl []*flit.Flit) {
+func stageAll(t *testing.T, r *Router, dir mesh.Direction, fl []flit.Word) {
 	t.Helper()
 	for _, f := range fl {
 		if err := r.StageArrival(dir, f); err != nil {
@@ -76,10 +75,10 @@ func TestDeepestRingWraps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var queue []*flit.Flit // what the FIFO must hold, oldest first
+	var queue []flit.Word // what the FIFO must hold, oldest first
 	for round := 0; round < 3; round++ {
 		for r.InputSpace(mesh.Local) > 0 {
-			f := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 1, Y: 1}, 1)[0]
+			f := makePacket(mesh.Node{X: 1, Y: 1}, 1)[0]
 			if err := r.StageArrival(mesh.Local, f); err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +142,7 @@ func TestSingleFlitTraversalDecision(t *testing.T) {
 	r := mustNew(d, mesh.Node{X: 1, Y: 1}, nil)
 	// A single-flit packet injected locally, destined to (3,1): must leave
 	// through X+.
-	pkt := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 3, Y: 1}, 1)
+	pkt := makePacket(mesh.Node{X: 3, Y: 1}, 1)
 	stageAll(t, r, mesh.Local, pkt)
 
 	transfers := r.ComputeTransfers()
@@ -177,7 +176,7 @@ func TestEjectionAtDestination(t *testing.T) {
 	d := mesh.MustDim(4, 4)
 	dst := mesh.Node{X: 2, Y: 2}
 	r := mustNew(d, dst, nil)
-	pkt := makePacket(mesh.Node{X: 0, Y: 2}, dst, 1)
+	pkt := makePacket(dst, 1)
 	stageAll(t, r, mesh.XPlus, pkt)
 	transfers := r.ComputeTransfers()
 	if len(transfers) != 1 || transfers[0].Out != mesh.Local {
@@ -188,7 +187,7 @@ func TestEjectionAtDestination(t *testing.T) {
 func TestWormholeLockingAndRelease(t *testing.T) {
 	d := mesh.MustDim(4, 4)
 	r := mustNew(d, mesh.Node{X: 1, Y: 1}, nil)
-	pkt := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 1, Y: 3}, 3) // Head, Body, Tail via Y+
+	pkt := makePacket(mesh.Node{X: 1, Y: 3}, 3) // Head, Body, Tail via Y+
 	stageAll(t, r, mesh.Local, pkt)
 
 	// Cycle 1: head wins arbitration and locks Y+.
@@ -202,7 +201,7 @@ func TestWormholeLockingAndRelease(t *testing.T) {
 	}
 
 	// A competing head flit from another input wanting Y+ must now wait.
-	other := makePacket(mesh.Node{X: 3, Y: 1}, mesh.Node{X: 1, Y: 3}, 1)
+	other := makePacket(mesh.Node{X: 1, Y: 3}, 1)
 	stageAll(t, r, mesh.XMinus, other)
 
 	// Cycle 2: body flit of the locked packet is forwarded, competitor waits.
@@ -241,7 +240,7 @@ func TestCreditBackpressure(t *testing.T) {
 	// Two single-flit packets towards X+ exhaust the 2 credits; a third
 	// packet must not be forwarded until a credit returns.
 	for i := 0; i < 2; i++ {
-		pkt := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 3, Y: 1}, 1)
+		pkt := makePacket(mesh.Node{X: 3, Y: 1}, 1)
 		if err := r.StageArrival(mesh.Local, pkt[0]); err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +253,7 @@ func TestCreditBackpressure(t *testing.T) {
 		}
 		r.ApplyTransfer(tr[0])
 	}
-	third := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 3, Y: 1}, 1)
+	third := makePacket(mesh.Node{X: 3, Y: 1}, 1)
 	stageAll(t, r, mesh.Local, third)
 	if r.Credits(mesh.XPlus) != 0 {
 		t.Fatalf("credits = %d, want 0", r.Credits(mesh.XPlus))
@@ -333,7 +332,7 @@ func TestInputOverflowRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := makePacket(mesh.Node{X: 2, Y: 0}, mesh.Node{X: 0, Y: 0}, 3)
+	p := makePacket(mesh.Node{X: 0, Y: 0}, 3)
 	if err := r.StageArrival(mesh.XMinus, p[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -342,9 +341,6 @@ func TestInputOverflowRejected(t *testing.T) {
 	}
 	if err := r.StageArrival(mesh.XMinus, p[2]); err == nil {
 		t.Error("staging beyond the buffer depth should fail")
-	}
-	if err := r.StageArrival(mesh.XMinus, nil); err == nil {
-		t.Error("staging a nil flit should fail")
 	}
 }
 
@@ -362,9 +358,9 @@ func TestPopEmptyPanics(t *testing.T) {
 func TestApplyTransferMismatchPanics(t *testing.T) {
 	d := mesh.MustDim(3, 3)
 	r := mustNew(d, mesh.Node{X: 1, Y: 1}, nil)
-	pkt := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 2, Y: 1}, 1)
+	pkt := makePacket(mesh.Node{X: 2, Y: 1}, 1)
 	stageAll(t, r, mesh.Local, pkt)
-	other := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 2, Y: 1}, 1)
+	other := makePacket(mesh.Node{X: 2, Y: 1}, 1)
 	defer func() {
 		if recover() == nil {
 			t.Error("ApplyTransfer with a stale flit should panic")
@@ -385,8 +381,8 @@ func panicText(f func()) (text string) {
 }
 
 // TestForwardViolationsPanic forges the flow-control violations the one-walk
-// Forward must still catch — an empty locked input, a full downstream input,
-// a nil flit — and requires the panic texts of the two-phase mutators
+// Forward must still catch — an empty locked input, a full downstream input
+// — and requires the panic texts of the two-phase mutators
 // (PopInput, StageArrival) for them. A forged zero credit cannot reach
 // ConsumeCredit from Forward, whose decision skips such a port: it must move
 // nothing, and the credit check it would meet is ConsumeCredit's own.
@@ -398,7 +394,7 @@ func TestForwardViolationsPanic(t *testing.T) {
 	// buffers hold one flit.
 	setup := func() (*Router, *Router, *[mesh.NumDirections]*Router) {
 		r := mustNew(d, at, nil)
-		stageAll(t, r, mesh.Local, makePacket(at, east, 1))
+		stageAll(t, r, mesh.Local, makePacket(east, 1))
 		nb, err := New(mesh.Plain(d), east, 1, nil, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -421,17 +417,11 @@ func TestForwardViolationsPanic(t *testing.T) {
 
 	// The downstream input is full although the credit says otherwise.
 	r, nb, down := setup()
-	if err := nb.StageArrival(mesh.XPlus, makePacket(at, east, 1)[0]); err != nil {
+	if err := nb.StageArrival(mesh.XPlus, makePacket(east, 1)[0]); err != nil {
 		t.Fatal(err)
 	}
-	want = nb.StageArrival(mesh.XPlus, makePacket(at, east, 1)[0]).Error()
+	want = nb.StageArrival(mesh.XPlus, makePacket(east, 1)[0]).Error()
 	check("full input", panicText(func() { r.Forward(down) }), want)
-
-	// The buffered flit is nil.
-	r, nb, down = setup()
-	want = nb.StageArrival(mesh.XPlus, nil).Error()
-	r.slots[int(mesh.Local)*r.depth+int(r.head[mesh.Local])] = nil
-	check("nil flit", panicText(func() { r.Forward(down) }), want)
 
 	// A zero credit: nothing moves, and the credit body Forward charges
 	// through panics on it.
@@ -451,10 +441,10 @@ func TestRoundRobinContentionAlternates(t *testing.T) {
 	r := mustNew(d, mesh.Node{X: 1, Y: 1}, nil)
 	// Two streams of single-flit packets contend for X+: one injected
 	// locally, one arriving on the X+ input (travelling east).
-	var localFlits, throughFlits []*flit.Flit
+	var localFlits, throughFlits []flit.Word
 	for i := 0; i < 2; i++ {
-		localFlits = append(localFlits, makePacket(mesh.Node{X: 1, Y: 1}, dst, 1)...)
-		throughFlits = append(throughFlits, makePacket(mesh.Node{X: 0, Y: 1}, dst, 1)...)
+		localFlits = append(localFlits, makePacket(dst, 1)...)
+		throughFlits = append(throughFlits, makePacket(dst, 1)...)
 	}
 	stageAll(t, r, mesh.Local, localFlits)
 	stageAll(t, r, mesh.XPlus, throughFlits)
@@ -495,10 +485,10 @@ func TestWaWContentionFavoursWeightedInput(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		// Keep exactly one single-flit packet at the head of each input.
 		if r.InputOccupancy(mesh.XMinus) == 0 {
-			stageAll(t, r, mesh.XMinus, makePacket(mesh.Node{X: 7, Y: 0}, node, 1))
+			stageAll(t, r, mesh.XMinus, makePacket(node, 1))
 		}
 		if r.InputOccupancy(mesh.YMinus) == 0 {
-			stageAll(t, r, mesh.YMinus, makePacket(mesh.Node{X: 0, Y: 7}, node, 1))
+			stageAll(t, r, mesh.YMinus, makePacket(node, 1))
 		}
 		tr := r.ComputeTransfers()
 		if len(tr) != 1 {
@@ -521,7 +511,7 @@ func TestIllegalTurnNeverGranted(t *testing.T) {
 	// A flit arriving on a Y input can never be routed to an X output under
 	// XY routing. Build a (malformed) flit that would want to do so: it
 	// arrives travelling Y+ but its destination is to the east.
-	bad := makePacket(mesh.Node{X: 1, Y: 0}, mesh.Node{X: 2, Y: 1}, 1)
+	bad := makePacket(mesh.Node{X: 2, Y: 1}, 1)
 	stageAll(t, r, mesh.YPlus, bad)
 	tr := r.ComputeTransfers()
 	if len(tr) != 0 {
@@ -539,7 +529,7 @@ func TestHeadOfLineBlocking(t *testing.T) {
 
 	// Lock Y+ with a 3-flit packet injected locally; only the head has
 	// arrived so the lock persists.
-	locker := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 1, Y: 3}, 3)
+	locker := makePacket(mesh.Node{X: 1, Y: 3}, 3)
 	stageAll(t, r, mesh.Local, locker[:1])
 	tr := r.ComputeTransfers()
 	if len(tr) != 1 {
@@ -549,8 +539,8 @@ func TestHeadOfLineBlocking(t *testing.T) {
 
 	// On the X+ input: first a head flit that also wants Y+, then a head
 	// flit that wants X+ (free). The second must wait behind the first.
-	blockedHead := makePacket(mesh.Node{X: 0, Y: 1}, mesh.Node{X: 1, Y: 3}, 1)
-	freeHead := makePacket(mesh.Node{X: 0, Y: 1}, mesh.Node{X: 3, Y: 1}, 1)
+	blockedHead := makePacket(mesh.Node{X: 1, Y: 3}, 1)
+	freeHead := makePacket(mesh.Node{X: 3, Y: 1}, 1)
 	stageAll(t, r, mesh.XPlus, append(blockedHead, freeHead...))
 
 	tr = r.ComputeTransfers()
@@ -569,8 +559,8 @@ func TestParallelOutputsSameCycle(t *testing.T) {
 	// same cycle (crossbar parallelism).
 	d := mesh.MustDim(3, 3)
 	r := mustNew(d, mesh.Node{X: 1, Y: 1}, nil)
-	east := makePacket(mesh.Node{X: 0, Y: 1}, mesh.Node{X: 2, Y: 1}, 1)
-	south := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 1, Y: 2}, 1)
+	east := makePacket(mesh.Node{X: 2, Y: 1}, 1)
+	south := makePacket(mesh.Node{X: 1, Y: 2}, 1)
 	stageAll(t, r, mesh.XPlus, east)
 	stageAll(t, r, mesh.Local, south)
 	tr := r.ComputeTransfers()
@@ -585,8 +575,8 @@ func TestOneTransferPerInputPerCycle(t *testing.T) {
 	// outputs.
 	d := mesh.MustDim(3, 3)
 	r := mustNew(d, mesh.Node{X: 1, Y: 1}, nil)
-	first := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 2, Y: 1}, 1)
-	second := makePacket(mesh.Node{X: 1, Y: 1}, mesh.Node{X: 1, Y: 2}, 1)
+	first := makePacket(mesh.Node{X: 2, Y: 1}, 1)
+	second := makePacket(mesh.Node{X: 1, Y: 2}, 1)
 	stageAll(t, r, mesh.Local, append(first, second...))
 	tr := r.ComputeTransfers()
 	if len(tr) != 1 {

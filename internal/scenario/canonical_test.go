@@ -54,3 +54,43 @@ func TestCanonicalJSONRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// FuzzCanonicalJSON holds CanonicalJSON to idempotence on hostile input: any
+// bytes that decode into a Spec re-encode to a canonical form that decodes
+// and re-encodes to the same bytes. A canonical form that moved on its
+// second hop would change a worker's task payload or the checkpoint grid
+// hash between a sweep and its resume. The committed corpus
+// (testdata/fuzz/FuzzCanonicalJSON) holds the hostile shapes: an empty
+// rates list (whose Traffic used to survive the first hop only), a lone
+// surrogate, duplicate keys, case-folded names, null.
+func FuzzCanonicalJSON(f *testing.F) {
+	for _, seed := range []string{
+		`{"name":"a","mode":"simulate","width":4,"height":4,"design":"waw+wap","seed":3,"traffic":{"pattern":"uniform","rate":40,"messages":100,"target":{"X":1,"Y":2}}}`,
+		`{"mode":"load-curve","width":8,"height":8,"design":"regular","traffic":{"rates":[50,400],"warmup_cycles":500,"target":{"X":0,"Y":0}}}`,
+		`{"mode":"wctt","sizes":[2,3],"designs":["regular","WaW+WaP"],"topology":"cmesh2","width":0,"height":0,"design":""}`,
+		`{"mode":"manycore","workloads":["matrix"],"scale":500,"width":4,"height":4,"design":"regular"}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Spec
+		if s.UnmarshalJSON(data) != nil {
+			return
+		}
+		first, err := CanonicalJSON(s)
+		if err != nil {
+			t.Fatalf("encode %+v: %v", s, err)
+		}
+		var back Spec
+		if err := back.UnmarshalJSON(first); err != nil {
+			t.Fatalf("decode canonical form %s: %v", first, err)
+		}
+		second, err := CanonicalJSON(back)
+		if err != nil {
+			t.Fatalf("re-encode %s: %v", first, err)
+		}
+		if string(first) != string(second) {
+			t.Errorf("canonical form is not idempotent:\n first %s\nsecond %s", first, second)
+		}
+	})
+}

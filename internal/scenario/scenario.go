@@ -300,6 +300,9 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	*s = Spec(j.specAlias)
+	if len(s.Traffic.Rates) == 0 { // "rates":[] would keep a zero Traffic encoded on the first hop only
+		s.Traffic.Rates = nil
+	}
 	if j.ModeName != "" {
 		m, err := ParseMode(j.ModeName)
 		if err != nil {
