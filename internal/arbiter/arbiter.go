@@ -73,6 +73,15 @@ func maskOf(requests []bool, n uint8) uint8 {
 	return mask
 }
 
+// maskError is the panic of a GrantMask handed inputs beyond the n its
+// arbiter was built for, formatted only when printed so that GrantMask
+// inlines.
+type maskError struct{ requests, n uint8 }
+
+func (e maskError) Error() string {
+	return fmt.Sprintf("arbiter: request mask %#b names inputs beyond %d", e.requests, e.n)
+}
+
 // checkInputs panics unless 1 <= n <= MaxInputs.
 func checkInputs(n int) {
 	if n <= 0 || n > MaxInputs {
@@ -119,7 +128,7 @@ func (a *RoundRobin) Grant(requests []bool) int {
 // or -1 when none request. The priority pointer rotates past the winner.
 func (a *RoundRobin) GrantMask(requests uint8) int {
 	if requests>>a.n != 0 {
-		panic(fmt.Sprintf("arbiter: request mask %#b names inputs beyond %d", requests, a.n))
+		panic(maskError{requests, a.n})
 	}
 	if requests == 0 {
 		return -1
@@ -241,7 +250,7 @@ func (a *Weighted) Grant(requests []bool) int {
 // GrantMask applies the WaW arbitration rule described above.
 func (a *Weighted) GrantMask(requests uint8) int {
 	if requests>>a.rr.n != 0 {
-		panic(fmt.Sprintf("arbiter: request mask %#b names inputs beyond %d", requests, a.rr.n))
+		panic(maskError{requests, a.rr.n})
 	}
 	if requests == 0 {
 		// No demand: replenish every counter up to its weight.

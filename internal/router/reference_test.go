@@ -147,6 +147,54 @@ func (r *refRouter) quiescent() bool {
 	return true
 }
 
+// checkSummaries recomputes what the router caches — each front byte, the
+// request masks and the four port summaries — from the per-input and
+// per-port state, and reports the first cache that differs.
+func checkSummaries(r *Router) error {
+	var want [mesh.NumDirections]uint8
+	var credOK, lockMask, wantAny, owing uint8
+	for in := range r.front {
+		if r.occupied&(1<<uint(in)) == 0 {
+			continue
+		}
+		s := r.info[in*r.depth+int(r.head[in])]
+		if r.front[in] != s {
+			return fmt.Errorf("input %v front byte %#x, slot holds %#x", mesh.Direction(in), r.front[in], s)
+		}
+		if s&slotRequest != 0 {
+			want[s>>slotOutShift] |= 1 << uint(in)
+		}
+	}
+	for out := range r.out {
+		op, bit := &r.out[out], uint8(1)<<uint(out)
+		if op.credits > 0 {
+			credOK |= bit
+		}
+		if op.locked {
+			lockMask |= bit
+		}
+		if want[out] != 0 {
+			wantAny |= bit
+		}
+		if op.exists && r.weighted && !r.waw[out].IdleStable() {
+			owing |= bit
+		}
+	}
+	switch {
+	case want != r.wantMask:
+		return fmt.Errorf("request masks %v, recomputed %v", r.wantMask, want)
+	case credOK != r.credOK:
+		return fmt.Errorf("credOK %05b, recomputed %05b", r.credOK, credOK)
+	case lockMask != r.lockMask:
+		return fmt.Errorf("lockMask %05b, recomputed %05b", r.lockMask, lockMask)
+	case wantAny != r.wantAny:
+		return fmt.Errorf("wantAny %05b, recomputed %05b", r.wantAny, wantAny)
+	case owing != r.owing:
+		return fmt.Errorf("owing %05b, recomputed %05b", r.owing, owing)
+	}
+	return nil
+}
+
 // script feeds the lockstep driver its decisions one byte at a time; the
 // run ends when it is exhausted.
 type script struct {
@@ -178,7 +226,8 @@ var (
 // every cycle. A bit of each cycle's control byte picks how the production
 // router moves its flits: the one-walk Forward, staging into neighbour
 // routers that the driver checks and drains, or ComputeTransfers and then
-// ApplyTransfer per transfer.
+// ApplyTransfer per transfer. After every cycle the router's cached masks
+// must equal their recomputation from its per-port state (checkSummaries).
 func runAgainstReference(t *testing.T, weighted bool, depthSel, downSel, nodeSel uint8, data []byte) {
 	t.Helper()
 	d := mesh.MustDim(5, 5)
@@ -339,6 +388,9 @@ func runAgainstReference(t *testing.T, weighted bool, depthSel, downSel, nodeSel
 					}
 				}
 			}
+		}
+		if err := checkSummaries(prod); err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
 		}
 		if prod.InputsEmpty() != ref.inputsEmpty() || prod.Quiescent() != ref.quiescent() {
 			t.Fatalf("cycle %d: InputsEmpty/Quiescent %v/%v, reference %v/%v",
