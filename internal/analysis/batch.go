@@ -25,15 +25,17 @@ package analysis
 //
 // A group of k queries costs O(k + the rows and columns it spans), a dense
 // group O(1) per query; a lone query shares nothing and takes its route walk.
-// Groups are found in an open-addressing table, so a call costs O(n + spans)
-// in time and pooled scratch, with no O(N) setup.
+// A query finds its group through a table indexed by its route end's router,
+// which chains the groups of one router that carry different shapes. Every
+// entry is stamped with the generation of the call that wrote it, so a call
+// never resets the table: it costs O(n + spans) in time and pooled scratch,
+// with no O(N) setup, and the table holds at most one entry per router.
 // Every bound is the same saturating expression the walk and the kernels
 // evaluate, so every answer equals MessageWCTT's, saturated values included
 // (batch_test.go).
 
 import (
 	"context"
-	"math/bits"
 	"sync"
 
 	"repro/internal/mesh"
@@ -48,7 +50,17 @@ type batchGroup struct {
 	end mesh.Node
 	// head is the group's first query; batchScratch.next links the rest.
 	head int32
-	sh   msgShape
+	// other is the next group of the same route end, with another shape
+	// (-1 ends the chain).
+	other int32
+	sh    msgShape
+}
+
+// batchEnd is one router's entry in the group table: its latest group, valid
+// only in the call whose generation it carries.
+type batchEnd struct {
+	gen   uint32
+	group int32
 }
 
 // batchScratch is the transient state of one BatchMessageWCTT call.
@@ -58,10 +70,12 @@ type batchScratch struct {
 	// query i's other route end: its source in a regular group, its
 	// destination in a WaW group.
 	next, far []int32
-	// slots is an open-addressing table of indices into groups (-1 is an
-	// empty slot), at most half full; a key lands at hash >> shift.
-	slots  []int32
-	shift  uint
+	// byEnd is the group table, one 8-byte entry per router (row-major on
+	// the router grid), however many shapes a call mixes. An entry stamped
+	// with gen, the call's generation, starts the chain of its router's
+	// groups; any other entry is stale, so no call resets the table.
+	byEnd  []batchEnd
+	gen    uint32
 	groups []batchGroup
 	// head, lo and hi are indexed by router row (regular groups) or column
 	// (WaW groups): the first query of the bucket (-1 when empty between
@@ -74,14 +88,17 @@ type batchScratch struct {
 
 var batchScratches = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// minBatchSlots is the group table's initial size.
-const minBatchSlots = 16
-
-// reset sizes the scratch for n queries on a router grid of W x Ht.
+// reset sizes the scratch for n queries on a router grid of W x Ht and
+// starts a new generation of the group table.
 func (sc *batchScratch) reset(n, W, Ht int) {
 	sc.next, sc.far = ensureTable(sc.next, n), ensureTable(sc.far, 2*n)
 	sc.groups = sc.groups[:0]
-	sc.setSlots(minBatchSlots)
+	if sc.gen++; sc.gen == 0 {
+		// The stamps wrapped: forget every entry, those past the grid too.
+		clear(sc.byEnd[:cap(sc.byEnd)])
+		sc.gen = 1
+	}
+	sc.byEnd = ensureTable(sc.byEnd, W*Ht)
 	side := max(W, Ht)
 	sc.head, sc.lo, sc.hi = ensureTable(sc.head, side), ensureTable(sc.lo, side), ensureTable(sc.hi, side)
 	for i := range sc.head {
@@ -91,49 +108,22 @@ func (sc *batchScratch) reset(n, W, Ht int) {
 	sc.a, sc.b = ensureTable(sc.a, W), ensureTable(sc.b, W)
 }
 
-// setSlots empties the group table at size entries (a power of two, more
-// than twice the groups) and enters every group already found.
-func (sc *batchScratch) setSlots(size int) {
-	sc.slots = ensureTable(sc.slots, size)
-	for i := range sc.slots {
-		sc.slots[i] = -1
-	}
-	sc.shift = uint(65 - bits.Len(uint(size)))
-	for g := range sc.groups {
-		at := sc.find(sc.groups[g].end, sc.groups[g].sh)
-		sc.slots[at] = int32(g)
-	}
-}
-
-// find returns the slot that holds the group of (end, sh), or the empty slot
-// where it belongs.
-func (sc *batchScratch) find(end mesh.Node, sh msgShape) int {
-	h := (uint64(end.X) ^ uint64(end.Y)<<16 ^ uint64(sh.a)<<32 ^ uint64(sh.b)<<48) * 0x9e3779b97f4a7c15
-	mask := len(sc.slots) - 1
-	at := int(h >> sc.shift)
-	for {
-		g := sc.slots[at]
-		if g < 0 || sc.groups[g].end == end && sc.groups[g].sh == sh {
-			return at
+// group returns the group of (end, sh), adding it if new; at is end's index
+// in byEnd.
+func (sc *batchScratch) group(at int, end mesh.Node, sh msgShape) *batchGroup {
+	e := &sc.byEnd[at]
+	if e.gen == sc.gen {
+		for g := e.group; g >= 0; g = sc.groups[g].other {
+			if sc.groups[g].sh == sh {
+				return &sc.groups[g]
+			}
 		}
-		at = (at + 1) & mask
-	}
-}
-
-// group returns the index of the group of (end, sh), adding it if new.
-func (sc *batchScratch) group(end mesh.Node, sh msgShape) int {
-	at := sc.find(end, sh)
-	if g := sc.slots[at]; g >= 0 {
-		return int(g)
-	}
-	sc.groups = append(sc.groups, batchGroup{end: end, head: -1, sh: sh})
-	g := len(sc.groups) - 1
-	if 2*len(sc.groups) > len(sc.slots) {
-		sc.setSlots(1 << bits.Len(uint(2*len(sc.groups))))
 	} else {
-		sc.slots[at] = int32(g)
+		*e = batchEnd{gen: sc.gen, group: -1}
 	}
-	return g
+	sc.groups = append(sc.groups, batchGroup{end: end, head: -1, other: e.group, sh: sh})
+	e.group = int32(len(sc.groups) - 1)
+	return &sc.groups[e.group]
 }
 
 // batchPoll asks a context for its error once per 1024 units of work.
@@ -191,7 +181,7 @@ func (m *Model) BatchMessageWCTT(ctx context.Context, design network.Design, n i
 		if sh.waw {
 			end, far = far, end
 		}
-		g := &sc.groups[sc.group(end, sh)]
+		g := sc.group(end.Y*W+end.X, end, sh)
 		sc.next[i], g.head = g.head, int32(i)
 		sc.far[2*i], sc.far[2*i+1] = int32(far.X), int32(far.Y)
 	}

@@ -81,13 +81,19 @@ func batchModels(t *testing.T) []*Model {
 
 var batchPayloads = []int{0, 512, 4096, 1 << 20}
 
+// chainPayloads are payloads of three and four distinct message shapes under
+// every design.
+var chainPayloads = [][]int{{512, 4096, 1 << 20}, {48, 4096, 65536, 1 << 20}}
+
 // TestBatchMatchesMessageWCTT is exhaustive over the small grids of the mesh
 // and both concentrated meshes and over every design: every ordered pair of
 // distinct endpoints as one batch, for each payload; every pair at one
 // payload followed by every pair at a payload of its own; then shuffled
 // subsets of the pairs with duplicates and a payload per query, so groups of
-// one shape share a router with groups of another; then a batch whose first
-// invalid query sits behind valid queries of other groups.
+// one shape share a router with groups of another; every query to or from
+// one router with three or four shapes interleaved, so that router chains
+// that many groups; then a batch whose first invalid query sits behind valid
+// queries of other groups.
 func TestBatchMatchesMessageWCTT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, m := range batchModels(t) {
@@ -121,6 +127,33 @@ func TestBatchMatchesMessageWCTT(t *testing.T) {
 				qs = append(qs, q)
 			}
 			checkBatch(t, m, design, qs)
+			// Every query to or from one router, its payload cycling through
+			// three or four shapes: the router carries a chain of groups as
+			// either route end, and each query must land in its own shape's.
+			for _, payloads := range chainPayloads {
+				shapes := map[msgShape]bool{}
+				for _, p := range payloads {
+					sh, err := m.messageShape(design, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					shapes[sh] = true
+				}
+				if len(shapes) != len(payloads) {
+					t.Fatalf("%v: payloads %v give %d shapes, want one each", design, payloads, len(shapes))
+				}
+				for _, end := range []mesh.Node{nodes[0], nodes[len(nodes)/2]} {
+					r := m.topo.RouterOf(end)
+					var qs []batchQuery
+					for _, q := range pairs {
+						if m.topo.RouterOf(q.src) == r || m.topo.RouterOf(q.dst) == r {
+							q.payload = payloads[len(qs)%len(payloads)]
+							qs = append(qs, q)
+						}
+					}
+					checkBatch(t, m, design, qs)
+				}
+			}
 			for _, n := range []int{1, 2, 7, len(pairs), 3 * len(pairs)} {
 				qs := make([]batchQuery, n)
 				for i := range qs {

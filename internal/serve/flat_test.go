@@ -209,7 +209,7 @@ func FuzzFlatDecodeMatchesJSON(f *testing.F) {
 		frame := bytes.TrimSuffix(line, []byte("\r"))
 		var generic []byte
 		if len(bytes.TrimSpace(frame)) > 0 {
-			generic = append(s.handleLine(context.Background(), frame, nil, nil), '\n')
+			generic = append(s.handleLine(context.Background(), frame, nil, nil).b, '\n')
 		}
 		if !bytes.Equal(out.Bytes(), generic) {
 			t.Fatalf("line %q\nServeLines   %q\ngeneric path %q", line, out.Bytes(), generic)

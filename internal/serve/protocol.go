@@ -43,6 +43,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -201,6 +203,42 @@ func appendCycles(buf []byte, id int64, cycles uint64) []byte {
 	buf = append(buf, `,"cycles":`...)
 	buf = strconv.AppendUint(buf, cycles, 10)
 	return append(buf, '}')
+}
+
+// digitPairs holds the two decimal digits of every number below 100.
+const digitPairs = "00010203040506070809101112131415161718192021222324252627282930313233343536373839" +
+	"40414243444546474849505152535455565758596061626364656667686970717273747576777879" +
+	"8081828384858687888990919293949596979899"
+
+// pow10 holds the powers of ten a uint64 can hold.
+var pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// appendDecimal appends v in decimal, the bytes of strconv.AppendUint(buf,
+// v, 10), written in place two digits at a time: a vector verb's response is
+// one such number per tuple, and strconv's copy through a scratch array was
+// the larger part of encoding it.
+func appendDecimal(buf []byte, v uint64) []byte {
+	n := (bits.Len64(v|1)*1233)>>12 + 1 // the digits of v, or one more
+	if v < pow10[n-1] && n > 1 {
+		n--
+	}
+	buf = slices.Grow(buf, n)
+	b := buf[:len(buf)+n]
+	i := len(b)
+	for v >= 100 {
+		q := v / 100
+		r := (v - q*100) * 2
+		i -= 2
+		b[i], b[i+1] = digitPairs[r], digitPairs[r+1]
+		v = q
+	}
+	if v >= 10 {
+		b[i-2], b[i-1] = digitPairs[2*v], digitPairs[2*v+1]
+	} else {
+		b[i-1] = byte('0' + v)
+	}
+	return b
 }
 
 // tupleWidth is the longest tuple a verb takes (batch's

@@ -10,7 +10,7 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,7 +54,36 @@ const (
 	// before a model is looked up, a response byte allocated or a bound
 	// computed.
 	MaxBatchTuples = 1 << 20
+
+	// maxRecycled is the largest buffer handed back for reuse: the copy of a
+	// serve-batch line (4032 tuples, about 40 KiB) and its response fit, and
+	// a longer line's buffers are left to the collector, so what the pool
+	// keeps stays small whatever lines a caller sends.
+	maxRecycled = 64 << 10
 )
+
+// recycled is a byte buffer that goes back to a pool when its holder is done
+// with it: the copy of a line handed to the worker pool, or the response of a
+// vector verb.
+type recycled struct{ b []byte }
+
+var recycledBufs = sync.Pool{New: func() any { return new(recycled) }}
+
+// newRecycled returns an empty buffer from the pool.
+func newRecycled() *recycled {
+	r := recycledBufs.Get().(*recycled)
+	r.b = r.b[:0]
+	return r
+}
+
+// release hands r back to the pool, its bytes only when they are at most
+// maxRecycled. Nothing may use r or its bytes afterwards.
+func (r *recycled) release() {
+	if cap(r.b) > maxRecycled {
+		r.b = nil
+	}
+	recycledBufs.Put(r)
+}
 
 // checkNodeLimit rejects a mesh above maxNodes with the coded limit error.
 // A side below 1 is left to the verb's own validation; each side is compared
@@ -230,7 +259,15 @@ func (s *Server) Stats() Stats { return s.stats.snapshot() }
 // those of a line handed to the pool.
 type slot struct {
 	ready   []byte
-	pending chan []byte
+	pending chan reply
+}
+
+// reply is the response of a line answered on the worker pool. When buf is
+// set, b lies in it and the writer owns it: it releases buf once b is
+// written. Only a vector verb's response is recycled.
+type reply struct {
+	b   []byte
+	buf *recycled
 }
 
 // conn is the state of one ServeLines stream. Two goroutines share its
@@ -267,16 +304,19 @@ func (c *conn) Read(p []byte) (int, error) {
 func (c *conn) writeLoop(done chan<- struct{}) {
 	defer close(done)
 	for sl := range c.order {
-		resp := sl.ready
-		if resp == nil {
+		r := reply{b: sl.ready}
+		if r.b == nil {
 			select {
-			case resp = <-sl.pending:
+			case r = <-sl.pending:
 			default:
 				_ = c.bw.Flush() // sticky, as in Read
-				resp = <-sl.pending
+				r = <-sl.pending
 			}
 		}
-		c.write(resp)
+		c.write(r.b) // copies r.b into bw, or writes it through before returning
+		if r.buf != nil {
+			r.buf.release()
+		}
 		if len(c.order) == 0 {
 			_ = c.bw.Flush()
 		}
@@ -406,16 +446,19 @@ func (s *Server) ServeLines(ctx context.Context, r io.Reader, w io.Writer) error
 			s.admitted.Add(-1)
 			continue
 		}
-		line := bytes.Clone(raw)
+		line := newRecycled()
+		line.b = append(line.b, raw...)
 		var tl *tupleList
 		if flat {
-			req, tl = c.dec.handOff(line)
+			req, tl = c.dec.handOff(line.b)
 		}
-		pending := make(chan []byte, 1)
+		pending := make(chan reply, 1)
 		c.enqueue(slot{pending: pending})
 		s.workers.Submit(func() {
 			defer s.admitted.Add(-1)
-			pending <- s.handleLine(ctx, line, req, tl)
+			r := s.handleLine(ctx, line.b, req, tl)
+			line.release() // nothing the verb returns points into the line
+			pending <- r
 		})
 	}
 	readErr := sc.Err()
@@ -496,11 +539,11 @@ func (s *Server) Handler() http.Handler {
 // handleLine answers one line on a pool worker and records its latency. req
 // and tl are what the flat decoder read from the line; a nil req is a line it
 // declined, which encoding/json decodes here.
-func (s *Server) handleLine(ctx context.Context, line []byte, req *Request, tl *tupleList) []byte {
+func (s *Server) handleLine(ctx context.Context, line []byte, req *Request, tl *tupleList) reply {
 	start := time.Now()
-	resp, failed := s.dispatch(ctx, line, req, tl)
+	r, failed := s.dispatch(ctx, line, req, tl)
 	s.stats.observe(uint64(time.Since(start).Nanoseconds()), failed)
-	return resp
+	return r
 }
 
 // requestCtx derives the request's deadline context: the verb's configured
@@ -526,18 +569,28 @@ func (s *Server) requestCtx(ctx context.Context, req *Request) (context.Context,
 	return context.WithTimeout(ctx, budget)
 }
 
-// dispatch answers one line (see handleLine); the bool reports failure.
-func (s *Server) dispatch(ctx context.Context, line []byte, req *Request, tl *tupleList) ([]byte, bool) {
+// dispatch answers one line (see handleLine); the bool reports failure. A
+// vector verb appends its response, error or not, to the bytes of a recycled
+// buffer, which the reply hands to the writer; every other verb's response is
+// its own allocation.
+func (s *Server) dispatch(ctx context.Context, line []byte, req *Request, tl *tupleList) (reply, bool) {
 	if req == nil {
 		req = new(Request)
 		if err := json.Unmarshal(line, req); err != nil {
-			return errorResponse(0, fmt.Errorf("parse: %w", err)), true
+			return reply{b: errorResponse(0, fmt.Errorf("parse: %w", err))}, true
 		}
 	}
 	if s.testHold != nil {
 		s.testHold(req.Op)
 	}
-	return s.answer(ctx, nil, req, tl, false)
+	if !vectorOp(req.Op) {
+		resp, failed := s.answer(ctx, nil, req, tl, false)
+		return reply{b: resp}, failed
+	}
+	buf := newRecycled()
+	resp, failed := s.answer(ctx, buf.b, req, tl, false)
+	buf.b = resp
+	return reply{b: resp, buf: buf}, failed
 }
 
 // answer runs one decoded request and returns its response appended to dst;
@@ -573,11 +626,11 @@ func (s *Server) answer(ctx context.Context, dst []byte, req *Request, tl *tuple
 	case "wctt":
 		return s.wcttOne(dst, req, inline)
 	case "batch":
-		return s.wcttBatch(rctx, req, tl)
+		return s.wcttBatch(rctx, dst, req, tl)
 	case "wcet":
 		return s.wcetOne(dst, req, inline)
 	case "wcet-batch":
-		return s.wcetBatch(rctx, req, tl)
+		return s.wcetBatch(rctx, dst, req, tl)
 	case "scenario":
 		return s.scenarioOp(rctx, req)
 	case "stats":
@@ -658,17 +711,17 @@ func (s *Server) wcttOne(dst []byte, req *Request, inline bool) ([]byte, bool) {
 
 // wcttBatch answers the batch verb: a vector of WCTT queries sharing one
 // design/mesh (and default payload), answered in one call of the model's
-// grouped kernel sweeps.
-func (s *Server) wcttBatch(ctx context.Context, req *Request, tl *tupleList) ([]byte, bool) {
+// grouped kernel sweeps. The response, error or not, is appended to dst.
+func (s *Server) wcttBatch(ctx context.Context, dst []byte, req *Request, tl *tupleList) ([]byte, bool) {
 	design, dim, ts, err := queryTarget(req)
 	if err != nil {
-		return errorResponse(req.ID, err), true
+		return appendError(dst, req.ID, err), true
 	}
 	if err := checkPayload(int64(req.PayloadBits)); err != nil {
-		return errorResponse(req.ID, err), true
+		return appendError(dst, req.ID, err), true
 	}
 	if err := checkTuples(tl.n); err != nil {
-		return errorResponse(req.ID, err), true
+		return appendError(dst, req.ID, err), true
 	}
 	defPayload := req.PayloadBits
 	if defPayload == 0 {
@@ -678,7 +731,7 @@ func (s *Server) wcttBatch(ctx context.Context, req *Request, tl *tupleList) ([]
 	p.Topo = ts
 	m, err := scenario.SharedModel(p)
 	if err != nil {
-		return errorResponse(req.ID, err), true
+		return appendError(dst, req.ID, err), true
 	}
 	// The first bad tuple fails the line, unless a tuple before it is
 	// invalid for the model: the model answers only the tuples before it.
@@ -702,24 +755,24 @@ func (s *Server) wcttBatch(ctx context.Context, req *Request, tl *tupleList) ([]
 	if err == nil {
 		tl.cycles, err = cycles, bad
 	}
-	return s.cyclesVector(req, cycles, err)
+	return s.cyclesVector(dst, req, cycles, err)
 }
 
-// cyclesVector assembles the one response line of a vector verb: the bounds
-// of every tuple, or err. The query count merges once, on success — the
+// cyclesVector appends the one response line of a vector verb to dst: the
+// bounds of every tuple, or err. The query count merges once, on success — the
 // million-QPS path touches no shared cache line per query, and a line that
 // fails has answered no bound.
-func (s *Server) cyclesVector(req *Request, cycles []uint64, err error) ([]byte, bool) {
+func (s *Server) cyclesVector(dst []byte, req *Request, cycles []uint64, err error) ([]byte, bool) {
 	if err != nil {
-		return errorResponse(req.ID, wireError(req.Op, err)), true
+		return appendError(dst, req.ID, wireError(req.Op, err)), true
 	}
-	buf := appendHeader(make([]byte, 0, 64+8*len(cycles)), req.ID, true)
+	buf := appendHeader(slices.Grow(dst, 64+8*len(cycles)), req.ID, true)
 	buf = append(buf, `,"cycles":[`...)
 	for i, c := range cycles {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = strconv.AppendUint(buf, c, 10)
+		buf = appendDecimal(buf, c)
 	}
 	s.stats.queries.Add(uint64(len(cycles)))
 	return append(buf, ']', '}'), false
@@ -762,28 +815,29 @@ func (s *Server) wcetOne(dst []byte, req *Request, inline bool) ([]byte, bool) {
 }
 
 // wcetBatch answers the wcet-batch verb: per-core WCET estimates sharing
-// one design/mesh/workload, queries = [[cx,cy],...].
-func (s *Server) wcetBatch(ctx context.Context, req *Request, tl *tupleList) ([]byte, bool) {
+// one design/mesh/workload, queries = [[cx,cy],...]. The response, error or
+// not, is appended to dst.
+func (s *Server) wcetBatch(ctx context.Context, dst []byte, req *Request, tl *tupleList) ([]byte, bool) {
 	design, dim, ts, err := queryTarget(req)
 	if err != nil {
-		return errorResponse(req.ID, err), true
+		return appendError(dst, req.ID, err), true
 	}
 	if err := meshOnly("wcet-batch", ts); err != nil {
-		return errorResponse(req.ID, err), true
+		return appendError(dst, req.ID, err), true
 	}
 	if err := checkMaxPacket(req.MaxPacketFlits); err != nil {
-		return errorResponse(req.ID, err), true
+		return appendError(dst, req.ID, err), true
 	}
 	if err := checkTuples(tl.n); err != nil {
-		return errorResponse(req.ID, err), true
+		return appendError(dst, req.ID, err), true
 	}
 	b, err := workload.BenchmarkByName(req.Workload)
 	if err != nil {
-		return errorResponse(req.ID, err), true
+		return appendError(dst, req.ID, err), true
 	}
 	eng, err := scenario.SharedEngine(dim, req.MaxPacketFlits)
 	if err != nil {
-		return errorResponse(req.ID, err), true
+		return appendError(dst, req.ID, err), true
 	}
 	valid, err := tl.prefix(req.Queries, 2, 2)
 	tl.cycles = tl.cycles[:0]
@@ -792,16 +846,16 @@ func (s *Server) wcetBatch(ctx context.Context, req *Request, tl *tupleList) ([]
 		// stalled line still stops within a bounded slice of work.
 		if i%1024 == 0 {
 			if cerr := ctx.Err(); cerr != nil {
-				return s.cyclesVector(req, nil, cerr)
+				return s.cyclesVector(dst, req, nil, cerr)
 			}
 		}
 		c, berr := eng.BenchmarkWCET(design, mesh.Node{X: int(t.v[0]), Y: int(t.v[1])}, b)
 		if berr != nil {
-			return s.cyclesVector(req, nil, berr)
+			return s.cyclesVector(dst, req, nil, berr)
 		}
 		tl.cycles = append(tl.cycles, c)
 	}
-	return s.cyclesVector(req, tl.cycles, err)
+	return s.cyclesVector(dst, req, tl.cycles, err)
 }
 
 // scenarioOp answers the scenario verb: a whole concrete scenario.Spec,

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -875,5 +876,32 @@ func TestServeScenarioOneEndpoint(t *testing.T) {
 		if resps[i].OK || resps[i].Error != want {
 			t.Errorf("line %d: %+v, want error %q", i+1, resps[i], want)
 		}
+	}
+}
+
+// TestAppendDecimalMatchesStrconv holds the vector verbs' number encoder to
+// strconv.AppendUint: every value below 10^6, every power of ten and its
+// neighbours, 2^64-1, and a million values of every bit length.
+func TestAppendDecimalMatchesStrconv(t *testing.T) {
+	check := func(v uint64) {
+		if got, want := appendDecimal([]byte("["), v), strconv.AppendUint([]byte("["), v, 10); string(got) != string(want) {
+			t.Fatalf("appendDecimal(%d) = %q, want %q", v, got, want)
+		}
+	}
+	for v := uint64(0); v < 1e6; v++ {
+		check(v)
+	}
+	for p := uint64(1); p <= 1e19; p *= 10 {
+		check(p - 1)
+		check(p)
+		check(p + 1)
+		if p == 1e19 {
+			break
+		}
+	}
+	check(1<<64 - 1)
+	rng := rand.New(rand.NewSource(1))
+	for range 1000000 {
+		check(rng.Uint64() >> rng.Intn(64))
 	}
 }
