@@ -25,39 +25,6 @@ import (
 // embeds in its own struct.
 const MaxInputs = 8
 
-// Arbiter selects one winner among a set of requesting input ports.
-//
-// GrantMask receives the request set as a bitmask indexed by input-port
-// index (bit i set = input i has a flit that wants this output this cycle
-// and the downstream buffer can accept it) and returns the granted input
-// index, or -1 when no input is requesting. Implementations update their
-// internal state (round-robin pointers, WaW flit counters) as a side effect,
-// exactly as the corresponding hardware would at the end of the cycle. It
-// panics when the mask names an input the arbiter was not built for.
-type Arbiter interface {
-	GrantMask(requests uint8) int
-	// Grant is GrantMask for a request set given as one bool per input; it
-	// panics when len(requests) differs from NumInputs.
-	Grant(requests []bool) int
-	// NumInputs returns the number of input ports the arbiter was built for.
-	NumInputs() int
-	// Reset restores the power-on state.
-	Reset()
-	// IdleStable reports whether a grant with no requesting inputs would
-	// leave the arbiter's state unchanged. Round-robin arbiters are always
-	// idle-stable; a WaW arbiter is idle-stable once every flit counter has
-	// replenished back to its weight.
-	IdleStable() bool
-	// Replenish applies cycles request-less grants in one step: it is the
-	// bulk form of the idle-cycle replenishment rule, used by the
-	// simulator's lazy-replenishment/time-leap scheduling to advance an
-	// idle arbiter over a whole idle window at once. For a round-robin
-	// arbiter it is a no-op; for a WaW arbiter every flit counter is
-	// raised by cycles, saturating at its weight — exactly the state a
-	// cycle-by-cycle sequence of empty grants would reach.
-	Replenish(cycles uint64)
-}
-
 // maskOf packs one-bool-per-input requests into a request bitmask for an
 // arbiter over n inputs.
 func maskOf(requests []bool, n uint8) uint8 {
@@ -105,27 +72,19 @@ func NewRoundRobin(n int) *RoundRobin {
 	return &RoundRobin{n: uint8(n)}
 }
 
-// NumInputs returns the number of input ports.
-func (a *RoundRobin) NumInputs() int { return int(a.n) }
-
 // Reset restores the power-on priority (input 0 first).
 func (a *RoundRobin) Reset() { a.next = 0 }
 
-// IdleStable implements Arbiter: a request-less grant never moves the
-// round-robin pointer.
-func (a *RoundRobin) IdleStable() bool { return true }
-
-// Replenish implements Arbiter: idle cycles never move the round-robin
-// pointer, so the bulk form is a no-op too.
-func (a *RoundRobin) Replenish(uint64) {}
-
-// Grant implements Arbiter.
+// Grant is GrantMask for a request set given as one bool per input; it panics
+// when len(requests) differs from the number of inputs.
 func (a *RoundRobin) Grant(requests []bool) int {
 	return a.GrantMask(maskOf(requests, a.n))
 }
 
-// GrantMask returns the requesting input with the highest current priority,
-// or -1 when none request. The priority pointer rotates past the winner.
+// GrantMask returns the requesting input (bit i of requests set = input i
+// requests) with the highest current priority, or -1 when none request. The
+// priority pointer rotates past the winner. It panics when the mask names an
+// input beyond the ones the arbiter was built for.
 func (a *RoundRobin) GrantMask(requests uint8) int {
 	if requests>>a.n != 0 {
 		panic(maskError{requests, a.n})
@@ -199,9 +158,6 @@ func NewWeighted(weights []int) *Weighted {
 	return w
 }
 
-// NumInputs returns the number of input ports.
-func (a *Weighted) NumInputs() int { return int(a.rr.n) }
-
 // Reset restores every counter to its weight and the tie-break round-robin
 // pointer to input 0.
 func (a *Weighted) Reset() {
@@ -210,19 +166,13 @@ func (a *Weighted) Reset() {
 	a.rr.Reset()
 }
 
-// Weight returns the configured weight of input i.
-func (a *Weighted) Weight(i int) int { return int(a.weights[i]) }
-
-// Count returns the current flit counter of input i (visible for tests and
-// for the WCTT analysis of the counter phasing).
-func (a *Weighted) Count(i int) int { return int(a.counts[i]) }
-
-// IdleStable implements Arbiter: the request-less replenishment rule is a
-// no-op exactly when every flit counter already sits at its weight.
+// IdleStable reports whether a grant with no requesting inputs would leave
+// the arbiter unchanged: exactly when every flit counter sits at its weight.
 func (a *Weighted) IdleStable() bool { return a.deficits == 0 }
 
-// Replenish implements Arbiter: cycles idle grants each raise every flit
-// counter by one, saturating at the input's weight. Once saturated (the
+// Replenish applies cycles request-less grants in one step, so the simulator
+// can advance an idle arbiter over a whole idle window: each raises every
+// flit counter by one, saturating at the input's weight. Once saturated (the
 // steady state of an idle port) the call returns in O(1).
 func (a *Weighted) Replenish(cycles uint64) {
 	if cycles == 0 || a.deficits == 0 {
@@ -242,12 +192,14 @@ func (a *Weighted) Replenish(cycles uint64) {
 	}
 }
 
-// Grant implements Arbiter.
+// Grant is GrantMask for a request set given as one bool per input; it panics
+// when len(requests) differs from the number of inputs.
 func (a *Weighted) Grant(requests []bool) int {
 	return a.GrantMask(maskOf(requests, a.rr.n))
 }
 
-// GrantMask applies the WaW arbitration rule described above.
+// GrantMask applies the WaW arbitration rule described above to a request
+// mask as RoundRobin.GrantMask takes it.
 func (a *Weighted) GrantMask(requests uint8) int {
 	if requests>>a.rr.n != 0 {
 		panic(maskError{requests, a.rr.n})

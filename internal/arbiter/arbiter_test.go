@@ -98,13 +98,13 @@ func TestRoundRobinPanics(t *testing.T) {
 }
 
 func TestRoundRobinNumInputs(t *testing.T) {
-	if NewRoundRobin(7).NumInputs() != 7 {
-		t.Error("NumInputs mismatch")
+	if NewRoundRobin(7).n != 7 {
+		t.Error("input count mismatch")
 	}
 }
 
 // Worst-case service interval property for round-robin: a continuously
-// requesting input is granted at least once every NumInputs() cycles under
+// requesting input is granted at least once every n cycles (n inputs) under
 // arbitrary behaviour of the other inputs. This is the time-analyzability
 // property relied upon by the regular-mesh WCTT analysis.
 func TestRoundRobinWorstCaseInterval(t *testing.T) {
@@ -136,12 +136,12 @@ func TestRoundRobinWorstCaseInterval(t *testing.T) {
 
 func TestWeightedSingleCandidateKeepsCounter(t *testing.T) {
 	a := NewWeighted([]int{3, 1})
-	before := a.Count(0)
+	before := a.counts[0]
 	if got := a.Grant([]bool{true, false}); got != 0 {
 		t.Fatalf("unique candidate not granted: %d", got)
 	}
-	if a.Count(0) != before {
-		t.Errorf("unique candidate counter changed: %d -> %d", before, a.Count(0))
+	if a.counts[0] != before {
+		t.Errorf("unique candidate counter changed: %d -> %d", before, a.counts[0])
 	}
 }
 
@@ -151,17 +151,17 @@ func TestWeightedNoCandidatesReplenishes(t *testing.T) {
 	// contend twice; the largest counter wins and decrements.
 	a.Grant([]bool{true, true}) // input 1 (count 3) wins -> 2
 	a.Grant([]bool{true, true}) // tie at 2, RR picks 0 -> count0 1
-	c0, c1 := a.Count(0), a.Count(1)
+	c0, c1 := int(a.counts[0]), int(a.counts[1])
 	a.Grant([]bool{false, false})
-	if a.Count(0) != min(c0+1, 2) || a.Count(1) != min(c1+1, 3) {
-		t.Errorf("counters after idle cycle = %d,%d want %d,%d", a.Count(0), a.Count(1), min(c0+1, 2), min(c1+1, 3))
+	if int(a.counts[0]) != min(c0+1, 2) || int(a.counts[1]) != min(c1+1, 3) {
+		t.Errorf("counters after idle cycle = %d,%d want %d,%d", a.counts[0], a.counts[1], min(c0+1, 2), min(c1+1, 3))
 	}
 	// Replenishment saturates at the weight.
 	for i := 0; i < 10; i++ {
 		a.Grant([]bool{false, false})
 	}
-	if a.Count(0) != 2 || a.Count(1) != 3 {
-		t.Errorf("counters should saturate at weights, got %d,%d", a.Count(0), a.Count(1))
+	if a.counts[0] != 2 || a.counts[1] != 3 {
+		t.Errorf("counters should saturate at weights, got %d,%d", a.counts[0], a.counts[1])
 	}
 }
 
@@ -170,11 +170,11 @@ func TestWeightedLargestCounterWins(t *testing.T) {
 	if got := a.Grant([]bool{true, true}); got != 1 {
 		t.Fatalf("largest counter should win, got %d", got)
 	}
-	if a.Count(1) != 3 {
-		t.Errorf("winner counter = %d, want 3", a.Count(1))
+	if a.counts[1] != 3 {
+		t.Errorf("winner counter = %d, want 3", a.counts[1])
 	}
-	if a.Count(0) != 1 {
-		t.Errorf("loser counter = %d, want 1", a.Count(0))
+	if a.counts[0] != 1 {
+		t.Errorf("loser counter = %d, want 1", a.counts[0])
 	}
 }
 
@@ -302,10 +302,10 @@ func TestWeightedReset(t *testing.T) {
 	a.Grant([]bool{true, true})
 	a.Grant([]bool{true, true})
 	a.Reset()
-	if a.Count(0) != 2 || a.Count(1) != 2 {
-		t.Errorf("counters after reset = %d,%d, want 2,2", a.Count(0), a.Count(1))
+	if a.counts[0] != 2 || a.counts[1] != 2 {
+		t.Errorf("counters after reset = %d,%d, want 2,2", a.counts[0], a.counts[1])
 	}
-	if a.Weight(0) != 2 || a.Weight(1) != 2 {
+	if a.weights[0] != 2 || a.weights[1] != 2 {
 		t.Error("weights changed by reset")
 	}
 }
@@ -338,8 +338,8 @@ func TestWeightedPanics(t *testing.T) {
 }
 
 func TestWeightedNumInputs(t *testing.T) {
-	if NewWeighted([]int{1, 2, 3}).NumInputs() != 3 {
-		t.Error("NumInputs mismatch")
+	if NewWeighted([]int{1, 2, 3}).rr.n != 3 {
+		t.Error("input count mismatch")
 	}
 }
 

@@ -13,13 +13,8 @@ package flows
 import (
 	"fmt"
 
-	"repro/internal/flit"
 	"repro/internal/mesh"
 )
-
-// Flow is an ordered source/destination pair. It aliases flit.FlowID so that
-// flow sets can be used directly to label traffic.
-type Flow = flit.FlowID
 
 // PortPair identifies an (input port, output port) combination of a router.
 type PortPair struct {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/flit"
 	"repro/internal/mesh"
 )
 
@@ -13,6 +14,9 @@ import (
 // InputLoads, so agreeing with countsFor is evidence, not tautology —
 // for the mesh, whose forms the paper proves, and for the concentrated
 // meshes, whose forms are this repository's extension and carry no proof.
+
+// Flow is an ordered source/destination pair.
+type Flow = flit.FlowID
 
 // Set is a collection of flows between the endpoints of a topology.
 type Set struct {

@@ -136,18 +136,6 @@ func New(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// MustNew is like New but panics on error.
-func MustNew(cfg Config) *System {
-	s, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Network exposes the underlying NoC (for statistics).
-func (s *System) Network() *network.Network { return s.net }
-
 // AssignBenchmark places a benchmark on the core at node n. Nodes hosting a
 // memory controller can still run a core (the paper's platform attaches the
 // memory controller to R(0,0) alongside the node).

@@ -10,6 +10,15 @@ import (
 
 func node(x, y int) mesh.Node { return mesh.Node{X: x, Y: y} }
 
+// MustNew is New for constant arguments; it panics on error.
+func MustNew(cfg Config) *System {
+	s, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // tinyBenchmark is a scaled-down profile that keeps tests fast while still
 // exercising the NoC (a few dozen memory transactions per core).
 func tinyBenchmark() workload.Benchmark {
@@ -138,8 +147,8 @@ func TestColocatedCoreUsesMemoryDirectly(t *testing.T) {
 	}
 	// No NoC traffic should have been generated: the co-located core talks
 	// to its controller directly.
-	if s.Network().TotalInjectedFlits() != 0 {
-		t.Errorf("co-located core injected %d flits into the NoC", s.Network().TotalInjectedFlits())
+	if s.net.TotalInjectedFlits() != 0 {
+		t.Errorf("co-located core injected %d flits into the NoC", s.net.TotalInjectedFlits())
 	}
 }
 

@@ -27,8 +27,8 @@ func TestWCETModeEnableAndRun(t *testing.T) {
 	}
 	// No NoC traffic is generated in WCET mode: delays come from the
 	// analytical bound, not from simulated packets.
-	if s.Network().TotalInjectedFlits() != 0 {
-		t.Errorf("WCET mode injected %d flits into the NoC", s.Network().TotalInjectedFlits())
+	if s.net.TotalInjectedFlits() != 0 {
+		t.Errorf("WCET mode injected %d flits into the NoC", s.net.TotalInjectedFlits())
 	}
 	st, err := s.CoreStats(mesh.Node{X: 3, Y: 3})
 	if err != nil {

@@ -68,18 +68,6 @@ func New(node mesh.Node, cfg Config) (*Controller, error) {
 	return &Controller{Node: node, cfg: cfg}, nil
 }
 
-// MustNew is like New but panics on error.
-func MustNew(node mesh.Node, cfg Config) *Controller {
-	c, err := New(node, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Config returns the controller configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // Accept hands a request message (delivered by the NoC to the controller's
 // node) to the controller at cycle now. The reply becomes available
 // ServiceLatency cycles later (plus queueing behind earlier requests: the

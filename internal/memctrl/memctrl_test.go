@@ -9,6 +9,15 @@ import (
 
 func node(x, y int) mesh.Node { return mesh.Node{X: x, Y: y} }
 
+// MustNew is New for constant arguments; it panics on error.
+func MustNew(node mesh.Node, cfg Config) *Controller {
+	c, err := New(node, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/mesh"
+	"repro/internal/nic"
 )
 
 // FullScan is the executable reference Network.Step is validated against: the
@@ -16,9 +17,12 @@ import (
 // flagged active for the network's whole life, so activateRouter never
 // settles or queues anything. Inspect and feed the network through Net
 // (Send, Router, Cycle, the statistics), but advance it only through the
-// oracle's own Step, Run and RunUntilDrained: Net.Step, Net.Run and
-// Net.Drained belong to the active-set engine.
+// oracle's own Step, Run and RunUntilDrained: Net.Step and Net.Drained
+// belong to the active-set engine.
 type FullScan struct{ Net *Network }
+
+// NIC returns the NIC at router-grid node nd (panics when outside the grid).
+func (n *Network) NIC(nd mesh.Node) *nic.NIC { return n.nics[n.rdim.Index(nd)] }
 
 // MustNewFullScan builds a network stepped by the full-scan oracle and panics
 // on an invalid configuration.

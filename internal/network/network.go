@@ -341,9 +341,6 @@ func (n *Network) Cycle() uint64 { return n.cycle }
 // grid). For the mesh the router grid is Dim itself.
 func (n *Network) Router(nd mesh.Node) *router.Router { return n.routers[n.rdim.Index(nd)] }
 
-// NIC returns the NIC at router-grid node nd (panics when outside the grid).
-func (n *Network) NIC(nd mesh.Node) *nic.NIC { return n.nics[n.rdim.Index(nd)] }
-
 // Send queues a message for transmission from its source node's NIC at the
 // current cycle and returns the assigned message identifier. Traffic must
 // enter the network through Send (not by calling the NIC directly): Send is
@@ -574,23 +571,6 @@ func (n *Network) LeapTo(target uint64) {
 		panic(fmt.Sprintf("network: LeapTo(%d) behind cycle %d", target, n.cycle))
 	}
 	n.cycle = target
-}
-
-// Run advances the simulation by cycles steps, leaping over the tail of the
-// window in O(1) once the network goes event-idle (no new traffic can appear
-// during Run, so an event-idle network stays idle to the end).
-func (n *Network) Run(cycles int) {
-	if cycles <= 0 {
-		return
-	}
-	end := n.cycle + uint64(cycles)
-	for n.cycle < end {
-		if n.Leapable() {
-			n.cycle = end
-			return
-		}
-		n.Step()
-	}
 }
 
 // ctxPollMask throttles context polling in the cycle loops: cancellation is

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/arbiter"
 	"repro/internal/flit"
 	"repro/internal/mesh"
 	"repro/internal/router"
@@ -131,12 +130,9 @@ func TestDesignConfiguresNetwork(t *testing.T) {
 			weighted := design == DesignWaWWaP || design == DesignWaWOnly
 			for _, nd := range n.Topology().RouterDim().AllNodes() {
 				for _, dir := range mesh.Directions {
-					arb := n.Router(nd).Arbiter(dir)
-					if arb == nil {
-						continue
-					}
-					if _, ok := arb.(*arbiter.Weighted); ok != weighted {
-						t.Fatalf("%v %v: router %v output %v arbitrates with %T", spec, design, nd, dir, arb)
+					waw := n.Router(nd).Arbiter(dir) != nil
+					if n.Topology().HasOutput(nd, dir) && waw != weighted {
+						t.Fatalf("%v %v: router %v output %v: WaW arbiter %v, want %v", spec, design, nd, dir, waw, weighted)
 					}
 				}
 			}
@@ -384,7 +380,9 @@ func TestDrainedAndRunHelpers(t *testing.T) {
 	if n.Drained() {
 		t.Error("network with a queued message should not be drained")
 	}
-	n.Run(3)
+	for range 3 {
+		n.Step()
+	}
 	if n.Cycle() != 3 {
 		t.Errorf("cycle = %d, want 3", n.Cycle())
 	}

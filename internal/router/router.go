@@ -179,9 +179,6 @@ func New(t mesh.Topology, n mesh.Node, depth int, counts *flows.PortCounts, down
 	return r, nil
 }
 
-// HasOutput reports whether the output port in direction dir exists.
-func (r *Router) HasOutput(dir mesh.Direction) bool { return r.out[dir].exists }
-
 // Credits returns the credit count of the output port, the free slots the
 // router believes the downstream buffer has (the router's own depth for the
 // never back-pressured ejection port).
@@ -483,18 +480,15 @@ func (r *Router) CatchUpIdle(cycles uint64) {
 	}
 }
 
-// Arbiter exposes the arbiter of the output port in direction dir (nil when
-// the port does not exist) for tests and state inspection. Callers must not
-// grant through it; the router owns the arbitration schedule.
-func (r *Router) Arbiter(dir mesh.Direction) arbiter.Arbiter {
-	switch {
-	case !r.out[dir].exists:
+// Arbiter exposes the WaW arbiter of the output port in direction dir for
+// tests and state inspection: nil when the port does not exist or the router
+// arbitrates round-robin. Callers must not grant through it; the router owns
+// the arbitration schedule.
+func (r *Router) Arbiter(dir mesh.Direction) *arbiter.Weighted {
+	if !r.out[dir].exists || !r.weighted {
 		return nil
-	case r.weighted:
-		return &r.waw[dir]
-	default:
-		return &r.out[dir].rr
 	}
+	return &r.waw[dir]
 }
 
 // Reset rewinds the router to its just-constructed state: input FIFOs and

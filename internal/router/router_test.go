@@ -123,15 +123,15 @@ func TestNewValidation(t *testing.T) {
 func TestOutputExistence(t *testing.T) {
 	d := mesh.MustDim(3, 3)
 	corner := mustNew(d, mesh.Node{X: 0, Y: 0}, nil)
-	if corner.HasOutput(mesh.XMinus) || corner.HasOutput(mesh.YMinus) {
+	if corner.out[mesh.XMinus].exists || corner.out[mesh.YMinus].exists {
 		t.Error("corner router should not have X-/Y- outputs")
 	}
-	if !corner.HasOutput(mesh.XPlus) || !corner.HasOutput(mesh.YPlus) || !corner.HasOutput(mesh.Local) {
+	if !corner.out[mesh.XPlus].exists || !corner.out[mesh.YPlus].exists || !corner.out[mesh.Local].exists {
 		t.Error("corner router missing expected outputs")
 	}
 	center := mustNew(d, mesh.Node{X: 1, Y: 1}, nil)
 	for _, dir := range mesh.Directions {
-		if !center.HasOutput(dir) {
+		if !center.out[dir].exists {
 			t.Errorf("centre router missing output %v", dir)
 		}
 	}

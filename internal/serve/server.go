@@ -33,12 +33,6 @@ const (
 	// instead of unbounded buffering.
 	defaultQueueDepth = 256
 
-	// maxLineBytes bounds one protocol line; the budget is shared with
-	// every other JSON-line transport (the sweep worker protocol) via
-	// internal/lineio, so a batch accepted by one layer is never rejected
-	// by another.
-	maxLineBytes = lineio.MaxLineBytes
-
 	// maxNodes is the largest mesh (width x height endpoints) any verb
 	// accepts: 128x128. Every table a verb builds is at least O(nodes), so
 	// the ceiling is checked before the first allocation.

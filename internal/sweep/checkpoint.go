@@ -11,6 +11,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"unicode/utf8"
 
 	"repro/internal/scenario"
 )
@@ -157,6 +158,11 @@ func strictUnmarshal(line []byte, v any) error {
 // ignored. Entries whose result record is missing or hash-mismatched are
 // treated as not done and recomputed.
 func LoadResume(outPath, ckptPath string, total int, grid string) (*Resume, error) {
+	if !utf8.ValidString(grid) {
+		// The header's JSON would carry U+FFFD, so no checkpoint, not even
+		// the one RewriteCheckpoint writes, could match this key.
+		return nil, fmt.Errorf("sweep: checkpoint grid key %q is not valid UTF-8", grid)
+	}
 	ckLines, ckTorn, err := scanLines(ckptPath)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -166,8 +172,10 @@ func LoadResume(outPath, ckptPath string, total int, grid string) (*Resume, erro
 	}
 	_ = ckTorn // a torn final entry is simply not confirmed done
 	if len(ckLines) == 0 {
-		// Killed before the header hit the disk: nothing was done.
-		return &Resume{Raw: map[int]json.RawMessage{}}, nil
+		// Killed before the header hit the disk: nothing was done, but the
+		// result stream the resumed run appends to must still parse, as it
+		// must once RewriteCheckpoint has written the header.
+		return confirmResults(outPath, nil)
 	}
 	var hdr checkpointHeader
 	if err := strictUnmarshal(ckLines[0], &hdr); err != nil {
@@ -194,8 +202,12 @@ func LoadResume(outPath, ckptPath string, total int, grid string) (*Resume, erro
 		}
 		want[e.Index] = e.Hash // last entry wins
 	}
+	return confirmResults(outPath, want)
+}
 
-	// Confirm each claimed-done index against the result stream.
+// confirmResults recovers, from the result stream, the result of every
+// index whose record hashes to the checkpoint's hash for it in want.
+func confirmResults(outPath string, want map[int]string) (*Resume, error) {
 	raw := make(map[int]json.RawMessage, len(want))
 	outLines, _, err := scanLines(outPath)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {

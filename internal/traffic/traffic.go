@@ -31,8 +31,6 @@ const (
 	RequestPayloadBits = 48
 	// CacheLinePayloadBits is a 64-byte cache line.
 	CacheLinePayloadBits = 512
-	// AckPayloadBits is a one-flit acknowledgement.
-	AckPayloadBits = 16
 )
 
 // Generator produces messages to inject at given cycles.
@@ -90,9 +88,6 @@ func newMessage(p *flit.Pool, flow flit.FlowID, class flit.MessageClass, payload
 	msg.Flow, msg.Class, msg.PayloadBits = flow, class, payload
 	return msg
 }
-
-// Rand is the deterministic pseudo-random source used by the generators.
-func Rand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // drawSource is an exact replica of math/rand's default source, the additive
 // lagged-Fibonacci generator out[n] = out[n-607] + out[n-273] (mod 2^64).

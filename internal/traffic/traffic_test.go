@@ -14,6 +14,9 @@ import (
 	"repro/internal/network"
 )
 
+// Rand is the math/rand stream the generators' draw source replicates.
+func Rand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
 func TestUniformRandomValidation(t *testing.T) {
 	d := mesh.MustDim(4, 4)
 	if _, err := NewUniformRandom(mesh.Dim{}, 1, 10, 64, 10); err == nil {
