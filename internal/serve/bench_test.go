@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -125,6 +126,44 @@ func BenchmarkServeLines(b *testing.B) {
 			b.StopTimer()
 			if st := s.Stats(); st.Errors != 0 || st.Queries != uint64(len(flows)+32+b.N) {
 				b.Fatalf("%d bounds answered with %d failed lines, want %d and 0", st.Queries, st.Errors, len(flows)+32+b.N)
+			}
+		})
+	}
+}
+
+// BenchmarkScanTuples times the tuple scan of one 4032-tuple queries array
+// in the flat decoder's call (any tuple length): 8x8 is the serve-batch
+// workload's array, every flow of an 8x8 mesh in one-digit coordinates, and
+// 64x64 random pairs of a 64x64 mesh, two-digit coordinates and a payload in
+// every tuple, none of them in the one-digit spelling.
+//
+//	go test -run xxx -bench BenchmarkScanTuples -cpu 1 ./internal/serve/
+func BenchmarkScanTuples(b *testing.B) {
+	var small, large bytes.Buffer
+	for s := 0; s < 64; s++ {
+		for d := 0; d < 64; d++ {
+			if s != d {
+				fmt.Fprintf(&small, ",[%d,%d,%d,%d]", s%8, s/8, d%8, d/8)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 4032 {
+		src, dst := rng.Intn(64*64), rng.Intn(64*64)
+		fmt.Fprintf(&large, ",[%d,%d,%d,%d,512]", src%64, src/64, dst%64, dst/64)
+	}
+	for _, v := range []struct {
+		name   string
+		tuples []byte
+	}{{"8x8", small.Bytes()}, {"64x64", large.Bytes()}} {
+		raw := append(append([]byte("["), v.tuples[1:]...), ']')
+		b.Run(v.name, func(b *testing.B) {
+			var tl tupleList
+			b.SetBytes(int64(len(raw)))
+			for b.Loop() {
+				if _, err := scanTuples(raw, 0, 0, math.MaxInt, &tl); err != nil || tl.n != 4032 {
+					b.Fatalf("scanned %d tuples: %v", tl.n, err)
+				}
 			}
 		})
 	}

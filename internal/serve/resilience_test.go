@@ -93,6 +93,42 @@ func TestServeNodeLimit(t *testing.T) {
 	}
 }
 
+// TestServeScenarioSideLimit pins the scenario verb's side ceiling: a strip
+// within the node ceiling but longer than 128 — FuzzServeLine's 11111x1
+// regular wctt summary allocated 2.8 GB and ran for seconds past a 5 ms
+// budget — gets the coded limit error at once, whatever its mode, while
+// 128x1 and the query verbs' strips are still answered.
+func TestServeScenarioSideLimit(t *testing.T) {
+	s := NewServer(Config{Workers: 2, ScenarioTimeout: time.Minute})
+	defer s.Close()
+	start := time.Now()
+	got := strings.Split(strings.TrimSpace(serveString(t, s, strings.Join([]string{
+		`{"id":1,"op":"scenario","spec":{"mode":"wctt","width":11111,"height":1,"design":"regular"}}`,
+		`{"id":2,"op":"scenario","spec":{"mode":"wcet-map","width":1,"height":16384,"design":"regular"}}`,
+		`{"id":3,"op":"scenario","spec":{"mode":"wctt","width":129,"height":2,"design":"waw+wap"}}`,
+		`{"id":4,"op":"scenario","spec":{"mode":"wctt","width":128,"height":1,"design":"regular"}}`,
+		`{"id":5,"op":"batch","design":"regular","width":16384,"height":1,"queries":[[0,0,1,0]]}`,
+	}, "\n")+"\n")), "\n")
+	if len(got) != 5 {
+		t.Fatalf("got %d responses, want 5:\n%s", len(got), strings.Join(got, "\n"))
+	}
+	for i, dims := range []string{"11111x1", "1x16384", "129x2"} {
+		want := fmt.Sprintf(`{"id":%d,"ok":false,"error":"scenario: mesh %s exceeds the limit of 128x128","code":"limit","retryable":false}`, i+1, dims)
+		if got[i] != want {
+			t.Errorf("line %d:\ngot  %s\nwant %s", i+1, got[i], want)
+		}
+	}
+	if !strings.HasPrefix(got[3], `{"id":4,"ok":true,"result":{"mode":"wctt","dim":"128x1"`) {
+		t.Errorf("a 128x1 scenario was answered %.200s", got[3])
+	}
+	if !strings.HasPrefix(got[4], `{"id":5,"ok":true,"cycles":[`) {
+		t.Errorf("a batch line on a 16384x1 strip was answered %.200s", got[4])
+	}
+	if d := time.Since(start); d > 30*time.Second {
+		t.Errorf("the lines took %v", d)
+	}
+}
+
 // TestServePayloadLimit pins the payload ceiling on the 8x8 corner-to-corner
 // flow: up to MaxPayloadBits the bound never shrinks as payload_bits grows,
 // and a wctt line (flat, and escaped onto the generic decode path), a batch

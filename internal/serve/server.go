@@ -38,6 +38,14 @@ const (
 	// the ceiling is checked before the first allocation.
 	maxNodes = 128 * 128
 
+	// maxScenarioSide is the longest side of a scenario line's mesh. A
+	// scenario runs whole-mesh kernels whose tables grow with a side times
+	// the node count, so maxNodes alone does not bound them: the regular
+	// all-pairs summary of an 11111x1 strip allocated 2.8 GB, and ran for
+	// seconds, before it first asked for its deadline. Every mesh up to
+	// 128x128 is accepted.
+	maxScenarioSide = 128
+
 	// MaxPayloadBits is the largest payload_bits the wctt and batch verbs
 	// accept (a 512 MiB message), checked before any flit arithmetic.
 	MaxPayloadBits = 1 << 32
@@ -760,14 +768,15 @@ func (s *Server) cyclesVector(dst []byte, req *Request, cycles []uint64, err err
 	if err != nil {
 		return appendError(dst, req.ID, wireError(req.Op, err)), true
 	}
-	buf := appendHeader(slices.Grow(dst, 64+8*len(cycles)), req.ID, true)
-	buf = append(buf, `,"cycles":[`...)
-	for i, c := range cycles {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = appendDecimal(buf, c)
+	// One reservation: the header and brackets take under 64 bytes, and each
+	// bound at most the digits of the largest and a comma.
+	var most uint64
+	for _, c := range cycles {
+		most = max(most, c)
 	}
+	buf := appendHeader(slices.Grow(dst, 64+(decimalLen(most)+1)*len(cycles)), req.ID, true)
+	buf = append(buf, `,"cycles":[`...)
+	buf = buf[:putDecimals(buf[:cap(buf)], len(buf), cycles)]
 	s.stats.queries.Add(uint64(len(cycles)))
 	return append(buf, ']', '}'), false
 }
@@ -863,6 +872,10 @@ func (s *Server) scenarioOp(ctx context.Context, req *Request) ([]byte, bool) {
 	spec := *req.Spec
 	if err := checkNodeLimit(spec.Width, spec.Height); err != nil {
 		return errorResponse(req.ID, err), true
+	}
+	if spec.Width > maxScenarioSide || spec.Height > maxScenarioSide {
+		return errorResponse(req.ID, limitError("scenario: mesh %dx%d exceeds the limit of %dx%d",
+			spec.Width, spec.Height, maxScenarioSide, maxScenarioSide)), true
 	}
 	if err := spec.Validate(); err != nil {
 		return errorResponse(req.ID, err), true

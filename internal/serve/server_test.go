@@ -765,7 +765,7 @@ func TestParseTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0][3] != 4 || got[1][4] != -9 {
+	if len(got) != 2 || got[0].v[3] != 4 || got[1].v[4] != -9 {
 		t.Fatalf("parsed %v", got)
 	}
 	if _, err := scannedTuples([]byte(`[]`), 4, 5); err != nil {
@@ -881,11 +881,15 @@ func TestServeScenarioOneEndpoint(t *testing.T) {
 
 // TestAppendDecimalMatchesStrconv holds the vector verbs' number encoder to
 // strconv.AppendUint: every value below 10^6, every power of ten and its
-// neighbours, 2^64-1, and a million values of every bit length.
+// neighbours, 2^64-1, and a million values of every bit length. A whole
+// cyclesVector response, reserved once from the digits of its largest bound,
+// must be the line strconv builds, for the empty vector and vectors of one
+// and of mixed digit counts, behind a dst that already holds bytes.
 func TestAppendDecimalMatchesStrconv(t *testing.T) {
 	check := func(v uint64) {
-		if got, want := appendDecimal([]byte("["), v), strconv.AppendUint([]byte("["), v, 10); string(got) != string(want) {
-			t.Fatalf("appendDecimal(%d) = %q, want %q", v, got, want)
+		b := []byte("[" + strings.Repeat("x", 20))
+		if got, want := b[:putDecimals(b, 1, []uint64{v})], strconv.AppendUint([]byte("["), v, 10); string(got) != string(want) {
+			t.Fatalf("putDecimals(%d) = %q, want %q", v, got, want)
 		}
 	}
 	for v := uint64(0); v < 1e6; v++ {
@@ -903,5 +907,30 @@ func TestAppendDecimalMatchesStrconv(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for range 1000000 {
 		check(rng.Uint64() >> rng.Intn(64))
+	}
+
+	s := NewServer(Config{Workers: 1})
+	defer s.Close()
+	mixed := make([]uint64, 4032)
+	for i := range mixed {
+		mixed[i] = rng.Uint64() >> rng.Intn(64)
+	}
+	for _, cycles := range [][]uint64{
+		{}, {0}, {9}, {10}, {99}, {100}, {1<<64 - 1},
+		{0, 9, 10, 99, 100, 1<<64 - 1, 7, 12345, 0},
+		{1<<64 - 1, 0, 0, 0}, mixed,
+	} {
+		want := []byte(`prefix{"id":-3,"ok":true,"cycles":[`)
+		for i, c := range cycles {
+			if i > 0 {
+				want = append(want, ',')
+			}
+			want = strconv.AppendUint(want, c, 10)
+		}
+		want = append(want, "]}"...)
+		got, failed := s.cyclesVector([]byte("prefix"), &Request{ID: -3, Op: "batch"}, cycles, nil)
+		if failed || !bytes.Equal(got, want) {
+			t.Fatalf("cyclesVector(%.40v) = %.120q, %v; want %.120q", cycles, got, failed, want)
+		}
 	}
 }
