@@ -8,6 +8,7 @@
 package analysis
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -191,9 +192,10 @@ func streamBudget(W, H int) uint64 {
 // (about 3 KiB in 16 allocations at P = 4).
 const producerOverhead = 16 << 10
 
-// TestKernelZeroAllocs: the all-pairs and row kernels with a warm caller
-// buffer are pure table fills — 0 allocs for the whole N^2 (or N) sweep,
-// i.e. 0 allocs/pair, on both the identity-map mesh and the
+// TestKernelZeroAllocs: the all-pairs kernels and the all-cores round-trip
+// row (two pooled BatchMessageWCTT lists) with a warm caller buffer are pure
+// table fills — 0 allocs for the whole N^2 (or N) sweep, i.e. 0 allocs/pair,
+// for a regular and a WaW design, on both the identity-map mesh and the
 // row-expansion concentrated mesh (whose router rows are pooled).
 func TestKernelZeroAllocs(t *testing.T) {
 	d := mesh.MustDim(8, 8)
@@ -224,22 +226,16 @@ func TestKernelZeroAllocs(t *testing.T) {
 			sink += buf[1]
 		})
 		row := make([]uint64, d.Nodes())
-		assertAllocsPerRun(t, tc.name+"/AllSourcesMessageWCTT", 100, func() {
-			var err error
-			row, err = tc.m.AllSourcesMessageWCTT(network.DesignRegular, mesh.Node{}, 48, row)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sink += row[1]
-		})
-		assertAllocsPerRun(t, tc.name+"/AllDestinationsMessageWCTT", 100, func() {
-			var err error
-			row, err = tc.m.AllDestinationsMessageWCTT(network.DesignWaWWaP, mesh.Node{}, 512, row)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sink += row[1]
-		})
+		for _, design := range []network.Design{network.DesignRegular, network.DesignWaWWaP} {
+			assertAllocsPerRun(t, tc.name+"/AllCoresRoundTripUBD/"+design.String(), 100, func() {
+				var err error
+				row, err = tc.m.AllCoresRoundTripUBD(context.Background(), design, mesh.Node{X: 3, Y: 2}, 48, 512, row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sink += row[1]
+			})
+		}
 	}
 	if sink == 0 {
 		t.Fatal("kernel outputs were zero; the assertions covered dead code")

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -103,7 +104,7 @@ func BenchmarkSummary64(b *testing.B) {
 
 // BenchmarkWCETMapUBD is the per-core UBD precomputation of a 64x64 wcet-map
 // point from a cold model (a load and an eviction round trip per core): the
-// two AllCoresRoundTripUBD row sweeps against the per-core RoundTripUBD loop.
+// two AllCoresRoundTripUBD rows against the per-core RoundTripUBD loop.
 func BenchmarkWCETMapUBD(b *testing.B) {
 	d, memory := mesh.MustDim(64, 64), mesh.Node{}
 	trips := [][2]int{{48, 512}, {512, 16}} // request, reply bits
@@ -112,7 +113,7 @@ func BenchmarkWCETMapUBD(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m := MustNewModel(DefaultParams(d))
 			for _, t := range trips {
-				if _, err := m.AllCoresRoundTripUBD(network.DesignWaWWaP, memory, t[0], t[1], nil); err != nil {
+				if _, err := m.AllCoresRoundTripUBD(context.Background(), network.DesignWaWWaP, memory, t[0], t[1], nil); err != nil {
 					b.Fatal(err)
 				}
 			}

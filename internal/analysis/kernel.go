@@ -51,8 +51,7 @@ package analysis
 //     array a row step touches (hop-cost and share planes, the column states,
 //     the output row) is read or written at consecutive addresses. Sources
 //     share nothing but the hop-cost planes, so the WaW table is one sweep
-//     per source on the caller and the WCET engine's reply row is one sweep
-//     (wawSourceRows serves both).
+//     per source on the caller (wawSourceRows).
 //
 // Saturating + and * on non-negative integers, and any expression of them,
 // equal the exact result clamped to MaxUint64 (saturatingMul, wctt.go). The
@@ -109,17 +108,18 @@ import (
 )
 
 // Kernel effectiveness counters (process-wide, exposed through the serve
-// stats verb): all-pairs kernel invocations and single-row kernel sweeps
-// (the wcet engine's per-core UBD precomputation).
+// stats verb): all-pairs kernel invocations and completed
+// AllCoresRoundTripUBD calls (the wcet engine's per-core UBD rows).
 var (
 	kernelAllPairsRuns atomic.Uint64
 	kernelRowSweeps    atomic.Uint64
 )
 
 // KernelCounters reports the cumulative kernel counters: all-pairs kernel
-// runs and single-row kernel sweeps. The third result counted memo entries
-// warmed from kernel tables; the memo is gone (PR 12), so it is retired and
-// always 0 — kept because the frozen bench/ module destructures three.
+// runs and row sweeps, one per completed AllCoresRoundTripUBD call. The third
+// result counted memo entries warmed from kernel tables; the memo is gone
+// (PR 12), so it is retired and always 0 — kept because the frozen bench/
+// module destructures three.
 func KernelCounters() (allPairsRuns, rowSweeps, retired uint64) {
 	return kernelAllPairsRuns.Load(), kernelRowSweeps.Load(), 0
 }
@@ -245,26 +245,6 @@ func (m *Model) distinctXRows() (rows []int32, reps []int) {
 		rows[y] = int32(k)
 	}
 	return rows, reps
-}
-
-// regularDestSweep is the single-row kernel of the chained-blocking bound:
-// it writes the bound of a packet of S flits (contenders of L flits) from
-// EVERY source router to the destination router rd into out (dense router
-// index), including the rd entry (the ejection-only route, meaningful for
-// co-located concentrated-mesh endpoints; mesh callers zero it afterwards).
-// Per source row it builds the maps of the one turn column rd.X: O(W).
-func (m *Model) regularDestSweep(out []uint64, rd mesh.Node, S, L uint64) {
-	W, Ht := m.rdim.Width, m.rdim.Height
-	sp := getScratch(2*Ht + 2*W)
-	defer putScratch(sp)
-	colT, colIv, A, B := (*sp)[:Ht], (*sp)[Ht:2*Ht], (*sp)[2*Ht:2*Ht+W], (*sp)[2*Ht+W:]
-	m.regularColStates(colT, colIv, 1, rd, L, 0, Ht-1)
-	for y := 0; y < Ht; y++ {
-		m.regularXMaps(A, B, 1, y, rd.X, S, L, 0, W-1)
-		for x := range W {
-			out[y*W+x] = regularApply(colT[y], colIv[y], A[x], B[x])
-		}
-	}
 }
 
 // Producer counts of the regular all-pairs kernel: one below minParallelRouters
@@ -479,14 +459,13 @@ func (m *Model) hopCosts(cost []uint64, slot uint64) {
 	}
 }
 
-// wawSourceRows writes, for every source endpoint si in [first, end), the
-// guaranteed-bandwidth bound of a message of P packets of slot flits from si
-// to every endpoint into out[(si-first)*N:][:N] (dense endpoint indexing),
-// the self entry 0. It tabulates the hop costs once and runs one
-// wawSourceSweep per source router; on the concentrated meshes each router
-// row is expanded to the endpoint row, and consecutive sources on one router
-// share its sweep.
-func (m *Model) wawSourceRows(out []uint64, first, end int, P, slot uint64) {
+// wawSourceRows writes, for every source endpoint si, the guaranteed-bandwidth
+// bound of a message of P packets of slot flits from si to every endpoint
+// into out[si*N:][:N] (dense endpoint indexing), the self entry 0. It
+// tabulates the hop costs once and runs one wawSourceSweep per source router;
+// on the concentrated meshes each router row is expanded to the endpoint row,
+// and consecutive sources on one router share its sweep.
+func (m *Model) wawSourceRows(out []uint64, P, slot uint64) {
 	W, rn, n := m.rdim.Width, m.rdim.Nodes(), len(m.nodes)
 	sp := getScratch(mesh.NumDirections*rn + 4*W + rn)
 	defer putScratch(sp)
@@ -494,8 +473,8 @@ func (m *Model) wawSourceRows(out []uint64, first, end int, P, slot uint64) {
 	routerRow := (*sp)[mesh.NumDirections*rn+4*W:]
 	m.hopCosts(cost, slot)
 	swept := -1
-	for si := first; si < end; si++ {
-		row, rs := out[(si-first)*n:][:n], int(m.epRouter[si])
+	for si := range n {
+		row, rs := out[si*n:][:n], int(m.epRouter[si])
 		if m.identityTopo() {
 			m.wawSourceSweep(row, cost, state, m.rdim.NodeAt(rs), P, slot)
 		} else {
@@ -635,7 +614,7 @@ func (m *Model) AllPairsWaWPacketWCTT(numPackets, slotFlits int, buf []uint64) (
 	n := len(m.nodes)
 	buf = ensureTable(buf, n*n)
 	kernelAllPairsRuns.Add(1)
-	m.wawSourceRows(buf, 0, n, uint64(numPackets), uint64(slotFlits))
+	m.wawSourceRows(buf, uint64(numPackets), uint64(slotFlits))
 	return buf, nil
 }
 
@@ -652,124 +631,55 @@ func (m *Model) AllPairsOneFlitWCTT(design network.Design, buf []uint64) ([]uint
 	}
 }
 
-// AllSourcesMessageWCTT fills buf with the MessageWCTT bound from every
-// endpoint to the fixed destination dst (dense node indexing; the dst entry
-// is 0 — a self flow has no defined WCTT). For regular-model designs this is
-// a single destination-major sweep — O(N) for the whole row instead of
-// O(N*hops) — because the chained-blocking fold shares its prefix across
-// sources of one destination; WaW designs fold source-first and share
-// nothing at a fixed destination, so they fall back to the per-pair walk.
-func (m *Model) AllSourcesMessageWCTT(design network.Design, dst mesh.Node, payloadBits int, buf []uint64) ([]uint64, error) {
-	if !m.p.Dim.Contains(dst) {
-		return nil, fmt.Errorf("analysis: node %v outside %v mesh", dst, m.p.Dim)
-	}
-	sh, err := m.messageShape(design, payloadBits)
-	if err != nil {
-		return nil, err
-	}
-	n := len(m.nodes)
-	buf = ensureTable(buf, n)
-	dstIdx := dst.Y*m.p.Dim.Width + dst.X
-	if !sh.waw {
-		kernelRowSweeps.Add(1)
-		rd := m.topo.RouterOf(dst)
-		if m.identityTopo() {
-			m.regularDestSweep(buf, rd, uint64(sh.a), uint64(sh.b))
-		} else {
-			rowp := getScratch(m.rdim.Nodes())
-			m.regularDestSweep(*rowp, rd, uint64(sh.a), uint64(sh.b))
-			m.expandRow(buf, *rowp)
-			putScratch(rowp)
-		}
-		buf[dstIdx] = 0
-		return buf, nil
-	}
-	for i, src := range m.nodes {
-		if src == dst {
-			buf[i] = 0
-			continue
-		}
-		v, err := m.WaWPacketWCTT(src, dst, sh.a, sh.b)
-		if err != nil {
-			return nil, err
-		}
-		buf[i] = v
-	}
-	return buf, nil
-}
-
-// AllDestinationsMessageWCTT is the dual of AllSourcesMessageWCTT: the
-// MessageWCTT bound from the fixed source src to every endpoint (the src
-// entry is 0). WaW designs get the O(N) source-major sweep; regular designs
-// fall back to the per-pair walk.
-func (m *Model) AllDestinationsMessageWCTT(design network.Design, src mesh.Node, payloadBits int, buf []uint64) ([]uint64, error) {
-	if !m.p.Dim.Contains(src) {
-		return nil, fmt.Errorf("analysis: node %v outside %v mesh", src, m.p.Dim)
-	}
-	sh, err := m.messageShape(design, payloadBits)
-	if err != nil {
-		return nil, err
-	}
-	n := len(m.nodes)
-	buf = ensureTable(buf, n)
-	srcIdx := src.Y*m.p.Dim.Width + src.X
-	if sh.waw {
-		kernelRowSweeps.Add(1)
-		m.wawSourceRows(buf, srcIdx, srcIdx+1, uint64(sh.a), uint64(sh.b))
-		return buf, nil
-	}
-	for i, dst := range m.nodes {
-		if src == dst {
-			buf[i] = 0
-			continue
-		}
-		v, err := m.RegularPacketWCTT(src, dst, sh.a, sh.b)
-		if err != nil {
-			return nil, err
-		}
-		buf[i] = v
-	}
-	return buf, nil
-}
-
 // AllCoresRoundTripUBD fills buf with RoundTripUBD(design, core, memory,
 // requestBits, replyBits) for every core of the mesh (dense node indexing):
-// the request row is one destination-major sweep towards the memory
-// controller, the reply row one source-major sweep away from it — the whole
-// per-core UBD precomputation of the wcet engine in O(N) instead of
-// O(N*hops). The core-at-the-controller entry degenerates to twice the
-// ejection-port bound exactly like the per-pair path.
-func (m *Model) AllCoresRoundTripUBD(design network.Design, memory mesh.Node, requestBits, replyBits int, buf []uint64) ([]uint64, error) {
+// the wcet engine's per-core UBD row. The request and reply messages of every
+// core but the controller's own are two BatchMessageWCTT query lists, so each
+// entry sums two MessageWCTT bounds; the core at the controller gets twice
+// the ejection-port bound, as on the per-pair path. Both lists poll ctx, and
+// a call that meets its error returns it.
+func (m *Model) AllCoresRoundTripUBD(ctx context.Context, design network.Design, memory mesh.Node, requestBits, replyBits int, buf []uint64) ([]uint64, error) {
 	if !m.p.Dim.Contains(memory) {
 		return nil, fmt.Errorf("analysis: node %v outside %v mesh", memory, m.p.Dim)
 	}
-	n := len(m.nodes)
-	buf = ensureTable(buf, n)
-	reqp := getScratch(n)
+	one, err := m.LocalAccessWCTT(design, memory)
+	if err != nil {
+		return nil, err
+	}
+	n, at := len(m.nodes), m.p.Dim.Index(memory)
+	// Query k is the core of dense index k below the controller's, k+1 from it on.
+	core := func(k int) mesh.Node {
+		if k >= at {
+			k++
+		}
+		return m.nodes[k]
+	}
+	reqp := getScratch(n - 1)
 	defer putScratch(reqp)
-	repp := getScratch(n)
+	repp := getScratch(n - 1)
 	defer putScratch(repp)
-	req, err := m.AllSourcesMessageWCTT(design, memory, requestBits, *reqp)
+	req, err := m.BatchMessageWCTT(ctx, design, n-1, func(k int) (mesh.Node, mesh.Node, int) {
+		return core(k), memory, requestBits
+	}, *reqp)
 	if err != nil {
 		return nil, err
 	}
-	*reqp = req
-	rep, err := m.AllDestinationsMessageWCTT(design, memory, replyBits, *repp)
+	rep, err := m.BatchMessageWCTT(ctx, design, n-1, func(k int) (mesh.Node, mesh.Node, int) {
+		return memory, core(k), replyBits
+	}, *repp)
 	if err != nil {
 		return nil, err
 	}
-	*repp = rep
-	memIdx := memory.Y*m.p.Dim.Width + memory.X
+	buf = ensureTable(buf, n)
+	k := 0
 	for i := range buf {
-		if i == memIdx {
-			one, err := m.LocalAccessWCTT(design, memory)
-			if err != nil {
-				return nil, err
-			}
+		if i == at {
 			buf[i] = saturatingMul(2, one)
 			continue
 		}
-		buf[i] = saturatingAdd(req[i], rep[i])
+		buf[i] = saturatingAdd(req[k], rep[k])
+		k++
 	}
+	kernelRowSweeps.Add(1)
 	return buf, nil
 }

@@ -185,86 +185,86 @@ func TestAllPairsMatchesPairwise(t *testing.T) {
 	}
 }
 
-// TestRowKernelsMatchPairwise pins the single-row kernels (the wcet
-// engine's building blocks) to the per-pair path: fixed-destination rows,
-// fixed-source rows and the combined per-core round-trip UBD row.
+// TestRowKernelsMatchPairwise pins AllCoresRoundTripUBD, the wcet engine's
+// per-core UBD row built from two BatchMessageWCTT query lists, to the
+// per-pair RoundTripUBD for every core: with the controller at a corner, the
+// far corner and an inner node of the kernel matrix, and at every node of
+// every mesh, cmesh2 and cmesh4 grid up to 6x6 — the first and the last core
+// of the query lists, co-located cmesh cores and the 1x1 grid, whose lists
+// are empty, included.
 func TestRowKernelsMatchPairwise(t *testing.T) {
 	for _, m := range saturatingModels() {
 		checkSaturationBoundary(t, m)
 	}
-	for _, m := range append(kernelModels(t), wideSlotModel()) {
+	var row []uint64
+	check := func(m *Model, memory mesh.Node) {
+		t.Helper()
 		d := m.Params().Dim
-		nodes := d.AllNodes()
-		anchors := []mesh.Node{{X: 0, Y: 0}, {X: d.Width - 1, Y: d.Height - 1}, {X: d.Width / 2, Y: d.Height / 3}}
-		var row []uint64
 		for _, design := range allDesigns {
-			for _, anchor := range anchors {
-				var err error
-				row, err = m.AllSourcesMessageWCTT(design, anchor, 48, row)
+			var err error
+			if row, err = m.AllCoresRoundTripUBD(context.Background(), design, memory, 48, 512, row); err != nil {
+				t.Fatal(err)
+			}
+			if len(row) != d.Nodes() {
+				t.Fatalf("%v %v %v memory %v: row of %d entries, want %d", m.Params().Topo, d, design, memory, len(row), d.Nodes())
+			}
+			for i, core := range d.AllNodes() {
+				want, err := m.RoundTripUBD(design, core, memory, 48, 512)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, src := range nodes {
-					if src == anchor {
-						if row[i] != 0 {
-							t.Fatalf("%v %v %v: self entry = %d, want 0", m.Params().Topo, d, design, row[i])
-						}
-						continue
-					}
-					want, err := m.MessageWCTT(design, src, anchor, 48)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if row[i] != want {
-						t.Fatalf("%v %v %v AllSources %v->%v: kernel %d != pairwise %d",
-							m.Params().Topo, d, design, src, anchor, row[i], want)
-					}
-				}
-				row, err = m.AllDestinationsMessageWCTT(design, anchor, 512, row)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, dst := range nodes {
-					if dst == anchor {
-						if row[i] != 0 {
-							t.Fatalf("%v %v %v: self entry = %d, want 0", m.Params().Topo, d, design, row[i])
-						}
-						continue
-					}
-					want, err := m.MessageWCTT(design, anchor, dst, 512)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if row[i] != want {
-						t.Fatalf("%v %v %v AllDestinations %v->%v: kernel %d != pairwise %d",
-							m.Params().Topo, d, design, anchor, dst, row[i], want)
-					}
-				}
-				row, err = m.AllCoresRoundTripUBD(design, anchor, 48, 512, row)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, core := range nodes {
-					want, err := m.RoundTripUBD(design, core, anchor, 48, 512)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if row[i] != want {
-						t.Fatalf("%v %v %v AllCoresRoundTripUBD core %v memory %v: kernel %d != pairwise %d",
-							m.Params().Topo, d, design, core, anchor, row[i], want)
-					}
+				if row[i] != want {
+					t.Fatalf("%v %v %v AllCoresRoundTripUBD core %v memory %v: kernel %d != pairwise %d",
+						m.Params().Topo, d, design, core, memory, row[i], want)
 				}
 			}
 		}
 	}
+	for _, m := range append(kernelModels(t), wideSlotModel()) {
+		d := m.Params().Dim
+		for _, memory := range []mesh.Node{{X: 0, Y: 0}, {X: d.Width - 1, Y: d.Height - 1}, {X: d.Width / 2, Y: d.Height / 3}} {
+			check(m, memory)
+		}
+	}
+	var small []mesh.Dim
+	for w := 1; w <= 6; w++ {
+		for h := 1; h <= 6; h++ {
+			small = append(small, mesh.MustDim(w, h))
+		}
+	}
+	for _, m := range modelsFor(small) {
+		for _, memory := range m.Params().Dim.AllNodes() {
+			check(m, memory)
+		}
+	}
+}
+
+// batchToRow is the bound of design's payloadBits-bit message from every
+// endpoint to dst, as one BatchMessageWCTT query list, laid out by dense
+// source index with the dst entry 0.
+func batchToRow(t *testing.T, m *Model, design network.Design, dst mesh.Node, payloadBits int, row []uint64) []uint64 {
+	t.Helper()
+	nodes := m.Params().Dim.AllNodes()
+	at := m.Params().Dim.Index(dst)
+	got, err := m.BatchMessageWCTT(context.Background(), design, len(nodes)-1, func(k int) (mesh.Node, mesh.Node, int) {
+		if k >= at {
+			k++
+		}
+		return nodes[k], dst, payloadBits
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(append(append(row[:0], got[:at]...), 0), got[at:]...)
 }
 
 // TestRegularKernelsDistinctXRows: no shipped topology has two router rows
 // with different X contender counts, so every kernel run builds one row of
 // X-segment maps. Here the counts of some rows are redrawn — rows 1 and 3
 // alike, row 4 on its own, in both travel directions — and the all-pairs
-// table, a summary at 1 and 4 producers and every fixed-destination row must
-// still match the per-pair walk over the same counts.
+// table, a summary at 1 and 4 producers and, for every destination, the
+// BatchMessageWCTT row from every source must still match the per-pair walk
+// over the same counts.
 func TestRegularKernelsDistinctXRows(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	m := MustNewModel(DefaultParams(mesh.MustDim(17, 16)))
@@ -293,12 +293,14 @@ func TestRegularKernelsDistinctXRows(t *testing.T) {
 			t.Fatalf("GOMAXPROCS %d: summary %+v (%v), pairwise %+v (%v)", procs, got, err1, ref, err2)
 		}
 	}
-	row := make([]uint64, m.rdim.Nodes())
-	for _, dst := range m.rdim.AllNodes() {
-		m.regularDestSweep(row, dst, 6, 3)
-		for i, src := range m.rdim.AllNodes() {
-			if v, _ := want(src, dst); src != dst && row[i] != v {
-				t.Fatalf("regularDestSweep %v->%v: %d, pairwise %d", src, dst, row[i], v)
+	var row []uint64
+	for _, design := range []network.Design{network.DesignRegular, network.DesignWaPOnly} {
+		for _, dst := range m.rdim.AllNodes() {
+			row = batchToRow(t, m, design, dst, 512, row)
+			for i, src := range m.rdim.AllNodes() {
+				if v, _ := m.MessageWCTT(design, src, dst, 512); src != dst && row[i] != v {
+					t.Fatalf("%v BatchMessageWCTT %v->%v: %d, pairwise %d", design, src, dst, row[i], v)
+				}
 			}
 		}
 	}
@@ -309,8 +311,8 @@ func TestRegularKernelsDistinctXRows(t *testing.T) {
 // X-segment map per source), and that gives the same value only because
 // saturating + and * equal the exact result clamped to MaxUint64. For
 // destinations at the corners, an edge and the centre it compares the whole
-// fixed-destination row (regularDestSweep: the column states and X-segment
-// maps every regular kernel is made of) with the per-pair walk, and requires
+// BatchMessageWCTT row from every source (one group: the column states and
+// X-segment maps every regular kernel is made of) with the per-pair walk, and requires
 // the row to contain saturation boundaries — a finite bound next to a
 // MaxUint64 one along a source row (the X maps) or along a source column (the
 // column states) — so the sources around the first saturated one, in both
@@ -330,10 +332,7 @@ func checkSaturationBoundary(t *testing.T, m *Model) {
 	for _, dst := range []mesh.Node{{}, {X: d.Width - 1}, {Y: d.Height - 1}, {X: d.Width - 1, Y: d.Height - 1},
 		{X: d.Width / 2}, {X: d.Width / 2, Y: d.Height / 2}} {
 		for _, design := range []network.Design{network.DesignRegular, network.DesignWaPOnly} {
-			var err error
-			if row, err = m.AllSourcesMessageWCTT(design, dst, 512, row); err != nil {
-				t.Fatal(err)
-			}
+			row = batchToRow(t, m, design, dst, 512, row)
 			for i, src := range nodes {
 				if src == dst {
 					continue
@@ -796,21 +795,29 @@ func TestKernelFuzzRandomDims(t *testing.T) {
 	}
 }
 
-// TestKernelCountersAdvance sanity-checks the effectiveness counters the
-// serve stats verb surfaces: all-pairs runs and row sweeps move when their
-// kernels run, and the retired third result stays 0.
+// TestKernelCountersAdvance pins the effectiveness counters the serve stats
+// verb surfaces (and bench/ compares exactly): an all-pairs table adds one
+// all-pairs run, every AllCoresRoundTripUBD call exactly one row sweep
+// whatever the design, and the retired third result stays 0.
 func TestKernelCountersAdvance(t *testing.T) {
 	ap0, rs0, _ := KernelCounters()
 	m := MustNewModel(DefaultParams(mesh.MustDim(4, 4)))
 	if _, err := m.AllPairsOneFlitWCTT(network.DesignRegular, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.AllSourcesMessageWCTT(network.DesignRegular, mesh.Node{}, 48, nil); err != nil {
-		t.Fatal(err)
-	}
 	ap1, rs1, retired := KernelCounters()
-	if ap1 <= ap0 || rs1 <= rs0 || retired != 0 {
-		t.Fatalf("kernel counters: all-pairs %d->%d, row sweeps %d->%d (both must advance), retired %d (must be 0)",
+	if ap1 != ap0+1 || rs1 != rs0 || retired != 0 {
+		t.Fatalf("kernel counters after an all-pairs table: all-pairs %d->%d (want +1), row sweeps %d->%d (want +0), retired %d (must be 0)",
 			ap0, ap1, rs0, rs1, retired)
+	}
+	for _, design := range allDesigns {
+		if _, err := m.AllCoresRoundTripUBD(context.Background(), design, mesh.Node{X: 1, Y: 2}, 48, 512, nil); err != nil {
+			t.Fatal(err)
+		}
+		ap2, rs2, _ := KernelCounters()
+		if ap2 != ap1 || rs2 != rs1+1 {
+			t.Fatalf("%v: AllCoresRoundTripUBD moved all-pairs %d->%d (want +0), row sweeps %d->%d (want +1)", design, ap1, ap2, rs1, rs2)
+		}
+		rs1 = rs2
 	}
 }

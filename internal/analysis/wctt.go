@@ -418,7 +418,7 @@ func (m *Model) wawWalk(rs, rd mesh.Node, P, slot uint64) uint64 {
 
 // msgShape is the per-design packetisation of a message bound: which bound
 // family applies and its two size arguments. It is the single dispatch the
-// per-pair walk (MessageWCTT), the all-pairs kernels and the row kernels
+// per-pair walk (MessageWCTT), the all-pairs kernels and BatchMessageWCTT
 // share, so a design can never packetise differently between them.
 type msgShape struct {
 	// waw selects the guaranteed-bandwidth bound (WaWPacketWCTT); otherwise

@@ -373,9 +373,6 @@ func (r *Router) walk(down *[mesh.NumDirections]*Router) []Transfer {
 	for m := r.credOK & (r.lockMask | r.wantAny); m != 0; m &= m - 1 {
 		out := bits.TrailingZeros8(m)
 		op := &r.out[out]
-		if op.credits <= 0 {
-			continue // the counter, not its summary, gates the port
-		}
 		var in int
 		if op.locked {
 			// Wormhole: the port is reserved for the packet coming from

@@ -383,9 +383,11 @@ func panicText(f func()) (text string) {
 // TestForwardViolationsPanic forges the flow-control violations the one-walk
 // Forward must still catch — an empty locked input, a full downstream input
 // — and requires the panic texts of the two-phase mutators
-// (PopInput, StageArrival) for them. A forged zero credit cannot reach
-// ConsumeCredit from Forward, whose decision skips such a port: it must move
-// nothing, and the credit check it would meet is ConsumeCredit's own.
+// (PopInput, StageArrival) for them. A zero credit, forged the way
+// ConsumeCredit leaves one (the count at 0 and the port's credOK bit
+// cleared), cannot reach ConsumeCredit from Forward, whose walk skips such a
+// port: it must move nothing, and the credit check it would meet is
+// ConsumeCredit's own.
 func TestForwardViolationsPanic(t *testing.T) {
 	d := mesh.MustDim(3, 3)
 	at, east := mesh.Node{X: 1, Y: 1}, mesh.Node{X: 2, Y: 1}
@@ -427,6 +429,7 @@ func TestForwardViolationsPanic(t *testing.T) {
 	// through panics on it.
 	r, _, down = setup()
 	r.out[mesh.XPlus].credits = 0
+	r.credOK &^= 1 << uint(mesh.XPlus)
 	if tr := r.Forward(down); len(tr) != 0 || r.InputOccupancy(mesh.Local) != 1 {
 		t.Errorf("zero credit: Forward moved %+v", tr)
 	}

@@ -418,10 +418,11 @@ func executeWCETMap(ctx context.Context, s Spec, d mesh.Dim, res *Result) error 
 	if err != nil {
 		return err
 	}
-	// One compiled engine serves the whole map through the all-cores kernel:
-	// the per-core UBDs come from two prefix-sharing row sweeps and every
-	// cell is pure arithmetic — bit-identical to the former per-core
-	// BenchmarkWCET loop, which is why 64x64 maps are now a sweep point.
+	// One compiled engine serves the whole map: the per-core UBDs come from
+	// the engine's AllCoresRoundTripUBD rows (two grouped BatchMessageWCTT
+	// lists each) and every cell is pure arithmetic — bit-identical to the
+	// former per-core BenchmarkWCET loop. WCETMap runs the rows to the end
+	// whatever ctx says; ctx is asked once before.
 	if err := ctx.Err(); err != nil {
 		return err
 	}

@@ -133,7 +133,7 @@ func TestServeRecycledBuffersStress(t *testing.T) {
 				sc.line += ","
 			}
 			sc.line += fmt.Sprintf("[%d,%d]", c.X, c.Y)
-			w, err := eng.BenchmarkWCET(network.DesignWaWWaP, c, bench)
+			w, err := eng.BenchmarkWCET(context.Background(), network.DesignWaWWaP, c, bench)
 			if err != nil && sc.err == "" {
 				sc.err, sc.cycles = err.Error(), nil
 			}

@@ -630,7 +630,7 @@ func (s *Server) answer(ctx context.Context, dst []byte, req *Request, tl *tuple
 	case "batch":
 		return s.wcttBatch(rctx, dst, req, tl)
 	case "wcet":
-		return s.wcetOne(dst, req, inline)
+		return s.wcetOne(rctx, dst, req, inline)
 	case "wcet-batch":
 		return s.wcetBatch(rctx, dst, req, tl)
 	case "scenario":
@@ -781,8 +781,9 @@ func (s *Server) cyclesVector(dst []byte, req *Request, cycles []uint64, err err
 	return append(buf, ']', '}'), false
 }
 
-// wcetOne answers the wcet verb (see answer for dst and inline).
-func (s *Server) wcetOne(dst []byte, req *Request, inline bool) ([]byte, bool) {
+// wcetOne answers the wcet verb (see answer for dst and inline) under the
+// line's deadline context.
+func (s *Server) wcetOne(ctx context.Context, dst []byte, req *Request, inline bool) ([]byte, bool) {
 	design, dim, ts, err := queryTarget(req)
 	if err != nil {
 		return appendError(dst, req.ID, err), true
@@ -809,9 +810,9 @@ func (s *Server) wcetOne(dst []byte, req *Request, inline bool) ([]byte, bool) {
 	} else if eng, err = scenario.SharedEngine(dim, req.MaxPacketFlits); err != nil {
 		return appendError(dst, req.ID, err), true
 	}
-	c, err := eng.BenchmarkWCET(design, mesh.Node{X: req.Core.X, Y: req.Core.Y}, b)
+	c, err := eng.BenchmarkWCET(ctx, design, mesh.Node{X: req.Core.X, Y: req.Core.Y}, b)
 	if err != nil {
-		return appendError(dst, req.ID, err), true
+		return appendError(dst, req.ID, wireError(req.Op, err)), true
 	}
 	s.stats.queries.Add(1)
 	return appendCycles(dst, req.ID, c), false
@@ -852,7 +853,7 @@ func (s *Server) wcetBatch(ctx context.Context, dst []byte, req *Request, tl *tu
 				return s.cyclesVector(dst, req, nil, cerr)
 			}
 		}
-		c, berr := eng.BenchmarkWCET(design, mesh.Node{X: int(t.v[0]), Y: int(t.v[1])}, b)
+		c, berr := eng.BenchmarkWCET(ctx, design, mesh.Node{X: int(t.v[0]), Y: int(t.v[1])}, b)
 		if berr != nil {
 			return s.cyclesVector(dst, req, nil, berr)
 		}

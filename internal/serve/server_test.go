@@ -259,7 +259,7 @@ func TestServeWCET(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := mustBenchmark(t, "a2time")
-	want, err := eng.BenchmarkWCET(network.DesignWaWWaP, mesh.Node{X: 2, Y: 1}, b)
+	want, err := eng.BenchmarkWCET(context.Background(), network.DesignWaWWaP, mesh.Node{X: 2, Y: 1}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,6 +273,63 @@ func TestServeWCET(t *testing.T) {
 	vec := cyclesVector(t, resps[1])
 	if len(vec) != 2 || vec[0] != want {
 		t.Fatalf("wcet-batch %v, want first element %d", vec, want)
+	}
+}
+
+// ubdDeadlineBound is how long a wcet-batch line on a cold 16384x1 strip may
+// take to report a 5 ms deadline. Computing the strip's regular UBD rows to
+// the end, as a line that ignores its deadline does, takes over a second.
+const ubdDeadlineBound = 300 * time.Millisecond
+
+// TestServeWCETDeadlineDuringUBDRows: the first wcet line on a mesh makes
+// the shared engine compute the design's per-core round-trip UBD rows, which
+// on a 16384x1 strip take most of a second (the regular reply row walks one
+// route per core). A wcet-batch line there under a 5 ms QueryTimeout must get
+// the coded deadline error well inside ubdDeadlineBound, not after the rows;
+// and the cancelled computation must not poison the shared engine: a later
+// line on the same strip with a generous budget, served from the engine the
+// first line left in the cache, answers the cycles of a freshly compiled
+// engine. The strip's engine must be cold when the test starts, which it is
+// unless this process ran the test before (-count > 1).
+func TestServeWCETDeadlineDuringUBDRows(t *testing.T) {
+	dim := mesh.MustDim(16384, 1)
+	if _, warm := scenario.CachedEngine(dim, 0); warm {
+		t.Skip("the 16384x1 engine is already compiled in this process; the deadline needs a cold one")
+	}
+	const line = `{"id":%d,"op":"wcet-batch","design":"regular","width":16384,"height":1,"workload":"matrix","queries":[[16383,0],[1,0],[0,0]]}` + "\n"
+	tight := NewServer(Config{QueryTimeout: 5 * time.Millisecond})
+	defer tight.Close()
+	start := time.Now()
+	got := serveString(t, tight, fmt.Sprintf(line, 1))
+	took := time.Since(start)
+	const want = `{"id":1,"ok":false,"error":"wcet-batch: deadline exceeded","code":"deadline","retryable":false}` + "\n"
+	if got != want {
+		t.Fatalf("wcet-batch on the cold strip under a 5 ms budget:\ngot  %swant %s", got, want)
+	}
+	if took > ubdDeadlineBound {
+		t.Errorf("the deadline error took %v, want at most %v", took, ubdDeadlineBound)
+	}
+	t.Logf("deadline error after %v", took)
+	if _, ok := scenario.CachedEngine(dim, 0); !ok {
+		t.Fatal("the cancelled line left no engine in the cache; the later line would not meet it")
+	}
+
+	generous := NewServer(Config{QueryTimeout: time.Minute})
+	defer generous.Close()
+	vec := cyclesVector(t, decodeLines(t, []byte(serveString(t, generous, fmt.Sprintf(line, 2))), 1)[0])
+	fresh, err := scenario.PlatformFor(dim).Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := mustBenchmark(t, "matrix")
+	for i, core := range []mesh.Node{{X: 16383}, {X: 1}, {}} {
+		w, err := fresh.BenchmarkWCET(context.Background(), network.DesignRegular, core, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vec) != 3 || vec[i] != w {
+			t.Fatalf("later line answered %v; a fresh engine gives %d for core %v", vec, w, core)
+		}
 	}
 }
 

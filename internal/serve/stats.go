@@ -97,8 +97,9 @@ type Stats struct {
 // is this server's own counter.
 type KernelStats struct {
 	// AllPairsRuns counts all-pairs kernel invocations (whole-table or
-	// streamed summaries); RowSweeps counts single-row kernel sweeps (the
-	// wcet engine's per-core UBD precomputations).
+	// streamed summaries); RowSweeps counts all-cores round-trip UBD rows,
+	// one per AllCoresRoundTripUBD call (the wcet engine's per-core UBD
+	// precomputations).
 	AllPairsRuns uint64 `json:"all_pairs_runs"`
 	RowSweeps    uint64 `json:"row_sweeps"`
 	// MemoWarmed, BatchWarms and BatchWarmedBounds counted kernel tables

@@ -1,8 +1,9 @@
 package wcet
 
 import (
+	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/analysis"
 	"repro/internal/mesh"
@@ -16,28 +17,29 @@ import (
 // round-trip UBDs are computed once per design and then served from flat
 // per-core-index slices, so a table cell is pure arithmetic.
 //
-// Engines are immutable after compilation (the lazily filled per-design UBD
-// slices are guarded by sync.Once and deterministic) and safe for concurrent
-// use. Compiling returns a new engine every time and this package remembers
-// none: whoever compiles an engine owns it, and a caller that analyses one
-// platform repeatedly holds on to its engine. Engines are shared in one
-// place, the scenario layer's bounded engine cache (scenario.SharedEngine).
+// Engines are immutable after compilation (the per-design UBD slices are
+// filled once, deterministically, and never change after) and safe for
+// concurrent use. Compiling returns a new engine every time and this package
+// remembers none: whoever compiles an engine owns it, and a caller that
+// analyses one platform repeatedly holds on to its engine. Engines are shared
+// in one place, the scenario layer's bounded engine cache
+// (scenario.SharedEngine).
 type Engine struct {
 	p     Platform
 	model *analysis.Model // built for ModelParams of the compile's maximum packet size
 
 	// memUBD[design] holds the per-core memory round-trip UBDs of one
-	// design, filled on first use.
-	memUBD [4]memoryUBDs
+	// design once they are computed; building is the one-slot lock held
+	// while any design's are.
+	memUBD   [4]atomic.Pointer[memoryUBDs]
+	building chan struct{}
 }
 
-// memoryUBDs caches, for one design, the load (request/reply) and eviction
+// memoryUBDs is, for one design, the load (request/reply) and eviction
 // (write-back/ack) round-trip UBDs of every core, indexed by mesh.Dim.Index.
 type memoryUBDs struct {
-	once  sync.Once
 	load  []uint64
 	evict []uint64
-	err   error
 }
 
 // Engine compiles the analysis engine of the platform with its default
@@ -60,7 +62,7 @@ func (p Platform) CompileEngine(maxPacketFlits int, model func(analysis.Params) 
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{p: p, model: m}, nil
+	return &Engine{p: p, model: m, building: make(chan struct{}, 1)}, nil
 }
 
 // Platform returns the platform the engine was compiled from.
@@ -70,30 +72,41 @@ func (e *Engine) Platform() Platform { return e.p }
 func (e *Engine) Model() *analysis.Model { return e.model }
 
 // memoryRoundTrips returns the per-core memory round-trip UBD slices of the
-// design, computing them on first use. The computation is deterministic, so
-// concurrent first callers race only on who stores the identical result.
-//
-// Each slice is filled by one AllCoresRoundTripUBD kernel call: two
-// prefix-sharing row sweeps (request row towards the controller, reply row
-// away from it) instead of a per-core route walk — O(N) for the whole
-// precomputation, bit-identical to the per-pair RoundTripUBD loop it
-// replaced (pinned by TestRowKernelsMatchPairwise and the wcet reference
-// equivalence suite).
-func (e *Engine) memoryRoundTrips(design network.Design) (*memoryUBDs, error) {
+// design, computing them on first use with one AllCoresRoundTripUBD call for
+// the load and one for the eviction round trip, each bit-identical to the
+// per-core RoundTripUBD loop (TestRowKernelsMatchPairwise and the wcet
+// reference equivalence suite). One caller at a time computes, holding
+// e.building; the others wait for it or for the end of their own ctx. Only
+// complete slices are kept: a caller whose ctx ends first returns its error
+// and leaves the computation to the next caller, so a short deadline never
+// poisons the shared engine.
+func (e *Engine) memoryRoundTrips(ctx context.Context, design network.Design) (*memoryUBDs, error) {
 	if design < 0 || int(design) >= len(e.memUBD) {
 		return nil, fmt.Errorf("analysis: unknown design %v", design)
 	}
-	u := &e.memUBD[design]
-	u.once.Do(func() {
-		u.load, u.err = e.model.AllCoresRoundTripUBD(design, e.p.Memory, e.p.RequestBits, e.p.ReplyBits, nil)
-		if u.err != nil {
-			return
-		}
-		u.evict, u.err = e.model.AllCoresRoundTripUBD(design, e.p.Memory, e.p.EvictionBits, e.p.AckBits, nil)
-	})
-	if u.err != nil {
-		return nil, u.err
+	slot := &e.memUBD[design]
+	if u := slot.Load(); u != nil {
+		return u, nil
 	}
+	select {
+	case e.building <- struct{}{}:
+		defer func() { <-e.building }()
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	if u := slot.Load(); u != nil {
+		return u, nil
+	}
+	load, err := e.model.AllCoresRoundTripUBD(ctx, design, e.p.Memory, e.p.RequestBits, e.p.ReplyBits, nil)
+	if err != nil {
+		return nil, err
+	}
+	evict, err := e.model.AllCoresRoundTripUBD(ctx, design, e.p.Memory, e.p.EvictionBits, e.p.AckBits, nil)
+	if err != nil {
+		return nil, err
+	}
+	u := &memoryUBDs{load: load, evict: evict}
+	slot.Store(u)
 	return u, nil
 }
 
@@ -101,15 +114,17 @@ func (e *Engine) memoryRoundTrips(design network.Design) (*memoryUBDs, error) {
 // benchmark on the core at node `core` under the given design: the
 // benchmark's compute cycles plus one UBD-inflated round trip per memory
 // access and per eviction. The benchmark is validated here; table loops that
-// validate their suite up front use cellWCET directly.
-func (e *Engine) BenchmarkWCET(design network.Design, core mesh.Node, b workload.Benchmark) (uint64, error) {
+// validate their suite up front use cellWCET directly. ctx bounds the first
+// call's computation of the design's UBD rows; when it ends first, the call
+// returns its error.
+func (e *Engine) BenchmarkWCET(ctx context.Context, design network.Design, core mesh.Node, b workload.Benchmark) (uint64, error) {
 	if err := b.Validate(); err != nil {
 		return 0, err
 	}
 	if !e.p.Dim.Contains(core) {
 		return 0, fmt.Errorf("wcet: core %v outside %v mesh", core, e.p.Dim)
 	}
-	u, err := e.memoryRoundTrips(design)
+	u, err := e.memoryRoundTrips(ctx, design)
 	if err != nil {
 		return 0, err
 	}
@@ -118,16 +133,17 @@ func (e *Engine) BenchmarkWCET(design network.Design, core mesh.Node, b workload
 
 // WCETMap returns the WCET estimate of benchmark b on EVERY core of the
 // platform under the given design, indexed by mesh.Dim.Index. The benchmark
-// is validated once and each cell is pure arithmetic over the kernel-
-// precomputed round-trip UBDs — the whole map costs two O(N) row sweeps
-// (amortised to zero once the engine is warm) plus N multiplications, and
-// every cell equals the corresponding BenchmarkWCET call exactly. The
-// scenario wcet-map mode runs on it.
+// is validated once and each cell is pure arithmetic over the precomputed
+// round-trip UBDs — the whole map costs the design's two AllCoresRoundTripUBD
+// rows (amortised to zero once the engine is warm) plus N multiplications,
+// and every cell equals the corresponding BenchmarkWCET call exactly. The
+// scenario wcet-map mode runs on it. It takes no context: the rows it may
+// compute run to completion.
 func (e *Engine) WCETMap(design network.Design, b workload.Benchmark) ([]uint64, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	u, err := e.memoryRoundTrips(design)
+	u, err := e.memoryRoundTrips(context.Background(), design)
 	if err != nil {
 		return nil, err
 	}

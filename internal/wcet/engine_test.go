@@ -2,9 +2,13 @@ package wcet
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/mesh"
@@ -65,7 +69,7 @@ func TestEngineMatchesReference(t *testing.T) {
 		for _, design := range designs {
 			for _, core := range p.Dim.AllNodes() {
 				for _, b := range suite {
-					fast, err1 := e.BenchmarkWCET(design, core, b)
+					fast, err1 := e.BenchmarkWCET(context.Background(), design, core, b)
 					ref, err2 := p.referenceBenchmarkWCET(design, core, b)
 					if err1 != nil || err2 != nil {
 						t.Fatalf("%v %v %s at %v: errors %v / %v", p.Dim, design, b.Name, core, err1, err2)
@@ -142,14 +146,76 @@ func TestEngineCachingAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e1.BenchmarkWCET(network.DesignRegular, mesh.Node{X: 9, Y: 9}, bench); err == nil {
+	if _, err := e1.BenchmarkWCET(context.Background(), network.DesignRegular, mesh.Node{X: 9, Y: 9}, bench); err == nil {
 		t.Error("core outside mesh should fail")
 	}
-	if _, err := e1.BenchmarkWCET(network.DesignRegular, mesh.Node{X: 1, Y: 1}, workload.Benchmark{}); err == nil {
+	if _, err := e1.BenchmarkWCET(context.Background(), network.DesignRegular, mesh.Node{X: 1, Y: 1}, workload.Benchmark{}); err == nil {
 		t.Error("invalid benchmark should fail")
 	}
-	if _, err := e1.BenchmarkWCET(network.Design(9), mesh.Node{X: 1, Y: 1}, bench); err == nil {
+	if _, err := e1.BenchmarkWCET(context.Background(), network.Design(9), mesh.Node{X: 1, Y: 1}, bench); err == nil {
 		t.Error("unknown design should fail")
+	}
+}
+
+// TestRoundTripsCancelNotCached: a caller whose context ends while the
+// engine computes a design's UBD rows, or while it waits for another caller
+// to finish computing them, gets its context's error, and the engine keeps
+// nothing of it: the next caller computes the rows in full, equal to a fresh
+// engine's.
+func TestRoundTripsCancelNotCached(t *testing.T) {
+	p := DefaultPlatform()
+	e := mustEngine(t, p, 0)
+	designs := []network.Design{network.DesignRegular, network.DesignWaWWaP}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, design := range designs {
+		if _, err := e.memoryRoundTrips(cancelled, design); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v under a cancelled context: err %v, want context.Canceled", design, err)
+		}
+	}
+	e.building <- struct{}{} // another caller is computing
+	short, stop := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer stop()
+	if _, err := e.memoryRoundTrips(short, network.DesignRegular); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("waiting behind a computation: err %v, want context.DeadlineExceeded", err)
+	}
+	<-e.building
+	// Eight first callers at once, four per design and every other one
+	// cancelled: a cancelled caller gets its error or the stored rows, and
+	// every other caller of a design the same stored rows.
+	rows := make([]*memoryUBDs, 8)
+	errs := make([]error, len(rows))
+	design := func(i int) network.Design { return designs[i%2] }
+	var wg sync.WaitGroup
+	for i := range rows {
+		ctx := context.Background()
+		if i/2%2 == 1 {
+			ctx = cancelled
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rows[i], errs[i] = e.memoryRoundTrips(ctx, design(i))
+		}()
+	}
+	wg.Wait()
+	for i := range rows {
+		if i/2%2 == 1 && errors.Is(errs[i], context.Canceled) {
+			continue
+		}
+		if errs[i] != nil || rows[i] != rows[i%2] {
+			t.Fatalf("%v caller %d: err %v, or rows other than caller %d's", design(i), i, errs[i], i%2)
+		}
+	}
+	fresh := mustEngine(t, p, 0)
+	for i, d := range designs {
+		want, err := fresh.memoryRoundTrips(context.Background(), d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rows[i]; !slices.Equal(got.load, want.load) || !slices.Equal(got.evict, want.evict) {
+			t.Fatalf("%v: rows after a cancelled computation differ from a fresh engine's", d)
+		}
 	}
 }
 
@@ -177,11 +243,11 @@ func TestTableIIICellZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := e.memoryRoundTrips(network.DesignRegular)
+	reg, err := e.memoryRoundTrips(context.Background(), network.DesignRegular)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waw, err := e.memoryRoundTrips(network.DesignWaWWaP)
+	waw, err := e.memoryRoundTrips(context.Background(), network.DesignWaWWaP)
 	if err != nil {
 		t.Fatal(err)
 	}

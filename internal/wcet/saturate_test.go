@@ -1,6 +1,7 @@
 package wcet
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/big"
@@ -36,14 +37,14 @@ func TestWCETSaturatesNotWraps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			u, err := e.memoryRoundTrips(network.DesignRegular)
+			u, err := e.memoryRoundTrips(context.Background(), network.DesignRegular)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var wrapped []string
 			for _, b := range workload.EEMBCAutomotive() {
 				for i, core := range p.Dim.AllNodes() {
-					got, err := e.BenchmarkWCET(network.DesignRegular, core, b)
+					got, err := e.BenchmarkWCET(context.Background(), network.DesignRegular, core, b)
 					if err != nil {
 						t.Fatal(err)
 					}

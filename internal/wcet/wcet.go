@@ -146,11 +146,11 @@ func (e *Engine) TableIIIParallel(ctx context.Context, benchmarks []workload.Ben
 			return nil, err
 		}
 	}
-	reg, err := e.memoryRoundTrips(network.DesignRegular)
+	reg, err := e.memoryRoundTrips(ctx, network.DesignRegular)
 	if err != nil {
 		return nil, err
 	}
-	waw, err := e.memoryRoundTrips(network.DesignWaWWaP)
+	waw, err := e.memoryRoundTrips(ctx, network.DesignWaWWaP)
 	if err != nil {
 		return nil, err
 	}

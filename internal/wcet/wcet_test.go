@@ -91,16 +91,16 @@ func TestBenchmarkWCETBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Validation errors.
-	if _, err := p.BenchmarkWCET(network.DesignRegular, node(9, 9), bench); err == nil {
+	if _, err := p.BenchmarkWCET(context.Background(), network.DesignRegular, node(9, 9), bench); err == nil {
 		t.Error("core outside mesh should fail")
 	}
-	if _, err := p.BenchmarkWCET(network.DesignRegular, node(1, 1), workload.Benchmark{}); err == nil {
+	if _, err := p.BenchmarkWCET(context.Background(), network.DesignRegular, node(1, 1), workload.Benchmark{}); err == nil {
 		t.Error("invalid benchmark should fail")
 	}
 	// The WCET must exceed the pure compute time (the NoC adds delay) for
 	// every design.
 	for _, design := range []network.Design{network.DesignRegular, network.DesignWaWWaP} {
-		w, err := p.BenchmarkWCET(design, node(3, 3), bench)
+		w, err := p.BenchmarkWCET(context.Background(), design, node(3, 3), bench)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,10 +110,10 @@ func TestBenchmarkWCETBasics(t *testing.T) {
 	}
 	// A far core must have a (much) larger regular-design WCET than a near
 	// core, while under WaW+WaP the difference must be comparatively small.
-	farReg, _ := p.BenchmarkWCET(network.DesignRegular, node(7, 7), bench)
-	nearReg, _ := p.BenchmarkWCET(network.DesignRegular, node(1, 0), bench)
-	farWaw, _ := p.BenchmarkWCET(network.DesignWaWWaP, node(7, 7), bench)
-	nearWaw, _ := p.BenchmarkWCET(network.DesignWaWWaP, node(1, 0), bench)
+	farReg, _ := p.BenchmarkWCET(context.Background(), network.DesignRegular, node(7, 7), bench)
+	nearReg, _ := p.BenchmarkWCET(context.Background(), network.DesignRegular, node(1, 0), bench)
+	farWaw, _ := p.BenchmarkWCET(context.Background(), network.DesignWaWWaP, node(7, 7), bench)
+	nearWaw, _ := p.BenchmarkWCET(context.Background(), network.DesignWaWWaP, node(1, 0), bench)
 	if farReg <= nearReg {
 		t.Error("regular WCET should grow with distance to memory")
 	}
