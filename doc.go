@@ -72,13 +72,14 @@
 // popcounts of the legal-input masks and sums of flows.TurnLoad over them —
 // so a WCTT bound is a route walk of pure index arithmetic: a few dozen
 // saturating integer operations (bits.Mul64 / bits.Add64 clamped at
-// 2^64-1), zero allocations, never cached. Whole-mesh tables run on incremental all-pairs kernels
-// (kernel.go) that carry the exact fold state between flows sharing a route
-// prefix — destination-shared column states times one X-segment map per
-// source and turn column for the chained-blocking bound, source-major sweeps
-// over a tabulated hop cost for the WaW bound — and give the per-pair walk's
-// value, which is their oracle: saturating arithmetic is the exact value
-// clamped, whatever the grouping. On meshes from 16x16 up, up to four producers
+// 2^64-1), zero allocations, never cached. A run of a route's hops folds into
+// one segment map per bound family (segMap, wctt.go) that extends by one hop
+// at either end in O(1): the walk applies them hop by hop, and the whole-mesh
+// kernels (kernel.go) and grouped queries (batch.go) extend them along rows
+// and columns — destination-shared column states times one X-segment map per
+// source and turn column for the chained-blocking all-pairs table — and give
+// the per-pair walk's value, which is their oracle: saturating arithmetic is
+// the exact value clamped, whatever the grouping. On meshes from 16x16 up, up to four producers
 // fill column slices of each row of sources in parallel and pass a turn in
 // source order, so the one serial fold (an in-order float sum, bit-pinned)
 // sees the same stream on any core count; the producers serve the regular
@@ -87,12 +88,12 @@
 // times a closed-form pair count, kept exact in 128 bits, and the mean is
 // that total over the count, correctly rounded (up to 2^53, every mesh up to
 // 128x128, the in-order float sum bit for bit). The WaW table is one
-// source-major sweep per source. Model.BatchMessageWCTT answers a list of
-// arbitrary (src, dst, payload) queries with the same kernel pieces: it groups
-// them on the router their fold starts from and their message shape, and runs
-// the column states, X-segment maps and row states over only the rows and
-// columns each group spans, so a dense group costs O(1) per query; a lone
-// query takes its route walk. wcet.Platform.Engine compiles a
+// source-keyed group sweep per source router. Model.BatchMessageWCTT answers
+// a list of arbitrary (src, dst, payload) queries: it groups them on the
+// route end with fewer distinct routers and on their message shape, and
+// sweeps segment maps over only the rows and columns each group spans, so a
+// dense group costs O(1) per query, a one-query group its route walk, and a
+// list sharing one endpoint one O(N) sweep. wcet.Platform.Engine compiles a
 // platform for one maximum packet size: per-core memory round-trip UBDs once per design,
 // each WCET cell pure arithmetic. workload holds the synthetic EEMBC
 // Automotive profiles and the 3DPP avionics model, manycore and memctrl the

@@ -222,9 +222,15 @@ func (c *failingCtx) Err() error {
 // FuzzBatchMatchesMessageWCTT picks a grid, a topology, a design and a list
 // of queries, invalid ones included (endpoints one step off the grid, self
 // flows), with a payload each: the batch must answer every query as
-// MessageWCTT does, or fail with the error of the first invalid one.
+// MessageWCTT does, or fail with the error of the first invalid one. The row
+// byte can turn the list into a row around the first query's source, the hub:
+// from the hub to every other endpoint (row%3 == 1) or from every other
+// endpoint to it (row%3 == 2), the payloads cycling through the list's. A
+// one-to-all row is keyed on its source and an all-to-one row on its
+// destination, whatever the design, so both sweep orders of both bound
+// families meet co-located endpoints, saturated rows and mixed shapes.
 func FuzzBatchMatchesMessageWCTT(f *testing.F) {
-	f.Fuzz(func(t *testing.T, w, h, topo, design uint8, queries []byte) {
+	f.Fuzz(func(t *testing.T, w, h, topo, design uint8, queries []byte, row uint8) {
 		specs := []mesh.TopoSpec{{Kind: mesh.TopoMesh}, {Kind: mesh.TopoCMesh, Conc: 2}, {Kind: mesh.TopoCMesh, Conc: 4}}
 		p := DefaultParams(mesh.Dim{Width: 1 + int(w)%32, Height: 1 + int(h)%32})
 		p.Topo = specs[int(topo)%len(specs)]
@@ -241,6 +247,20 @@ func FuzzBatchMatchesMessageWCTT(f *testing.F) {
 				dst:     mesh.Node{X: coord(queries[2], p.Dim.Width), Y: coord(queries[3], p.Dim.Height)},
 				payload: payloads[int(queries[4])%len(payloads)],
 			})
+		}
+		if row%3 != 0 && len(qs) > 0 {
+			hub, list := qs[0].src, qs
+			qs = nil
+			for _, e := range p.Dim.AllNodes() {
+				if e == hub {
+					continue
+				}
+				q := batchQuery{src: hub, dst: e, payload: list[len(qs)%len(list)].payload}
+				if row%3 == 2 {
+					q.src, q.dst = e, hub
+				}
+				qs = append(qs, q)
+			}
 		}
 		checkBatch(t, m, allDesigns[int(design)%len(allDesigns)], qs)
 	})

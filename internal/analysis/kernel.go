@@ -2,25 +2,23 @@ package analysis
 
 // Incremental all-pairs WCTT kernels: route-prefix sharing across pairs.
 //
-// The per-pair bounds in wctt.go walk the full XY route for every (src, dst)
+// The per-pair bounds in wctt.go fold the full XY route for every (src, dst)
 // pair — O(hops) work per pair, O(N^2 * hops) = O(N^3) for an all-pairs
-// table. Both bounds are left folds over the route's hop sequence, and XY
-// routes share long prefixes in their fold order, so the fold state can be
-// carried from one pair to the next and extended by exactly one hop:
+// table. Every run of a route's hops is one segment map (segMap, wctt.go)
+// that extends by one hop at either end in O(1), so routes that share a run
+// share its map: a line sweep (segFold.line) extends one map along a router
+// row or column and leaves the map of every position on the way.
 //
-//   - The regular chained-blocking bound accumulates destination-first
-//     (ejection, then the Y segment upstream, then the X segment back to the
-//     source), so pairs with the same DESTINATION share the fold over the
-//     route part nearest it: seed the fold with the ejection hop and extend
-//     it one Y hop per source row (regularColStates). That column state
-//     (t, iv) — the finished waits and the compounded interval I_j — never
-//     depends on the source still to come. The X hops from turn column dx
-//     back to source column x, with the finishing (S-1)*iv + 1, compose into
-//     one map t + A + B*iv of it (regularSegHop, regularSegFinish; per hop
-//     A += (c-1)*H + R, B += (c-1)*L*P, P *= c). A row's maps are 2*W^2
-//     words, built once per distinct X-contender row (one on every shipped
-//     topology; regularXMaps), so a bound is one regularApply: two adds and
-//     a multiply, no loop-carried chain.
+//   - The regular chained-blocking kernel (allPairs) sweeps every
+//     destination's column from its ejection hop out to every source row.
+//     Applied to the ejection port's state (0, 1), the map at row y is the
+//     column state (t, iv) that every source of router row y shares — the
+//     finished waits and the compounded interval I_j. The X hops from turn
+//     column dx back to source column x are one more map, closed with the
+//     finishing (S-1)*iv + 1 into (A, B) (segFold.close), so a bound is one
+//     regularApply: two adds and a multiply, no loop-carried chain. A row's
+//     maps are 2*W^2 words, built once per distinct X-contender row (one on
+//     every shipped topology).
 //
 //     Consumers want bounds source-major (the summary's float sum is
 //     order-bound, tables are buf[src*N+dst]), so the all-pairs producers
@@ -29,33 +27,15 @@ package analysis
 //     at a time: a block of W source rows x N destinations, each row written
 //     contiguously, read out by the consumer and reused for the next row.
 //
-//   - The WaW guaranteed-bandwidth bound accumulates source-first (X segment
-//     from the source, then the Y segment down the destination column, then
-//     ejection), so pairs with the same SOURCE share prefixes and the kernel
-//     is source-major. The carried state is (total, maxShare): the per-hop
-//     slot waits compose additively and the bottleneck share composes by
-//     max, so both extend hop-by-hop; the per-destination remainder is the
-//     ejection hop plus the (P-1)*maxShare*slot + 1 admission term, applied
-//     on a copy. This is why WaW slot terms compose: each hop contributes
-//     (O_j-1)*slot + R independently of every other hop, and the admission
-//     term reads only the running maximum.
-//
-//     That per-hop term depends on the router output and the slot size alone,
-//     so a kernel call first tabulates it for every router output (hopCosts,
-//     five planes of N words, 160 KiB at 64x64) and the sweeps add table
-//     entries instead of redoing the multiply per flow. A source's sweep
-//     (wawSourceSweep) first folds the X hops of its own row into one state
-//     per turn column, then walks the destination rows outwards from its own
-//     — downwards, then upwards — extending all W column states by one Y hop
-//     and finishing the W destinations of the row in the same pass. Every
-//     array a row step touches (hop-cost and share planes, the column states,
-//     the output row) is read or written at consecutive addresses. Sources
-//     share nothing but the hop-cost planes, so the WaW table is one sweep
-//     per source on the caller (wawSourceRows).
+//   - The WaW guaranteed-bandwidth table (AllPairsWaWPacketWCTT) is one
+//     source-keyed sweep of BatchMessageWCTT's (sweepFrom, batch.go) per
+//     source router, every router its destination: the maps extend along the
+//     source row to every turn column and down every turn column, and each
+//     destination adds its ejection hop.
 //
 // Saturating + and * on non-negative integers, and any expression of them,
 // equal the exact result clamped to MaxUint64 (saturatingMul, wctt.go). The
-// walks and the kernels group the same exact polynomial differently, so every
+// walk and the kernels group the same exact polynomial differently, so every
 // pair gets the same clamped exact value as RegularPacketWCTT/WaWPacketWCTT,
 // saturated pairs included (kernel_test.go, FuzzRegularSegmentMap). Total
 // work is O(N^2): amortized O(1) per pair.
@@ -141,6 +121,9 @@ func getScratch(n int) *[]uint64 {
 
 func putScratch(p *[]uint64) { kernelScratch.Put(p) }
 
+// lineScratch pools the row of maps a line sweep of allPairs leaves.
+var lineScratch = sync.Pool{New: func() any { return new([]segMap) }}
+
 // ensureTable returns buf resized to n entries, reallocating only when the
 // capacity is insufficient — callers that reuse a buffer across calls get
 // allocation-free kernel sweeps.
@@ -157,75 +140,34 @@ func ensureTable[T any](buf []T, n int) []T {
 // epRouter instead (expandRow).
 func (m *Model) identityTopo() bool { return m.rdim == m.p.Dim }
 
-// regularColStates runs the column half of the chained-blocking sweep for
-// one destination router rd over the router rows [ylo, yhi], which contain
-// rd.Y: it seeds the fold with the ejection hop and extends it along the
-// destination column, leaving in colT[y*stride], colIv[y*stride] the (total,
-// interval) state every source of router row y shares — the route part
-// nearest the destination. Only the contender size L enters; the analysed
-// packet's own size is a finishing term of the X map.
-func (m *Model) regularColStates(colT, colIv []uint64, stride int, rd mesh.Node, L uint64, ylo, yhi int) {
-	H, R := uint64(m.p.HeaderOverhead), uint64(m.p.RouterLatency)
-	W := m.rdim.Width
-	// Seed the fold with the ejection hop at the destination router — the
-	// prefix every source shares; sources in the destination row use it as is.
-	c0 := m.contender[mesh.Local][rd.Y*W+rd.X]
-	t0, i0 := saturatingAdd(regularWait(1, c0, H, L), R), c0
-	colT[rd.Y*stride], colIv[rd.Y*stride] = t0, i0
-	// Sources above the destination (rs.Y < rd.Y) travel YPlus down the
-	// destination column, sources below it YMinus: extend the fold by the hop
-	// at each row on the way.
-	run := func(cs []uint64, from, to, step int) {
-		t, iv := t0, i0
-		for y := from; y != to; y += step {
-			c := cs[y*W+rd.X]
-			t, iv = saturatingAdd(t, saturatingAdd(regularWait(iv, c, H, L), R)), saturatingMul(c, iv)
-			colT[y*stride], colIv[y*stride] = t, iv
+// line extends the map start at position at of router row idx (byRow) or
+// router column idx one hop at a time, leaving the map of every position k
+// in [lo, hi], which contains at, in ms[k]. Towards sources (toSrc) the maps
+// are of routes that end at at and each hop joins at the source end;
+// otherwise of routes that start at at and each hop joins at the destination
+// end. Hops towards higher positions leave through XPlus or YPlus, towards
+// lower ones through XMinus or YMinus.
+func (f *segFold) line(ms []segMap, byRow bool, idx, at, lo, hi int, start segMap, toSrc bool) {
+	plus, minus, stride := f.planes[mesh.YPlus][idx:], f.planes[mesh.YMinus][idx:], f.w
+	if byRow {
+		plus, minus, stride = f.planes[mesh.XPlus][idx*f.w:], f.planes[mesh.XMinus][idx*f.w:], 1
+	}
+	then := f.then()
+	ms[at] = start
+	for k := at + 1; k <= hi; k++ {
+		if toSrc {
+			ms[k] = then(ms[k-1], f.hop(minus[k*stride]))
+		} else {
+			ms[k] = then(f.hop(plus[(k-1)*stride]), ms[k-1])
 		}
 	}
-	run(m.contender[mesh.YPlus], rd.Y-1, ylo-1, -1)
-	run(m.contender[mesh.YMinus], rd.Y+1, yhi+1, 1)
-}
-
-// regularSegHop extends the X-segment map (a, b, p) — the hops folded so far
-// take a column state (t, iv) to (t + a + b*iv, p*iv) — by the walk's next
-// hop upstream, one with c contenders.
-func regularSegHop(a, b, p, c, H, L, R uint64) (uint64, uint64, uint64) {
-	return saturatingAdd(a, saturatingAdd(saturatingMul(c-1, H), R)),
-		saturatingAdd(b, saturatingMul(c-1, saturatingMul(L, p))), saturatingMul(c, p)
-}
-
-// regularSegFinish folds regularFinish into the map (a, b, p) at the source:
-// the bound of a packet of S flits is regularApply(t, iv, A, B).
-func regularSegFinish(a, b, p, S uint64) (A, B uint64) {
-	return saturatingAdd(a, 1), saturatingAdd(b, saturatingMul(S-1, p))
-}
-
-// regularApply is the bound a finished X-segment map (A, B) gives from the
-// column state (t, iv).
-func regularApply(t, iv, A, B uint64) uint64 {
-	return saturatingAdd(saturatingAdd(t, A), saturatingMul(B, iv))
-}
-
-// regularXMaps writes the finished X-segment maps of turn column dx on router
-// row y for a packet of S flits among contenders of L flits: the map of
-// source column x into A[x*stride], B[x*stride], for every x in [xlo, xhi],
-// which contains dx.
-func (m *Model) regularXMaps(A, B []uint64, stride, y, dx int, S, L uint64, xlo, xhi int) {
-	H, R, W := uint64(m.p.HeaderOverhead), uint64(m.p.RouterLatency), m.rdim.Width
-	// The source in the turn column crosses no X hop.
-	A[dx*stride], B[dx*stride] = regularSegFinish(0, 0, 1, S)
-	// Sources left of the turn column travel XPlus along the row, sources
-	// right of it XMinus.
-	run := func(cs []uint64, to, step int) {
-		a, b, p := uint64(0), uint64(0), uint64(1)
-		for x := dx + step; x != to; x += step {
-			a, b, p = regularSegHop(a, b, p, cs[x], H, L, R)
-			A[x*stride], B[x*stride] = regularSegFinish(a, b, p, S)
+	for k := at - 1; k >= lo; k-- {
+		if toSrc {
+			ms[k] = then(ms[k+1], f.hop(plus[k*stride]))
+		} else {
+			ms[k] = then(f.hop(minus[(k+1)*stride]), ms[k+1])
 		}
 	}
-	run(m.contender[mesh.XPlus][y*W:][:W], xlo-1, -1)
-	run(m.contender[mesh.XMinus][y*W:][:W], xhi+1, 1)
 }
 
 // distinctXRows numbers the router rows by their X contender counts: rows
@@ -299,12 +241,13 @@ type allPairsRun struct {
 }
 
 // allPairs runs the all-pairs producers of the chained-blocking bound of
-// packets of a flits among contenders of b flits, and feeds every source
-// endpoint's row of bounds, in index order, to table (when non-nil) or to a
-// summary fold, which it returns. ctx is polled by the turn holder once per
-// router row of sources; a cancelled run returns ctx's error after every
-// producer has stopped.
-func (m *Model) allPairs(ctx context.Context, a, b uint64, table []uint64) (summaryFold, error) {
+// messages of shape sh, and feeds every source endpoint's row of bounds, in
+// index order, to table (when non-nil) or to a summary fold, which it
+// returns. ctx is polled on the caller once per turn column of the X maps
+// (W per distinct X row) and then by the turn holder once per router row of
+// sources; a cancelled run returns ctx's error after every producer has
+// stopped.
+func (m *Model) allPairs(ctx context.Context, sh msgShape, table []uint64) (summaryFold, error) {
 	W, Ht := m.rdim.Width, m.rdim.Height
 	n, rn := len(m.nodes), W*Ht
 	allPairsInFlight.Add(1)
@@ -316,12 +259,26 @@ func (m *Model) allPairs(ctx context.Context, a, b uint64, table []uint64) (summ
 	buf := *sp
 	r.colT, r.colIv, r.maps = buf[:Ht*rn], buf[Ht*rn:2*Ht*rn], buf[2*Ht*rn:pre]
 	r.block, r.epRow = buf[pre:pre+W*rn], buf[pre+W*rn:]
-	for rdIdx := 0; rdIdx < rn; rdIdx++ {
-		m.regularColStates(r.colT[rdIdx:], r.colIv[rdIdx:], rn, m.rdim.NodeAt(rdIdx), b, 0, Ht-1)
+	f, lp := m.fold(sh), lineScratch.Get().(*[]segMap)
+	defer lineScratch.Put(lp)
+	ms := ensureTable(*lp, max(W, Ht))
+	*lp = ms
+	for rdIdx := range rn {
+		rd := m.rdim.NodeAt(rdIdx)
+		f.line(ms, false, rd.X, rd.Y, 0, Ht-1, f.hop(f.planes[mesh.Local][rdIdx]), true)
+		for y, s := range ms[:Ht] {
+			r.colT[y*rn+rdIdx], r.colIv[y*rn+rdIdx] = saturatingAdd(s.a, s.b), s.p
+		}
 	}
 	for k, y := range m.xRep {
-		for dx := 0; dx < W; dx++ {
-			m.regularXMaps(r.maps[2*W*W*k+dx:], r.maps[(2*k+1)*W*W+dx:], W, y, dx, a, b, 0, W-1)
+		for dx := range W {
+			if err := ctx.Err(); err != nil {
+				return summaryFold{}, err
+			}
+			f.line(ms, true, y, dx, 0, W-1, segMap{p: 1}, true)
+			for x, s := range ms[:W] {
+				r.maps[2*W*W*k+x*W+dx], r.maps[(2*k+1)*W*W+x*W+dx] = f.close(s)
+			}
 		}
 	}
 	// Sized only now, so that runs started together see each other.
@@ -445,136 +402,17 @@ func (r *allPairsRun) visit(si int, row []uint64) {
 	r.table[si*n+si] = 0
 }
 
-// hopCosts fills cost with wawHopCost of every router output for the given
-// slot size, in NumDirections planes of one entry per router —
-// cost[out*rn+idx], the layout of outShare — once per call instead of once
-// per flow crossing the port; the Local plane is the ejection term of each
-// destination.
-func (m *Model) hopCosts(cost []uint64, slot uint64) {
-	R, rn := uint64(m.p.RouterLatency), m.rdim.Nodes()
+// hopCosts fills cost with the one-flit guaranteed-bandwidth hop cost
+// (O-1) + R of every router output, the a of its segment map, in
+// NumDirections planes of one entry per router — cost[out*rn+idx], the
+// layout of outShare; the Local plane is the ejection term of each
+// destination. wawOneFlitFold sums and scans these planes.
+func (m *Model) hopCosts(cost []uint64) {
+	f, rn := m.fold(msgShape{waw: true, a: 1, b: 1}), m.rdim.Nodes()
 	for out, shares := range m.outShare {
 		for idx, o := range shares {
-			cost[out*rn+idx] = wawHopCost(o, slot, R)
+			cost[out*rn+idx] = f.hop(o).a
 		}
-	}
-}
-
-// wawSourceRows writes, for every source endpoint si, the guaranteed-bandwidth
-// bound of a message of P packets of slot flits from si to every endpoint
-// into out[si*N:][:N] (dense endpoint indexing), the self entry 0. It
-// tabulates the hop costs once and runs one wawSourceSweep per source router;
-// on the concentrated meshes each router row is expanded to the endpoint row,
-// and consecutive sources on one router share its sweep.
-func (m *Model) wawSourceRows(out []uint64, P, slot uint64) {
-	W, rn, n := m.rdim.Width, m.rdim.Nodes(), len(m.nodes)
-	sp := getScratch(mesh.NumDirections*rn + 4*W + rn)
-	defer putScratch(sp)
-	cost, state := (*sp)[:mesh.NumDirections*rn], (*sp)[mesh.NumDirections*rn:][:4*W]
-	routerRow := (*sp)[mesh.NumDirections*rn+4*W:]
-	m.hopCosts(cost, slot)
-	swept := -1
-	for si := range n {
-		row, rs := out[si*n:][:n], int(m.epRouter[si])
-		if m.identityTopo() {
-			m.wawSourceSweep(row, cost, state, m.rdim.NodeAt(rs), P, slot)
-		} else {
-			if rs != swept {
-				m.wawSourceSweep(routerRow, cost, state, m.rdim.NodeAt(rs), P, slot)
-				swept = rs
-			}
-			m.expandRow(row, routerRow)
-		}
-		row[si] = 0
-	}
-}
-
-// wawSourceSweep runs the source-major prefix-sharing sweep of the
-// guaranteed-bandwidth bound for one source router rs over cost, the hopCosts
-// planes for the given slot size: it writes the bound of a message of P
-// packets of slot flits to EVERY destination router into out (indexed by
-// dense router index, len >= router count), including the rs entry (the
-// ejection-only route). state is 4W words of scratch for the row and column
-// states.
-//
-// Destinations are finished a router row at a time. The carried state is one
-// (total, maxShare) pair per destination column — the fold over the route
-// prefix that ends in the current row of that column — so a row step reads
-// one row of each hop plane and writes one row of bounds, all contiguous.
-func (m *Model) wawSourceSweep(out, cost, state []uint64, rs mesh.Node, P, slot uint64) {
-	W, Ht := m.rdim.Width, m.rdim.Height
-	rn, base := W*Ht, rs.Y*W
-	plane := func(out mesh.Direction) []uint64 { return cost[int(out)*rn:][:rn] }
-	rowT, rowSh, t, sh := state[:W], state[W:2*W], state[2*W:3*W], state[3*W:]
-	// The row state: destinations in the source column share the empty
-	// prefix, other turn columns extend it along the source row.
-	m.wawSegStates(rowT, rowSh, true, rs.Y, rs.X, 0, 1, slot, 0, W-1)
-	// Destinations in the source row finish from the row state; rows below
-	// extend a copy of it by the YPlus hop out of the row above, rows above
-	// by the YMinus hop out of the row below.
-	ej, ejSh := plane(mesh.Local), m.outShare[mesh.Local]
-	wawFinishRow(out[base:base+W], rowT, rowSh, ej[base:], ejSh[base:], P, slot)
-	rows := func(dir mesh.Direction, to, step int) {
-		copy(t, rowT)
-		copy(sh, rowSh)
-		hop, hopSh := plane(dir), m.outShare[dir]
-		for y := rs.Y + step; y != to; y += step {
-			prev := (y - step) * W
-			wawStepRow(out[y*W:y*W+W], t, sh, hop[prev:], hopSh[prev:], ej[y*W:], ejSh[y*W:], P, slot)
-		}
-	}
-	rows(mesh.YPlus, Ht, 1)
-	rows(mesh.YMinus, -1, -1)
-}
-
-// wawSegStates folds one straight segment of the guaranteed-bandwidth bound
-// for the given slot size along router row line (byRow) or router column
-// line: starting from the state (t0, sh0) at position at along it, it leaves
-// in t[k], sh[k] the (total, maxShare) state at every position k in [lo, hi],
-// extended by one hop per router crossed — XPlus/YPlus hops towards higher
-// positions, XMinus/YMinus towards lower ones. A segment costs O(W + Ht), so
-// the hop costs are computed here rather than read off hopCosts planes.
-func (m *Model) wawSegStates(t, sh []uint64, byRow bool, line, at int, t0, sh0, slot uint64, lo, hi int) {
-	R, W := uint64(m.p.RouterLatency), m.rdim.Width
-	plus, minus, base, stride := mesh.YPlus, mesh.YMinus, line, W
-	if byRow {
-		plus, minus, base, stride = mesh.XPlus, mesh.XMinus, line*W, 1
-	}
-	up, down := m.outShare[plus][base:], m.outShare[minus][base:]
-	t[at], sh[at] = t0, sh0
-	for k := at + 1; k <= hi; k++ {
-		o := up[(k-1)*stride]
-		t[k], sh[k] = saturatingAdd(t[k-1], wawHopCost(o, slot, R)), max(sh[k-1], o)
-	}
-	for k := at - 1; k >= lo; k-- {
-		o := down[(k+1)*stride]
-		t[k], sh[k] = saturatingAdd(t[k+1], wawHopCost(o, slot, R)), max(sh[k+1], o)
-	}
-}
-
-// wawFinishRow finishes one row of destinations, one per column, from the
-// carried per-column states (t, sh): the ejection hop (cost ej, share ejSh)
-// and the admission term, applied on a copy.
-func wawFinishRow(out, t, sh, ej, ejSh []uint64, P, slot uint64) {
-	for cx := range out {
-		out[cx] = wawFinish(t[cx], sh[cx], ej[cx], ejSh[cx], P, slot)
-	}
-}
-
-// wawStepRow extends the per-column states in place by one Y hop each — hop
-// and hopSh are that hop's cost and output share at each column — and
-// finishes the row they now end in: wawFinishRow fused into the extension
-// loop, so a flow costs one pass over the row, not two.
-func wawStepRow(out, t, sh, hop, hopSh, ej, ejSh []uint64, P, slot uint64) {
-	n := len(out) // one length for every row: no bounds check per flow
-	t, sh, hop, hopSh, ej, ejSh = t[:n], sh[:n], hop[:n], hopSh[:n], ej[:n], ejSh[:n]
-	for cx := range out {
-		total, share := saturatingAdd(t[cx], hop[cx]), max(sh[cx], hopSh[cx])
-		t[cx], sh[cx] = total, share
-		// wawFinish, written out: the compiler does not inline it, and this
-		// loop runs once per flow of the all-pairs sweeps.
-		total = saturatingAdd(total, ej[cx])
-		total = saturatingAdd(total, wawAdmission(max(share, ejSh[cx]), P, slot))
-		out[cx] = saturatingAdd(total, 1)
 	}
 }
 
@@ -600,13 +438,16 @@ func (m *Model) AllPairsRegularPacketWCTT(packetFlits, contenderFlits int, buf [
 	buf = ensureTable(buf, n*n)
 	kernelAllPairsRuns.Add(1)
 	// The background context is never cancelled.
-	_, _ = m.allPairs(context.Background(), uint64(packetFlits), uint64(contenderFlits), buf)
+	_, _ = m.allPairs(context.Background(), msgShape{a: packetFlits, b: contenderFlits}, buf)
 	return buf, nil
 }
 
 // AllPairsWaWPacketWCTT is the source-major all-pairs kernel of
 // WaWPacketWCTT, with the same table layout and buffer contract as
-// AllPairsRegularPacketWCTT: one wawSourceSweep per source, on the caller.
+// AllPairsRegularPacketWCTT: one source-keyed sweep (sweepFrom) per source
+// router, on the caller, every router a destination. On the concentrated
+// meshes each router row is expanded to the endpoint row, and consecutive
+// sources on one router share its sweep.
 func (m *Model) AllPairsWaWPacketWCTT(numPackets, slotFlits int, buf []uint64) ([]uint64, error) {
 	if numPackets < 1 || slotFlits < 1 {
 		return nil, fmt.Errorf("analysis: packet counts and sizes must be >= 1 (got %d, %d)", numPackets, slotFlits)
@@ -614,7 +455,16 @@ func (m *Model) AllPairsWaWPacketWCTT(numPackets, slotFlits int, buf []uint64) (
 	n := len(m.nodes)
 	buf = ensureTable(buf, n*n)
 	kernelAllPairsRuns.Add(1)
-	m.wawSourceRows(buf, uint64(numPackets), uint64(slotFlits))
+	rp := getScratch(m.rdim.Nodes())
+	defer putScratch(rp)
+	sh := msgShape{waw: true, a: numPackets, b: slotFlits}
+	for si := range n {
+		if rs := int(m.epRouter[si]); si == 0 || rs != int(m.epRouter[si-1]) {
+			m.sweepFrom(m.rdim.NodeAt(rs), sh, *rp)
+		}
+		m.expandRow(buf[si*n:][:n], *rp)
+		buf[si*n+si] = 0
+	}
 	return buf, nil
 }
 

@@ -73,11 +73,11 @@ func wideSlotModel() *Model {
 
 // saturatingModels are the grids on which the chained-blocking bound
 // overflows 64 bits on the longer routes, so the clamp to MaxUint64 decides
-// part of every row — of the column states (regularColStates) and of the
-// X-segment maps and their application (regularXMaps, regularApply): square
-// meshes from 32x32 up, one-dimensional stretches in X (contender count 2 per
-// hop, the slowest compounding) and in Y, a rectangle, and both concentrated
-// meshes on 64x64 endpoints. Building them costs milliseconds; only walking
+// part of every row — of the column states and the X-segment maps, both line
+// sweeps of segment maps (segFold.line), and of their application
+// (regularApply): square meshes from 32x32 up, one-dimensional stretches in X
+// (contender count 2 per hop, the slowest compounding) and in Y, a rectangle,
+// and both concentrated meshes on 64x64 endpoints. Building them costs milliseconds; only walking
 // all their pairs is expensive, and the callers choose how much of that to do.
 func saturatingModels() []*Model {
 	var models []*Model
@@ -515,7 +515,7 @@ func TestSummaryIndependentOfProcs(t *testing.T) {
 
 // TestWaWSummaryClosedForm pins the WaW+WaP and WaW-only summaries, which
 // wawOneFlitFold answers without visiting a pair, to the in-order fold of the
-// WaW table AllPairsWaWPacketWCTT(1, 1), one wawSourceSweep row per source —
+// WaW table AllPairsWaWPacketWCTT(1, 1), one group sweep per source router —
 // mean bits, max, min and flows; every total here is below 2^53, where the
 // correctly rounded mean is the in-order float sum's — on grids where the
 // per-pair walk is too slow to be the oracle: meshes of
@@ -608,8 +608,8 @@ func TestWaWSummaryClosedFormRandomShares(t *testing.T) {
 // float quotient of every pair's bound. It also answers 256x256 and 272x256,
 // whose totals pass 2^53, in milliseconds, and with -short too. Their totals
 // and correctly rounded means are pinned as constants: they come from
-// folding every wawSourceSweep row (4.3·10^9 and 4.8·10^9 pairs) into a
-// 128-bit accumulator, which takes tens of seconds. The in-order float sum of
+// folding every source's row of the WaW table (4.3·10^9 and 4.8·10^9 pairs)
+// into a 128-bit accumulator, which takes tens of seconds. The in-order float sum of
 // the 272x256 bounds is 2 ulps above the correctly rounded mean
 // (0x41474abeabfec001).
 func TestWaWSummaryClosedFormLimits(t *testing.T) {
@@ -664,7 +664,7 @@ func TestWaWSummaryClosedFormLimits(t *testing.T) {
 func wawOneFlitTotalOf(m *Model) (hi, lo uint64) {
 	rn := m.rdim.Nodes()
 	cost := make([]uint64, mesh.NumDirections*rn)
-	m.hopCosts(cost, 1)
+	m.hopCosts(cost)
 	return m.wawOneFlitTotal(func(out mesh.Direction) []uint64 { return cost[int(out)*rn:][:rn] })
 }
 
@@ -685,11 +685,14 @@ func (c *pollCtx) Err() error {
 }
 
 // TestSummarizeContextCancel: a 64x64 summary polls its context once per row
-// of sources; cancelled halfway it returns at that very poll — within one
-// row's work — with the context's error and no partial result, and the pooled
-// scratch it abandoned serves the next summary unharmed. With one producer
-// and with four alike: the turn holder polls, and a cancelled summary joins
-// every producer before it returns, so no goroutine outlives it.
+// of sources, and a regular one first once per turn column of its X maps (64
+// more, one distinct X row); cancelled halfway it returns at that very poll —
+// within one column's or row's work — with the context's error and no partial
+// result, and the pooled scratch it abandoned serves the next summary
+// unharmed. A regular summary is cancelled halfway through each phase. With
+// one producer and with four alike: the turn holder polls, and a cancelled
+// summary joins every producer before it returns, so no goroutine outlives
+// it.
 func TestSummarizeContextCancel(t *testing.T) {
 	m := MustNewModel(DefaultParams(mesh.MustDim(64, 64)))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -703,39 +706,87 @@ func TestSummarizeContextCancel(t *testing.T) {
 // GOMAXPROCS (procs, for the messages).
 func checkSummaryCancel(t *testing.T, m *Model, procs int) {
 	t.Helper()
-	for _, design := range []network.Design{network.DesignRegular, network.DesignWaWWaP} {
-		goroutines := runtime.NumGoroutine()
+	for _, c := range []struct {
+		design   network.Design
+		polls    int
+		cancelAt []int
+	}{{network.DesignRegular, 128, []int{33, 97}}, {network.DesignWaWWaP, 64, []int{33}}} {
+		design := c.design
 		whole := &pollCtx{Context: context.Background(), cancelAt: math.MaxInt}
 		want, err := m.SummarizeOneFlitWCTTContext(whole, design)
-		if err != nil || whole.polls != 64 {
-			t.Fatalf("GOMAXPROCS %d %v: uncancelled summary: err %v, %d polls (want one per source row, 64)", procs, design, err, whole.polls)
+		if err != nil || whole.polls != c.polls {
+			t.Fatalf("GOMAXPROCS %d %v: uncancelled summary: err %v, %d polls (want %d)", procs, design, err, whole.polls, c.polls)
 		}
-		runs, _, _ := KernelCounters()
-		half := &pollCtx{Context: context.Background(), cancelAt: 33}
-		got, err := m.SummarizeOneFlitWCTTContext(half, design)
-		if !errors.Is(err, context.Canceled) || got != (WCTTSummary{}) {
-			t.Fatalf("GOMAXPROCS %d %v: cancelled summary returned %+v, err %v; want the zero summary and context.Canceled", procs, design, got, err)
-		}
-		if half.polls != 33 {
-			t.Fatalf("GOMAXPROCS %d %v: cancelled at poll 33 but polled %d times; the summary must return at the first failing poll", procs, design, half.polls)
-		}
-		// A joined producer may still be on its way out of the scheduler when
-		// the summary returns; it must be gone within a second. (The count may
-		// also end lower: the starting one can include a previous summary's
-		// producers on their way out.)
-		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > goroutines && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
-		}
-		if n := runtime.NumGoroutine(); n > goroutines {
-			t.Fatalf("GOMAXPROCS %d %v: %d goroutines after a cancelled summary, %d before", procs, design, n, goroutines)
-		}
-		if after, _, _ := KernelCounters(); after != runs {
-			t.Fatalf("GOMAXPROCS %d %v: a cancelled summary counted as a kernel run", procs, design)
-		}
-		if again, err := m.SummarizeOneFlitWCTT(design); err != nil || again != want {
-			t.Fatalf("GOMAXPROCS %d %v: summary after a cancelled one: %+v, err %v; want %+v", procs, design, again, err, want)
+		for _, at := range c.cancelAt {
+			checkCancelAt(t, m, design, procs, at, want)
 		}
 	}
+}
+
+// checkCancelAt cancels design's summary at poll at, and checks that it
+// returns there, leaves no producer behind and does not count as a run, and
+// that the next summary is want.
+func checkCancelAt(t *testing.T, m *Model, design network.Design, procs, at int, want WCTTSummary) {
+	t.Helper()
+	goroutines := runtime.NumGoroutine()
+	runs, _, _ := KernelCounters()
+	half := &pollCtx{Context: context.Background(), cancelAt: at}
+	got, err := m.SummarizeOneFlitWCTTContext(half, design)
+	if !errors.Is(err, context.Canceled) || got != (WCTTSummary{}) {
+		t.Fatalf("GOMAXPROCS %d %v: cancelled summary returned %+v, err %v; want the zero summary and context.Canceled", procs, design, got, err)
+	}
+	if half.polls != at {
+		t.Fatalf("GOMAXPROCS %d %v: cancelled at poll %d but polled %d times; the summary must return at the first failing poll", procs, design, at, half.polls)
+	}
+	// A joined producer may still be on its way out of the scheduler when
+	// the summary returns; it must be gone within a second. (The count may
+	// also end lower: the starting one can include a previous summary's
+	// producers on their way out.)
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > goroutines && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Fatalf("GOMAXPROCS %d %v: %d goroutines after a cancelled summary, %d before", procs, design, n, goroutines)
+	}
+	if after, _, _ := KernelCounters(); after != runs {
+		t.Fatalf("GOMAXPROCS %d %v: a cancelled summary counted as a kernel run", procs, design)
+	}
+	if again, err := m.SummarizeOneFlitWCTT(design); err != nil || again != want {
+		t.Fatalf("GOMAXPROCS %d %v: summary after a cancelled one: %+v, err %v; want %+v", procs, design, again, err, want)
+	}
+}
+
+// stripDeadlineBound is how long a regular summary on a 1500x1 strip may
+// take to report a 5 ms deadline. Its X maps are 2*W^2 = 4.5 million words.
+// On a two-core Intel Xeon host, in a test process that had run
+// TestSummarizeMatchesPairwise first, building them to the end before the
+// first poll took 69 ms (342 ms under -race); polling once per turn column,
+// the summary returned after 31 ms (32 ms under -race), most of it spent
+// zeroing the 54 MB of scratch it reserves up front.
+const stripDeadlineBound = 150 * time.Millisecond
+
+// TestStripSummaryDeadline: a regular summary builds its X maps, O(W^2) work,
+// before the producers feed their first source row, so a wide strip polls its
+// context once per turn column of the maps, on the caller. Under a 5 ms
+// deadline a 1500x1 summary must return the deadline error and no partial
+// result within stripDeadlineBound. The strip is small enough that reserving
+// its scratch stays well inside the bound in a process whose heap must zero
+// the memory it reuses; TestSummarizeContextCancel pins the poll schedule
+// itself.
+func TestStripSummaryDeadline(t *testing.T) {
+	m := MustNewModel(DefaultParams(mesh.MustDim(1500, 1)))
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	s, err := m.SummarizeOneFlitWCTTContext(ctx, network.DesignRegular)
+	took := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) || s != (WCTTSummary{}) {
+		t.Fatalf("1500x1 regular summary under a 5 ms deadline: %+v, err %v; want the zero summary and the deadline error", s, err)
+	}
+	if took > stripDeadlineBound {
+		t.Fatalf("the deadline error took %v, want at most %v", took, stripDeadlineBound)
+	}
+	t.Logf("deadline error after %v", took)
 }
 
 // TestKernelFuzzRandomDims is the randomized-dim comparison of the

@@ -62,7 +62,7 @@ func (m *Model) SummarizeOneFlitWCTTContext(ctx context.Context, design network.
 	switch design {
 	case network.DesignRegular, network.DesignWaPOnly:
 		var f summaryFold
-		f, err = m.allPairs(ctx, 1, 1, nil)
+		f, err = m.allPairs(ctx, msgShape{a: 1, b: 1}, nil)
 		s.Max, s.Flows = f.max, f.count
 		if f.count > 0 {
 			s.Min, s.Mean = f.min, f.sum/float64(f.count)
@@ -155,7 +155,7 @@ func (m *Model) wawOneFlitFold(ctx context.Context) (WCTTSummary, error) {
 	sp := getScratch((mesh.NumDirections + 2) * rn)
 	defer putScratch(sp)
 	cost := (*sp)[:mesh.NumDirections*rn]
-	m.hopCosts(cost, 1)
+	m.hopCosts(cost)
 	plane := func(out mesh.Direction) []uint64 { return cost[int(out)*rn:][:rn] }
 	ej, xp, xm, yp, ym := plane(mesh.Local), plane(mesh.XPlus), plane(mesh.XMinus), plane(mesh.YPlus), plane(mesh.YMinus)
 	// A source router hosting one endpoint sends to none of its own; with
@@ -334,25 +334,21 @@ func (m *Model) LocalAccessWCTT(design network.Design, n mesh.Node) (uint64, err
 	if !m.p.Dim.Contains(n) {
 		return 0, fmt.Errorf("analysis: node %v outside %v mesh", n, m.p.Dim)
 	}
-	H := uint64(m.p.HeaderOverhead)
-	R := uint64(m.p.RouterLatency)
-	idx := m.rdim.Index(m.topo.RouterOf(n))
+	var sh msgShape
 	switch design {
 	case network.DesignRegular, network.DesignWaPOnly:
-		c := m.contender[mesh.Local][idx]
-		L := uint64(m.p.Link.MaxPacketFlits)
-		if design == network.DesignWaPOnly || L == 0 {
-			L = uint64(m.p.Link.MinPacketFlits)
+		sh = msgShape{a: 1, b: m.p.Link.MaxPacketFlits}
+		if design == network.DesignWaPOnly || sh.b == 0 {
+			sh.b = m.p.Link.MinPacketFlits
 		}
-		return saturatingAdd(saturatingMul(c-1, saturatingAdd(H, L)), R+1), nil
 	case network.DesignWaWWaP, network.DesignWaWOnly:
-		o := m.outShare[mesh.Local][idx]
-		slot := uint64(m.p.Link.MinPacketFlits)
+		sh = msgShape{waw: true, a: 1, b: m.p.Link.MinPacketFlits}
 		if design == network.DesignWaWOnly && m.p.Link.MaxPacketFlits > 0 {
-			slot = uint64(m.p.Link.MaxPacketFlits)
+			sh.b = m.p.Link.MaxPacketFlits
 		}
-		return saturatingAdd(saturatingMul(o-1, slot), R+1), nil
 	default:
 		return 0, fmt.Errorf("analysis: unknown design %v", design)
 	}
+	f := m.fold(sh)
+	return f.finish(f.hop(f.planes[mesh.Local][m.rdim.Index(m.topo.RouterOf(n))])), nil
 }

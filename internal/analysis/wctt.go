@@ -229,8 +229,8 @@ func (m *Model) Params() Params { return m.p }
 // Together with saturatingAdd it is the exact arithmetic clamped to
 // MaxUint64, and so is any expression of the two over non-negative operands:
 // min(min(a,M)+min(b,M), M) = min(a+b, M), likewise for *, where
-// sat(MaxUint64 * 0) = 0 = exact * 0. The chained-blocking kernel (kernel.go)
-// relies on it to regroup the walk's fold into X-segment maps.
+// sat(MaxUint64 * 0) = 0 = exact * 0. The segment maps below rely on it to
+// group a route's hops in any order.
 func saturatingMul(a, b uint64) uint64 {
 	hi, lo := bits.Mul64(a, b)
 	if hi != 0 {
@@ -245,48 +245,131 @@ func saturatingAdd(a, b uint64) uint64 {
 	return sum | -carry // carry is 0 or 1: the mask is 0 or all ones
 }
 
-// regularWait is the worst-case arbitration wait W_j = (c-1)*(H+L*iv) of a
-// hop with c contenders whose downstream service interval is iv; H is the
-// header overhead and L the contender packet size. With R the hop latency, a
-// hop joins the chained-blocking fold as
+// segMap is the fold of a run of consecutive hops of an XY route. Both
+// bounds fold the route from the destination back to the source; the state
+// handed upstream is (t, iv), the waits so far and the downstream service
+// interval, and a run maps it to (t + a + b*iv, p*iv). For the
+// chained-blocking bound one hop through an output with c contenders is
 //
-//	total = saturatingAdd(total, saturatingAdd(regularWait(iv, c, H, L), R))
-//	iv    = saturatingMul(c, iv)
+//	((c-1)*H + R, (c-1)*L, c)
 //
-// in the route walk and in the kernels alike.
-func regularWait(iv, c, H, L uint64) uint64 {
-	return saturatingMul(c-1, saturatingAdd(H, saturatingMul(L, iv)))
+// and for the guaranteed-bandwidth bound one hop through an output of share
+// O is ((O-1)*slot + R, 0, O): a is the summed slot waits and p the
+// bottleneck share, so runs compose by max in p where the chained-blocking
+// runs multiply (segFold.join). Either way a run extends by one hop at
+// either end in O(1). Every term is non-negative, so the saturating
+// composition is the exact value clamped to MaxUint64 however the hops are
+// grouped: every map gives the walk's value, bit for bit
+// (FuzzRegularSegmentMap).
+type segMap struct{ a, b, p uint64 }
+
+// segFold is the segment algebra of one message shape: the model planes a
+// hop reads and the constants of the hop and of the finish.
+type segFold struct {
+	planes *[mesh.NumDirections][]uint64 // contender counts or output shares
+	// h, l and r make a hop's map: (H, L, R) for the chained-blocking
+	// bound, (slot, 0, R) for the guaranteed-bandwidth bound.
+	h, l, r uint64
+	// nk is the finishing term's factor, which makes it p*nk: the S-1
+	// trailing flits of S at the first hop's interval p (nk = S-1), or the
+	// P-1 trailing packets of P at one slot of the bottleneck share p
+	// (nk = (P-1)*slot).
+	nk  uint64
+	w   int // router grid width
+	waw bool
 }
 
-// regularFinish closes the chained-blocking fold at the source: the remaining
-// S-1 flits serialise at the compounded worst-case interval of the most
-// upstream link, plus the final ejection cycle of the tail.
-func regularFinish(total, iv, S uint64) uint64 {
-	return saturatingAdd(saturatingAdd(total, saturatingMul(S-1, iv)), 1)
+// fold returns the segment algebra of messages of shape sh.
+func (m *Model) fold(sh msgShape) segFold {
+	f := segFold{planes: &m.contender, h: uint64(m.p.HeaderOverhead), l: uint64(sh.b), r: uint64(m.p.RouterLatency),
+		nk: uint64(sh.a) - 1, w: m.rdim.Width, waw: sh.waw}
+	if sh.waw {
+		f.planes, f.h, f.l, f.nk = &m.outShare, uint64(sh.b), 0, saturatingMul(f.nk, uint64(sh.b))
+	}
+	return f
 }
 
-// wawHopCost is the guaranteed-bandwidth cost of one hop through an output
-// of share o: every other flow crossing the port may be served once (one
-// slot each) before this flow's slot, plus the hop latency R.
-func wawHopCost(o, slot, R uint64) uint64 {
-	return saturatingAdd(saturatingMul(o-1, slot), R)
+// hop is the map of one hop through an output whose plane entry is v.
+func (f *segFold) hop(v uint64) segMap {
+	return segMap{saturatingAdd(saturatingMul(v-1, f.h), f.r), saturatingMul(v-1, f.l), v}
 }
 
-// wawAdmission is the admission term of the guaranteed-bandwidth bound: the
-// remaining P-1 packets of the message are admitted one per guaranteed slot
-// at the bottleneck port, whose share is maxShare.
-func wawAdmission(maxShare, P, slot uint64) uint64 {
-	return saturatingMul(P-1, saturatingMul(maxShare, slot))
+// join composes the bottleneck terms of two runs: the product of the
+// chained-blocking intervals, the larger of the guaranteed-bandwidth shares.
+func (f *segFold) join(p, q uint64) uint64 {
+	if f.waw {
+		return max(p, q)
+	}
+	return saturatingMul(p, q)
 }
 
-// wawFinish finishes the guaranteed-bandwidth bound of a message of P packets
-// of slot flits from the fold (total, maxShare) of its route up to its
-// destination router: the ejection hop, of cost ej through an output of share
-// ejShare, the admission term and the final cycle.
-func wawFinish(total, maxShare, ej, ejShare, P, slot uint64) uint64 {
-	total = saturatingAdd(total, ej)
-	total = saturatingAdd(total, wawAdmission(max(maxShare, ejShare), P, slot))
-	return saturatingAdd(total, 1)
+// then returns the composition of runs: then()(x, y) is the run x followed,
+// upstream, by the run y. The composition is too large to inline as a
+// method; returned as a closure, it inlines at the calls of a loop that
+// takes it once (segFold.line).
+func (f *segFold) then() func(x, y segMap) segMap {
+	return func(x, y segMap) segMap {
+		return segMap{saturatingAdd(x.a, y.a), saturatingAdd(x.b, saturatingMul(y.b, x.p)), f.join(x.p, y.p)}
+	}
+}
+
+// close folds the finishing term into the map s of a route's hops upstream
+// of the state (t, iv): the route's bound is regularApply(t, iv, A, B).
+func (f *segFold) close(s segMap) (A, B uint64) {
+	return saturatingAdd(s.a, 1), saturatingAdd(s.b, saturatingMul(s.p, f.nk))
+}
+
+// finish is the bound of a route whose map, ejection hop included, is s:
+// the map applied to the state (0, 1) the ejection port starts from, closed.
+func (f *segFold) finish(s segMap) uint64 {
+	// p*nk + 1 in one saturating step, so that finish inlines: the result
+	// saturates when the product's high word or the carry is set.
+	hi, lo := bits.Mul64(s.p, f.nk)
+	lo, carry := bits.Add64(lo, 1, 0)
+	return saturatingAdd(saturatingAdd(s.a, s.b), lo|-(carry|min(hi, 1)))
+}
+
+// eject returns the bound of a route from the map s of its hops upstream of
+// the ejection hop and the Local plane entry v of that hop: the ejection
+// port's state (0, 1) carried through the ejection hop and then through s,
+// finished. Like then, it is a closure so that it inlines in a loop.
+func (f *segFold) eject() func(s segMap, v uint64) uint64 {
+	return func(s segMap, v uint64) uint64 {
+		h := f.hop(v)
+		return f.finish(segMap{a: regularApply(saturatingAdd(h.a, h.b), h.p, s.a, s.b), p: f.join(s.p, h.p)})
+	}
+}
+
+// regularApply is the bound a closed map (A, B) gives from the state (t, iv).
+func regularApply(t, iv, A, B uint64) uint64 {
+	return saturatingAdd(saturatingAdd(t, A), saturatingMul(B, iv))
+}
+
+// run carries the state (t, iv) upstream through n hops of plane pl, at
+// positions i, i+step, ..., by the hop maps applied one at a time: the fold of
+// then over the hops, grouped from the downstream end, in operations that
+// inline. A state (t, iv) finishes as the map {a: t, p: iv}.
+func (f *segFold) run(t, iv uint64, pl []uint64, i, step, n int) (uint64, uint64) {
+	for ; n > 0; n-- {
+		h := f.hop(pl[i])
+		t, iv = regularApply(t, iv, h.a, h.b), f.join(h.p, iv)
+		i += step
+	}
+	return t, iv
+}
+
+// walk is the bound of the route from router rs to router rd: the ejection
+// port's state (0, 1) carried upstream through its ejection hop, along the Y
+// segment back to the turn router at (rd.X, rs.Y) and along the X segment
+// back to the source.
+func (f *segFold) walk(rs, rd mesh.Node) uint64 {
+	W := f.w
+	dirX, stepX, dirY, stepY := xyStep(rs, rd)
+	at := rd.Y*W + rd.X
+	t, iv := f.run(0, 1, f.planes[mesh.Local], at, 0, 1)
+	t, iv = f.run(t, iv, f.planes[dirY], at-stepY*W, -stepY*W, (rd.Y-rs.Y)*stepY)
+	t, iv = f.run(t, iv, f.planes[dirX], rs.Y*W+rd.X-stepX, -stepX, (rd.X-rs.X)*stepX)
+	return f.finish(segMap{a: t, p: iv})
 }
 
 // checkFlow validates a (src, dst) flow request with the same errors (and
@@ -335,39 +418,8 @@ func (m *Model) RegularPacketWCTT(src, dst mesh.Node, packetFlits, contenderFlit
 	// The bound walks the router grid: endpoints map to their routers first
 	// (the identity except on the concentrated mesh, where co-located
 	// endpoints collapse to the single ejection hop).
-	return m.regularWalk(m.topo.RouterOf(src), m.topo.RouterOf(dst), uint64(packetFlits), uint64(contenderFlits)), nil
-}
-
-// regularWalk is RegularPacketWCTT on the route from router rs to router rd
-// for a packet of S flits among contenders of L flits.
-func (m *Model) regularWalk(rs, rd mesh.Node, S, L uint64) uint64 {
-	H, R, W := uint64(m.p.HeaderOverhead), uint64(m.p.RouterLatency), m.rdim.Width
-	dirX, stepX, dirY, stepY := xyStep(rs, rd)
-
-	// Walk the route from the destination backwards, accumulating the
-	// downstream service interval I and the per-hop waits.
-	interval := uint64(1) // I_{k+1}: ejection accepts one flit per cycle
-	var total uint64
-	hop := func(idx int, out mesh.Direction) {
-		c := m.contender[out][idx]
-		total = saturatingAdd(total, saturatingAdd(regularWait(interval, c, H, L), R))
-		interval = saturatingMul(c, interval)
-	}
-	// Ejection at the destination router.
-	hop(rd.Y*W+rd.X, mesh.Local)
-	// The Y segment, from the router below/above the destination back to
-	// the turn router at (rd.X, rs.Y); every router forwards towards dirY.
-	for y := rd.Y - stepY; y != rs.Y-stepY; y -= stepY {
-		hop(y*W+rd.X, dirY)
-	}
-	// The X segment, from the router next to the turn router back to the
-	// source; every router forwards towards dirX.
-	if rd.X != rs.X {
-		for x := rd.X - stepX; x != rs.X-stepX; x -= stepX {
-			hop(rs.Y*W+x, dirX)
-		}
-	}
-	return regularFinish(total, interval, S)
+	f := m.fold(msgShape{a: packetFlits, b: contenderFlits})
+	return f.walk(m.topo.RouterOf(src), m.topo.RouterOf(dst)), nil
 }
 
 // WaWPacketWCTT returns the guaranteed-bandwidth WCTT bound of a message
@@ -376,9 +428,8 @@ func (m *Model) regularWalk(rs, rd mesh.Node, S, L uint64) uint64 {
 // the full WaW+WaP design slotFlits is the minimum packet size m; for the
 // WaW-only ablation slotFlits is the network's maximum packet size L.
 //
-// Like RegularPacketWCTT this walks the XY geometry directly (source-first,
-// matching the original accumulation order) over the flat per-node output
-// shares, allocation-free.
+// Like RegularPacketWCTT this walks the XY geometry directly over the flat
+// per-node output shares, allocation-free.
 func (m *Model) WaWPacketWCTT(src, dst mesh.Node, numPackets, slotFlits int) (uint64, error) {
 	if numPackets < 1 || slotFlits < 1 {
 		return 0, fmt.Errorf("analysis: packet counts and sizes must be >= 1 (got %d, %d)", numPackets, slotFlits)
@@ -386,40 +437,15 @@ func (m *Model) WaWPacketWCTT(src, dst mesh.Node, numPackets, slotFlits int) (ui
 	if err := m.checkFlow(src, dst); err != nil {
 		return 0, err
 	}
-	return m.wawWalk(m.topo.RouterOf(src), m.topo.RouterOf(dst), uint64(numPackets), uint64(slotFlits)), nil
-}
-
-// wawWalk is WaWPacketWCTT on the route from router rs to router rd for a
-// message of P packets of slot flits.
-func (m *Model) wawWalk(rs, rd mesh.Node, P, slot uint64) uint64 {
-	R, W := uint64(m.p.RouterLatency), m.rdim.Width
-	dirX, stepX, dirY, stepY := xyStep(rs, rd)
-
-	var total uint64
-	var maxShare uint64 = 1
-	hop := func(idx int, out mesh.Direction) {
-		o := m.outShare[out][idx]
-		maxShare = max(maxShare, o)
-		total = saturatingAdd(total, wawHopCost(o, slot, R))
-	}
-	// The X segment from the source towards the turn router at (rd.X,
-	// rs.Y), then the Y segment down the destination column, then ejection.
-	if rd.X != rs.X {
-		for x := rs.X; x != rd.X; x += stepX {
-			hop(rs.Y*W+x, dirX)
-		}
-	}
-	for y := rs.Y; y != rd.Y; y += stepY {
-		hop(y*W+rd.X, dirY)
-	}
-	o := m.outShare[mesh.Local][rd.Y*W+rd.X]
-	return wawFinish(total, maxShare, wawHopCost(o, slot, R), o, P, slot)
+	f := m.fold(msgShape{waw: true, a: numPackets, b: slotFlits})
+	return f.walk(m.topo.RouterOf(src), m.topo.RouterOf(dst)), nil
 }
 
 // msgShape is the per-design packetisation of a message bound: which bound
-// family applies and its two size arguments. It is the single dispatch the
-// per-pair walk (MessageWCTT), the all-pairs kernels and BatchMessageWCTT
-// share, so a design can never packetise differently between them.
+// family applies and its two size arguments, from which Model.fold makes
+// the segment algebra. It is the single dispatch the per-pair walk
+// (MessageWCTT), the all-pairs kernels and BatchMessageWCTT share, so a
+// design can never packetise differently between them.
 type msgShape struct {
 	// waw selects the guaranteed-bandwidth bound (WaWPacketWCTT); otherwise
 	// the chained-blocking bound (RegularPacketWCTT) applies.

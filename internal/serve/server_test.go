@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -11,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -276,52 +278,85 @@ func TestServeWCET(t *testing.T) {
 	}
 }
 
-// ubdDeadlineBound is how long a wcet-batch line on a cold 16384x1 strip may
-// take to report a 5 ms deadline. Computing the strip's regular UBD rows to
-// the end, as a line that ignores its deadline does, takes over a second.
+// ubdDeadlineBound is how long a wcet-batch line on the 16384x1 strip may
+// take to report a 1 ms deadline met inside the engine's UBD rows, which
+// there take a few milliseconds (most of a second while the regular reply
+// row walked one route per core).
 const ubdDeadlineBound = 300 * time.Millisecond
 
-// TestServeWCETDeadlineDuringUBDRows: the first wcet line on a mesh makes
-// the shared engine compute the design's per-core round-trip UBD rows, which
-// on a 16384x1 strip take most of a second (the regular reply row walks one
-// route per core). A wcet-batch line there under a 5 ms QueryTimeout must get
-// the coded deadline error well inside ubdDeadlineBound, not after the rows;
-// and the cancelled computation must not poison the shared engine: a later
-// line on the same strip with a generous budget, served from the engine the
-// first line left in the cache, answers the cycles of a freshly compiled
-// engine. The strip's engine must be cold when the test starts, which it is
-// unless this process ran the test before (-count > 1).
+// ubdRowsComputed records that TestServeWCETDeadlineDuringUBDRows ran.
+var ubdRowsComputed atomic.Bool
+
+// pollCount is a context that counts the calls of its Err method.
+type pollCount struct {
+	context.Context
+	polls atomic.Int64
+}
+
+func (c *pollCount) Err() error {
+	c.polls.Add(1)
+	return c.Context.Err()
+}
+
+// TestServeWCETDeadlineDuringUBDRows: the first wcet line of a design on a
+// compiled engine computes the design's per-core round-trip UBD rows, a few
+// milliseconds on a 16384x1 strip (two O(N) group sweeps per row). A
+// wcet-batch line there whose 1 ms deadline passes inside the rows must get
+// the coded deadline error well inside ubdDeadlineBound; and the cancelled
+// computation must not poison the shared engine: a later line on the same
+// strip, served from the same engine, answers the cycles of a freshly
+// compiled one.
+//
+// The engine is compiled before the clock starts, so the budget is spent in
+// the rows. The deadline is the connection context's (the server has no verb
+// budget, which would derive a context of its own), and that context counts
+// its polls: the cancelled line must poll more often than the same line once
+// the rows are computed, which proves the deadline was met inside the rows
+// and not before them. The rows must be cold when the test starts, which
+// they are unless this process ran the test before (-count > 1): no other
+// test computes the strip's rows, and a probe of the engine would compute
+// them itself if they ignored their context.
 func TestServeWCETDeadlineDuringUBDRows(t *testing.T) {
-	dim := mesh.MustDim(16384, 1)
-	if _, warm := scenario.CachedEngine(dim, 0); warm {
-		t.Skip("the 16384x1 engine is already compiled in this process; the deadline needs a cold one")
+	if ubdRowsComputed.Swap(true) {
+		t.Skip("this process computed the 16384x1 strip's regular UBD rows in an earlier run; the deadline needs them cold")
 	}
+	dim := mesh.MustDim(16384, 1)
+	if _, err := scenario.SharedEngine(dim, 0); err != nil {
+		t.Fatal(err)
+	}
+	b := mustBenchmark(t, "matrix")
 	const line = `{"id":%d,"op":"wcet-batch","design":"regular","width":16384,"height":1,"workload":"matrix","queries":[[16383,0],[1,0],[0,0]]}` + "\n"
-	tight := NewServer(Config{QueryTimeout: 5 * time.Millisecond})
-	defer tight.Close()
+	s := NewServer(Config{})
+	defer s.Close()
+	serve := func(ctx context.Context, id int) (string, error) {
+		var out bytes.Buffer
+		err := s.ServeLines(ctx, strings.NewReader(fmt.Sprintf(line, id)), &out)
+		return out.String(), err
+	}
+
+	deadline, cancelDeadline := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancelDeadline()
+	tight := &pollCount{Context: deadline}
 	start := time.Now()
-	got := serveString(t, tight, fmt.Sprintf(line, 1))
+	got, err := serve(tight, 1)
 	took := time.Since(start)
 	const want = `{"id":1,"ok":false,"error":"wcet-batch: deadline exceeded","code":"deadline","retryable":false}` + "\n"
-	if got != want {
-		t.Fatalf("wcet-batch on the cold strip under a 5 ms budget:\ngot  %swant %s", got, want)
+	if got != want || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("wcet-batch on the cold rows under a 1 ms deadline:\ngot  %swant %s(ServeLines: %v)", got, want, err)
 	}
 	if took > ubdDeadlineBound {
 		t.Errorf("the deadline error took %v, want at most %v", took, ubdDeadlineBound)
 	}
-	t.Logf("deadline error after %v", took)
-	if _, ok := scenario.CachedEngine(dim, 0); !ok {
-		t.Fatal("the cancelled line left no engine in the cache; the later line would not meet it")
-	}
 
-	generous := NewServer(Config{QueryTimeout: time.Minute})
-	defer generous.Close()
-	vec := cyclesVector(t, decodeLines(t, []byte(serveString(t, generous, fmt.Sprintf(line, 2))), 1)[0])
+	raw, err := serve(context.Background(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec := cyclesVector(t, decodeLines(t, []byte(raw), 1)[0])
 	fresh, err := scenario.PlatformFor(dim).Engine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := mustBenchmark(t, "matrix")
 	for i, core := range []mesh.Node{{X: 16383}, {X: 1}, {}} {
 		w, err := fresh.BenchmarkWCET(context.Background(), network.DesignRegular, core, b)
 		if err != nil {
@@ -331,6 +366,16 @@ func TestServeWCETDeadlineDuringUBDRows(t *testing.T) {
 			t.Fatalf("later line answered %v; a fresh engine gives %d for core %v", vec, w, core)
 		}
 	}
+
+	warm := &pollCount{Context: context.Background()}
+	if _, err := serve(warm, 3); err != nil {
+		t.Fatal(err)
+	}
+	if tight.polls.Load() <= warm.polls.Load() {
+		t.Fatalf("the cancelled line polled its context %d times, the line on computed rows %d: the deadline was met before the rows began",
+			tight.polls.Load(), warm.polls.Load())
+	}
+	t.Logf("deadline error after %v and %d polls, %d on computed rows", took, tight.polls.Load(), warm.polls.Load())
 }
 
 // TestServeScenarioMatchesExecute pins the embedded result JSON to the
