@@ -26,8 +26,8 @@
 // -measure).
 //
 // Large sweeps scale out and survive interruption: -worker-procs fans the
-// grid to `noctool sweep -worker` subprocesses speaking the JSON-line worker
-// protocol (PROTOCOL.md), -out streams every result as a JSON line the
+// grid to `noctool sweep -worker` subprocesses, each the serve daemon on
+// stdio (PROTOCOL.md), -out streams every result as a JSON line the
 // moment it completes, and -checkpoint/-resume recover an interrupted run
 // by recomputing only unfinished scenarios. Output stays byte-identical
 // across worker counts and kill/resume schedules.

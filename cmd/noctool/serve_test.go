@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -89,7 +90,8 @@ func TestServeMatchesSweepGolden(t *testing.T) {
 // TestServeSmokeGolden pins the full protocol surface (ping, wctt, batch,
 // wcet, wcet-batch, scenario, and an error line) to a committed golden —
 // the same request/response pair the CI smoke step replays over stdin and
-// TCP against the built binary.
+// TCP against the built binary. A sweep worker is the daemon on stdio, so
+// `sweep -worker` answers the corpus with the same bytes.
 func TestServeSmokeGolden(t *testing.T) {
 	reqs, err := os.ReadFile(filepath.Join("testdata", "serve-smoke.requests"))
 	if err != nil {
@@ -99,13 +101,20 @@ func TestServeSmokeGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []string{"1", "4"} {
+	for _, c := range []struct {
+		name string
+		run  func(io.Reader, io.Writer) error
+	}{
+		{"serve -workers 1", func(in io.Reader, w io.Writer) error { return serveOn([]string{"-workers", "1"}, in, w) }},
+		{"serve -workers 4", func(in io.Reader, w io.Writer) error { return serveOn([]string{"-workers", "4"}, in, w) }},
+		{"sweep -worker", func(in io.Reader, w io.Writer) error { return sweepOn([]string{"-worker"}, in, w) }},
+	} {
 		var out strings.Builder
-		if err := serveOn([]string{"-workers", workers}, bytes.NewReader(reqs), &out); err != nil {
+		if err := c.run(bytes.NewReader(reqs), &out); err != nil {
 			t.Fatal(err)
 		}
 		if out.String() != string(want) {
-			t.Errorf("-workers %s responses differ from serve-smoke.golden:\n--- got ---\n%s\n--- want ---\n%s", workers, out.String(), want)
+			t.Errorf("%s responses differ from serve-smoke.golden:\n--- got ---\n%s\n--- want ---\n%s", c.name, out.String(), want)
 		}
 	}
 }

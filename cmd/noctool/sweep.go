@@ -34,7 +34,7 @@ func cmdSweep(args []string, w io.Writer) error {
 }
 
 // sweepOn is cmdSweep with the stdin stream injectable for tests (the
-// worker mode speaks the line protocol over it).
+// worker mode serves the daemon's line protocol over it).
 func sweepOn(args []string, in io.Reader, w io.Writer) error {
 	fs, format := newFlagSet("sweep")
 	mode := fs.String("mode", "wctt", "scenario mode: wctt, simulate, manycore, parallel-wcet, wcet-map or load-curve")
@@ -58,8 +58,8 @@ func sweepOn(args []string, in io.Reader, w io.Writer) error {
 	progress := fs.Bool("progress", false, "report per-scenario completion with rate and ETA on stderr")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile taken after the sweep to this file")
-	worker := fs.Bool("worker", false, "run as a sweep worker: execute scenario specs received on stdin over the JSON-line worker protocol (spawned by the coordinator; see PROTOCOL.md)")
-	workerProcs := fs.Int("worker-procs", 0, "fan the grid out to this many `noctool sweep -worker` subprocesses; 0 = in-process")
+	worker := fs.Bool("worker", false, "run as a sweep worker: the serve daemon on stdin/stdout with one executing line (spawned by the coordinator; see PROTOCOL.md, \"Sweep workers\")")
+	workerProcs := fs.Int("worker-procs", 0, "fan the grid out to this many `noctool sweep -worker` subprocesses, each sent scenario lines; 0 = in-process")
 	out := fs.String("out", "", "stream each result as a JSON line to this file the moment it completes, then merge into spec order")
 	checkpoint := fs.String("checkpoint", "", "record finished grid indices + result hashes in this file (requires -out); enables -resume")
 	resume := fs.Bool("resume", false, "resume an interrupted sweep from -out/-checkpoint, recomputing only unfinished scenarios")
@@ -71,7 +71,7 @@ func sweepOn(args []string, in io.Reader, w io.Writer) error {
 	explicit := map[string]bool{}
 	fs.Visit(func(fl *flag.Flag) { explicit[fl.Name] = true })
 
-	// Worker mode: the process is a protocol endpoint, not a grid runner;
+	// Worker mode: the process is a daemon on stdio, not a grid runner;
 	// every grid-shaping flag belongs to the coordinator that spawned us.
 	if *worker {
 		for name := range explicit {
@@ -79,9 +79,10 @@ func sweepOn(args []string, in io.Reader, w io.Writer) error {
 				return fmt.Errorf("sweep: flag -%s is not supported with -worker", name)
 			}
 		}
-		// The production worker runs no fault hooks, whatever the
-		// environment holds; the scripted fault plans are the sweep tests'.
-		return sweep.ServeWorker(context.Background(), in, w, sweep.WorkerHooks{})
+		// A worker is the daemon on stdio with one executing line: the
+		// coordinator owns all parallelism, and a worker runs one scenario
+		// at a time. Stdin EOF is the shutdown signal.
+		return serveOn([]string{"-workers", "1"}, in, w)
 	}
 	if *checkpoint != "" && *out == "" {
 		return fmt.Errorf("sweep: -checkpoint requires -out")

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,18 +10,22 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/sweep"
+	"repro/internal/faultinject"
 )
 
 // TestMain doubles the test binary as a sweep worker. The coordinator spawns
 // os.Executable() with the arguments "sweep -worker", which a test binary
 // cannot parse — but it also sets NOCTOOL_SWEEP_WORKER in the child's
-// environment, so the worker role is recognisable before any flag parsing.
-// This makes the multi-process golden tests below exercise real subprocesses
-// speaking the real protocol, not an in-process stand-in.
+// environment, so the worker role is recognisable before any flag parsing,
+// and the child runs the real `sweep -worker` entry. A fault plan in the
+// NOCTOOL_FAULT_* environment wraps the worker's stdio (the production
+// binary never reads it). This makes the multi-process golden tests below
+// exercise real subprocesses speaking the real protocol, not an in-process
+// stand-in.
 func TestMain(m *testing.M) {
 	if os.Getenv(workerEnv) == "1" {
-		if err := sweep.ServeWorker(context.Background(), os.Stdin, os.Stdout, sweep.WorkerHooks{}); err != nil {
+		in, out := faultinject.WorkerFaultsFromEnv(os.Getenv).Wrap(os.Stdin, os.Stdout)
+		if err := sweepOn([]string{"-worker"}, in, out); err != nil {
 			fmt.Fprintln(os.Stderr, "worker:", err)
 			os.Exit(1)
 		}
@@ -68,6 +71,31 @@ func TestGoldenWorkerProcs(t *testing.T) {
 						c.golden, procs, out.String(), want)
 				}
 			})
+		}
+	}
+}
+
+// TestSweepErrorsMatchWorkerProcs: a grid point that fails reads the same
+// in-process and from a worker — the worker's error text passes through
+// verbatim — and so does a size over the scenario limits, which every door
+// refuses with one error.
+func TestSweepErrorsMatchWorkerProcs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker subprocesses")
+	}
+	for _, args := range [][]string{
+		{"-mode", "simulate", "-sizes", "2", "-designs", "regular", "-messages", "200", "-max-cycles", "5"},
+		{"-sizes", "129", "-designs", "regular"},
+	} {
+		want := cmdSweep(args, &strings.Builder{})
+		if want == nil {
+			t.Fatalf("sweep %v succeeded", args)
+		}
+		for _, procs := range []string{"1", "2"} {
+			got := cmdSweep(append([]string{"-worker-procs", procs}, args...), &strings.Builder{})
+			if got == nil || got.Error() != want.Error() {
+				t.Errorf("sweep -worker-procs %s %v: error %v, want %v", procs, args, got, want)
+			}
 		}
 	}
 }

@@ -109,7 +109,8 @@
 // compiled engines), keyed by the full parameter value and holding immutable
 // objects; a cycle-accurate scenario builds and owns its network.
 // internal/sweep executes spec lists through an Executor (the in-process worker pool, or the
-// Coordinator fanning tasks out to `noctool sweep -worker` subprocesses) and
+// Coordinator sending scenario lines to `noctool sweep -worker` subprocesses,
+// each the daemon on stdio) and
 // composable ResultSinks (the spec-ordered collector, a streaming JSONL
 // sink, a checkpoint writer that makes interrupted sweeps resumable).
 // Aggregated output is byte-identical for 1 worker and for N, for every

@@ -243,8 +243,9 @@ type allPairsRun struct {
 // allPairs runs the all-pairs producers of the chained-blocking bound of
 // messages of shape sh, and feeds every source endpoint's row of bounds, in
 // index order, to table (when non-nil) or to a summary fold, which it
-// returns. ctx is polled on the caller once per turn column of the X maps
-// (W per distinct X row) and then by the turn holder once per router row of
+// returns. ctx is polled on the caller once per router row of destinations
+// while it builds the column states, then once per turn column of the X maps
+// (W per distinct X row), and then by the turn holder once per router row of
 // sources; a cancelled run returns ctx's error after every producer has
 // stopped.
 func (m *Model) allPairs(ctx context.Context, sh msgShape, table []uint64) (summaryFold, error) {
@@ -264,6 +265,11 @@ func (m *Model) allPairs(ctx context.Context, sh msgShape, table []uint64) (summ
 	ms := ensureTable(*lp, max(W, Ht))
 	*lp = ms
 	for rdIdx := range rn {
+		if rdIdx%W == 0 {
+			if err := ctx.Err(); err != nil {
+				return summaryFold{}, err
+			}
+		}
 		rd := m.rdim.NodeAt(rdIdx)
 		f.line(ms, false, rd.X, rd.Y, 0, Ht-1, f.hop(f.planes[mesh.Local][rdIdx]), true)
 		for y, s := range ms[:Ht] {

@@ -685,40 +685,41 @@ func (c *pollCtx) Err() error {
 }
 
 // TestSummarizeContextCancel: a 64x64 summary polls its context once per row
-// of sources, and a regular one first once per turn column of its X maps (64
-// more, one distinct X row); cancelled halfway it returns at that very poll —
-// within one column's or row's work — with the context's error and no partial
-// result, and the pooled scratch it abandoned serves the next summary
-// unharmed. A regular summary is cancelled halfway through each phase. With
+// of sources, and a regular one first once per router row of destinations
+// while it builds the column states (64 more) and once per turn column of its
+// X maps (64 more, one distinct X row); cancelled halfway it returns at that
+// very poll — within one row's or column's work — with the context's error
+// and no partial result, and the pooled scratch it abandoned serves the next
+// summary unharmed. A regular summary is cancelled halfway through each
+// phase. A 1x512 strip has one destination router per row, so its column
+// states, H^2 words of work, poll 512 times before its one turn column. With
 // one producer and with four alike: the turn holder polls, and a cancelled
 // summary joins every producer before it returns, so no goroutine outlives
 // it.
 func TestSummarizeContextCancel(t *testing.T) {
-	m := MustNewModel(DefaultParams(mesh.MustDim(64, 64)))
+	square := MustNewModel(DefaultParams(mesh.MustDim(64, 64)))
+	tall := MustNewModel(DefaultParams(mesh.MustDim(1, 512)))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		checkSummaryCancel(t, m, procs)
-	}
-}
-
-// checkSummaryCancel is TestSummarizeContextCancel under the current
-// GOMAXPROCS (procs, for the messages).
-func checkSummaryCancel(t *testing.T, m *Model, procs int) {
-	t.Helper()
-	for _, c := range []struct {
-		design   network.Design
-		polls    int
-		cancelAt []int
-	}{{network.DesignRegular, 128, []int{33, 97}}, {network.DesignWaWWaP, 64, []int{33}}} {
-		design := c.design
-		whole := &pollCtx{Context: context.Background(), cancelAt: math.MaxInt}
-		want, err := m.SummarizeOneFlitWCTTContext(whole, design)
-		if err != nil || whole.polls != c.polls {
-			t.Fatalf("GOMAXPROCS %d %v: uncancelled summary: err %v, %d polls (want %d)", procs, design, err, whole.polls, c.polls)
-		}
-		for _, at := range c.cancelAt {
-			checkCancelAt(t, m, design, procs, at, want)
+		for _, c := range []struct {
+			m        *Model
+			design   network.Design
+			polls    int
+			cancelAt []int
+		}{
+			{square, network.DesignRegular, 192, []int{33, 97, 161}},
+			{square, network.DesignWaWWaP, 64, []int{33}},
+			{tall, network.DesignRegular, 1025, []int{257, 513, 769}},
+		} {
+			whole := &pollCtx{Context: context.Background(), cancelAt: math.MaxInt}
+			want, err := c.m.SummarizeOneFlitWCTTContext(whole, c.design)
+			if err != nil || whole.polls != c.polls {
+				t.Fatalf("GOMAXPROCS %d %v %v: uncancelled summary: err %v, %d polls (want %d)", procs, c.m.p.Dim, c.design, err, whole.polls, c.polls)
+			}
+			for _, at := range c.cancelAt {
+				checkCancelAt(t, c.m, c.design, procs, at, want)
+			}
 		}
 	}
 }

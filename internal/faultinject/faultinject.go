@@ -2,7 +2,7 @@
 // distributed subsystems: a seeded source of scripted failures that plugs
 // into the existing seams — the internal/lineio framing every wire protocol
 // shares, and the sweep coordinator's worker Command/Env hook (env-scripted
-// crash/garble/skew plans). The same discipline that pins every engine
+// crash/garble/delay/hang plans that wrap a test worker's stdio). The same discipline that pins every engine
 // refactor applies to failures too: a fault schedule is a pure function of
 // (seed, component name, decision index), so a chaos run that breaks
 // replays byte-for-byte from its seed, and CI can assert invariants ("every
@@ -12,7 +12,7 @@
 //
 // The package deliberately injects only faults a deployment actually
 // produces: delayed, garbled and torn (mid-byte truncated) lines, worker
-// crashes at chosen points, and clock-skewed heartbeats. It contains no
+// crashes at chosen points, and slow or hung workers. It contains no
 // test assertions itself — the chaos harnesses in internal/serve and
 // internal/sweep own the invariants.
 package faultinject

@@ -133,7 +133,7 @@ func TestWorkerFaultsEnvRoundTrip(t *testing.T) {
 	plan := Faults()
 	plan.CrashAfter = 3
 	plan.CrashIndex = 12
-	plan.PongDelay = 40 * time.Millisecond
+	plan.ReplyDelay = 40 * time.Millisecond
 	plan.GarbleEvery = 5
 	plan.Hang = true
 

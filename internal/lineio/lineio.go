@@ -1,10 +1,10 @@
 // Package lineio holds the JSON-line framing discipline shared by every
-// wire protocol of this repository: the serve daemon (PROTOCOL.md), and the
-// sweep coordinator/worker protocol of the multi-process executor (the same
-// one-request-per-line, one-response-per-line framing uPIMulator uses to
-// drive BookSim2 as an external timing process). Centralising the scanner
-// construction pins one line-size budget for every transport, so a batch
-// accepted by one layer is never rejected by another.
+// wire protocol of this repository: the serve daemon (PROTOCOL.md), which is
+// also what a sweep worker runs on stdio, and the sweep coordinator that
+// drives it (the same one-request-per-line, one-response-per-line framing
+// uPIMulator uses to drive BookSim2 as an external timing process).
+// Centralising the scanner construction pins one line-size budget for every
+// transport, so a batch accepted by one layer is never rejected by another.
 package lineio
 
 import (

@@ -5,7 +5,7 @@ import "encoding/json"
 // CanonicalJSON renders a spec in its canonical wire form: the compact,
 // field-ordered MarshalJSON encoding. This single representation is the
 // unit of exchange everywhere a spec crosses a process boundary or is hashed
-// — the sweep worker protocol (coordinator → worker task payload) and the
+// — the scenario line a sweep coordinator sends its worker and the
 // checkpoint grid hash that guards resume against a changed grid.
 //
 // The encoding round-trips exactly: Unmarshal followed by CanonicalJSON

@@ -217,6 +217,43 @@ type Traffic struct {
 // a hostile value reads as a small, unsound bound.
 const MaxPacketFlitsLimit = 1 << 16
 
+// The size limits every door applies to a spec before it is built: the
+// sweep CLI and its workers through Expand and Validate, the daemon's verbs
+// through Validate and CheckNodeLimit.
+const (
+	// maxNodes is the largest mesh (width x height endpoints) accepted:
+	// 128x128. Every table a run builds is at least O(nodes), so the
+	// ceiling is checked before the first allocation.
+	maxNodes = 128 * 128
+	// maxSide is the longest side of a spec's mesh. A scenario runs
+	// whole-mesh kernels whose tables grow with a side times the node
+	// count, so maxNodes alone does not bound them: the regular all-pairs
+	// summary of an 11111x1 strip allocated 2.8 GB, and ran for seconds,
+	// before it first asked for its deadline. Every mesh up to 128x128 is
+	// accepted.
+	maxSide = 128
+)
+
+// LimitError is a request refused because it asks for more than a run will
+// build or compute, not because it is malformed; the daemon codes it
+// "limit".
+type LimitError struct{ msg string }
+
+func (e *LimitError) Error() string { return e.msg }
+
+// CheckNodeLimit rejects a mesh above 128x128 nodes with a *LimitError. A
+// side below 1 is left to the caller's own validation; each side is
+// compared before the product, which therefore cannot overflow.
+func CheckNodeLimit(width, height int) error {
+	if width < 1 || height < 1 {
+		return nil
+	}
+	if width > maxNodes || height > maxNodes || width*height > maxNodes {
+		return &LimitError{fmt.Sprintf("mesh %dx%d exceeds the limit of %d nodes", width, height, maxNodes)}
+	}
+	return nil
+}
+
 // Spec declares one experiment, or — through the Sizes/Designs/Workloads
 // sweep axes — a whole grid of them.
 type Spec struct {
@@ -334,8 +371,15 @@ func (s Spec) Dim() (mesh.Dim, error) { return mesh.NewDim(s.Width, s.Height) }
 // TopoSpec parses the spec's topology name ("" selects the mesh).
 func (s Spec) TopoSpec() (mesh.TopoSpec, error) { return mesh.ParseTopology(s.Topology) }
 
-// Validate checks a concrete (already expanded) spec.
+// Validate checks a concrete (already expanded) spec. The size limits come
+// first, as a *LimitError.
 func (s Spec) Validate() error {
+	if err := CheckNodeLimit(s.Width, s.Height); err != nil {
+		return err
+	}
+	if s.Width > maxSide || s.Height > maxSide {
+		return &LimitError{fmt.Sprintf("scenario: mesh %dx%d exceeds the limit of %dx%d", s.Width, s.Height, maxSide, maxSide)}
+	}
 	if len(s.Sizes) > 0 || len(s.Designs) > 0 || len(s.Workloads) > 0 {
 		return fmt.Errorf("scenario: spec %q still carries sweep axes; call Expand first", s.Name)
 	}

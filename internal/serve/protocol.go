@@ -183,7 +183,11 @@ func appendError(buf []byte, id int64, err error) []byte {
 	}
 	buf = append(buf, msg...)
 	var pe *protoError
-	if errors.As(err, &pe) {
+	var le *scenario.LimitError
+	if !errors.As(err, &pe) && errors.As(err, &le) {
+		pe = &protoError{code: "limit"} // a request over the scenario layer's size limits
+	}
+	if pe != nil {
 		buf = append(buf, `,"code":"`...)
 		buf = append(buf, pe.code...)
 		if pe.retryable {

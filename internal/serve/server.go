@@ -33,19 +33,6 @@ const (
 	// instead of unbounded buffering.
 	defaultQueueDepth = 256
 
-	// maxNodes is the largest mesh (width x height endpoints) any verb
-	// accepts: 128x128. Every table a verb builds is at least O(nodes), so
-	// the ceiling is checked before the first allocation.
-	maxNodes = 128 * 128
-
-	// maxScenarioSide is the longest side of a scenario line's mesh. A
-	// scenario runs whole-mesh kernels whose tables grow with a side times
-	// the node count, so maxNodes alone does not bound them: the regular
-	// all-pairs summary of an 11111x1 strip allocated 2.8 GB, and ran for
-	// seconds, before it first asked for its deadline. Every mesh up to
-	// 128x128 is accepted.
-	maxScenarioSide = 128
-
 	// MaxPayloadBits is the largest payload_bits the wctt and batch verbs
 	// accept (a 512 MiB message), checked before any flit arithmetic.
 	MaxPayloadBits = 1 << 32
@@ -87,18 +74,9 @@ func (r *recycled) release() {
 	recycledBufs.Put(r)
 }
 
-// checkNodeLimit rejects a mesh above maxNodes with the coded limit error.
-// A side below 1 is left to the verb's own validation; each side is compared
-// before the product, which therefore cannot overflow.
-func checkNodeLimit(width, height int) error {
-	if width < 1 || height < 1 {
-		return nil
-	}
-	if width > maxNodes || height > maxNodes || width*height > maxNodes {
-		return limitError("mesh %dx%d exceeds the limit of %d nodes", width, height, maxNodes)
-	}
-	return nil
-}
+// checkNodeLimit rejects a mesh above the scenario layer's node ceiling with
+// the limit error the wire codes "limit".
+func checkNodeLimit(width, height int) error { return scenario.CheckNodeLimit(width, height) }
 
 // limitError is the coded, non-retryable error of a request that asks for
 // more than the daemon will build or compute.
@@ -871,13 +849,8 @@ func (s *Server) scenarioOp(ctx context.Context, req *Request) ([]byte, bool) {
 		return errorResponse(req.ID, errors.New("scenario: missing spec")), true
 	}
 	spec := *req.Spec
-	if err := checkNodeLimit(spec.Width, spec.Height); err != nil {
-		return errorResponse(req.ID, err), true
-	}
-	if spec.Width > maxScenarioSide || spec.Height > maxScenarioSide {
-		return errorResponse(req.ID, limitError("scenario: mesh %dx%d exceeds the limit of %dx%d",
-			spec.Width, spec.Height, maxScenarioSide, maxScenarioSide)), true
-	}
+	// Validate checks the size limits first, so a spec over them is
+	// refused with the coded limit error before anything is built.
 	if err := spec.Validate(); err != nil {
 		return errorResponse(req.ID, err), true
 	}

@@ -29,7 +29,7 @@ func chaosSeeds(t *testing.T) []int64 {
 
 // TestChaosCoordinator drives the multi-process executor through seeded
 // worker fault plans — crashes after a few responses, garbled response
-// lines, clock-skewed pongs — all survivable, and asserts the end-to-end
+// lines, delayed responses — all survivable, and asserts the end-to-end
 // resilience contract: every grid index reaches the sink exactly once, with
 // no errors, and the aggregated output is byte-identical to the fault-free
 // golden. The plan is drawn deterministically from the seed, so a failing
@@ -50,13 +50,13 @@ func TestChaosCoordinator(t *testing.T) {
 			// Every fault here is survivable by construction: CrashAfter >= 1
 			// guarantees each worker delivers at least one result before
 			// dying, GarbleEvery >= 2 lets a quarantined solo retry (one
-			// response per process) through ungarbled, and the pong skew
-			// stays far inside the liveness timeout.
+			// response per process) through ungarbled, and the reply delay
+			// stays far inside the stall timeout.
 			wf.CrashAfter = 1 + s.Intn(4)
 			if s.Hit(0.5) {
 				wf.GarbleEvery = 2 + s.Intn(3)
 			}
-			wf.PongDelay = time.Duration(s.Intn(50)) * time.Millisecond
+			wf.ReplyDelay = time.Duration(s.Intn(50)) * time.Millisecond
 			co := testCoordinator(1+s.Intn(3), wf.Env()...)
 			co.MaxRestarts = 1000
 			co.MaxAttempts = 1000

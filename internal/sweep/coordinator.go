@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -17,9 +18,10 @@ import (
 )
 
 // Coordinator is the multi-process Executor: it fans tasks out to worker
-// subprocesses (`noctool sweep -worker`) over the JSON-line protocol, with
-// a bounded in-flight window per worker, out-of-band ping heartbeats that
-// kill hung (not merely busy) workers, and restart-on-crash with
+// subprocesses (`noctool sweep -worker`, the serve daemon on stdio with one
+// executing line) as ordinary `scenario` lines whose id is the grid index,
+// with a bounded in-flight window per worker, a stall timer that kills a
+// worker owing an answer that has gone silent, and restart-on-crash with
 // requeueing of the dead worker's in-flight tasks. Because scenario
 // execution is deterministic and every result carries its grid index, the
 // sink receives exactly the outcomes the InProcess executor would deliver
@@ -34,15 +36,11 @@ type Coordinator struct {
 	// Procs is the number of worker processes; <1 selects
 	// AutoSplit(GOMAXPROCS, -1, points).Procs.
 	Procs int
-	// Window bounds in-flight tasks per worker; <1 selects the AutoSplit
-	// default (one executing + one queued).
-	Window int
-	// HeartbeatInterval is the ping cadence; 0 selects 500ms.
-	HeartbeatInterval time.Duration
-	// HeartbeatTimeout kills a worker that produced no output (not even a
-	// pong) for this long; 0 selects 30s. Busy workers answer pings from
-	// their reader goroutine, so long scenarios do not trip this.
-	HeartbeatTimeout time.Duration
+	// StallTimeout kills a worker that owes an answer and has written no
+	// line for this long; 0 selects 10 minutes. A worker answers in request
+	// order, so the timer also times the scenario it is running: the
+	// default sits far above any real scenario.
+	StallTimeout time.Duration
 	// MaxRestarts bounds how many times one worker slot is respawned
 	// after crashes; 0 selects 3. When every slot has exhausted its
 	// restarts, remaining tasks fail (they are never silently dropped).
@@ -64,18 +62,11 @@ type Coordinator struct {
 	Stderr io.Writer
 }
 
-func (c *Coordinator) heartbeatInterval() time.Duration {
-	if c.HeartbeatInterval > 0 {
-		return c.HeartbeatInterval
+func (c *Coordinator) stallTimeout() time.Duration {
+	if c.StallTimeout > 0 {
+		return c.StallTimeout
 	}
-	return 500 * time.Millisecond
-}
-
-func (c *Coordinator) heartbeatTimeout() time.Duration {
-	if c.HeartbeatTimeout > 0 {
-		return c.HeartbeatTimeout
-	}
-	return 30 * time.Second
+	return 10 * time.Minute
 }
 
 func (c *Coordinator) maxRestarts() int {
@@ -328,27 +319,49 @@ func (st *coordState) cancel(cause error) {
 	}
 }
 
-// session is one live worker process: its pipes, the in-flight task map
-// keyed by request id, and the liveness clock the heartbeat reads.
+// scenarioLine is the request the coordinator writes: the daemon's scenario
+// verb, its id the task's grid index.
+type scenarioLine struct {
+	ID   int            `json:"id"`
+	Op   string         `json:"op"`
+	Spec *scenario.Spec `json:"spec"`
+}
+
+// scenarioAnswer is what the coordinator reads of the daemon's response.
+type scenarioAnswer struct {
+	ID     int             `json:"id"`
+	OK     bool            `json:"ok"`
+	Result json.RawMessage `json:"result"`
+	Error  string          `json:"error"`
+}
+
+// session is one live worker process: its pipes, the tasks it owes answers
+// for keyed by grid index, and its stall timer. An index is dispatched at
+// most once per session, so the index alone names a request.
 type session struct {
 	cmd      *exec.Cmd
 	stdin    io.WriteCloser
 	stdout   io.ReadCloser
-	wmu      sync.Mutex // serialises request lines (tasks + pings)
-	imu      sync.Mutex
-	inflight map[int64]Task
-	lastRead atomic.Int64 // unix nanos of the last line read from the worker
-	broken   atomic.Bool  // heartbeat expiry, write failure, or garbled output
+	mu       sync.Mutex
+	inflight map[int]Task
+	stall    *time.Timer
+	broken   atomic.Bool // stall, write failure, or garbled output
 }
 
-func (s *session) send(req workerRequest) error {
-	line, err := json.Marshal(req)
+// send writes one task's scenario line. Only the session's feeder writes.
+func (s *session) send(t Task) error {
+	line, err := json.Marshal(scenarioLine{ID: t.Index, Op: "scenario", Spec: &t.Spec})
 	if err != nil {
 		return err
 	}
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
 	return lineio.WriteLine(s.stdin, line)
+}
+
+// owes reports whether the worker has answers outstanding.
+func (s *session) owes() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.inflight) > 0
 }
 
 // Execute implements Executor.
@@ -360,12 +373,7 @@ func (c *Coordinator) Execute(ctx context.Context, tasks []Task, opts Options, s
 		return fmt.Errorf("sweep: coordinator has no worker command")
 	}
 	split := AutoSplit(pool.Jobs(0), c.Procs, len(tasks))
-	window := c.Window
-	if window < 1 {
-		window = split.Window
-	}
 	st := newCoordState(tasks, split.Procs, sink)
-	var ids atomic.Int64
 
 	// Cancellation watcher: wake every pop and drain pending work. Worker
 	// processes die when their slots notice and kill them.
@@ -384,7 +392,7 @@ func (c *Coordinator) Execute(ctx context.Context, tasks []Task, opts Options, s
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.runSlot(ctx, st, slot, window, &ids)
+			c.runSlot(ctx, st, slot, split.Window)
 		}()
 	}
 	wg.Wait()
@@ -404,7 +412,7 @@ func (c *Coordinator) Execute(ctx context.Context, tasks []Task, opts Options, s
 // suspects run one per process; their crashes charge the task's attempt
 // budget (consumed by requeue), not the slot's restart budget, so a poison
 // task cannot burn down a healthy slot's restarts.
-func (c *Coordinator) runSlot(ctx context.Context, st *coordState, slot, window int, ids *atomic.Int64) {
+func (c *Coordinator) runSlot(ctx context.Context, st *coordState, slot, window int) {
 	bo := c.slotBackoff(slot)
 	restarts := 0
 	for {
@@ -426,16 +434,16 @@ func (c *Coordinator) runSlot(ctx context.Context, st *coordState, slot, window 
 			backoffSleep(st, bo)
 			continue
 		}
-		crashErr := c.drive(ctx, st, s, window, ids, t, solo)
+		crashErr := c.drive(ctx, st, s, window, t, solo)
 		// Collect the dead session's in-flight tasks. The reader has
 		// exited, so no response can race these requeues.
-		s.imu.Lock()
+		s.mu.Lock()
 		victims := make([]Task, 0, len(s.inflight))
 		for _, vt := range s.inflight {
 			victims = append(victims, vt)
 		}
 		s.inflight = nil
-		s.imu.Unlock()
+		s.mu.Unlock()
 		if len(victims) == 0 && crashErr == nil {
 			// Clean end: the run may be over, or only suspects remain (the
 			// feeder refuses them, winding its session down). Loop: the
@@ -477,9 +485,7 @@ func (c *Coordinator) spawn() (*session, error) {
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("sweep: start worker: %w", err)
 	}
-	s := &session{cmd: cmd, stdin: stdin, stdout: stdout, inflight: make(map[int64]Task)}
-	s.lastRead.Store(time.Now().UnixNano())
-	return s, nil
+	return &session{cmd: cmd, stdin: stdin, stdout: stdout, inflight: make(map[int]Task)}, nil
 }
 
 // drive feeds one live session until it crashes, the run ends, or ctx is
@@ -488,13 +494,27 @@ func (c *Coordinator) spawn() (*session, error) {
 // Returns nil on a clean end and the crash cause otherwise; either way the
 // session's process is dead and reaped when drive returns, and whatever
 // remains in s.inflight is the caller's to requeue.
-func (c *Coordinator) drive(ctx context.Context, st *coordState, s *session, window int, ids *atomic.Int64, firstTask Task, solo bool) error {
+func (c *Coordinator) drive(ctx context.Context, st *coordState, s *session, window int, firstTask Task, solo bool) error {
 	tokens := make(chan struct{}, window)
 	readerDone := make(chan struct{})
 	dead := func() bool { return s.broken.Load() }
 
-	// Reader: every line from the worker refreshes the liveness clock;
-	// run-responses retire their in-flight entry and report to the sink.
+	// Stall timer: a worker that owes an answer and has written no line for
+	// the timeout is killed. A worker answers in request order, so a probe
+	// queued behind a running scenario could not tell busy from hung; the
+	// timer is re-armed by every line the worker writes and by a dispatch
+	// to a worker that owed nothing, and an idle worker is left alone.
+	timeout := c.stallTimeout()
+	s.stall = time.AfterFunc(timeout, func() {
+		if s.owes() {
+			s.broken.Store(true)
+			s.cmd.Process.Kill()
+			st.cond.Broadcast()
+		}
+	})
+
+	// Reader: every line from the worker re-arms the stall timer; answers
+	// retire their in-flight entry and report to the sink.
 	go func() {
 		defer close(readerDone)
 		// Wake the feeder out of pop() once this session stops reading:
@@ -503,71 +523,42 @@ func (c *Coordinator) drive(ctx context.Context, st *coordState, s *session, win
 		defer st.cond.Broadcast()
 		sc := lineio.NewScanner(s.stdout)
 		for sc.Scan() {
-			s.lastRead.Store(time.Now().UnixNano())
+			s.stall.Reset(timeout)
 			line := sc.Bytes()
 			if len(line) == 0 {
 				continue
 			}
-			var resp workerResponse
-			if err := json.Unmarshal(line, &resp); err != nil {
+			var a scenarioAnswer
+			if err := json.Unmarshal(line, &a); err != nil {
 				s.broken.Store(true)
 				return // garbled output: treat the worker as crashed
 			}
-			if resp.Pong {
-				continue
-			}
-			s.imu.Lock()
-			t, ok := s.inflight[resp.ID]
-			delete(s.inflight, resp.ID)
-			s.imu.Unlock()
+			s.mu.Lock()
+			t, ok := s.inflight[a.ID]
+			delete(s.inflight, a.ID)
+			s.mu.Unlock()
 			if !ok {
-				continue // response to a request we no longer track
+				s.broken.Store(true)
+				return // an answer nothing was asked for: the stream is not to be trusted
 			}
-			if resp.OK {
+			if a.OK {
 				var r scenario.Result
-				if err := json.Unmarshal(resp.Result, &r); err != nil {
+				if err := json.Unmarshal(a.Result, &r); err != nil {
 					st.finish(t, scenario.Result{Name: t.Spec.Name},
 						fmt.Errorf("sweep: scenario %d: bad worker result: %w", t.Index, err))
 				} else {
 					st.finish(t, r, nil)
 				}
 			} else {
-				st.finish(t, scenario.Result{Name: resp.Name},
-					fmt.Errorf("scenario %q: %s", resp.Name, resp.Error))
+				// The worker's error text is the in-process error's, verbatim.
+				st.finish(t, scenario.Result{Name: t.Spec.Name}, errors.New(a.Error))
 			}
 			select {
 			case <-tokens:
 			default:
 			}
 		}
-		s.broken.Store(s.broken.Load() || stdoutClosedEarly(s))
-	}()
-
-	// Heartbeat: ping on a cadence; kill the process when it has produced
-	// no output (not even a pong) for the timeout. A busy worker's reader
-	// goroutine still pongs, so only a genuinely wedged worker dies here.
-	hbStop := make(chan struct{})
-	var hbWg sync.WaitGroup
-	hbWg.Add(1)
-	go func() {
-		defer hbWg.Done()
-		ticker := time.NewTicker(c.heartbeatInterval())
-		defer ticker.Stop()
-		for {
-			select {
-			case <-hbStop:
-				return
-			case <-ticker.C:
-				idle := time.Since(time.Unix(0, s.lastRead.Load()))
-				if idle > c.heartbeatTimeout() {
-					s.broken.Store(true)
-					s.cmd.Process.Kill()
-					st.cond.Broadcast()
-					return
-				}
-				s.send(workerRequest{ID: ids.Add(1), Verb: "ping"})
-			}
-		}
+		s.broken.Store(s.broken.Load() || s.owes())
 	}()
 
 	// Feeder: push tasks through the window until the queue drains for
@@ -584,16 +575,19 @@ func (c *Coordinator) drive(ctx context.Context, st *coordState, s *session, win
 			st.requeue(t, c.maxAttempts(), fmt.Errorf("sweep: worker died before dispatch"), false)
 			break
 		}
-		id := ids.Add(1)
-		s.imu.Lock()
-		s.inflight[id] = t
-		s.imu.Unlock()
-		if err := s.send(workerRequest{ID: id, Verb: "run", Index: t.Index, Spec: &t.Spec}); err != nil {
+		s.mu.Lock()
+		idle := len(s.inflight) == 0
+		s.inflight[t.Index] = t
+		s.mu.Unlock()
+		if idle {
+			s.stall.Reset(timeout)
+		}
+		if err := s.send(t); err != nil {
 			// The write failed, so the worker never saw this task; pull it
 			// back out so requeueing (not the reader) owns it.
-			s.imu.Lock()
-			delete(s.inflight, id)
-			s.imu.Unlock()
+			s.mu.Lock()
+			delete(s.inflight, t.Index)
+			s.mu.Unlock()
 			st.requeue(t, c.maxAttempts(), err, false)
 			sendErr = err
 			break
@@ -606,20 +600,19 @@ func (c *Coordinator) drive(ctx context.Context, st *coordState, s *session, win
 	}
 
 	// Shut the session down: closing stdin tells a healthy worker to
-	// finish its queue and exit; the reader then sees EOF after the last
-	// response. A broken worker is killed outright.
+	// answer what it has read and exit; the reader then sees EOF after the
+	// last response. A broken worker is killed outright.
 	s.stdin.Close()
 	if dead() || sendErr != nil || ctx.Err() != nil {
 		s.cmd.Process.Kill()
 	}
 	<-readerDone
-	close(hbStop)
-	hbWg.Wait()
+	s.stall.Stop()
 	waitErr := s.cmd.Wait()
 
-	s.imu.Lock()
+	s.mu.Lock()
 	pending := len(s.inflight)
-	s.imu.Unlock()
+	s.mu.Unlock()
 	if pending == 0 && sendErr == nil && !s.broken.Load() {
 		return nil
 	}
@@ -631,13 +624,4 @@ func (c *Coordinator) drive(ctx context.Context, st *coordState, s *session, win
 		cause = fmt.Errorf("worker exited with %d tasks in flight", pending)
 	}
 	return fmt.Errorf("sweep: worker crashed: %w", cause)
-}
-
-// stdoutClosedEarly reports whether the worker's stdout ended while tasks
-// were still in flight — a crash, since a healthy worker only exits after
-// answering everything and seeing stdin EOF.
-func stdoutClosedEarly(s *session) bool {
-	s.imu.Lock()
-	defer s.imu.Unlock()
-	return len(s.inflight) > 0
 }

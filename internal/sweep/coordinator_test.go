@@ -8,62 +8,36 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/network"
 	"repro/internal/scenario"
+	"repro/internal/serve"
 )
 
 // TestMain doubles as the worker-subprocess entry point: the coordinator
-// tests respawn this very test binary with SWEEP_TEST_WORKER=1, so the
-// multi-process executor is exercised against real processes and real
-// pipes without building noctool first. Fault plans (crashes at exact,
-// reproducible points, hangs, garbled output, skewed pongs) arrive through
-// the NOCTOOL_FAULT_* environment seam HooksFromEnv decodes.
+// tests respawn this very test binary with SWEEP_TEST_WORKER=1, and it runs
+// what `noctool sweep -worker` runs — the serve daemon's line loop on stdio
+// with one executing line — so the multi-process executor is exercised
+// against real processes, real pipes and the real protocol without building
+// noctool first. A fault plan in the NOCTOOL_FAULT_* environment (crashes at
+// exact, reproducible points, hangs, garbled or delayed responses) wraps the
+// worker's stdio; noctool's own worker never reads it.
 func TestMain(m *testing.M) {
 	if os.Getenv("SWEEP_TEST_WORKER") == "1" {
-		if err := ServeWorker(context.Background(), os.Stdin, os.Stdout, HooksFromEnv(os.Getenv)); err != nil {
+		in, out := faultinject.WorkerFaultsFromEnv(os.Getenv).Wrap(os.Stdin, os.Stdout)
+		srv := serve.NewServer(serve.Config{Workers: 1})
+		err := srv.ServeLines(context.Background(), in, out)
+		srv.Close()
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "worker:", err)
 			os.Exit(1)
 		}
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
-}
-
-// HooksFromEnv decodes a scripted fault plan from the environment (the
-// NOCTOOL_FAULT_* keys of internal/faultinject) into worker hooks. This is
-// the worker half of the coordinator's Command/Env injection seam: a chaos
-// test appends faultinject.WorkerFaults.Env() to the worker command's
-// environment, and the re-exec'd test binary turns it into scripted crashes,
-// garbled output, skewed heartbeats or hangs. It lives with the tests: the
-// production worker (noctool sweep -worker) runs the zero hooks whatever its
-// environment holds.
-func HooksFromEnv(getenv func(string) string) WorkerHooks {
-	f := faultinject.WorkerFaultsFromEnv(getenv)
-	h := WorkerHooks{
-		PongDelay:   f.PongDelay,
-		GarbleEvery: f.GarbleEvery,
-		Hang:        f.Hang,
-	}
-	if n := f.CrashAfter; n > 0 {
-		h.AfterRespond = func(k int) {
-			if k >= n {
-				_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
-			}
-		}
-	}
-	if idx := f.CrashIndex; idx >= 0 {
-		h.BeforeRun = func(i int) {
-			if i == idx {
-				_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
-			}
-		}
-	}
-	return h
 }
 
 // testCoordinator builds a coordinator that re-execs this test binary as
@@ -121,20 +95,30 @@ func runToJSON(t *testing.T, specs []scenario.Spec, exec Executor, opts Options)
 
 // TestCoordinatorMatchesInProcess is the acceptance property of the
 // multi-process executor: for every worker-process count, the aggregated
-// results are byte-identical to the in-process engine.
+// results are byte-identical to the in-process engine, and so is the error
+// of a failing grid point — the worker's error text passes through verbatim.
 func TestCoordinatorMatchesInProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker subprocesses")
 	}
-	specs := coordGrid(t)
-	want, err := runToJSON(t, specs, InProcess{}, Options{})
-	if err != nil {
-		t.Fatalf("in-process error: %v", err)
+	failing := scenario.Spec{
+		Name:      "short",
+		Mode:      scenario.ModeSimulate,
+		Width:     2,
+		Height:    2,
+		Design:    network.DesignRegular,
+		MaxCycles: 5,
+		Traffic:   scenario.Traffic{Messages: 200},
+	}
+	specs := append(coordGrid(t), failing)
+	want, wantErr := runToJSON(t, specs, InProcess{}, Options{})
+	if wantErr == nil || !strings.Contains(wantErr.Error(), "did not complete within 5 cycles") {
+		t.Fatalf("in-process error = %v, want the failing point's", wantErr)
 	}
 	for _, procs := range []int{1, 2, 4} {
 		got, err := runToJSON(t, specs, testCoordinator(procs), Options{})
-		if err != nil {
-			t.Fatalf("procs=%d: %v", procs, err)
+		if err == nil || err.Error() != wantErr.Error() {
+			t.Errorf("procs=%d: error\n%v\nwant\n%v", procs, err, wantErr)
 		}
 		if string(got) != string(want) {
 			t.Errorf("procs=%d: coordinator results differ from in-process", procs)
@@ -169,47 +153,71 @@ func TestCoordinatorSurvivesWorkerCrashes(t *testing.T) {
 	}
 }
 
-// TestCoordinatorKillsHungWorker pins the heartbeat: a worker that stops
-// responding entirely (not merely busy) is killed on the liveness timeout
-// and its task fails once the attempt budget is spent — the sweep must
-// terminate, not hang.
+// TestCoordinatorKillsHungWorker pins the stall timer against a 250 ms
+// timeout. A worker that is slow but live — every response delayed by about
+// 40 % of the timeout — finishes its sweep with no error. A worker that stops
+// reading and writing entirely is killed, and its task fails once the
+// attempt budget is spent: the sweep must terminate, not hang.
 func TestCoordinatorKillsHungWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker subprocesses")
 	}
+	const stall = 250 * time.Millisecond
 	specs, err := scenario.Spec{
 		Name:    "hang",
 		Mode:    scenario.ModeWCTT,
-		Sizes:   []int{3},
-		Designs: []network.Design{network.DesignRegular},
+		Sizes:   []int{2, 3, 4},
+		Designs: []network.Design{network.DesignRegular, network.DesignWaWWaP},
 	}.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := testCoordinator(1, "NOCTOOL_FAULT_HANG=1")
-	co.HeartbeatInterval = 20 * time.Millisecond
-	co.HeartbeatTimeout = 250 * time.Millisecond
-	co.MaxRestarts = 1
-	co.MaxAttempts = 1
-	done := make(chan struct{})
-	var raw []byte
-	var cerr error
-	go func() {
-		defer close(done)
-		raw, cerr = runToJSON(t, specs, co, Options{})
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("sweep with hung worker did not terminate")
+	run := func(fault string, specs []scenario.Spec) ([]byte, time.Duration, error) {
+		t.Helper()
+		co := testCoordinator(1, fault)
+		co.StallTimeout = stall
+		co.MaxRestarts = 1
+		co.MaxAttempts = 1
+		done := make(chan struct{})
+		var raw []byte
+		var cerr error
+		start := time.Now()
+		go func() {
+			defer close(done)
+			raw, cerr = runToJSON(t, specs, co, Options{})
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("sweep with %s did not terminate", fault)
+		}
+		return raw, time.Since(start), cerr
 	}
-	_ = raw
+
+	want, err := runToJSON(t, specs, InProcess{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, took, cerr := run(fmt.Sprintf("NOCTOOL_FAULT_REPLY_DELAY_MS=%d", (stall*2/5).Milliseconds()), specs)
+	if cerr != nil {
+		t.Fatalf("slow but live worker: %v", cerr)
+	}
+	if string(raw) != string(want) {
+		t.Error("slow but live worker's results differ from in-process")
+	}
+	t.Logf("slow but live worker: %d scenarios in %v", len(specs), took)
+
+	_, took, cerr = run("NOCTOOL_FAULT_HANG=1", specs[:1])
 	if cerr == nil {
 		t.Fatal("hung worker's task reported success")
 	}
 	if !strings.Contains(cerr.Error(), "attempt") {
 		t.Errorf("unexpected error: %v", cerr)
 	}
+	if took < stall {
+		t.Errorf("hung worker was given up after %v, before the %v stall timeout", took, stall)
+	}
+	t.Logf("hung worker killed and its task failed after %v", took)
 }
 
 // TestCoordinatorCancellation: cancelling the context mid-run drains the

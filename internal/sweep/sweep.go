@@ -9,7 +9,7 @@
 //
 // The engine is layered as Executor + ResultSink: an Executor decides
 // *where* scenarios run (the InProcess goroutine pool, or the Coordinator
-// fanning specs out to worker subprocesses over the JSON-line protocol),
+// fanning specs out to worker subprocesses, each the serve daemon on stdio),
 // and a ResultSink decides *what happens* to each finished result the
 // moment it completes (the in-memory Collector behind Run, the streaming
 // JSONL/checkpoint sinks behind `noctool sweep -out/-checkpoint`, or any
@@ -27,7 +27,7 @@ import (
 type Options struct {
 	// Jobs is the number of worker goroutines of the InProcess executor;
 	// values < 1 select runtime.GOMAXPROCS(0). The multi-process
-	// Coordinator sizes itself from its own Procs/Window knobs instead.
+	// Coordinator sizes itself from its own Procs and AutoSplit instead.
 	Jobs int
 	// Progress, when non-nil, is called after every finished scenario
 	// (successful, failed or skipped) with the number of scenarios
